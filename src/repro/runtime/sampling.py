@@ -22,7 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.runtime.perfdata import PerformanceVector
+from repro.simulator.costmodel import PerfCounters
 from repro.simulator.engine import SimulationResult
+from repro.simulator.trace import TraceBuffer
 
 __all__ = ["SamplingProfile", "sample_result", "DEFAULT_FREQ_HZ"]
 
@@ -57,10 +59,25 @@ def sample_result(
     Requires the run to have recorded segments
     (``SimulationConfig.record_segments=True``).
 
-    Operates directly on the TraceBuffer columns: per-segment sample counts
-    come from one vectorized pass; the per-vertex accumulation loop visits
-    segments rank by rank in (start, end) order — the exact float-add order
-    of the historical Segment-object path, so profiles are bit-identical.
+    One columnar pass over the TraceBuffer event columns.  A segment
+    ``[start, end]`` holds the samples at instants ``k/freq_hz`` with
+    ``start < t <= end``; segments holding none are dropped (so every
+    segment kept has a positive duration).  The rest are put in
+    rank-major ``(rank, start, end)`` order (ties in recorded order),
+    grouped by ``(rank, vid)`` in first-occurrence order, and accumulated
+    per group with ``np.bincount``:
+
+    - ``time`` sums ``count * period`` and ``visits`` counts segments;
+    - ``wait`` sums ``wait * frac``, where
+      ``frac = min(1, count * period / duration)`` is the sampled share;
+    - each PMU counter sums ``exact * (duration / total * frac)``: the
+      vertex's exact counters spread by sampled share of its exact time
+      ``total`` (a vertex without counters, or with zero exact time,
+      gets none).
+
+    ``np.bincount`` adds weights in occurrence order, so every float sum
+    has the association of a per-segment ``+=`` loop in that order, and
+    ``perf`` is keyed in the order such a loop would first meet each key.
     """
     if freq_hz <= 0:
         raise ValueError("sampling frequency must be positive")
@@ -71,43 +88,57 @@ def sample_result(
     total_samples = 0
 
     cols = result.trace.columns()
-    rank_c, vid_c = cols["rank"], cols["vid"]
-    start_c, end_c, wait_c = cols["start"], cols["end"], cols["wait"]
-    if len(rank_c):
-        # samples at instants t = k*period with start < t <= end:
-        counts = (np.floor(end_c / period) - np.floor(start_c / period)).tolist()
-        durations = (end_c - start_c).tolist()
-        ranks = rank_c.tolist()
-        vids = vid_c.tolist()
-        waits = wait_c.tolist()
-        # rank-major, then (start, end), ties in recorded order — matches
-        # the old per-rank stable sort of Segment lists
-        order = np.lexsort((end_c, start_c, rank_c)).tolist()
+    start_c, end_c = cols["start"], cols["end"]
+    order = np.lexsort((end_c, start_c, cols["rank"]))
+    # samples at instants t = k*period with start < t <= end:
+    counts = (np.floor(end_c / period) - np.floor(start_c / period))[order]
+    keep = counts > 0
+    order, counts = order[keep], counts[keep]
+    if len(order):
+        total_samples = int(counts.astype(np.int64).sum())
+        duration = end_c[order] - start_c[order]
+        inv, group_order, keys = TraceBuffer._grouped(
+            cols["rank"][order], cols["vid"][order]
+        )
+        n = len(keys)
+        sampled = counts * period
+        frac = sampled / duration
+        frac = np.where(frac < 1.0, frac, 1.0)  # Python's min(1.0, frac)
+        time_sums = np.bincount(inv, weights=sampled, minlength=n)
+        visit_counts = np.bincount(inv, minlength=n)
+        wait_sums = np.bincount(inv, weights=cols["wait"][order] * frac, minlength=n)
+        # per-group exact counters and exact time, looked up once per key;
+        # groups left at zero add +0.0 per segment, which changes no sum
         vertex_counters = result.vertex_counters
         vertex_time = result.vertex_time
-        for i in order:
-            count = int(counts[i])
-            if count <= 0:
-                continue
-            total_samples += count
-            key = (int(ranks[i]), int(vids[i]))
-            vec = perf.get(key)
-            if vec is None:
-                vec = PerformanceVector()
-                perf[key] = vec
-            sampled_time = count * period
-            vec.time += sampled_time
-            vec.visits += 1
-            duration = durations[i]
-            if duration > 0:
-                frac = min(1.0, sampled_time / duration)
-                vec.wait += waits[i] * frac
-                exact = vertex_counters.get(key)
-                if exact is not None:
-                    # distribute the vertex's exact counters by sampled share
-                    total = vertex_time.get(key, 0.0)
-                    if total > 0:
-                        vec.counters += exact.scaled(duration / total * frac)
+        exact = np.zeros((n, 4))
+        total = np.zeros(n)
+        for g, key in enumerate(keys):
+            c = vertex_counters.get(key)
+            t = vertex_time.get(key, 0.0)
+            if c is not None and t > 0:
+                exact[g] = (c.tot_ins, c.tot_cyc, c.tot_lst_ins, c.l2_dcm)
+                total[g] = t
+        row_total = total[inv]
+        share = np.divide(
+            duration, row_total, out=np.zeros(len(inv)), where=row_total > 0
+        ) * frac
+        counter_sums = [
+            np.bincount(inv, weights=exact[inv, f] * share, minlength=n)
+            for f in range(4)
+        ]
+        for g in group_order:
+            perf[keys[g]] = PerformanceVector(
+                time=float(time_sums[g]),
+                wait=float(wait_sums[g]),
+                visits=int(visit_counts[g]),
+                counters=PerfCounters(
+                    tot_ins=float(counter_sums[0][g]),
+                    tot_cyc=float(counter_sums[1][g]),
+                    tot_lst_ins=float(counter_sums[2][g]),
+                    l2_dcm=float(counter_sums[3][g]),
+                ),
+            )
 
     return SamplingProfile(
         freq_hz=freq_hz,

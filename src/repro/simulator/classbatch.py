@@ -116,6 +116,9 @@ def build_batched_streams(
     local = set(local_ranks)
     loc_index = op_stmt_index(program)
     template_cache: dict[int, StmtTemplate | IneligibleStmt] = {}
+    # workload bits -> baked cost row, shared by every class: the cost is
+    # rank-independent whenever it is baked at all
+    precost_cache: dict[bytes, tuple] = {}
     result = BatchResult(streams={})
     reasons: list[str] = []
 
@@ -138,7 +141,7 @@ def build_batched_streams(
         try:
             base, patches = _build_template(
                 rep_stream, members, analysis, loc_index, template_cache,
-                nprocs, cost, precost_compute, devirt,
+                nprocs, cost, precost_compute, precost_cache, devirt,
             )
         except _Fallback as exc:
             _note(result, reasons, str(exc))
@@ -178,6 +181,7 @@ def _build_template(
     nprocs: int,
     cost: CostModel,
     precost_compute: bool,
+    precost_cache: dict,
     devirt: dict | None,
 ):
     """One pass over the representative stream -> (base, patches).
@@ -185,8 +189,10 @@ def _build_template(
     ``base`` is the representative's stream with compute ops swapped for
     their precosted twins; ``patches`` lists ``(position, per_member)``
     substitutions for rank-varying ops, where ``per_member[i]`` is the op
-    instance for ``members[i]``.  Distinct op instances build their
-    per-member fan-out exactly once (memoized streams repeat instances).
+    instance for ``members[i]``.  Each op instance is classified once
+    (memoized streams repeat instances), and a rank-varying compute op
+    builds its per-member fan-out once per distinct value, however many
+    fresh instances the representative emits for it.
     """
     base: list = []
     patches: list[tuple[int, list]] = []
@@ -195,7 +201,8 @@ def _build_template(
     # (devirtualized wildcard), so base takes per_member[0], not op
     inst_cache: dict[int, tuple] = {}
     value_cache: dict = {}  # (stmt_id, field) -> per-member coerced values
-    precost_cache: dict[int, tuple] = {}  # id(workload) -> baked cost row
+    # (vid, location, workload bits) -> per-member compute fan-out
+    fanout_cache: dict[tuple, list] = {}
     varying_budget = _MAX_VARYING_INSTANCES
 
     for pos, op in enumerate(rep_stream):
@@ -203,8 +210,8 @@ def _build_template(
         if entry is None:
             entry = _classify_op(
                 op, members, analysis, loc_index, template_cache,
-                value_cache, nprocs, cost, precost_compute, precost_cache,
-                devirt,
+                value_cache, fanout_cache, nprocs, cost, precost_compute,
+                precost_cache, devirt,
             )
             inst_cache[id(op)] = entry
             if entry[0] != "share":
@@ -229,6 +236,7 @@ def _classify_op(
     loc_index: dict,
     template_cache: dict,
     value_cache: dict,
+    fanout_cache: dict,
     nprocs: int,
     cost: CostModel,
     precost_compute: bool,
@@ -311,9 +319,16 @@ def _classify_op(
         return ("vary0", per_member)
 
     if op_type is ops.ComputeOp:
-        per_member = _vary_compute(
-            op, members, columns, cost, precost_compute, precost_cache
-        )
+        # The columns are fixed per statement within a class, so the
+        # fan-out is a function of the op's fields alone: a statement the
+        # representative re-executes with bit-equal arguments reuses it.
+        key = (op.vid, loc, op.workload.bits())
+        per_member = fanout_cache.get(key)
+        if per_member is None:
+            per_member = _vary_compute(
+                op, members, columns, cost, precost_compute, precost_cache
+            )
+            fanout_cache[key] = per_member
     elif op_type is ops.SendOp:
         per_member = []
         for i in range(len(members)):
@@ -446,15 +461,17 @@ def _precosted_send(op, nbytes: int, cost: CostModel):
 
 def _precosted(op, workload, cost: CostModel, precost_cache: dict):
     """The precosted twin of one compute op (cost queried once per
-    distinct workload — rank-independent by the caller's machine check)."""
-    baked = precost_cache.get(id(workload))
+    distinct workload value — rank-independent by the caller's machine
+    check)."""
+    key = workload.bits()
+    baked = precost_cache.get(key)
     if baked is None:
         duration, counters = cost.compute_cost(0, workload)
         baked = (
             duration, counters.tot_ins, counters.tot_cyc,
             counters.tot_lst_ins, counters.l2_dcm,
         )
-        precost_cache[id(workload)] = baked
+        precost_cache[key] = baked
     duration, ins, cyc, lst, dcm = baked
     return ops.PrecostedComputeOp(
         vid=op.vid, location=op.location, workload=workload,

@@ -20,12 +20,15 @@ across ranks and scales, not on cycle accuracy:
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, replace
 
 from repro.minilang.ast_nodes import MpiOp
 from repro.util.rng import RngStream
 
 __all__ = ["PerfCounters", "Workload", "MachineModel", "NetworkModel", "CostModel"]
+
+_PACK_4D = struct.Struct("<4d").pack
 
 
 @dataclass
@@ -81,6 +84,13 @@ class Workload:
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         object.__setattr__(self, "locality", min(1.0, max(0.0, self.locality)))
+
+    def bits(self) -> bytes:
+        """The fields' IEEE bit patterns: a value key for cost memos.
+
+        Unlike ``==`` it tells ``-0.0`` from ``0.0``, which cost
+        differently (a ``-0.0`` flop count yields ``-0.0`` counters)."""
+        return _PACK_4D(self.flops, self.mem_bytes, self.locality, self.threads)
 
 
 @dataclass(frozen=True)

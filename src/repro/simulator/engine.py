@@ -412,8 +412,9 @@ class Engine:
         self.compute_count = 0
         #: irecv PostedRecv.seq -> its _Request, until matched
         self._recv_reqs: dict[int, _Request] = {}
-        #: memoized (rank, workload) -> (duration, counter 4-tuple); only
-        #: valid when per-execution noise is off (the cost is then pure)
+        #: memoized (rank, workload) -> (duration, counter 4-tuple, the
+        #: workload it was computed for); only valid when per-execution
+        #: noise is off (the cost is then pure)
         self._compute_cache: dict = {}
         self._compute_cacheable = config.machine.noise_sigma <= 0.0
         # delay injection lookup
@@ -425,6 +426,8 @@ class Engine:
         self.class_batch_stats: dict[str, int] = {
             "classes": 0, "ranks_batched": 0, "fallbacks": 0,
         }
+        #: why optimizers stepped aside: class fallback reasons, a degraded
+        #: rank partition, or an optimizer analysis that raised
         self.class_batch_reasons: tuple[str, ...] = ()
         #: wildcard devirtualization outcome: ``devirt`` counts rewritten
         #: receive executions, ``gate_skips`` counts devirtualized
@@ -469,8 +472,8 @@ class Engine:
                 analysis = analyze_program(
                     self.program, cfg.nprocs, cfg.params, entry=cfg.entry
                 )
-            except Exception:
-                analysis = None
+            except Exception as exc:
+                self._step_aside("analyze_program", exc)
         if cfg.sim_class_sharing and analysis is not None \
                 and analysis.const_stmts:
             const_stmts = analysis.const_stmts
@@ -510,7 +513,7 @@ class Engine:
         Purely an optimizer like class batching: the static proof either
         holds (the rewrite is bit-identical by construction, gated by the
         devirt identity sweep) or the analysis degrades and nothing is
-        rewritten."""
+        rewritten (an exception is recorded in ``class_batch_reasons``)."""
         cfg = self.config
         if not cfg.sim_wildcard_devirt or cfg.nprocs < 2:
             return {}
@@ -520,16 +523,24 @@ class Engine:
             return devirt_sources(
                 self.program, cfg.nprocs, cfg.params, entry=cfg.entry
             )
-        except Exception:
+        except Exception as exc:
+            self._step_aside("devirt_sources", exc)
             return {}
+
+    def _step_aside(self, component: str, exc: Exception) -> None:
+        """Record why an optimizer analysis raised and was skipped."""
+        self.class_batch_reasons += (
+            f"{component} raised {type(exc).__name__}: {exc}",
+        )
 
     def _build_batched_streams(
         self, analysis, expr_cache: dict, const_stmts, devirt: dict
     ) -> dict:
         """Per-rank op streams for every batchable equivalence class (see
         :mod:`repro.simulator.classbatch`); empty dict = everything runs
-        per-rank.  Purely an optimizer: any failure degrades silently and
-        the identity sweep plus the batch counters keep it honest."""
+        per-rank.  Purely an optimizer: any failure degrades to per-rank,
+        with its reason appended to ``class_batch_reasons``; the identity
+        sweep plus the batch counters keep it honest."""
         cfg = self.config
         if (
             not cfg.sim_class_batching
@@ -546,6 +557,9 @@ class Engine:
                 entry=cfg.entry, analysis=analysis,
             )
             if summary.degraded is not None:
+                self.class_batch_reasons += (
+                    f"partition_ranks degraded: {summary.degraded}",
+                )
                 return {}
             machine = cfg.machine
             result = build_batched_streams(
@@ -570,13 +584,14 @@ class Engine:
                     and machine.mem_speed_sigma <= 0.0
                 ),
             )
-        except Exception:
+        except Exception as exc:
+            self._step_aside("build_batched_streams", exc)
             return {}
         stats = self.class_batch_stats
         stats["classes"] = result.classes_batched
         stats["ranks_batched"] = result.ranks_batched
         stats["fallbacks"] = result.fallbacks
-        self.class_batch_reasons = result.fallback_reasons
+        self.class_batch_reasons += result.fallback_reasons
         return result.streams
 
     def drain(self, horizon: float | None = None) -> None:
@@ -823,16 +838,22 @@ class Engine:
     def _handle_compute(self, proc: _Proc, op: ops.ComputeOp) -> None:
         pid = proc.pid
         if self._compute_cacheable:
-            ckey = (pid, op.workload)
+            workload = op.workload
+            ckey = (pid, workload)
             cached = self._compute_cache.get(ckey)
-            if cached is None:
-                duration, counters = self.cost.compute_cost(pid, op.workload)
+            # an equal workload is not always bit-equal (-0.0 == 0.0):
+            # reuse another instance's cost only when the bits agree
+            if cached is None or (
+                cached[5] is not workload
+                and cached[5].bits() != workload.bits()
+            ):
+                duration, counters = self.cost.compute_cost(pid, workload)
                 cached = (
                     duration, counters.tot_ins, counters.tot_cyc,
-                    counters.tot_lst_ins, counters.l2_dcm,
+                    counters.tot_lst_ins, counters.l2_dcm, workload,
                 )
                 self._compute_cache[ckey] = cached
-            duration, ins, cyc, lst, dcm = cached
+            duration, ins, cyc, lst, dcm, _ = cached
         else:
             duration, counters = self.cost.compute_cost(pid, op.workload)
             ins, cyc, lst, dcm = (

@@ -1,0 +1,214 @@
+"""Optimizers engage where they should, and say why when they do not.
+
+- The class-batch cost memo queries ``CostModel.compute_cost`` once per
+  distinct workload *value*, not once per fanned-out instance.
+- Its keys tell ``-0.0`` from ``0.0`` (``Workload.__eq__`` does not), so
+  signed zeros fan out exactly as the per-rank oracle computes them.
+- An optimizer analysis that raises steps aside with a recorded reason,
+  and the run stays bit-identical to the optimizer-off run.
+"""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+
+import repro.simulator.classbatch as classbatch
+from repro.api import (
+    AnalysisConfig,
+    Pipeline,
+    canonical_report_sha,
+    run_fingerprint,
+)
+from repro.apps import get_app
+from repro.runtime import profile_run
+from repro.simulator import SimulationConfig, ops
+from repro.simulator.costmodel import CostModel, MachineModel
+from repro.simulator.engine import Engine
+from tests.test_scheduler_identity import _compiled, _fingerprint
+
+#: One class of ranks whose compute workloads hold signed zeros: the
+#: first statement gives rank 0 ``-0.0`` and every other rank ``0.0``;
+#: the second gives the representative ``-0.0``, ``0.5`` and then
+#: ``0.0`` bytes on successive iterations next to a rank-varying flop
+#: count, so one statement fans out with bit-distinct but ``==`` values;
+#: the third turns ``-0.0`` bytes into ``0.0`` on the next iteration,
+#: which the interpreter's per-statement workload memo (``==``-keyed)
+#: folds into the ``-0.0`` workload on every rank alike.
+SIGNED_ZEROS = """\
+def main() {
+    for (var it = 0; it < 3; it = it + 1) {
+        compute(flops = (rank - 1) * 0.0, bytes = (rank - 1) * 0.0);
+        compute(flops = 1000 * (rank + 1), bytes = (it - 0.5) * (it % 2));
+        compute(flops = 2000 * (rank + 1), bytes = (it - 0.5) * 0.0);
+        sendrecv(dest = (rank + 1) % nprocs, tag = 1, bytes = 64,
+                 src = (rank - 1 + nprocs) % nprocs);
+    }
+    allreduce(bytes = 8);
+}
+"""
+
+
+class _Spy:
+    """Counts ``compute_cost`` calls and keeps each batch build result."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        self.results = []
+        compute_cost = CostModel.compute_cost
+        build = classbatch.build_batched_streams
+
+        def counting(model, rank, workload):
+            self.calls += 1
+            return compute_cost(model, rank, workload)
+
+        def capturing(**kwargs):
+            result = build(**kwargs)
+            self.results.append(result)
+            return result
+
+        monkeypatch.setattr(CostModel, "compute_cost", counting)
+        monkeypatch.setattr(classbatch, "build_batched_streams", capturing)
+
+
+def test_sst_precosts_each_distinct_workload_once(monkeypatch):
+    spec = get_app("sst")
+    engine = Engine(spec.program, spec.psg, SimulationConfig(
+        nprocs=32, params=spec.merged_params(),
+        machine=spec.machine or MachineModel(),
+    ))
+    spy = _Spy(monkeypatch)
+    engine.start()
+    (result,) = spy.results
+    assert result.ranks_batched == 32
+    computes = [
+        op for stream in result.streams.values() for op in stream
+        if isinstance(op, ops.ComputeOp)
+    ]
+    precosted = [op for op in computes if type(op) is ops.PrecostedComputeOp]
+    distinct = {op.workload.bits() for op in computes}
+    assert spy.calls == len(distinct)
+    # the memo is what keeps it there: far fewer queries than instances
+    assert spy.calls * 100 < len(precosted)
+
+
+class TestSignedZeros:
+    NPROCS = 6
+
+    def _batched_share(self, program, psg):
+        engine = Engine(program, psg, SimulationConfig(nprocs=self.NPROCS))
+        engine.run()
+        return engine.class_batch_stats["ranks_batched"]
+
+    def test_workloads_carry_signed_zeros(self, monkeypatch):
+        program, psg = _compiled(SIGNED_ZEROS, "signed_zeros")
+        spy = _Spy(monkeypatch)
+        Engine(program, psg, SimulationConfig(nprocs=self.NPROCS)).start()
+        (result,) = spy.results
+        assert result.ranks_batched == self.NPROCS
+        workloads = [
+            op.workload for stream in result.streams.values() for op in stream
+            if isinstance(op, ops.ComputeOp)
+        ]
+        bits = {w.bits() for w in workloads}
+        zero_signs = {
+            math.copysign(1.0, getattr(w, f)) for w in workloads
+            for f in ("flops", "mem_bytes") if getattr(w, f) == 0.0
+        }
+        assert zero_signs == {-1.0, 1.0}
+        assert spy.calls == len(bits)
+
+    def test_fingerprint_matches_per_rank_oracle(self):
+        program, psg = _compiled(SIGNED_ZEROS, "signed_zeros")
+        assert self._batched_share(program, psg) == self.NPROCS
+        oracle = _fingerprint(
+            program, psg, self.NPROCS, sim_class_batching=False
+        )
+        assert _fingerprint(program, psg, self.NPROCS) == oracle
+
+    def test_trace_columns_match_per_rank_oracle_bytewise(self):
+        program, psg = _compiled(SIGNED_ZEROS, "signed_zeros")
+        traces = {}
+        for flag in (False, True):
+            engine = Engine(program, psg, SimulationConfig(
+                nprocs=self.NPROCS, sim_class_batching=flag,
+            ))
+            traces[flag] = engine.run().trace
+        for columns in ("columns", "counter_columns"):
+            want = getattr(traces[False], columns)()
+            got = getattr(traces[True], columns)()
+            assert list(got) == list(want)
+            for name in want:
+                assert got[name].tobytes() == want[name].tobytes(), name
+
+    def test_canonical_report_matches_per_rank_oracle(self):
+        shas = {
+            flag: canonical_report_sha(Pipeline(
+                source=SIGNED_ZEROS, filename="signed_zeros.mm",
+                config=AnalysisConfig(seed=0, sim_class_batching=flag),
+            ).run([4, 8]).report)
+            for flag in (False, True)
+        }
+        assert shas[True] == shas[False]
+
+
+class TestStepAsideReasons:
+    def _run(self, program, psg, **cfg):
+        engine = Engine(program, psg, SimulationConfig(nprocs=6, **cfg))
+        return engine, engine.run()
+
+    def test_raising_batch_build_is_recorded(self, monkeypatch):
+        program, psg = _compiled(SIGNED_ZEROS, "signed_zeros")
+
+        def boom(**_kwargs):
+            raise RuntimeError("template exploded")
+
+        monkeypatch.setattr(classbatch, "build_batched_streams", boom)
+        engine, _ = self._run(program, psg)
+        assert engine.class_batch_reasons == (
+            "build_batched_streams raised RuntimeError: template exploded",
+        )
+        assert engine.class_batch_stats["ranks_batched"] == 0
+        config = SimulationConfig(nprocs=6)
+        off = SimulationConfig(nprocs=6, sim_class_batching=False)
+        assert run_fingerprint(profile_run(program, psg, config)) \
+            == run_fingerprint(profile_run(program, psg, off))
+
+    @pytest.mark.parametrize("target, component", [
+        ("repro.analysis.rankdep.analyze_program", "analyze_program"),
+        ("repro.analysis.matchorder.devirt_sources", "devirt_sources"),
+    ])
+    def test_raising_analysis_is_recorded(self, monkeypatch, target, component):
+        program, psg = _compiled(SIGNED_ZEROS, "signed_zeros")
+        oracle = _fingerprint(program, psg, 6)
+
+        def boom(*_args, **_kwargs):
+            raise ValueError("proof budget")
+
+        monkeypatch.setattr(target, boom)
+        engine, _ = self._run(program, psg)
+        assert f"{component} raised ValueError: proof budget" \
+            in engine.class_batch_reasons
+        assert _fingerprint(program, psg, 6) == oracle
+
+    def test_degraded_partition_is_recorded(self, monkeypatch):
+        from repro.analysis import symmetry
+
+        program, psg = _compiled(SIGNED_ZEROS, "signed_zeros")
+        oracle = _fingerprint(program, psg, 6, sim_class_batching=False)
+        partition = symmetry.partition_ranks
+
+        def degraded(program, nprocs, params=None, *, entry, analysis):
+            summary = partition(
+                program, nprocs, params, entry=entry, analysis=analysis
+            )
+            return symmetry._singletons(nprocs, "budget exhausted", analysis) \
+                if summary.degraded is None else summary
+
+        monkeypatch.setattr(symmetry, "partition_ranks", degraded)
+        engine, _ = self._run(program, psg)
+        assert engine.class_batch_reasons == (
+            "partition_ranks degraded: budget exhausted",
+        )
+        assert _fingerprint(program, psg, 6) == oracle
