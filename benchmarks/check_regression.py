@@ -1,17 +1,16 @@
 """Benchmark-regression gate for the simulator (CI: bench-regression job).
 
 Measures the throughput of the simulator, detection, sharded-simulator,
-comm-dependence-collection and 1024-rank scheduler/baseline workloads and
+comm-dependence-collection and 1024-rank engine/baseline workloads and
 compares against the committed baselines: the PR-2 rows live in
 ``benchmarks/BENCH_2.json``, the PR-3 rows (detection pipeline, sharded
 simulator) in ``benchmarks/BENCH_3.json``, the PR-4 rows (columnar
 comm-dependence collection + fingerprint) in ``benchmarks/BENCH_4.json``,
-the PR-5 rows (≥1024-rank engine, schedulers serial and sharded, plus
+the PR-5 rows (≥1024-rank engine, serial and sharded, plus
 the baselines' vectorized collective loops) in ``benchmarks/BENCH_5.json``,
 and the PR-6 rows (PSG contraction over the bundled apps, whole-program
 rank-dependence analysis + static MPI lint) in ``benchmarks/BENCH_6.json``,
-and the PR-7 rows (cross-scale symbolic lint over the affine apps,
-comm-graph partition planning at 1024-4096 ranks) in
+and the PR-7 rows (cross-scale symbolic lint over the affine apps) in
 ``benchmarks/BENCH_7.json``, and the PR-8 rows (observability layer:
 metrics-registry snapshot/merge at sharded fan-in shape, span recording +
 Chrome-trace export) in ``benchmarks/BENCH_8.json``, and the PR-9 rows
@@ -19,8 +18,7 @@ Chrome-trace export) in ``benchmarks/BENCH_8.json``, and the PR-9 rows
 through the batched path, a 16384-rank smoke run, and an
 interpreter-side generator-depth microbench pinning the trace-scheduled
 statement dispatch) in ``benchmarks/BENCH_9.json``.  PR 9 also
-*re-baselines* ``ring_p1024`` and ``ring_p1024_calendar`` into
-BENCH_9.json: the engine's per-event cost dropped (hoisted overheads,
+*re-baselines* ``ring_p1024`` into BENCH_9.json: the engine's per-event cost dropped (hoisted overheads,
 single-bucket match fast path, vectorized ring-mode folds), and keeping
 the stale slower BENCH_5 numbers would let a future regression hide
 inside the earned headroom.  The PR-10 rows (match-order analysis
@@ -28,7 +26,10 @@ throughput over wildcard fixtures, and a wildcard-heavy 1024-rank ring
 measured through the devirtualized class-batched path vs the refused
 per-rank path) live in ``benchmarks/BENCH_10.json``.
 The gate fails (exit 1) when any workload's throughput drops more than
-``--tolerance`` (default 20%) below its baseline.
+``--tolerance`` (default 20%) below its baseline.  Only measured rows are
+gated: the BENCH files still carry rows for removed code (the calendar
+event queue, the comm-graph shard partitioner), which are history and
+never compared.
 
 ``BENCH_10.json`` also records an execution-metrics snapshot
 (``scalana-metrics-v1``) of a representative 256-rank run: event counts
@@ -98,7 +99,7 @@ BASELINE_10_PATH = Path(__file__).resolve().parent / "BENCH_10.json"
 #: Historical rows deliberately re-baselined into BENCH_9.json (PR 9 cut
 #: the engine's per-event cost; their BENCH_5 numbers are stale-slow).
 #: BENCH_9 is loaded after BENCH_5 so these shadow the stale copies.
-REBASED_IN_9 = frozenset({"ring_p1024", "ring_p1024_calendar"})
+REBASED_IN_9 = frozenset({"ring_p1024"})
 
 RING = """def main() {
     for (var it = 0; it < 50; it = it + 1) {
@@ -374,8 +375,7 @@ def build_workloads():
         run_fingerprint(comm_run)
 
     # PR-5 rows (baselined in BENCH_5.json): the ≥1024-rank gates — the
-    # engine at production rank count (serial + sharded, and the explicit
-    # calendar queue so both schedulers stay covered), plus the baselines'
+    # engine at production rank count (serial + sharded), plus the baselines'
     # vectorized collective loops over a 1024-rank run's record tables.
     from repro.baselines import TracerTool, classify_wait_states
 
@@ -428,13 +428,9 @@ def build_workloads():
             for nprocs in scales:
                 run_lint(prog, psg, nprocs, params)
 
-    # PR-7 rows (baselined in BENCH_7.json): the symbolic-P driver over
-    # affine apps (one witness window proves the whole range), and the
-    # comm-graph shard partitioner at production rank counts (graph
-    # instantiation + cut-cost minimization; the graphs are prebuilt so
-    # only planning is timed).
-    from repro.analysis import build_comm_graph, run_lint_scales
-    from repro.simulator.parallel.plan import ShardPlan
+    # PR-7 row (baselined in BENCH_7.json): the symbolic-P driver over
+    # affine apps (one witness window proves the whole range).
+    from repro.analysis import run_lint_scales
 
     scale_lint_inputs = []
     for name in ("lu", "ep", "ft"):
@@ -448,19 +444,6 @@ def build_workloads():
     def scale_lint_symbolic():
         for prog, psg, params, valid in scale_lint_inputs:
             run_lint_scales(prog, psg, "all", params, valid=valid)
-
-    partition_inputs = []
-    for name, nprocs in (("lu", 1024), ("zeusmp", 1024), ("ep", 4096)):
-        spec = get_app(name)
-        prog = parse_program(spec.source, spec.filename)
-        partition_inputs.append(
-            (build_comm_graph(prog, dict(spec.params)), nprocs)
-        )
-
-    def comm_graph_partition():
-        for graph, nprocs in partition_inputs:
-            for nshards in (2, 4, 8):
-                ShardPlan.from_comm_graph(graph, nprocs, nshards)
 
     # PR-8 rows (baselined in BENCH_8.json): the observability layer.
     # Registry snapshot/merge at sharded fan-in shape (32 worker
@@ -543,9 +526,6 @@ def build_workloads():
         "comm_dependence_p256": comm_dependence,
         # PR-5 rows (baselined in BENCH_5.json):
         "ring_p1024": sim(ring1k_prog, ring1k_psg, 1024, False),
-        "ring_p1024_calendar": sim(
-            ring1k_prog, ring1k_psg, 1024, False, sim_scheduler="calendar",
-        ),
         "ring_p1024_sharded2_inproc": sim(
             ring1k_prog, ring1k_psg, 1024, False,
             sim_shards=2, sim_executor="inprocess",
@@ -554,9 +534,8 @@ def build_workloads():
         # PR-6 rows (baselined in BENCH_6.json):
         "psg_contraction_apps": psg_contraction,
         "rank_analysis_lint_apps": rank_analysis_lint,
-        # PR-7 rows (baselined in BENCH_7.json):
+        # PR-7 row (baselined in BENCH_7.json):
         "scale_lint_symbolic_apps": scale_lint_symbolic,
-        "comm_graph_partition_plan": comm_graph_partition,
         # PR-8 rows (baselined in BENCH_8.json):
         "obs_registry_merge_32shards": obs_registry_merge,
         "obs_span_recording_5k": obs_span_recording,

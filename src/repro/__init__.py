@@ -139,12 +139,6 @@ class ScalAna:
     #: bit-identical — see :mod:`repro.simulator.parallel`).
     sim_shards: int = 1
     sim_executor: str = "auto"
-    #: Engine event-queue implementation ("auto" | "heap" | "calendar" —
-    #: bit-identical, see :mod:`repro.simulator.schedq`).
-    sim_scheduler: str = "auto"
-    #: Shard-boundary placement ("contiguous" | "commgraph" — bit-identical,
-    #: see :meth:`repro.simulator.parallel.ShardPlan.from_comm_graph`).
-    sim_partition: str = "contiguous"
     _static: StaticAnalysisResult | None = field(default=None, repr=False)
 
     # ------------------------------------------------------------------
@@ -180,8 +174,6 @@ class ScalAna:
             injected_delays=tuple(self.injected_delays),
             sim_shards=self.sim_shards,
             sim_executor=self.sim_executor,
-            sim_scheduler=self.sim_scheduler,
-            sim_partition=self.sim_partition,
         )
         kwargs.update(overrides)
         return AnalysisConfig(**kwargs)

@@ -26,8 +26,8 @@ affine in (rank, P) and drives the cross-scale lint
 (:func:`run_lint_scales` — one verdict over a whole range of P), and
 :mod:`repro.analysis.commgraph` extracts the parametric communication
 graph — symbolic (src, dst, tag, count) edge families instantiable at any
-P in O(edges) — which feeds the comm-aware shard partitioner
-(``sim_partition="commgraph"``) and the static scaling skeleton.
+P in O(edges) — which feeds the static scaling skeleton and the
+match-order analysis.
 """
 
 from repro.analysis.commgraph import (

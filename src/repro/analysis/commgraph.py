@@ -10,10 +10,10 @@ guard term.  A family set instantiates at any concrete ``P`` in time
 proportional to the edges *produced* (O(edges), never O(P²) pair
 enumeration), which is what
 
-* the comm-aware shard partitioner (:meth:`ShardPlan.from_comm_graph`)
-  consumes as cross-shard edge weights, and
 * the static scaling skeleton (closed-form message/collective counts as
-  functions of P) surfaces in reports.
+  functions of P) surfaces in reports, and
+* the static match-order analysis (:mod:`repro.analysis.matchorder`)
+  builds its happens-before relation over.
 
 The builder is **binary**: either the whole walk stays closed
 (``graph.exact``) or one opaque construct — an uncountable loop that
@@ -142,18 +142,6 @@ class CommInstance:
             + sum(self.recvs.values())
             + sum(self.collectives.values())
         )
-
-    def edge_weights(self, *, overhead_bytes: int = 64) -> dict:
-        """Undirected inter-rank traffic weights for the partitioner:
-        ``(lo, hi) -> bytes`` with a fixed per-message overhead so
-        zero-byte protocols still attract locality."""
-        out: dict = {}
-        for (rank, dest, _tag, nbytes, _blocking), n in self.sends.items():
-            if rank == dest:
-                continue
-            key = (rank, dest) if rank < dest else (dest, rank)
-            out[key] = out.get(key, 0) + n * (nbytes + overhead_bytes)
-        return out
 
 
 # --------------------------------------------------------------------------
@@ -786,10 +774,6 @@ class CommGraph:
             inst.collectives[key] = inst.collectives.get(key, 0) + mult
 
     # -- downstream products --------------------------------------------
-
-    def edge_weights(self, nprocs: int) -> dict:
-        """``(lo, hi) -> bytes`` inter-rank traffic at one scale."""
-        return self.instantiate(nprocs).edge_weights()
 
     def skeleton(self) -> "ScalingSkeleton":
         if not self.exact:

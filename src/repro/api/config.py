@@ -85,19 +85,10 @@ class AnalysisConfig:
     #: Shard each simulation over this many engines (see
     #: :mod:`repro.simulator.parallel`).  An *execution strategy*, not an
     #: analysis input: results are bit-identical for any value, so these
-    #: three fields are excluded from :meth:`digest` — a profile cached by
+    #: two fields are excluded from :meth:`digest` — a profile cached by
     #: a serial run is a valid hit for a sharded request and vice versa.
     sim_shards: int = 1
     sim_executor: str = "auto"
-    #: Engine event-queue implementation ("auto" | "heap" | "calendar" —
-    #: see :mod:`repro.simulator.schedq`).  Digest-neutral like
-    #: ``sim_shards``: service order is exact for every scheduler.
-    sim_scheduler: str = "auto"
-    #: Shard partition strategy ("contiguous" | "commgraph" — see
-    #: :meth:`repro.simulator.parallel.plan.ShardPlan.from_comm_graph`).
-    #: Digest-neutral like ``sim_shards``: the plan changes which engine
-    #: hosts each rank, never what any rank computes.
-    sim_partition: str = "contiguous"
     #: Share op records across ranks for statements the whole-program
     #: rank-dependence analysis proves constant (see
     #: :mod:`repro.analysis`).  Digest-neutral like the other ``sim_*``
@@ -163,14 +154,6 @@ class AnalysisConfig:
             raise ValueError(
                 "sim_executor must be 'auto', 'inprocess' or 'process'"
             )
-        if self.sim_scheduler not in ("auto", "heap", "calendar"):
-            raise ValueError(
-                "sim_scheduler must be 'auto', 'heap' or 'calendar'"
-            )
-        if self.sim_partition not in ("contiguous", "commgraph"):
-            raise ValueError(
-                "sim_partition must be 'contiguous' or 'commgraph'"
-            )
         if not isinstance(self.sim_class_sharing, bool):
             raise ValueError("sim_class_sharing must be a bool")
         if not isinstance(self.sim_class_batching, bool):
@@ -207,15 +190,9 @@ class AnalysisConfig:
             "injected_delays": [dataclasses.asdict(d) for d in self.injected_delays],
             "sim_shards": self.sim_shards,
             "sim_executor": self.sim_executor,
-            "sim_scheduler": self.sim_scheduler,
             # non-default-only serialization keeps documents (and, for
             # lint_fail_fast, digests) written before these knobs existed
             # byte-identical to ones written today with the defaults
-            **(
-                {}
-                if self.sim_partition == "contiguous"
-                else {"sim_partition": self.sim_partition}
-            ),
             **({} if self.sim_class_sharing else {"sim_class_sharing": False}),
             **(
                 {}
@@ -234,6 +211,9 @@ class AnalysisConfig:
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "AnalysisConfig":
+        """Load a ``to_dict`` document.  Unknown keys are ignored, so
+        documents that still carry a since-removed strategy knob load
+        (to the same digest: strategy knobs never entered it)."""
         if doc.get("format", _FORMAT) != _FORMAT:
             raise ValueError(f"not a {_FORMAT} document: {doc.get('format')!r}")
         return cls(
@@ -251,8 +231,6 @@ class AnalysisConfig:
             ),
             sim_shards=int(doc.get("sim_shards", 1)),
             sim_executor=str(doc.get("sim_executor", "auto")),
-            sim_scheduler=str(doc.get("sim_scheduler", "auto")),
-            sim_partition=str(doc.get("sim_partition", "contiguous")),
             sim_class_sharing=bool(doc.get("sim_class_sharing", True)),
             sim_class_batching=bool(doc.get("sim_class_batching", True)),
             sim_wildcard_devirt=bool(doc.get("sim_wildcard_devirt", True)),
@@ -273,9 +251,9 @@ class AnalysisConfig:
     def digest(self) -> str:
         """Stable content hash: the second third of the cache key.
 
-        Execution-strategy fields (``sim_shards``, ``sim_executor``,
-        ``sim_scheduler``) are excluded: they change how a simulation is
-        *executed*, not what it computes — results are bit-identical
+        Execution-strategy fields (``sim_shards``, ``sim_executor`` and the
+        other ``sim_*`` knobs) are excluded: they change how a simulation
+        is *executed*, not what it computes — results are bit-identical
         across them — so equal
         analyses share cache entries regardless of sharding, and digests
         stay compatible with pre-sharding sessions.  (Caveat, inherited
@@ -289,8 +267,6 @@ class AnalysisConfig:
         doc = self.to_dict()
         del doc["sim_shards"]
         del doc["sim_executor"]
-        del doc["sim_scheduler"]
-        doc.pop("sim_partition", None)
         doc.pop("sim_class_sharing", None)
         doc.pop("sim_class_batching", None)
         doc.pop("sim_wildcard_devirt", None)
@@ -320,8 +296,6 @@ class AnalysisConfig:
             injected_delays=list(self.injected_delays),
             sim_shards=self.sim_shards,
             sim_executor=self.sim_executor,
-            sim_scheduler=self.sim_scheduler,
-            sim_partition=self.sim_partition,
             sim_class_sharing=self.sim_class_sharing,
             sim_class_batching=self.sim_class_batching,
             sim_wildcard_devirt=self.sim_wildcard_devirt,

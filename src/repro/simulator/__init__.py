@@ -44,13 +44,7 @@ from repro.simulator.events import (
 from repro.simulator.interp import FuncRefValue, Interpreter
 from repro.simulator.matching import Mailbox, Match, Message, PostedRecv
 from repro.simulator.ops import ANY
-from repro.simulator.schedq import (
-    AUTO_CALENDAR_THRESHOLD,
-    BinaryHeapQueue,
-    CalendarQueue,
-    EventQueue,
-    SCHEDULERS,
-)
+from repro.simulator.schedq import BinaryHeapQueue
 from repro.simulator.trace import (
     CollectiveRecordsView,
     CollectiveTable,
@@ -62,9 +56,7 @@ from repro.simulator.trace import (
 
 __all__ = [
     "ANY",
-    "AUTO_CALENDAR_THRESHOLD",
     "BinaryHeapQueue",
-    "CalendarQueue",
     "CollectiveMismatchError",
     "CollectiveRecord",
     "CollectiveRecordsView",
@@ -74,8 +66,6 @@ __all__ = [
     "DeadlockError",
     "DelayInjection",
     "Engine",
-    "EventQueue",
-    "SCHEDULERS",
     "FuncRefValue",
     "IndirectNote",
     "Interpreter",

@@ -1,13 +1,12 @@
 """The discrete-event simulation engine.
 
-A sequential conservative DES: all runnable ranks sit in a pluggable
-priority queue (:mod:`repro.simulator.schedq` — binary heap or calendar
-queue, the ``sim_scheduler`` knob) keyed by their local virtual clock, and
-the engine always steps the rank with the smallest clock.  Because a rank's
-ops are handled in nondecreasing global time order, message matching is
-causal and deterministic — the property the whole reproduction rests on
-(two runs of the same configuration are bit-identical, for every
-scheduler).
+A sequential conservative DES: all runnable ranks sit in a binary-heap
+priority queue (:class:`repro.simulator.schedq.BinaryHeapQueue`) keyed by
+their local virtual clock, and the engine always steps the rank with the
+smallest clock.  Because a rank's ops are handled in nondecreasing global
+time order, message matching is causal and deterministic — the property
+the whole reproduction rests on (two runs of the same configuration are
+bit-identical).
 
 Blocking semantics:
 
@@ -54,7 +53,7 @@ from repro.simulator.events import (
 )
 from repro.simulator.interp import Interpreter
 from repro.simulator.matching import Mailbox, Message, PostedRecv
-from repro.simulator.schedq import make_queue, resolve_scheduler
+from repro.simulator.schedq import BinaryHeapQueue
 from repro.simulator.trace import (
     MPI_OP_CODES,
     WILDCARD_CODE,
@@ -144,20 +143,6 @@ class SimulationConfig:
     #: scheduler — tests, debugging), "process" (multiprocessing workers),
     #: or "auto" (process when >1 CPU is available, else inprocess).
     sim_executor: str = "auto"
-    #: Event-queue implementation behind the engine hot loop: "heap"
-    #: (binary heap), "calendar" (calendar queue — O(1) amortized, wins
-    #: once ~64k ranks feed one engine), or "auto" (calendar at scale).
-    #: Execution strategy like ``sim_shards``: service order and results
-    #: are bit-identical for every value (see :mod:`repro.simulator.schedq`).
-    sim_scheduler: str = "auto"
-    #: How ranks are assigned to shard engines: "contiguous" (balanced
-    #: equal ranges) or "commgraph" (cut positions chosen from the
-    #: parametric communication graph to minimize cross-shard traffic —
-    #: see :meth:`repro.simulator.parallel.plan.ShardPlan.from_comm_graph`;
-    #: falls back to contiguous when the graph degrades).  Execution
-    #: strategy like ``sim_shards``: results are bit-identical for every
-    #: value, only cross-shard routing volume changes.
-    sim_partition: str = "contiguous"
     #: Share op records *across ranks* for statements the whole-program
     #: rank-dependence analysis proves constant (see
     #: :mod:`repro.analysis.rankdep`) — lifts PR 5's per-rank memoization
@@ -194,14 +179,6 @@ class SimulationConfig:
         if self.sim_executor not in ("auto", "inprocess", "process"):
             raise ValueError(
                 "sim_executor must be 'auto', 'inprocess' or 'process'"
-            )
-        if self.sim_scheduler not in ("auto", "heap", "calendar"):
-            raise ValueError(
-                "sim_scheduler must be 'auto', 'heap' or 'calendar'"
-            )
-        if self.sim_partition not in ("contiguous", "commgraph"):
-            raise ValueError(
-                "sim_partition must be 'contiguous' or 'commgraph'"
             )
         if not isinstance(self.sim_class_sharing, bool):
             raise ValueError("sim_class_sharing must be a bool")
@@ -386,15 +363,10 @@ class Engine:
         }
         #: pid -> _Proc (None for ranks owned by another shard)
         self.procs: list[_Proc | None] = [None] * config.nprocs
-        #: resolved event-queue implementation ("auto" picks by how many
-        #: ranks feed this engine — a shard counts only its local ranks)
-        self.scheduler = resolve_scheduler(
-            config.sim_scheduler, len(self.local_ranks)
-        )
-        #: runnable-rank scheduler, entries (clock, token, pid); stale
+        #: runnable-rank queue, entries (clock, token, pid); stale
         #: entries (superseded token / non-READY proc) are pruned lazily
         #: by the queue itself via the _entry_live predicate
-        self._queue = make_queue(self.scheduler, live=self._entry_live)
+        self._queue = BinaryHeapQueue(live=self._entry_live)
         #: per-instance handler dispatch: bound methods, so subclasses can
         #: override individual op handlers without touching the hot loop
         self._handlers = {
@@ -444,7 +416,6 @@ class Engine:
             "engine.run",
             nprocs=self.config.nprocs,
             ranks=len(self.local_ranks),
-            scheduler=self.scheduler,
         ):
             self.start()
             self.drain()

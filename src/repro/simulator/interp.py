@@ -16,6 +16,7 @@ vertex via ``psg.lookup_stmt`` — this is the runtime half of the paper's
 from __future__ import annotations
 
 import itertools
+import struct
 from dataclasses import dataclass
 from collections.abc import Iterator, Mapping
 
@@ -53,6 +54,9 @@ class _Return(Exception):
 #: _YIELD_MANY is a trace-scheduled run: the closure returns a whole op
 #: tuple (see :func:`_compile_run`).
 _ACTION, _YIELD_ONE, _YIELD_PAIR, _SUBGEN, _YIELD_MANY = 0, 1, 2, 3, 4
+
+#: packs a compute statement's four float arguments into their bit patterns
+_PACK_4D = struct.Struct("<4d").pack
 
 
 def _reused(build, stmt_id: int):
@@ -305,8 +309,9 @@ class Interpreter:
         self._fnames = frame_names_for(program, self._expr_cache)
         #: per-rank values of memoized rank-static subtrees
         self._static_cache: dict = {}
-        #: per-statement memo of the last Workload built (usually invariant)
-        self._workload_cache: dict[int, tuple[tuple, Workload]] = {}
+        #: per-statement memo of the last Workload built (usually
+        #: invariant), keyed on the arguments' IEEE bit patterns
+        self._workload_cache: dict[int, tuple[bytes, Workload]] = {}
         #: stmt_id -> {inline_path -> reusable op record}, for statements
         #: whose arguments are all rank-static (see :func:`_reused`)
         self._op_cache: dict[int, dict[tuple[int, ...], object]] = {}
@@ -698,16 +703,18 @@ class Interpreter:
             # Workload is frozen + validated, which makes construction the
             # costliest part of a compute op; per-statement arguments are
             # usually loop-invariant, so memoize the last instance built.
-            args = (flops, mem, locality, threads)
+            # Keyed on the IEEE bit patterns, not ``==``: a ``0.0`` after
+            # a ``-0.0`` must get its own Workload (see Workload.bits).
+            key = _PACK_4D(flops, mem, locality, threads)
             cached = ctx._workload_cache.get(stmt_id)
-            if cached is not None and cached[0] == args:
+            if cached is not None and cached[0] == key:
                 workload = cached[1]
             else:
                 workload = Workload(
                     flops=flops, mem_bytes=mem,
                     locality=locality, threads=threads,
                 )
-                ctx._workload_cache[stmt_id] = (args, workload)
+                ctx._workload_cache[stmt_id] = (key, workload)
             return ops.ComputeOp(
                 vid=ctx._vid_of(stmt, ip), location=loc, workload=workload
             )

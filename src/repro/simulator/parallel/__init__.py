@@ -39,7 +39,6 @@ routes here through :func:`repro.simulator.simulate`, or call
 
 from repro.simulator.parallel.coordinator import (
     LocalShardHandle,
-    plan_for,
     run_coordinated,
     simulate_sharded,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "ShardEngine",
     "ShardFinal",
     "ShardPlan",
-    "plan_for",
     "run_coordinated",
     "simulate_sharded",
 ]

@@ -38,7 +38,6 @@ engine.
 
 from __future__ import annotations
 
-import contextlib
 from typing import Protocol
 
 from repro import obs
@@ -70,7 +69,6 @@ from repro.simulator.trace import CollectiveTable, TraceBuffer
 __all__ = [
     "ShardHandle",
     "LocalShardHandle",
-    "plan_for",
     "run_coordinated",
     "simulate_sharded",
 ]
@@ -283,30 +281,6 @@ def _merge(
     )
 
 
-def plan_for(program: ast.Program, config: SimulationConfig) -> ShardPlan:
-    """The shard plan for one run, honouring ``config.sim_partition``.
-
-    ``"commgraph"`` builds the parametric communication graph and places
-    cuts to minimize cross-shard traffic; any degradation (no exact
-    graph, instantiation failure) falls back to the contiguous plan —
-    the partition is an execution strategy, so it must never be the
-    reason a run fails.
-    """
-    if config.sim_shards > 1 and config.sim_partition == "commgraph":
-        from repro.analysis.commgraph import build_comm_graph
-        from repro.simulator.errors import SimulationError
-
-        graph = build_comm_graph(
-            program, config.params, entry=config.entry
-        )
-        if graph.exact:
-            with contextlib.suppress(SimulationError):
-                return ShardPlan.from_comm_graph(
-                    graph, config.nprocs, config.sim_shards
-                )
-    return ShardPlan.contiguous(config.nprocs, config.sim_shards)
-
-
 def simulate_sharded(
     program: ast.Program,
     psg: PSG,
@@ -325,7 +299,7 @@ def simulate_sharded(
     """
     add_simulation_calls(1)
     if plan is None:
-        plan = plan_for(program, config)
+        plan = ShardPlan.contiguous(config.nprocs, config.sim_shards)
     if plan.nshards <= 1:
         return Engine(program, psg, config).run()
     executor = executor or config.sim_executor

@@ -54,67 +54,6 @@ class ShardPlan:
             start += size
         return cls(nprocs=nprocs, bounds=tuple(bounds))
 
-    @classmethod
-    def from_comm_graph(
-        cls, graph, nprocs: int, nshards: int
-    ) -> "ShardPlan":
-        """Contiguous cuts placed to minimize cross-shard traffic.
-
-        ``graph`` is a parametric communication graph
-        (:class:`repro.analysis.commgraph.CommGraph`, duck-typed here to
-        keep the simulator import-independent of the analysis layer): its
-        ``edge_weights(nprocs)`` gives undirected per-rank-pair byte
-        volumes.  Cut positions start from the balanced contiguous ones
-        and slide within a +/- ``nprocs // (4 * nshards)`` window to the
-        cheapest crossing, greedily left to right — shard sizes stay
-        near-balanced (the window bounds the skew) while ring/halo
-        neighbour traffic lands inside shards.  Like every ``ShardPlan``
-        this only changes *where* ranks execute, never what they compute:
-        results stay bit-identical to :meth:`contiguous` and to the
-        serial engine.
-        """
-        nshards = max(1, min(nshards, nprocs))
-        if nshards == 1:
-            return cls(nprocs=nprocs, bounds=((0, nprocs),))
-        weights = graph.edge_weights(nprocs)
-        # cost[c] = traffic crossing a cut between ranks c-1 and c: an
-        # edge (lo, hi) crosses iff lo < c <= hi.  Difference array keeps
-        # this O(edges + P) instead of O(edges * P).
-        diff = [0.0] * (nprocs + 1)
-        for (lo, hi), w in weights.items():
-            if lo != hi:
-                diff[lo + 1] += w
-                diff[hi + 1] -= w
-        cost = [0.0] * (nprocs + 1)
-        acc = 0.0
-        for c in range(1, nprocs):
-            acc += diff[c]
-            cost[c] = acc
-        window = max(1, nprocs // (4 * nshards))
-        cuts: list[int] = []
-        prev = 0
-        for s in range(1, nshards):
-            target = round(s * nprocs / nshards)
-            # feasibility: every later shard still needs >= 1 rank
-            lo_c = max(prev + 1, target - window)
-            hi_c = min(nprocs - (nshards - s), target + window)
-            if lo_c > hi_c:
-                lo_c = hi_c = min(
-                    max(prev + 1, target), nprocs - (nshards - s)
-                )
-            best = min(
-                range(lo_c, hi_c + 1),
-                key=lambda c: (cost[c], abs(c - target), c),
-            )
-            cuts.append(best)
-            prev = best
-        bounds: list[tuple[int, int]] = []
-        start = 0
-        for c in [*cuts, nprocs]:
-            bounds.append((start, c))
-            start = c
-        return cls(nprocs=nprocs, bounds=tuple(bounds))
-
     @property
     def nshards(self) -> int:
         return len(self.bounds)

@@ -57,7 +57,7 @@ from repro.simulator.parallel.messages import (
     ShardFinal,
 )
 from repro.simulator.parallel.plan import ShardPlan
-from repro.simulator.schedq import SCHEDULERS
+from repro.simulator.schedq import BinaryHeapQueue
 from repro.simulator.trace import MPI_OP_CODES
 
 __all__ = ["ShardEngine"]
@@ -73,17 +73,17 @@ class _Gate:
     Entries flatten the canonical key into the queue tuple —
     ``(time, pid, op_index, tie, kind, payload)`` with a per-gate unique
     ``tie`` so comparisons never reach the payload — and ride the same
-    pluggable :mod:`~repro.simulator.schedq` scheduler as the engine's
+    :class:`~repro.simulator.schedq.BinaryHeapQueue` as the engine's
     runnable-rank queue (gate entries are never stale, so no ``live``).
     """
 
     __slots__ = ("rank", "entries", "_tie")
 
-    def __init__(self, rank: int, scheduler: str) -> None:
+    def __init__(self, rank: int) -> None:
         self.rank = rank
-        #: EventQueue of (time, pid, op_index, tie, kind, payload);
+        #: queue of (time, pid, op_index, tie, kind, payload);
         #: kind is "deliver" or "recv"
-        self.entries = SCHEDULERS[scheduler]()
+        self.entries = BinaryHeapQueue()
         self._tie = itertools.count()
 
     def push(self, key: CanonicalKey, kind: str, payload) -> None:
@@ -163,7 +163,7 @@ class ShardEngine(Engine):
         )
         key = (proc.clock, proc.pid, proc.op_index)
         if gate is None:
-            gate = self._gates[proc.pid] = _Gate(proc.pid, self.scheduler)
+            gate = self._gates[proc.pid] = _Gate(proc.pid)
             # Rewind pending messages that canonically order after the
             # wildcard: they must replay through the gate, or the held
             # receive's candidate scan would see the future.

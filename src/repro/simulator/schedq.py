@@ -1,117 +1,42 @@
-"""Pluggable event scheduling for the DES engine: the :class:`EventQueue` family.
+"""The DES engine's event queue: :class:`BinaryHeapQueue`.
 
 The engine keeps every runnable rank in a priority queue keyed by its local
-virtual clock and always serves the globally minimal one.  Historically that
-queue was an ad-hoc ``heapq`` triple-heap with the stale-entry skipping
-("anti-churn") open-coded at each of the three call sites (``drain``,
-``next_event_time``, the keep-stepping check in ``_step``).  This module
-factors the queue behind a small interface so the *scheduling data
-structure* becomes an execution-strategy knob (``sim_scheduler``), exactly
-like ``sim_shards``:
-
-* :class:`BinaryHeapQueue` — the reference implementation, a ``heapq``
-  min-heap.  O(log n) per operation; the fastest choice while the pending
-  set is small (everything C-level).
-* :class:`CalendarQueue` — a classic calendar queue (Brown 1988, the
-  structure conservative PDES engines reach for at scale): an array of
-  day-buckets over virtual time with self-resizing bucket count/width.
-  O(1) amortized enqueue/dequeue independent of the pending-set size.
-  In CPython the C-implemented heap's log-factor stays cheap for a long
-  time — the measured crossover sits around 64k pending entries
-  (:data:`AUTO_CALENDAR_THRESHOLD`), which is where "auto" switches.
+virtual clock and always serves the globally minimal one; the sharded
+executor's gate replay queues (:mod:`repro.simulator.parallel.shard`) use
+the same queue for canonical-order mailbox replay.
 
 **The exact-order contract.**  Entries are tuples whose first element is a
 non-negative float timestamp; the *service order is the full lexicographic
-tuple order*, and every implementation must realize it exactly — the engine
-feeds ``(clock, token, pid)`` with globally unique monotone tokens, and the
-gate replay queues feed ``(time, pid, op_index, tie, ...)`` with a unique
-``tie`` — so the simulated execution (and therefore ``run_fingerprint`` and
-the canonical report sha) is bit-identical no matter which scheduler runs
-it.  The calendar queue achieves this because equal timestamps always land
-in the same bucket (buckets are sorted) and any entry in a later day is
-strictly later in time.
+tuple order*.  The engine feeds ``(clock, token, pid)`` with globally unique
+monotone tokens, and the gate replay queues feed
+``(time, pid, op_index, tie, ...)`` with a unique ``tie``, so comparisons
+never reach non-comparable payload and the simulated execution (and
+therefore ``run_fingerprint`` and the canonical report sha) is fully
+determined.
 
 **Lazy staleness.**  The engine re-pushes a proc every time it wakes, so
 the queue accumulates superseded entries.  Instead of the caller peeking
 past them, the queue takes a ``live`` predicate at construction and prunes
-dead entries as they surface during :meth:`pop` / :meth:`min_time` — the
-queue-agnostic form of the old anti-churn loop.
+dead entries as they surface during :meth:`~BinaryHeapQueue.pop`,
+:meth:`~BinaryHeapQueue.peek` and :meth:`~BinaryHeapQueue.min_time`.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import insort
 from collections.abc import Callable, Iterator
 
-__all__ = [
-    "EventQueue",
-    "BinaryHeapQueue",
-    "CalendarQueue",
-    "SCHEDULERS",
-    "AUTO_CALENDAR_THRESHOLD",
-    "make_queue",
-    "resolve_scheduler",
-]
+__all__ = ["BinaryHeapQueue"]
 
 _INF = float("inf")
 
-#: ``sim_scheduler="auto"`` picks the calendar queue once this many ranks
-#: feed one queue (per engine — a shard counts its local ranks).  Below it
-#: the C-implemented heap wins on constant factors; the measured
-#: crossover where the calendar's O(1) buckets beat the heap's C-level
-#: O(log n) sifts sits around 64k pending entries in CPython (see
-#: benchmarks/BENCH_5.json provenance).  Results are bit-identical either
-#: way — the knob only moves wall-clock.
-AUTO_CALENDAR_THRESHOLD = 1 << 16
 
+class BinaryHeapQueue:
+    """A ``heapq`` min-heap with lazy staleness.
 
-class EventQueue:
-    """Interface of the engine's runnable-rank scheduler.
-
-    Entries are comparison-ordered tuples with ``entry[0]`` a non-negative
-    float timestamp; the caller guarantees a unique tie-break element early
-    enough in the tuple that comparisons never reach non-comparable
-    payload.  ``live`` (optional) marks entries that are still meaningful;
-    entries failing it are dropped whenever the queue touches them.
+    ``live`` (optional) marks entries that are still meaningful; entries
+    failing it are dropped whenever they surface at the top of the heap.
     """
-
-    __slots__ = ()
-
-    def push(self, entry: tuple) -> None:
-        raise NotImplementedError
-
-    def pop(self, horizon: float | None = None) -> tuple | None:
-        """Remove and return the minimal live entry.
-
-        Returns None when no live entry exists, or when the minimal live
-        entry's timestamp is ``>= horizon`` (the entry then stays queued —
-        the windowed-drain contract).
-        """
-        raise NotImplementedError
-
-    def peek(self) -> tuple | None:
-        """The minimal live entry without removing it (None when empty)."""
-        raise NotImplementedError
-
-    def min_time(self) -> float:
-        """Timestamp of the minimal live entry (``inf`` when none)."""
-        entry = self.peek()
-        return _INF if entry is None else entry[0]
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-    def __iter__(self) -> Iterator[tuple]:
-        """All queued entries, in implementation order (incl. stale ones)."""
-        raise NotImplementedError
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
-
-class BinaryHeapQueue(EventQueue):
-    """The reference scheduler: a ``heapq`` min-heap with lazy staleness."""
 
     __slots__ = ("_heap", "_live")
 
@@ -123,6 +48,12 @@ class BinaryHeapQueue(EventQueue):
         heapq.heappush(self._heap, entry)
 
     def pop(self, horizon: float | None = None) -> tuple | None:
+        """Remove and return the minimal live entry.
+
+        Returns None when no live entry exists, or when the minimal live
+        entry's timestamp is ``>= horizon`` (the entry then stays queued —
+        the windowed-drain contract).
+        """
         heap = self._heap
         live = self._live
         while heap:
@@ -137,6 +68,7 @@ class BinaryHeapQueue(EventQueue):
         return None
 
     def peek(self) -> tuple | None:
+        """The minimal live entry without removing it (None when empty)."""
         heap = self._heap
         live = self._live
         while heap:
@@ -146,199 +78,14 @@ class BinaryHeapQueue(EventQueue):
             heapq.heappop(heap)
         return None
 
+    def min_time(self) -> float:
+        """Timestamp of the minimal live entry (``inf`` when none)."""
+        entry = self.peek()
+        return _INF if entry is None else entry[0]
+
     def __len__(self) -> int:
         return len(self._heap)
 
     def __iter__(self) -> Iterator[tuple]:
+        """All queued entries, in heap order (stale ones included)."""
         return iter(self._heap)
-
-
-class CalendarQueue(EventQueue):
-    """Calendar queue: day-buckets over virtual time, O(1) amortized ops.
-
-    Layout: ``nbuckets`` (a power of two) sorted lists; an entry at time
-    ``t`` lives in bucket ``(t // width) % nbuckets``.  A cursor walks the
-    *days* (absolute ``t // width`` values) in order; an entry is served
-    only while the cursor is on its day, which — together with per-bucket
-    sorting — realizes the exact full-tuple order (see module docstring).
-
-    Self-resizing: when the population exceeds ``2 * nbuckets`` the
-    calendar doubles (halves below ``nbuckets / 4``, floored at 16), and
-    the bucket width is re-estimated from the populated span so the
-    average day holds O(1) entries.  A push earlier than the cursor's day
-    simply rewinds the cursor (the conservative windows of the sharded
-    executor deliver such wake-ups at round edges).
-    """
-
-    __slots__ = (
-        "_buckets", "_nbuckets", "_mask", "_width", "_size", "_day", "_live",
-    )
-
-    #: Smallest calendar; also the initial size.
-    MIN_BUCKETS = 16
-    #: Bucket width = _WIDTH_FACTOR * (populated span / population): the
-    #: average day then holds ~1/_WIDTH_FACTOR... inverse — span/size is the
-    #: mean inter-event gap, so each day covers ~2 gaps (occupancy ~2).
-    WIDTH_FACTOR = 2.0
-
-    def __init__(
-        self,
-        live: Callable[[tuple], bool] | None = None,
-        *,
-        width: float = 1e-6,
-    ) -> None:
-        n = self.MIN_BUCKETS
-        self._buckets: list[list[tuple]] = [[] for _ in range(n)]
-        self._nbuckets = n
-        self._mask = n - 1
-        self._width = width
-        self._size = 0
-        self._day = 0
-        self._live = live
-
-    # -- write path ------------------------------------------------------
-
-    def push(self, entry: tuple) -> None:
-        day = int(entry[0] / self._width)
-        bucket = self._buckets[day & self._mask]
-        if bucket and bucket[-1] < entry:
-            bucket.append(entry)  # in-order arrival: skip the bisect
-        else:
-            insort(bucket, entry)
-        self._size += 1
-        if day < self._day:
-            # Earlier than the cursor (cross-window wake-up): rewind, or
-            # the scan would never revisit this day.
-            self._day = day
-        if self._size > (self._nbuckets << 1):
-            self._resize(self._nbuckets << 1)
-
-    # -- read path -------------------------------------------------------
-
-    def _find_min(self) -> list[tuple] | None:
-        """Advance the cursor to the minimal live entry's day and return its
-        bucket (the entry is ``bucket[0]``); prunes stale entries met on
-        the way.  None when no live entry remains.
-
-        The same-day test MUST be the same float division :meth:`push`
-        buckets by — ``int(entry[0] / width) == day`` — not a comparison
-        against a computed day top: ``int(t / width)`` and
-        ``t < (day + 1) * width`` can disagree at day boundaries (float
-        rounding), which would leave a boundary entry permanently
-        unservable (the sparse-scan jump recomputes the same day and
-        re-skips it forever) or serve later entries first.
-        """
-        if self._size == 0:
-            return None
-        live = self._live
-        width = self._width
-        mask = self._mask
-        buckets = self._buckets
-        day = self._day
-        scanned = 0
-        while True:
-            bucket = buckets[day & mask]
-            if bucket:
-                while bucket:
-                    entry = bucket[0]
-                    if int(entry[0] / width) != day:
-                        break  # belongs to a later lap of this bucket
-                    if live is None or live(entry):
-                        self._day = day
-                        return bucket
-                    del bucket[0]
-                    self._size -= 1
-                if self._size == 0:
-                    self._day = day
-                    return None
-            day += 1
-            scanned += 1
-            if scanned > mask:
-                # A whole calendar round without an eligible entry: the
-                # population is sparse relative to the width.  Jump the
-                # cursor straight to the earliest queued entry.
-                head = min(b[0] for b in buckets if b)
-                day = int(head[0] / width)
-                scanned = 0
-
-    def pop(self, horizon: float | None = None) -> tuple | None:
-        bucket = self._find_min()
-        if bucket is None:
-            return None
-        entry = bucket[0]
-        if horizon is not None and entry[0] >= horizon:
-            return None
-        del bucket[0]
-        self._size -= 1
-        self._maybe_shrink()
-        return entry
-
-    def peek(self) -> tuple | None:
-        bucket = self._find_min()
-        return None if bucket is None else bucket[0]
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __iter__(self) -> Iterator[tuple]:
-        for bucket in self._buckets:
-            yield from bucket
-
-    # -- resizing --------------------------------------------------------
-
-    def _maybe_shrink(self) -> None:
-        if (
-            self._nbuckets > self.MIN_BUCKETS
-            and self._size < (self._nbuckets >> 2)
-        ):
-            self._resize(self._nbuckets >> 1)
-
-    def _resize(self, nbuckets: int) -> None:
-        entries = [e for bucket in self._buckets for e in bucket]
-        if entries:
-            lo = min(e[0] for e in entries)
-            hi = max(e[0] for e in entries)
-            span = hi - lo
-            if span > 0.0:
-                self._width = self.WIDTH_FACTOR * span / len(entries)
-            # span == 0 (all simultaneous): any width groups them into one
-            # day; keep the current one.
-        self._nbuckets = nbuckets
-        self._mask = nbuckets - 1
-        self._buckets = [[] for _ in range(nbuckets)]
-        width = self._width
-        mask = self._mask
-        buckets = self._buckets
-        for entry in sorted(entries):
-            buckets[int(entry[0] / width) & mask].append(entry)
-        self._size = len(entries)
-        self._day = int(lo / width) if entries else 0
-
-
-#: Name -> implementation, the ``sim_scheduler`` value space (plus "auto").
-SCHEDULERS: dict[str, type[EventQueue]] = {
-    "heap": BinaryHeapQueue,
-    "calendar": CalendarQueue,
-}
-
-
-def resolve_scheduler(name: str, nranks: int) -> str:
-    """Concrete scheduler for an engine serving ``nranks`` local ranks."""
-    if name == "auto":
-        return "calendar" if nranks >= AUTO_CALENDAR_THRESHOLD else "heap"
-    if name not in SCHEDULERS:
-        raise ValueError(
-            f"unknown scheduler {name!r}; expected 'auto', "
-            + " or ".join(repr(k) for k in SCHEDULERS)
-        )
-    return name
-
-
-def make_queue(
-    name: str,
-    nranks: int = 1,
-    live: Callable[[tuple], bool] | None = None,
-) -> EventQueue:
-    """An :class:`EventQueue` for ``sim_scheduler=name`` ("auto" resolves
-    by ``nranks``, the number of ranks feeding this queue)."""
-    return SCHEDULERS[resolve_scheduler(name, nranks)](live)

@@ -48,10 +48,6 @@ def _sim_args(args) -> dict:
         out["sim_shards"] = args.sim_shards
     if getattr(args, "sim_executor", "auto") != "auto":
         out["sim_executor"] = args.sim_executor
-    if getattr(args, "sim_scheduler", "auto") != "auto":
-        out["sim_scheduler"] = args.sim_scheduler
-    if getattr(args, "sim_partition", "contiguous") != "contiguous":
-        out["sim_partition"] = args.sim_partition
     if getattr(args, "no_wildcard_devirt", False):
         out["sim_wildcard_devirt"] = False
     # observability knobs ride along (digest-neutral: they never change
@@ -504,19 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--sim-executor", default="auto",
             choices=("auto", "inprocess", "process"),
             help="how shard engines run (default: auto)",
-        )
-        p.add_argument(
-            "--sim-scheduler", default="auto",
-            choices=("auto", "heap", "calendar"),
-            help="engine event-queue implementation (bit-identical "
-                 "results; auto = calendar queue at 64k+ ranks per engine)",
-        )
-        p.add_argument(
-            "--sim-partition", default="contiguous",
-            choices=("contiguous", "commgraph"),
-            help="rank-to-shard assignment (bit-identical results; "
-                 "commgraph cuts along the parametric communication "
-                 "graph to minimize cross-shard traffic)",
         )
         p.add_argument(
             "--no-wildcard-devirt", action="store_true",

@@ -1,9 +1,13 @@
-"""Shared fixtures: small programs and pipeline helpers."""
+"""Shared fixtures: small programs, pipeline helpers, and the randomized
+workload generator the bit-identity suites sweep."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro.api import run_fingerprint
 from repro.minilang import parse_program
 from repro.psg import build_psg
 from repro.runtime import profile_run
@@ -85,3 +89,122 @@ def profile_source(source, nprocs, params=None, filename="test.mm", seed=0, **kw
     psg = build_psg(program).psg
     config = SimulationConfig(nprocs=nprocs, params=params or {}, seed=seed)
     return profile_run(program, psg, config, **kw), psg, program
+
+
+# ----------------------------------------------------------------------
+# randomized workload generator
+# ----------------------------------------------------------------------
+
+#: Communication patterns; each renders with rng-drawn constants.
+def _ring(rng):
+    return (
+        f"        sendrecv(dest = (rank + 1) % nprocs, tag = {rng.randint(1, 3)}, "
+        f"bytes = {rng.choice([64, 1024, 65536])}, "
+        "src = (rank - 1 + nprocs) % nprocs);\n"
+    )
+
+
+#: Wildcard senders get a content-derived stagger so no two sends hit the
+#: ANY-source receiver at *exactly* equal virtual times — the exact tie is
+#: MPI-ambiguous and sits outside the serial bit-identity guarantee (see
+#: test_parallel_sim.TestWildcardTieCarveOut); everything time-separated
+#: is inside it.
+_STAGGER = "compute(flops = 20000 * rank + floor(20000 * hashrand(rank, it)));"
+
+
+def _wildcard_fan_in(rng):
+    tag = rng.randint(1, 3)
+    return (
+        "        if (rank == 0) {\n"
+        "            for (var i = 1; i < nprocs; i = i + 1) {\n"
+        f"                recv(src = ANY, tag = {tag});\n"
+        "            }\n"
+        "        } else {\n"
+        f"            {_STAGGER}\n"
+        f"            send(dest = 0, tag = {tag}, bytes = {rng.choice([8, 256])});\n"
+        "        }\n"
+    )
+
+
+def _wildcard_irecv_waitall(rng):
+    root = rng.randint(0, 1)
+    return (
+        f"        if (rank == {root}) {{\n"
+        "            for (var i = 0; i < nprocs - 1; i = i + 1) {\n"
+        "                irecv(src = ANY, tag = ANY, req = r);\n"
+        "            }\n"
+        "            waitall();\n"
+        f"            bcast(root = {root}, bytes = 8);\n"
+        "        } else {\n"
+        f"            {_STAGGER}\n"
+        f"            send(dest = {root}, tag = rank, bytes = 128);\n"
+        f"            bcast(root = {root}, bytes = 8);\n"
+        "        }\n"
+    )
+
+
+def _collectives(rng):
+    op = rng.choice(
+        [
+            "allreduce(bytes = 8);",
+            "barrier();",
+            f"bcast(root = {rng.randint(0, 2)}, bytes = 64);",
+            f"reduce(root = {rng.randint(0, 2)}, bytes = 32);",
+            "allgather(bytes = 16);",
+        ]
+    )
+    return f"        {op}\n"
+
+
+def _isend_ring_waitall(rng):
+    tag = rng.randint(1, 2)
+    return (
+        f"        isend(dest = (rank + 1) % nprocs, tag = {tag}, "
+        f"bytes = {rng.choice([512, 2048])}, req = s);\n"
+        f"        irecv(src = (rank - 1 + nprocs) % nprocs, tag = {tag}, req = r);\n"
+        "        waitall();\n"
+    )
+
+
+_PATTERNS = (
+    _ring, _wildcard_fan_in, _wildcard_irecv_waitall,
+    _collectives, _isend_ring_waitall,
+)
+
+
+def make_workload(seed: int) -> str:
+    """One randomized MiniMPI program: imbalanced compute plus 1-3 comm
+    patterns per loop iteration (time-separated wildcard races only — the
+    exactly-tied ANY-source race sits outside the serial bit-identity
+    guarantee; see test_parallel_sim.TestWildcardTieCarveOut)."""
+    rng = random.Random(seed)
+    iters = rng.randint(2, 4)
+    imbalance = rng.choice(
+        [
+            "5000 * rank",
+            "9000 * (rank % 3)",
+            "floor(30000 * hashrand(rank, it))",
+        ]
+    )
+    body = (
+        f"        compute(flops = {rng.randint(4, 12)}0000 + {imbalance});\n"
+    )
+    for pattern in rng.sample(_PATTERNS, rng.randint(1, 3)):
+        body += pattern(rng)
+    return (
+        "def main() {\n"
+        f"    for (var it = 0; it < {iters}; it = it + 1) {{\n"
+        + body
+        + "    }\n"
+        "}\n"
+    )
+
+
+def _compiled(source, name):
+    program = parse_program(source, f"{name}.mm")
+    return program, build_psg(program).psg
+
+
+def _fingerprint(program, psg, nprocs, **cfg):
+    run = profile_run(program, psg, SimulationConfig(nprocs=nprocs, **cfg))
+    return run_fingerprint(run)

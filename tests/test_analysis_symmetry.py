@@ -3,8 +3,8 @@
 The load-bearing guarantee (ISSUE 6): for every class the analysis
 reports, all member ranks execute the identical ``(op type, vid)``
 sequence — verified against the per-rank interpreter as ground-truth
-oracle over ~100 randomized workloads (the same generator the scheduler
-and sharding identity gates use).
+oracle over ~100 randomized workloads (the same generator the sharding
+and class-optimizer identity gates use).
 """
 
 import random
@@ -16,7 +16,7 @@ from repro.minilang import parse_program
 from repro.psg import build_psg
 from repro.simulator import ops as opmod
 from repro.simulator.interp import Interpreter
-from tests.test_scheduler_identity import make_workload
+from tests.conftest import make_workload
 
 
 def _partition(source, nprocs, params=None):

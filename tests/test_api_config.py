@@ -1,5 +1,7 @@
 """AnalysisConfig: validation, JSON round trip, digest stability."""
 
+import json
+
 import pytest
 
 from repro.api import AnalysisConfig, source_digest
@@ -126,6 +128,87 @@ class TestDigest:
         assert source_digest("a", "f.mm") != source_digest("b", "f.mm")
         assert source_digest("a", "f.mm") != source_digest("a", "g.mm")
         assert source_digest("a", "f.mm") == source_digest("a", "f.mm")
+
+
+#: A config document written before the event-queue and shard-partition
+#: strategy knobs were removed, carrying non-default values for both.
+LEGACY_STRATEGY_DOC = (
+    '{"abnorm_thd":1.3,"aggregation":"mean","format":"scalana-config-v1",'
+    '"freq_hz":200.0,"injected_delays":[],"machine":{"cache_line":64.0,'
+    '"clock_hz":2500000000.0,"core_speed_sigma":0.0,"cores_per_rank":8,'
+    '"flop_rate":2000000000.0,"ins_per_flop":1.3,'
+    '"mem_bandwidth":8000000000.0,"mem_speed_sigma":0.0,"noise_sigma":0.0,'
+    '"thread_efficiency":0.85},"max_loop_depth":10,"network":{'
+    '"bandwidth":6000000000.0,"call_overhead":5e-07,"latency":2e-06},'
+    '"params":{},"repetitions":1,"seed":0,"sim_executor":"auto",'
+    '"sim_partition":"commgraph","sim_scheduler":"calendar","sim_shards":1}'
+)
+
+
+class TestDigestCompatibility:
+    """Cache keys must not move when a digest-neutral knob is removed."""
+
+    #: Digests written by earlier releases; existing caches key on them.
+    DEFAULT_DIGEST = "96b14e2fb18bc359"
+    CG_DIGEST = "faa6a38b15955663"
+
+    #: ``AnalysisConfig.for_app(get_app(name)).digest()`` per bundled app.
+    APP_DIGESTS = {
+        "bt": "48789394caa9d701",
+        "cg": CG_DIGEST,
+        "ep": "fd34ee4d439ed96a",
+        "ft": "6618080a3d125d70",
+        "is": "4dab1d85964d9de4",
+        "lu": "002c5bab8833329c",
+        "mg": "618def41671f776e",
+        "nekbone": "45384317af980df0",
+        "nekbone_fixed": "72168b53d7f61c32",
+        "sp": "28ec4b5948ede94a",
+        "sst": "fbb054edba117b09",
+        "sst_fixed": "4c46f46527c126e2",
+        "zeusmp": "29fca2129fc69b6e",
+        "zeusmp_fixed": "445f30830ec5536a",
+    }
+
+    def test_pinned_digests_unchanged(self):
+        from repro.apps import get_app
+
+        assert AnalysisConfig(seed=0).digest() == self.DEFAULT_DIGEST
+        assert AnalysisConfig.for_app(get_app("cg")).digest() == self.CG_DIGEST
+
+    def test_every_bundled_app_is_pinned(self):
+        from repro.apps import app_names
+
+        assert sorted(app_names()) == sorted(self.APP_DIGESTS)
+
+    @pytest.mark.parametrize("app", sorted(APP_DIGESTS))
+    def test_pinned_app_digest_unchanged(self, app):
+        """The app's digest is pinned, and a document of it that still
+        carries the removed strategy keys loads back to the same key."""
+        from repro.apps import get_app
+
+        cfg = AnalysisConfig.for_app(get_app(app))
+        assert cfg.digest() == self.APP_DIGESTS[app]
+        doc = json.loads(cfg.to_json())
+        doc.update(sim_scheduler="calendar", sim_partition="commgraph")
+        legacy = AnalysisConfig.from_json(json.dumps(doc))
+        assert legacy == cfg
+        assert legacy.digest() == self.APP_DIGESTS[app]
+
+    def test_legacy_strategy_document_loads_to_same_digest(self):
+        cfg = AnalysisConfig.from_json(LEGACY_STRATEGY_DOC)
+        assert cfg == AnalysisConfig(seed=0)
+        assert cfg.digest() == self.DEFAULT_DIGEST
+
+    @pytest.mark.parametrize("partition", ["contiguous", "commgraph"])
+    @pytest.mark.parametrize("scheduler", ["auto", "heap", "calendar"])
+    def test_every_legacy_strategy_value_loads(self, scheduler, partition):
+        """Every value the removed knobs once accepted still loads."""
+        doc = json.loads(LEGACY_STRATEGY_DOC)
+        doc.update(sim_scheduler=scheduler, sim_partition=partition)
+        cfg = AnalysisConfig.from_dict(doc)
+        assert cfg == AnalysisConfig(seed=0)
+        assert cfg.digest() == self.DEFAULT_DIGEST
 
 
 class TestBridges:

@@ -19,8 +19,7 @@ from repro.minilang import parse_program
 from repro.psg import build_psg
 from repro.simulator import SimulationConfig, simulate
 from repro.simulator.events import SegmentKind
-from tests.conftest import IMBALANCED_SOURCE
-from tests.test_scheduler_identity import make_workload
+from tests.conftest import IMBALANCED_SOURCE, make_workload
 
 
 def _run(source, nprocs, **cfg):

@@ -5,7 +5,7 @@ The per-rank interpreter is the bit-identity oracle: with
 class consumes an op stream fanned out from its class representative —
 and nothing observable may change.  Mirrors the class-sharing identity
 gate: same randomized workloads, fingerprints plus canonical detection
-reports, serial and sharded, both executors, both schedulers.  The
+reports, serial and sharded, both executors.  The
 adversarial section additionally pins the *fallback* behavior: workloads
 engineered to defeat batching (wildcard receives inside a symmetric
 phase, a single rank diverging late) must take the per-rank path — the
@@ -19,8 +19,7 @@ import pytest
 from repro.api import AnalysisConfig, Pipeline
 from repro.api.config import canonical_json
 from repro.simulator import SimulationConfig, simulate
-from tests.conftest import IMBALANCED_SOURCE
-from tests.test_scheduler_identity import _compiled, _fingerprint, make_workload
+from tests.conftest import IMBALANCED_SOURCE, _compiled, _fingerprint, make_workload
 
 
 def _batch_counters(result) -> dict:
@@ -49,20 +48,13 @@ class TestRandomizedWorkloads:
         assert sharded == oracle, f"sharded divergence on seed {seed}"
 
     @pytest.mark.parametrize("seed", [5, 41, 77])
-    def test_process_executor_and_both_schedulers(self, seed):
+    def test_process_executor_matches_oracle(self, seed):
         source = make_workload(seed)
         program, psg = _compiled(source, f"batchmp{seed}")
         oracle = _fingerprint(program, psg, 6, sim_class_batching=False)
-        for scheduler in ("heap", "calendar"):
-            for extra in (
-                {},
-                dict(sim_shards=2, sim_executor="process"),
-            ):
-                fp = _fingerprint(
-                    program, psg, 6,
-                    sim_class_batching=True, sim_scheduler=scheduler, **extra,
-                )
-                assert fp == oracle, (seed, scheduler, extra)
+        for extra in ({}, dict(sim_shards=2, sim_executor="process")):
+            fp = _fingerprint(program, psg, 6, sim_class_batching=True, **extra)
+            assert fp == oracle, (seed, extra)
 
 
 #: Fully symmetric ring exchange: one equivalence class, every field of

@@ -3,9 +3,9 @@
 The per-rank interpreter is the bit-identity oracle: with
 ``sim_class_sharing`` on, statements the rank-dependence analysis proves
 constant share one op record across all ranks of an engine — and nothing
-else may change.  Mirrors the scheduler/sharding identity gates: same
-randomized workloads, fingerprints plus canonical detection reports,
-serial and sharded, both executors, both schedulers.
+else may change.  Mirrors the sharding identity gates: same randomized
+workloads, fingerprints plus canonical detection reports, serial and
+sharded, both executors.
 """
 
 import random
@@ -15,8 +15,7 @@ import pytest
 from repro.api import AnalysisConfig, Pipeline
 from repro.api.config import canonical_json
 from repro.simulator import SimulationConfig
-from tests.conftest import IMBALANCED_SOURCE
-from tests.test_scheduler_identity import _compiled, _fingerprint, make_workload
+from tests.conftest import IMBALANCED_SOURCE, _compiled, _fingerprint, make_workload
 
 
 class TestRandomizedWorkloads:
@@ -37,20 +36,13 @@ class TestRandomizedWorkloads:
         assert sharded == oracle, f"sharded divergence on seed {seed}"
 
     @pytest.mark.parametrize("seed", [2, 37, 64])
-    def test_process_executor_and_both_schedulers(self, seed):
+    def test_process_executor_matches_oracle(self, seed):
         source = make_workload(seed)
         program, psg = _compiled(source, f"sharemp{seed}")
         oracle = _fingerprint(program, psg, 6, sim_class_sharing=False)
-        for scheduler in ("heap", "calendar"):
-            for extra in (
-                {},
-                dict(sim_shards=2, sim_executor="process"),
-            ):
-                fp = _fingerprint(
-                    program, psg, 6,
-                    sim_class_sharing=True, sim_scheduler=scheduler, **extra,
-                )
-                assert fp == oracle, (seed, scheduler, extra)
+        for extra in ({}, dict(sim_shards=2, sim_executor="process")):
+            fp = _fingerprint(program, psg, 6, sim_class_sharing=True, **extra)
+            assert fp == oracle, (seed, extra)
 
 
 class TestSharingEngages:

@@ -148,7 +148,7 @@ _GATHER_WILD = """\
 
 _IRECV_WILD = """\
     for (var w{i} = 0; w{i} < {iters}; w{i} = w{i} + 1) {{
-        compute(flops = {flops} + {stagger} * rank);
+        compute(flops = {flops} + {stagger} * rank{jitter});
         if (rank == 0) {{
             for (var j{i} = 1; j{i} < nprocs; j{i} = j{i} + 1) {{
                 irecv(src = ANY, tag = ANY, req = r{i});
@@ -204,21 +204,29 @@ def workloads(draw, staggered_wildcards=False):
     bit-identity guarantee: distinct senders racing one ANY-source receive
     at *exactly* equal times are MPI-ambiguous, and sharded runs tie-break
     canonically rather than by the serial engine's emergent heap order
-    (the PR-3 carve-out pinned by test_parallel_sim)."""
+    (the PR-3 carve-out pinned by test_parallel_sim).  A linear stagger
+    alone does not suffice in the multi-iteration irecv template: a fast
+    sender's later iteration can land exactly on a slow sender's earlier
+    one (rank 1's third send with rank 3's second at stagger 7000), so
+    that template also adds a fractional per-(rank, iteration) jitter."""
     nprocs = draw(st.integers(min_value=2, max_value=6))
     nphases = draw(st.integers(min_value=1, max_value=3))
     body = []
     for i in range(nphases):
         template = draw(st.sampled_from(_PHASES))
         staggers = [0, 7000, 31000]
+        jitter = ""
         if staggered_wildcards and template in (_GATHER_WILD, _IRECV_WILD):
             staggers = [7000, 31000]
+        if staggered_wildcards and template is _IRECV_WILD:
+            jitter = f" + 997.5 * hashrand(rank, w{i})"
         body.append(
             template.format(
                 i=i,
                 iters=draw(st.integers(1, 3)),
                 flops=draw(st.sampled_from([20000, 50000, 120000])),
                 stagger=draw(st.sampled_from(staggers)),
+                jitter=jitter,
                 tag=draw(st.integers(0, 4)),
                 nbytes=draw(st.sampled_from([8, 256, 4096])),
             )

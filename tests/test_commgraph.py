@@ -299,22 +299,6 @@ def main() {
 """
         _assert_instance_matches(source, 4)
 
-    def test_edge_weights_are_symmetric_pairs(self):
-        source = """
-def main() {
-  sendrecv(dest = (rank + 1) % nprocs, tag = 1, bytes = 1000,
-           src = (rank - 1 + nprocs) % nprocs);
-}
-"""
-        program, _psg = _compiled(source)
-        graph = build_comm_graph(program)
-        weights = graph.edge_weights(6)
-        assert set(weights) == {
-            (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)
-        }
-        assert all(lo < hi for lo, hi in weights)
-        assert len(set(weights.values())) == 1  # uniform ring traffic
-
 
 class TestScalingSkeleton:
     def test_counts_match_instances(self):

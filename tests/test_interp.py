@@ -1,10 +1,12 @@
 """Interpreter tests: expression evaluation, control flow, error paths."""
 
+import math
+
 import pytest
 
 from repro.minilang.parser import parse_program
 from repro.psg import build_psg
-from repro.simulator import ops
+from repro.simulator import SimulationConfig, ops, simulate
 from repro.simulator.errors import (
     IterationLimitError,
     MpiUsageError,
@@ -227,3 +229,66 @@ class TestMpiOpEmission:
         psg = build_psg(prog).psg
         with pytest.raises(ValueError):
             Interpreter(prog, psg, 5, 2)
+
+
+SIGNED_ZERO_TEMPLATE = """\
+def main() {{
+    for (var i = 0; i < 2; i = i + 1) {{
+        var b = {second};
+        if (i == 0) {{
+            b = {first};
+        }}
+        compute(flops = 100, bytes = b);
+    }}
+}}
+"""
+
+#: One compute statement executed with ``-0.0`` bytes, then with ``0.0``.
+SIGNED_ZERO_BYTES = SIGNED_ZERO_TEMPLATE.format(first="-0.0", second="0.0")
+#: The same statement executed with ``0.0`` bytes, then with ``-0.0``.
+ZERO_THEN_NEGATIVE_ZERO_BYTES = SIGNED_ZERO_TEMPLATE.format(
+    first="0.0", second="-0.0"
+)
+
+
+class TestWorkloadMemo:
+    """The per-statement Workload memo keys on IEEE bit patterns: ``0.0``
+    and ``-0.0`` compare equal but cost differently."""
+
+    def test_zero_after_negative_zero_gets_its_own_workload(self):
+        first, second = [
+            o for o in run_ops(SIGNED_ZERO_BYTES, nprocs=1)
+            if isinstance(o, ops.ComputeOp)
+        ]
+        assert math.copysign(1.0, first.workload.mem_bytes) == -1.0
+        assert math.copysign(1.0, second.workload.mem_bytes) == 1.0
+
+    def test_negative_zero_after_zero_gets_its_own_workload(self):
+        first, second = [
+            o for o in run_ops(ZERO_THEN_NEGATIVE_ZERO_BYTES, nprocs=1)
+            if isinstance(o, ops.ComputeOp)
+        ]
+        assert math.copysign(1.0, first.workload.mem_bytes) == 1.0
+        assert math.copysign(1.0, second.workload.mem_bytes) == -1.0
+
+    @pytest.mark.parametrize(
+        ("source", "last_bytes"),
+        [(SIGNED_ZERO_BYTES, "0.0"), (ZERO_THEN_NEGATIVE_ZERO_BYTES, "-0.0")],
+        ids=["neg_then_pos", "pos_then_neg"],
+    )
+    def test_counters_match_a_fresh_interpreter(self, source, last_bytes):
+        def counters(source):
+            prog = parse_program(source)
+            psg = build_psg(prog).psg
+            result = simulate(prog, psg, SimulationConfig(nprocs=1))
+            return result.trace.counter_columns()
+
+        history = counters(source)
+        fresh = counters(
+            "def main() {\n"
+            f"    compute(flops = 100, bytes = {last_bytes});\n"
+            "}\n"
+        )
+        for name in ("tot_ins", "tot_cyc", "tot_lst_ins", "l2_dcm"):
+            # bytes, not ==: -0.0 == 0.0 would hide the bug
+            assert history[name][-1:].tobytes() == fresh[name].tobytes(), name

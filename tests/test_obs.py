@@ -6,7 +6,7 @@ Covers the PR-8 acceptance gates:
 * registry snapshot/merge sums counters and histogram buckets *exactly*
   (serial == sharded, inprocess == multiprocess workers);
 * ``run_fingerprint`` and ``canonical_report_sha`` are identical with
-  observability on or off, across executors and schedulers;
+  observability on or off, serial and sharded, across executors;
 * config digests ignore ``obs_metrics`` / ``obs_spans`` (digest-neutral);
 * the disabled paths are structurally free (shared ``NULL_SPAN``,
   empty-bus early return), not just fast.
@@ -288,7 +288,6 @@ IDENTITY_VARIANTS = [
     {},
     {"sim_shards": 2},
     {"sim_shards": 2, "sim_executor": "process"},
-    {"sim_scheduler": "calendar"},
 ]
 
 
@@ -305,7 +304,7 @@ class TestIdentityGates:
 
     @pytest.mark.parametrize(
         "extra", IDENTITY_VARIANTS,
-        ids=["serial", "sharded", "sharded-mp", "calendar"],
+        ids=["serial", "sharded", "sharded-mp"],
     )
     def test_bit_identical_with_obs_on(self, baseline, extra):
         fps, sha = baseline

@@ -26,7 +26,7 @@ from repro.runtime import profile_run
 from repro.simulator import SimulationConfig, ops
 from repro.simulator.costmodel import CostModel, MachineModel
 from repro.simulator.engine import Engine
-from tests.test_scheduler_identity import _compiled, _fingerprint
+from tests.conftest import _compiled, _fingerprint
 
 #: One class of ranks whose compute workloads hold signed zeros: the
 #: first statement gives rank 0 ``-0.0`` and every other rank ``0.0``;

@@ -1,19 +1,19 @@
 """Conservative parallel DES: sharded-vs-serial bit-identity and plumbing.
 
-The contract under test is the hard one: for any shard count, executor and
-partition, a sharded run must reproduce the serial engine float-for-float —
+The contract under test is the hard one: for any shard count and executor,
+a sharded run must reproduce the serial engine float-for-float —
 same ``run_fingerprint`` (profiles + communication dependence + app time)
 and the same canonical detection report.
 """
 
 import json
+import random
 
+import numpy as np
 import pytest
 
 from repro.api import AnalysisConfig, Pipeline, Session, run_fingerprint
 from repro.api.config import canonical_json
-from repro.minilang import parse_program
-from repro.psg import build_psg
 from repro.runtime import profile_run
 from repro.simulator import (
     DeadlockError,
@@ -22,7 +22,7 @@ from repro.simulator import (
     simulation_call_count,
 )
 from repro.simulator.parallel import ShardPlan, simulate_sharded
-from tests.conftest import IMBALANCED_SOURCE
+from tests.conftest import IMBALANCED_SOURCE, _compiled, make_workload
 
 RING = """\
 def main() {
@@ -97,15 +97,33 @@ WORKLOADS = {
 }
 
 
-def _compiled(source, name):
-    program = parse_program(source, f"{name}.mm")
-    return program, build_psg(program).psg
-
-
 def _fingerprint(source, name, nprocs, **cfg):
     program, psg = _compiled(source, name)
     run = profile_run(program, psg, SimulationConfig(nprocs=nprocs, **cfg))
     return run_fingerprint(run)
+
+
+def _skewed_bounds(nprocs, nshards):
+    """Shard 0 takes all but ``nshards - 1`` ranks; the rest take one each."""
+    head = nprocs - (nshards - 1)
+    return ((0, head),) + tuple((r, r + 1) for r in range(head, nprocs))
+
+
+def _assert_plan_matches_serial(workload, bounds, executor="inprocess"):
+    from repro.runtime import collect_comm_dependence, sample_result
+
+    program, psg = _compiled(WORKLOADS[workload], workload)
+    config = SimulationConfig(nprocs=9)
+    serial = profile_run(program, psg, config)
+    plan = ShardPlan(nprocs=9, bounds=bounds)
+    result = simulate_sharded(
+        program, psg, config, plan=plan, executor=executor
+    )
+    assert result.finish_times == serial.result.finish_times
+    assert sample_result(result, 200.0).perf == serial.profile.perf
+    comm = collect_comm_dependence(result)
+    assert comm.edge_stats == serial.comm.edge_stats
+    assert comm.group_stats == serial.comm.group_stats
 
 
 class TestBitIdentity:
@@ -126,23 +144,20 @@ class TestBitIdentity:
     def test_ragged_partitions(self, bounds):
         """Unbalanced explicit partitions reproduce the serial run too."""
         for workload in ("ring", "wildcard_irecv"):
-            program, psg = _compiled(WORKLOADS[workload], workload)
-            config = SimulationConfig(nprocs=9)
-            serial = profile_run(program, psg, config)
-            plan = ShardPlan(nprocs=9, bounds=bounds)
-            result = simulate_sharded(
-                program, psg, config, plan=plan, executor="inprocess"
-            )
-            from repro.runtime import collect_comm_dependence, sample_result
+            _assert_plan_matches_serial(workload, bounds)
 
-            assert result.finish_times == serial.result.finish_times
-            assert (
-                sample_result(result, 200.0).perf
-                == serial.profile.perf
-            )
-            comm = collect_comm_dependence(result)
-            assert comm.edge_stats == serial.comm.edge_stats
-            assert comm.group_stats == serial.comm.group_stats
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    @pytest.mark.parametrize("shards", [2, 3, 4])
+    def test_skewed_partitions(self, workload, shards):
+        """One large leading shard plus single-rank trailing shards: most
+        traffic stays shard-internal while the tail ranks cross a shard
+        boundary on every message."""
+        _assert_plan_matches_serial(workload, _skewed_bounds(9, shards))
+
+    def test_skewed_partition_process_executor(self):
+        _assert_plan_matches_serial(
+            "wildcard_irecv", _skewed_bounds(9, 3), executor="process"
+        )
 
     def test_bounded_windows_mode(self):
         """The lookahead-bounded window mode is equally bit-identical."""
@@ -221,6 +236,60 @@ class TestBitIdentity:
             assert sharded.vertex_visits == serial.vertex_visits
             assert sharded.finish_times == serial.finish_times
             assert sharded.trace.event_count == serial.trace.event_count
+
+
+def _per_rank_rows(columns):
+    """Trace columns in rank-major order, keeping each rank's own row
+    order: the shard merge preserves per-rank order, not global order."""
+    order = np.argsort(columns["rank"], kind="stable")
+    return {name: col[order].tolist() for name, col in columns.items()}
+
+
+class TestRandomizedWorkloads:
+    """The shared randomized generator (wildcards, collectives,
+    imbalanced compute, irecv/waitall) through the serial-vs-sharded
+    identity check."""
+
+    #: ~100 randomized workloads through the full identity check.
+    SEEDS = range(100)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_sharded_matches_serial(self, seed):
+        source = make_workload(seed)
+        rng = random.Random(10_000 + seed)
+        nprocs = rng.randint(5, 9)
+        serial = _fingerprint(source, f"rand{seed}", nprocs)
+        sharded = _fingerprint(
+            source, f"rand{seed}", nprocs,
+            sim_shards=rng.randint(2, 4), sim_executor="inprocess",
+        )
+        assert sharded == serial, f"sharded divergence on seed {seed}"
+
+    @pytest.mark.parametrize("seed", [0, 17, 33, 58, 76, 91])
+    def test_process_executor_matches_serial(self, seed):
+        source = make_workload(seed)
+        serial = _fingerprint(source, f"randmp{seed}", 6)
+        sharded = _fingerprint(
+            source, f"randmp{seed}", 6, sim_shards=2, sim_executor="process"
+        )
+        assert sharded == serial, seed
+
+    @pytest.mark.parametrize("seed", [3, 41])
+    def test_trace_columns_identical_not_just_fingerprints(self, seed):
+        program, psg = _compiled(make_workload(seed), f"randcols{seed}")
+        a = simulate(program, psg, SimulationConfig(nprocs=7))
+        b = simulate(
+            program, psg,
+            SimulationConfig(nprocs=7, sim_shards=3, sim_executor="inprocess"),
+        )
+        assert a.finish_times == b.finish_times
+        assert _per_rank_rows(a.trace.columns()) == _per_rank_rows(
+            b.trace.columns()
+        )
+        assert len(a.p2p_records) == len(b.p2p_records)
+        assert sorted(a.trace.p2p.columns()["send_time"].tolist()) == sorted(
+            b.trace.p2p.columns()["send_time"].tolist()
+        )
 
 
 #: Regression for the wildcard-gate rewind bug: a multi-iteration wildcard
@@ -545,130 +614,3 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "2 shards" in out
         assert "events" in out
-
-
-class TestCommGraphPartition:
-    """The PR 7 ``sim_partition="commgraph"`` knob: comm-aware cuts join
-    the bit-identity sweeps, and the planner itself is sane."""
-
-    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-    @pytest.mark.parametrize("shards", [2, 3, 4])
-    def test_fingerprint_matches_serial(self, workload, shards):
-        source = WORKLOADS[workload]
-        serial = _fingerprint(source, workload, 9)
-        sharded = _fingerprint(
-            source, workload, 9,
-            sim_shards=shards, sim_executor="inprocess",
-            sim_partition="commgraph",
-        )
-        assert sharded == serial
-
-    def test_process_executor_matches_serial(self):
-        serial = _fingerprint(RING, "ring", 8)
-        sharded = _fingerprint(
-            RING, "ring", 8,
-            sim_shards=2, sim_executor="process",
-            sim_partition="commgraph",
-        )
-        assert sharded == serial
-
-    def test_canonical_report_bit_identical(self):
-        """The ISSUE 7 acceptance criterion: commgraph partitioning
-        reproduces the serial detection report byte-for-byte."""
-        serial_cfg = AnalysisConfig(seed=0)
-        part_cfg = AnalysisConfig(
-            seed=0, sim_shards=4, sim_executor="inprocess",
-            sim_partition="commgraph",
-        )
-        scales = [4, 8, 16]
-        serial = Pipeline(
-            source=IMBALANCED_SOURCE, filename="imbalanced.mm",
-            config=serial_cfg,
-        ).run(scales)
-        sharded = Pipeline(
-            source=IMBALANCED_SOURCE, filename="imbalanced.mm",
-            config=part_cfg,
-        ).run(scales)
-        a = serial.report.to_json_dict()
-        b = sharded.report.to_json_dict()
-        a["detection_seconds"] = b["detection_seconds"] = 0.0
-        assert canonical_json(a) == canonical_json(b)
-
-    def test_scheduler_sweep_matches_serial(self):
-        """commgraph partitioning composes with both event schedulers."""
-        serial = _fingerprint(RING, "ring", 9)
-        for scheduler in ("heap", "calendar"):
-            sharded = _fingerprint(
-                RING, "ring", 9,
-                sim_shards=3, sim_executor="inprocess",
-                sim_partition="commgraph", sim_scheduler=scheduler,
-            )
-            assert sharded == serial
-
-    def test_plan_tiles_and_respects_ring_locality(self):
-        """from_comm_graph produces a valid contiguous tiling whose cut
-        cost never exceeds the balanced contiguous plan's."""
-        from repro.analysis import build_comm_graph
-
-        def cut_cost(graph, plan, nprocs):
-            weights = graph.edge_weights(nprocs)
-            owner = plan.owner_table()
-            return sum(
-                w for (lo, hi), w in weights.items()
-                if owner[lo] != owner[hi]
-            )
-
-        program, _psg = _compiled(RING, "ring")
-        graph = build_comm_graph(program)
-        assert graph.exact, graph.reason
-        for nprocs, nshards in ((16, 4), (9, 2), (7, 3), (12, 5)):
-            plan = ShardPlan.from_comm_graph(graph, nprocs, nshards)
-            assert plan.nshards == nshards
-            assert plan.bounds[0][0] == 0
-            assert plan.bounds[-1][1] == nprocs
-            contiguous = ShardPlan.contiguous(nprocs, nshards)
-            assert cut_cost(graph, plan, nprocs) <= cut_cost(
-                graph, contiguous, nprocs
-            )
-
-    def test_degraded_graph_falls_back_to_contiguous(self):
-        """A program whose comm graph cannot be built exactly (data-
-        dependent while loop around communication) silently gets the
-        contiguous plan — the knob must never break a run."""
-        from repro.simulator.parallel import plan_for
-
-        source = """\
-def main() {
-    var s = 1;
-    while (s < nprocs) {
-        sendrecv(dest = (rank + s) % nprocs, tag = 1, bytes = 64,
-                 src = (rank - s + nprocs) % nprocs);
-        s = s * 2;
-    }
-}
-"""
-        program, psg = _compiled(source, "hypercube")
-        config = SimulationConfig(
-            nprocs=8, sim_shards=2, sim_executor="inprocess",
-            sim_partition="commgraph",
-        )
-        plan = plan_for(program, config)
-        assert plan.bounds == ShardPlan.contiguous(8, 2).bounds
-        serial = simulate(program, psg, SimulationConfig(nprocs=8))
-        sharded = simulate_sharded(program, psg, config)
-        assert sharded.finish_times == serial.finish_times
-
-    def test_partition_knob_is_digest_neutral(self):
-        base = AnalysisConfig(seed=0)
-        part = AnalysisConfig(seed=0, sim_partition="commgraph")
-        assert base.digest() == part.digest()
-        assert AnalysisConfig.from_json(part.to_json()) == part
-        # pre-PR-7 documents (no sim_partition key) load with the default
-        assert "sim_partition" not in json.loads(base.to_json())
-        assert AnalysisConfig.from_json(base.to_json()).sim_partition == (
-            "contiguous"
-        )
-        with pytest.raises(ValueError):
-            AnalysisConfig(sim_partition="random")
-        with pytest.raises(ValueError):
-            SimulationConfig(nprocs=4, sim_partition="metis")

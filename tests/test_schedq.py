@@ -1,25 +1,14 @@
-"""The pluggable event queue: exact-order contract of every scheduler.
+"""The engine's event queue: the exact-order contract.
 
-Both implementations must serve entries in the identical full-tuple
-lexicographic order — the property the engine's bit-identity rests on —
-including under lazy staleness pruning, horizons, decreasing pushes
-(cross-window wake-ups) and calendar resizes.
+:class:`BinaryHeapQueue` must serve entries in full-tuple lexicographic
+order — the property the engine's determinism rests on — including under
+lazy staleness pruning, horizons and decreasing pushes (cross-window
+wake-ups).
 """
 
 import random
 
-import pytest
-
-from repro.simulator.schedq import (
-    AUTO_CALENDAR_THRESHOLD,
-    BinaryHeapQueue,
-    CalendarQueue,
-    SCHEDULERS,
-    make_queue,
-    resolve_scheduler,
-)
-
-IMPLS = [BinaryHeapQueue, CalendarQueue]
+from repro.simulator.schedq import BinaryHeapQueue
 
 
 def drain_all(queue):
@@ -32,10 +21,9 @@ def drain_all(queue):
 
 
 class TestExactOrder:
-    @pytest.mark.parametrize("impl", IMPLS)
-    def test_random_batch_pops_sorted(self, impl):
+    def test_random_batch_pops_sorted(self):
         rng = random.Random(7)
-        queue = impl()
+        queue = BinaryHeapQueue()
         entries = [
             (rng.choice([0.0, rng.random() * rng.choice([1e-6, 1.0, 1e3])]), tok, tok % 9)
             for tok in range(500)
@@ -46,18 +34,16 @@ class TestExactOrder:
         assert queue.pop() is None
         assert len(queue) == 0
 
-    @pytest.mark.parametrize("impl", IMPLS)
-    def test_equal_times_order_by_token(self, impl):
-        queue = impl()
+    def test_equal_times_order_by_token(self):
+        queue = BinaryHeapQueue()
         for tok in (5, 1, 3, 2, 4):
             queue.push((1.25, tok, 0))
         assert [e[1] for e in drain_all(queue)] == [1, 2, 3, 4, 5]
 
-    @pytest.mark.parametrize("impl", IMPLS)
-    def test_interleaved_against_reference(self, impl):
+    def test_interleaved_against_reference(self):
         """Random push/pop interleaving reproduces a sorted-list oracle."""
         rng = random.Random(42)
-        queue = impl()
+        queue = BinaryHeapQueue()
         oracle: list[tuple] = []
         clock = 0.0
         tok = 0
@@ -77,11 +63,10 @@ class TestExactOrder:
                 oracle.sort()
         assert drain_all(queue) == oracle
 
-    @pytest.mark.parametrize("impl", IMPLS)
-    def test_push_below_cursor_rewinds(self, impl):
+    def test_push_below_cursor_rewinds(self):
         """A wake-up earlier than everything served so far must still pop
         first (the sharded executor delivers these at round edges)."""
-        queue = impl()
+        queue = BinaryHeapQueue()
         for tok in range(100):
             queue.push((float(tok) + 100.0, tok, 0))
         for _ in range(50):
@@ -90,10 +75,9 @@ class TestExactOrder:
         assert queue.pop() == (0.5, 1000, 3)
         assert queue.pop() == (150.0, 50, 0)
 
-    @pytest.mark.parametrize("impl", IMPLS)
-    def test_gate_style_entries(self, impl):
+    def test_gate_style_entries(self):
         """Entries may carry non-comparable payload past the tie-break."""
-        queue = impl()
+        queue = BinaryHeapQueue()
         payloads = [object() for _ in range(4)]
         queue.push((2.0, 1, 7, 0, "recv", payloads[0]))
         queue.push((1.0, 3, 2, 1, "deliver", payloads[1]))
@@ -104,18 +88,16 @@ class TestExactOrder:
 
 
 class TestLazyStaleness:
-    @pytest.mark.parametrize("impl", IMPLS)
-    def test_pop_skips_dead_entries(self, impl):
+    def test_pop_skips_dead_entries(self):
         dead = {1, 3}
-        queue = impl(live=lambda e: e[1] not in dead)
+        queue = BinaryHeapQueue(live=lambda e: e[1] not in dead)
         for tok in range(5):
             queue.push((float(tok), tok, 0))
         assert [e[1] for e in drain_all(queue)] == [0, 2, 4]
 
-    @pytest.mark.parametrize("impl", IMPLS)
-    def test_min_time_prunes_and_reports_live_minimum(self, impl):
+    def test_min_time_prunes_and_reports_live_minimum(self):
         dead = {0}
-        queue = impl(live=lambda e: e[1] not in dead)
+        queue = BinaryHeapQueue(live=lambda e: e[1] not in dead)
         queue.push((1.0, 0, 0))
         queue.push((2.0, 1, 1))
         assert queue.min_time() == 2.0
@@ -124,9 +106,8 @@ class TestLazyStaleness:
         assert queue.min_time() == float("inf")
         assert queue.pop() is None
 
-    @pytest.mark.parametrize("impl", IMPLS)
-    def test_all_stale_queue_pops_none(self, impl):
-        queue = impl(live=lambda e: False)
+    def test_all_stale_queue_pops_none(self):
+        queue = BinaryHeapQueue(live=lambda e: False)
         for tok in range(300):
             queue.push((float(tok % 17), tok, 0))
         assert queue.pop() is None
@@ -134,9 +115,8 @@ class TestLazyStaleness:
 
 
 class TestHorizon:
-    @pytest.mark.parametrize("impl", IMPLS)
-    def test_pop_respects_horizon_and_leaves_entry(self, impl):
-        queue = impl()
+    def test_pop_respects_horizon_and_leaves_entry(self):
+        queue = BinaryHeapQueue()
         queue.push((1.0, 0, 0))
         queue.push((5.0, 1, 1))
         assert queue.pop(horizon=3.0) == (1.0, 0, 0)
@@ -146,97 +126,11 @@ class TestHorizon:
         assert queue.pop(horizon=5.1) == (5.0, 1, 1)
 
 
-class TestCalendarResizing:
-    def test_grows_and_shrinks_without_losing_order(self):
-        rng = random.Random(3)
-        queue = CalendarQueue()
-        entries = [(rng.random() * 50.0, tok, 0) for tok in range(5000)]
-        for entry in entries:
-            queue.push(entry)
-        assert queue._nbuckets > CalendarQueue.MIN_BUCKETS
-        assert drain_all(queue) == sorted(entries)
-        assert queue._nbuckets == CalendarQueue.MIN_BUCKETS
-
-    def test_simultaneous_population_keeps_width(self):
-        queue = CalendarQueue()
-        entries = [(0.0, tok, 0) for tok in range(200)]
-        for entry in entries:
-            queue.push(entry)
-        assert drain_all(queue) == entries
-
-    def test_day_boundary_entry_is_servable(self):
-        """Regression: push buckets by ``int(t / width)`` and the serve
-        scan must use the *same* division — with a top computed as
-        ``(day + 1) * width`` these disagree at day boundaries (float
-        rounding) and this exact entry was never servable: pop() hung
-        forever re-jumping to its own day."""
-        width = 4.995201090399136e-05
-        queue = CalendarQueue(width=width)
-        entry = (347.908363048686, 1, 0)
-        # the reproduction's precondition: t lands at/after its own day's
-        # computed top, so a `t < (day + 1) * width` serve test skips it
-        day = int(entry[0] / width)
-        assert entry[0] >= (day + 1) * width
-        queue.push(entry)
-        assert queue.pop() == entry
-        assert queue.pop() is None
-
-    def test_day_boundary_entries_stay_ordered(self):
-        """Times at exact multiples of awkward widths must still pop in
-        exact order (not be deferred behind later-day entries)."""
-        rng = random.Random(11)
-        for _ in range(50):
-            width = rng.random() * rng.choice([1e-7, 1e-3, 1.0])
-            queue = CalendarQueue(width=width)
-            entries = []
-            for tok in range(120):
-                day = rng.randint(0, 400)
-                t = rng.choice(
-                    [day * width, (day + 1) * width, day * width + rng.random() * width]
-                )
-                entries.append((t, tok, 0))
-            for entry in entries:
-                queue.push(entry)
-            assert drain_all(queue) == sorted(entries)
-
-    def test_sparse_then_dense_cluster(self):
-        """Clusters far apart in virtual time (the year-scan jump path)."""
-        queue = CalendarQueue()
-        entries = []
-        tok = 0
-        for base in (0.0, 1e3, 2e9):
-            for _ in range(60):
-                entries.append((base + tok * 1e-9, tok, 0))
-                tok += 1
-        shuffled = entries[:]
-        random.Random(9).shuffle(shuffled)
-        for entry in shuffled:
-            queue.push(entry)
-        assert drain_all(queue) == sorted(entries)
-
-
-class TestFactory:
-    def test_resolve_auto_by_rank_count(self):
-        assert resolve_scheduler("auto", 8) == "heap"
-        assert resolve_scheduler("auto", AUTO_CALENDAR_THRESHOLD) == "calendar"
-        assert resolve_scheduler("heap", 10**6) == "heap"
-        assert resolve_scheduler("calendar", 1) == "calendar"
-        with pytest.raises(ValueError):
-            resolve_scheduler("fifo", 8)
-
-    def test_make_queue_types(self):
-        assert isinstance(make_queue("heap", 10**7), BinaryHeapQueue)
-        assert isinstance(
-            make_queue("auto", AUTO_CALENDAR_THRESHOLD), CalendarQueue
-        )
-        assert isinstance(make_queue("auto", 2), BinaryHeapQueue)
-        assert set(SCHEDULERS) == {"heap", "calendar"}
-
+class TestIteration:
     def test_iteration_sees_all_entries(self):
-        for impl in IMPLS:
-            queue = impl()
-            entries = {(float(tok), tok, 0) for tok in range(40)}
-            for entry in entries:
-                queue.push(entry)
-            assert set(queue) == entries
-            assert bool(queue)
+        queue = BinaryHeapQueue()
+        entries = {(float(tok), tok, 0) for tok in range(40)}
+        for entry in entries:
+            queue.push(entry)
+        assert set(queue) == entries
+        assert bool(queue)

@@ -4,7 +4,7 @@ The engine's ``sim_wildcard_devirt`` knob rewrites ANY-source receives the
 match-order analysis proves deterministic into concrete-source receives at
 compile time.  The rewrite is only allowed to change *how* matching runs
 — never what any rank computes — so across ~100 randomized wildcard-heavy
-workloads (serial and sharded, both executors, both schedulers) the
+workloads (serial and sharded, both executors) the
 ``run_fingerprint`` and the canonical detection report must be identical
 on and off.  A second family of assertions checks the pass actually
 *engages* (counters ``sim.wildcard.devirt`` / ``sim.wildcard.gate_skips``
@@ -17,12 +17,10 @@ import random
 
 import pytest
 
-from repro.api import AnalysisConfig, Pipeline, run_fingerprint
+from repro.api import AnalysisConfig, Pipeline
 from repro.api.config import canonical_json
-from repro.minilang import parse_program
-from repro.psg import build_psg
-from repro.runtime import profile_run
 from repro.simulator import SimulationConfig
+from tests.conftest import _compiled, _fingerprint
 
 # ----------------------------------------------------------------------
 # randomized wildcard-heavy workload generator
@@ -136,16 +134,6 @@ def make_wild_workload(seed: int) -> str:
     )
 
 
-def _compiled(source, name):
-    program = parse_program(source, f"{name}.mm")
-    return program, build_psg(program).psg
-
-
-def _fingerprint(program, psg, nprocs, **cfg):
-    run = profile_run(program, psg, SimulationConfig(nprocs=nprocs, **cfg))
-    return run_fingerprint(run)
-
-
 # ----------------------------------------------------------------------
 # the identity sweep
 # ----------------------------------------------------------------------
@@ -174,21 +162,17 @@ class TestDevirtIdentity:
             assert sharded == off, f"sharded divergence seed {seed} devirt={devirt}"
 
     @pytest.mark.parametrize("seed", [2, 19, 44, 71, 93])
-    def test_process_executor_and_both_schedulers(self, seed):
-        """The multiprocess path ships the knob through worker configs;
-        both schedulers must agree with the serial devirt-off oracle."""
+    def test_process_executor_matches_oracle(self, seed):
+        """The multiprocess path ships the knob through worker configs and
+        must agree with the serial devirt-off oracle."""
         source = make_wild_workload(seed)
         program, psg = _compiled(source, f"wildmp{seed}")
         oracle = _fingerprint(program, psg, 6, sim_wildcard_devirt=False)
-        for scheduler in ("heap", "calendar"):
-            serial = _fingerprint(program, psg, 6, sim_scheduler=scheduler)
-            assert serial == oracle, (seed, scheduler)
-            sharded = _fingerprint(
-                program, psg, 6,
-                sim_scheduler=scheduler,
-                sim_shards=2, sim_executor="process",
-            )
-            assert sharded == oracle, (seed, scheduler)
+        assert _fingerprint(program, psg, 6) == oracle, seed
+        sharded = _fingerprint(
+            program, psg, 6, sim_shards=2, sim_executor="process"
+        )
+        assert sharded == oracle, seed
 
 
 class TestDevirtEngages:
