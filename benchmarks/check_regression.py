@@ -49,11 +49,11 @@ Two *absolute* gates run after the drift table, not just relative drift:
 A third, counter-based (not timing-based) engagement gate follows them:
 wildcard devirtualization must actually fire on the 1024-rank wildcard
 ring — every receive devirtualized, all 1024 ranks class-batched, zero
-fallbacks — while the knob-off run must refuse batching with zero
-devirtualizations.  Identity between the two paths is gated by
-``tests/test_wildcard_devirt_identity.py``; this gate pins the *other*
-half of the contract (the pass engages, the payoff rows above measure
-what that buys).
+fallbacks — while the run with devirtualization stubbed out must refuse
+batching with zero devirtualizations.  Identity against the per-rank
+oracle is gated by ``tests/test_oracle_sweep.py``; this gate pins the
+*other* half of the contract (the pass engages, the payoff rows above
+measure what that buys).
 
 Machines differ, so raw seconds do not transfer: both the baseline and the
 current run are normalized by a calibration score — a fixed pure-Python +
@@ -78,6 +78,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -85,6 +86,7 @@ from repro.minilang.parser import parse_program
 from repro.psg import build_psg
 from repro.runtime import sample_result
 from repro.simulator import SimulationConfig, simulate
+from repro.simulator.engine import Engine
 
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_2.json"
 BASELINE_3_PATH = Path(__file__).resolve().parent / "BENCH_3.json"
@@ -100,6 +102,19 @@ BASELINE_10_PATH = Path(__file__).resolve().parent / "BENCH_10.json"
 #: the engine's per-event cost; their BENCH_5 numbers are stale-slow).
 #: BENCH_9 is loaded after BENCH_5 so these shadow the stale copies.
 REBASED_IN_9 = frozenset({"ring_p1024"})
+
+
+def without_optimizer(method: str):
+    """Stub one engine optimizer out: ``Engine.<method>`` returns ``{}``,
+    its step-aside result, while the patch is active.
+
+    ``"_build_batched_streams"`` leaves every rank on its own interpreter
+    (op-record sharing stays on); ``"_devirt_map"`` leaves every wildcard
+    receive as written.  The optimizers have no config switch: this is
+    how the per-rank rows and gates reach the path they measure.
+    """
+    return mock.patch.object(Engine, method, lambda self, *args: {})
+
 
 RING = """def main() {
     for (var it = 0; it < 50; it = it + 1) {
@@ -220,11 +235,11 @@ def main() {
 #: The PR-10 wildcard workload: a rank-symmetric ring whose ANY-source
 #: receive the match-order analysis proves deterministic (unique feasible
 #: sender per receiver; the unconditional barrier is the sure separator
-#: between iterations).  With ``sim_wildcard_devirt`` on, the receive is
-#: rewritten to a concrete source at compile time, which lifts the PR-9
-#: class-batching wildcard refusal — one representative interprets for
-#: all 1024 ranks.  With the knob off, the wildcard forces per-rank
-#: interpretation; the two rows measure that gap.
+#: between iterations).  The engine rewrites the receive to a concrete
+#: source at compile time, which lifts the PR-9 class-batching wildcard
+#: refusal — one representative interprets for all 1024 ranks.  With
+#: devirtualization stubbed out (:func:`without_optimizer`), the wildcard
+#: forces per-rank interpretation; the two rows measure that gap.
 WILDCARD_RING = """def main() {
     for (var it = 0; it < 10; it = it + 1) {
         compute(flops = 100000);
@@ -296,11 +311,18 @@ def build_workloads():
     coll_prog = parse_program(COLLECTIVES, "coll.mm")
     coll_psg = build_psg(coll_prog).psg
 
-    def sim(prog, psg, nprocs, record, **cfg_extra):
+    def sim(prog, psg, nprocs, record, *, without=None, **cfg_extra):
         cfg = SimulationConfig(
             nprocs=nprocs, record_segments=record, **cfg_extra
         )
-        return lambda: simulate(prog, psg, cfg)
+        if without is None:
+            return lambda: simulate(prog, psg, cfg)
+
+        def run():
+            with without_optimizer(without):
+                simulate(prog, psg, cfg)
+
+        return run
 
     # sample a 256-rank run (~38k events): big enough that the workload is
     # not noise-dominated at millisecond scale on a loaded CI runner
@@ -550,13 +572,13 @@ def build_workloads():
         ),
         "interp_generator_depth": sim(
             gendepth_prog, gendepth_psg, 8, False,
-            sim_class_batching=False,
+            without="_build_batched_streams",
         ),
         # PR-10 rows (baselined in BENCH_10.json):
         "matchorder_analysis_fixtures": matchorder_analysis,
         "wildcard_p1024_devirt": sim(wild_prog, wild_psg, 1024, False),
         "wildcard_p1024_refused": sim(
-            wild_prog, wild_psg, 1024, False, sim_wildcard_devirt=False,
+            wild_prog, wild_psg, 1024, False, without="_devirt_map",
         ),
     }
 
@@ -617,8 +639,8 @@ def check_classbatch_speedup(min_speedup: float = 3.0, repeats: int = 2) -> bool
     per-rank oracle by ``min_speedup`` on a rank-symmetric workload at
     4096 ranks.
 
-    Identity is gated by the 100-seed sweeps in
-    ``tests/test_class_batching_identity.py``; here we assert the *other*
+    Identity is gated by the per-rank oracle sweep in
+    ``tests/test_oracle_sweep.py``; here we assert the *other*
     half of the contract — the batched path actually engages (all 4096
     ranks ride a template, zero fallbacks) and pays off in wall clock.
     ``repeats`` defaults below the drift rows': each per-rank oracle run
@@ -627,15 +649,9 @@ def check_classbatch_speedup(min_speedup: float = 3.0, repeats: int = 2) -> bool
     prog = parse_program(CLASSBATCH_SYM, "classbatch.mm")
     psg = build_psg(prog).psg
     params = {"iters": 3}
-    on_cfg = SimulationConfig(
-        nprocs=4096, record_segments=False, params=params
-    )
-    off_cfg = SimulationConfig(
-        nprocs=4096, record_segments=False, params=params,
-        sim_class_batching=False,
-    )
+    cfg = SimulationConfig(nprocs=4096, record_segments=False, params=params)
 
-    probe = simulate(prog, psg, on_cfg)
+    probe = simulate(prog, psg, cfg)
     counters = probe.metrics.counters
     batched = counters.get("sim.class_batch.ranks_batched", 0)
     fallbacks = counters.get("sim.class_batch.fallbacks", 0)
@@ -648,8 +664,9 @@ def check_classbatch_speedup(min_speedup: float = 3.0, repeats: int = 2) -> bool
         )
         return False
 
-    t_on = _best_of(lambda: simulate(prog, psg, on_cfg), repeats)
-    t_off = _best_of(lambda: simulate(prog, psg, off_cfg), repeats)
+    t_on = _best_of(lambda: simulate(prog, psg, cfg), repeats)
+    with without_optimizer("_build_batched_streams"):
+        t_off = _best_of(lambda: simulate(prog, psg, cfg), repeats)
     speedup = t_off / t_on
     flag = "" if speedup >= min_speedup else "  BELOW GATE"
     print(f"class-batched speedup p4096  {speedup:6.2f}x "
@@ -661,27 +678,24 @@ def check_classbatch_speedup(min_speedup: float = 3.0, repeats: int = 2) -> bool
 
 def check_wildcard_devirt_engagement() -> bool:
     """The counter-based PR-10 gate: wildcard devirtualization must fire
-    on the 1024-rank wildcard ring, and only when the knob says so.
+    on the 1024-rank wildcard ring, and stubbing it out must restore the
+    refused per-rank path.
 
-    Bit-identity on == off is gated by the 100-seed sweeps in
-    ``tests/test_wildcard_devirt_identity.py``; this gate asserts the
-    pass *engages* — every ANY-source receive rewritten to its proven
-    source, the class-batching refusal lifted (all 1024 ranks batched,
-    zero fallbacks) — and that the knob-off run really is the refused
-    per-rank path the ``wildcard_p1024_refused`` row measures.  Counters,
-    not timings: engagement is deterministic, so no retry discipline.
+    Bit-identity against the per-rank oracle is gated by the sweep in
+    ``tests/test_oracle_sweep.py``; this gate asserts the pass *engages*
+    — every ANY-source receive rewritten to its proven source, the
+    class-batching refusal lifted (all 1024 ranks batched, zero
+    fallbacks) — and that the run with ``Engine._devirt_map`` stubbed out
+    really is the refused per-rank path the ``wildcard_p1024_refused``
+    row measures.  Counters, not timings: engagement is deterministic, so
+    no retry discipline.
     """
     prog = parse_program(WILDCARD_RING, "wildring.mm")
     psg = build_psg(prog).psg
-    on = simulate(
-        prog, psg, SimulationConfig(nprocs=1024, record_segments=False)
-    ).metrics.counters
-    off = simulate(
-        prog, psg,
-        SimulationConfig(
-            nprocs=1024, record_segments=False, sim_wildcard_devirt=False
-        ),
-    ).metrics.counters
+    cfg = SimulationConfig(nprocs=1024, record_segments=False)
+    on = simulate(prog, psg, cfg).metrics.counters
+    with without_optimizer("_devirt_map"):
+        off = simulate(prog, psg, cfg).metrics.counters
 
     # 10 iterations x 1024 ranks, one wildcard receive each
     checks = [
@@ -703,7 +717,7 @@ def check_wildcard_devirt_engagement() -> bool:
             f"wildcard-devirt engagement p1024: "
             f"{on.get('sim.wildcard.devirt', 0)} receives devirtualized, "
             f"{on.get('sim.class_batch.ranks_batched', 0)} ranks batched, "
-            f"knob-off falls back per-rank"
+            f"undevirtualized run falls back per-rank"
         )
     else:
         for label, passed in checks:

@@ -15,7 +15,7 @@ Two consumers:
 
 * the simulation engine shares op records *across ranks* for statements
   the dataflow proves rank-constant (``RankAnalysis.const_stmts``, see
-  ``Interpreter`` and the ``sim_class_sharing`` knob), and
+  ``Interpreter``), and
 * ``scalana lint`` / :meth:`repro.api.pipeline.Pipeline.lint` surface the
   findings with source spans, optionally failing a pipeline fast via
   ``AnalysisConfig(lint_fail_fast=True)``.

@@ -29,7 +29,7 @@ receive is **match-deterministic** and two consumers act on the proof:
   racing spans) vs a refined ``wildcard-recv`` info naming the unique
   matcher, and
 * the engine *devirtualizes* the receive — rewrites ``ANY`` to the
-  proven source at compile time (``sim_wildcard_devirt``), which lifts
+  proven source at compile time (``Engine._devirt_map``), which lifts
   the class-batching refusal and lets sharded runs skip the ANY-source
   gate hold, bit-identically (the proof guarantees the same match).
 

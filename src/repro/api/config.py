@@ -89,25 +89,6 @@ class AnalysisConfig:
     #: a serial run is a valid hit for a sharded request and vice versa.
     sim_shards: int = 1
     sim_executor: str = "auto"
-    #: Share op records across ranks for statements the whole-program
-    #: rank-dependence analysis proves constant (see
-    #: :mod:`repro.analysis`).  Digest-neutral like the other ``sim_*``
-    #: knobs: bit-identical results on or off.
-    sim_class_sharing: bool = True
-    #: Interpret one representative rank per behavioral equivalence class
-    #: and fan its op stream out to the members by substituting the
-    #: rank-dependent argument values (see
-    #: :mod:`repro.simulator.classbatch`).  Digest-neutral like the other
-    #: ``sim_*`` knobs: bit-identical results on or off, any degraded
-    #: class falls back to per-rank interpretation silently.
-    sim_class_batching: bool = True
-    #: Rewrite wildcard (``MPI_ANY_SOURCE``) receives the match-order
-    #: analysis proves deterministic to concrete-source receives at
-    #: compile time (see :mod:`repro.analysis.matchorder`).  Digest-NEUTRAL
-    #: like the other ``sim_*`` knobs: only *proven-unique* matches are
-    #: rewritten, so results are bit-identical on or off (test-gated, see
-    #: tests/test_wildcard_devirt_identity.py).
-    sim_wildcard_devirt: bool = True
     #: Run the static MPI lint before the first simulation of a profile
     #: and abort (raising :class:`repro.analysis.LintError`) on
     #: error-severity findings.  **Digest-relevant**, unlike the execution
@@ -118,7 +99,7 @@ class AnalysisConfig:
     #: Attach a :class:`repro.obs.RunMetrics` snapshot to profile
     #: artifacts and detection reports (the report's ``to_json_dict``
     #: gains a ``metrics`` section).  Digest-NEUTRAL like the ``sim_*``
-    #: strategy knobs: metrics describe how a run was executed and
+    #: strategy fields: metrics describe how a run was executed and
     #: observed, never what it computed — fingerprints and canonical
     #: report shas are bit-identical on or off (test-gated).
     obs_metrics: bool = False
@@ -154,12 +135,6 @@ class AnalysisConfig:
             raise ValueError(
                 "sim_executor must be 'auto', 'inprocess' or 'process'"
             )
-        if not isinstance(self.sim_class_sharing, bool):
-            raise ValueError("sim_class_sharing must be a bool")
-        if not isinstance(self.sim_class_batching, bool):
-            raise ValueError("sim_class_batching must be a bool")
-        if not isinstance(self.sim_wildcard_devirt, bool):
-            raise ValueError("sim_wildcard_devirt must be a bool")
         if not isinstance(self.lint_fail_fast, bool):
             raise ValueError("lint_fail_fast must be a bool")
         if not isinstance(self.obs_metrics, bool):
@@ -193,17 +168,6 @@ class AnalysisConfig:
             # non-default-only serialization keeps documents (and, for
             # lint_fail_fast, digests) written before these knobs existed
             # byte-identical to ones written today with the defaults
-            **({} if self.sim_class_sharing else {"sim_class_sharing": False}),
-            **(
-                {}
-                if self.sim_class_batching
-                else {"sim_class_batching": False}
-            ),
-            **(
-                {}
-                if self.sim_wildcard_devirt
-                else {"sim_wildcard_devirt": False}
-            ),
             **({"lint_fail_fast": True} if self.lint_fail_fast else {}),
             **({"obs_metrics": True} if self.obs_metrics else {}),
             **({"obs_spans": True} if self.obs_spans else {}),
@@ -231,12 +195,11 @@ class AnalysisConfig:
             ),
             sim_shards=int(doc.get("sim_shards", 1)),
             sim_executor=str(doc.get("sim_executor", "auto")),
-            sim_class_sharing=bool(doc.get("sim_class_sharing", True)),
-            sim_class_batching=bool(doc.get("sim_class_batching", True)),
-            sim_wildcard_devirt=bool(doc.get("sim_wildcard_devirt", True)),
-            lint_fail_fast=bool(doc.get("lint_fail_fast", False)),
-            obs_metrics=bool(doc.get("obs_metrics", False)),
-            obs_spans=bool(doc.get("obs_spans", False)),
+            # passed through as loaded, so __post_init__ rejects a non-bool
+            # such as "false" (which bool() would turn into True)
+            lint_fail_fast=doc.get("lint_fail_fast", False),
+            obs_metrics=doc.get("obs_metrics", False),
+            obs_spans=doc.get("obs_spans", False),
         )
 
     def to_json(self) -> str:
@@ -251,12 +214,13 @@ class AnalysisConfig:
     def digest(self) -> str:
         """Stable content hash: the second third of the cache key.
 
-        Execution-strategy fields (``sim_shards``, ``sim_executor`` and the
-        other ``sim_*`` knobs) are excluded: they change how a simulation
-        is *executed*, not what it computes — results are bit-identical
-        across them — so equal
-        analyses share cache entries regardless of sharding, and digests
-        stay compatible with pre-sharding sessions.  (Caveat, inherited
+        The execution-strategy fields ``sim_shards`` and ``sim_executor``
+        are excluded: they change how a simulation is *executed*, not
+        what it computes — results are bit-identical across them — so
+        equal analyses share cache entries regardless of sharding, and
+        digests stay compatible with pre-sharding sessions.  Documents
+        that still carry a since-removed strategy knob load to the same
+        digest: ``from_dict`` ignores the key.  (Caveat, inherited
         from the engine guarantee: a program whose ``MPI_ANY_SOURCE``
         receives race distinct senders at *exactly* equal virtual times
         has an MPI-ambiguous match that serial and sharded execution
@@ -267,9 +231,6 @@ class AnalysisConfig:
         doc = self.to_dict()
         del doc["sim_shards"]
         del doc["sim_executor"]
-        doc.pop("sim_class_sharing", None)
-        doc.pop("sim_class_batching", None)
-        doc.pop("sim_wildcard_devirt", None)
         # observability knobs are digest-neutral: attaching metrics or
         # recording spans never changes what a run computes, so obs-on
         # requests share cache entries with obs-off ones
@@ -296,9 +257,6 @@ class AnalysisConfig:
             injected_delays=list(self.injected_delays),
             sim_shards=self.sim_shards,
             sim_executor=self.sim_executor,
-            sim_class_sharing=self.sim_class_sharing,
-            sim_class_batching=self.sim_class_batching,
-            sim_wildcard_devirt=self.sim_wildcard_devirt,
         )
         kwargs.update(overrides)
         return SimulationConfig(**kwargs)

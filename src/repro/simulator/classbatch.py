@@ -1,12 +1,12 @@
 """Class-batched interpretation: one representative run per rank class.
 
 ``partition_ranks`` (PR 6) proves sets of ranks that execute the identical
-statement sequence; ``sim_class_sharing`` (PR 5) already shares op
-*records* across ranks.  This module takes the remaining step: interpret
-only the **representative** of each class, record its op stream, and fan
-the stream out to every member by substituting the rank-dependent
-argument values that :mod:`repro.analysis.rankdep` classified — instead
-of running a generator chain per rank.
+statement sequence; the engine's ``const_stmts`` sharing (PR 5) already
+shares op *records* across ranks.  This module takes the remaining step:
+interpret only the **representative** of each class, record its op
+stream, and fan the stream out to every member by substituting the
+rank-dependent argument values that :mod:`repro.analysis.rankdep`
+classified — instead of running a generator chain per rank.
 
 Soundness rests on three independent guards, any of which degrades a
 class (never the run) to per-rank interpretation:
@@ -29,7 +29,7 @@ The builder never touches the engine: it returns plain per-rank op lists
 (class members whose stream needs no substitution share one list — each
 rank consumes its own ``iter``), and the engine feeds them through the
 same handler loop as generator-backed ranks.  Bit-identity with the
-per-rank oracle is gated by ``tests/test_class_batching_identity.py``.
+per-rank oracle is gated by ``tests/test_oracle_sweep.py``.
 """
 
 from __future__ import annotations

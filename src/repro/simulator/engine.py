@@ -143,33 +143,6 @@ class SimulationConfig:
     #: scheduler — tests, debugging), "process" (multiprocessing workers),
     #: or "auto" (process when >1 CPU is available, else inprocess).
     sim_executor: str = "auto"
-    #: Share op records *across ranks* for statements the whole-program
-    #: rank-dependence analysis proves constant (see
-    #: :mod:`repro.analysis.rankdep`) — lifts PR 5's per-rank memoization
-    #: to one instance per engine.  Execution strategy like the two knobs
-    #: above: results are bit-identical on or off (gated by
-    #: tests/test_class_sharing_identity.py).
-    sim_class_sharing: bool = True
-    #: Interpret one *representative* rank per behavioral equivalence
-    #: class (see :mod:`repro.analysis.symmetry`) and fan the recorded op
-    #: stream out to every member by substituting the rank-dependent
-    #: argument values — skipping per-rank generator chains entirely for
-    #: rank-symmetric programs (see :mod:`repro.simulator.classbatch`).
-    #: Execution strategy like the knobs above: bit-identical on or off
-    #: (gated by tests/test_class_batching_identity.py); any class whose
-    #: template derivation degrades falls back to per-rank interpretation
-    #: silently.
-    sim_class_batching: bool = True
-    #: Rewrite ``ANY``-source receives the static match-order analysis
-    #: proves match-deterministic (see :mod:`repro.analysis.matchorder`)
-    #: to concrete-source receives at compile time — which lifts the
-    #: class-batching wildcard refusal for those classes and lets sharded
-    #: runs skip the ANY-source ordering gate hold.  Execution strategy
-    #: like the knobs above: bit-identical on or off (the proof
-    #: guarantees the same match; gated by
-    #: tests/test_wildcard_devirt_identity.py).  A degraded proof simply
-    #: leaves the receive as written.
-    sim_wildcard_devirt: bool = True
 
     def __post_init__(self) -> None:
         if self.nprocs < 1:
@@ -180,12 +153,6 @@ class SimulationConfig:
             raise ValueError(
                 "sim_executor must be 'auto', 'inprocess' or 'process'"
             )
-        if not isinstance(self.sim_class_sharing, bool):
-            raise ValueError("sim_class_sharing must be a bool")
-        if not isinstance(self.sim_class_batching, bool):
-            raise ValueError("sim_class_batching must be a bool")
-        if not isinstance(self.sim_wildcard_devirt, bool):
-            raise ValueError("sim_wildcard_devirt must be a bool")
 
 
 @dataclass(frozen=True)
@@ -394,7 +361,7 @@ class Engine:
         for d in config.injected_delays:
             key = (d.rank, d.filename, d.line)
             self._delays[key] = self._delays.get(key, 0.0) + d.extra_seconds
-        #: class-batching outcome (filled by start; zeros when off/unused)
+        #: class-batching outcome (filled by start; zeros when unused)
         self.class_batch_stats: dict[str, int] = {
             "classes": 0, "ranks_batched": 0, "fallbacks": 0,
         }
@@ -428,25 +395,11 @@ class Engine:
         # rank-independent, so each expression compiles exactly once.
         expr_cache: dict = {}
         # Statements the whole-program dataflow proves rank-constant share
-        # one op record per *engine* instead of one per rank.  The
-        # analysis is an auxiliary optimizer: any failure degrades to the
-        # per-rank path (correctness is carried by the interpreter either
-        # way and gated by the sharing identity sweep).  One dataflow run
-        # feeds both class sharing and class batching.
+        # one op record per *engine* instead of one per rank.  One
+        # dataflow run feeds both class sharing and class batching.
+        analysis = self._rank_analysis()
         const_stmts = None
-        analysis = None
-        if (cfg.sim_class_sharing or cfg.sim_class_batching) \
-                and len(self.local_ranks) > 1:
-            from repro.analysis.rankdep import analyze_program
-
-            try:
-                analysis = analyze_program(
-                    self.program, cfg.nprocs, cfg.params, entry=cfg.entry
-                )
-            except Exception as exc:
-                self._step_aside("analyze_program", exc)
-        if cfg.sim_class_sharing and analysis is not None \
-                and analysis.const_stmts:
+        if analysis is not None and analysis.const_stmts:
             const_stmts = analysis.const_stmts
         devirt = self._devirt_map()
         batched = self._build_batched_streams(
@@ -478,15 +431,36 @@ class Engine:
             self.procs[pid] = proc
             self._push(proc)
 
+    def _rank_analysis(self):
+        """Whole-program rank-dependence analysis, or ``None``.
+
+        An auxiliary optimizer: with fewer than two local ranks there is
+        nothing to share or batch, and an analysis that raises steps
+        aside (recorded in ``class_batch_reasons``) so every rank runs
+        through its own interpreter — the per-rank path that is the
+        bit-identity oracle."""
+        if len(self.local_ranks) < 2:
+            return None
+        from repro.analysis.rankdep import analyze_program
+
+        cfg = self.config
+        try:
+            return analyze_program(
+                self.program, cfg.nprocs, cfg.params, entry=cfg.entry
+            )
+        except Exception as exc:
+            self._step_aside("analyze_program", exc)
+            return None
+
     def _devirt_map(self) -> dict:
         """Proven-unique sources for wildcard receives, or ``{}``.
 
         Purely an optimizer like class batching: the static proof either
         holds (the rewrite is bit-identical by construction, gated by the
-        devirt identity sweep) or the analysis degrades and nothing is
+        differential oracle sweep) or the analysis degrades and nothing is
         rewritten (an exception is recorded in ``class_batch_reasons``)."""
         cfg = self.config
-        if not cfg.sim_wildcard_devirt or cfg.nprocs < 2:
+        if cfg.nprocs < 2:
             return {}
         from repro.analysis.matchorder import devirt_sources
 
@@ -513,11 +487,7 @@ class Engine:
         with its reason appended to ``class_batch_reasons``; the identity
         sweep plus the batch counters keep it honest."""
         cfg = self.config
-        if (
-            not cfg.sim_class_batching
-            or analysis is None
-            or len(self.local_ranks) < 2
-        ):
+        if analysis is None:
             return {}
         from repro.analysis.symmetry import partition_ranks
         from repro.simulator.classbatch import build_batched_streams

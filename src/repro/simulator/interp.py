@@ -99,7 +99,7 @@ def _shared(build, stmt_id: int):
     one instance the first builder produced.  The vid is rank-independent
     by construction (``_vid_of`` derives it from the static PSG) and the
     engine never mutates ops, so sharing is observationally identical to
-    per-rank construction (gated by tests/test_class_sharing_identity.py).
+    per-rank construction (gated by tests/test_oracle_sweep.py).
 
     The store lives in the closure, keyed by inline path alone: statement
     closures compile once per expression cache — one engine, or one lone

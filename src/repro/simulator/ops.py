@@ -63,7 +63,7 @@ class PrecostedComputeOp(ComputeOp):
     the builder checks — and bakes the result in, so the engine's compute
     handler skips the per-event ``(pid, workload)`` cache probe entirely.
     Bit-identical to handling the plain :class:`ComputeOp` (gated by the
-    class-batching identity sweep).
+    per-rank oracle sweep).
     """
 
     duration: float = 0.0

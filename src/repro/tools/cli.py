@@ -48,8 +48,6 @@ def _sim_args(args) -> dict:
         out["sim_shards"] = args.sim_shards
     if getattr(args, "sim_executor", "auto") != "auto":
         out["sim_executor"] = args.sim_executor
-    if getattr(args, "no_wildcard_devirt", False):
-        out["sim_wildcard_devirt"] = False
     # observability knobs ride along (digest-neutral: they never change
     # analysis results or cache keys)
     if getattr(args, "metrics", False):
@@ -500,12 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--sim-executor", default="auto",
             choices=("auto", "inprocess", "process"),
             help="how shard engines run (default: auto)",
-        )
-        p.add_argument(
-            "--no-wildcard-devirt", action="store_true",
-            help="disable compile-time rewriting of proven-deterministic "
-                 "wildcard receives to concrete sources (bit-identical "
-                 "results either way; see the match-order analysis)",
         )
 
     p = sub.add_parser("apps", help="list registry applications")

@@ -1,9 +1,11 @@
-"""Shared fixtures: small programs, pipeline helpers, and the randomized
-workload generator the bit-identity suites sweep."""
+"""Shared fixtures: small programs, pipeline helpers, the per-rank oracle,
+and the randomized workload generators the bit-identity suites sweep."""
 
 from __future__ import annotations
 
+import contextlib
 import random
+from unittest import mock
 
 import pytest
 
@@ -12,6 +14,58 @@ from repro.minilang import parse_program
 from repro.psg import build_psg
 from repro.runtime import profile_run
 from repro.simulator import SimulationConfig, simulate
+from repro.simulator.engine import Engine
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "step_aside: the test makes an engine optimizer raise on purpose "
+        "and checks that the engine records it and steps aside",
+    )
+
+
+@pytest.fixture(autouse=True)
+def _optimizers_fail_loudly(request, monkeypatch):
+    """An optimizer analysis that raises is a bug, so tests see it.
+
+    The engine's fallback is correct by construction (the per-rank path
+    runs instead), so identity checks alone cannot notice an optimizer
+    that silently stopped engaging.  Tests marked ``step_aside`` exercise
+    the fallback itself and keep the recording behaviour.
+    """
+    if request.node.get_closest_marker("step_aside") is not None:
+        return
+
+    def fail(self, component, exc):
+        raise AssertionError(
+            f"optimizer {component} stepped aside: {exc!r}"
+        ) from exc
+
+    monkeypatch.setattr(Engine, "_step_aside", fail)
+
+
+@contextlib.contextmanager
+def per_rank_oracle():
+    """Run engines with every optimizer off: the bit-identity oracle.
+
+    No rank analysis means no ``const_stmts`` sharing and no class
+    batching; an empty devirtualization map leaves every wildcard receive
+    as written.  Each rank then runs through its own interpreter.
+    """
+    with (
+        mock.patch.object(Engine, "_rank_analysis", lambda self: None),
+        mock.patch.object(Engine, "_devirt_map", lambda self: {}),
+    ):
+        yield
+
+
+def without_optimizer(method: str):
+    """Patch one ``Engine`` optimizer (``"_devirt_map"`` or
+    ``"_build_batched_streams"``) to its step-aside result, ``{}``, while
+    the others stay on."""
+    return mock.patch.object(Engine, method, lambda self, *args: {})
+
 
 #: The paper's Fig. 3 example program (two functions, nested loops, branch).
 FIG3_SOURCE = """\
@@ -191,6 +245,112 @@ def make_workload(seed: int) -> str:
     )
     for pattern in rng.sample(_PATTERNS, rng.randint(1, 3)):
         body += pattern(rng)
+    return (
+        "def main() {\n"
+        f"    for (var it = 0; it < {iters}; it = it + 1) {{\n"
+        + body
+        + "    }\n"
+        "}\n"
+    )
+
+
+# ----------------------------------------------------------------------
+# randomized wildcard-heavy workload generator
+# ----------------------------------------------------------------------
+
+
+def _wild_ring(rng, tag):
+    """The devirt centerpiece: every rank's ANY-source receive has a
+    proven-unique matcher, so the whole loop devirtualizes."""
+    return (
+        f"        send(dest = (rank + 1) % nprocs, tag = {tag}, "
+        f"bytes = {rng.choice([64, 1024])});\n"
+        f"        recv(src = ANY, tag = {tag});\n"
+        "        barrier();\n"
+    )
+
+
+def _wild_unique_pair(rng, tag):
+    """One guarded sender, one guarded ANY receiver: unique feasible
+    sender, devirtualizes even without symmetry."""
+    return (
+        "        if (rank == 0) {\n"
+        f"            recv(src = ANY, tag = {tag});\n"
+        "        }\n"
+        "        if (rank == 1) {\n"
+        f"            send(dest = 0, tag = {tag}, bytes = {rng.choice([8, 256])});\n"
+        "        }\n"
+    )
+
+
+def _wild_irecv_unique(rng, tag):
+    """Nonblocking ANY-source receive with a unique sender: devirtualized
+    without epoch pruning (which only applies to blocking receives)."""
+    return (
+        "        if (rank == 0) {\n"
+        f"            irecv(src = ANY, tag = {tag}, req = r);\n"
+        "            wait(req = r);\n"
+        "        }\n"
+        "        if (rank == 1) {\n"
+        f"            send(dest = 0, tag = {tag}, bytes = 128);\n"
+        "        }\n"
+    )
+
+
+def _wild_racy_fan_in(rng, tag):
+    """A genuine (time-separated) race: must NOT devirtualize — identity
+    then shows the pass leaves racy receives strictly alone."""
+    return (
+        "        if (rank == 0) {\n"
+        "            for (var i = 1; i < nprocs; i = i + 1) {\n"
+        f"                recv(src = ANY, tag = {tag});\n"
+        "            }\n"
+        "        } else {\n"
+        f"            {_STAGGER}\n"
+        f"            send(dest = 0, tag = {tag}, bytes = {rng.choice([8, 256])});\n"
+        "        }\n"
+    )
+
+
+def _wild_collectives(rng, tag):
+    op = rng.choice(
+        [
+            "allreduce(bytes = 8);",
+            "barrier();",
+            f"bcast(root = {rng.randint(0, 2)}, bytes = 64);",
+            "allgather(bytes = 16);",
+        ]
+    )
+    return f"        {op}\n"
+
+
+_WILD_PATTERNS = (
+    _wild_ring, _wild_unique_pair, _wild_irecv_unique,
+    _wild_racy_fan_in, _wild_collectives,
+)
+
+
+def make_wild_workload(seed: int) -> str:
+    """One randomized wildcard-heavy MiniMPI program: every draw includes
+    at least one devirtualizable pattern plus 0-2 others (racy fan-ins,
+    collectives, imbalanced compute).  Each pattern instance gets its own
+    tag: a tag shared across patterns would let their sends cross-match
+    and manufacture *exactly-tied* ANY-source races — MPI-ambiguous by
+    the engine's own carve-out, hence outside the identity guarantee this
+    suite enforces."""
+    rng = random.Random(seed)
+    iters = rng.randint(2, 4)
+    body = (
+        f"        compute(flops = {rng.randint(4, 12)}0000 "
+        f"+ 7000 * (rank % 3));\n"
+    )
+    tag = 1
+    body += rng.choice((_wild_ring, _wild_unique_pair, _wild_irecv_unique))(
+        rng, tag
+    )
+    for pattern in rng.sample(_WILD_PATTERNS, rng.randint(0, 2)):
+        tag += 1
+        body += pattern(rng, tag)
     return (
         "def main() {\n"
         f"    for (var it = 0; it < {iters}; it = it + 1) {{\n"

@@ -91,6 +91,15 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match="scalana-config-v1"):
             AnalysisConfig.from_dict({"format": "something-else"})
 
+    @pytest.mark.parametrize("key", ["lint_fail_fast", "obs_metrics", "obs_spans"])
+    def test_rejects_non_bool_flags(self, key):
+        """A loaded document gets the constructor's validation: the
+        string "false" is not coerced to ``True``."""
+        doc = AnalysisConfig().to_dict()
+        doc[key] = "false"
+        with pytest.raises(ValueError, match=key):
+            AnalysisConfig.from_dict(doc)
+
 
 class TestDigest:
     def test_equal_configs_equal_digests(self):
@@ -145,6 +154,17 @@ LEGACY_STRATEGY_DOC = (
 )
 
 
+def _optimizer_knobs(value: bool) -> dict:
+    """The since-removed on/off switches of the engine's optimizers, as
+    older documents carry them (only ``False`` was ever written, but a
+    hand-edited ``True`` must load too)."""
+    return dict(
+        sim_class_sharing=value,
+        sim_class_batching=value,
+        sim_wildcard_devirt=value,
+    )
+
+
 class TestDigestCompatibility:
     """Cache keys must not move when a digest-neutral knob is removed."""
 
@@ -189,23 +209,33 @@ class TestDigestCompatibility:
 
         cfg = AnalysisConfig.for_app(get_app(app))
         assert cfg.digest() == self.APP_DIGESTS[app]
-        doc = json.loads(cfg.to_json())
-        doc.update(sim_scheduler="calendar", sim_partition="commgraph")
-        legacy = AnalysisConfig.from_json(json.dumps(doc))
-        assert legacy == cfg
-        assert legacy.digest() == self.APP_DIGESTS[app]
+        for optimizers in (True, False):
+            doc = json.loads(cfg.to_json())
+            doc.update(
+                sim_scheduler="calendar", sim_partition="commgraph",
+                **_optimizer_knobs(optimizers),
+            )
+            legacy = AnalysisConfig.from_json(json.dumps(doc))
+            assert legacy == cfg
+            assert legacy.digest() == self.APP_DIGESTS[app]
 
     def test_legacy_strategy_document_loads_to_same_digest(self):
         cfg = AnalysisConfig.from_json(LEGACY_STRATEGY_DOC)
         assert cfg == AnalysisConfig(seed=0)
         assert cfg.digest() == self.DEFAULT_DIGEST
 
+    @pytest.mark.parametrize("optimizers", [True, False])
     @pytest.mark.parametrize("partition", ["contiguous", "commgraph"])
     @pytest.mark.parametrize("scheduler", ["auto", "heap", "calendar"])
-    def test_every_legacy_strategy_value_loads(self, scheduler, partition):
+    def test_every_legacy_strategy_value_loads(
+        self, scheduler, partition, optimizers
+    ):
         """Every value the removed knobs once accepted still loads."""
         doc = json.loads(LEGACY_STRATEGY_DOC)
-        doc.update(sim_scheduler=scheduler, sim_partition=partition)
+        doc.update(
+            sim_scheduler=scheduler, sim_partition=partition,
+            **_optimizer_knobs(optimizers),
+        )
         cfg = AnalysisConfig.from_dict(doc)
         assert cfg == AnalysisConfig(seed=0)
         assert cfg.digest() == self.DEFAULT_DIGEST

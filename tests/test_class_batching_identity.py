@@ -1,25 +1,26 @@
 """Class-batched simulation is bit-identical to per-rank interpretation.
 
-The per-rank interpreter is the bit-identity oracle: with
-``sim_class_batching`` on, every rank of a proven behavioral equivalence
-class consumes an op stream fanned out from its class representative —
-and nothing observable may change.  Mirrors the class-sharing identity
-gate: same randomized workloads, fingerprints plus canonical detection
-reports, serial and sharded, both executors.  The
-adversarial section additionally pins the *fallback* behavior: workloads
-engineered to defeat batching (wildcard receives inside a symmetric
-phase, a single rank diverging late) must take the per-rank path — the
-fallback counter says so — and still match the oracle exactly.
+The per-rank interpreter is the bit-identity oracle: every rank of a
+proven behavioral equivalence class consumes an op stream fanned out
+from its class representative — and nothing observable may change.  The
+randomized sweep lives in ``tests/test_oracle_sweep.py``; this file
+checks that batching engages, and pins the *fallback* behavior:
+workloads engineered to defeat batching (wildcard receives inside a
+symmetric phase, a single rank diverging late) must take the per-rank
+path — the fallback counter says so — and still match the oracle
+exactly.
 """
-
-import random
-
-import pytest
 
 from repro.api import AnalysisConfig, Pipeline
 from repro.api.config import canonical_json
 from repro.simulator import SimulationConfig, simulate
-from tests.conftest import IMBALANCED_SOURCE, _compiled, _fingerprint, make_workload
+from tests.conftest import (
+    IMBALANCED_SOURCE,
+    _compiled,
+    _fingerprint,
+    per_rank_oracle,
+    without_optimizer,
+)
 
 
 def _batch_counters(result) -> dict:
@@ -28,33 +29,6 @@ def _batch_counters(result) -> dict:
         for k, v in result.metrics.counters.items()
         if k.startswith("sim.class_batch.")
     }
-
-
-class TestRandomizedWorkloads:
-    @pytest.mark.parametrize("seed", range(1, 100, 4))
-    def test_batching_matches_per_rank_oracle(self, seed):
-        source = make_workload(seed)
-        rng = random.Random(30_000 + seed)
-        nprocs = rng.randint(5, 9)
-        program, psg = _compiled(source, f"batch{seed}")
-        oracle = _fingerprint(program, psg, nprocs, sim_class_batching=False)
-        batched = _fingerprint(program, psg, nprocs, sim_class_batching=True)
-        assert batched == oracle, f"serial divergence on seed {seed}"
-        sharded = _fingerprint(
-            program, psg, nprocs,
-            sim_class_batching=True,
-            sim_shards=rng.randint(2, 4), sim_executor="inprocess",
-        )
-        assert sharded == oracle, f"sharded divergence on seed {seed}"
-
-    @pytest.mark.parametrize("seed", [5, 41, 77])
-    def test_process_executor_matches_oracle(self, seed):
-        source = make_workload(seed)
-        program, psg = _compiled(source, f"batchmp{seed}")
-        oracle = _fingerprint(program, psg, 6, sim_class_batching=False)
-        for extra in ({}, dict(sim_shards=2, sim_executor="process")):
-            fp = _fingerprint(program, psg, 6, sim_class_batching=True, **extra)
-            assert fp == oracle, (seed, extra)
 
 
 #: Fully symmetric ring exchange: one equivalence class, every field of
@@ -74,9 +48,9 @@ def main() {
 #: the identical statement sequence (one equivalence class), but ANY-src
 #: matching is arrival-order dependent, so the template check must refuse
 #: the whole class — batching a wildcard would bake in one arrival order.
-#: (PR 10: with ``sim_wildcard_devirt`` on, the match-order analysis
-#: proves this ring deterministic and the rewritten concrete-source
-#: stream batches after all — both behaviors are asserted below.)
+#: (PR 10: wildcard devirtualization proves this ring deterministic and
+#: the rewritten concrete-source stream batches after all — both
+#: behaviors are asserted below.)
 WILDCARD_IN_SYMMETRIC_PHASE = """\
 def main() {
     for (var it = 0; it < 3; it = it + 1) {
@@ -120,19 +94,11 @@ class TestBatchingEngages:
 
     def test_oracle_run_reports_zero_batching(self):
         program, psg = _compiled(SYMMETRIC_RING, "symring_off")
-        res = simulate(
-            program, psg,
-            SimulationConfig(nprocs=16, sim_class_batching=False),
-        )
+        with per_rank_oracle():
+            res = simulate(program, psg, SimulationConfig(nprocs=16))
         stats = _batch_counters(res)
         assert stats["classes"] == 0
         assert stats["ranks_batched"] == 0
-
-    def test_knob_validation(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(nprocs=2, sim_class_batching="on")
-        with pytest.raises(ValueError):
-            AnalysisConfig(sim_class_batching=1)
 
 
 class TestAdversarialFallback:
@@ -140,14 +106,11 @@ class TestAdversarialFallback:
         """With devirtualization disabled, a wildcard receive never rides
         a template (batching one would bake in an arrival order)."""
         program, psg = _compiled(WILDCARD_IN_SYMMETRIC_PHASE, "wildsym")
-        oracle = _fingerprint(program, psg, 8, sim_class_batching=False)
-        assert _fingerprint(
-            program, psg, 8, sim_wildcard_devirt=False
-        ) == oracle
-        res = simulate(
-            program, psg,
-            SimulationConfig(nprocs=8, sim_wildcard_devirt=False),
-        )
+        with per_rank_oracle():
+            oracle = _fingerprint(program, psg, 8)
+        with without_optimizer("_devirt_map"):
+            assert _fingerprint(program, psg, 8) == oracle
+            res = simulate(program, psg, SimulationConfig(nprocs=8))
         stats = _batch_counters(res)
         # The class containing the wildcard must fall back wholesale —
         # an undevirtualized wildcard receive never rides a template.
@@ -159,7 +122,8 @@ class TestAdversarialFallback:
         deterministic, so with devirtualization on (the default) the same
         phase batches — bit-identically to the per-rank oracle."""
         program, psg = _compiled(WILDCARD_IN_SYMMETRIC_PHASE, "wildsymdv")
-        oracle = _fingerprint(program, psg, 8, sim_class_batching=False)
+        with per_rank_oracle():
+            oracle = _fingerprint(program, psg, 8)
         assert _fingerprint(program, psg, 8) == oracle
         res = simulate(program, psg, SimulationConfig(nprocs=8))
         stats = _batch_counters(res)
@@ -168,7 +132,8 @@ class TestAdversarialFallback:
 
     def test_one_rank_diverging_late_is_never_batched_in(self):
         program, psg = _compiled(ONE_RANK_DIVERGES_LATE, "lonediv")
-        oracle = _fingerprint(program, psg, 8, sim_class_batching=False)
+        with per_rank_oracle():
+            oracle = _fingerprint(program, psg, 8)
         assert _fingerprint(program, psg, 8) == oracle
         res = simulate(program, psg, SimulationConfig(nprocs=8))
         stats = _batch_counters(res)
@@ -185,11 +150,9 @@ class TestAdversarialFallback:
 
         program = parse_program(WILDCARD_IN_SYMMETRIC_PHASE, "wildsym.mm")
         psg = build_psg(program).psg
-        engine = Engine(
-            program, psg,
-            SimulationConfig(nprocs=8, sim_wildcard_devirt=False),
-        )
-        engine.run()
+        engine = Engine(program, psg, SimulationConfig(nprocs=8))
+        with without_optimizer("_devirt_map"):
+            engine.run()
         assert engine.class_batch_stats["fallbacks"] >= 1
         assert engine.class_batch_reasons
         assert all(isinstance(r, str) for r in engine.class_batch_reasons)
@@ -197,25 +160,15 @@ class TestAdversarialFallback:
 
 class TestCanonicalReport:
     def test_report_sha_identical_with_and_without_batching(self):
-        reports = {}
-        for flag in (False, True):
+        def report():
             pipeline = Pipeline(
                 source=IMBALANCED_SOURCE, filename="imbalanced.mm",
-                config=AnalysisConfig(seed=0, sim_class_batching=flag),
+                config=AnalysisConfig(seed=0),
             )
             doc = pipeline.run([4, 8, 16]).report.to_json_dict()
             doc["detection_seconds"] = 0.0
-            reports[flag] = canonical_json(doc)
-        assert reports[True] == reports[False]
+            return canonical_json(doc)
 
-    def test_batching_is_digest_neutral(self):
-        base = AnalysisConfig(seed=0)
-        off = AnalysisConfig(seed=0, sim_class_batching=False)
-        assert base.digest() == off.digest()
-        assert AnalysisConfig.from_json(off.to_json()) == off
-        # pre-knob documents load with the default
-        import json
-
-        doc = json.loads(base.to_json())
-        doc.pop("sim_class_batching", None)
-        assert AnalysisConfig.from_dict(doc).sim_class_batching is True
+        with without_optimizer("_build_batched_streams"):
+            unbatched = report()
+        assert report() == unbatched

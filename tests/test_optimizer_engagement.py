@@ -5,7 +5,7 @@
 - Its keys tell ``-0.0`` from ``0.0`` (``Workload.__eq__`` does not), so
   signed zeros fan out exactly as the per-rank oracle computes them.
 - An optimizer analysis that raises steps aside with a recorded reason,
-  and the run stays bit-identical to the optimizer-off run.
+  and the run stays bit-identical to the per-rank oracle.
 """
 
 from __future__ import annotations
@@ -15,18 +15,12 @@ import math
 import pytest
 
 import repro.simulator.classbatch as classbatch
-from repro.api import (
-    AnalysisConfig,
-    Pipeline,
-    canonical_report_sha,
-    run_fingerprint,
-)
+from repro.api import AnalysisConfig, Pipeline, canonical_report_sha
 from repro.apps import get_app
-from repro.runtime import profile_run
 from repro.simulator import SimulationConfig, ops
 from repro.simulator.costmodel import CostModel, MachineModel
 from repro.simulator.engine import Engine
-from tests.conftest import _compiled, _fingerprint
+from tests.conftest import _compiled, _fingerprint, per_rank_oracle
 
 #: One class of ranks whose compute workloads hold signed zeros: the
 #: first statement gives rank 0 ``-0.0`` and every other rank ``0.0``;
@@ -122,44 +116,45 @@ class TestSignedZeros:
     def test_fingerprint_matches_per_rank_oracle(self):
         program, psg = _compiled(SIGNED_ZEROS, "signed_zeros")
         assert self._batched_share(program, psg) == self.NPROCS
-        oracle = _fingerprint(
-            program, psg, self.NPROCS, sim_class_batching=False
-        )
+        with per_rank_oracle():
+            oracle = _fingerprint(program, psg, self.NPROCS)
         assert _fingerprint(program, psg, self.NPROCS) == oracle
 
     def test_trace_columns_match_per_rank_oracle_bytewise(self):
         program, psg = _compiled(SIGNED_ZEROS, "signed_zeros")
-        traces = {}
-        for flag in (False, True):
-            engine = Engine(program, psg, SimulationConfig(
-                nprocs=self.NPROCS, sim_class_batching=flag,
-            ))
-            traces[flag] = engine.run().trace
+        config = SimulationConfig(nprocs=self.NPROCS)
+        with per_rank_oracle():
+            oracle = Engine(program, psg, config).run().trace
+        trace = Engine(program, psg, config).run().trace
         for columns in ("columns", "counter_columns"):
-            want = getattr(traces[False], columns)()
-            got = getattr(traces[True], columns)()
+            want = getattr(oracle, columns)()
+            got = getattr(trace, columns)()
             assert list(got) == list(want)
             for name in want:
                 assert got[name].tobytes() == want[name].tobytes(), name
 
     def test_canonical_report_matches_per_rank_oracle(self):
-        shas = {
-            flag: canonical_report_sha(Pipeline(
+        def sha():
+            return canonical_report_sha(Pipeline(
                 source=SIGNED_ZEROS, filename="signed_zeros.mm",
-                config=AnalysisConfig(seed=0, sim_class_batching=flag),
+                config=AnalysisConfig(seed=0),
             ).run([4, 8]).report)
-            for flag in (False, True)
-        }
-        assert shas[True] == shas[False]
+
+        with per_rank_oracle():
+            oracle = sha()
+        assert sha() == oracle
 
 
 class TestStepAsideReasons:
-    def _run(self, program, psg, **cfg):
-        engine = Engine(program, psg, SimulationConfig(nprocs=6, **cfg))
+    def _run(self, program, psg):
+        engine = Engine(program, psg, SimulationConfig(nprocs=6))
         return engine, engine.run()
 
+    @pytest.mark.step_aside
     def test_raising_batch_build_is_recorded(self, monkeypatch):
         program, psg = _compiled(SIGNED_ZEROS, "signed_zeros")
+        with per_rank_oracle():
+            oracle = _fingerprint(program, psg, 6)
 
         def boom(**_kwargs):
             raise RuntimeError("template exploded")
@@ -170,18 +165,17 @@ class TestStepAsideReasons:
             "build_batched_streams raised RuntimeError: template exploded",
         )
         assert engine.class_batch_stats["ranks_batched"] == 0
-        config = SimulationConfig(nprocs=6)
-        off = SimulationConfig(nprocs=6, sim_class_batching=False)
-        assert run_fingerprint(profile_run(program, psg, config)) \
-            == run_fingerprint(profile_run(program, psg, off))
+        assert _fingerprint(program, psg, 6) == oracle
 
+    @pytest.mark.step_aside
     @pytest.mark.parametrize("target, component", [
         ("repro.analysis.rankdep.analyze_program", "analyze_program"),
         ("repro.analysis.matchorder.devirt_sources", "devirt_sources"),
     ])
     def test_raising_analysis_is_recorded(self, monkeypatch, target, component):
         program, psg = _compiled(SIGNED_ZEROS, "signed_zeros")
-        oracle = _fingerprint(program, psg, 6)
+        with per_rank_oracle():
+            oracle = _fingerprint(program, psg, 6)
 
         def boom(*_args, **_kwargs):
             raise ValueError("proof budget")
@@ -196,7 +190,8 @@ class TestStepAsideReasons:
         from repro.analysis import symmetry
 
         program, psg = _compiled(SIGNED_ZEROS, "signed_zeros")
-        oracle = _fingerprint(program, psg, 6, sim_class_batching=False)
+        with per_rank_oracle():
+            oracle = _fingerprint(program, psg, 6)
         partition = symmetry.partition_ranks
 
         def degraded(program, nprocs, params=None, *, entry, analysis):
