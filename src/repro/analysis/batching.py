@@ -10,9 +10,12 @@ emitted, each captured argument is one of
   execution) or ``INVARIANT`` (same value on every rank at each
   corresponding execution, which class members share by construction):
   the member's op reuses the representative's value verbatim; or
-* **derivable** — carrying a closed symbolic rank function (an
+* **derivable** — carrying a symbolic rank function (an
   ``AbstractValue.term``): the member's value is
-  ``eval_term(term, rank)``, constant across that statement's executions.
+  ``eval_term(term, rank)``, constant across that statement's executions
+  — unless the term reads ``("frame", name)`` leaves (a loop-carried,
+  rank-invariant local such as a hypercube stride), whose values the
+  runtime binds per execution from the representative's frame.
 
 Anything else (a rank-dependent argument whose term failed to fold, a
 statement the dataflow never reached, colliding source locations that
@@ -34,6 +37,7 @@ from repro.minilang import ast_nodes as ast
 from repro.analysis.rankdep import (
     RankAnalysis,
     Rankness,
+    frame_names,
     mpi_arg_exprs,
 )
 
@@ -59,12 +63,15 @@ class FieldRule:
     ``number``) so substituted fields are bit-identical to per-rank
     construction.  ``affine`` is the ``(a, b, mod)`` fast path when
     :mod:`repro.analysis.rankdep` recovered integer coefficients.
+    ``frame`` names the locals the term reads through ``("frame", name)``
+    leaves, sorted; empty when the term is a closed rank function.
     """
 
     field: str
     coerce: str
     term: tuple
     affine: tuple | None = None
+    frame: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -110,8 +117,9 @@ def stmt_template(analysis: RankAnalysis, stmt: ast.Stmt) -> StmtTemplate:
     """The derivation plan for one op-emitting statement.
 
     Raises :class:`IneligibleStmt` when any captured argument is neither
-    copyable (kind ≤ INVARIANT) nor derivable (a closed ``term``) under
-    the joined-over-contexts verdict in ``analysis.stmt_args``.
+    copyable (kind ≤ INVARIANT) nor derivable (a ``term``, possibly over
+    frame leaves) under the joined-over-contexts verdict in
+    ``analysis.stmt_args``.
     """
     avs = analysis.stmt_args.get(stmt.stmt_id)
     if avs is None:
@@ -138,7 +146,10 @@ def stmt_template(analysis: RankAnalysis, stmt: ast.Stmt) -> StmtTemplate:
             isinstance(c, int) or c is None for c in affine
         ):
             affine = None
-        varying.append(FieldRule(field, coerce, av.term, affine))
+        varying.append(FieldRule(
+            field, coerce, av.term, affine,
+            tuple(sorted(frame_names(av.term))),
+        ))
     return StmtTemplate(stmt.stmt_id, tuple(varying))
 
 

@@ -20,6 +20,25 @@ Terms are what :mod:`repro.analysis.symmetry` evaluates to split ranks
 into behavioral classes, and what the lint uses to expand one
 representative walk into per-rank communication endpoints.
 
+A loop-carried, rank-invariant variable — the doubling stride ``s`` of a
+hypercube exchange — has no closed form in ``rank``, but at the loop head
+its value is, by definition, whatever the frame holds.  Such a variable
+gets the leaf ``("frame", name)``: "the runtime value of local ``name``
+in the current frame".  Terms built on it (``rank - s``, the ``sel`` that
+picks ``rank + s`` on half the ranks) are closed rank functions *once the
+frame is bound*: :func:`eval_term` reads the leaf from ``env``, and
+:mod:`repro.simulator.classbatch` binds it per execution from the class
+representative's frame.  That binding is only sound while ``name`` keeps
+the value it had when the term was built, on every rank alike, so any
+assignment or declaration of ``name`` — and any branch that assigns it in
+either arm, or a loop with a rank-dependent trip count that assigns it —
+drops the term of every value that mentions it (the kind stays), and a
+call hands the callee no frame-bearing term (the callee's frame is
+another frame).  Verdicts inside a loop are recorded only under its
+stable head state.  Consumers that evaluate terms with no frame at hand —
+the rank partition, the scale-parametric lint — read them through
+:func:`closed_term`, which maps frame-bearing terms to ``None``.
+
 The walk is a standard join-over-paths fixpoint with two twists that make
 it *rank*-aware rather than merely flow-aware:
 
@@ -44,7 +63,7 @@ globals, so calls never mutate the caller frame).
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import IntEnum
 from collections.abc import Iterator, Mapping
 
@@ -60,7 +79,9 @@ __all__ = [
     "Decider",
     "RankAnalysis",
     "analyze_program",
+    "closed_term",
     "eval_term",
+    "frame_names",
     "mpi_arg_exprs",
 ]
 
@@ -148,6 +169,42 @@ def _capped(term: tuple | None) -> tuple | None:
     if term is not None and _term_size(term) > _MAX_TERM_SIZE:
         return None
     return term
+
+
+def frame_names(term: tuple | None) -> frozenset[str]:
+    """The locals a term reads through ``("frame", name)`` leaves."""
+    out: set[str] = set()
+
+    def walk(t: tuple) -> None:
+        if t[0] == "frame":
+            out.add(t[1])
+            return
+        for sub in t[1:]:
+            if isinstance(sub, tuple):
+                walk(sub)
+
+    if term is not None:
+        walk(term)
+    return frozenset(out)
+
+
+def closed_term(av: AbstractValue) -> tuple | None:
+    """``av.term`` when it is a closed function of (rank, P), else None.
+
+    A frame-bearing term needs the executing frame to evaluate; consumers
+    with no frame at hand (the rank partition, the scale-parametric
+    lint) must treat it exactly like a missing term.
+    """
+    return None if frame_names(av.term) else av.term
+
+
+def _without_frame(av: AbstractValue, name: str | None = None) -> AbstractValue:
+    """``av`` minus its term when that term reads ``name``'s frame leaf
+    (any frame leaf when ``name`` is None); the kind stays."""
+    names = frame_names(av.term)
+    if names and (name is None or name in names):
+        return replace(av, term=None)
+    return av
 
 
 def av_equal(x: AbstractValue, y: AbstractValue) -> bool:
@@ -283,7 +340,8 @@ def eval_term(
 
     ``nprocs`` binds the symbolic ``("P",)`` scale parameter produced by
     :func:`analyze_program` in symbolic mode; ``env`` binds ``("var", name)``
-    iteration variables used by :mod:`repro.analysis.commgraph` families.
+    iteration variables used by :mod:`repro.analysis.commgraph` families
+    and ``("frame", name)`` locals of the executing frame.
     Raises :class:`SimulationError` exactly where the interpreter would
     (division by zero, type errors, an unbound symbol) — callers degrade
     on failure.
@@ -297,7 +355,7 @@ def eval_term(
         if nprocs is None:
             raise SimulationError("term uses symbolic nprocs with no scale bound")
         return nprocs
-    if tag == "var":
+    if tag in ("var", "frame"):
         if env is None or term[1] not in env:
             raise SimulationError(f"term uses unbound variable {term[1]!r}")
         return env[term[1]]
@@ -566,16 +624,28 @@ class _Analyzer:
         self._emits_func: dict[str, bool] = {}
         self._active: set[str] = set()
         self._summaries: set[tuple] = set()
+        #: > 0 while a loop iterates towards its fixpoint: verdicts,
+        #: degradations and callees are recorded only under the stable
+        #: head state (a first iteration's constant terms would join the
+        #: symbolic ones down to DEPENDENT; a callee cannot change the
+        #: caller's frame, so the iterations need not visit it)
+        self._quiet = 0
+        #: every local that ever got a ("frame", name) leaf
+        self._frame_vars: set[str] = set()
         self._steps = 0
 
     # -- recording -----------------------------------------------------
 
     def _record_expr(self, expr: ast.Expr, av: AbstractValue) -> None:
+        if self._quiet:
+            return
         key = id(expr)
         old = self.expr_verdicts.get(key)
         self.expr_verdicts[key] = av if old is None else join(old, av)
 
     def _record_stmt_args(self, stmt: ast.Stmt, avs: tuple) -> None:
+        if self._quiet:
+            return
         old = self.stmt_args.get(stmt.stmt_id)
         self.stmt_args[stmt.stmt_id] = (
             avs if old is None
@@ -585,6 +655,8 @@ class _Analyzer:
     def _record_decider(
         self, stmt: ast.Stmt, kind: str, av: AbstractValue
     ) -> None:
+        if self._quiet:
+            return
         old = self.deciders.get(stmt.stmt_id)
         joined = av if old is None else join(old.av, av)
         self.deciders[stmt.stmt_id] = Decider(
@@ -592,6 +664,8 @@ class _Analyzer:
         )
 
     def _degrade(self, stmt: ast.Stmt, reason: str) -> None:
+        if self._quiet:
+            return
         self.degraded.append(f"{stmt.location}: {reason}")
 
     # -- observability -------------------------------------------------
@@ -785,6 +859,19 @@ class _Analyzer:
             out[name] = j
         return out
 
+    def _invalidate(self, env: dict, names) -> None:
+        """Drop every term in ``env`` that reads a frame leaf of one of
+        ``names`` (their frame value changed, or may have on some path)."""
+        for name in self._frame_vars.intersection(names):
+            for key, av in env.items():
+                env[key] = _without_frame(av, name)
+
+    def _bind(self, env: dict, name: str, av: AbstractValue) -> None:
+        """``name = av``: terms that read ``name``'s old frame value —
+        including ``av``'s own (``s = s * 2``) — lose them."""
+        env[name] = av
+        self._invalidate(env, (name,))
+
     def _join_env(self, a: dict, b: dict) -> dict:
         out: dict = {}
         for name in set(a) | set(b):
@@ -810,14 +897,15 @@ class _Analyzer:
     def _analyze_stmt(self, stmt: ast.Stmt, env: dict) -> None:
         self._tick()
         if isinstance(stmt, ast.VarDecl):
-            env[stmt.name] = (
+            self._bind(
+                env, stmt.name,
                 self._eval(stmt.init, env)
                 if stmt.init is not None
-                else const_av(0)
+                else const_av(0),
             )
             return
         if isinstance(stmt, ast.Assign):
-            env[stmt.name] = self._eval(stmt.value, env)
+            self._bind(env, stmt.name, self._eval(stmt.value, env))
             return
         if isinstance(stmt, ast.ReturnStmt):
             if stmt.value is not None:
@@ -874,6 +962,13 @@ class _Analyzer:
         if stmt.else_body is not None:
             self._analyze_block(stmt.else_body, env_e)
         merged = self._merge_branch(env_t, env_e, cond_av)
+        # a frame leaf stands for a rank-invariant frame value; a local
+        # assigned in either arm may now differ across ranks (and the
+        # condition read its pre-branch value), so no term keeps it
+        written = _assigned_names(stmt.then_body)
+        if stmt.else_body is not None:
+            written |= _assigned_names(stmt.else_body)
+        self._invalidate(merged, written)
         env.clear()
         env.update(merged)
         if cond_av.kind >= Rankness.AFFINE:
@@ -891,45 +986,80 @@ class _Analyzer:
         step) into a given environment and returns that iteration's
         condition AV (None for condition-less loops).
         """
+        written = _assigned_names(stmt.body)
+        if isinstance(stmt, ast.ForStmt) and stmt.step is not None:
+            written.add(stmt.step.name)
+        # loop-carried locals already in the frame at the loop head
+        carried = written & set(env)
         cond_joined: AbstractValue | None = None
         state = dict(env)
-        for _ in range(_MAX_LOOP_ITERS):
-            body_env = dict(state)
-            cond_av = run_body(body_env)
-            cond_joined = join(cond_joined, cond_av) if cond_av is not None \
-                else cond_joined
-            new_state = self._join_env(state, body_env)
-            if self._env_equal(new_state, state):
-                break
-            state = new_state
-        else:
-            # forced widening: anything still moving becomes unknown
-            body_env = dict(state)
-            run_body(body_env)
-            state = {
-                name: (state[name] if name in state
-                       and av_equal(state.get(name, _DEP),
-                                    body_env.get(name, _DEP))
-                       else _DEP)
-                for name in set(state) | set(body_env)
-            }
-            run_body(dict(state))  # re-record under the widened state
+        self._quiet += 1
+        try:
+            for _ in range(_MAX_LOOP_ITERS):
+                body_env = dict(state)
+                cond_av = run_body(body_env)
+                cond_joined = join(cond_joined, cond_av) \
+                    if cond_av is not None else cond_joined
+                new_state = self._join_env(state, body_env)
+                for name in carried:
+                    leaf = self._head_leaf(name, state[name], body_env[name])
+                    if leaf is not None:
+                        new_state[name] = leaf
+                if self._env_equal(new_state, state):
+                    break
+                state = new_state
+            else:
+                # forced widening: anything still moving becomes unknown
+                body_env = dict(state)
+                run_body(body_env)
+                state = {
+                    name: (state[name] if name in state and (
+                        av_equal(state[name], body_env.get(name, _DEP))
+                        or name in carried
+                        and self._is_head_leaf(name, state[name], body_env[name])
+                    ) else _DEP)
+                    for name in set(state) | set(body_env)
+                }
+        finally:
+            self._quiet -= 1
+        run_body(dict(state))  # record under the stable head state
         cond_final = cond_joined if cond_joined is not None else const_av(True)
         if cond_final.kind >= Rankness.AFFINE:
             # rank-dependent trip count: every variable the loop body can
-            # write diverges across ranks after the loop
-            for name in _assigned_names(stmt.body) | (
-                {stmt.step.name} if isinstance(stmt, ast.ForStmt)
-                and stmt.step is not None else set()
-            ):
+            # write diverges across ranks after the loop — unless it holds
+            # one constant throughout (equal INVARIANT verdicts may still
+            # be different values: ranks that skip the body keep theirs)
+            for name in written:
                 before = env.get(name)
                 after = state.get(name)
                 if before is None or after is None \
+                        or before.kind is not Rankness.CONST \
                         or not av_equal(before, after):
                     state[name] = _DEP
+            self._invalidate(state, written)
         env.clear()
         env.update(state)
         return cond_final
+
+    def _head_leaf(
+        self, name: str, before: AbstractValue, after: AbstractValue
+    ) -> AbstractValue | None:
+        """The loop-head value of a carried local whose iterations
+        disagree while staying rank-invariant: the ``("frame", name)``
+        leaf (None when the plain join applies)."""
+        if before.kind <= Rankness.INVARIANT \
+                and after.kind <= Rankness.INVARIANT \
+                and not av_equal(before, after):
+            self._frame_vars.add(name)
+            return AbstractValue(Rankness.INVARIANT, term=("frame", name))
+        return None
+
+    def _is_head_leaf(
+        self, name: str, before: AbstractValue, after: AbstractValue
+    ) -> bool:
+        """Is ``before`` already the stable head leaf of ``name``?"""
+        leaf = self._head_leaf(name, before, after)
+        return leaf is not None and av_equal(before, leaf)
 
     def _analyze_while(self, stmt: ast.WhileStmt, env: dict) -> None:
         first_cond = self._eval(stmt.cond, env)
@@ -1039,16 +1169,18 @@ class _Analyzer:
         _free_names(cond.right, bound_free)
         if bound_free & written:
             return None
-        init_av = self._eval(init_expr, entry_env)
-        bound_av = self._eval(cond.right, entry_env)
-        if init_av.term is None or bound_av.term is None:
+        init_term = closed_term(self._eval(init_expr, entry_env))
+        bound_term = closed_term(self._eval(cond.right, entry_env))
+        if init_term is None or bound_term is None:
             return None
-        return _capped(
-            ("trip", cond.op, delta, init_av.term, bound_av.term)
-        )
+        return _capped(("trip", cond.op, delta, init_term, bound_term))
 
     def _analyze_call(self, stmt: ast.CallStmt, env: dict) -> None:
-        arg_avs = [self._eval(a, env) for a in stmt.args]
+        if self._quiet:
+            return
+        # the callee runs in a fresh frame: caller frame leaves mean
+        # nothing there (a parameter may even shadow the caller's name)
+        arg_avs = [_without_frame(self._eval(a, env)) for a in stmt.args]
         callee = stmt.callee
         target: str | None = None
         if isinstance(callee, ast.VarRef) \

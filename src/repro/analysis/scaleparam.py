@@ -50,6 +50,7 @@ from repro.analysis.lint import LintFinding, LintReport, Severity, run_lint
 from repro.analysis.rankdep import (
     RankAnalysis,
     analyze_program,
+    closed_term,
     mpi_arg_exprs,
 )
 
@@ -585,28 +586,30 @@ def analyze_scale_parametric(
 
     for decider in sorted(analysis.deciders.values(), key=lambda d: d.stmt_id):
         absorb(
-            describe_term(decider.av.term),
+            describe_term(closed_term(decider.av)),
             f"{decider.location}: rank-dependent {decider.kind} decision",
         )
 
     for stmt_id in sorted(analysis.stmt_args):
         stmt = stmts.get(stmt_id)
-        avs = analysis.stmt_args[stmt_id]
+        # a frame-bearing term reads a frame no scale binds (and "var"
+        # leaves here are commgraph iteration variables): no closed form
+        terms = [closed_term(av) for av in analysis.stmt_args[stmt_id]]
         magnitude = _magnitude_roles(stmt)
         all_affine = True
-        for i, av in enumerate(avs):
+        for i, term in enumerate(terms):
             where = f"{getattr(stmt, 'location', stmt_id)}: argument {i}"
             if i in magnitude:
                 # magnitude arguments (bytes/flops/...) never shape a
                 # verdict: totality + the runtime's sign bound suffice
-                if av.term == ("const", None):
+                if term == ("const", None):
                     continue  # defaulted argument, trivially safe
-                if av.term is None:
+                if term is None:
                     reasons.append(f"{where}: no closed symbolic form")
                     all_affine = False
                     continue
                 try:
-                    lo, _hi = total_interval(av.term)
+                    lo, _hi = total_interval(term)
                 except _Untame as exc:
                     reasons.append(f"{where}: {exc}")
                     all_affine = False
@@ -618,7 +621,7 @@ def analyze_scale_parametric(
                     )
                     all_affine = False
                 continue
-            ok = absorb(describe_term(av.term), where)
+            ok = absorb(describe_term(term), where)
             all_affine = all_affine and ok
         if isinstance(stmt, ast.MpiStmt) and stmt.op not in ast.WAIT_OPS:
             op_label = _MPI_OP_LABEL.get(stmt.op, stmt.op.name.lower())
@@ -626,7 +629,7 @@ def analyze_scale_parametric(
                 stmt_id=stmt_id,
                 location=str(stmt.location),
                 op=op_label,
-                args=tuple(render_term(av.term) for av in avs),
+                args=tuple(render_term(term) for term in terms),
                 affine=all_affine,
             ))
 

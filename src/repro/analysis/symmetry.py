@@ -35,6 +35,7 @@ from repro.simulator.exprcompile import truthy
 from repro.analysis.rankdep import (
     RankAnalysis,
     analyze_program,
+    closed_term,
     eval_term,
 )
 
@@ -126,8 +127,9 @@ def partition_ranks(
         return _singletons(nprocs, analysis.degraded, analysis)
 
     deciders = sorted(analysis.deciders.values(), key=lambda d: d.stmt_id)
-    for decider in deciders:
-        if decider.av.term is None:
+    terms = [closed_term(decider.av) for decider in deciders]
+    for decider, term in zip(deciders, terms):
+        if term is None:
             return _singletons(
                 nprocs,
                 f"{decider.location}: rank-dependent {decider.kind} "
@@ -138,12 +140,12 @@ def partition_ranks(
     signatures: list[tuple] = []
     for rank in range(nprocs):
         sig = []
-        for decider in deciders:
+        for decider, term in zip(deciders, terms):
             try:
                 # threading nprocs binds the ("P",) symbol of a *symbolic*
                 # analysis (rankdep nprocs=None), letting one dataflow run
                 # partition the ranks at any concrete scale
-                value = eval_term(decider.av.term, rank, nprocs)
+                value = eval_term(term, rank, nprocs)
                 if decider.kind == "branch":
                     value = bool(truthy(value))
             except SimulationError as exc:

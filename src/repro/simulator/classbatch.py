@@ -25,6 +25,15 @@ class (never the run) to per-rank interpretation:
    surfaces at the same simulated moment the per-rank oracle would
    surface it, not eagerly at engine start.
 
+A rank function may read a loop-carried, rank-invariant local through a
+``("frame", name)`` leaf (CG's hypercube partner ``rank - s`` for the
+doubling stride ``s``).  Such a value is not fixed per statement, so the
+representative runs through a recording interpreter (a private compile
+cache — the engine-shared one keeps its closures) that notes, for every
+execution of a frame-reading statement, the frame values its template
+reads; each execution's member values are then evaluated under that
+frame and cached by its bits.
+
 The builder never touches the engine: it returns plain per-rank op lists
 (class members whose stream needs no substitution share one list — each
 rank consumes its own ``iter``), and the engine feeds them through the
@@ -34,7 +43,9 @@ per-rank oracle is gated by ``tests/test_oracle_sweep.py``.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 from repro.analysis.batching import (
     IneligibleStmt,
@@ -49,7 +60,7 @@ from repro.simulator import ops
 from repro.simulator.trace import MPI_OP_CODES
 from repro.simulator.costmodel import CostModel, Workload
 from repro.simulator.errors import SimulationError
-from repro.simulator.interp import Interpreter
+from repro.simulator.interp import _YIELD_ONE, Interpreter
 
 __all__ = ["BatchResult", "build_batched_streams"]
 
@@ -62,6 +73,16 @@ _MAX_RECORDED_REASONS = 8
 #: Fields of the recv half of a sendrecv, as named by the analysis-side
 #: capture layout -> the RecvOp attribute they set.
 _RECV_HALF = {"recv_src": "src", "recv_tag": "tag"}
+
+#: A frame-leaf local that was not in the frame when the statement ran.
+_UNBOUND = object()
+_PACK_D = struct.Struct("<d").pack
+#: op type -> getter of its full field tuple (fan-out cache keys); the
+#: interpreter's other op types never carry a rank-varying field
+_FIELDS_OF = {
+    t: attrgetter(*t.__dataclass_fields__)
+    for t in (ops.SendOp, ops.RecvOp, ops.CollectiveOp)
+}
 
 
 class _Fallback(Exception):
@@ -116,6 +137,10 @@ def build_batched_streams(
     local = set(local_ranks)
     loc_index = op_stmt_index(program)
     template_cache: dict[int, StmtTemplate | IneligibleStmt] = {}
+    frame_stmts = _frame_stmts(analysis, loc_index, template_cache)
+    # Recording closures compile into a cache of their own, so the
+    # engine-shared one holds exactly what per-rank interpreters compile.
+    rep_cache = {} if frame_stmts else expr_cache
     # workload bits -> baked cost row, shared by every class: the cost is
     # rank-independent whenever it is baked at all
     precost_cache: dict[bytes, tuple] = {}
@@ -128,9 +153,9 @@ def build_batched_streams(
             continue  # nothing to batch (also: class not local to this shard)
         rep = members[0]
         try:
-            rep_stream = _materialize(
+            rep_stream, frame_values = _materialize(
                 program, psg, rep, nprocs, params, entry, max_iterations,
-                expr_cache, const_stmts,
+                rep_cache, const_stmts, frame_stmts,
             )
         except Exception as exc:  # surfaces at the right time per-rank
             _note(result, reasons, f"representative rank {rep} raised: {exc}")
@@ -140,8 +165,9 @@ def build_batched_streams(
             continue
         try:
             base, patches = _build_template(
-                rep_stream, members, analysis, loc_index, template_cache,
-                nprocs, cost, precost_compute, precost_cache, devirt,
+                rep_stream, frame_values, frame_stmts, members, analysis,
+                loc_index, template_cache, nprocs, cost, precost_compute,
+                precost_cache, devirt,
             )
         except _Fallback as exc:
             _note(result, reasons, str(exc))
@@ -160,20 +186,82 @@ def _note(result: BatchResult, reasons: list[str], reason: str) -> None:
         reasons.append(reason)
 
 
+def _template(analysis: RankAnalysis, stmt, template_cache: dict):
+    """The statement's template, or the IneligibleStmt it raised (cached)."""
+    template = template_cache.get(stmt.stmt_id)
+    if template is None:
+        try:
+            template = stmt_template(analysis, stmt)
+        except IneligibleStmt as exc:
+            template = exc
+        template_cache[stmt.stmt_id] = template
+    return template
+
+
+def _frame_stmts(
+    analysis: RankAnalysis, loc_index: dict, template_cache: dict
+) -> dict[int, tuple[str, ...]]:
+    """stmt_id -> the frame locals its varying fields read (sorted), for
+    every op statement whose template reads any."""
+    out = {}
+    for stmt in loc_index.values():
+        if stmt is None:
+            continue
+        template = _template(analysis, stmt, template_cache)
+        if isinstance(template, IneligibleStmt):
+            continue
+        names = {n for rule in template.varying for n in rule.frame}
+        if names:
+            out[stmt.stmt_id] = tuple(sorted(names))
+    return out
+
+
+class _FrameRecorder(Interpreter):
+    """A representative's interpreter that records, per execution of a
+    frame-reading statement, the values of the locals its template reads:
+    ``frame_values[id(op)]`` for each op the execution yields (a
+    sendrecv's two halves share one entry).  Its ops are fresh per
+    execution (the arguments read the frame, so no memo tier applies), and
+    the materialized stream keeps them alive, so ids stay unique."""
+
+    def __init__(self, *args, frame_stmts: dict, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.frame_stmts = frame_stmts
+        self.frame_values: dict[int, tuple] = {}
+
+    def _compile_stmt(self, stmt):
+        kind, fn = super()._compile_stmt(stmt)
+        names = self.frame_stmts.get(stmt.stmt_id)
+        if names is None or getattr(fn, "_memoized_op", False):
+            return kind, fn
+
+        def record(frame, ctx, ip):
+            out = fn(frame, ctx, ip)
+            values = tuple(frame.get(n, _UNBOUND) for n in names)
+            for op in (out,) if kind == _YIELD_ONE else out:
+                ctx.frame_values[id(op)] = values
+            return out
+
+        return kind, record
+
+
 def _materialize(
     program, psg, rank, nprocs, params, entry, max_iterations,
-    expr_cache, const_stmts,
-) -> list:
-    interp = Interpreter(
-        program, psg, rank, nprocs, params,
+    expr_cache, const_stmts, frame_stmts,
+) -> tuple[list, dict]:
+    """The representative's op stream plus its recorded frame values."""
+    interp = _FrameRecorder(
+        program, psg, rank, nprocs, params, frame_stmts=frame_stmts,
         max_iterations=max_iterations, entry=entry,
         expr_cache=expr_cache, const_stmts=const_stmts,
     )
-    return list(interp.run())
+    return list(interp.run()), interp.frame_values
 
 
 def _build_template(
     rep_stream: list,
+    frame_values: dict,
+    frame_stmts: dict,
     members: list[int],
     analysis: RankAnalysis,
     loc_index: dict,
@@ -190,8 +278,8 @@ def _build_template(
     their precosted twins; ``patches`` lists ``(position, per_member)``
     substitutions for rank-varying ops, where ``per_member[i]`` is the op
     instance for ``members[i]``.  Each op instance is classified once
-    (memoized streams repeat instances), and a rank-varying compute op
-    builds its per-member fan-out once per distinct value, however many
+    (memoized streams repeat instances), and a rank-varying op builds its
+    per-member fan-out once per distinct value and frame, however many
     fresh instances the representative emits for it.
     """
     base: list = []
@@ -200,8 +288,9 @@ def _build_template(
     # "vary0" means even the representative's own op was rewritten
     # (devirtualized wildcard), so base takes per_member[0], not op
     inst_cache: dict[int, tuple] = {}
-    value_cache: dict = {}  # (stmt_id, field) -> per-member coerced values
-    # (vid, location, workload bits) -> per-member compute fan-out
+    # (stmt_id, field, frame key) -> per-member coerced values
+    value_cache: dict = {}
+    # (op fields, frame key) -> per-member fan-out
     fanout_cache: dict[tuple, list] = {}
     varying_budget = _MAX_VARYING_INSTANCES
 
@@ -209,9 +298,9 @@ def _build_template(
         entry = inst_cache.get(id(op))
         if entry is None:
             entry = _classify_op(
-                op, members, analysis, loc_index, template_cache,
-                value_cache, fanout_cache, nprocs, cost, precost_compute,
-                precost_cache, devirt,
+                op, frame_values, frame_stmts, members, analysis, loc_index,
+                template_cache, value_cache, fanout_cache, nprocs, cost,
+                precost_compute, precost_cache, devirt,
             )
             inst_cache[id(op)] = entry
             if entry[0] != "share":
@@ -231,6 +320,8 @@ def _build_template(
 
 def _classify_op(
     op,
+    frame_values: dict,
+    frame_stmts: dict,
     members: list[int],
     analysis: RankAnalysis,
     loc_index: dict,
@@ -267,13 +358,7 @@ def _classify_op(
     if stmt is None:
         raise _Fallback(f"{loc}: op not attributable to a unique statement")
 
-    template = template_cache.get(stmt.stmt_id)
-    if template is None:
-        try:
-            template = stmt_template(analysis, stmt)
-        except IneligibleStmt as exc:
-            template = exc
-        template_cache[stmt.stmt_id] = template
+    template = _template(analysis, stmt, template_cache)
     if isinstance(template, IneligibleStmt):
         raise _Fallback(str(template))
 
@@ -285,15 +370,29 @@ def _classify_op(
             return ("share", _precosted_send(op, op.nbytes, cost))
         return ("share", op)
 
+    # Frame-reading statements: this execution's frame, bound for every
+    # member (the locals are rank-invariant) and keyed by its bits.
+    env, frame_key = None, ()
+    names = frame_stmts.get(stmt.stmt_id)
+    if names is not None:
+        recorded = frame_values.get(id(op))
+        if recorded is None:
+            raise _Fallback(f"{loc}: frame values were not recorded")
+        env = {n: v for n, v in zip(names, recorded) if v is not _UNBOUND}
+        frame_key = tuple(
+            (type(v), _PACK_D(v) if type(v) is float else v)
+            for v in recorded
+        )
+
     # Rank-varying: derive the per-member value columns (witness-checked
     # against the representative at index 0), then build one instance per
     # member with the varying fields substituted.
     columns = []
     for rule, attr in rules:
-        key = (stmt.stmt_id, rule.field)
+        key = (stmt.stmt_id, rule.field, frame_key if rule.frame else ())
         values = value_cache.get(key)
         if values is None:
-            values = _member_values(rule, members, nprocs)
+            values = _member_values(rule, members, nprocs, env)
             value_cache[key] = values
         observed = _observed(op, attr)
         derived = values[0]
@@ -318,28 +417,31 @@ def _classify_op(
             ))
         return ("vary0", per_member)
 
+    # The columns are fixed per (statement, frame) within a class, so the
+    # fan-out is a function of the op's fields and the frame alone: an
+    # execution with bit-equal arguments and frame reuses it.
     if op_type is ops.ComputeOp:
-        # The columns are fixed per statement within a class, so the
-        # fan-out is a function of the op's fields alone: a statement the
-        # representative re-executes with bit-equal arguments reuses it.
-        key = (op.vid, loc, op.workload.bits())
-        per_member = fanout_cache.get(key)
-        if per_member is None:
-            per_member = _vary_compute(
-                op, members, columns, cost, precost_compute, precost_cache
-            )
-            fanout_cache[key] = per_member
+        key = (op.vid, loc, op.workload.bits(), frame_key)
+    else:
+        key = (op_type, _FIELDS_OF[op_type](op), frame_key)
+    per_member = fanout_cache.get(key)
+    if per_member is not None:
+        return ("vary", per_member)
+    if op_type is ops.ComputeOp:
+        per_member = _vary_compute(
+            op, members, columns, cost, precost_compute, precost_cache
+        )
     elif op_type is ops.SendOp:
         per_member = []
         for i in range(len(members)):
-            fields = {attr: vals[i] for attr, vals in columns}
-            inst = replace(op, **fields)
+            inst = replace(op, **{attr: vals[i] for attr, vals in columns})
             per_member.append(_precosted_send(inst, inst.nbytes, cost))
     else:
         per_member = [
             replace(op, **{attr: vals[i] for attr, vals in columns})
             for i in range(len(members))
         ]
+    fanout_cache[key] = per_member
     return ("vary", per_member)
 
 
@@ -371,8 +473,11 @@ def _observed(op, attr: str):
     return getattr(op, attr)
 
 
-def _member_values(rule, members: list[int], nprocs: int) -> list:
-    """One coerced value per member rank for one rank-varying field.
+def _member_values(
+    rule, members: list[int], nprocs: int, env: dict | None
+) -> list:
+    """One coerced value per member rank for one rank-varying field
+    (``env`` binds the term's frame leaves).
 
     Evaluation and coercion mirror the interpreter's argument validators
     exactly (``_rank_arg``/``_tag_arg``/``_bytes_arg``/``_number_arg``);
@@ -389,7 +494,7 @@ def _member_values(rule, members: list[int], nprocs: int) -> list:
         )
     else:
         try:
-            raw = [eval_term(rule.term, r, nprocs) for r in members]
+            raw = [eval_term(rule.term, r, nprocs, env) for r in members]
         except SimulationError as exc:
             raise _Fallback(f"term evaluation failed: {exc}") from exc
 

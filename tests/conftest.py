@@ -360,6 +360,186 @@ def make_wild_workload(seed: int) -> str:
     )
 
 
+# ----------------------------------------------------------------------
+# randomized loop-carried stride workload generator
+# ----------------------------------------------------------------------
+
+#: Each stride pattern renders with a unique suffix ``i`` (its locals and
+#: tag) and rng-drawn constants.  Every partner stays in range for any
+#: nprocs (wrapped shifts, or a hypercube that exchanges with itself when
+#: its partner is missing), so every draw runs to completion.
+
+
+def _stride_doubling(rng, i):
+    """Doubling stride whose partners are wrapped by assignment-only
+    rank-dependent branches (``sel`` terms over the ``s`` frame leaf),
+    then a ring exchange and a compute whose sizes scale with
+    ``rank * s``: rank 0's op fields repeat across strides while the
+    other ranks' do not, so fan-out caches must key on the frame."""
+    return (
+        f"        var s{i} = 1;\n"
+        f"        while (s{i} < nprocs) {{\n"
+        f"            var up{i} = rank + s{i};\n"
+        f"            if (up{i} >= nprocs) {{\n"
+        f"                up{i} = up{i} - nprocs;\n"
+        "            }\n"
+        f"            var down{i} = rank - s{i};\n"
+        f"            if (down{i} < 0) {{\n"
+        f"                down{i} = down{i} + nprocs;\n"
+        "            }\n"
+        f"            sendrecv(dest = up{i}, tag = {i}, "
+        f"bytes = {rng.choice([8, 64, 512])} * s{i}, src = down{i});\n"
+        f"            sendrecv(dest = (rank + 1) % nprocs, tag = {i}, "
+        f"bytes = 8 * rank * s{i} + 8,\n"
+        f"                     src = (rank - 1 + nprocs) % nprocs);\n"
+        f"            compute(flops = {rng.randint(1, 9)}00 * rank * s{i});\n"
+        f"            s{i} = s{i} * 2;\n"
+        "        }\n"
+    )
+
+
+def _stride_additive(rng, i):
+    """Additive stride: the for-loop variable is the frame leaf."""
+    return (
+        f"        for (var k{i} = 1; k{i} < nprocs; "
+        f"k{i} = k{i} + {rng.randint(1, 3)}) {{\n"
+        f"            sendrecv(dest = (rank + k{i}) % nprocs, tag = {i}, "
+        f"bytes = {rng.choice([16, 256])},\n"
+        f"                     src = (rank - k{i} + nprocs) % nprocs);\n"
+        "        }\n"
+    )
+
+
+def _stride_nested(rng, i):
+    """A doubling stride around an additive one: terms read two frame
+    leaves, the inner one redeclared on every outer iteration."""
+    return (
+        f"        var s{i} = 1;\n"
+        f"        while (s{i} < nprocs) {{\n"
+        f"            for (var j{i} = 0; j{i} < {rng.randint(1, 3)}; "
+        f"j{i} = j{i} + 1) {{\n"
+        f"                var off{i} = (s{i} + j{i}) % nprocs;\n"
+        f"                sendrecv(dest = (rank + off{i}) % nprocs, tag = {i}, "
+        f"bytes = {rng.choice([32, 1024])},\n"
+        f"                         src = (rank - off{i} + nprocs) % nprocs);\n"
+        "            }\n"
+        f"            s{i} = s{i} * 2;\n"
+        "        }\n"
+    )
+
+
+def _stride_hypercube(rng, i):
+    """NPB-CG's hypercube partner (``rank - s``, or ``rank + s`` when bit
+    ``s`` is clear), exchanging with itself past the last rank, plus a
+    compute whose rank-varying flops read the frame."""
+    return (
+        f"        var s{i} = 1;\n"
+        f"        while (s{i} < nprocs) {{\n"
+        f"            var partner{i} = rank - s{i};\n"
+        f"            if ((rank / s{i}) % 2 == 0) {{\n"
+        f"                partner{i} = rank + s{i};\n"
+        "            }\n"
+        f"            if (partner{i} >= nprocs) {{\n"
+        f"                partner{i} = rank;\n"
+        "            }\n"
+        f"            sendrecv(dest = partner{i}, tag = {i}, "
+        f"bytes = {rng.choice([8, 128])}, src = partner{i});\n"
+        f"            compute(flops = {rng.randint(1, 9)}000 * s{i} "
+        f"+ 100 * partner{i});\n"
+        f"            s{i} = s{i} * 2;\n"
+        "        }\n"
+    )
+
+
+def _trap_reassigned(rng, i):
+    """The stride changes between computing a value and using it: the
+    value's frame-leaf term must not survive the assignment.  Rank 0's
+    value reads no stride, so the representative's witness check alone
+    cannot tell a stale term from a sound one."""
+    return (
+        f"        var s{i} = 1;\n"
+        f"        while (s{i} < nprocs) {{\n"
+        f"            var w{i} = {rng.randint(1, 9)}000 * rank * s{i};\n"
+        f"            s{i} = s{i} * 2;\n"
+        f"            compute(flops = w{i});\n"
+        "        }\n"
+    )
+
+
+def _trap_shadowed(rng, i):
+    """A callee parameter shadows the caller's stride: the argument's
+    caller-frame term means nothing in the callee's frame (and, as
+    above, rank 0 cannot tell)."""
+    return (
+        f"        var s{i} = 1;\n"
+        f"        while (s{i} < nprocs) {{\n"
+        f"            scale{i}(rank * s{i});\n"
+        f"            s{i} = s{i} * 2;\n"
+        "        }\n"
+    ), (
+        f"def scale{i}(s{i}) {{\n"
+        f"    compute(flops = {rng.randint(1, 9)}000 * s{i} + 100);\n"
+        "}\n"
+    )
+
+
+def _trap_one_arm(rng, i):
+    """A frame variable assigned in one arm of a rank-dependent branch
+    while the other arm reads it: after the merge the representative's
+    frame no longer holds the other ranks' value."""
+    return (
+        f"        var h{i} = 1;\n"
+        f"        while (h{i} < nprocs) {{\n"
+        f"            h{i} = h{i} * 2;\n"
+        "        }\n"
+        f"        var up{i} = (rank + 1) % nprocs;\n"
+        f"        if (rank % 2 == 0) {{\n"
+        f"            h{i} = h{i} + {rng.randint(1, 3)};\n"
+        "        } else {\n"
+        f"            up{i} = (rank + h{i}) % nprocs;\n"
+        "        }\n"
+        f"        compute(flops = 1000 * up{i});\n"
+    )
+
+
+_STRIDE_PATTERNS = (
+    _stride_doubling, _stride_additive, _stride_nested, _stride_hypercube,
+)
+_STRIDE_TRAPS = (_trap_reassigned, _trap_shadowed, _trap_one_arm)
+
+
+def make_stride_workload(seed: int) -> str:
+    """One randomized MiniMPI program of loop-carried strides: 1-2 stride
+    patterns per iteration of an outer loop, an imbalanced compute whose
+    flops may read the outer loop variable, and — in about a third of the
+    draws — one invalidation trap, which a sound analysis refuses to batch
+    (and an unsound one would batch wrongly)."""
+    rng = random.Random(seed)
+    iters = rng.randint(1, 3)
+    imbalance = rng.choice(
+        ["5000 * rank", "9000 * (rank % 3)", "floor(30000 * hashrand(rank, it))"]
+    )
+    body = f"        compute(flops = {rng.randint(4, 12)}0000 + {imbalance});\n"
+    functions = ""
+    picks = rng.sample(_STRIDE_PATTERNS, rng.randint(1, 2))
+    if rng.random() < 0.35:
+        picks.insert(rng.randint(0, len(picks)), rng.choice(_STRIDE_TRAPS))
+    for i, pattern in enumerate(picks, start=1):
+        text = pattern(rng, i)
+        if isinstance(text, tuple):
+            text, function = text
+            functions += "\n" + function
+        body += text
+    return (
+        "def main() {\n"
+        f"    for (var it = 0; it < {iters}; it = it + 1) {{\n"
+        + body
+        + "    }\n"
+        "}\n"
+        + functions
+    )
+
+
 def _compiled(source, name):
     program = parse_program(source, f"{name}.mm")
     return program, build_psg(program).psg

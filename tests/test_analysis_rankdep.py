@@ -9,6 +9,7 @@ degradations (rank-dependent ``while``, recursion, tainting merges).
 import pytest
 
 from repro.analysis import Rankness, analyze_program, eval_term
+from repro.analysis.rankdep import closed_term, frame_names
 from repro.minilang import parse_program
 from repro.minilang.ast_nodes import MpiOp, MpiStmt, walk_statements
 from repro.simulator.errors import SimulationError
@@ -201,6 +202,154 @@ class TestDeciders:
         )
         assert analysis.degraded is None
         assert not analysis.deciders
+
+
+#: ``const_stmts`` of every bundled app before loop-carried locals got
+#: ``("frame", name)`` leaves: the leaves add precision to rank-varying
+#: terms only, so the set of shared op records must not move.
+CONST_STMTS_P16 = {
+    "bt": (9, 10, 15, 16, 21, 22, 27),
+    "cg": (0, 7, 9, 10, 17),
+    "ep": (0, 1, 2, 3),
+    "ft": (0, 4, 5, 6, 7),
+    "is": (3, 4, 5, 6),
+    "lu": (5, 11, 19),
+    "mg": (14,),
+    "nekbone": (2, 9, 15, 16),
+    "nekbone_fixed": (1, 9, 15, 16),
+    "sp": (9, 10, 15, 16, 21, 22, 27),
+    "sst": (7, 17, 18),
+    "sst_fixed": (7, 17, 18),
+    "zeusmp": (4, 14, 22, 23, 25, 26, 28, 29),
+    "zeusmp_fixed": (4, 14, 22, 23, 25, 26, 28, 29),
+}
+CONST_STMTS_SYMBOLIC = {
+    "bt": (9, 15, 21, 27),
+    "cg": (9, 10, 17),
+    "ep": (1, 2, 3),
+    "ft": (7,),
+    "is": (6,),
+    "lu": (5,),
+    "mg": (14,),
+    "nekbone": (9, 15, 16),
+    "nekbone_fixed": (9, 15, 16),
+    "sp": (9, 15, 21, 27),
+    "sst": (7, 17, 18),
+    "sst_fixed": (7, 17, 18),
+    "zeusmp": (4, 22, 25, 28, 29),
+    "zeusmp_fixed": (4, 22, 25, 28, 29),
+}
+
+
+def _frame_leaves(term):
+    if term is None:
+        return set()
+    if term[0] == "frame":
+        return {term[1]}
+    out = set()
+    for sub in term[1:]:
+        if isinstance(sub, tuple):
+            out |= _frame_leaves(sub)
+    return out
+
+
+class TestFrameLeaves:
+    """Loop-carried rank-invariant locals become ``("frame", name)``."""
+
+    @pytest.mark.parametrize("nprocs", [16, None])
+    def test_cg_hypercube_partner_is_a_frame_select(self, nprocs):
+        from repro.apps import get_app
+
+        spec = get_app("cg")
+        analysis = analyze_program(spec.program, nprocs, spec.merged_params())
+        (sr,) = _mpi_stmts(spec.program, MpiOp.SENDRECV)
+        assert (sr.location.filename, sr.location.line) == ("cg.mm", 22)
+        dest, _tag, _nbytes, recv_src, _recv_tag = analysis.stmt_args[sr.stmt_id]
+        for av in (dest, recv_src):
+            assert av.kind is Rankness.DEPENDENT
+            assert av.term[0] == "sel"
+            assert _frame_leaves(av.term) == {"s"}
+            assert frame_names(av.term) == {"s"}
+            # consumers without a frame see no closed rank function
+            assert closed_term(av) is None
+        # bound to a stride, the term is the hypercube partner
+        for rank in range(16):
+            for s in (1, 2, 4, 8):
+                expected = rank + s if (rank // s) % 2 == 0 else rank - s
+                assert eval_term(dest.term, rank, 16, {"s": s}) == expected
+        with pytest.raises(SimulationError):
+            eval_term(dest.term, 0, 16)  # unbound frame leaf
+
+    def test_stride_reassigned_before_use_has_no_term(self):
+        program, analysis = _analyze(
+            """
+            def main() {
+                var s = 1;
+                while (s < nprocs) {
+                    var partner = rank - s;
+                    s = s * 2;
+                    send(dest = partner, tag = 1, bytes = 8);
+                }
+            }
+            """
+        )
+        (send,) = _mpi_stmts(program)
+        dest = analysis.stmt_args[send.stmt_id][0]
+        assert dest.kind is Rankness.DEPENDENT
+        assert dest.term is None
+
+    def test_callee_parameter_never_holds_a_frame_leaf(self):
+        program, analysis = _analyze(
+            """
+            def main() {
+                var s = 1;
+                while (s < nprocs) {
+                    shift(rank + s, s);
+                    s = s * 2;
+                }
+            }
+
+            def shift(s, k) {
+                send(dest = s % nprocs, tag = 1, bytes = 8 * k);
+            }
+            """
+        )
+        (send,) = _mpi_stmts(program)
+        for av in analysis.stmt_args[send.stmt_id]:
+            assert not _frame_leaves(av.term)
+        dest = analysis.stmt_args[send.stmt_id][0]
+        assert dest.kind is Rankness.DEPENDENT and dest.term is None
+
+    def test_loop_constant_local_stays_const(self):
+        program, analysis = _analyze(
+            """
+            def main() {
+                var b = 64;
+                for (var i = 0; i < 4; i = i + 1) {
+                    allreduce(bytes = b);
+                    b = 64;
+                }
+            }
+            """
+        )
+        (coll,) = _mpi_stmts(program)
+        assert coll.stmt_id in analysis.const_stmts
+
+    @pytest.mark.parametrize(
+        "nprocs, pinned",
+        [(16, CONST_STMTS_P16), (None, CONST_STMTS_SYMBOLIC)],
+        ids=["p16", "symbolic"],
+    )
+    def test_const_stmts_of_every_app_are_unchanged(self, nprocs, pinned):
+        from repro.apps import APPS, get_app
+
+        assert set(APPS) == set(pinned)
+        for name in sorted(APPS):
+            spec = get_app(name)
+            analysis = analyze_program(
+                spec.program, nprocs, spec.merged_params()
+            )
+            assert tuple(sorted(analysis.const_stmts)) == pinned[name], name
 
 
 class TestEvalTerm:

@@ -80,6 +80,24 @@ def main() {
 }
 """
 
+#: A loop whose trip count depends on the rank but that emits no op (so
+#: it splits no class) overwrites a rank-invariant local on some ranks
+#: only: afterwards the local differs across the class, although its
+#: verdict before and after the loop is the same INVARIANT.
+SILENT_RANK_LOOP = """\
+def main() {
+    var n = 1;
+    while (n < nprocs) {
+        n = n * 2;
+    }
+    for (var i = 0; i < rank % 2; i = i + 1) {
+        n = 5;
+    }
+    compute(flops = 1000 * n);
+    allreduce(bytes = 8);
+}
+"""
+
 
 class TestBatchingEngages:
     def test_symmetric_ring_batches_every_rank(self):
@@ -140,6 +158,12 @@ class TestAdversarialFallback:
         # rank nprocs-1 executes extra statements (one with a value the
         # analysis cannot close over rank) — it must stay per-rank.
         assert stats["ranks_batched"] < 8
+
+    def test_local_overwritten_by_a_silent_rank_loop(self):
+        program, psg = _compiled(SILENT_RANK_LOOP, "silentloop")
+        with per_rank_oracle():
+            oracle = _fingerprint(program, psg, 4)
+        assert _fingerprint(program, psg, 4) == oracle
 
     def test_fallback_reasons_surface_on_engine(self):
         """The engine records why classes degraded (bounded, deduplicated)

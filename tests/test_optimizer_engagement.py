@@ -6,6 +6,8 @@
   signed zeros fan out exactly as the per-rank oracle computes them.
 - An optimizer analysis that raises steps aside with a recorded reason,
   and the run stays bit-identical to the per-rank oracle.
+- NPB-CG batches as one rank class: its hypercube partner reads the
+  loop-carried stride through a frame leaf bound per execution.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from repro.api import AnalysisConfig, Pipeline, canonical_report_sha
 from repro.apps import get_app
 from repro.simulator import SimulationConfig, ops
 from repro.simulator.costmodel import CostModel, MachineModel
-from repro.simulator.engine import Engine
+from repro.simulator.engine import DelayInjection, Engine
 from tests.conftest import _compiled, _fingerprint, per_rank_oracle
 
 #: One class of ranks whose compute workloads hold signed zeros: the
@@ -139,6 +141,42 @@ class TestSignedZeros:
                 source=SIGNED_ZEROS, filename="signed_zeros.mm",
                 config=AnalysisConfig(seed=0),
             ).run([4, 8]).report)
+
+        with per_rank_oracle():
+            oracle = sha()
+        assert sha() == oracle
+
+
+class TestCgBatches:
+    @pytest.mark.parametrize("nprocs", [16, 32, 64, 128])
+    def test_one_class_no_fallback(self, nprocs):
+        spec = get_app("cg")
+        engine = Engine(spec.program, spec.psg, SimulationConfig(
+            nprocs=nprocs, params=spec.merged_params(),
+            machine=spec.machine or MachineModel(),
+        ))
+        engine.start()
+        assert engine.class_batch_stats["fallbacks"] == 0
+        assert engine.class_batch_stats["ranks_batched"] == nprocs
+        assert engine.class_batch_reasons == ()
+
+    def test_delayed_cg_report_matches_per_rank_oracle(self):
+        """The Fig. 2 set-up: a 40 s delay on rank 4's matvec."""
+        spec = get_app("cg")
+        line = next(
+            v.location.line
+            for v in spec.psg.vertices.values()
+            if v.name == "matvec"
+        )
+        config = AnalysisConfig.for_app(
+            spec, seed=1,
+            injected_delays=[DelayInjection(4, "cg.mm", line, 40.0)],
+        )
+
+        def sha():
+            return canonical_report_sha(
+                Pipeline.for_app(spec, config).run([8, 16, 32]).report
+            )
 
         with per_rank_oracle():
             oracle = sha()
