@@ -25,11 +25,17 @@ Blocking semantics:
 
 The engine also detects deadlock (heap empty, ranks still blocked) and
 reports a per-rank stuck-at diagnostic.
+
+When every rank runs a class-batched stream and segments are recorded,
+the serial drain runs each ready rank until it blocks instead (see
+:meth:`Engine.drain`): every receive source is then concrete, so the
+result does not depend on how ranks interleave, only the global order of
+trace rows does.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from collections.abc import Iterator
@@ -39,7 +45,10 @@ from repro.minilang import ast_nodes as ast
 from repro.minilang.ast_nodes import MpiOp
 from repro.psg.graph import PSG
 from repro.simulator import ops
-from repro.simulator.collectives import CollectiveTracker
+from repro.simulator.collectives import (
+    CollectiveMismatchError,
+    CollectiveTracker,
+)
 from repro.simulator.costmodel import (
     CostModel,
     MachineModel,
@@ -340,7 +349,14 @@ class Engine:
             op_type: getattr(self, name)
             for op_type, name in _HANDLER_NAMES.items()
         }
-        self._counter = itertools.count()
+        #: ``_push`` calls so far: every hand-off of a rank back to the
+        #: scheduler (the engine.rank_handoffs counter); also the heap
+        #: tie-break token
+        self._handoffs = 0
+        #: set by :meth:`start` when the drain may run ranks to block
+        self._run_to_block = False
+        #: the run-to-block ready FIFO of pids (None until it engages)
+        self._ready: deque | None = None
         # recording: columnar trace (ring mode when segments are not kept);
         # the buffer owns the p2p/collective record tables too
         self.trace = TraceBuffer(keep_events=config.record_segments)
@@ -404,6 +420,13 @@ class Engine:
         devirt = self._devirt_map()
         batched = self._build_batched_streams(
             analysis, expr_cache, const_stmts, devirt
+        )
+        # Every rank class-batched means every receive source is concrete
+        # (batching refuses a wildcard it cannot devirtualize), so the
+        # drain may run ranks to block; ring mode folds its event chunks
+        # in global order, so it keeps the time-ordered loop.
+        self._run_to_block = (
+            len(batched) == cfg.nprocs and cfg.record_segments
         )
         for pid in self.local_ranks:
             stream = batched.get(pid)
@@ -536,7 +559,7 @@ class Engine:
         return result.streams
 
     def drain(self, horizon: float | None = None) -> None:
-        """Run runnable ranks in virtual-time order.
+        """Run runnable ranks until none is runnable.
 
         Without a horizon this is the serial main loop: it returns when no
         rank is runnable (all done, or all blocked — a deadlock the caller
@@ -544,12 +567,75 @@ class Engine:
         executor's conservative window bound) ranks only step while their
         clock stays below it; anything at or past the horizon stays parked
         in the queue for the next window.
+
+        Two loops serve it.  The time-ordered loop always steps the rank
+        with the smallest clock; it serves windows, ring mode and any run
+        with a per-rank class, and it is the loop the per-rank oracle runs.
+        When :meth:`start` found every rank class-batched and segments
+        recorded, a horizon-less drain runs each ready rank until it blocks
+        or finishes instead, with no heap between ops.  That is sound
+        because every receive source is then concrete: MPI's
+        non-overtaking rule fixes each match from per-rank program order,
+        so (Kahn's determinacy of process networks) every clock and every
+        row value is independent of the interleaving.  Only the global row
+        order of the trace tables changes; consumers read per-rank order
+        (see :meth:`TraceBuffer.merge`).
+
+        Which rank errs first does depend on the interleaving, so an error
+        raised while running to block is replaced by the one a fresh
+        engine raises through the time-ordered loop.  A deadlock needs no
+        replay: the blocked set and its clocks are interleaving-free.
         """
+        if horizon is not None or not self._run_to_block:
+            self._drain_time_ordered(horizon)
+            return
+        try:
+            self._drain_to_block()
+        except (SimulationError, CollectiveMismatchError):
+            replay = type(self)(self.program, self.psg, self.config)
+            replay.start()
+            try:
+                replay._drain_time_ordered(None)
+            except (SimulationError, CollectiveMismatchError) as oracle:
+                raise oracle from None
+            raise
+
+    def _drain_time_ordered(self, horizon: float | None) -> None:
+        """Step the globally minimal rank until none is runnable (below
+        ``horizon``, when given)."""
         queue = self._queue
         procs = self.procs
         entry = queue.pop(horizon)
         while entry is not None:
             entry = self._step(procs[entry[2]], horizon)
+
+    def _drain_to_block(self) -> None:
+        """Run each ready rank until it blocks or finishes; a woken rank
+        joins the back of the ready FIFO (see :meth:`drain`)."""
+        # Take over the ranks start() queued, in queue order; from here on
+        # _push feeds the FIFO and the heap stays empty.
+        ready = self._ready = deque()
+        entry = self._queue.pop()
+        while entry is not None:
+            ready.append(entry[2])
+            entry = self._queue.pop()
+        self._push = self._push_ready
+        procs = self.procs
+        handlers = self._handlers
+        popleft = ready.popleft
+        while ready:
+            proc = procs[popleft()]
+            for op in proc.gen:
+                try:
+                    handler = handlers[type(op)]
+                except KeyError:
+                    raise SimulationError(
+                        f"engine cannot handle {type(op).__name__}"
+                    ) from None
+                if handler(proc, op):
+                    break
+            else:
+                proc.status = _Status.DONE
 
     def next_event_time(self) -> float:
         """Clock of the earliest runnable rank (inf when none is runnable).
@@ -613,6 +699,10 @@ class Engine:
         reg.counter("engine.collectives").inc(
             self.trace.collectives.row_count
         )
+        # strategy-dependent, like parallel.rounds: a sharded run neither
+        # runs to block nor hands off as often as the serial one
+        reg.counter("engine.run_to_block").inc(int(self._ready is not None))
+        reg.counter("engine.rank_handoffs").inc(self._handoffs)
         stats = self.class_batch_stats
         reg.counter("sim.class_batch.classes").inc(stats["classes"])
         reg.counter("sim.class_batch.ranks_batched").inc(
@@ -636,8 +726,14 @@ class Engine:
 
     def _push(self, proc: _Proc) -> None:
         proc.status = _Status.READY
-        proc.token = next(self._counter)
+        proc.token = self._handoffs = self._handoffs + 1
         self._queue.push((proc.clock, proc.token, proc.pid))
+
+    def _push_ready(self, proc: _Proc) -> None:
+        """``_push`` while running to block: no heap, no token."""
+        proc.status = _Status.READY
+        self._handoffs += 1
+        self._ready.append(proc.pid)
 
     def _describe_block(self, proc: _Proc) -> str:
         kind = proc.blocked_on[0] if proc.blocked_on else "?"

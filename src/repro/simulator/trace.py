@@ -1057,6 +1057,11 @@ class TraceBuffer:
         :func:`repro.runtime.sampling.sample_result` re-sorts rank-major
         before accumulating — so aggregates and profiles are bit-identical
         to a serial run's, even though the global interleaving differs.
+        The serial engine's run-to-block drain (``Engine.drain``) leans on
+        the same contract: only per-rank row order is fixed, so any
+        consumer that reads the global row order of the event, P2P or
+        collective tables (or a collective's participant order) must
+        re-sort it first.
 
         Ring-mode buffers (``keep_events=False``) merge their folded
         per-vertex aggregates instead; the key spaces are disjoint because

@@ -7,6 +7,7 @@ import contextlib
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from repro.api import run_fingerprint
@@ -548,3 +549,56 @@ def _compiled(source, name):
 def _fingerprint(program, psg, nprocs, **cfg):
     run = profile_run(program, psg, SimulationConfig(nprocs=nprocs, **cfg))
     return run_fingerprint(run)
+
+
+# ----------------------------------------------------------------------
+# trace contracts: only per-rank row order is fixed
+# ----------------------------------------------------------------------
+
+
+def per_rank_trace_bytes(trace):
+    """Event and counter tables rank-major, each rank's rows kept in its
+    own order, as raw column bytes.
+
+    The global interleaving of rows depends on how the engine scheduled
+    ranks (shards, run-to-block); per-rank order is the contract every
+    consumer reads, so this is what identity checks compare."""
+    out = {}
+    for table in ("columns", "counter_columns"):
+        cols = getattr(trace, table)()
+        order = np.argsort(cols["rank"], kind="stable")
+        for name, col in cols.items():
+            out[f"{table}.{name}"] = col[order].tobytes()
+    return out
+
+
+def canonical_p2p_rows(table):
+    """The P2PTable's rows, sorted; floats as bytes so NaN and -0.0
+    compare exactly."""
+    cols = table.columns()
+    ints = [cols[name].tolist() for name in table.INT_COLUMNS]
+    floats = [
+        [v.tobytes() for v in cols[name]] for name in table.FLOAT_COLUMNS
+    ]
+    return sorted(zip(*ints, *floats))
+
+
+def canonical_collective_rows(table):
+    """The CollectiveTable's rows by instance index, each row's
+    participants by rank (they are stored in arrival order)."""
+    cols = table.columns()
+    offsets = cols["offsets"].tolist()
+    rows = []
+    for i in range(table.row_count):
+        s, e = offsets[i], offsets[i + 1]
+        parts = sorted(zip(
+            cols["part_rank"][s:e].tolist(),
+            cols["part_vid"][s:e].tolist(),
+            [v.tobytes() for v in cols["part_arrival"][s:e]],
+            [v.tobytes() for v in cols["part_completion"][s:e]],
+        ))
+        rows.append((
+            int(cols["index"][i]), int(cols["op"][i]), int(cols["root"][i]),
+            int(cols["nbytes"][i]), tuple(parts),
+        ))
+    return sorted(rows)
