@@ -871,16 +871,20 @@ def extract_concrete(
     *,
     entry: str = "main",
     max_iterations: int = 2_000_000,
+    expr_cache: dict | None = None,
 ) -> CommInstance:
     """Per-rank interpreter unroll aggregated into the same multiset
     shape as :meth:`CommGraph.instantiate` — the ground truth the
     property tests equate the parametric graph against.  Interpreter
     errors propagate (the parametric instantiation raises on the same
-    programs, through the same coercion checks)."""
+    programs, through the same coercion checks).  ``expr_cache`` is the
+    interpreters' compile cache, shareable with lints of the same
+    program (see :func:`repro.analysis.lint.run_lint`)."""
     from repro.simulator.interp import Interpreter
 
     inst = CommInstance(nprocs=nprocs)
-    expr_cache: dict = {}
+    if expr_cache is None:
+        expr_cache = {}
     for rank in range(nprocs):
         interp = Interpreter(
             program, psg, rank, nprocs, params,

@@ -1,12 +1,25 @@
 """Static MPI communication lint over abstract per-rank op streams.
 
 The lint runs **before any timed simulation**: it unrolls every rank's op
-stream with the ordinary per-rank interpreter (compute costs dropped,
-compilation shared across ranks, bounded by op/iteration budgets), then
-replays the streams through an untimed matching simulation that mirrors
-the engine's semantics — eager sends, FIFO-per-channel matching via the
-real :class:`~repro.simulator.matching.Mailbox`, collectives matched by
+stream (compute ops dropped, compilation shared across ranks, bounded by
+op/iteration budgets), then replays the streams through an untimed
+matching simulation that mirrors the engine's semantics — eager sends,
+FIFO-per-channel matching via the real
+:class:`~repro.simulator.matching.Mailbox`, collectives matched by
 per-rank call order.  Structural rules run over the same streams.
+
+Streams are class-batched: for every behavioural class of two or more
+ranks (:func:`~repro.analysis.symmetry.partition_ranks`), the engine's
+builder (:func:`~repro.simulator.classbatch.build_batched_streams`)
+interprets one representative and fans its stream out to the members,
+who share op instances wherever no argument varies with the rank.  A
+representative may run at most ``max_ops_per_rank`` loop iterations, so
+a runaway loop costs it no more than the op budget costs a per-rank
+unroll.  Singleton classes, classes holding a wildcard receive, and
+classes the builder refuses or whose representative raised or ran out of
+iterations unroll rank by rank through the ordinary per-rank interpreter,
+which is the identity oracle; runtime errors and iteration-limit
+truncation therefore always come from it.
 
 Rule catalog (stable ids):
 
@@ -73,6 +86,7 @@ from repro.simulator.errors import IterationLimitError, SimulationError
 from repro.simulator.interp import Interpreter
 from repro.simulator.matching import Mailbox, Message, PostedRecv
 
+from repro.analysis.rankdep import analyze_program
 from repro.analysis.symmetry import SymmetrySummary, partition_ranks
 
 __all__ = ["Severity", "LintFinding", "LintReport", "LintError", "run_lint"]
@@ -137,6 +151,9 @@ class LintReport:
     #: True when an op/iteration budget stopped the stream unroll — the
     #: stream-based rules were then skipped (never guessed)
     incomplete: bool = False
+    #: ranks whose stream came from a class representative rather than
+    #: their own interpreter (engagement counter; not part of the output)
+    ranks_batched: int = 0
 
     @property
     def errors(self) -> tuple[LintFinding, ...]:
@@ -203,10 +220,40 @@ _P2P_TYPES = (ops.SendOp, ops.RecvOp, ops.WaitOp, ops.WaitAllOp,
 @dataclass
 class _Stream:
     rank: int
-    events: list  # of ops
+    events: list  # of ops; shared (never mutated) across batched members
     error: str | None = None
     error_location: SourceLocation | None = None
     truncated: bool = False
+
+
+def _batched_streams(
+    program: ast.Program,
+    psg: PSG,
+    nprocs: int,
+    params: Mapping[str, object] | None,
+    entry: str,
+    max_iterations: int,
+    symmetry: SymmetrySummary,
+    expr_cache: dict,
+) -> dict[int, list]:
+    """Complete op lists for every rank of a batchable class (see
+    :mod:`repro.simulator.classbatch`).  No devirtualization map, so a
+    class with a wildcard receive stays per-rank and the wildcard rules
+    still see ``ANY``; a class whose representative raised or ran past
+    ``max_iterations`` is absent, so errors come from the per-rank path."""
+    if symmetry.n_classes == nprocs:
+        return {}  # all singletons (also every degraded partition)
+    from repro.simulator.classbatch import build_batched_streams
+    from repro.simulator.costmodel import CostModel
+
+    return build_batched_streams(
+        program=program, psg=psg, nprocs=nprocs, params=params,
+        entry=entry, max_iterations=max_iterations,
+        analysis=symmetry.analysis, summary=symmetry,
+        local_ranks=range(nprocs), expr_cache=expr_cache,
+        const_stmts=None, cost=CostModel(), precost_compute=False,
+        devirt=None,
+    ).streams
 
 
 def _collect_streams(
@@ -217,10 +264,33 @@ def _collect_streams(
     entry: str,
     max_ops_per_rank: int,
     max_iterations: int,
-) -> list[_Stream]:
-    expr_cache: dict = {}
+    symmetry: SymmetrySummary,
+    expr_cache: dict,
+) -> tuple[list[_Stream], int]:
+    """Every rank's filtered op stream, plus how many came class-batched.
+    The rest run the per-rank interpreter, which is the oracle."""
+    # a representative stops at the op budget's worth of loop iterations
+    # (a per-rank unroll stops at that many P2P ops); its class then
+    # unrolls per rank, which truncates exactly as before
+    batched = _batched_streams(
+        program, psg, nprocs, params, entry,
+        min(max_iterations, max_ops_per_rank), symmetry, expr_cache,
+    )
+    # members without a rank-varying slot share one op list: filter it once
+    filtered: dict[int, list] = {}
     streams: list[_Stream] = []
     for rank in range(nprocs):
+        whole = batched.get(rank)
+        if whole is not None:
+            events = filtered.get(id(whole))
+            if events is None:
+                events = [op for op in whole if isinstance(op, _P2P_TYPES)]
+                filtered[id(whole)] = events
+            streams.append(_Stream(
+                rank=rank, events=events,
+                truncated=len(events) > max_ops_per_rank,
+            ))
+            continue
         stream = _Stream(rank=rank, events=[])
         interp = Interpreter(
             program, psg, rank, nprocs, params,
@@ -242,7 +312,7 @@ def _collect_streams(
             stream.error = str(exc)
             stream.error_location = _location_of(str(exc)) or last_loc
         streams.append(stream)
-    return streams
+    return streams, len(batched)
 
 
 def _location_of(message: str) -> SourceLocation | None:
@@ -735,12 +805,27 @@ def run_lint(
     entry: str = "main",
     max_ops_per_rank: int = 100_000,
     max_iterations: int = 2_000_000,
+    expr_cache: dict | None = None,
 ) -> LintReport:
     """Lint one program at one scale.  Never raises on analyzable input;
-    see :class:`LintReport` (and :class:`LintError` for fail-fast use)."""
-    symmetry = partition_ranks(program, nprocs, params, entry=entry)
-    streams = _collect_streams(
-        program, psg, nprocs, params, entry, max_ops_per_rank, max_iterations
+    see :class:`LintReport` (and :class:`LintError` for fail-fast use).
+
+    ``expr_cache`` is a per-program memo: compiled statements plus the
+    call-graph facts of the rank analysis.  Pass one dict to lints of the
+    same ``program`` at several scales to build them once; the compiled
+    code reads rank, ``nprocs`` and params at run time, and the lint bakes
+    no rank-constant op into it (no ``const_stmts``)."""
+    if expr_cache is None:
+        expr_cache = {}
+    symmetry = partition_ranks(
+        program, nprocs, params, entry=entry,
+        analysis=analyze_program(
+            program, nprocs, params, entry=entry, cache=expr_cache
+        ),
+    )
+    streams, ranks_batched = _collect_streams(
+        program, psg, nprocs, params, entry, max_ops_per_rank,
+        max_iterations, symmetry, expr_cache,
     )
     findings = _Findings()
 
@@ -758,6 +843,7 @@ def run_lint(
             findings=findings.build(),
             symmetry=symmetry,
             incomplete=incomplete,
+            ranks_batched=ranks_batched,
         )
 
     replay = _Replay(streams, nprocs)
@@ -913,6 +999,7 @@ def run_lint(
         findings=findings.build(),
         symmetry=symmetry,
         incomplete=False,
+        ranks_batched=ranks_batched,
     )
 
 
@@ -1025,7 +1112,8 @@ def _completion_findings(
     leftovers: list,
 ) -> None:
     """The replay finished; leftover traffic is still worth flagging."""
-    claimed: set[int] = set()
+    # keyed by sender too: batched class members share one SendOp instance
+    claimed: set[tuple[int, int]] = set()
     for rank in range(replay.nprocs):
         for recv in replay.open_irecvs[rank].values():
             peers = _tag_mismatch_peers(recv, rank, leftovers)
@@ -1039,9 +1127,9 @@ def _completion_findings(
                     related=[pop.location for _, pop in peers],
                     ranks=(rank,),
                 )
-                claimed.update(id(pop) for _, pop in peers)
+                claimed.update((psrc, id(pop)) for psrc, pop in peers)
     for src, op, dest in leftovers:
-        if id(op) in claimed:
+        if (src, id(op)) in claimed:
             continue
         findings.add(
             "unmatched-send", Severity.WARNING,

@@ -601,6 +601,25 @@ def _free_names(expr: ast.Expr, out: set[str]) -> None:
 # --------------------------------------------------------------------------
 
 
+#: Key of the program-only facts in a caller's per-program cache.
+_FACTS_KEY = "__rankdep_facts__"
+
+
+def _program_facts(program: ast.Program, cache: dict | None) -> tuple:
+    """(recursive functions, address-taken functions): scale- and
+    params-independent, so one computation serves every analysis that
+    shares ``cache``."""
+    facts = cache.get(_FACTS_KEY) if cache is not None else None
+    if facts is None:
+        facts = (
+            frozenset(build_call_graph(program).recursive_functions()),
+            frozenset(_address_taken(program)),
+        )
+        if cache is not None:
+            cache[_FACTS_KEY] = facts
+    return facts
+
+
 class _Analyzer:
     def __init__(
         self,
@@ -608,14 +627,13 @@ class _Analyzer:
         nprocs: int | None,
         params: Mapping[str, object],
         entry: str,
+        cache: dict | None = None,
     ) -> None:
         self.program = program
         self.nprocs = nprocs
         self.params = dict(params or {})
         self.entry = entry
-        graph = build_call_graph(program)
-        self.recursive = graph.recursive_functions()
-        self.address_taken = _address_taken(program)
+        self.recursive, self.address_taken = _program_facts(program, cache)
         self.expr_verdicts: dict[int, AbstractValue] = {}
         self.stmt_args: dict[int, tuple[AbstractValue, ...]] = {}
         self.deciders: dict[int, Decider] = {}
@@ -1273,6 +1291,7 @@ def analyze_program(
     params: Mapping[str, object] | None = None,
     *,
     entry: str = "main",
+    cache: dict | None = None,
 ) -> RankAnalysis:
     """Run the whole-program rank-dependence dataflow at one scale.
 
@@ -1288,8 +1307,12 @@ def analyze_program(
     exhausted (pathological programs) the result is fully degraded — an
     empty ``const_stmts`` and a degradation reason — which every consumer
     treats as "assume nothing".
+
+    ``cache`` is a per-program memo dict (the lint passes its compile
+    cache) that keeps the call-graph facts across analyses of the same
+    program at several scales.
     """
-    analyzer = _Analyzer(program, nprocs, params or {}, entry)
+    analyzer = _Analyzer(program, nprocs, params or {}, entry, cache)
     try:
         return analyzer.run()
     except _BudgetExceeded:

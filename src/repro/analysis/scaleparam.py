@@ -948,12 +948,16 @@ def run_lint_scales(
         )
 
         reports = {}
+        # one compile cache for every witness and the skeleton check: the
+        # compiled code reads the scale at run time
+        expr_cache: dict = {}
         for p in witnesses:
             with obs.span("lint.witness", nprocs=p):
                 reports[p] = run_lint(
                     program, psg, p, params, entry=entry,
                     max_ops_per_rank=max_ops_per_rank,
                     max_iterations=max_iterations,
+                    expr_cache=expr_cache,
                 )
             obs.emit(
                 "lint_witness_finished",
@@ -973,7 +977,8 @@ def run_lint_scales(
                     check_at,
                     graph.instantiate(check_at)
                     == extract_concrete(
-                        program, psg, check_at, params, entry=entry
+                        program, psg, check_at, params, entry=entry,
+                        expr_cache=expr_cache,
                     ),
                 )
             except Exception:

@@ -10,6 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from repro.analysis import lint
 from repro.api import run_fingerprint
 from repro.minilang import parse_program
 from repro.psg import build_psg
@@ -58,6 +59,17 @@ def per_rank_oracle():
         mock.patch.object(Engine, "_rank_analysis", lambda self: None),
         mock.patch.object(Engine, "_devirt_map", lambda self: {}),
     ):
+        yield
+
+
+@contextlib.contextmanager
+def per_rank_lint():
+    """Run the lint with class batching off: the lint's identity oracle.
+
+    With no batched streams every rank unrolls through its own
+    interpreter.
+    """
+    with mock.patch.object(lint, "_batched_streams", lambda *args: {}):
         yield
 
 
@@ -539,6 +551,14 @@ def make_stride_workload(seed: int) -> str:
         "}\n"
         + functions
     )
+
+
+#: The randomized program generators the identity suites sweep, by name.
+GENERATORS = {
+    "workload": make_workload,
+    "wild": make_wild_workload,
+    "stride": make_stride_workload,
+}
 
 
 def _compiled(source, name):

@@ -24,19 +24,11 @@ import pytest
 from repro.simulator import SimulationConfig, simulate
 from repro.simulator.engine import Engine
 from tests.conftest import (
+    GENERATORS,
     _compiled,
     _fingerprint,
-    make_stride_workload,
-    make_wild_workload,
-    make_workload,
     per_rank_oracle,
 )
-
-GENERATORS = {
-    "workload": make_workload,
-    "wild": make_wild_workload,
-    "stride": make_stride_workload,
-}
 
 #: Seeds that also run through the multiprocess executor (forking
 #: workers per run is the slow leg, so only a sample takes it).
