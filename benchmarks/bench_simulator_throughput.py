@@ -57,7 +57,7 @@ def test_throughput_ring_p256_recorded(benchmark, ring_setup):
     """The PR-2 headline target: full segment recording at 256 ranks.
 
     This is the configuration the columnar TraceBuffer was built for —
-    ``benchmarks/BENCH_2.json`` pins its baseline throughput and
+    ``benchmarks/baseline.json`` pins its baseline throughput and
     ``benchmarks/check_regression.py`` fails CI on a >20% drop.
     """
     prog, psg = ring_setup
@@ -83,8 +83,8 @@ def test_throughput_ring_p256_sharded_inprocess(benchmark, ring_setup):
 
     Single-threaded by construction, so what this tracks is the sharding
     machinery's overhead (outbox routing, window rounds, trace merge) —
-    the multi-core speedup itself is recorded in ``BENCH_3.json``'s
-    provenance, not gated (CI runner core counts vary).
+    the multi-core speedup itself is not gated (CI runner core counts
+    vary).
     """
     prog, psg = ring_setup
     cfg = SimulationConfig(

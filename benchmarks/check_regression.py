@@ -1,50 +1,47 @@
-"""Benchmark-regression gate for the simulator (CI: bench-regression job).
+"""Benchmark-regression gate for the simulator and analyses (CI: bench-regression job).
 
-Measures the throughput of the simulator, detection, sharded-simulator,
-comm-dependence-collection and 1024-rank engine/baseline workloads and
-compares against the committed baselines: the PR-2 rows live in
-``benchmarks/BENCH_2.json``, the PR-3 rows (detection pipeline, sharded
-simulator) in ``benchmarks/BENCH_3.json``, the PR-4 rows (columnar
-comm-dependence collection + fingerprint) in ``benchmarks/BENCH_4.json``,
-the PR-5 rows (≥1024-rank engine, serial and sharded, plus
-the baselines' vectorized collective loops) in ``benchmarks/BENCH_5.json``,
-and the PR-6 rows (PSG contraction over the bundled apps, whole-program
-rank-dependence analysis + static MPI lint) in ``benchmarks/BENCH_6.json``,
-and the PR-7 rows (cross-scale symbolic lint over the affine apps) in
-``benchmarks/BENCH_7.json``, and the PR-8 rows (observability layer:
-metrics-registry snapshot/merge at sharded fan-in shape, span recording +
-Chrome-trace export) in ``benchmarks/BENCH_8.json``, and the PR-9 rows
-(class-batched interpretation: a rank-symmetric stencil at 4096 ranks
-through the batched path, a 16384-rank smoke run, and an
-interpreter-side generator-depth microbench pinning the trace-scheduled
-statement dispatch) in ``benchmarks/BENCH_9.json``.  PR 9 also
-*re-baselines* ``ring_p1024`` into BENCH_9.json: the engine's per-event cost dropped (hoisted overheads,
-single-bucket match fast path, vectorized ring-mode folds), and keeping
-the stale slower BENCH_5 numbers would let a future regression hide
-inside the earned headroom.  The PR-10 rows (match-order analysis
-throughput over wildcard fixtures, and a wildcard-heavy 1024-rank ring
-measured through the devirtualized class-batched path vs the refused
-per-rank path) live in ``benchmarks/BENCH_10.json``.
-The gate fails (exit 1) when any workload's throughput drops more than
-``--tolerance`` (default 20%) below its baseline.  Only measured rows are
-gated: the BENCH files still carry rows for removed code (the calendar
-event queue, the comm-graph shard partitioner), which are history and
-never compared.
+Times every workload of :func:`build_workloads` and compares it against
+its row in the one committed baseline, ``benchmarks/baseline.json``.  The
+rows measure:
 
-``BENCH_10.json`` also records an execution-metrics snapshot
-(``scalana-metrics-v1``) of a representative 256-rank run: event counts
-as provenance, so a future cost movement can be attributed to "more
-events" vs "slower per event" at review time.
+- the event engine: ring and collective runs at 32, 256 and 1024 ranks,
+  serial and sharded through the in-process scheduler, with recorded
+  segments and in ring mode;
+- class-batched interpretation: a rank-symmetric stencil at 4096 ranks,
+  a 16384-rank smoke run, and the per-rank interpreter's generator
+  dispatch;
+- wildcard devirtualization: a 1024-rank ANY-source ring through the
+  devirtualized class-batched path and through the refused per-rank path;
+- post-run analysis: sampling, comm-dependence collection plus run
+  fingerprinting, the NPB-CG detection pipeline, and the baselines'
+  collective wait loops at 1024 ranks;
+- static analysis: PSG build and contraction over the bundled apps,
+  rank-dependence analysis plus the MPI lint, the cross-scale symbolic
+  lint, and the match-order analysis;
+- observability: metrics-registry merge at sharded fan-in shape, and span
+  recording plus Chrome-trace export.
+
+The gate fails (exit 1) when the baseline file is missing, when the
+measured workloads and the baseline rows differ, or when any workload's
+throughput drops more than ``--tolerance`` (default 20%) below its
+baseline.
+
+The baseline also records an execution-metrics snapshot
+(``scalana-metrics-v1``) of a 256-rank ring run.  Its counters are
+deterministic work counts (MPI calls, matches, trace events, rank
+hand-offs), so they are gated exactly: every committed counter must equal
+the current run's, on any host and with no retry.  A cost movement then
+reads as "more work" or as "slower per unit of work".
 
 Two *absolute* gates run after the drift table, not just relative drift:
 
-- PR 7: proving the whole scale range with ``run_lint_scales`` must stay
-  at least 10x cheaper than one concrete lint at P=4096 on the affine
-  apps (the symbolic driver's reason to exist — its witness window is
-  O(1) in P).
-- PR 9: class-batched interpretation must beat the per-rank oracle by at
-  least 3x on a rank-symmetric workload at 4096 ranks, with every rank
-  actually riding a template (the counters say so).
+- proving the whole scale range with ``run_lint_scales`` must stay at
+  least 10x cheaper than one concrete lint at P=4096 on the affine apps
+  (the symbolic driver's reason to exist — its witness window is O(1)
+  in P);
+- class-batched interpretation must beat the per-rank oracle by at least
+  3x on a rank-symmetric workload at 4096 ranks, with every rank actually
+  riding a template (the counters say so).
 
 A third, counter-based (not timing-based) engagement gate follows them:
 wildcard devirtualization must actually fire on the 1024-rank wildcard
@@ -67,8 +64,8 @@ Usage::
     PYTHONPATH=src python benchmarks/check_regression.py            # gate
     PYTHONPATH=src python benchmarks/check_regression.py --update   # rebase
 
-``--update`` only (re)writes BENCH_10.json rows — the committed PR-2
-through PR-9 baselines are history, not a moving target.
+``--update`` re-measures every workload and rewrites the whole baseline
+file, metrics snapshot included.
 """
 
 from __future__ import annotations
@@ -88,20 +85,7 @@ from repro.runtime import sample_result
 from repro.simulator import SimulationConfig, simulate
 from repro.simulator.engine import Engine
 
-BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_2.json"
-BASELINE_3_PATH = Path(__file__).resolve().parent / "BENCH_3.json"
-BASELINE_4_PATH = Path(__file__).resolve().parent / "BENCH_4.json"
-BASELINE_5_PATH = Path(__file__).resolve().parent / "BENCH_5.json"
-BASELINE_6_PATH = Path(__file__).resolve().parent / "BENCH_6.json"
-BASELINE_7_PATH = Path(__file__).resolve().parent / "BENCH_7.json"
-BASELINE_8_PATH = Path(__file__).resolve().parent / "BENCH_8.json"
-BASELINE_9_PATH = Path(__file__).resolve().parent / "BENCH_9.json"
-BASELINE_10_PATH = Path(__file__).resolve().parent / "BENCH_10.json"
-
-#: Historical rows deliberately re-baselined into BENCH_9.json (PR 9 cut
-#: the engine's per-event cost; their BENCH_5 numbers are stale-slow).
-#: BENCH_9 is loaded after BENCH_5 so these shadow the stale copies.
-REBASED_IN_9 = frozenset({"ring_p1024"})
+BASELINE_PATH = Path(__file__).resolve().parent / "baseline.json"
 
 
 def without_optimizer(method: str):
@@ -143,7 +127,7 @@ MIXED_COMM = """def main() {
     }
 }"""
 
-#: The ≥1024-rank scale workload (PR 5): a short ring so the gate stays
+#: The ≥1024-rank scale workload: a short ring so the gate stays
 #: CI-affordable while every per-event cost — scheduler ops, op records,
 #: columnar appends — runs at production rank count.
 RING_1024 = """def main() {
@@ -154,7 +138,7 @@ RING_1024 = """def main() {
     }
 }"""
 
-#: The PR-9 class-batching workload: a rank-symmetric multigrid-style
+#: The class-batching workload: a rank-symmetric multigrid-style
 #: stencil (halo exchanges nested two calls deep, invariant scalar churn
 #: between ops).  Every rank lands in one behavioral equivalence class
 #: with every op field invariant or affine in rank, so the batched path
@@ -232,11 +216,11 @@ def main() {
 }
 """
 
-#: The PR-10 wildcard workload: a rank-symmetric ring whose ANY-source
+#: The wildcard workload: a rank-symmetric ring whose ANY-source
 #: receive the match-order analysis proves deterministic (unique feasible
 #: sender per receiver; the unconditional barrier is the sure separator
 #: between iterations).  The engine rewrites the receive to a concrete
-#: source at compile time, which lifts the PR-9 class-batching wildcard
+#: source at compile time, which lifts the class-batching wildcard
 #: refusal — one representative interprets for all 1024 ranks.  With
 #: devirtualization stubbed out (:func:`without_optimizer`), the wildcard
 #: forces per-rank interpretation; the two rows measure that gap.
@@ -369,11 +353,11 @@ def build_workloads():
         ab = detect_abnormal(ppgs[-1])
         backtrack_root_causes(ppgs[-1], ns, ab)
 
-    # PR-4 row (baselined in BENCH_4.json): comm-dependence collection +
-    # run fingerprinting over the columnar record tables of a 256-rank
-    # mixed p2p/collective run — full-trace collection, the BLAKE2b-batched
-    # sampled path, and the byte-view fingerprint in one workload (each
-    # part alone is too fast to clear the noise floor on a loaded runner).
+    # Comm-dependence collection + run fingerprinting over the columnar
+    # record tables of a 256-rank mixed p2p/collective run — full-trace
+    # collection, the BLAKE2b-batched sampled path, and the byte-view
+    # fingerprint in one workload (each part alone is too fast to clear
+    # the noise floor on a loaded runner).
     from types import SimpleNamespace
 
     from repro.api import run_fingerprint
@@ -396,9 +380,9 @@ def build_workloads():
         collect_comm_dependence(comm_res, sample_probability=0.5, seed=3)
         run_fingerprint(comm_run)
 
-    # PR-5 rows (baselined in BENCH_5.json): the ≥1024-rank gates — the
-    # engine at production rank count (serial + sharded), plus the baselines'
-    # vectorized collective loops over a 1024-rank run's record tables.
+    # The ≥1024-rank rows: the engine at production rank count (serial +
+    # sharded), plus the baselines' vectorized collective loops over a
+    # 1024-rank run's record tables.
     from repro.baselines import TracerTool, classify_wait_states
 
     ring1k_prog = parse_program(RING_1024, "ring1k.mm")
@@ -415,11 +399,10 @@ def build_workloads():
         classify_wait_states(mixed1k_res)
         tracer_tool.analyze(tracer_run)
 
-    # PR-6 rows (baselined in BENCH_6.json): PSG contraction isolated
-    # from parsing/CFG (the complete PSGs are prebuilt, only contract_psg
-    # is timed), and the new analysis layer — whole-program
-    # rank-dependence dataflow plus the full static MPI lint — over real
-    # apps at two scales each.
+    # PSG contraction isolated from parsing/CFG (the complete PSGs are
+    # prebuilt, only contract_psg is timed), and the analysis layer —
+    # whole-program rank-dependence dataflow plus the full static MPI
+    # lint — over real apps at two scales each.
     from repro.analysis import run_lint
     from repro.psg import DEFAULT_MAX_LOOP_DEPTH, build_complete_psg, contract_psg
 
@@ -450,8 +433,8 @@ def build_workloads():
             for nprocs in scales:
                 run_lint(prog, psg, nprocs, params)
 
-    # PR-7 row (baselined in BENCH_7.json): the symbolic-P driver over
-    # affine apps (one witness window proves the whole range).
+    # The symbolic-P driver over affine apps (one witness window proves
+    # the whole range).
     from repro.analysis import run_lint_scales
 
     scale_lint_inputs = []
@@ -467,12 +450,11 @@ def build_workloads():
         for prog, psg, params, valid in scale_lint_inputs:
             run_lint_scales(prog, psg, "all", params, valid=valid)
 
-    # PR-8 rows (baselined in BENCH_8.json): the observability layer.
-    # Registry snapshot/merge at sharded fan-in shape (32 worker
-    # registries with the engine's series, merged to one RunMetrics —
-    # the ShardFinal path), and span recording + Chrome-trace export at
-    # the volume a fully traced multi-scale run produces.  The engine's
-    # own instrumentation needs no new row: metrics are filled from
+    # The observability layer.  Registry snapshot/merge at sharded fan-in
+    # shape (32 worker registries with the engine's series, merged to one
+    # RunMetrics — the ShardFinal path), and span recording + Chrome-trace
+    # export at the volume a fully traced multi-scale run produces.  The
+    # engine's own instrumentation needs no row: metrics are filled from
     # existing aggregates once per run, so its cost is already inside
     # every simulate-based row above.
     from repro.obs import MetricsRegistry, RunMetrics, SpanRecorder
@@ -501,19 +483,18 @@ def build_workloads():
                     pass
         rec.to_chrome_trace()
 
-    # PR-9 rows (baselined in BENCH_9.json): class-batched interpretation
-    # at production and beyond-production rank counts, plus the
-    # interpreter generator-depth microbench (batching off — it pins the
+    # Class-batched interpretation at production and beyond-production
+    # rank counts, plus the interpreter generator-depth microbench (batching off — it pins the
     # per-rank dispatch cost the trace scheduler attacks).
     classbatch_prog = parse_program(CLASSBATCH_SYM, "classbatch.mm")
     classbatch_psg = build_psg(classbatch_prog).psg
     gendepth_prog = parse_program(GENERATOR_DEPTH, "gendepth.mm")
     gendepth_psg = build_psg(gendepth_prog).psg
 
-    # PR-10 rows (baselined in BENCH_10.json): match-order analysis
-    # throughput (proof + refutation paths over wildcard fixtures at
-    # several scales), and the 1024-rank wildcard ring through the
-    # devirtualized class-batched path vs the refused per-rank path.
+    # Match-order analysis throughput (proof + refutation paths over
+    # wildcard fixtures at several scales), and the 1024-rank wildcard
+    # ring through the devirtualized class-batched path vs the refused
+    # per-rank path.
     from repro.analysis.matchorder import analyze_match_order
 
     wild_prog = parse_program(WILDCARD_RING, "wildring.mm")
@@ -534,7 +515,7 @@ def build_workloads():
         "ring_p256_ring_mode": sim(ring_prog, ring_psg, 256, False),
         "sampling_p256": lambda: sample_result(sampling_res, 200.0),
         "static_analysis_apps": static_analysis,
-        # PR-3 rows (baselined in BENCH_3.json):
+        # post-run detection: PPG assembly, both detectors, backtracking
         "detection_pipeline_cg": detection_pipeline,
         # sharded simulator through the deterministic in-process scheduler:
         # measures the sharding machinery's per-event overhead (gates,
@@ -544,24 +525,23 @@ def build_workloads():
             ring_prog, ring_psg, 256, True,
             sim_shards=2, sim_executor="inprocess",
         ),
-        # PR-4 row (baselined in BENCH_4.json):
+        # post-run analysis of a 256-rank mixed run
         "comm_dependence_p256": comm_dependence,
-        # PR-5 rows (baselined in BENCH_5.json):
+        # engine and baselines at 1024 ranks
         "ring_p1024": sim(ring1k_prog, ring1k_psg, 1024, False),
         "ring_p1024_sharded2_inproc": sim(
             ring1k_prog, ring1k_psg, 1024, False,
             sim_shards=2, sim_executor="inprocess",
         ),
         "baseline_collective_loops_p1024": baseline_collective_loops,
-        # PR-6 rows (baselined in BENCH_6.json):
+        # static analysis over the bundled apps
         "psg_contraction_apps": psg_contraction,
         "rank_analysis_lint_apps": rank_analysis_lint,
-        # PR-7 row (baselined in BENCH_7.json):
         "scale_lint_symbolic_apps": scale_lint_symbolic,
-        # PR-8 rows (baselined in BENCH_8.json):
+        # observability
         "obs_registry_merge_32shards": obs_registry_merge,
         "obs_span_recording_5k": obs_span_recording,
-        # PR-9 rows (baselined in BENCH_9.json):
+        # class-batched interpretation, and the per-rank dispatch cost
         "ring_p4096_classbatch": sim(
             classbatch_prog, classbatch_psg, 4096, False,
             params={"iters": 3},
@@ -574,7 +554,7 @@ def build_workloads():
             gendepth_prog, gendepth_psg, 8, False,
             without="_build_batched_streams",
         ),
-        # PR-10 rows (baselined in BENCH_10.json):
+        # wildcard devirtualization
         "matchorder_analysis_fixtures": matchorder_analysis,
         "wildcard_p1024_devirt": sim(wild_prog, wild_psg, 1024, False),
         "wildcard_p1024_refused": sim(
@@ -586,14 +566,56 @@ def build_workloads():
 def metrics_provenance() -> dict:
     """Execution-metrics snapshot of the 256-rank ring workload.
 
-    Recorded under ``"metrics"`` in BENCH_10.json by ``--update``:
+    Recorded under ``"metrics"`` in the baseline by ``--update``:
     machine-independent event counts (MPI calls, matches, trace events)
-    that explain *why* a row's cost moved when it does.
+    that explain *why* a row's cost moved when it does, and that
+    :func:`check_work_counts` gates exactly.
     """
     prog = parse_program(RING, "ring.mm")
     psg = build_psg(prog).psg
     res = simulate(prog, psg, SimulationConfig(nprocs=256))
     return res.metrics.to_json_dict()
+
+
+def check_baseline_rows(baseline: dict, workloads) -> bool:
+    """Every measured workload has a baseline row and every baseline row a
+    workload: an unmatched row on either side would never be gated."""
+    measured, committed = set(workloads), set(baseline["benchmarks"])
+    for label, names in (
+        ("measured but not in the baseline", measured - committed),
+        ("in the baseline but not measured", committed - measured),
+    ):
+        if names:
+            print(f"baseline rows FAILED: {label}: {', '.join(sorted(names))}",
+                  file=sys.stderr)
+    return measured == committed
+
+
+def check_work_counts(baseline: dict) -> bool:
+    """The exact work-count gate: every counter in the baseline's metrics
+    snapshot must equal :func:`metrics_provenance`'s value now.
+
+    The counts are deterministic, so a mismatch is a change in the work
+    the engine does, never host noise: no retry discipline.
+    """
+    committed = baseline.get("metrics", {}).get("counters")
+    if not committed:
+        print("work-count gate FAILED: the baseline has no metrics counters",
+              file=sys.stderr)
+        return False
+    now = metrics_provenance()["counters"]
+    drift = {
+        name: (want, now.get(name))
+        for name, want in committed.items()
+        if now.get(name) != want
+    }
+    for name, (want, got) in sorted(drift.items()):
+        print(f"work-count gate FAILED: {name} is {got}, baseline {want}",
+              file=sys.stderr)
+    if not drift:
+        print(f"work counts p256 ring: {len(committed)} counters match "
+              f"the baseline exactly")
+    return not drift
 
 
 def check_symbolic_speedup(min_speedup: float = 10.0, repeats: int = 3) -> bool:
@@ -727,13 +749,13 @@ def check_wildcard_devirt_engagement() -> bool:
     return ok
 
 
-def measure(repeats: int = 3) -> dict:
+def measure(workloads: dict, repeats: int = 3) -> dict:
     # calibrate before *and* after the workloads and keep the faster score:
     # transient load during one calibration window then cannot skew every
     # normalized number in the same direction
     calib = calibration_score(repeats)
     rows = {}
-    for name, fn in build_workloads().items():
+    for name, fn in workloads.items():
         rows[name] = {"seconds": _best_of(fn, repeats)}
     calib = max(calib, calibration_score(repeats))
     for row in rows.values():
@@ -746,61 +768,47 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--update", action="store_true",
-        help="rewrite the measured baselines in BENCH_10.json (BENCH_2-9"
-             ".json rows are committed history and never rewritten; edit "
-             "by hand if a legacy workload must be rebased)",
+        help=f"re-measure every workload and rewrite {BASELINE_PATH.name} "
+             f"whole, metrics snapshot included",
     )
     parser.add_argument("--tolerance", type=float, default=0.20,
                         help="allowed fractional throughput drop (0.20 = 20%%)")
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args(argv)
 
-    current = measure(args.repeats)
-    # Committed history: BENCH_2 (PR 2) through BENCH_9 (PR 9) rows are
-    # never rewritten by --update; edit by hand if a legacy workload must
-    # rebase.  Load order matters: BENCH_9 comes after BENCH_5, so the
-    # deliberately rebased REBASED_IN_9 rows shadow their stale copies.
-    history: dict = {}
-    for path in (
-        BASELINE_PATH, BASELINE_3_PATH, BASELINE_4_PATH, BASELINE_5_PATH,
-        BASELINE_6_PATH, BASELINE_7_PATH, BASELINE_8_PATH, BASELINE_9_PATH,
-    ):
-        if path.exists():
-            history.update(json.loads(path.read_text()).get("benchmarks", {}))
-    if args.update or not BASELINE_10_PATH.exists():
-        # Only the PR-10 file is a live baseline.
-        doc = (
-            json.loads(BASELINE_10_PATH.read_text())
-            if BASELINE_10_PATH.exists()
-            else {}
-        )
-        doc["calibration_score"] = current["calibration_score"]
-        doc["metrics"] = metrics_provenance()
-        doc.setdefault("benchmarks", {})
-        for name, row in current["benchmarks"].items():
-            if name not in history:
-                doc["benchmarks"][name] = row
-        BASELINE_10_PATH.write_text(json.dumps(doc, indent=2) + "\n")
-        print(f"baseline written to {BASELINE_10_PATH}")
+    if args.update:
+        current = measure(build_workloads(), args.repeats)
+        doc = {
+            "calibration_score": current["calibration_score"],
+            "metrics": metrics_provenance(),
+            "benchmarks": current["benchmarks"],
+        }
+        BASELINE_PATH.write_text(json.dumps(doc, indent=2) + "\n")
+        print(f"baseline written to {BASELINE_PATH}")
         return 0
 
-    baseline = {"benchmarks": dict(history)}
-    baseline["benchmarks"].update(
-        json.loads(BASELINE_10_PATH.read_text()).get("benchmarks", {})
-    )
+    if not BASELINE_PATH.exists():
+        print(f"FAIL: no baseline at {BASELINE_PATH}; record one with "
+              f"--update", file=sys.stderr)
+        return 1
+    baseline = json.loads(BASELINE_PATH.read_text())
+    workloads = build_workloads()
+    # both deterministic: a miss is a real bug, so fail before timing
+    rows_ok = check_baseline_rows(baseline, workloads)
+    counts_ok = check_work_counts(baseline)
+    if not (rows_ok and counts_ok):
+        return 1
+
+    current = measure(workloads, args.repeats)
     # Surface the normalization: committed numbers are calibration units,
     # and this factor is what converted this host's raw seconds into them.
     print(f"calibration factor applied: "
           f"{current['calibration_score']:.3f} units/s "
-          f"(baseline recorded at "
-          f"{json.loads(BASELINE_10_PATH.read_text()).get('calibration_score', float('nan')):.3f})")
+          f"(baseline recorded at {baseline['calibration_score']:.3f})")
     ratios = {}
     print(f"{'benchmark':28s} {'base units':>12s} {'now units':>12s} {'ratio':>7s}")
     for name, row in current["benchmarks"].items():
-        base = baseline["benchmarks"].get(name)
-        if base is None:
-            print(f"{name:28s} {'(new)':>12s} {row['calibration_units']:12.3f}")
-            continue
+        base = baseline["benchmarks"][name]
         # throughput ratio = base cost / current cost (>1 means faster now)
         ratio = base["calibration_units"] / row["calibration_units"]
         flag = ""

@@ -1,13 +1,14 @@
-"""Detection-report regression gate against the committed PR-2 baseline.
+"""Detection-report regression gate against a committed report.
 
-``benchmarks/BENCH_2.json`` carries the canonical DetectionReport of the
-IMBALANCED_SOURCE scenario, captured from the *pre-TraceBuffer* recording
-layer (its sha256 is recorded in the provenance block).  This test re-runs
-the scenario through the current pipeline and compares the full report —
-any drift in the ground-truth recording, sampling, or detection layers
+``tests/data/imbalanced_report_pr2.json`` carries the canonical
+DetectionReport of the IMBALANCED_SOURCE scenario, captured from the
+*pre-TraceBuffer* recording layer; its sha256 is pinned below, so the
+fixture itself cannot drift unnoticed.  This test re-runs the scenario
+through the current pipeline and compares the full report — any drift in the ground-truth recording, sampling, or detection layers
 shows up as a diff here, not as a silent change in verdicts.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -17,7 +18,8 @@ from repro.api.config import AnalysisConfig
 from repro.api.pipeline import Pipeline
 from tests.conftest import IMBALANCED_SOURCE
 
-BENCH_2 = Path(__file__).resolve().parent.parent / "benchmarks" / "BENCH_2.json"
+REPORT = Path(__file__).resolve().parent / "data" / "imbalanced_report_pr2.json"
+REPORT_SHA256 = "776b56a6b84a329c6a55f7ddb6361b8406424dc60d6437aacd1cc931fc5332cb"
 
 
 def _approx_equal(a, b, path=""):
@@ -37,8 +39,8 @@ def _approx_equal(a, b, path=""):
 
 
 def test_report_matches_committed_pre_trace_buffer_baseline():
-    baseline = json.loads(BENCH_2.read_text())
-    expected = baseline["bit_identity_report"]
+    expected = json.loads(REPORT.read_text())
+    assert hashlib.sha256(json.dumps(expected).encode()).hexdigest() == REPORT_SHA256
     pipe = Pipeline(
         source=IMBALANCED_SOURCE,
         filename="imbalanced.mm",
