@@ -93,8 +93,8 @@ def without_optimizer(method: str):
     its step-aside result, while the patch is active.
 
     ``"_build_batched_streams"`` leaves every rank on its own interpreter
-    (op-record sharing stays on); ``"_devirt_map"`` leaves every wildcard
-    receive as written.  The optimizers have no config switch: this is
+    (each still memoizes its rank-static ops); ``"_devirt_map"`` leaves
+    every wildcard receive as written.  The optimizers have no config switch: this is
     how the per-rank rows and gates reach the path they measure.
     """
     return mock.patch.object(Engine, method, lambda self, *args: {})
@@ -186,9 +186,9 @@ def main() {
 
 #: Deep call nesting with rank-static straight-line bodies: the
 #: interpreter-side microbench.  Per-rank op delivery threads every op
-#: through the whole generator chain, so this row pins the cost trace
-#: scheduling attacks — memoized yield runs collapse into single
-#: ``_YIELD_MANY`` closures returning whole op tuples.  Runs with
+#: through the whole generator chain, one statement dispatch per op, so
+#: this row guards the per-rank interpreter (refused classes, class
+#: representatives, the test oracle) against slowing down.  Runs with
 #: batching off: the point is the per-rank dispatch cost itself.
 GENERATOR_DEPTH = """
 def leaf(i) {
@@ -484,8 +484,8 @@ def build_workloads():
         rec.to_chrome_trace()
 
     # Class-batched interpretation at production and beyond-production
-    # rank counts, plus the interpreter generator-depth microbench (batching off — it pins the
-    # per-rank dispatch cost the trace scheduler attacks).
+    # rank counts, plus the interpreter generator-depth microbench
+    # (batching off — it guards the per-rank statement dispatch cost).
     classbatch_prog = parse_program(CLASSBATCH_SYM, "classbatch.mm")
     classbatch_psg = build_psg(classbatch_prog).psg
     gendepth_prog = parse_program(GENERATOR_DEPTH, "gendepth.mm")

@@ -13,9 +13,8 @@ runs.
 
 Two consumers:
 
-* the simulation engine shares op records *across ranks* for statements
-  the dataflow proves rank-constant (``RankAnalysis.const_stmts``, see
-  ``Interpreter``), and
+* the simulation engine batches each behavioral rank class through one
+  representative interpreter (:mod:`repro.simulator.classbatch`), and
 * ``scalana lint`` / :meth:`repro.api.pipeline.Pipeline.lint` surface the
   findings with source spans, optionally failing a pipeline fast via
   ``AnalysisConfig(lint_fail_fast=True)``.

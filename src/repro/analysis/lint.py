@@ -251,8 +251,7 @@ def _batched_streams(
         entry=entry, max_iterations=max_iterations,
         analysis=symmetry.analysis, summary=symmetry,
         local_ranks=range(nprocs), expr_cache=expr_cache,
-        const_stmts=None, cost=CostModel(), precost_compute=False,
-        devirt=None,
+        cost=CostModel(), precost_compute=False, devirt=None,
     ).streams
 
 
@@ -813,8 +812,8 @@ def run_lint(
     ``expr_cache`` is a per-program memo: compiled statements plus the
     call-graph facts of the rank analysis.  Pass one dict to lints of the
     same ``program`` at several scales to build them once; the compiled
-    code reads rank, ``nprocs`` and params at run time, and the lint bakes
-    no rank-constant op into it (no ``const_stmts``)."""
+    code reads rank, ``nprocs`` and params at run time and holds no op
+    (memoized ops live on each interpreter)."""
     if expr_cache is None:
         expr_cache = {}
     symmetry = partition_ranks(

@@ -4,8 +4,8 @@ The analysis answers, for every expression and statement of one program at
 one scale, *how its value varies across ranks*:
 
 * ``CONST`` — one known value, identical on every rank and every execution
-  (the condition under which the engine may build an op record **once per
-  run** instead of once per rank — see ``RankAnalysis.const_stmts``),
+  (``RankAnalysis.const_stmts`` lists the statements whose every captured
+  argument is CONST),
 * ``INVARIANT`` — unknown value, but provably identical across ranks at
   every execution (loop counters, doubling strides, ...),
 * ``AFFINE`` — ``(a * rank + b) % m`` neighbor arithmetic, the paper's
@@ -480,8 +480,8 @@ class RankAnalysis:
     #: the CONST placeholder) — only MPI and compute statements appear
     stmt_args: dict[int, tuple[AbstractValue, ...]]
     #: statements whose every captured argument is CONST: their op record
-    #: is identical on every rank and every execution, so one shared
-    #: instance per run is sound
+    #: is identical on every rank and every execution (a precision summary
+    #: of the analysis; the simulator does not consume it)
     const_stmts: frozenset[int]
     deciders: dict[int, Decider]
     degraded_reasons: tuple[str, ...]

@@ -1,12 +1,12 @@
 """Class-batched interpretation: one representative run per rank class.
 
 ``partition_ranks`` (PR 6) proves sets of ranks that execute the identical
-statement sequence; the engine's ``const_stmts`` sharing (PR 5) already
-shares op *records* across ranks.  This module takes the remaining step:
-interpret only the **representative** of each class, record its op
-stream, and fan the stream out to every member by substituting the
-rank-dependent argument values that :mod:`repro.analysis.rankdep`
-classified — instead of running a generator chain per rank.
+statement sequence.  This module interprets only the **representative**
+of each class, records its op stream, and fans the stream out to every
+member by substituting the rank-dependent argument values that
+:mod:`repro.analysis.rankdep` classified — instead of running a generator
+chain per rank.  Members share the representative's op instances
+wherever no argument varies with the rank.
 
 Soundness rests on three independent guards, any of which degrades a
 class (never the run) to per-rank interpretation:
@@ -117,7 +117,6 @@ def build_batched_streams(
     summary: SymmetrySummary,
     local_ranks,
     expr_cache: dict,
-    const_stmts,
     cost: CostModel,
     precost_compute: bool,
     devirt: dict | None = None,
@@ -155,7 +154,7 @@ def build_batched_streams(
         try:
             rep_stream, frame_values = _materialize(
                 program, psg, rep, nprocs, params, entry, max_iterations,
-                rep_cache, const_stmts, frame_stmts,
+                rep_cache, frame_stmts,
             )
         except Exception as exc:  # surfaces at the right time per-rank
             _note(result, reasons, f"representative rank {rep} raised: {exc}")
@@ -247,13 +246,13 @@ class _FrameRecorder(Interpreter):
 
 def _materialize(
     program, psg, rank, nprocs, params, entry, max_iterations,
-    expr_cache, const_stmts, frame_stmts,
+    expr_cache, frame_stmts,
 ) -> tuple[list, dict]:
     """The representative's op stream plus its recorded frame values."""
     interp = _FrameRecorder(
         program, psg, rank, nprocs, params, frame_stmts=frame_stmts,
         max_iterations=max_iterations, entry=entry,
-        expr_cache=expr_cache, const_stmts=const_stmts,
+        expr_cache=expr_cache,
     )
     return list(interp.run()), interp.frame_values
 

@@ -410,17 +410,9 @@ class Engine:
         # One compiled-expression cache shared by every rank: the AST is
         # rank-independent, so each expression compiles exactly once.
         expr_cache: dict = {}
-        # Statements the whole-program dataflow proves rank-constant share
-        # one op record per *engine* instead of one per rank.  One
-        # dataflow run feeds both class sharing and class batching.
         analysis = self._rank_analysis()
-        const_stmts = None
-        if analysis is not None and analysis.const_stmts:
-            const_stmts = analysis.const_stmts
         devirt = self._devirt_map()
-        batched = self._build_batched_streams(
-            analysis, expr_cache, const_stmts, devirt
-        )
+        batched = self._build_batched_streams(analysis, expr_cache, devirt)
         # Every rank class-batched means every receive source is concrete
         # (batching refuses a wildcard it cannot devirtualize), so the
         # drain may run ranks to block; ring mode folds its event chunks
@@ -445,7 +437,6 @@ class Engine:
                     max_iterations=cfg.max_iterations,
                     entry=cfg.entry,
                     expr_cache=expr_cache,
-                    const_stmts=const_stmts,
                 )
                 gen = interp.run()
                 if devirt:
@@ -458,7 +449,7 @@ class Engine:
         """Whole-program rank-dependence analysis, or ``None``.
 
         An auxiliary optimizer: with fewer than two local ranks there is
-        nothing to share or batch, and an analysis that raises steps
+        nothing to batch, and an analysis that raises steps
         aside (recorded in ``class_batch_reasons``) so every rank runs
         through its own interpreter — the per-rank path that is the
         bit-identity oracle."""
@@ -502,7 +493,7 @@ class Engine:
         )
 
     def _build_batched_streams(
-        self, analysis, expr_cache: dict, const_stmts, devirt: dict
+        self, analysis, expr_cache: dict, devirt: dict
     ) -> dict:
         """Per-rank op streams for every batchable equivalence class (see
         :mod:`repro.simulator.classbatch`); empty dict = everything runs
@@ -537,7 +528,6 @@ class Engine:
                 summary=summary,
                 local_ranks=self.local_ranks,
                 expr_cache=expr_cache,
-                const_stmts=const_stmts,
                 devirt=devirt,
                 cost=self.cost,
                 # Baked compute costs are only sound when the cost model

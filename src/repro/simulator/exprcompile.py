@@ -1,19 +1,20 @@
 """Closure compilation for MiniMPI expressions.
 
-The tree-walking ``Interpreter._eval`` paid an ``isinstance`` dispatch per
-AST node per evaluation — at 256 ranks the same rank-independent expression
-(``(rank + 1) % nprocs``, loop conditions, byte counts) is re-dispatched
-millions of times.  This module compiles each expression node *once* into a
-Python closure ``fn(frame, ctx) -> value`` (``ctx`` is the evaluating
-Interpreter, supplying ``rank`` / ``nprocs`` / ``params`` / the program);
-the engine shares one compile cache across every rank of a run.
+Each expression node compiles *once* into a Python closure
+``fn(frame, ctx) -> value`` (``ctx`` is the evaluating Interpreter,
+supplying ``rank`` / ``nprocs`` / ``params`` / the program); the engine
+shares one compile cache across every rank of a run, so an expression
+like ``(rank + 1) % nprocs`` is never re-dispatched per AST node.
 
-Semantics are identical to the old evaluator by construction: each closure
-body is the corresponding ``_eval`` branch, including error messages,
-C-style integer division and the frame -> params -> rank/nprocs lookup
-order.  Literal-only subtrees are constant-folded at compile time, but only
-when folding does not raise — an expression that fails (division by zero,
-negating a bool) keeps failing at evaluation time exactly as before.
+Semantics: a variable resolves frame first, then params, then the
+builtins ``rank`` and ``nprocs``, else it raises "undefined variable".
+``/`` truncates toward zero on two ints (C-style) and ``/`` and ``%``
+raise on a zero divisor; arithmetic and ordering need numbers, unary
+``-`` needs a non-bool number, and ``&&`` / ``||`` short-circuit on
+:func:`truthy`.
+Literal-only subtrees are constant-folded at compile time, but only when
+folding does not raise — an expression that fails (division by zero,
+negating a bool) keeps failing at evaluation time.
 
 Beyond folding, subtrees that provably never read the frame (their variable
 references cannot be shadowed by any declared variable or parameter — see

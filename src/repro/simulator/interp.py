@@ -15,7 +15,6 @@ vertex via ``psg.lookup_stmt`` — this is the runtime half of the paper's
 
 from __future__ import annotations
 
-import itertools
 import struct
 from dataclasses import dataclass
 from collections.abc import Iterator, Mapping
@@ -51,9 +50,7 @@ class _Return(Exception):
 
 
 #: Compiled-statement kinds (how a statement closure emits ops).
-#: _YIELD_MANY is a trace-scheduled run: the closure returns a whole op
-#: tuple (see :func:`_compile_run`).
-_ACTION, _YIELD_ONE, _YIELD_PAIR, _SUBGEN, _YIELD_MANY = 0, 1, 2, 3, 4
+_ACTION, _YIELD_ONE, _YIELD_PAIR, _SUBGEN = 0, 1, 2, 3
 
 #: packs a compute statement's four float arguments into their bit patterns
 _PACK_4D = struct.Struct("<4d").pack
@@ -72,7 +69,9 @@ def _reused(build, stmt_id: int):
 
     The per-rank store is a per-statement inner dict keyed by inline path
     (``ctx._op_cache[stmt_id][ip]``) so the hot path never allocates a
-    ``(stmt_id, ip)`` key tuple per yield.
+    ``(stmt_id, ip)`` key tuple per yield.  It lives on the interpreter,
+    not in the closure, so a compiled statement holds no op and one
+    ``expr_cache`` is safe to share across ranks, engines and scales.
     """
 
     def fn(frame, ctx, ip):
@@ -89,36 +88,6 @@ def _reused(build, stmt_id: int):
     return fn
 
 
-def _shared(build, stmt_id: int):
-    """Memoize a statement's op record per (engine, inline path).
-
-    The cross-rank big sibling of :func:`_reused`: sound only when the
-    whole-program rank-dependence analysis proved every captured argument
-    CONST — the same value on *every rank and every execution* (see
-    ``RankAnalysis.const_stmts``) — so all ranks of one engine return the
-    one instance the first builder produced.  The vid is rank-independent
-    by construction (``_vid_of`` derives it from the static PSG) and the
-    engine never mutates ops, so sharing is observationally identical to
-    per-rank construction (gated by tests/test_oracle_sweep.py).
-
-    The store lives in the closure, keyed by inline path alone: statement
-    closures compile once per expression cache — one engine, or one lone
-    interpreter — which is exactly the sharing scope the old engine-level
-    ``(stmt_id, ip)`` dict provided, minus the per-yield key tuple.
-    """
-    cache: dict = {}
-
-    def fn(frame, ctx, ip):
-        op = cache.get(ip)
-        if op is None:
-            op = build(frame, ctx, ip)
-            cache[ip] = op
-        return op
-
-    fn._memoized_op = True
-    return fn
-
-
 def _run_entry(entry, frame, ctx, ip):
     """Run one compiled (kind, fn) entry from generator context."""
     kind, fn = entry
@@ -126,73 +95,12 @@ def _run_entry(entry, frame, ctx, ip):
         fn(frame, ctx, ip)
     elif kind == _YIELD_ONE:
         yield fn(frame, ctx, ip)
-    elif kind in (_SUBGEN, _YIELD_MANY):
+    elif kind == _SUBGEN:
         yield from fn(frame, ctx, ip)
     else:
         first, second = fn(frame, ctx, ip)
         yield first
         yield second
-
-
-#: Distinct key space for trace-scheduled runs in ``ctx._run_cache``.
-_RUN_IDS = itertools.count()
-
-
-def _compile_run(entries: tuple):
-    """Trace scheduling: one closure for a straight-line run of memoized
-    yield statements.
-
-    Every entry is a ``_YIELD_ONE``/``_YIELD_PAIR`` whose builder is memo
-    tier :func:`_reused` or :func:`_shared` — its op is fixed per
-    ``(interpreter, inline path)`` — so the run's whole op sequence is a
-    constant tuple per ``(interpreter, inline path)``.  Build it once,
-    cache it in ``ctx._run_cache``, and let the block yield it with one
-    C-level tuple iteration instead of per-statement dispatch.
-    """
-    run_id = next(_RUN_IDS)
-
-    def fn(frame, ctx, ip):
-        key = (run_id, ip)
-        run = ctx._run_cache.get(key)
-        if run is None:
-            acc = []
-            for kind, build in entries:
-                if kind == _YIELD_ONE:
-                    acc.append(build(frame, ctx, ip))
-                else:
-                    first, second = build(frame, ctx, ip)
-                    acc.append(first)
-                    acc.append(second)
-            run = tuple(acc)
-            ctx._run_cache[key] = run
-        return run
-
-    return fn
-
-
-def _coalesce_runs(plan: tuple) -> tuple:
-    """Collapse maximal runs (length >= 2) of consecutive memoized yield
-    statements into single ``_YIELD_MANY`` entries."""
-
-    def _memoized_yield(entry) -> bool:
-        return entry[0] in (_YIELD_ONE, _YIELD_PAIR) and getattr(
-            entry[1], "_memoized_op", False
-        )
-
-    out = []
-    i, n = 0, len(plan)
-    while i < n:
-        if _memoized_yield(plan[i]):
-            j = i + 1
-            while j < n and _memoized_yield(plan[j]):
-                j += 1
-            if j - i >= 2:
-                out.append((_YIELD_MANY, _compile_run(plan[i:j])))
-                i = j
-                continue
-        out.append(plan[i])
-        i += 1
-    return tuple(out)
 
 
 # -- typed argument validators (compiled form of the old _eval_* helpers) --
@@ -289,7 +197,6 @@ class Interpreter:
         max_iterations: int = 10_000_000,
         entry: str = "main",
         expr_cache: dict | None = None,
-        const_stmts: frozenset | None = None,
     ) -> None:
         if not (0 <= rank < nprocs):
             raise ValueError(f"rank {rank} out of range for {nprocs} processes")
@@ -315,18 +222,6 @@ class Interpreter:
         #: stmt_id -> {inline_path -> reusable op record}, for statements
         #: whose arguments are all rank-static (see :func:`_reused`)
         self._op_cache: dict[int, dict[tuple[int, ...], object]] = {}
-        #: (run_id, inline_path) -> op tuple for trace-scheduled runs of
-        #: memoized yield statements (see :func:`_compile_run`)
-        self._run_cache: dict[tuple[int, tuple[int, ...]], tuple] = {}
-        #: statement ids the whole-program analysis proved rank-constant;
-        #: their ops live inside the compiled closure (see :func:`_shared`),
-        #: which is scoped by ``expr_cache`` — engine-wide when the engine
-        #: shares one cache across ranks.  Must be identical for every
-        #: interpreter sharing one ``expr_cache`` — the wrap decision is
-        #: made by whichever rank compiles the statement first.
-        self._const_stmts: frozenset = (
-            const_stmts if const_stmts is not None else frozenset()
-        )
 
     def _compile_expr(self, expr: ast.Expr):
         """Compile through the shared cache with rank-static analysis on."""
@@ -340,13 +235,8 @@ class Interpreter:
         )
 
     def _memoize_op(self, fn, stmt: ast.Stmt, exprs: tuple) -> object:
-        """Wrap an op builder with the strongest sound memoization tier:
-        engine-wide (:func:`_shared`) when the whole-program analysis
-        proved every captured argument rank-constant, per-rank
-        (:func:`_reused`) when PR 5's per-call-site check proves them
-        rank-static, bare otherwise."""
-        if stmt.stmt_id in self._const_stmts:
-            return _shared(fn, stmt.stmt_id)
+        """Wrap an op builder in :func:`_reused` when every captured
+        argument is rank-static; bare otherwise."""
         if self._static_args(*exprs):
             return _reused(fn, stmt.stmt_id)
         return fn
@@ -376,8 +266,6 @@ class Interpreter:
     #   _YIELD_ONE   returns exactly one op (compute, most MPI)
     #   _YIELD_PAIR  returns an op 2-tuple (sendrecv)
     #   _SUBGEN      is a generator (if/for/while/call)
-    #   _YIELD_MANY  returns the whole op tuple of a trace-scheduled run
-    #                of consecutive memoized yields (see _coalesce_runs)
     # ------------------------------------------------------------------
 
     def _call_function(
@@ -399,18 +287,9 @@ class Interpreter:
             return
 
     def _compile_block(self, block: ast.Block):
-        plan = _coalesce_runs(
-            tuple(self._compile_stmt(s) for s in block.statements)
-        )
-        if len(plan) == 1 and plan[0][0] in (_SUBGEN, _YIELD_MANY):
-            if plan[0][0] == _SUBGEN:
-                return plan[0][1]
-            run = plan[0][1]
-
-            def run_only(frame, ctx, ip, _run=run):
-                yield from _run(frame, ctx, ip)
-
-            return run_only
+        plan = tuple(self._compile_stmt(s) for s in block.statements)
+        if len(plan) == 1 and plan[0][0] == _SUBGEN:
+            return plan[0][1]
 
         def run_block(frame, ctx, ip, _plan=plan):
             for kind, fn in _plan:
@@ -419,8 +298,6 @@ class Interpreter:
                 elif kind == _YIELD_ONE:
                     yield fn(frame, ctx, ip)
                 elif kind == _SUBGEN:
-                    yield from fn(frame, ctx, ip)
-                elif kind == _YIELD_MANY:
                     yield from fn(frame, ctx, ip)
                 else:
                     first, second = fn(frame, ctx, ip)
@@ -747,26 +624,3 @@ class Interpreter:
             vid = found
             self._vid_cache[key] = vid
         return vid
-
-    # ------------------------------------------------------------------
-    # expression evaluation (pure)
-    # ------------------------------------------------------------------
-
-    def _truthy(self, value: object) -> bool:
-        return _truthy_impl(value)
-
-    def _eval(self, expr: ast.Expr, frame: dict) -> object:
-        """Evaluate via the compiled-closure cache (see exprcompile)."""
-        return self._compile_expr(expr)(frame, self)
-
-    def _lookup(self, ref: ast.VarRef, frame: dict) -> object:
-        name = ref.name
-        if name in frame:
-            return frame[name]
-        if name in self.params:
-            return self.params[name]
-        if name == "rank":
-            return self.rank
-        if name == "nprocs":
-            return self.nprocs
-        raise SimulationError(f"{ref.location}: undefined variable {name!r}")

@@ -51,9 +51,8 @@ def _optimizers_fail_loudly(request, monkeypatch):
 def per_rank_oracle():
     """Run engines with every optimizer off: the bit-identity oracle.
 
-    No rank analysis means no ``const_stmts`` sharing and no class
-    batching; an empty devirtualization map leaves every wildcard receive
-    as written.  Each rank then runs through its own interpreter.
+    No rank analysis means no class batching; an empty devirtualization
+    map leaves every wildcard receive as written.  Each rank then runs through its own interpreter.
     """
     with (
         mock.patch.object(Engine, "_rank_analysis", lambda self: None),

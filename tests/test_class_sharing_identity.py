@@ -1,11 +1,11 @@
-"""Cross-rank op-record sharing is bit-identical to per-rank interpretation.
+"""The optimized engine matches the per-rank oracle on a bundled app.
 
-The per-rank interpreter is the bit-identity oracle: statements the
-rank-dependence analysis proves constant share one op record across all
-ranks of an engine — and nothing else may change.  The randomized sweep
-lives in ``tests/test_oracle_sweep.py``; this file checks that sharing
-engages on a bundled app and that the app's fingerprint and canonical
-detection report match the oracle.
+The per-rank interpreter is the bit-identity oracle.  This file checks
+that the rank-dependence analysis proves rank-constant statements on a
+bundled app (``RankAnalysis.const_stmts`` is not vacuous), and that the
+app's fingerprint and a canonical detection report are identical with
+the optimizers on and off.  The randomized sweep lives in
+``tests/test_oracle_sweep.py``.
 """
 
 from repro.api import AnalysisConfig, Pipeline
@@ -16,8 +16,8 @@ from tests.conftest import IMBALANCED_SOURCE, per_rank_oracle
 
 class TestSharingEngages:
     def test_const_stmts_found_on_bundled_apps(self):
-        """Meta-check: the identity gate is not vacuous — the analysis
-        proves shareable statements on real apps."""
+        """Meta-check: the analysis proves rank-constant statements on a
+        real app."""
         from repro.analysis import analyze_program
         from repro.apps import get_app
 

@@ -1,4 +1,4 @@
-"""Interpreter tests: expression evaluation, control flow, error paths."""
+"""Interpreter tests: expression evaluation, control flow, error paths, memos."""
 
 import math
 
@@ -292,3 +292,62 @@ class TestWorkloadMemo:
         for name in ("tot_ins", "tot_cyc", "tot_lst_ins", "l2_dcm"):
             # bytes, not ==: -0.0 == 0.0 would hide the bug
             assert history[name][-1:].tobytes() == fresh[name].tobytes(), name
+
+
+#: A rank-static send and a frame-reading compute in one loop.
+OP_MEMO_LOOP = """\
+def main() {
+    for (var i = 0; i < 3; i = i + 1) {
+        send(dest = (rank + 1) % nprocs, tag = 1, bytes = 64);
+        compute(flops = 1000 * i);
+        recv(src = (rank - 1 + nprocs) % nprocs, tag = 1);
+    }
+}
+"""
+
+#: A collective whose byte count reads ``nprocs``, executed twice.
+NPROCS_BYTES = """\
+def main() {
+    for (var i = 0; i < 2; i = i + 1) {
+        allreduce(bytes = 8 * nprocs);
+    }
+}
+"""
+
+
+class TestOpMemo:
+    """The interpreter's one op memo: a statement whose captured
+    arguments are all rank-static yields one op instance per
+    (interpreter, inline path); every other statement builds a fresh op
+    per execution.  Class batching classifies each distinct instance
+    once, so reuse is observable and pinned here."""
+
+    def test_rank_static_send_is_one_instance_per_loop(self):
+        sends = [o for o in run_ops(OP_MEMO_LOOP, nprocs=4)
+                 if isinstance(o, ops.SendOp)]
+        assert len(sends) == 3
+        assert sends[0] is sends[1] is sends[2]
+        assert sends[0].dest == 1
+
+    def test_frame_reading_compute_is_fresh_per_execution(self):
+        computes = [o for o in run_ops(OP_MEMO_LOOP, nprocs=4)
+                    if isinstance(o, ops.ComputeOp)]
+        assert [c.workload.flops for c in computes] == [0, 1000, 2000]
+        assert len({id(c) for c in computes}) == 3
+
+    def test_shared_cache_never_shares_ops_across_interpreters(self):
+        prog = parse_program(NPROCS_BYTES)
+        psg = build_psg(prog).psg
+        cache: dict = {}
+        runs = {}
+        for rank, nprocs in ((0, 4), (1, 4), (0, 8), (1, 8)):
+            runs[rank, nprocs] = list(
+                Interpreter(prog, psg, rank, nprocs, expr_cache=cache).run()
+            )
+        seen: dict[int, tuple] = {}
+        for key, stream in runs.items():
+            assert stream[0] is stream[1]  # memoized within one rank
+            for op in stream:
+                assert seen.setdefault(id(op), key) == key
+            assert [op.nbytes for op in stream] == [8 * key[1]] * 2
+            assert stream == list(Interpreter(prog, psg, *key).run())

@@ -1,8 +1,7 @@
 """The optimized engine is bit-identical to the per-rank oracle.
 
-The engine always engages its three optimizers: cross-rank op-record
-sharing (``const_stmts``), class batching and wildcard devirtualization.
-Each may only change *how* a run executes, never what any rank computes.
+The engine always engages its two optimizers: class batching and
+wildcard devirtualization.  Each may only change *how* a run executes, never what any rank computes.
 The oracle is the serial engine with every optimizer off
 (:func:`tests.conftest.per_rank_oracle`): every rank interpreted on its
 own, every wildcard receive matched as written.
