@@ -77,27 +77,6 @@ def test_throughput_ring_p256_ring_mode(benchmark, ring_setup):
     assert result.vertex_time  # aggregates still maintained
 
 
-def test_throughput_ring_p256_sharded_inprocess(benchmark, ring_setup):
-    """The PR-3 target: the same 256-rank ring through the conservative
-    parallel DES (2 shards, deterministic in-process scheduler).
-
-    Single-threaded by construction, so what this tracks is the sharding
-    machinery's overhead (outbox routing, window rounds, trace merge) —
-    the multi-core speedup itself is not gated (CI runner core counts
-    vary).
-    """
-    prog, psg = ring_setup
-    cfg = SimulationConfig(
-        nprocs=256, record_segments=True,
-        sim_shards=2, sim_executor="inprocess",
-    )
-    result = benchmark(lambda: simulate(prog, psg, cfg))
-    assert result.mpi_call_count == 50 * 2 * 256
-    assert result.trace.event_count == 50 * 3 * 256
-    assert result.parallel_stats is not None
-    assert result.parallel_stats.shards == 2
-
-
 def test_throughput_static_analysis(benchmark):
     from repro.apps import get_app
 

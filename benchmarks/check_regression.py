@@ -5,8 +5,7 @@ its row in the one committed baseline, ``benchmarks/baseline.json``.  The
 rows measure:
 
 - the event engine: ring and collective runs at 32, 256 and 1024 ranks,
-  serial and sharded through the in-process scheduler, with recorded
-  segments and in ring mode;
+  with recorded segments and in ring mode;
 - class-batched interpretation: a rank-symmetric stencil at 4096 ranks,
   a 16384-rank smoke run, and the per-rank interpreter's generator
   dispatch;
@@ -18,7 +17,7 @@ rows measure:
 - static analysis: PSG build and contraction over the bundled apps,
   rank-dependence analysis plus the MPI lint, the cross-scale symbolic
   lint, and the match-order analysis;
-- observability: metrics-registry merge at sharded fan-in shape, and span
+- observability: metrics-registry merge of 32 run snapshots, and span
   recording plus Chrome-trace export.
 
 The gate fails (exit 1) when the baseline file is missing, when the
@@ -380,9 +379,9 @@ def build_workloads():
         collect_comm_dependence(comm_res, sample_probability=0.5, seed=3)
         run_fingerprint(comm_run)
 
-    # The ≥1024-rank rows: the engine at production rank count (serial +
-    # sharded), plus the baselines' vectorized collective loops over a
-    # 1024-rank run's record tables.
+    # The ≥1024-rank rows: the engine at production rank count, plus the
+    # baselines' vectorized collective loops over a 1024-rank run's record
+    # tables.
     from repro.baselines import TracerTool, classify_wait_states
 
     ring1k_prog = parse_program(RING_1024, "ring1k.mm")
@@ -450,10 +449,11 @@ def build_workloads():
         for prog, psg, params, valid in scale_lint_inputs:
             run_lint_scales(prog, psg, "all", params, valid=valid)
 
-    # The observability layer.  Registry snapshot/merge at sharded fan-in
-    # shape (32 worker registries with the engine's series, merged to one
-    # RunMetrics — the ShardFinal path), and span recording + Chrome-trace
-    # export at the volume a fully traced multi-scale run produces.  The
+    # The observability layer.  Registry snapshot/merge of 32 run
+    # registries with the engine's series, merged to one RunMetrics (the
+    # fold ``Pipeline`` and the CLI apply over every simulation behind a
+    # report), and span recording + Chrome-trace export at the volume a
+    # fully traced multi-scale run produces.  The
     # engine's own instrumentation needs no row: metrics are filled from
     # existing aggregates once per run, so its cost is already inside
     # every simulate-based row above.
@@ -517,22 +517,10 @@ def build_workloads():
         "static_analysis_apps": static_analysis,
         # post-run detection: PPG assembly, both detectors, backtracking
         "detection_pipeline_cg": detection_pipeline,
-        # sharded simulator through the deterministic in-process scheduler:
-        # measures the sharding machinery's per-event overhead (gates,
-        # rounds, merge) independent of the host's core count, so the gate
-        # is stable on single-core CI runners
-        "ring_p256_sharded2_inproc": sim(
-            ring_prog, ring_psg, 256, True,
-            sim_shards=2, sim_executor="inprocess",
-        ),
         # post-run analysis of a 256-rank mixed run
         "comm_dependence_p256": comm_dependence,
         # engine and baselines at 1024 ranks
         "ring_p1024": sim(ring1k_prog, ring1k_psg, 1024, False),
-        "ring_p1024_sharded2_inproc": sim(
-            ring1k_prog, ring1k_psg, 1024, False,
-            sim_shards=2, sim_executor="inprocess",
-        ),
         "baseline_collective_loops_p1024": baseline_collective_loops,
         # static analysis over the bundled apps
         "psg_contraction_apps": psg_contraction,

@@ -135,10 +135,6 @@ class ScalAna:
     seed: int = 0
     injected_delays: list[DelayInjection] = field(default_factory=list)
     aggregation: AggregationStrategy = AggregationStrategy.MEAN
-    #: Shard each simulation over this many engines (multi-core, results
-    #: bit-identical — see :mod:`repro.simulator.parallel`).
-    sim_shards: int = 1
-    sim_executor: str = "auto"
     _static: StaticAnalysisResult | None = field(default=None, repr=False)
 
     # ------------------------------------------------------------------
@@ -172,8 +168,6 @@ class ScalAna:
             seed=self.seed,
             aggregation=self.aggregation,
             injected_delays=tuple(self.injected_delays),
-            sim_shards=self.sim_shards,
-            sim_executor=self.sim_executor,
         )
         kwargs.update(overrides)
         return AnalysisConfig(**kwargs)

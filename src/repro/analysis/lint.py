@@ -249,8 +249,7 @@ def _batched_streams(
     return build_batched_streams(
         program=program, psg=psg, nprocs=nprocs, params=params,
         entry=entry, max_iterations=max_iterations,
-        analysis=symmetry.analysis, summary=symmetry,
-        local_ranks=range(nprocs), expr_cache=expr_cache,
+        analysis=symmetry.analysis, summary=symmetry, expr_cache=expr_cache,
         cost=CostModel(), precost_compute=False, devirt=None,
     ).streams
 

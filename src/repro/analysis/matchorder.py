@@ -3,8 +3,7 @@
 PR 6's rank-dependence lattice and PR 7's parametric comm graph recover
 *who communicates with whom* as closed functions of ``(rank, P)`` — but
 an ``ANY``-source receive still looks opaque to every consumer: class
-batching (PR 9) refuses the class, the sharded coordinator (PR 3) pays a
-canonical-order gate hold per resolution, and lint flags every wildcard
+batching (PR 9) refuses the class, and lint flags every wildcard
 identically.  This module closes that gap with a static happens-before
 relation over the comm graph and computes, for each wildcard receive
 endpoint, its **statically feasible matcher set**:
@@ -30,8 +29,8 @@ receive is **match-deterministic** and two consumers act on the proof:
   matcher, and
 * the engine *devirtualizes* the receive — rewrites ``ANY`` to the
   proven source at compile time (``Engine._devirt_map``), which lifts
-  the class-batching refusal and lets sharded runs skip the ANY-source
-  gate hold, bit-identically (the proof guarantees the same match).
+  the class-batching refusal bit-identically (the proof guarantees the
+  same match).
 
 **Proof obligations / honesty.**  Everything here is *prove then
 consume*: a degraded comm graph, a blown instance budget, or a rank

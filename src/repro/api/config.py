@@ -82,29 +82,22 @@ class AnalysisConfig:
     repetitions: int = 1
     aggregation: AggregationStrategy = AggregationStrategy.MEAN
     injected_delays: tuple[DelayInjection, ...] = ()
-    #: Shard each simulation over this many engines (see
-    #: :mod:`repro.simulator.parallel`).  An *execution strategy*, not an
-    #: analysis input: results are bit-identical for any value, so these
-    #: two fields are excluded from :meth:`digest` — a profile cached by
-    #: a serial run is a valid hit for a sharded request and vice versa.
-    sim_shards: int = 1
-    sim_executor: str = "auto"
     #: Run the static MPI lint before the first simulation of a profile
     #: and abort (raising :class:`repro.analysis.LintError`) on
-    #: error-severity findings.  **Digest-relevant**, unlike the execution
-    #: strategy knobs: it changes which runs are allowed to produce
+    #: error-severity findings.  **Digest-relevant**, unlike the
+    #: observability knobs: it changes which runs are allowed to produce
     #: artifacts, so fail-fast sessions do not share cache entries with
     #: permissive ones.
     lint_fail_fast: bool = False
     #: Attach a :class:`repro.obs.RunMetrics` snapshot to profile
     #: artifacts and detection reports (the report's ``to_json_dict``
-    #: gains a ``metrics`` section).  Digest-NEUTRAL like the ``sim_*``
-    #: strategy fields: metrics describe how a run was executed and
-    #: observed, never what it computed — fingerprints and canonical
-    #: report shas are bit-identical on or off (test-gated).
+    #: gains a ``metrics`` section).  Digest-NEUTRAL: metrics describe how
+    #: a run was executed and observed, never what it computed —
+    #: fingerprints and canonical report shas are bit-identical on or off
+    #: (test-gated).
     obs_metrics: bool = False
     #: Record tracing spans (Chrome-trace timeline) through the pipeline
-    #: stages, engine and coordinator while this config's pipelines run.
+    #: stages and engine while this config's pipelines run.
     #: Digest-NEUTRAL, same contract as ``obs_metrics``.
     obs_spans: bool = False
 
@@ -129,12 +122,6 @@ class AnalysisConfig:
         for d in self.injected_delays:
             if not isinstance(d, DelayInjection):
                 raise ValueError(f"injected_delays entries must be DelayInjection, got {type(d).__name__}")
-        if self.sim_shards < 1:
-            raise ValueError("sim_shards must be >= 1")
-        if self.sim_executor not in ("auto", "inprocess", "process"):
-            raise ValueError(
-                "sim_executor must be 'auto', 'inprocess' or 'process'"
-            )
         if not isinstance(self.lint_fail_fast, bool):
             raise ValueError("lint_fail_fast must be a bool")
         if not isinstance(self.obs_metrics, bool):
@@ -163,8 +150,6 @@ class AnalysisConfig:
             "repetitions": self.repetitions,
             "aggregation": self.aggregation.value,
             "injected_delays": [dataclasses.asdict(d) for d in self.injected_delays],
-            "sim_shards": self.sim_shards,
-            "sim_executor": self.sim_executor,
             # non-default-only serialization keeps documents (and, for
             # lint_fail_fast, digests) written before these knobs existed
             # byte-identical to ones written today with the defaults
@@ -193,8 +178,6 @@ class AnalysisConfig:
             injected_delays=tuple(
                 DelayInjection(**d) for d in doc.get("injected_delays", ())
             ),
-            sim_shards=int(doc.get("sim_shards", 1)),
-            sim_executor=str(doc.get("sim_executor", "auto")),
             # passed through as loaded, so __post_init__ rejects a non-bool
             # such as "false" (which bool() would turn into True)
             lint_fail_fast=doc.get("lint_fail_fast", False),
@@ -214,23 +197,11 @@ class AnalysisConfig:
     def digest(self) -> str:
         """Stable content hash: the second third of the cache key.
 
-        The execution-strategy fields ``sim_shards`` and ``sim_executor``
-        are excluded: they change how a simulation is *executed*, not
-        what it computes — results are bit-identical across them — so
-        equal analyses share cache entries regardless of sharding, and
-        digests stay compatible with pre-sharding sessions.  Documents
-        that still carry a since-removed strategy knob load to the same
-        digest: ``from_dict`` ignores the key.  (Caveat, inherited
-        from the engine guarantee: a program whose ``MPI_ANY_SOURCE``
-        receives race distinct senders at *exactly* equal virtual times
-        has an MPI-ambiguous match that serial and sharded execution
-        tie-break differently — see :mod:`repro.simulator.parallel`; for
-        such a program a cached artifact reflects whichever strategy ran
-        first.)
+        Execution-strategy knobs never entered it, so documents that
+        still carry a since-removed one load to the same digest:
+        ``from_dict`` ignores the key.
         """
         doc = self.to_dict()
-        del doc["sim_shards"]
-        del doc["sim_executor"]
         # observability knobs are digest-neutral: attaching metrics or
         # recording spans never changes what a run computes, so obs-on
         # requests share cache entries with obs-off ones
@@ -255,8 +226,6 @@ class AnalysisConfig:
             network=self.network,
             seed=self.seed,
             injected_delays=list(self.injected_delays),
-            sim_shards=self.sim_shards,
-            sim_executor=self.sim_executor,
         )
         kwargs.update(overrides)
         return SimulationConfig(**kwargs)

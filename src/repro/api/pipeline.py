@@ -134,11 +134,7 @@ class StaticStage:
 class ProfileStage:
     """Step 2, ``ScalAna-prof``: simulate + sample at one or many scales.
 
-    Two orthogonal axes of parallelism: ``run_scales(jobs=N)`` fans
-    *different scales* over a thread pool, while
-    ``AnalysisConfig.sim_shards`` shards *each simulation* over multiple
-    engines (multi-core for one run — see
-    :mod:`repro.simulator.parallel`); both produce bit-identical runs.
+    ``run_scales(jobs=N)`` fans different scales over a thread pool.
     """
 
     name = "profile"

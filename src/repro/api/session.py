@@ -9,15 +9,8 @@ so anything the CLI profiled can warm a session and vice versa.
 The contract: *a cache hit performs zero new simulations*.  Analyzing the
 same app at the same scale with the same config twice simulates once;
 changing any config knob changes the config digest and re-simulates.
-Execution-strategy knobs are the exception: ``sim_shards`` /
-``sim_executor`` are excluded from the config digest (sharded runs are
-bit-identical to serial ones — see :mod:`repro.simulator.parallel`), so a
-profile cached by a serial run is a hit for a sharded request and vice
-versa.  The zero-simulation assertion holds under multiprocess execution
-too: a sharded run counts as exactly one simulation in the *coordinating*
-process's :func:`repro.simulator.simulation_call_count` (a miss is +1, a
-hit +0, wherever the shard engines execute), with per-shard engine runs
-reported in ``SimulationResult.parallel_stats.engine_runs``.
+The observability knobs are the exception: they are excluded from the
+config digest, because they never change what a run computes.
 ``Session.stats`` reports hits/misses, and
 :func:`repro.simulator.simulation_call_count` lets callers (and the test
 suite) assert the zero-simulation property directly.

@@ -65,10 +65,8 @@ __all__ = [
     "subscribe",
 ]
 
-#: Process-global instruments.  Workers forked by the multiprocessing
-#: executor inherit copies; their registries are shipped back explicitly
-#: as :class:`RunMetrics` snapshots in ``ShardFinal`` and merged by the
-#: coordinator, so the globals never need cross-process coherence.
+#: Process-global instruments.  Each run's own metrics travel as
+#: :class:`RunMetrics` snapshots, never through these globals.
 registry = MetricsRegistry()
 tracer = SpanRecorder()
 bus = EventBus()

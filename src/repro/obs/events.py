@@ -1,7 +1,7 @@
 """Streaming progress events: a tiny subscriber bus.
 
-Long-running drivers (``run_scales``, ``sweep``, ``run_lint_scales``, the
-sharded coordinator's round loop) emit structured progress events so a
+Long-running drivers (``run_scales``, ``sweep``, ``run_lint_scales``)
+emit structured progress events so a
 caller — the CLI ``--progress`` renderer today, a job server tomorrow —
 can watch a run live instead of polling for the final artifact.
 
@@ -16,7 +16,6 @@ kind                      data keys
 ``scale_finished``        nprocs, cached, seconds
 ``cache_hit``             digest, nprocs, hits, misses
 ``cache_miss``            digest, nprocs, hits, misses
-``round_completed``       round, messages, in_flight
 ``sweep_started``         apps, scales, cells
 ``cell_finished``         app, nprocs, cached, done, total
 ``sweep_finished``        cells, cache_hits, seconds
@@ -27,7 +26,7 @@ kind                      data keys
 
 The disabled path is one attribute check: ``emit`` returns immediately
 when there are no subscribers, so engines and drivers can emit
-unconditionally at round/scale granularity without a config knob.
+unconditionally at scale granularity without a config knob.
 """
 
 from __future__ import annotations

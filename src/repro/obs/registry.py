@@ -10,10 +10,9 @@ near-nothing when on.  Three consequences shape the API:
   registry once per run (:meth:`repro.simulator.Engine.metrics_snapshot`).
 * **Snapshot/merge semantics.**  A :class:`MetricsRegistry` is a live,
   mutable, thread-safe instrument store; a :class:`RunMetrics` is its
-  frozen, picklable snapshot.  Sharded multiprocessing workers ship
-  snapshots back in ``ShardFinal`` and the coordinator merges them exactly
-  like ``TraceBuffer.merge``: counters and histogram buckets sum exactly,
-  gauges keep the maximum.
+  frozen, picklable snapshot.  ``RunMetrics.merge`` folds the snapshots of
+  every simulation behind a report: counters and histogram buckets sum
+  exactly, gauges keep the maximum.
 * **Digest neutrality.**  Nothing here ever feeds a config digest or a
   run fingerprint: metrics describe how a run was *executed and observed*,
   not what it computed.
@@ -84,7 +83,7 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time value; merge keeps the maximum across shards."""
+    """A point-in-time value; merge keeps the maximum across snapshots."""
 
     __slots__ = ("value",)
 
@@ -101,7 +100,7 @@ class Histogram:
     ``bounds`` are the inclusive upper edges of the first ``len(bounds)``
     buckets; one implicit overflow bucket catches everything above the
     last bound, so ``counts`` has ``len(bounds) + 1`` entries.  Fixed
-    bounds are what make shard merges exact: same bounds, elementwise sum.
+    bounds are what make merges exact: same bounds, elementwise sum.
     """
 
     __slots__ = ("bounds", "counts", "total", "count", "_lock")
@@ -145,8 +144,8 @@ class Histogram:
 class RunMetrics:
     """A frozen, picklable snapshot of one registry.
 
-    This is what attaches to ``ProfileArtifact`` / ``DetectionReport``,
-    crosses the multiprocessing pipe in ``ShardFinal``, and lands in the
+    This is what attaches to ``ProfileArtifact`` / ``DetectionReport``
+    and lands in the
     ``metrics`` section of JSON reports.  Keys are :func:`series_key`
     strings; histogram values are plain dicts so the whole object is JSON
     without further encoding.
@@ -188,13 +187,13 @@ class RunMetrics:
         bounds = self.histograms[key]["bounds"]
         return bounds[min(i, len(bounds) - 1)]
 
-    # -- merge (the TraceBuffer.merge of metrics) ------------------------
+    # -- merge -------------------------------------------------------------
 
     @classmethod
     def merge(cls, parts: Iterable["RunMetrics | None"]) -> "RunMetrics":
         """Sum counters and histogram buckets exactly; gauges keep max.
 
-        ``None`` parts are skipped so callers can merge optional shard
+        ``None`` parts are skipped so callers can merge optional per-run
         metrics without filtering first.  Histogram merges require equal
         bounds — the registry is the only writer, so a mismatch is a
         programming error, reported loudly.

@@ -98,7 +98,7 @@ class PPG:
             )
         for edges in self._in_edges.values():
             # Total order over every field: the ranking is a pure function
-            # of the edge set, independent of the (serial-vs-sharded)
+            # of the edge set, independent of the (drain-dependent)
             # discovery order the edges dict was populated in.
             edges.sort(
                 key=lambda e: (

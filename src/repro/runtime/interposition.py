@@ -314,8 +314,8 @@ def collect_comm_dependence(
     Each event's keep/drop draw is derived from the seed plus the event's
     *content* (peers, vertices, timestamps), not from a sequential stream:
     the decision is then a pure function of the event, independent of
-    record order, so a sharded simulation — whose merged record order
-    differs from the serial engine's — samples the identical subset.
+    record order, so the two engine drains — whose global record orders
+    differ (see ``Engine.drain``) — sample the identical subset.
     (Events with fully identical content draw identically; for the
     Vetter-style overhead model that correlation is irrelevant.)
     """

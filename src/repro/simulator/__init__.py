@@ -21,10 +21,8 @@ from repro.simulator.costmodel import (
 from repro.simulator.engine import (
     DelayInjection,
     Engine,
-    ParallelRunStats,
     SimulationConfig,
     SimulationResult,
-    add_simulation_calls,
     simulate,
     simulation_call_count,
 )
@@ -79,10 +77,8 @@ __all__ = [
     "P2PRecord",
     "P2PRecordsView",
     "P2PTable",
-    "ParallelRunStats",
     "PerfCounters",
     "PostedRecv",
-    "add_simulation_calls",
     "Segment",
     "SegmentKind",
     "SimulationConfig",

@@ -115,7 +115,6 @@ def build_batched_streams(
     max_iterations: int,
     analysis: RankAnalysis,
     summary: SymmetrySummary,
-    local_ranks,
     expr_cache: dict,
     cost: CostModel,
     precost_compute: bool,
@@ -133,7 +132,6 @@ def build_batched_streams(
     per-rank path — it fans out as per-member concrete-source
     :class:`ops.DevirtRecvOp` instances instead.
     """
-    local = set(local_ranks)
     loc_index = op_stmt_index(program)
     template_cache: dict[int, StmtTemplate | IneligibleStmt] = {}
     frame_stmts = _frame_stmts(analysis, loc_index, template_cache)
@@ -147,9 +145,9 @@ def build_batched_streams(
     reasons: list[str] = []
 
     for cls in summary.classes:
-        members = [r for r in cls.ranks if r in local]
+        members = list(cls.ranks)
         if len(members) < 2:
-            continue  # nothing to batch (also: class not local to this shard)
+            continue  # nothing to batch
         rep = members[0]
         try:
             rep_stream, frame_values = _materialize(

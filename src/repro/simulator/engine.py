@@ -80,44 +80,27 @@ __all__ = [
     "DelayInjection",
     "SimulationConfig",
     "SimulationResult",
-    "ParallelRunStats",
     "Engine",
     "simulate",
     "simulation_call_count",
-    "add_simulation_calls",
-    "collective_completions",
 ]
 
 #: Process-wide count of started simulations, backed by the global
 #: metrics registry (series ``sim.engine_runs``).  The artifact cache's
 #: contract is "a cache hit performs zero new simulations" — this counter
 #: is how that contract is asserted (and how batch drivers report work
-#: actually done vs. served from cache).  ``simulation_call_count`` /
-#: ``add_simulation_calls`` remain as thin compatibility views.
+#: actually done vs. served from cache).  ``simulation_call_count`` remains
+#: as a thin compatibility view.
 _sim_runs = obs.registry.counter("sim.engine_runs")
 
 
 def simulation_call_count() -> int:
-    """How many logical simulations this process has started (monotonic).
+    """How many simulations this process has started (monotonic).
 
-    "Started" means *on behalf of* this process: a sharded run whose
-    engines execute inside worker processes still counts exactly once
-    here, in the coordinating process (``simulate_sharded`` increments
-    it), so `Session`'s cache assertions — a miss is +1, a hit +0 — keep
-    holding under multiprocess execution.  Per-shard engine runs are
-    reported separately in ``SimulationResult.parallel_stats``.
+    Every :func:`simulate` call counts once, so `Session`'s cache
+    assertions hold: a miss is +1, a hit +0.
     """
     return _sim_runs.value
-
-
-def add_simulation_calls(n: int = 1) -> None:
-    """Fold ``n`` logical simulation starts into this process's counter.
-
-    The seam drivers use when the engines backing a run execute outside
-    the normal :func:`simulate` path (the sharded coordinator counts its
-    run through this; :func:`simulate` itself does too).
-    """
-    _sim_runs.inc(n)
 
 
 @dataclass(frozen=True)
@@ -143,38 +126,10 @@ class SimulationConfig:
     record_segments: bool = True
     injected_delays: list[DelayInjection] = field(default_factory=list)
     entry: str = "main"
-    #: Partition the ranks over this many shard engines and run them as a
-    #: conservative parallel DES (see :mod:`repro.simulator.parallel`).
-    #: 1 = the classic serial engine.  Results are bit-identical either
-    #: way; only wall-clock changes.
-    sim_shards: int = 1
-    #: How shard engines execute: "inprocess" (deterministic single-thread
-    #: scheduler — tests, debugging), "process" (multiprocessing workers),
-    #: or "auto" (process when >1 CPU is available, else inprocess).
-    sim_executor: str = "auto"
 
     def __post_init__(self) -> None:
         if self.nprocs < 1:
             raise ValueError("nprocs must be >= 1")
-        if self.sim_shards < 1:
-            raise ValueError("sim_shards must be >= 1")
-        if self.sim_executor not in ("auto", "inprocess", "process"):
-            raise ValueError(
-                "sim_executor must be 'auto', 'inprocess' or 'process'"
-            )
-
-
-@dataclass(frozen=True)
-class ParallelRunStats:
-    """Execution provenance of one sharded run (absent for serial runs)."""
-
-    shards: int
-    executor: str
-    rounds: int
-    messages_routed: int
-    #: Shard engine runs performed (one per shard), aggregated from the
-    #: shard finals so a lost worker cannot go unnoticed.
-    engine_runs: int
 
 
 @dataclass
@@ -194,11 +149,9 @@ class SimulationResult:
     indirect_notes: list[IndirectNote]
     mpi_call_count: int
     compute_count: int
-    #: Set when the run was produced by the sharded parallel executor.
-    parallel_stats: ParallelRunStats | None = None
     #: Execution metrics of this run (engine.* counters, per-rank finish
-    #: histogram; parallel.* series for sharded runs).  Built once at
-    #: finish/finalize time from aggregates the engine keeps anyway —
+    #: histogram).  Built once at finish time from aggregates the engine
+    #: keeps anyway —
     #: never from per-event hot-loop work — and digest-neutral: nothing
     #: here feeds fingerprints or report shas.
     metrics: obs.RunMetrics | None = None
@@ -281,7 +234,7 @@ class _Request:
 class _Proc:
     __slots__ = (
         "pid", "gen", "clock", "status", "token", "blocked_on", "block_start",
-        "requests", "waitall_reqs", "op_index",
+        "requests", "waitall_reqs",
     )
 
     def __init__(self, pid: int, gen: Iterator[ops.Op]) -> None:
@@ -296,55 +249,32 @@ class _Proc:
         self.requests: dict[str, list[_Request]] = {}
         #: requests captured by an in-progress waitall
         self.waitall_reqs: list[_Request] = []
-        #: Monotone rank-local mailbox-op counter (sends + recv posts).
-        #: Deterministic across executions — the parallel subsystem uses
-        #: ``(time, pid, op_index)`` as the canonical order of mailbox
-        #: operations, where the serial engine's order is emergent.
-        self.op_index = 0
 
 
 class Engine:
-    """Runs one MiniMPI program at one scale and produces ground truth.
-
-    ``local_ranks`` restricts the engine to a subset of the ranks: only
-    those get interpreters, mailboxes and heap entries.  The serial engine
-    always owns all ranks; the sharded executor instantiates one engine
-    per shard and wires the cross-shard seams (send routing, collective
-    participation, wildcard ordering) in the
-    :class:`repro.simulator.parallel.shard.ShardEngine` subclass.
-    """
+    """Runs one MiniMPI program at one scale and produces ground truth."""
 
     def __init__(
-        self,
-        program: ast.Program,
-        psg: PSG,
-        config: SimulationConfig,
-        *,
-        local_ranks: range | None = None,
+        self, program: ast.Program, psg: PSG, config: SimulationConfig
     ) -> None:
         self.program = program
         self.psg = psg
         self.config = config
-        self.local_ranks = (
-            range(config.nprocs) if local_ranks is None else local_ranks
-        )
         self.cost = CostModel(config.machine, config.network, seed=config.seed)
         #: hoisted per-call MPI overheads — constants of the network model
         #: (pure ``call_overhead`` reads), queried once instead of per event
         self._send_ovh = self.cost.send_overhead()
         self._recv_ovh = self.cost.recv_overhead()
         self.tracker = CollectiveTracker(config.nprocs)
-        self.mailboxes: dict[int, Mailbox] = {
-            r: Mailbox(r) for r in self.local_ranks
-        }
-        #: pid -> _Proc (None for ranks owned by another shard)
-        self.procs: list[_Proc | None] = [None] * config.nprocs
+        self.mailboxes = [Mailbox(r) for r in range(config.nprocs)]
+        #: pid -> _Proc (filled by :meth:`start`)
+        self.procs: list[_Proc] = []
         #: runnable-rank queue, entries (clock, token, pid); stale
         #: entries (superseded token / non-READY proc) are pruned lazily
         #: by the queue itself via the _entry_live predicate
         self._queue = BinaryHeapQueue(live=self._entry_live)
-        #: per-instance handler dispatch: bound methods, so subclasses can
-        #: override individual op handlers without touching the hot loop
+        #: per-instance handler dispatch: bound methods, one dict lookup
+        #: per op
         self._handlers = {
             op_type: getattr(self, name)
             for op_type, name in _HANDLER_NAMES.items()
@@ -385,27 +315,21 @@ class Engine:
         #: rank partition, or an optimizer analysis that raised
         self.class_batch_reasons: tuple[str, ...] = ()
         #: wildcard devirtualization outcome: ``devirt`` counts rewritten
-        #: receive executions, ``gate_skips`` counts devirtualized
-        #: receives a sharded engine serviced on the fast path where the
-        #: as-written op would have held the ANY-source ordering gate
-        self.wildcard_stats: dict[str, int] = {"devirt": 0, "gate_skips": 0}
+        #: receive executions
+        self.wildcard_stats: dict[str, int] = {"devirt": 0}
 
     # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
 
     def run(self) -> SimulationResult:
-        with obs.span(
-            "engine.run",
-            nprocs=self.config.nprocs,
-            ranks=len(self.local_ranks),
-        ):
+        with obs.span("engine.run", nprocs=self.config.nprocs):
             self.start()
             self.drain()
             return self.finish()
 
     def start(self) -> None:
-        """Create the interpreters and make every local rank runnable."""
+        """Create the interpreters and make every rank runnable."""
         cfg = self.config
         # One compiled-expression cache shared by every rank: the AST is
         # rank-independent, so each expression compiles exactly once.
@@ -420,7 +344,7 @@ class Engine:
         self._run_to_block = (
             len(batched) == cfg.nprocs and cfg.record_segments
         )
-        for pid in self.local_ranks:
+        for pid in range(cfg.nprocs):
             stream = batched.get(pid)
             if stream is not None:
                 # Class-batched rank: its whole op stream was derived from
@@ -442,22 +366,22 @@ class Engine:
                 if devirt:
                     gen = _devirt_stream(gen, pid, devirt)
             proc = _Proc(pid, gen)
-            self.procs[pid] = proc
+            self.procs.append(proc)
             self._push(proc)
 
     def _rank_analysis(self):
         """Whole-program rank-dependence analysis, or ``None``.
 
-        An auxiliary optimizer: with fewer than two local ranks there is
+        An auxiliary optimizer: with fewer than two ranks there is
         nothing to batch, and an analysis that raises steps
         aside (recorded in ``class_batch_reasons``) so every rank runs
         through its own interpreter — the per-rank path that is the
         bit-identity oracle."""
-        if len(self.local_ranks) < 2:
+        cfg = self.config
+        if cfg.nprocs < 2:
             return None
         from repro.analysis.rankdep import analyze_program
 
-        cfg = self.config
         try:
             return analyze_program(
                 self.program, cfg.nprocs, cfg.params, entry=cfg.entry
@@ -526,7 +450,6 @@ class Engine:
                 max_iterations=cfg.max_iterations,
                 analysis=analysis,
                 summary=summary,
-                local_ranks=self.local_ranks,
                 expr_cache=expr_cache,
                 devirt=devirt,
                 cost=self.cost,
@@ -548,36 +471,37 @@ class Engine:
         self.class_batch_reasons += result.fallback_reasons
         return result.streams
 
-    def drain(self, horizon: float | None = None) -> None:
+    def drain(self) -> None:
         """Run runnable ranks until none is runnable.
 
-        Without a horizon this is the serial main loop: it returns when no
-        rank is runnable (all done, or all blocked — a deadlock the caller
-        diagnoses via :meth:`finish`).  With a horizon (the parallel
-        executor's conservative window bound) ranks only step while their
-        clock stays below it; anything at or past the horizon stays parked
-        in the queue for the next window.
+        It returns when no rank is runnable: all done, or all blocked — a
+        deadlock the caller diagnoses via :meth:`finish`.
 
         Two loops serve it.  The time-ordered loop always steps the rank
-        with the smallest clock; it serves windows, ring mode and any run
-        with a per-rank class, and it is the loop the per-rank oracle runs.
-        When :meth:`start` found every rank class-batched and segments
-        recorded, a horizon-less drain runs each ready rank until it blocks
-        or finishes instead, with no heap between ops.  That is sound
-        because every receive source is then concrete: MPI's
-        non-overtaking rule fixes each match from per-rank program order,
-        so (Kahn's determinacy of process networks) every clock and every
-        row value is independent of the interleaving.  Only the global row
-        order of the trace tables changes; consumers read per-rank order
-        (see :meth:`TraceBuffer.merge`).
+        with the smallest clock; it serves ring mode and any run with a
+        per-rank class, and it is the loop the per-rank oracle runs.  When
+        :meth:`start` found every rank class-batched and segments recorded,
+        the drain runs each ready rank until it blocks or finishes instead,
+        with no heap between ops.  That is sound because every receive
+        source is then concrete: MPI's non-overtaking rule fixes each match
+        from per-rank program order, so (Kahn's determinacy of process
+        networks) every clock and every row value is independent of the
+        interleaving.
+
+        Only the global row order of the trace tables changes, so only
+        per-rank row order is contract.  The interleaving of different
+        ranks' event rows, the order of P2P and collective rows, and a
+        collective record's participant order may differ between the two
+        loops; consumers that compare or fold across ranks re-sort (by
+        rank, then per-rank order) rather than rely on global row order.
 
         Which rank errs first does depend on the interleaving, so an error
         raised while running to block is replaced by the one a fresh
         engine raises through the time-ordered loop.  A deadlock needs no
         replay: the blocked set and its clocks are interleaving-free.
         """
-        if horizon is not None or not self._run_to_block:
-            self._drain_time_ordered(horizon)
+        if not self._run_to_block:
+            self._drain_time_ordered()
             return
         try:
             self._drain_to_block()
@@ -585,19 +509,18 @@ class Engine:
             replay = type(self)(self.program, self.psg, self.config)
             replay.start()
             try:
-                replay._drain_time_ordered(None)
+                replay._drain_time_ordered()
             except (SimulationError, CollectiveMismatchError) as oracle:
                 raise oracle from None
             raise
 
-    def _drain_time_ordered(self, horizon: float | None) -> None:
-        """Step the globally minimal rank until none is runnable (below
-        ``horizon``, when given)."""
+    def _drain_time_ordered(self) -> None:
+        """Step the globally minimal rank until none is runnable."""
         queue = self._queue
         procs = self.procs
-        entry = queue.pop(horizon)
+        entry = queue.pop()
         while entry is not None:
-            entry = self._step(procs[entry[2]], horizon)
+            entry = self._step(procs[entry[2]])
 
     def _drain_to_block(self) -> None:
         """Run each ready rank until it blocks or finishes; a woken rank
@@ -627,45 +550,25 @@ class Engine:
             else:
                 proc.status = _Status.DONE
 
-    def next_event_time(self) -> float:
-        """Clock of the earliest runnable rank (inf when none is runnable).
-
-        A lower bound on the timestamp of anything this engine can still
-        do without new external input — the quantity conservative windows
-        are built from.
-        """
-        return self._queue.min_time()
-
     def _entry_live(self, entry: tuple) -> bool:
         """Queue staleness predicate: does this entry still schedule its
         proc?  (Superseded tokens and parked/finished procs do not.)"""
         proc = self.procs[entry[2]]
         return proc.status is _Status.READY and proc.token == entry[1]
 
-    def blocked_procs(self) -> list["_Proc"]:
-        return [
-            p for p in self.procs
-            if p is not None and p.status is _Status.BLOCKED
-        ]
-
-    def finish(self, *, check_deadlock: bool = True) -> SimulationResult:
-        """Diagnose deadlock and assemble the result for the local ranks."""
+    def finish(self) -> SimulationResult:
+        """Diagnose deadlock and assemble the run's result."""
         cfg = self.config
-        if check_deadlock:
-            blocked = self.blocked_procs()
-            if blocked:
-                raise DeadlockError(
-                    f"deadlock: {len(blocked)} of {cfg.nprocs} ranks blocked",
-                    [self._describe_block(p) for p in blocked],
-                )
-        finish = [0.0] * cfg.nprocs
-        for pid in self.local_ranks:
-            finish[pid] = self.procs[pid].clock
-
+        blocked = [p for p in self.procs if p.status is _Status.BLOCKED]
+        if blocked:
+            raise DeadlockError(
+                f"deadlock: {len(blocked)} of {cfg.nprocs} ranks blocked",
+                [self._describe_block(p) for p in blocked],
+            )
         return SimulationResult(
             nprocs=cfg.nprocs,
             config=cfg,
-            finish_times=finish,
+            finish_times=[proc.clock for proc in self.procs],
             trace=self.trace,
             indirect_notes=self.indirect_notes,
             mpi_call_count=self.mpi_call_count,
@@ -676,7 +579,7 @@ class Engine:
     def fill_metrics(self, reg: obs.MetricsRegistry) -> None:
         """Fold this engine's run aggregates into ``reg``.
 
-        Called exactly once per run, at finish/finalize time — every value
+        Called exactly once per run, at finish time — every value
         comes from an aggregate the engine maintains anyway (op counters,
         columnar table row counts, per-rank clocks), so the hot loop pays
         nothing for observability, on or off.
@@ -689,8 +592,8 @@ class Engine:
         reg.counter("engine.collectives").inc(
             self.trace.collectives.row_count
         )
-        # strategy-dependent, like parallel.rounds: a sharded run neither
-        # runs to block nor hands off as often as the serial one
+        # drain-dependent: the run-to-block drain hands off less often
+        # than the time-ordered one
         reg.counter("engine.run_to_block").inc(int(self._ready is not None))
         reg.counter("engine.rank_handoffs").inc(self._handoffs)
         stats = self.class_batch_stats
@@ -699,14 +602,10 @@ class Engine:
             stats["ranks_batched"]
         )
         reg.counter("sim.class_batch.fallbacks").inc(stats["fallbacks"])
-        wstats = self.wildcard_stats
-        reg.counter("sim.wildcard.devirt").inc(wstats["devirt"])
-        reg.counter("sim.wildcard.gate_skips").inc(wstats["gate_skips"])
+        reg.counter("sim.wildcard.devirt").inc(self.wildcard_stats["devirt"])
         hist = reg.histogram("engine.rank_finish_seconds")
-        for pid in self.local_ranks:
-            proc = self.procs[pid]
-            if proc is not None:
-                hist.observe(proc.clock)
+        for proc in self.procs:
+            hist.observe(proc.clock)
 
     def metrics_snapshot(self) -> obs.RunMetrics:
         """This run's execution metrics as a frozen, picklable snapshot."""
@@ -758,10 +657,10 @@ class Engine:
     # stepping one process
     # ------------------------------------------------------------------
 
-    def _step(self, proc: _Proc, horizon: float | None = None) -> tuple | None:
-        """Run ``proc`` op-by-op while it stays the globally minimal clock
-        (and, in windowed mode, below the horizon); returns the queue entry
-        of the next rank to serve (None when the drain is over)."""
+    def _step(self, proc: _Proc) -> tuple | None:
+        """Run ``proc`` op-by-op while it stays the globally minimal clock;
+        returns the queue entry of the next rank to serve (None when the
+        drain is over)."""
         queue_pop = self._queue.pop
         handlers = self._handlers
         gen_next = proc.gen.__next__
@@ -770,18 +669,12 @@ class Engine:
                 op = gen_next()
             except StopIteration:
                 proc.status = _Status.DONE
-                return queue_pop(horizon)
+                return queue_pop()
             handler = handlers.get(type(op))
             if handler is None:
                 raise SimulationError(f"engine cannot handle {type(op).__name__}")
-            parked = handler(proc, op)
-            if parked:
-                return queue_pop(horizon)
-            if horizon is not None and proc.clock >= horizon:
-                # Window edge: the proc crossed the conservative horizon —
-                # park it for the next window.
-                self._push(proc)
-                return queue_pop(horizon)
+            if handler(proc, op):
+                return queue_pop()
             # Anti-churn check: keep stepping while this proc is still the
             # globally minimal clock.  One fused queue op does it all:
             # pop-below-own-clock prunes stale entries on the way (so a
@@ -811,12 +704,10 @@ class Engine:
         self.mpi_call_count += 1
         start = proc.clock
         proc.clock = start + op.overhead
-        proc.op_index += 1
         msg = Message(
             proc.pid, op.dest, op.tag, op.nbytes,
             start, start + op.transfer, op.vid,
         )
-        msg.src_seq = proc.op_index
         if op.request is not None:  # isend: completes locally right away
             proc.requests.setdefault(op.request, []).append(
                 _Request(name=op.request, kind="send", post_time=start, vid=op.vid)
@@ -824,7 +715,9 @@ class Engine:
         self._trace_append(
             proc.pid, op.vid, 1, start, proc.clock, 0.0, op.op_code
         )
-        self._route_send(msg)
+        match = self.mailboxes[op.dest].deliver(msg)
+        if match is not None:
+            self._complete_match(match)
         return False
 
     def _handle_precosted_compute_op(
@@ -905,13 +798,11 @@ class Engine:
         self.mpi_call_count += 1
         start = proc.clock
         proc.clock = start + self._send_ovh
-        proc.op_index += 1
         # positional: this constructor runs once per message sent
         msg = Message(
             proc.pid, op.dest, op.tag, op.nbytes,
             start, start + self.cost.p2p_transfer(op.nbytes), op.vid,
         )
-        msg.src_seq = proc.op_index
         if op.request is not None:  # isend: completes locally right away
             proc.requests.setdefault(op.request, []).append(
                 _Request(name=op.request, kind="send", post_time=start, vid=op.vid)
@@ -919,19 +810,12 @@ class Engine:
         self._trace_append(
             proc.pid, op.vid, 1, start, proc.clock, 0.0, MPI_OP_CODES[op.mpi_op]
         )
-        self._route_send(msg)
-
-    def _route_send(self, msg: Message) -> None:
-        """Hand a freshly posted message to its destination mailbox.  The
-        sharded engine overrides this to divert cross-shard traffic into
-        its outbox."""
-        match = self.mailboxes[msg.dest].deliver(msg)
+        match = self.mailboxes[op.dest].deliver(msg)
         if match is not None:
             self._complete_match(match)
 
     def _handle_recv(self, proc: _Proc, op: ops.RecvOp) -> bool:
         self.mpi_call_count += 1
-        proc.op_index += 1
         recv = PostedRecv(
             rank=proc.pid,
             src=op.src,
@@ -972,8 +856,7 @@ class Engine:
         """A wildcard receive rewritten to its proven-unique concrete
         source (see :meth:`_devirt_map`).  Identical to
         :meth:`_handle_recv` — which keeps the wildcard sentinel in trace
-        rows via ``PostedRecv.wild_src`` — except the rewrite is counted;
-        the sharded engine additionally counts skipped gate holds."""
+        rows via ``PostedRecv.wild_src`` — except the rewrite is counted."""
         self.wildcard_stats["devirt"] += 1
         return self._handle_recv(proc, op)
 
@@ -1159,31 +1042,27 @@ class Engine:
         return False
 
     def _apply_collective(
-        self, record: CollectiveRecord, cost: float, arriving: _Proc | None
+        self, record: CollectiveRecord, cost: float, arriving: _Proc
     ) -> None:
-        """Record the per-rank collective rows and release the local ranks.
+        """Record the per-rank collective rows and release the ranks.
 
         ``arriving`` is the rank whose arrival completed the instance (it
-        is still READY and mid-step); everyone else local is parked and
-        gets woken.  The sharded engine calls this with ``arriving=None``
-        when a coordinator-completed instance is applied: all its local
-        participants are parked then.
+        is still READY and mid-step); everyone else is parked and gets
+        woken.
         """
         op_code = MPI_OP_CODES[record.mpi_op]
         completions = record.completions
         for rank, arrival in record.arrivals.items():
-            other = self.procs[rank]
-            if other is None:
-                continue  # rank lives on another shard
             vid = record.vids[rank]
             completion = completions[rank]
             wait = max(0.0, completion - arrival - cost)
             self._trace_append(
                 rank, vid, 1, arrival, completion, wait, op_code
             )
-            if arriving is not None and rank == arriving.pid:
+            if rank == arriving.pid:
                 arriving.clock = completion
             else:
+                other = self.procs[rank]
                 assert other.status is _Status.BLOCKED
                 other.blocked_on = None
                 other.clock = completion
@@ -1227,8 +1106,7 @@ def _devirt_stream(gen, pid: int, devirt: dict):
 
 
 #: Op-type dispatch for the hot loop: bound per instance in ``__init__``
-#: (one dict lookup + bound call per op, and subclass overrides are
-#: honoured automatically).
+#: (one dict lookup + bound call per op).
 _HANDLER_NAMES = {
     ops.ComputeOp: "_handle_compute_op",
     ops.PrecostedComputeOp: "_handle_precosted_compute_op",
@@ -1243,16 +1121,12 @@ _HANDLER_NAMES = {
 }
 
 
-def collective_completions(
+def build_collective_record(
     inst, cost_model: CostModel, nprocs: int
-) -> tuple[dict[int, float], float]:
-    """Per-rank completion times of a fully-arrived collective instance.
-
-    Pure function of the arrival data and the cost model — shared by the
-    serial engine (which completes instances inline) and the parallel
-    coordinator (which completes instances spanning shards), so both paths
-    compute bit-identical timestamps.
-    """
+) -> tuple[CollectiveRecord, float]:
+    """The :class:`CollectiveRecord` of a fully-arrived instance and the
+    collective's cost: per-rank completion times are a pure function of
+    the arrival data and the cost model."""
     cost = cost_model.collective_cost(inst.mpi_op, nprocs, inst.nbytes)
     max_arrival = inst.max_arrival
     root_arrival = inst.root_arrival
@@ -1268,14 +1142,6 @@ def collective_completions(
             )
         else:  # synchronizing collectives
             completions[rank] = max_arrival + cost
-    return completions, cost
-
-
-def build_collective_record(
-    inst, cost_model: CostModel, nprocs: int
-) -> tuple[CollectiveRecord, float]:
-    """The :class:`CollectiveRecord` of a fully-arrived instance."""
-    completions, cost = collective_completions(inst, cost_model, nprocs)
     record = CollectiveRecord(
         index=inst.index,
         mpi_op=inst.mpi_op,
@@ -1289,15 +1155,7 @@ def build_collective_record(
 
 
 def simulate(program: ast.Program, psg: PSG, config: SimulationConfig) -> SimulationResult:
-    """Convenience wrapper: run one simulation to completion.
-
-    Dispatches to the sharded parallel executor when the config asks for
-    more than one shard (``sim_shards > 1``); results are bit-identical
-    either way.
-    """
-    if config.sim_shards > 1 and config.nprocs > 1:
-        from repro.simulator.parallel import simulate_sharded
-
-        return simulate_sharded(program, psg, config)  # counts itself
-    add_simulation_calls(1)
+    """Convenience wrapper: run one simulation to completion (counted by
+    :func:`simulation_call_count`)."""
+    _sim_runs.inc()
     return Engine(program, psg, config).run()

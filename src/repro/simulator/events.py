@@ -18,8 +18,7 @@ materialize one of these objects per access, so per-record call sites keep
 working while vectorized consumers read the column arrays directly.  A
 :class:`CollectiveRecord` also still travels by value: the engine builds
 one transient instance per completed collective to apply the per-rank
-completions (and the sharded coordinator broadcasts it to the shards)
-before it is appended to the table.
+completions before it is appended to the table.
 """
 
 from __future__ import annotations

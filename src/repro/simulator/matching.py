@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 
 from repro.simulator.ops import ANY
 
@@ -59,11 +59,6 @@ class Message:
     arrival: float
     send_vid: int
     seq: int = field(default_factory=_msg_counter.__next__)
-    #: Sender-local op index at send time (deterministic across executions,
-    #: unlike ``seq`` which is a process-global counter).  Set by the
-    #: engine; the parallel subsystem orders cross-shard traffic by the
-    #: canonical key ``(send_time, src, src_seq)``.
-    src_seq: int = -1
 
 
 @dataclass(slots=True)
@@ -193,7 +188,7 @@ class Mailbox:
                 self._pending_count -= 1
                 return Match(message=msg, recv=recv)
         elif self._pending_count:
-            best = self._min_pending(recv, lambda stamp_msg: stamp_msg[0])
+            best = self._min_pending(recv)
             if best is not None:
                 return Match(message=best, recv=recv)
         key = (src, tag)
@@ -207,92 +202,29 @@ class Mailbox:
             self._wild_posted += 1
         return None
 
-    # -- canonical selection (parallel shards) ----------------------------
-
-    def take_pending(
-        self,
-        recv: PostedRecv,
-        key: Callable[[Message], tuple],
-        bound: tuple | None = None,
-    ) -> Match | None:
-        """Match ``recv`` against the eligible pending message minimizing
-        ``key(message)`` (instead of insertion order).
-
-        Used by the sharded engine when it resolves a held wildcard
-        receive: cross-shard messages may have been inserted out of send
-        order, so the selection re-derives the serial engine's
-        earliest-sent-wins rule from the canonical message key
-        ``(send_time, src, src_seq)`` rather than from insertion stamps.
-        With a ``bound``, a candidate whose key is not strictly below it is
-        left untouched (the conservative window cannot yet prove no
-        earlier-keyed message is still in flight).
-        """
-        best = self._min_pending(
-            recv, lambda stamp_msg: key(stamp_msg[1]), bound=bound
-        )
-        if best is None:
-            return None
-        return Match(message=best, recv=recv)
-
-    def remove_pending(self, msg: Message) -> None:
-        """Withdraw one pending message (the sharded engine rewinds
-        canonically-future messages into a gate's replay queue)."""
-        key = (msg.src, msg.tag)
-        bucket = self._pending.get(key)
-        if bucket is None:
-            raise ValueError(f"message {msg.seq} is not pending")
-        for i, (_stamp, m) in enumerate(bucket):
-            if m is msg:
-                del bucket[i]
-                break
-        else:
-            raise ValueError(f"message {msg.seq} is not pending")
-        if not bucket:
-            del self._pending[key]
-        self._pending_count -= 1
-
-    def post_unmatched(self, recv: PostedRecv) -> None:
-        """Insert ``recv`` into the posted buckets without attempting a
-        match (the sharded engine posts a resolved-but-unmatched wildcard
-        receive this way: its candidate scan already ran under the
-        canonical key)."""
-        key = (recv.src, recv.tag)
-        bucket = self._posted.get(key)
-        if bucket is None:
-            bucket = self._posted[key] = deque()
-        bucket.append((self._next_stamp(), recv))
-        self._posted_count += 1
-        if key[0] is ANY or key[1] is ANY:
-            self._wild_posted += 1
-
-    def _min_pending(
-        self, recv: PostedRecv, rank_fn, bound: tuple | None = None
-    ) -> Message | None:
-        """Pop and return the eligible pending message minimizing
-        ``rank_fn((stamp, msg))``, or None.  Only bucket heads can win:
-        buckets are FIFO and a recv is either eligible for a whole
-        ``(src, tag)`` bucket or for none of it."""
+    def _min_pending(self, recv: PostedRecv) -> Message | None:
+        """Pop and return the earliest-inserted pending message a wildcard
+        ``recv`` accepts, or None.  Only bucket heads can win: buckets are
+        FIFO and a recv is either eligible for a whole ``(src, tag)``
+        bucket or for none of it."""
         pending = self._pending
         src, tag = recv.src, recv.tag
-        if src is not ANY and tag is not ANY:
-            keys: Iterator = iter(((src, tag),))
-        elif src is not ANY:
+        keys: Iterator
+        if src is not ANY:
             keys = (k for k in pending if k[0] == src)
         elif tag is not ANY:
             keys = (k for k in pending if k[1] == tag)
         else:
             keys = iter(list(pending))
         best_key = None
-        best_rank = None
+        best_stamp = -1
         for k in keys:
             bucket = pending.get(k)
             if bucket:
-                r = rank_fn(bucket[0])
-                if best_key is None or r < best_rank:
-                    best_key, best_rank = k, r
+                stamp = bucket[0][0]
+                if best_key is None or stamp < best_stamp:
+                    best_key, best_stamp = k, stamp
         if best_key is None:
-            return None
-        if bound is not None and best_rank >= bound:
             return None
         bucket = pending[best_key]
         _, msg = bucket.popleft()
@@ -301,20 +233,12 @@ class Mailbox:
         self._pending_count -= 1
         return msg
 
-    def _next_stamp(self) -> int:
-        self._stamp += 1
-        return self._stamp
-
     # -- introspection ----------------------------------------------------
 
     def outstanding(self) -> tuple[int, int]:
         """(pending messages, posted receives) — both non-zero only
         transiently inside an engine step."""
         return self._pending_count, self._posted_count
-
-    def has_wildcard_posted(self) -> bool:
-        """Is any posted (unmatched) receive declared with ANY source?"""
-        return any(k[0] is ANY for k in self._posted)
 
     def pending_messages(self) -> list[Message]:
         """All pending messages in insertion order (diagnostics only)."""

@@ -117,10 +117,10 @@ class DevirtRecvOp(RecvOp):
     analysis proves exactly one sender rank can ever match an
     ``ANY``-source receive, the receive is re-issued with that concrete
     ``src``.  The distinct type keeps the rewrite observable: trace rows
-    still record the wildcard sentinel (the program *wrote* ``ANY``), the
-    engine counts devirtualizations, and sharded runs skip the
-    ANY-source ordering gate — all bit-identical to the undevirtualized
-    path, which the proof guarantees and the identity sweep gates.
+    still record the wildcard sentinel (the program *wrote* ``ANY``) and
+    the engine counts devirtualizations — bit-identical to the
+    undevirtualized path, which the proof guarantees and the identity
+    sweep gates.
     """
 
 

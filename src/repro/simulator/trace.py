@@ -15,10 +15,9 @@ the same object tax — the buffer also owns two sibling record tables:
   participant data stored as offset-indexed flat arrays.
 
 Both tables append via C-level flat-list extends in the engine hot path,
-seal into ndarray chunks at :data:`CHUNK_EVENTS` boundaries, concatenate
-across shards in :meth:`TraceBuffer.merge`, and serialize alongside the
-event columns in :meth:`TraceBuffer.to_doc`.  Consumers read them as named
-column arrays (:meth:`P2PTable.columns`) or as lazy
+seal into ndarray chunks at :data:`CHUNK_EVENTS` boundaries, and serialize
+alongside the event columns in :meth:`TraceBuffer.to_doc`.  Consumers read
+them as named column arrays (:meth:`P2PTable.columns`) or as lazy
 :class:`~repro.simulator.events.P2PRecord` /
 :class:`~repro.simulator.events.CollectiveRecord` row views
 (:meth:`P2PTable.records`), mirroring how ``SimulationResult.segments``
@@ -419,21 +418,7 @@ class P2PTable:
     def records(self) -> P2PRecordsView:
         return P2PRecordsView(self)
 
-    # -- merge / serialization ------------------------------------------
-
-    @classmethod
-    def merge(cls, parts: list["P2PTable"]) -> "P2PTable":
-        """One table from per-shard tables, concatenated in ``parts`` order."""
-        table = cls()
-        for part in parts:
-            part.seal()
-            for imat, fmat in zip(part._ichunks, part._fchunks):
-                table._chunk_rows.append(table._sealed_rows)
-                table._ichunks.append(imat)
-                table._fchunks.append(fmat)
-                table._sealed_rows += len(imat)
-            table._count = table._sealed_rows
-        return table
+    # -- serialization ----------------------------------------------------
 
     def to_doc(self) -> dict:
         imat, fmat = self._matrices()
@@ -639,21 +624,7 @@ class CollectiveTable:
     def records(self) -> CollectiveRecordsView:
         return CollectiveRecordsView(self)
 
-    # -- merge / serialization ------------------------------------------
-
-    @classmethod
-    def merge(cls, parts: list["CollectiveTable"]) -> "CollectiveTable":
-        table = cls()
-        for part in parts:
-            part.seal()
-            table._chunks.extend(part._chunks)
-            table._pchunks.extend(part._pchunks)
-            base = table._offsets[-1]
-            table._offsets.extend(base + off for off in part._offsets[1:])
-            table._count += part._count
-            table._sealed_rows = table._count
-            table._sealed_parts = table._offsets[-1]
-        return table
+    # -- serialization ----------------------------------------------------
 
     def to_doc(self) -> dict:
         mat, pmat = self._matrices()
@@ -683,7 +654,19 @@ class CollectiveTable:
 
 
 class TraceBuffer:
-    """Struct-of-arrays recording of one simulation's timeline events."""
+    """Struct-of-arrays recording of one simulation's timeline events.
+
+    Only per-rank row order is contract: every rank's events (and its P2P
+    and collective rows) appear in that rank's execution order, but the
+    global interleaving of different ranks' rows depends on the drain
+    (see ``Engine.drain``).  The per-(rank, vid) ``np.bincount`` sums
+    accumulate per key in per-rank order, and
+    :func:`repro.runtime.sampling.sample_result` re-sorts rank-major
+    before accumulating, so aggregates and profiles do not depend on the
+    interleaving.  Any consumer that reads the global row order of the
+    event, P2P or collective tables (or a collective's participant order)
+    must re-sort it first.
+    """
 
     __slots__ = (
         "keep_events",
@@ -862,17 +845,6 @@ class TraceBuffer:
         sealed += sum(c.nbytes for c in self._cchunks)
         return sealed + 8 * (len(self._pending) + len(self._cpending))
 
-    def seal(self) -> None:
-        """Seal every pending flat list into ndarray chunks.
-
-        Called before a shard's buffer crosses a process boundary so what
-        gets pickled is packed column arrays, not Python lists.
-        """
-        self._seal_events()
-        self._seal_counters()
-        self.p2p.seal()
-        self.collectives.seal()
-
     def _event_matrix(self) -> np.ndarray:
         self._seal_events()
         if not self._chunks:
@@ -1040,56 +1012,6 @@ class TraceBuffer:
                 )
         self._counter_agg = out
         return self._counter_agg
-
-    # ------------------------------------------------------------------
-    # merging (parallel shards)
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def merge(cls, parts: list["TraceBuffer"]) -> "TraceBuffer":
-        """One TraceBuffer from per-shard buffers, in ``parts`` order.
-
-        The merged event table is the shard tables concatenated (shard 0's
-        events, then shard 1's, ...).  Each shard records only its own
-        ranks and every rank's events stay in that rank's execution order,
-        which is the invariant every consumer depends on: the per-(rank,
-        vid) ``np.bincount`` sums accumulate per key in per-rank order, and
-        :func:`repro.runtime.sampling.sample_result` re-sorts rank-major
-        before accumulating — so aggregates and profiles are bit-identical
-        to a serial run's, even though the global interleaving differs.
-        The serial engine's run-to-block drain (``Engine.drain``) leans on
-        the same contract: only per-rank row order is fixed, so any
-        consumer that reads the global row order of the event, P2P or
-        collective tables (or a collective's participant order) must
-        re-sort it first.
-
-        Ring-mode buffers (``keep_events=False``) merge their folded
-        per-vertex aggregates instead; the key spaces are disjoint because
-        a rank lives on exactly one shard.
-        """
-        if not parts:
-            return cls()
-        keep = parts[0].keep_events
-        if any(p.keep_events is not keep for p in parts):
-            raise ValueError("cannot merge ring-mode with recorded buffers")
-        buf = cls(keep_events=keep)
-        buf.p2p = P2PTable.merge([p.p2p for p in parts])
-        buf.collectives = CollectiveTable.merge([p.collectives for p in parts])
-        for part in parts:
-            part._seal_events()
-            part._seal_counters()
-            buf._event_count += part._event_count
-            buf._counter_count += part._counter_count
-            if keep:
-                buf._chunks.extend(part._chunks)
-                buf._cchunks.extend(part._cchunks)
-            else:
-                buf._fold_time.update(part._fold_time)
-                buf._fold_wait.update(part._fold_wait)
-                buf._fold_waited.update(part._fold_waited)
-                buf._fold_visits.update(part._fold_visits)
-                buf._fold_counters.update(part._fold_counters)
-        return buf
 
     # ------------------------------------------------------------------
     # serialization (Session artifact cache)

@@ -41,15 +41,10 @@ from repro.util.tables import Table, format_bytes
 __all__ = ["main", "build_parser"]
 
 
-def _sim_args(args) -> dict:
-    """Execution-strategy knobs shared by every simulating command."""
+def _obs_config(args) -> dict:
+    """Observability knobs shared by every simulating command
+    (digest-neutral: they never change analysis results or cache keys)."""
     out: dict = {}
-    if getattr(args, "sim_shards", 1) != 1:
-        out["sim_shards"] = args.sim_shards
-    if getattr(args, "sim_executor", "auto") != "auto":
-        out["sim_executor"] = args.sim_executor
-    # observability knobs ride along (digest-neutral: they never change
-    # analysis results or cache keys)
     if getattr(args, "metrics", False):
         out["obs_metrics"] = True
     if getattr(args, "trace_out", None):
@@ -122,7 +117,7 @@ class ProgressRenderer:
 
 
 def _tool_from_args(args) -> ScalAna:
-    extra = _sim_args(args)
+    extra = _obs_config(args)
     if args.app:
         return ScalAna.for_app(get_app(args.app), seed=args.seed, **extra)
     if args.source:
@@ -134,7 +129,7 @@ def _tool_from_args(args) -> ScalAna:
 
 
 def _pipeline_from_args(args, session: Session | None = None) -> Pipeline:
-    extra = _sim_args(args)
+    extra = _obs_config(args)
     if args.app:
         return Pipeline.for_app(
             get_app(args.app), seed=args.seed, session=session, **extra
@@ -353,7 +348,7 @@ def cmd_metrics_dump(args) -> int:
     The machine-readable counterpart of ``run --metrics``: the document
     is a ``scalana-metrics-v1`` :class:`repro.obs.RunMetrics` snapshot
     (counters summed, gauges maxed, histogram buckets summed exactly
-    across every simulation behind the report, serial or sharded).
+    across every simulation behind the report).
     """
     import json as _json
 
@@ -372,7 +367,7 @@ def cmd_simulate(args) -> int:
     """Pure ground-truth simulation at one scale (no instrumentation).
 
     The simulator-benchmark entry point: prints makespan, event counts and
-    wall-clock; ``--sim-shards N`` runs the conservative parallel DES.
+    wall-clock.
     """
     import time as _time
 
@@ -381,15 +376,7 @@ def cmd_simulate(args) -> int:
     t0 = _time.perf_counter()
     result = tool.run_uninstrumented(int(args.nprocs))
     wall = _time.perf_counter() - t0
-    stats = result.parallel_stats
-    mode = (
-        f"{stats.shards} shards ({stats.executor}, {stats.rounds} rounds, "
-        f"{stats.messages_routed} cross-shard msgs)"
-        if stats is not None
-        else "serial"
-    )
     print(f"nprocs      {result.nprocs}")
-    print(f"executor    {mode}")
     print(f"makespan    {result.total_time:.6f}s simulated")
     print(f"events      {result.trace.event_count} "
           f"({result.mpi_call_count} MPI calls, {result.compute_count} compute)")
@@ -413,7 +400,7 @@ def cmd_sweep(args) -> int:
     try:
         results = session.sweep(
             specs, scales, seeds=_parse_seeds(args.seeds), jobs=args.jobs,
-            **_sim_args(args),
+            **_obs_config(args),
         )
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
@@ -488,18 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "FILE (open in chrome://tracing or Perfetto)",
         )
 
-    def shards_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--sim-shards", type=int, default=1, metavar="N",
-            help="shard each simulation over N engines "
-                 "(multi-core, bit-identical results)",
-        )
-        p.add_argument(
-            "--sim-executor", default="auto",
-            choices=("auto", "inprocess", "process"),
-            help="how shard engines run (default: auto)",
-        )
-
     p = sub.add_parser("apps", help="list registry applications")
     p.set_defaults(func=cmd_apps)
 
@@ -535,7 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scales", required=True, help="comma list, e.g. 4,8,16")
     p.add_argument("--out", default="scalana_profiles")
     jobs_arg(p)
-    shards_arg(p)
     obs_args(p, metrics=False)
     p.set_defaults(func=cmd_prof)
 
@@ -552,7 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--show-source", action="store_true")
     p.add_argument("--json", action="store_true", help="machine-readable report")
     jobs_arg(p)
-    shards_arg(p)
     obs_args(p)
     p.set_defaults(func=cmd_run)
 
@@ -564,7 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--scales", required=True, help="comma list, e.g. 4,8,16")
     jobs_arg(p)
-    shards_arg(p)
     obs_args(p, metrics=False)
     p.set_defaults(func=cmd_metrics_dump, metrics=True)
 
@@ -582,7 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--json", action="store_true", help="machine-readable reports")
     jobs_arg(p)
-    shards_arg(p)
     obs_args(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -591,7 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(p)
     p.add_argument("--nprocs", default="64")
-    shards_arg(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("compare", help="compare tracer/profiler/ScalAna costs")

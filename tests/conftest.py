@@ -580,8 +580,8 @@ def per_rank_trace_bytes(trace):
     own order, as raw column bytes.
 
     The global interleaving of rows depends on how the engine scheduled
-    ranks (shards, run-to-block); per-rank order is the contract every
-    consumer reads, so this is what identity checks compare."""
+    ranks (time-ordered or run to block); per-rank order is the contract
+    every consumer reads, so this is what identity checks compare."""
     out = {}
     for table in ("columns", "counter_columns"):
         cols = getattr(trace, table)()

@@ -3,8 +3,8 @@
 The load-bearing guarantee (ISSUE 6): for every class the analysis
 reports, all member ranks execute the identical ``(op type, vid)``
 sequence — verified against the per-rank interpreter as ground-truth
-oracle over ~100 randomized workloads (the same generator the sharding
-and class-optimizer identity gates use).
+oracle over ~100 randomized workloads (the same generator the oracle
+sweep uses).
 """
 
 import random

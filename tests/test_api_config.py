@@ -139,8 +139,9 @@ class TestDigest:
         assert source_digest("a", "f.mm") == source_digest("a", "f.mm")
 
 
-#: A config document written before the event-queue and shard-partition
-#: strategy knobs were removed, carrying non-default values for both.
+#: A config document written before the event-queue, shard-partition and
+#: sharding strategy knobs were removed, carrying non-default values for
+#: the first two.
 LEGACY_STRATEGY_DOC = (
     '{"abnorm_thd":1.3,"aggregation":"mean","format":"scalana-config-v1",'
     '"freq_hz":200.0,"injected_delays":[],"machine":{"cache_line":64.0,'
@@ -213,6 +214,7 @@ class TestDigestCompatibility:
             doc = json.loads(cfg.to_json())
             doc.update(
                 sim_scheduler="calendar", sim_partition="commgraph",
+                sim_shards=4, sim_executor="process",
                 **_optimizer_knobs(optimizers),
             )
             legacy = AnalysisConfig.from_json(json.dumps(doc))
@@ -223,6 +225,18 @@ class TestDigestCompatibility:
         cfg = AnalysisConfig.from_json(LEGACY_STRATEGY_DOC)
         assert cfg == AnalysisConfig(seed=0)
         assert cfg.digest() == self.DEFAULT_DIGEST
+
+    def test_legacy_sharded_document_loads_to_same_digest(self):
+        """A document written for a sharded run loads to the serial
+        config, and no config document carries the sharding keys now."""
+        doc = json.loads(LEGACY_STRATEGY_DOC)
+        doc.update(sim_shards=4, sim_executor="process")
+        cfg = AnalysisConfig.from_dict(doc)
+        assert cfg == AnalysisConfig(seed=0)
+        assert cfg.digest() == self.DEFAULT_DIGEST
+        emitted = AnalysisConfig(seed=0).to_dict()
+        assert "sim_shards" not in emitted
+        assert "sim_executor" not in emitted
 
     @pytest.mark.parametrize("optimizers", [True, False])
     @pytest.mark.parametrize("partition", ["contiguous", "commgraph"])

@@ -5,7 +5,7 @@ object-walking implementations of Scalasca-style wait-state classification
 and the tracer's backward-replay analysis are kept here verbatim, and the
 column-reading implementations (which fixed the O(P²)-per-collective
 ``wait_of`` laggard loops) must reproduce them bit for bit — values *and*
-order — over randomized workloads, serial and sharded.
+order — over randomized workloads.
 """
 
 from collections import defaultdict
@@ -151,15 +151,11 @@ class TestClassifyWaitStates:
         _, _, result = _run(make_workload(seed), nprocs=7)
         assert classify_wait_states(result).states == reference_classify(result)
 
-    def test_matches_reference_sharded(self):
-        for shards in (1, 3):
-            _, _, result = _run(
-                IMBALANCED_SOURCE, nprocs=9,
-                sim_shards=shards, sim_executor="inprocess",
-            )
-            got = classify_wait_states(result).states
-            assert got == reference_classify(result)
-            assert got, "workload must actually produce wait states"
+    def test_matches_reference_imbalanced(self):
+        _, _, result = _run(IMBALANCED_SOURCE, nprocs=9)
+        got = classify_wait_states(result).states
+        assert got == reference_classify(result)
+        assert got, "workload must actually produce wait states"
 
     def test_empty_run_has_no_states(self):
         _, _, result = _run("def main() { compute(flops = 1000); }", nprocs=2)

@@ -1,4 +1,4 @@
-"""Tests for the extended CLI commands (compare / export / timeline)."""
+"""Tests for the extended CLI commands (simulate / compare / export / timeline)."""
 
 import json
 import math
@@ -16,6 +16,14 @@ class TestCompare:
         assert "HPCToolkit-like profiler" in out
         assert "ScalAna" in out
         assert "wait-state classification" in out
+
+
+class TestSimulate:
+    def test_simulate_subcommand(self, capsys):
+        assert main(["simulate", "--app", "cg", "--nprocs", "8"]) == 0
+        out = capsys.readouterr().out
+        assert "nprocs      8" in out
+        assert "events" in out and "MPI calls" in out
 
 
 class TestExport:

@@ -5,8 +5,7 @@ The contract under test mirrors PR 3's Mailbox reference test: the
 historical object-walking ``collect_comm_dependence`` is kept here verbatim
 as the behavioural oracle, and the vectorized column-reading implementation
 must reproduce it bit for bit — edges, stats, groups, laggards, sampled
-subsets at ``sample_probability < 1`` — over randomized workloads, serial
-and sharded.
+subsets at ``sample_probability < 1`` — over randomized workloads.
 """
 
 import math
@@ -35,10 +34,10 @@ from repro.simulator import (
 from repro.util.rng import derive_seed
 
 
-def _run(source, nprocs, **cfg):
+def _run(source, nprocs):
     program = parse_program(source, "prop.mm")
     psg = build_psg(program).psg
-    return simulate(program, psg, SimulationConfig(nprocs=nprocs, **cfg))
+    return simulate(program, psg, SimulationConfig(nprocs=nprocs))
 
 
 # ----------------------------------------------------------------------
@@ -148,7 +147,7 @@ _GATHER_WILD = """\
 
 _IRECV_WILD = """\
     for (var w{i} = 0; w{i} < {iters}; w{i} = w{i} + 1) {{
-        compute(flops = {flops} + {stagger} * rank{jitter});
+        compute(flops = {flops} + {stagger} * rank);
         if (rank == 0) {{
             for (var j{i} = 1; j{i} < nprocs; j{i} = j{i} + 1) {{
                 irecv(src = ANY, tag = ANY, req = r{i});
@@ -194,39 +193,21 @@ _PHASES = [
 
 
 @st.composite
-def workloads(draw, staggered_wildcards=False):
+def workloads(draw):
     """A random MiniMPI program from deadlock-free phase templates, plus a
     process count — the randomized-workload space of the equivalence
-    property (tags, sizes, staggers and phase mixes all vary).
-
-    ``staggered_wildcards=True`` forces a nonzero per-rank compute stagger
-    in the wildcard templates, keeping the program inside the sharded
-    bit-identity guarantee: distinct senders racing one ANY-source receive
-    at *exactly* equal times are MPI-ambiguous, and sharded runs tie-break
-    canonically rather than by the serial engine's emergent heap order
-    (the PR-3 carve-out pinned by test_parallel_sim).  A linear stagger
-    alone does not suffice in the multi-iteration irecv template: a fast
-    sender's later iteration can land exactly on a slow sender's earlier
-    one (rank 1's third send with rank 3's second at stagger 7000), so
-    that template also adds a fractional per-(rank, iteration) jitter."""
+    property (tags, sizes, staggers and phase mixes all vary)."""
     nprocs = draw(st.integers(min_value=2, max_value=6))
     nphases = draw(st.integers(min_value=1, max_value=3))
     body = []
     for i in range(nphases):
         template = draw(st.sampled_from(_PHASES))
-        staggers = [0, 7000, 31000]
-        jitter = ""
-        if staggered_wildcards and template in (_GATHER_WILD, _IRECV_WILD):
-            staggers = [7000, 31000]
-        if staggered_wildcards and template is _IRECV_WILD:
-            jitter = f" + 997.5 * hashrand(rank, w{i})"
         body.append(
             template.format(
                 i=i,
                 iters=draw(st.integers(1, 3)),
                 flops=draw(st.sampled_from([20000, 50000, 120000])),
-                stagger=draw(st.sampled_from(staggers)),
-                jitter=jitter,
+                stagger=draw(st.sampled_from([0, 7000, 31000])),
                 tag=draw(st.integers(0, 4)),
                 nbytes=draw(st.sampled_from([8, 256, 4096])),
             )
@@ -254,31 +235,6 @@ class TestVectorizedCollectionEquivalence:
             result, sample_probability=probability, seed=seed
         )
         assert_dependence_identical(got, want)
-
-    @settings(max_examples=25, deadline=None)
-    @given(workloads(staggered_wildcards=True), st.sampled_from([1.0, 0.5]))
-    def test_sharded_matches_reference_serial(self, workload, probability):
-        """A sharded run's merged tables collect to the same dependence the
-        serial reference walk produces (record order diverges; content
-        draws and key grouping make the result order-insensitive)."""
-        source, nprocs = workload
-        serial = _run(source, nprocs)
-        sharded = _run(
-            source, nprocs, sim_shards=2, sim_executor="inprocess"
-        )
-        got = collect_comm_dependence(
-            sharded, sample_probability=probability, seed=1
-        )
-        want = reference_collect(
-            serial, sample_probability=probability, seed=1
-        )
-        # sharded record order differs, so compare order-insensitively
-        assert got.edges == want.edges
-        assert got.edge_stats == want.edge_stats
-        assert got.groups == want.groups
-        assert got.group_stats == want.group_stats
-        assert got.recorded_events == want.recorded_events
-        assert got.indirect_targets == want.indirect_targets
 
 
 WILDCARD_HEAVY = """\
@@ -366,18 +322,6 @@ class TestP2PTable:
         assert table.row(late).wait_vid == 18
         assert math.isnan(table.row(0).completion)
 
-    def test_merge_concatenates_in_part_order(self):
-        parts = []
-        for base in (0, 10):
-            t = P2PTable()
-            for i in range(3):
-                t.append(base + i, 0, 0, 0, -1, 0, 8, 0, 0,
-                         0.0, 0.0, 0.0, 0.0, 0.0)
-            parts.append(t)
-        merged = P2PTable.merge(parts)
-        assert merged.row_count == 6
-        assert [r.send_rank for r in merged.records()] == [0, 1, 2, 10, 11, 12]
-
     def test_doc_roundtrip_preserves_nan_and_sentinels(self):
         table = P2PTable()
         table.append(1, 2, 3, 4, -1, 5, 6, WILDCARD_CODE, WILDCARD_CODE,
@@ -423,13 +367,6 @@ class TestCollectiveTable:
         assert back.row_count == table.row_count
         for a, b in zip(back.records(), table.records()):
             assert a == b
-
-    def test_merge_offsets(self):
-        result = _run(WILDCARD_HEAVY, 4)
-        table = result.trace.collectives
-        merged = CollectiveTable.merge([table, CollectiveTable(), table])
-        assert merged.row_count == 2 * table.row_count
-        assert list(merged.records())[table.row_count:] == list(table.records())
 
 
 class TestTraceBufferOwnership:

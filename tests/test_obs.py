@@ -3,10 +3,9 @@ bit-identity guarantee that none of it changes analysis results.
 
 Covers the PR-8 acceptance gates:
 
-* registry snapshot/merge sums counters and histogram buckets *exactly*
-  (serial == sharded, inprocess == multiprocess workers);
+* registry snapshot/merge sums counters and histogram buckets *exactly*;
 * ``run_fingerprint`` and ``canonical_report_sha`` are identical with
-  observability on or off, serial and sharded, across executors;
+  observability on or off;
 * config digests ignore ``obs_metrics`` / ``obs_spans`` (digest-neutral);
 * the disabled paths are structurally free (shared ``NULL_SPAN``,
   empty-bus early return), not just fast.
@@ -37,7 +36,9 @@ from repro.obs import (
     SpanRecorder,
     series_key,
 )
-from repro.simulator import add_simulation_calls, simulation_call_count
+from repro.minilang import parse_program
+from repro.psg import build_psg
+from repro.simulator import SimulationConfig, simulate, simulation_call_count
 
 SOURCE = """\
 def main() {
@@ -284,13 +285,6 @@ class TestDigestNeutrality:
         assert art.cached
 
 
-IDENTITY_VARIANTS = [
-    {},
-    {"sim_shards": 2},
-    {"sim_shards": 2, "sim_executor": "process"},
-]
-
-
 class TestIdentityGates:
     @pytest.fixture(scope="class")
     def baseline(self):
@@ -302,15 +296,9 @@ class TestIdentityGates:
             canonical_report_sha(report),
         )
 
-    @pytest.mark.parametrize(
-        "extra", IDENTITY_VARIANTS,
-        ids=["serial", "sharded", "sharded-mp"],
-    )
-    def test_bit_identical_with_obs_on(self, baseline, extra):
+    def test_bit_identical_with_obs_on(self, baseline):
         fps, sha = baseline
-        config = AnalysisConfig(
-            seed=2, obs_metrics=True, obs_spans=True, **extra
-        )
+        config = AnalysisConfig(seed=2, obs_metrics=True, obs_spans=True)
         pipe = Pipeline(source=SOURCE, config=config)
         arts = pipe.profile_scales([4, 8])
         report = pipe.detect(arts)
@@ -326,51 +314,6 @@ class TestIdentityGates:
         assert report.metrics is None
 
 
-class TestShardedMergeExactness:
-    """The PR acceptance gate: worker registries ship back in ShardFinal
-    and merge with counts summing exactly — equal to the serial run."""
-
-    ENGINE_SERIES = (
-        "engine.mpi_calls",
-        "engine.compute_ops",
-        "engine.trace_events",
-        "engine.p2p_matches",
-        "engine.collectives",
-    )
-
-    def _metrics(self, **extra):
-        config = AnalysisConfig(seed=0, obs_metrics=True, **extra)
-        art = Pipeline(source=SOURCE, config=config).profile(8)
-        assert art.metrics is not None
-        return art.metrics
-
-    @pytest.mark.parametrize("executor", ["inprocess", "process"])
-    def test_sharded_counts_equal_serial(self, executor):
-        serial = self._metrics()
-        sharded = self._metrics(sim_shards=2, sim_executor=executor)
-        for key in self.ENGINE_SERIES:
-            assert sharded.counter(key) == serial.counter(key), key
-        # one engine per shard ran
-        assert serial.counter("engine.runs") == 1
-        assert sharded.counter("engine.runs") == 2
-        # per-rank finish-time histograms merge to the identical doc
-        assert (
-            sharded.histograms["engine.rank_finish_seconds"]
-            == serial.histograms["engine.rank_finish_seconds"]
-        )
-        # coordinator bookkeeping rides in the same snapshot
-        assert sharded.counter("parallel.rounds") > 0
-
-    def test_parallel_stats_derive_from_merged_metrics(self):
-        config = AnalysisConfig(seed=0, obs_metrics=True, sim_shards=2)
-        art = Pipeline(source=SOURCE, config=config).profile(8)
-        stats = art.run.result.parallel_stats
-        assert stats.rounds == art.metrics.counter("parallel.rounds")
-        assert stats.messages_routed == art.metrics.counter(
-            "parallel.messages_routed"
-        )
-
-
 # ---------------------------------------------------------------------------
 # satellite 1: simulation_call_count compat view
 
@@ -379,9 +322,10 @@ class TestSimulationCallCountCompat:
     def test_backed_by_registry_counter(self):
         before = simulation_call_count()
         assert before == obs.registry.counter("sim.engine_runs").value
-        add_simulation_calls(3)
-        assert simulation_call_count() == before + 3
-        assert obs.registry.counter("sim.engine_runs").value == before + 3
+        program = parse_program(SOURCE, "obs.mm")
+        simulate(program, build_psg(program).psg, SimulationConfig(nprocs=4))
+        assert simulation_call_count() == before + 1
+        assert obs.registry.counter("sim.engine_runs").value == before + 1
 
     def test_engine_runs_still_increment_it(self):
         before = simulation_call_count()
@@ -449,18 +393,6 @@ class TestCacheStatsAndEvents:
         assert "lint_scales_started" in kinds
         assert "lint_scales_finished" in kinds
         assert kinds.count("lint_witness_finished") >= 2
-
-    def test_sharded_rounds_emit_progress(self):
-        events: list[Event] = []
-        unsub = obs.subscribe(events.append)
-        try:
-            config = AnalysisConfig(seed=0, sim_shards=2)
-            Pipeline(source=SOURCE, config=config).profile(8)
-        finally:
-            unsub()
-        rounds = [e for e in events if e.kind == "round_completed"]
-        assert rounds
-        assert all("messages" in e.data for e in rounds)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,9 @@ One sweep covers three randomized generators — ``make_workload`` (p2p,
 nonblocking, collectives, time-separated wildcard races),
 ``make_wild_workload`` (devirtualizable wildcard patterns next to racy
 ones) and ``make_stride_workload`` (loop-carried strides whose partners
-read ``("frame", name)`` leaves, next to invalidation traps) — across the
-remaining strategy matrix: serial, in-process shards and, for a subset of
-seeds, the process executor.  Serial draws whose ranks all batch run
-through the engine's run-to-block drain, so the sweep gates it too.
+read ``("frame", name)`` leaves, next to invalidation traps) — at 100
+seeds each.  Draws whose ranks all batch run through the engine's
+run-to-block drain, so the sweep gates it too.
 """
 
 import random
@@ -29,35 +28,23 @@ from tests.conftest import (
     per_rank_oracle,
 )
 
-#: Seeds that also run through the multiprocess executor (forking
-#: workers per run is the slow leg, so only a sample takes it).
-PROCESS_SEEDS = {2, 5, 19, 37, 41, 44, 64, 71, 77, 93}
-
-
 def _draw(generator, seed):
     source = GENERATORS[generator](seed)
     rng = random.Random(20_000 + seed)
     nprocs = rng.randint(5, 9)
     program, psg = _compiled(source, f"{generator}{seed}")
-    return program, psg, nprocs, rng
+    return program, psg, nprocs
 
 
 @pytest.mark.parametrize("seed", range(100))
 @pytest.mark.parametrize("generator", sorted(GENERATORS))
 def test_optimized_engine_matches_per_rank_oracle(generator, seed):
-    program, psg, nprocs, rng = _draw(generator, seed)
+    program, psg, nprocs = _draw(generator, seed)
     with per_rank_oracle():
         oracle = _fingerprint(program, psg, nprocs)
-    strategies = [
-        {},
-        dict(sim_shards=rng.randint(2, 4), sim_executor="inprocess"),
-    ]
-    if seed in PROCESS_SEEDS:
-        strategies.append(dict(sim_shards=2, sim_executor="process"))
-    for strategy in strategies:
-        assert _fingerprint(program, psg, nprocs, **strategy) == oracle, (
-            f"{generator} seed {seed} diverges under {strategy or 'serial'}"
-        )
+    assert _fingerprint(program, psg, nprocs) == oracle, (
+        f"{generator} seed {seed} diverges from the per-rank oracle"
+    )
 
 
 def test_stride_draws_mostly_batch():
@@ -65,7 +52,7 @@ def test_stride_draws_mostly_batch():
     class-batched (the rest hold an invalidation trap, which must not)."""
     batched = 0
     for seed in range(100):
-        program, psg, nprocs, _rng = _draw("stride", seed)
+        program, psg, nprocs = _draw("stride", seed)
         engine = Engine(program, psg, SimulationConfig(nprocs=nprocs))
         engine.start()
         batched += engine.class_batch_stats.get("ranks_batched", 0) > 0
@@ -85,7 +72,7 @@ def test_serial_draws_run_to_block(generator):
     stated share of each generator's serial draws engage it."""
     engaged = 0
     for seed in range(100):
-        program, psg, nprocs, _rng = _draw(generator, seed)
+        program, psg, nprocs = _draw(generator, seed)
         result = simulate(program, psg, SimulationConfig(nprocs=nprocs))
         engaged += result.metrics.counter("engine.run_to_block")
     want = RUN_TO_BLOCK_SHARE[generator]

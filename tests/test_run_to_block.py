@@ -11,8 +11,8 @@ trace tables does.  These tests pin:
   and the four ``diagnose_apps`` case-study pipelines, equal the per-rank
   oracle (fingerprint, per-rank trace rows, communication tables,
   report sha);
-- non-engagement: ring mode, shards, a refused class and an
-  undevirtualized wildcard keep the time-ordered loop;
+- non-engagement: ring mode, a refused class and an undevirtualized
+  wildcard keep the time-ordered loop;
 - errors: the first error depends on the interleaving, so the engine
   raises the time-ordered loop's error; deadlocks need no replay.
 """
@@ -256,19 +256,6 @@ class TestStaysTimeOrdered:
         with per_rank_oracle():
             oracle = _fingerprint(program, psg, self.NPROCS)
         assert _fingerprint(program, psg, self.NPROCS) == oracle
-
-    def test_sharded(self):
-        program, psg = _compiled(BATCHED, "batched")
-        config = SimulationConfig(
-            nprocs=self.NPROCS, sim_shards=2, sim_executor="inprocess"
-        )
-        assert _engaged(simulate(program, psg, config)) == 0
-        with per_rank_oracle():
-            oracle = _fingerprint(program, psg, self.NPROCS)
-        assert _fingerprint(
-            program, psg, self.NPROCS,
-            sim_shards=2, sim_executor="inprocess",
-        ) == oracle
 
 
 #: Rank 2's receive source is ANY, every other rank's is concrete: one

@@ -4,8 +4,8 @@
 Python iteration per trace segment in rank-major ``(start, end)`` order,
 ``+=`` into per-key vectors.  The columnar pass must reproduce it exactly —
 ``total_samples``, the key order of ``perf`` and the bit pattern of every
-float — on every bundled app, at several sampling frequencies, on sharded
-and noisy runs, and on hand-built traces that hit the edge cases.
+float — on every bundled app, at several sampling frequencies, on noisy
+runs, and on hand-built traces that hit the edge cases.
 """
 
 from __future__ import annotations
@@ -130,12 +130,6 @@ def test_bundled_apps_match_oracle(app, nprocs):
     for freq in FREQS:
         profile = assert_same_profile(result, freq)
         assert profile.total_samples > 0
-
-
-def test_sharded_run_matches_oracle():
-    result = _run_app("cg", 16, sim_shards=2, sim_executor="inprocess")
-    for freq in FREQS:
-        assert_same_profile(result, freq)
 
 
 def test_noisy_machine_matches_oracle():

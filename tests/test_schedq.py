@@ -2,8 +2,7 @@
 
 :class:`BinaryHeapQueue` must serve entries in full-tuple lexicographic
 order — the property the engine's determinism rests on — including under
-lazy staleness pruning, horizons and decreasing pushes (cross-window
-wake-ups).
+lazy staleness pruning, the anti-churn bound and decreasing pushes.
 """
 
 import random
@@ -64,8 +63,8 @@ class TestExactOrder:
         assert drain_all(queue) == oracle
 
     def test_push_below_cursor_rewinds(self):
-        """A wake-up earlier than everything served so far must still pop
-        first (the sharded executor delivers these at round edges)."""
+        """A push earlier than everything served so far must still pop
+        first."""
         queue = BinaryHeapQueue()
         for tok in range(100):
             queue.push((float(tok) + 100.0, tok, 0))
@@ -95,15 +94,14 @@ class TestLazyStaleness:
             queue.push((float(tok), tok, 0))
         assert [e[1] for e in drain_all(queue)] == [0, 2, 4]
 
-    def test_min_time_prunes_and_reports_live_minimum(self):
+    def test_bounded_pop_prunes_dead_entries_it_passes(self):
         dead = {0}
         queue = BinaryHeapQueue(live=lambda e: e[1] not in dead)
         queue.push((1.0, 0, 0))
         queue.push((2.0, 1, 1))
-        assert queue.min_time() == 2.0
-        assert queue.peek() == (2.0, 1, 1)
+        assert queue.pop(bound=2.0) is None
+        assert len(queue) == 1  # the dead front entry is gone
         dead.add(1)
-        assert queue.min_time() == float("inf")
         assert queue.pop() is None
 
     def test_all_stale_queue_pops_none(self):
@@ -111,19 +109,19 @@ class TestLazyStaleness:
         for tok in range(300):
             queue.push((float(tok % 17), tok, 0))
         assert queue.pop() is None
-        assert queue.min_time() == float("inf")
+        assert len(queue) == 0
 
 
-class TestHorizon:
-    def test_pop_respects_horizon_and_leaves_entry(self):
+class TestBound:
+    def test_pop_respects_bound_and_leaves_entry(self):
         queue = BinaryHeapQueue()
         queue.push((1.0, 0, 0))
         queue.push((5.0, 1, 1))
-        assert queue.pop(horizon=3.0) == (1.0, 0, 0)
-        assert queue.pop(horizon=3.0) is None
-        assert len(queue) == 1  # parked for the next window
-        assert queue.pop(horizon=5.0) is None  # boundary is exclusive
-        assert queue.pop(horizon=5.1) == (5.0, 1, 1)
+        assert queue.pop(bound=3.0) == (1.0, 0, 0)
+        assert queue.pop(bound=3.0) is None
+        assert len(queue) == 1  # stays queued
+        assert queue.pop(bound=5.0) is None  # boundary is exclusive
+        assert queue.pop(bound=5.1) == (5.0, 1, 1)
 
 
 class TestIteration:

@@ -4,14 +4,12 @@ The engine rewrites ANY-source receives the match-order analysis proves
 deterministic into concrete-source receives at compile time.  The
 rewrite is only allowed to change *how* matching runs — never what any
 rank computes.  Bit-identity against the per-rank oracle over ~100
-randomized wildcard-heavy workloads (serial and sharded, both executors)
-lives in ``tests/test_oracle_sweep.py``.  This file checks the pass
-actually *engages* (counters ``sim.wildcard.devirt`` /
-``sim.wildcard.gate_skips`` and the class-batching refusal it lifts):
-identity with a pass that never fires would prove nothing.
+randomized wildcard-heavy workloads lives in
+``tests/test_oracle_sweep.py``.  This file checks the pass actually
+*engages* (the ``sim.wildcard.devirt`` counter and the class-batching
+refusal it lifts): identity with a pass that never fires would prove
+nothing.
 """
-
-import contextlib
 
 from repro.api import AnalysisConfig, Pipeline
 from repro.api.config import canonical_json
@@ -37,23 +35,22 @@ class TestDevirtEngages:
         "}\n"
     )
 
-    def _engine(self, nprocs, **cfg):
+    def _engine(self, nprocs):
         from repro.simulator.engine import Engine
 
         program, psg = _compiled(self.RING, "engage")
-        engine = Engine(program, psg, SimulationConfig(nprocs=nprocs, **cfg))
+        engine = Engine(program, psg, SimulationConfig(nprocs=nprocs))
         engine.run()
         return engine
 
     def test_serial_devirt_counter(self):
         engine = self._engine(8)
         assert engine.wildcard_stats["devirt"] == 8 * 3
-        assert engine.wildcard_stats["gate_skips"] == 0  # serial: no gates
 
     def test_oracle_never_rewrites(self):
         with per_rank_oracle():
             engine = self._engine(8)
-        assert engine.wildcard_stats == {"devirt": 0, "gate_skips": 0}
+        assert engine.wildcard_stats == {"devirt": 0}
 
     def test_sweep_engages_across_seeds(self):
         """At least 90 of the 100 sweep seeds must devirtualize at least
@@ -70,48 +67,18 @@ class TestDevirtEngages:
                 engaged += 1
         assert engaged >= 90, f"only {engaged}/100 seeds engaged the pass"
 
-    def test_sharded_gate_skips_and_batching_lift(self):
-        """Sharded runs skip the ANY-source gate for devirtualized
-        receives, and class batching accepts the rewritten stream it
-        refused as a wildcard."""
-        import repro.simulator.parallel.coordinator as coordinator
-        from repro.simulator.parallel.plan import ShardPlan
-        from repro.simulator.parallel.shard import ShardEngine
-
-        program, psg = _compiled(self.RING, "gates")
-        results = {}
-        cfg = SimulationConfig(nprocs=8, sim_shards=3, sim_executor="inprocess")
-        plan = ShardPlan.contiguous(8, 3)
-        for devirt, patch in (
-            (True, contextlib.nullcontext()),
-            (False, without_optimizer("_devirt_map")),
-        ):
-            engines = [
-                ShardEngine(program, psg, cfg, plan, s) for s in range(3)
-            ]
-            with patch:  # a local handle starts its engine
-                handles = [coordinator.LocalShardHandle(e) for e in engines]
-            coordinator.run_coordinated(
-                handles, plan, cfg, executor="inprocess"
-            )
-            results[devirt] = {
-                "devirt": sum(e.wildcard_stats["devirt"] for e in engines),
-                "gate_skips": sum(
-                    e.wildcard_stats["gate_skips"] for e in engines
-                ),
-                "fallbacks": sum(
-                    e.class_batch_stats["fallbacks"] for e in engines
-                ),
-                "batched": sum(
-                    e.class_batch_stats["ranks_batched"] for e in engines
-                ),
-            }
-        on, off = results[True], results[False]
-        assert on["devirt"] == 8 * 3 and on["gate_skips"] == 8 * 3
-        assert off["devirt"] == 0 and off["gate_skips"] == 0
-        # the PR 9 refusal is lifted: wildcard phase batches under devirt
-        assert off["fallbacks"] > 0 and off["batched"] == 0
-        assert on["fallbacks"] == 0 and on["batched"] == 8
+    def test_devirt_lifts_batching_refusal(self):
+        """Class batching accepts the rewritten stream it refused as a
+        wildcard."""
+        on = self._engine(8)
+        with without_optimizer("_devirt_map"):
+            off = self._engine(8)
+        assert off.wildcard_stats["devirt"] == 0
+        # the PR 9 refusal is lifted: the wildcard phase batches under devirt
+        assert off.class_batch_stats["fallbacks"] > 0
+        assert off.class_batch_stats["ranks_batched"] == 0
+        assert on.class_batch_stats["fallbacks"] == 0
+        assert on.class_batch_stats["ranks_batched"] == 8
 
     def test_metrics_registry_counters(self):
         from repro import obs
@@ -122,7 +89,6 @@ class TestDevirtEngages:
         snap = reg.snapshot()
         doc = snap.to_json_dict()
         assert doc["counters"]["sim.wildcard.devirt"] == 24
-        assert doc["counters"]["sim.wildcard.gate_skips"] == 0
 
 
 class TestCanonicalReport:
