@@ -8,6 +8,14 @@ FIFO-per-channel matching via the real
 :class:`~repro.simulator.matching.Mailbox`, collectives matched by
 per-rank call order.  Structural rules run over the same streams.
 
+The replay visits ranks in round-robin order, but only the ranks a match
+or a collective release woke since their last visit (see
+:class:`_Replay`): the visits are those of plain round robin minus the
+ones that could not progress, so wildcard receives match exactly as
+under plain round robin.  Each distinct op list is classified once when
+it is collected (one kind code per op); batched members that share a
+list share its classification and its request-hygiene result.
+
 Streams are class-batched: for every behavioural class of two or more
 ranks (:func:`~repro.analysis.symmetry.partition_ranks`), the engine's
 builder (:func:`~repro.simulator.classbatch.build_batched_streams`)
@@ -74,7 +82,9 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from collections import deque
+from itertools import compress
+from dataclasses import dataclass, field
 from collections.abc import Iterable, Mapping
 
 from repro.minilang import ast_nodes as ast
@@ -84,7 +94,7 @@ from repro.psg.graph import PSG
 from repro.simulator import ops
 from repro.simulator.errors import IterationLimitError, SimulationError
 from repro.simulator.interp import Interpreter
-from repro.simulator.matching import Mailbox, Message, PostedRecv
+from repro.simulator.matching import Mailbox
 
 from repro.analysis.rankdep import analyze_program
 from repro.analysis.symmetry import SymmetrySummary, partition_ranks
@@ -212,18 +222,75 @@ class LintError(RuntimeError):
 # stream collection
 # --------------------------------------------------------------------------
 
-#: Op records the matching replay cares about.
-_P2P_TYPES = (ops.SendOp, ops.RecvOp, ops.WaitOp, ops.WaitAllOp,
-              ops.CollectiveOp)
+#: Kind codes of the ops the matching replay acts on.  ``_RECV`` is a
+#: blocking receive, ``_IRECV`` a nonblocking one.
+_SEND, _RECV, _IRECV, _WAIT, _WAITALL, _COLL = range(6)
+_BASE_KINDS = (
+    (ops.SendOp, _SEND), (ops.RecvOp, _RECV), (ops.WaitOp, _WAIT),
+    (ops.WaitAllOp, _WAITALL), (ops.CollectiveOp, _COLL),
+)
 
 
-@dataclass
+def _type_kind(op_type: type) -> int | None:
+    """The kind code of an op type; None for the types the replay drops
+    (compute, call notes)."""
+    return next(
+        (k for base, k in _BASE_KINDS if issubclass(op_type, base)), None
+    )
+
+
+#: :func:`_type_kind` of every op type the simulator defines
+_TYPE_KINDS = {
+    t: _type_kind(t) for t in vars(ops).values()
+    if isinstance(t, type) and issubclass(t, ops.Op)
+}
+
+
+@dataclass(slots=True)
 class _Stream:
     rank: int
-    events: list  # of ops; shared (never mutated) across batched members
+    #: the ops the replay acts on, and each one's kind code; batched
+    #: members with one op list share both (never mutated)
+    events: list = field(default_factory=list)
+    kinds: list[int] = field(default_factory=list)
+    #: the stream holds a receive from ANY source
+    any_src: bool = False
     error: str | None = None
     error_location: SourceLocation | None = None
     truncated: bool = False
+
+
+def _unroll(stream: _Stream, source: Iterable, max_ops: int) -> None:
+    """Filter and classify ``source`` into ``stream`` in one pass.  More
+    than ``max_ops`` kept ops truncate it, and so does the interpreter's
+    iteration budget; other interpreter errors land on the stream."""
+    events, kinds = stream.events, stream.kinds
+    type_kinds = _TYPE_KINDS
+    last_loc: SourceLocation | None = None
+    try:
+        for op in source:
+            last_loc = op.location
+            op_type = type(op)
+            kind = type_kinds.get(op_type, -1)
+            if kind == -1:
+                kind = _type_kind(op_type)
+            if kind is None:
+                continue
+            if kind == _RECV:
+                if not op.blocking:
+                    kind = _IRECV
+                if op.src is ops.ANY:
+                    stream.any_src = True
+            events.append(op)
+            kinds.append(kind)
+            if len(events) > max_ops:
+                stream.truncated = True
+                break
+    except IterationLimitError:
+        stream.truncated = True  # our budget, not the program's bug
+    except SimulationError as exc:
+        stream.error = str(exc)
+        stream.error_location = _location_of(str(exc)) or last_loc
 
 
 def _batched_streams(
@@ -240,17 +307,17 @@ def _batched_streams(
     :mod:`repro.simulator.classbatch`).  No devirtualization map, so a
     class with a wildcard receive stays per-rank and the wildcard rules
     still see ``ANY``; a class whose representative raised or ran past
-    ``max_iterations`` is absent, so errors come from the per-rank path."""
+    ``max_iterations`` is absent, so errors come from the per-rank path.
+    No cost model either: the replay is untimed, so no op is precosted."""
     if symmetry.n_classes == nprocs:
         return {}  # all singletons (also every degraded partition)
     from repro.simulator.classbatch import build_batched_streams
-    from repro.simulator.costmodel import CostModel
 
     return build_batched_streams(
         program=program, psg=psg, nprocs=nprocs, params=params,
         entry=entry, max_iterations=max_iterations,
         analysis=symmetry.analysis, summary=symmetry, expr_cache=expr_cache,
-        cost=CostModel(), precost_compute=False, devirt=None,
+        cost=None, precost_compute=False, devirt=None,
     ).streams
 
 
@@ -265,8 +332,9 @@ def _collect_streams(
     symmetry: SymmetrySummary,
     expr_cache: dict,
 ) -> tuple[list[_Stream], int]:
-    """Every rank's filtered op stream, plus how many came class-batched.
-    The rest run the per-rank interpreter, which is the oracle."""
+    """Every rank's filtered, classified op stream, plus how many came
+    class-batched.  The rest run the per-rank interpreter, which is the
+    oracle."""
     # a representative stops at the op budget's worth of loop iterations
     # (a per-rank unroll stops at that many P2P ops); its class then
     # unrolls per rank, which truncates exactly as before
@@ -274,41 +342,29 @@ def _collect_streams(
         program, psg, nprocs, params, entry,
         min(max_iterations, max_ops_per_rank), symmetry, expr_cache,
     )
-    # members without a rank-varying slot share one op list: filter it once
-    filtered: dict[int, list] = {}
+    # members without a rank-varying slot share one op list: classify it
+    # once and share the result
+    first_of: dict[int, _Stream] = {}
     streams: list[_Stream] = []
     for rank in range(nprocs):
         whole = batched.get(rank)
-        if whole is not None:
-            events = filtered.get(id(whole))
-            if events is None:
-                events = [op for op in whole if isinstance(op, _P2P_TYPES)]
-                filtered[id(whole)] = events
-            streams.append(_Stream(
-                rank=rank, events=events,
-                truncated=len(events) > max_ops_per_rank,
-            ))
-            continue
-        stream = _Stream(rank=rank, events=[])
-        interp = Interpreter(
-            program, psg, rank, nprocs, params,
-            max_iterations=max_iterations, entry=entry,
-            expr_cache=expr_cache,
-        )
-        last_loc: SourceLocation | None = None
-        try:
-            for op in interp.run():
-                if isinstance(op, _P2P_TYPES):
-                    stream.events.append(op)
-                last_loc = op.location
-                if len(stream.events) > max_ops_per_rank:
-                    stream.truncated = True
-                    break
-        except IterationLimitError:
-            stream.truncated = True  # our budget, not the program's bug
-        except SimulationError as exc:
-            stream.error = str(exc)
-            stream.error_location = _location_of(str(exc)) or last_loc
+        if whole is None:
+            stream = _Stream(rank)
+            _unroll(stream, Interpreter(
+                program, psg, rank, nprocs, params,
+                max_iterations=max_iterations, entry=entry,
+                expr_cache=expr_cache,
+            ).run(), max_ops_per_rank)
+        else:
+            first = first_of.get(id(whole))
+            if first is None:
+                stream = first_of[id(whole)] = _Stream(rank)
+                _unroll(stream, whole, max_ops_per_rank)
+            else:
+                stream = _Stream(
+                    rank, first.events, first.kinds, first.any_src,
+                    truncated=first.truncated,
+                )
         streams.append(stream)
     return streams, len(batched)
 
@@ -329,190 +385,205 @@ def _location_of(message: str) -> SourceLocation | None:
 _DONE, _RUN, _BLK_RECV, _BLK_WAIT, _BLK_COLL = range(5)
 
 
+@dataclass(slots=True, eq=False)
+class _Msg:
+    """An in-flight message: the fields :class:`Mailbox` reads, plus the
+    send that carries it."""
+
+    src: int
+    dest: int
+    tag: int
+    op: ops.SendOp
+
+
+@dataclass(slots=True, eq=False)
+class _Recv:
+    """A posted receive: the fields :class:`Mailbox` reads, plus the
+    receive op.  Hashed by identity, so an unmatched irecv keys its rank's
+    ``open_irecvs``."""
+
+    rank: int
+    src: object  # int or ANY
+    tag: object  # int or ANY
+    op: ops.RecvOp
+    irecv: bool
+
+
 class _Replay:
-    """Round-robin untimed replay of all per-rank streams against the
-    engine's matching semantics (eager sends, FIFO channels, call-order
-    collectives)."""
+    """Untimed replay of all per-rank streams against the engine's
+    matching semantics: eager sends, FIFO channels through the real
+    :class:`~repro.simulator.matching.Mailbox`, call-order collectives.
+
+    **Visit order.**  ``run`` makes passes over ranks ``0..P-1`` in
+    round-robin order; a visit runs its rank until it blocks or finishes.
+    A pass visits only the ranks woken since their last visit, and only
+    three events wake a blocked rank:
+
+    * a match that satisfies its blocking receive;
+    * a match of one of its irecvs while it waits (the wait may pass);
+    * the release of the collective instance it waits at.
+
+    A rank nobody woke cannot progress, so skipping it changes nothing:
+    the visits are those of plain round robin minus the no-op ones, and
+    the replay ends after a pass that visits no rank.  With wildcards
+    the visit order decides which sender a receive matches, so keeping
+    it keeps the lint's matching.  A visit still checks its rank's block
+    itself; the wakes only spare the visits that would find it shut."""
 
     def __init__(self, streams: list[_Stream], nprocs: int) -> None:
         self.streams = streams
         self.nprocs = nprocs
         self.pos = [0] * nprocs
         self.state = [_RUN] * nprocs
+        #: woken since its last visit (every rank starts awake)
+        self.runnable = [True] * nprocs
         self.mailboxes = [Mailbox(r) for r in range(nprocs)]
-        #: recv seq -> ("block", rank) | ("irecv", rank, request)
-        self.recv_purpose: dict[int, tuple] = {}
-        #: message seq -> (src rank, SendOp)
-        self.msg_info: dict[int, tuple[int, ops.SendOp]] = {}
-        #: rank -> request name -> outstanding (posted, unmatched) irecvs
+        #: rank -> request name -> how many of its irecvs are unmatched
         self.outstanding: list[dict[str | None, int]] = [
             {} for _ in range(nprocs)
         ]
-        #: rank -> recv seq -> RecvOp, for still-unmatched irecv spans
-        self.open_irecvs: list[dict[int, ops.RecvOp]] = [
+        #: rank -> its unmatched irecvs, in posting order
+        self.open_irecvs: list[dict[_Recv, ops.RecvOp]] = [
             {} for _ in range(nprocs)
         ]
+        #: the blocking receive a _BLK_RECV rank parked on has matched
         self.block_resolved = [False] * nprocs
         self.coll_count = [0] * nprocs
-        self.coll_instances: dict[int, dict[int, ops.CollectiveOp]] = {}
-        self.coll_released: set[int] = set()
-        self.posted_once: set[tuple[int, int]] = set()
+        #: unreleased collective instance -> rank -> op it arrived with
+        self.coll_arrivals: dict[int, dict[int, ops.CollectiveOp]] = {}
         self.saw_wildcard = False
         self.self_send_hits: list[tuple[int, ops.SendOp]] = []
         self.coll_findings: list[tuple[str, int, dict[int, ops.CollectiveOp]]] = []
 
     # -- mechanics ------------------------------------------------------
 
-    def _on_match(self, match) -> None:
-        purpose = self.recv_purpose.pop(match.recv.seq)
-        if purpose[0] == "block":
-            self.block_resolved[purpose[1]] = True
-        else:
-            _, rank, request = purpose
-            self.outstanding[rank][request] -= 1
-            self.open_irecvs[rank].pop(match.recv.seq, None)
-        self.msg_info.pop(match.message.seq, None)
-
     def _deliver(self, rank: int, op: ops.SendOp) -> None:
-        msg = Message(
-            src=rank, dest=op.dest, tag=op.tag, nbytes=op.nbytes,
-            send_time=0.0, arrival=0.0, send_vid=op.vid,
-        )
-        self.msg_info[msg.seq] = (rank, op)
-        match = self.mailboxes[op.dest].deliver(msg)
-        if match is not None:
-            self._on_match(match)
-        elif op.blocking and op.dest == rank:
-            # a blocking send to yourself with nothing posted: guaranteed
-            # deadlock under synchronous MPI (our eager engine survives it,
-            # real rendezvous protocols do not)
-            self.self_send_hits.append((rank, op))
+        match = self.mailboxes[op.dest].deliver(_Msg(rank, op.dest, op.tag, op))
+        if match is None:
+            if op.blocking and op.dest == rank:
+                # a blocking send to yourself with nothing posted:
+                # guaranteed deadlock under synchronous MPI (our eager
+                # engine survives it, real rendezvous protocols do not)
+                self.self_send_hits.append((rank, op))
+            return
+        recv = match.recv
+        dest = recv.rank
+        if not recv.irecv:
+            # only a parked rank has a blocking receive posted
+            self.block_resolved[dest] = True
+            self.runnable[dest] = True
+            return
+        del self.open_irecvs[dest][recv]
+        pending = self.outstanding[dest]
+        request = recv.op.request
+        if pending[request] == 1:
+            del pending[request]
+        else:
+            pending[request] -= 1
+        if self.state[dest] == _BLK_WAIT:
+            self.runnable[dest] = True
 
-    def _post(self, rank: int, op: ops.RecvOp, purpose: tuple) -> bool:
+    def _post(self, rank: int, op: ops.RecvOp, irecv: bool) -> bool:
         """Post a receive; True when it matched immediately."""
         if op.src is ops.ANY or op.tag is ops.ANY:
             self.saw_wildcard = True
-        recv = PostedRecv(
-            rank=rank, src=op.src, tag=op.tag, post_time=0.0,
-            recv_vid=op.vid, request=op.request,
-        )
-        self.recv_purpose[recv.seq] = purpose
-        if purpose[0] == "irecv":
-            # account before posting: an immediate match decrements in
-            # _on_match, leaving the net at zero
-            self.outstanding[rank].setdefault(purpose[2], 0)
-            self.outstanding[rank][purpose[2]] += 1
-            self.open_irecvs[rank][recv.seq] = op
-        match = self.mailboxes[rank].post_recv(recv)
-        if match is not None:
-            self._on_match(match)
-            if purpose[0] == "block":
-                # consumed synchronously: the caller advances directly, so
-                # the resolved flag must not leak into a later block
-                self.block_resolved[rank] = False
+        recv = _Recv(rank, op.src, op.tag, op, irecv)
+        if self.mailboxes[rank].post_recv(recv) is not None:
             return True
+        if irecv:
+            pending = self.outstanding[rank]
+            pending[op.request] = pending.get(op.request, 0) + 1
+            self.open_irecvs[rank][recv] = op
         return False
 
-    def _arrive_collective(self, rank: int, op: ops.CollectiveOp) -> int:
+    def _arrive(self, rank: int, op: ops.CollectiveOp) -> bool:
+        """Arrive at ``rank``'s next collective instance; True when this
+        arrival releases it."""
         instance = self.coll_count[rank]
-        self.coll_count[rank] += 1
-        arrivals = self.coll_instances.setdefault(instance, {})
+        self.coll_count[rank] = instance + 1
+        arrivals = self.coll_arrivals.get(instance)
+        if arrivals is None:
+            arrivals = self.coll_arrivals[instance] = {}
         arrivals[rank] = op
-        if len(arrivals) == self.nprocs:
-            self.coll_released.add(instance)
-            kinds = {o.mpi_op for o in arrivals.values()}
-            if len(kinds) > 1:
-                self.coll_findings.append(
-                    ("collective-mismatch", instance, dict(arrivals))
-                )
-            elif len({o.root for o in arrivals.values()}) > 1:
-                self.coll_findings.append(
-                    ("root-mismatch", instance, dict(arrivals))
-                )
-        return instance
+        if len(arrivals) < self.nprocs:
+            return False
+        del self.coll_arrivals[instance]
+        # compared to the last arrival rather than hashed: class members
+        # share op instances, and hashing an MpiOp member is slow
+        if any(o.mpi_op is not op.mpi_op for o in arrivals.values()):
+            self.coll_findings.append(
+                ("collective-mismatch", instance, arrivals)
+            )
+        elif any(o.root != op.root for o in arrivals.values()):
+            self.coll_findings.append(("root-mismatch", instance, arrivals))
+        runnable = self.runnable
+        for other in arrivals:
+            if other != rank:
+                runnable[other] = True
+        return True
 
     # -- the drive loop -------------------------------------------------
 
-    def _advance(self, rank: int) -> bool:
-        progressed = False
-        events = self.streams[rank].events
-        while True:
-            state = self.state[rank]
-            if state == _DONE:
-                return progressed
+    def _advance(self, rank: int) -> None:
+        """Run ``rank`` until it blocks or finishes; a blocked rank first
+        checks whether its block has lifted."""
+        state = self.state[rank]
+        if state == _DONE:
+            return
+        stream = self.streams[rank]
+        events, kinds = stream.events, stream.kinds
+        pos, end = self.pos[rank], len(events)
+        if state != _RUN:
             if state == _BLK_RECV:
                 if not self.block_resolved[rank]:
-                    return progressed
+                    return
                 self.block_resolved[rank] = False
             elif state == _BLK_WAIT:
-                op = events[self.pos[rank]]
-                pending = self.outstanding[rank]
-                if isinstance(op, ops.WaitOp):
-                    if pending.get(op.request, 0) > 0:
-                        return progressed
-                elif any(v > 0 for v in pending.values()):
-                    return progressed
-            elif (
-                state == _BLK_COLL
-                and self.coll_count[rank] - 1 not in self.coll_released
-            ):
-                return progressed
-            if state != _RUN:
-                self.pos[rank] += 1
-                self.state[rank] = _RUN
-                progressed = True
-            if self.pos[rank] >= len(events):
-                self.state[rank] = _DONE
-                return True
-            op = events[self.pos[rank]]
-            if isinstance(op, ops.SendOp):
-                self._deliver(rank, op)
-                self.pos[rank] += 1
-            elif isinstance(op, ops.RecvOp):
-                if op.blocking:
-                    key = (rank, self.pos[rank])
-                    if key not in self.posted_once:
-                        self.posted_once.add(key)
-                        if self._post(rank, op, ("block", rank)):
-                            self.pos[rank] += 1
-                        else:
-                            self.state[rank] = _BLK_RECV
-                            return True
-                    else:  # already posted on an earlier visit
-                        self.state[rank] = _BLK_RECV
-                        return True
-                else:
-                    self._post(rank, op, ("irecv", rank, op.request))
-                    self.pos[rank] += 1
-            elif isinstance(op, (ops.WaitOp, ops.WaitAllOp)):
-                pending = self.outstanding[rank]
-                blocked = (
-                    pending.get(op.request, 0) > 0
-                    if isinstance(op, ops.WaitOp)
-                    else any(v > 0 for v in pending.values())
-                )
-                if blocked:
-                    self.state[rank] = _BLK_WAIT
-                    return True
-                self.pos[rank] += 1
-            elif isinstance(op, ops.CollectiveOp):
-                instance = self._arrive_collective(rank, op)
-                if instance in self.coll_released:
-                    self.pos[rank] += 1
-                else:
-                    self.state[rank] = _BLK_COLL
-                    return True
-            else:  # unreachable: streams are pre-filtered
-                self.pos[rank] += 1
-            progressed = True
+                if (
+                    self.open_irecvs[rank] if kinds[pos] == _WAITALL
+                    else events[pos].request in self.outstanding[rank]
+                ):
+                    return
+            elif self.coll_count[rank] - 1 in self.coll_arrivals:
+                return  # _BLK_COLL: its instance is not released yet
+            pos += 1
+        state = _DONE
+        while pos < end:
+            kind = kinds[pos]
+            if kind == _SEND:
+                self._deliver(rank, events[pos])
+            elif kind == _RECV:
+                if not self._post(rank, events[pos], False):
+                    state = _BLK_RECV
+                    break
+            elif kind == _IRECV:
+                self._post(rank, events[pos], True)
+            elif kind == _WAIT:
+                if events[pos].request in self.outstanding[rank]:
+                    state = _BLK_WAIT
+                    break
+            elif kind == _WAITALL:
+                if self.open_irecvs[rank]:
+                    state = _BLK_WAIT
+                    break
+            elif not self._arrive(rank, events[pos]):
+                state = _BLK_COLL
+                break
+            pos += 1
+        self.pos[rank] = pos
+        self.state[rank] = state
 
     def run(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            for rank in range(self.nprocs):
-                if self._advance(rank):
-                    progressed = True
+        runnable = self.runnable
+        visited = True
+        while visited:
+            visited = False
+            # compress reads each flag as the pass reaches it, so a rank
+            # a lower rank wakes is visited later in the same pass
+            for rank in compress(range(self.nprocs), runnable):
+                runnable[rank] = False
+                visited = True
+                self._advance(rank)
 
     # -- end-state introspection ----------------------------------------
 
@@ -521,12 +592,11 @@ class _Replay:
 
     def leftover_messages(self) -> list[tuple[int, ops.SendOp, int]]:
         """(src rank, send op, dest rank) of every never-received message."""
-        out = []
-        for dest, mailbox in enumerate(self.mailboxes):
-            for msg in mailbox.pending_messages():
-                src, op = self.msg_info[msg.seq]
-                out.append((src, op, dest))
-        return out
+        return [
+            (msg.src, msg.op, dest)
+            for dest, mailbox in enumerate(self.mailboxes)
+            for msg in mailbox.pending_messages()
+        ]
 
 
 # --------------------------------------------------------------------------
@@ -550,15 +620,16 @@ def _unsatisfiable_recvs(
     """How many of rank ``dest``'s receives can never complete under *any*
     message matching (full-stream bipartite maximum matching); None when
     the instance is too large to decide."""
+    stream = streams[dest]
     recvs = [
-        op for op in streams[dest].events
-        if isinstance(op, ops.RecvOp)
+        op for op, kind in zip(stream.events, stream.kinds)
+        if kind == _RECV or kind == _IRECV
     ]
     sends = [
         (s.rank, op)
         for s in streams
-        for op in s.events
-        if isinstance(op, ops.SendOp) and op.dest == dest
+        for op, kind in zip(s.events, s.kinds)
+        if kind == _SEND and op.dest == dest
     ]
     if len(recvs) * len(sends) > _MATCHING_WORK_CAP:
         return None
@@ -593,8 +664,8 @@ def _send_send_cycles(
     first_send: dict[int, dict[int, ops.SendOp]] = {}
     for stream in streams:
         edges: dict[int, ops.SendOp] = {}
-        for op in stream.events:
-            if isinstance(op, ops.SendOp):
+        for op, kind in zip(stream.events, stream.kinds):
+            if kind == _SEND:
                 if (
                     op.mpi_op is MpiOp.SEND
                     and op.blocking
@@ -602,11 +673,8 @@ def _send_send_cycles(
                     and op.dest not in edges
                 ):
                     edges[op.dest] = op
-            elif isinstance(op, ops.RecvOp):
-                if op.blocking:
-                    break
-            elif isinstance(op, (ops.WaitOp, ops.WaitAllOp, ops.CollectiveOp)):
-                break
+            elif kind != _IRECV:
+                break  # a blocking receive, wait, waitall or collective
         if edges:
             first_send[stream.rank] = edges
     # every rank has at most nprocs outgoing edges; find directed cycles
@@ -651,18 +719,22 @@ def _wildcard_hygiene(
     -> one matching send, kept for related spans).  At most one sender
     means the wildcard buys nothing and hides mismatches; two or more
     hand the verdict to the match-order analysis."""
+    if not any(stream.any_src for stream in streams):
+        return []
     sends_by_dest: dict[int, list[tuple[int, ops.SendOp]]] = {}
     for stream in streams:
-        for op in stream.events:
-            if isinstance(op, ops.SendOp):
+        for op, kind in zip(stream.events, stream.kinds):
+            if kind == _SEND:
                 sends_by_dest.setdefault(op.dest, []).append(
                     (stream.rank, op)
                 )
     out = []
     seen: set[tuple[int, str]] = set()
     for stream in streams:
-        for op in stream.events:
-            if not isinstance(op, ops.RecvOp) or op.src is not ops.ANY:
+        if not stream.any_src:
+            continue
+        for op, kind in zip(stream.events, stream.kinds):
+            if kind not in (_RECV, _IRECV) or op.src is not ops.ANY:
                 continue
             key = (stream.rank, str(op.location))
             if key in seen:
@@ -682,37 +754,58 @@ def _request_hygiene(
     list[tuple[int, ops.SendOp | ops.RecvOp]],
     list[tuple[int, ops.WaitOp, ops.WaitOp | None]],
 ]:
-    """Per-rank nonblocking-request bookkeeping, mirroring the engine's
-    per-name FIFO exactly: isend/irecv append to their request's queue,
-    ``wait`` pops the oldest entry of its name, ``waitall`` completes
-    everything.  Returns ``(leaks, double_waits)``: nonblocking ops whose
-    request survives to the end of the stream, and waits that found their
-    queue empty (the engine raises ``MpiUsageError`` for those)."""
+    """Per-rank nonblocking-request bookkeeping (see
+    :func:`_request_misuse`), checked once per distinct op list and
+    attributed to every rank that runs it.  Returns ``(leaks,
+    double_waits)`` in rank order."""
     leaks: list[tuple[int, ops.SendOp | ops.RecvOp]] = []
     double_waits: list[tuple[int, ops.WaitOp, ops.WaitOp | None]] = []
+    misuse_of: dict[int, tuple[list, list]] = {}
     for stream in streams:
-        queues: dict[str, list] = {}
-        completed_by: dict[str, ops.WaitOp] = {}
-        for op in stream.events:
-            if isinstance(op, (ops.SendOp, ops.RecvOp)):
-                if not op.blocking and op.request is not None:
-                    queues.setdefault(op.request, []).append(op)
-            elif isinstance(op, ops.WaitOp):
-                queue = queues.get(op.request)
-                if queue:
-                    queue.pop(0)
-                    if not queue:
-                        del queues[op.request]
-                    completed_by[op.request] = op
-                else:
-                    double_waits.append(
-                        (stream.rank, op, completed_by.get(op.request))
-                    )
-            elif isinstance(op, ops.WaitAllOp):
-                queues.clear()
-        for queue in queues.values():
-            for pending in queue:
-                leaks.append((stream.rank, pending))
+        misuse = misuse_of.get(id(stream.events))
+        if misuse is None:
+            misuse = misuse_of[id(stream.events)] = _request_misuse(stream)
+        list_leaks, list_waits = misuse
+        if list_leaks:
+            leaks.extend((stream.rank, op) for op in list_leaks)
+        if list_waits:
+            double_waits.extend(
+                (stream.rank, op, prior) for op, prior in list_waits
+            )
+    return leaks, double_waits
+
+
+def _request_misuse(
+    stream: _Stream,
+) -> tuple[list[ops.SendOp | ops.RecvOp], list[tuple[ops.WaitOp, ops.WaitOp | None]]]:
+    """One op list's request bookkeeping, mirroring the engine's per-name
+    FIFO exactly: isend/irecv append to their request's queue, ``wait``
+    pops the oldest entry of its name, ``waitall`` completes everything.
+    Returns the nonblocking ops whose request survives to the end of the
+    list, and the waits that found their queue empty (the engine raises
+    ``MpiUsageError`` for those), each with the wait that last completed
+    its request, if any."""
+    leaks: list[ops.SendOp | ops.RecvOp] = []
+    double_waits: list[tuple[ops.WaitOp, ops.WaitOp | None]] = []
+    queues: dict[str, deque] = {}
+    completed_by: dict[str, ops.WaitOp] = {}
+    for op, kind in zip(stream.events, stream.kinds):
+        if kind == _WAIT:
+            queue = queues.get(op.request)
+            if queue:
+                queue.popleft()
+                if not queue:
+                    del queues[op.request]
+                completed_by[op.request] = op
+            else:
+                double_waits.append((op, completed_by.get(op.request)))
+        elif kind == _WAITALL:
+            queues.clear()
+        elif kind == _IRECV or kind == _SEND and not op.blocking:
+            if op.request is not None:
+                queues.setdefault(op.request, deque()).append(op)
+    for queue in queues.values():
+        leaks.extend(queue)
     return leaks, double_waits
 
 

@@ -755,6 +755,13 @@ class _Analyzer:
         return av
 
     def _eval_inner(self, expr: ast.Expr, env: dict) -> AbstractValue:
+        # the two most common nodes first, by exact type (every lint
+        # witness re-runs this evaluator; subclasses take the chain below)
+        expr_type = type(expr)
+        if expr_type is ast.BinaryExpr:
+            return self._eval_binary(expr, env)
+        if expr_type is ast.VarRef:
+            return self._resolve_name(expr.name, env)
         if isinstance(expr, (ast.IntLit, ast.FloatLit, ast.StringLit, ast.BoolLit)):
             return const_av(expr.value)
         if isinstance(expr, ast.AnyLit):
@@ -924,6 +931,11 @@ class _Analyzer:
             return
         if isinstance(stmt, ast.Assign):
             self._bind(env, stmt.name, self._eval(stmt.value, env))
+            return
+        if isinstance(stmt, (ast.ReturnStmt, ast.ComputeStmt, ast.MpiStmt)) \
+                and self._quiet:
+            # these write no local, and evaluation is pure: a loop's
+            # fixpoint iterations would compute verdicts nobody records
             return
         if isinstance(stmt, ast.ReturnStmt):
             if stmt.value is not None:

@@ -70,6 +70,9 @@ _MAX_TOTAL_STREAM_OPS = 16_000_000
 _MAX_VARYING_INSTANCES = 1_000_000
 _MAX_RECORDED_REASONS = 8
 
+#: Key of the op-location index in the caller's per-program compile cache.
+_LOC_INDEX_KEY = "__classbatch_loc_index__"
+
 #: Fields of the recv half of a sendrecv, as named by the analysis-side
 #: capture layout -> the RecvOp attribute they set.
 _RECV_HALF = {"recv_src": "src", "recv_tag": "tag"}
@@ -116,7 +119,7 @@ def build_batched_streams(
     analysis: RankAnalysis,
     summary: SymmetrySummary,
     expr_cache: dict,
-    cost: CostModel,
+    cost: CostModel | None,
     precost_compute: bool,
     devirt: dict | None = None,
 ) -> BatchResult:
@@ -124,7 +127,10 @@ def build_batched_streams(
 
     ``precost_compute`` must only be True when ``cost.compute_cost`` is
     rank-independent (no per-execution noise, no per-rank speed spread) —
-    the engine checks the machine model before enabling it.
+    the engine checks the machine model before enabling it.  With
+    ``cost=None`` nothing is precosted (sends stay plain ``SendOp``s),
+    for callers that never time the streams; ``precost_compute`` must
+    then be False.
 
     ``devirt`` is the match-order devirtualization map (see
     ``Engine._devirt_map``): an ANY-source receive with a proven-unique
@@ -132,7 +138,10 @@ def build_batched_streams(
     per-rank path — it fans out as per-member concrete-source
     :class:`ops.DevirtRecvOp` instances instead.
     """
-    loc_index = op_stmt_index(program)
+    # program-only, so one index serves every scale sharing expr_cache
+    loc_index = expr_cache.get(_LOC_INDEX_KEY)
+    if loc_index is None:
+        loc_index = expr_cache[_LOC_INDEX_KEY] = op_stmt_index(program)
     template_cache: dict[int, StmtTemplate | IneligibleStmt] = {}
     frame_stmts = _frame_stmts(analysis, loc_index, template_cache)
     # Recording closures compile into a cache of their own, so the
@@ -264,7 +273,7 @@ def _build_template(
     loc_index: dict,
     template_cache: dict,
     nprocs: int,
-    cost: CostModel,
+    cost: CostModel | None,
     precost_compute: bool,
     precost_cache: dict,
     devirt: dict | None,
@@ -326,7 +335,7 @@ def _classify_op(
     value_cache: dict,
     fanout_cache: dict,
     nprocs: int,
-    cost: CostModel,
+    cost: CostModel | None,
     precost_compute: bool,
     precost_cache: dict,
     devirt: dict | None,
@@ -363,7 +372,7 @@ def _classify_op(
     if not rules and devirt_srcs is None:
         if precost_compute and op_type is ops.ComputeOp:
             return ("share", _precosted(op, op.workload, cost, precost_cache))
-        if op_type is ops.SendOp:
+        if op_type is ops.SendOp and cost is not None:
             return ("share", _precosted_send(op, op.nbytes, cost))
         return ("share", op)
 
@@ -428,7 +437,7 @@ def _classify_op(
         per_member = _vary_compute(
             op, members, columns, cost, precost_compute, precost_cache
         )
-    elif op_type is ops.SendOp:
+    elif op_type is ops.SendOp and cost is not None:
         per_member = []
         for i in range(len(members)):
             inst = replace(op, **{attr: vals[i] for attr, vals in columns})

@@ -15,7 +15,7 @@ from unittest import mock
 
 import pytest
 
-from repro.analysis import run_lint, run_lint_scales
+from repro.analysis import lint, run_lint, run_lint_scales
 from repro.api import Pipeline
 from repro.apps import APPS, get_app
 from repro.simulator.interp import Interpreter
@@ -238,6 +238,46 @@ def main() {
         assert by_rule["tag-mismatch"] == (0,), report.render()
         # rank 1's send is the one the tag-mismatch claims
         assert by_rule["unmatched-send"] == (2, 3), report.render()
+
+
+class TestSharedListHygiene:
+    """Request hygiene runs once per distinct op list; members that share
+    one list must each get its findings."""
+
+    SOURCE = """\
+def main() {
+    if (rank == 0) {
+        for (var i = 1; i < nprocs; i = i + 1) {
+            recv(src = i, tag = 1);
+            recv(src = i, tag = 2);
+        }
+    } else {
+        isend(dest = 0, tag = 1, bytes = 8, req = s);
+        wait(req = s);
+        wait(req = s);
+        isend(dest = 0, tag = 2, bytes = 8, req = k);
+    }
+}
+"""
+
+    def test_every_member_gets_the_list_findings(self):
+        program, psg = _compiled(self.SOURCE, "leaky")
+        lists = {}
+        build = lint._batched_streams
+
+        def capturing(*args):
+            lists.update(build(*args))
+            return lists
+
+        with mock.patch.object(lint, "_batched_streams", capturing):
+            report = _assert_matches_oracle(program, psg, 5)
+        # ranks 1-4 are one class whose members share one op list
+        assert sorted(lists) == [1, 2, 3, 4]
+        assert len({id(ops) for ops in lists.values()}) == 1
+        by_rule = {f.rule: f.ranks for f in report.findings}
+        assert by_rule == {
+            "double-wait": (1, 2, 3, 4), "request-leak": (1, 2, 3, 4),
+        }, report.render()
 
 
 class TestEngagement:
