@@ -44,7 +44,7 @@ from repro.simulator import ops
 from repro.simulator.errors import MpiUsageError, SimulationError
 from repro.simulator.exprcompile import truthy
 
-from repro.analysis.rankdep import eval_term
+from repro.analysis.rankdep import _assigned_names, _free_names, eval_term
 
 __all__ = [
     "CommFamily",
@@ -161,14 +161,6 @@ def _conj(a: tuple | None, b: tuple) -> tuple:
 
 def _neg(t: tuple) -> tuple:
     return ("un", "!", t)
-
-
-def _assigned_names(block: ast.Block) -> set:
-    out: set = set()
-    for stmt in ast.walk_statements(block):
-        if isinstance(stmt, (ast.VarDecl, ast.Assign)):
-            out.add(stmt.name)
-    return out
 
 
 def _block_emits(block: ast.Block) -> bool:
@@ -512,19 +504,6 @@ class _GraphBuilder:
             reason=None,
             families=tuple(self.families),
         )
-
-
-def _free_names(expr: ast.Expr, out: set) -> None:
-    if isinstance(expr, ast.VarRef):
-        out.add(expr.name)
-    elif isinstance(expr, ast.UnaryExpr):
-        _free_names(expr.operand, out)
-    elif isinstance(expr, ast.BinaryExpr):
-        _free_names(expr.left, out)
-        _free_names(expr.right, out)
-    elif isinstance(expr, ast.CallExpr):
-        for a in expr.args:
-            _free_names(a, out)
 
 
 def _free_loop_vars(term: tuple | None, loop_vars: set, out: set) -> None:

@@ -1,5 +1,7 @@
 """TraceBuffer unit tests: columnar recording, lazy views, aggregation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.simulator.events import Segment
 from repro.simulator.trace import (
     CHUNK_EVENTS,
     MPI_OP_CODES,
+    WILDCARD_CODE,
     TraceBuffer,
     mpi_op_code,
 )
@@ -252,3 +255,198 @@ class TestEngineIntegration:
         # 7 float64 event columns + 6 float64 counter columns
         expected = 8 * (7 * res.trace.event_count + 6 * res.trace.counter_count)
         assert res.trace.nbytes() == expected
+
+
+class TestChunkedTables:
+    """Pins what every chunked table keeps across many seals: column
+    layout, in-place updates, float association of the ring fold, and
+    the document bytes."""
+
+    @pytest.fixture(autouse=True)
+    def _small_chunks(self, monkeypatch):
+        import repro.simulator.trace as trace_mod
+
+        monkeypatch.setattr(trace_mod, "CHUNK_EVENTS", 16)
+
+    @staticmethod
+    def _collective_records(n):
+        from repro.simulator.events import CollectiveRecord
+
+        ops = [MpiOp.BARRIER, MpiOp.ALLREDUCE, MpiOp.BCAST, MpiOp.REDUCE]
+        rng = np.random.default_rng(11)
+        records = []
+        for i in range(n):
+            ranks = [int(r) for r in rng.permutation(9)[: 1 + i % 7]]
+            arrivals = {r: float(rng.random()) for r in ranks}
+            records.append(CollectiveRecord(
+                index=i,
+                mpi_op=ops[i % len(ops)],
+                root=ranks[0],
+                nbytes=8 * i,
+                vids={r: 100 + r + i for r in ranks},
+                arrivals=arrivals,
+                completions={r: a + 0.1 + float(rng.random()) for r, a in arrivals.items()},
+            ))
+        return records
+
+    def test_collective_rows_span_seals(self):
+        from repro.simulator.trace import CollectiveTable
+
+        records = self._collective_records(40)
+        table = CollectiveTable()
+        for rec in records:
+            table.append_record(rec)
+        assert table.row_count == len(table) == 40
+        cols = table.columns()
+        assert cols["index"].tolist() == list(range(40))
+        assert cols["op"].tolist() == [MPI_OP_CODES[r.mpi_op] for r in records]
+        assert cols["root"].tolist() == [r.root for r in records]
+        assert cols["nbytes"].tolist() == [r.nbytes for r in records]
+        assert cols["offsets"].tolist() == np.cumsum(
+            [0] + [len(r.arrivals) for r in records]
+        ).tolist()
+        assert cols["part_rank"].dtype == np.int64
+        assert cols["part_rank"].tolist() == [
+            rk for r in records for rk in r.arrivals
+        ]
+        assert cols["part_vid"].tolist() == [
+            r.vids[rk] for r in records for rk in r.arrivals
+        ]
+        assert cols["part_arrival"].tolist() == [
+            a for r in records for a in r.arrivals.values()
+        ]
+        assert cols["part_completion"].tolist() == [
+            r.completions[rk] for r in records for rk in r.arrivals
+        ]
+        wc = table.wait_columns()
+        assert wc["op_cost"].tolist() == [r.op_cost for r in records]
+        assert wc["laggard"].tolist() == [r.last_arrival_rank for r in records]
+        assert wc["laggard_arrival"].tolist() == [
+            r.arrivals[r.last_arrival_rank] for r in records
+        ]
+        assert wc["wait"].tolist() == [
+            r.wait_of(rk) for r in records for rk in r.arrivals
+        ]
+        for i, rec in enumerate(records):
+            row = table.row(i)
+            assert row == rec
+            assert list(row.arrivals) == list(rec.arrivals)  # key order
+        assert list(table.records()) == records
+        doc = table.to_doc()
+        back = CollectiveTable.from_doc(doc)
+        assert back.to_doc() == doc
+        assert list(back.records()) == records
+        assert all(
+            np.array_equal(a, b)
+            for a, b in zip(back.columns().values(), cols.values())
+        )
+
+    @staticmethod
+    def _chunked_reference(rows, chunk, nweights):
+        """Per chunk, a left fold of each key's weights in row order; the
+        chunk partials then join each key's total in chunk order."""
+        totals, flags = {}, {}
+        for c0 in range(0, len(rows), chunk):
+            partials = {}
+            for key, weights in rows[c0:c0 + chunk]:
+                part = partials.setdefault(key, [0.0] * nweights)
+                for j, w in enumerate(weights):
+                    part[j] = part[j] + w
+                flags[key] = flags.get(key, False) or weights[-1] != 0.0
+            for key, part in partials.items():
+                if key in totals:
+                    totals[key] = [a + b for a, b in zip(totals[key], part)]
+                else:
+                    totals[key] = part
+        return totals, flags
+
+    @staticmethod
+    def _bits(d):
+        import struct
+
+        return [
+            (k, struct.pack("<d", v) if isinstance(v, float) else v)
+            for k, v in d.items()
+        ]
+
+    def test_ring_fold_associates_per_chunk(self):
+        rng = np.random.default_rng(5)
+        n = 300
+        events = [
+            (int(r), int(v), 0, float(s), float(s) + float(d), float(w), -1)
+            for r, v, s, d, w in zip(
+                rng.integers(0, 3, n),
+                rng.integers(0, 4, n),
+                rng.random(n) * 10.0,
+                rng.random(n) / 3.0,
+                rng.random(n) / 7.0 * (rng.random(n) > 0.4),
+            )
+        ]
+        counters = [
+            (int(r), int(v), *(float(x) for x in rng.random(4) * 1e3 / 3.0))
+            for r, v in zip(rng.integers(0, 3, n), rng.integers(0, 4, n))
+        ]
+        buf = TraceBuffer(keep_events=False)
+        _fill(buf, events)
+        for row in counters:
+            buf.append_counters(*row)
+
+        totals, waited = self._chunked_reference(
+            [((r, v), (e - s, w)) for r, v, _k, s, e, w, _o in events], 16, 2
+        )
+        ref_time = {k: t[0] for k, t in totals.items()}
+        ref_wait = {k: t[1] for k, t in totals.items() if waited[k]}
+        ref_visits = {}
+        for r, v, *_ in events:
+            ref_visits[(r, v)] = ref_visits.get((r, v), 0) + 1
+        assert self._bits(buf.vertex_time()) == self._bits(ref_time)
+        assert self._bits(buf.vertex_wait()) == self._bits(ref_wait)
+        assert list(buf.vertex_visits().items()) == list(ref_visits.items())
+        # the chunked association really differs from one flat pass here
+        flat = TraceBuffer()
+        _fill(flat, events)
+        assert self._bits(flat.vertex_time()) != self._bits(ref_time)
+
+        ctotals, _ = self._chunked_reference(
+            [((r, v), tuple(w)) for r, v, *w in counters], 16, 4
+        )
+        got = buf.vertex_counters()
+        assert list(got) == list(ctotals)
+        for key, (ins, cyc, lst, dcm) in ctotals.items():
+            c = got[key]
+            assert self._bits({0: c.tot_ins, 1: c.tot_cyc, 2: c.tot_lst_ins,
+                               3: c.l2_dcm}) == self._bits(
+                {0: ins, 1: cyc, 2: lst, 3: dcm}
+            )
+
+    def test_sealed_set_wait_survives_json_round_trip(self):
+        import json
+
+        buf = TraceBuffer()
+        _fill(buf, EVENTS * 10)
+        for i in range(10):
+            buf.append_counters(i % 3, 7, 1.0 / (i + 3), 2.5, 0.1 * i, 1e-3)
+        rows = [
+            buf.p2p.append(i % 4, 5, (i + 1) % 4, 6, -1, i, 8 * i,
+                           WILDCARD_CODE if i % 3 else i % 4, i,
+                           0.1 * i, 0.2 * i, 0.05 * i, float("nan"), 0.0)
+            for i in range(40)
+        ]
+        buf.p2p.set_wait(rows[3], 7.25, 12, 0.125)  # sealed at row 16
+        buf.p2p.set_wait(rows[20], 8.5, 13, 0.25)  # sealed at row 32
+        buf.p2p.set_wait(rows[39], 9.75, 14, 0.5)  # still pending
+        for i, rec in enumerate(self._collective_records(12)):
+            buf.collectives.append_record(rec)
+        assert (buf.p2p.row(3).completion, buf.p2p.row(3).wait_vid,
+                buf.p2p.row(3).wait_time) == (7.25, 12, 0.125)
+        assert buf.p2p.row(20).wait_vid == 13
+        assert buf.p2p.row(39).completion == 9.75
+        assert math.isnan(buf.p2p.row(4).completion)
+        text = json.dumps(buf.to_doc())
+        back = TraceBuffer.from_doc(json.loads(text))
+        assert json.dumps(back.to_doc()) == text
+        # NaN completions compare unequal, so compare the reprs
+        assert list(map(repr, back.p2p.records())) == list(
+            map(repr, buf.p2p.records())
+        )
+        assert list(back.segments()) == list(buf.segments())
