@@ -24,7 +24,7 @@ import numpy as np
 from repro.runtime.perfdata import PerformanceVector
 from repro.simulator.costmodel import PerfCounters
 from repro.simulator.engine import SimulationResult
-from repro.simulator.trace import TraceBuffer
+from repro.simulator.trace import group_rows
 
 __all__ = ["SamplingProfile", "sample_result", "DEFAULT_FREQ_HZ"]
 
@@ -97,9 +97,7 @@ def sample_result(
     if len(order):
         total_samples = int(counts.astype(np.int64).sum())
         duration = end_c[order] - start_c[order]
-        inv, group_order, keys = TraceBuffer._grouped(
-            cols["rank"][order], cols["vid"][order]
-        )
+        inv, keys = group_rows(cols["rank"][order], cols["vid"][order])
         n = len(keys)
         sampled = counts * period
         frac = sampled / duration
@@ -127,8 +125,8 @@ def sample_result(
             np.bincount(inv, weights=exact[inv, f] * share, minlength=n)
             for f in range(4)
         ]
-        for g in group_order:
-            perf[keys[g]] = PerformanceVector(
+        for g, key in enumerate(keys):
+            perf[key] = PerformanceVector(
                 time=float(time_sums[g]),
                 wait=float(wait_sums[g]),
                 visits=int(visit_counts[g]),

@@ -44,9 +44,7 @@ from repro.simulator.matching import Mailbox, Match, Message, PostedRecv
 from repro.simulator.ops import ANY
 from repro.simulator.schedq import BinaryHeapQueue
 from repro.simulator.trace import (
-    CollectiveRecordsView,
     CollectiveTable,
-    P2PRecordsView,
     P2PTable,
     TraceBuffer,
     WILDCARD_CODE,
@@ -57,7 +55,6 @@ __all__ = [
     "BinaryHeapQueue",
     "CollectiveMismatchError",
     "CollectiveRecord",
-    "CollectiveRecordsView",
     "CollectiveTable",
     "CollectiveTracker",
     "CostModel",
@@ -75,7 +72,6 @@ __all__ = [
     "MpiUsageError",
     "NetworkModel",
     "P2PRecord",
-    "P2PRecordsView",
     "P2PTable",
     "PerfCounters",
     "PostedRecv",

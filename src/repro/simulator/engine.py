@@ -66,9 +66,7 @@ from repro.simulator.schedq import BinaryHeapQueue
 from repro.simulator.trace import (
     MPI_OP_CODES,
     WILDCARD_CODE,
-    CollectiveRecordsView,
-    P2PRecordsView,
-    SegmentsView,
+    RowView,
     TraceBuffer,
 )
 
@@ -136,10 +134,11 @@ class SimulationConfig:
 class SimulationResult:
     """Ground truth of one run.
 
-    Timeline events live in a columnar :class:`TraceBuffer`; the historical
-    accessors (``segments``, ``vertex_time``, ``vertex_wait``,
+    Timeline events and communication records live in a columnar
+    :class:`TraceBuffer`; the accessors (``segments``, ``p2p_records``,
+    ``collective_records``, ``vertex_time``, ``vertex_wait``,
     ``vertex_counters``, ``vertex_visits``, ``time_of``) are lazy views
-    over it, so pre-TraceBuffer callers keep working unchanged.
+    over it.
     """
 
     nprocs: int
@@ -157,19 +156,19 @@ class SimulationResult:
     metrics: obs.RunMetrics | None = None
 
     @property
-    def segments(self) -> SegmentsView:
+    def segments(self) -> RowView:
         """Timeline events as Segment objects (lazy; empty when the run was
         executed with ``record_segments=False``)."""
         return self.trace.segments()
 
     @property
-    def p2p_records(self) -> P2PRecordsView:
+    def p2p_records(self) -> RowView:
         """Matched messages as P2PRecord objects (lazy view over the
         columnar :class:`~repro.simulator.trace.P2PTable`)."""
         return self.trace.p2p.records()
 
     @property
-    def collective_records(self) -> CollectiveRecordsView:
+    def collective_records(self) -> RowView:
         """Completed collectives as CollectiveRecord objects (lazy view
         over the columnar :class:`~repro.simulator.trace.CollectiveTable`)."""
         return self.trace.collectives.records()

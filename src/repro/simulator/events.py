@@ -13,12 +13,12 @@ these dataclasses: ground truth lives in the columnar
 :class:`Segment`, the :class:`~repro.simulator.trace.P2PTable` for
 :class:`P2PRecord`, the :class:`~repro.simulator.trace.CollectiveTable`
 for :class:`CollectiveRecord`.  ``SimulationResult.segments`` /
-``.p2p_records`` / ``.collective_records`` are lazy sequences that
-materialize one of these objects per access, so per-record call sites keep
-working while vectorized consumers read the column arrays directly.  A
-:class:`CollectiveRecord` also still travels by value: the engine builds
-one transient instance per completed collective to apply the per-rank
-completions before it is appended to the table.
+``.p2p_records`` / ``.collective_records`` are lazy
+:class:`~repro.simulator.trace.RowView` sequences that materialize one of
+these objects per access; vectorized consumers read the column arrays
+directly.  A :class:`CollectiveRecord` also travels by value: the engine
+builds one transient instance per completed collective to apply the
+per-rank completions before it is appended to the table.
 """
 
 from __future__ import annotations
@@ -107,9 +107,8 @@ class CollectiveRecord:
     @property
     def op_cost(self) -> float:
         """Intrinsic cost of the operation: the smallest per-participant
-        ``completion - arrival`` span (computed once, then cached —
-        ``wait_of`` used to recompute this O(P) min per call, which made
-        every all-ranks laggard loop O(P²) per collective)."""
+        ``completion - arrival`` span (computed once, then cached, so an
+        all-ranks ``wait_of`` loop stays O(P) per collective)."""
         cost = self.cached_op_cost
         if cost is None:
             cost = min(
