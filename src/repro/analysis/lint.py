@@ -12,9 +12,10 @@ The replay visits ranks in round-robin order, but only the ranks a match
 or a collective release woke since their last visit (see
 :class:`_Replay`): the visits are those of plain round robin minus the
 ones that could not progress, so wildcard receives match exactly as
-under plain round robin.  Each distinct op list is classified once when
-it is collected (one kind code per op); batched members that share a
-list share its classification and its request-hygiene result.
+under plain round robin.  Each class is classified once when it is
+collected (one kind code per op): its members' op lists are patched
+copies of one template, so they share its kind codes and its
+request-hygiene result.
 
 Streams are class-batched: for every behavioural class of two or more
 ranks (:func:`~repro.analysis.symmetry.partition_ranks`), the engine's
@@ -84,6 +85,7 @@ import enum
 import re
 from collections import deque
 from itertools import compress
+from operator import itemgetter
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Mapping
 
@@ -249,8 +251,8 @@ _TYPE_KINDS = {
 @dataclass(slots=True)
 class _Stream:
     rank: int
-    #: the ops the replay acts on, and each one's kind code; batched
-    #: members with one op list share both (never mutated)
+    #: the ops the replay acts on, and each one's kind code; the members
+    #: of a batched class share the kind codes (never mutated)
     events: list = field(default_factory=list)
     kinds: list[int] = field(default_factory=list)
     #: the stream holds a receive from ANY source
@@ -260,15 +262,20 @@ class _Stream:
     truncated: bool = False
 
 
-def _unroll(stream: _Stream, source: Iterable, max_ops: int) -> None:
+def _unroll(
+    stream: _Stream, source: Iterable, max_ops: int,
+    positions: list[int] | None = None,
+) -> None:
     """Filter and classify ``source`` into ``stream`` in one pass.  More
     than ``max_ops`` kept ops truncate it, and so does the interpreter's
-    iteration budget; other interpreter errors land on the stream."""
+    iteration budget; other interpreter errors land on the stream.
+    ``positions``, when given, receives each kept op's index in
+    ``source``."""
     events, kinds = stream.events, stream.kinds
     type_kinds = _TYPE_KINDS
     last_loc: SourceLocation | None = None
     try:
-        for op in source:
+        for index, op in enumerate(source):
             last_loc = op.location
             op_type = type(op)
             kind = type_kinds.get(op_type, -1)
@@ -283,6 +290,8 @@ def _unroll(stream: _Stream, source: Iterable, max_ops: int) -> None:
                     stream.any_src = True
             events.append(op)
             kinds.append(kind)
+            if positions is not None:
+                positions.append(index)
             if len(events) > max_ops:
                 stream.truncated = True
                 break
@@ -321,6 +330,33 @@ def _batched_streams(
     ).streams
 
 
+def _class_streams(
+    members: tuple[int, ...], batched: dict[int, list], max_ops: int
+) -> list[_Stream]:
+    """The streams of one batched class, classified once.
+
+    The members' op lists are patched copies of the representative's
+    (``members[0]``): the same op types at every position, so the same
+    kind codes, wildcard flag and truncation.  Each other member keeps
+    its own ops at the representative's kept positions; members that
+    share the representative's list share its events too."""
+    base = batched[members[0]]
+    first = _Stream(members[0])
+    positions: list[int] = []
+    _unroll(first, base, max_ops, positions)
+    take = itemgetter(*positions) if len(positions) > 1 else (
+        lambda whole: [whole[p] for p in positions]
+    )
+    out = [first]
+    for rank in members[1:]:
+        whole = batched[rank]
+        out.append(_Stream(
+            rank, first.events if whole is base else list(take(whole)),
+            first.kinds, first.any_src, truncated=first.truncated,
+        ))
+    return out
+
+
 def _collect_streams(
     program: ast.Program,
     psg: PSG,
@@ -342,29 +378,23 @@ def _collect_streams(
         program, psg, nprocs, params, entry,
         min(max_iterations, max_ops_per_rank), symmetry, expr_cache,
     )
-    # members without a rank-varying slot share one op list: classify it
-    # once and share the result
-    first_of: dict[int, _Stream] = {}
+    # a class is batched whole or not at all: classify each batched
+    # class once, through its representative
+    classified: dict[int, _Stream] = {}
+    for cls in symmetry.classes:
+        if len(cls.ranks) > 1 and cls.ranks[0] in batched:
+            for stream in _class_streams(cls.ranks, batched, max_ops_per_rank):
+                classified[stream.rank] = stream
     streams: list[_Stream] = []
     for rank in range(nprocs):
-        whole = batched.get(rank)
-        if whole is None:
+        stream = classified.get(rank)
+        if stream is None:
             stream = _Stream(rank)
             _unroll(stream, Interpreter(
                 program, psg, rank, nprocs, params,
                 max_iterations=max_iterations, entry=entry,
                 expr_cache=expr_cache,
             ).run(), max_ops_per_rank)
-        else:
-            first = first_of.get(id(whole))
-            if first is None:
-                stream = first_of[id(whole)] = _Stream(rank)
-                _unroll(stream, whole, max_ops_per_rank)
-            else:
-                stream = _Stream(
-                    rank, first.events, first.kinds, first.any_src,
-                    truncated=first.truncated,
-                )
         streams.append(stream)
     return streams, len(batched)
 
@@ -755,55 +785,58 @@ def _request_hygiene(
     list[tuple[int, ops.WaitOp, ops.WaitOp | None]],
 ]:
     """Per-rank nonblocking-request bookkeeping (see
-    :func:`_request_misuse`), checked once per distinct op list and
-    attributed to every rank that runs it.  Returns ``(leaks,
-    double_waits)`` in rank order."""
+    :func:`_request_misuse`), checked once per distinct kind list (one per
+    batched class) and attributed to every rank that runs it, with each
+    rank's own ops.  Returns ``(leaks, double_waits)`` in rank order."""
     leaks: list[tuple[int, ops.SendOp | ops.RecvOp]] = []
     double_waits: list[tuple[int, ops.WaitOp, ops.WaitOp | None]] = []
     misuse_of: dict[int, tuple[list, list]] = {}
     for stream in streams:
-        misuse = misuse_of.get(id(stream.events))
+        misuse = misuse_of.get(id(stream.kinds))
         if misuse is None:
-            misuse = misuse_of[id(stream.events)] = _request_misuse(stream)
+            misuse = misuse_of[id(stream.kinds)] = _request_misuse(stream)
         list_leaks, list_waits = misuse
+        events = stream.events
         if list_leaks:
-            leaks.extend((stream.rank, op) for op in list_leaks)
+            leaks.extend((stream.rank, events[j]) for j in list_leaks)
         if list_waits:
             double_waits.extend(
-                (stream.rank, op, prior) for op, prior in list_waits
+                (stream.rank, events[j], None if prior is None else events[prior])
+                for j, prior in list_waits
             )
     return leaks, double_waits
 
 
 def _request_misuse(
     stream: _Stream,
-) -> tuple[list[ops.SendOp | ops.RecvOp], list[tuple[ops.WaitOp, ops.WaitOp | None]]]:
+) -> tuple[list[int], list[tuple[int, int | None]]]:
     """One op list's request bookkeeping, mirroring the engine's per-name
     FIFO exactly: isend/irecv append to their request's queue, ``wait``
     pops the oldest entry of its name, ``waitall`` completes everything.
-    Returns the nonblocking ops whose request survives to the end of the
-    list, and the waits that found their queue empty (the engine raises
-    ``MpiUsageError`` for those), each with the wait that last completed
-    its request, if any."""
-    leaks: list[ops.SendOp | ops.RecvOp] = []
-    double_waits: list[tuple[ops.WaitOp, ops.WaitOp | None]] = []
+    Returns, as indices into the list, the nonblocking ops whose request
+    survives to the end of the list, and the waits that found their
+    queue empty (the engine raises ``MpiUsageError`` for those), each with
+    the wait that last completed its request, if any.  Request names do
+    not vary within a class, so the indices hold for every member."""
+    leaks: list[int] = []
+    double_waits: list[tuple[int, int | None]] = []
     queues: dict[str, deque] = {}
-    completed_by: dict[str, ops.WaitOp] = {}
-    for op, kind in zip(stream.events, stream.kinds):
+    completed_by: dict[str, int] = {}
+    for j, (op, kind) in enumerate(zip(stream.events, stream.kinds)):
         if kind == _WAIT:
             queue = queues.get(op.request)
             if queue:
                 queue.popleft()
                 if not queue:
                     del queues[op.request]
-                completed_by[op.request] = op
+                completed_by[op.request] = j
             else:
-                double_waits.append((op, completed_by.get(op.request)))
+                double_waits.append((j, completed_by.get(op.request)))
         elif kind == _WAITALL:
             queues.clear()
         elif kind == _IRECV or kind == _SEND and not op.blocking:
             if op.request is not None:
-                queues.setdefault(op.request, deque()).append(op)
+                queues.setdefault(op.request, deque()).append(j)
     for queue in queues.values():
         leaks.extend(queue)
     return leaks, double_waits

@@ -44,7 +44,7 @@ per-rank oracle is gated by ``tests/test_oracle_sweep.py``.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 
 from repro.analysis.batching import (
@@ -98,10 +98,14 @@ class BatchResult:
 
     ``streams`` maps every successfully batched rank (representatives
     included) to its complete op list; ranks absent from it run the
-    normal per-rank interpreter.
+    normal per-rank interpreter.  ``classes`` holds each batched class's
+    template ``(members, base, patches)`` (see :func:`_build_template`):
+    member ``members[i]`` runs ``base`` with ``per_member[i]`` at every
+    patched ``(position, per_member)``.
     """
 
     streams: dict[int, list]
+    classes: list[tuple[list[int], list, list]] = field(default_factory=list)
     classes_batched: int = 0
     ranks_batched: int = 0
     fallbacks: int = 0
@@ -179,6 +183,7 @@ def build_batched_streams(
             _note(result, reasons, str(exc))
             continue
         _fan_out(result.streams, base, patches, members)
+        result.classes.append((members, base, patches))
         result.classes_batched += 1
         result.ranks_batched += len(members)
 

@@ -30,7 +30,10 @@ When every rank runs a class-batched stream and segments are recorded,
 the serial drain runs each ready rank until it blocks instead (see
 :meth:`Engine.drain`): every receive source is then concrete, so the
 result does not depend on how ranks interleave, only the global order of
-trace rows does.
+trace rows does.  When, in addition, one class covers every rank and
+:meth:`Engine.start` proves its point-to-point pairing from the class
+template, the drain runs all ranks in lockstep, one template position at
+a time as numpy columns (:mod:`repro.simulator.lockstep`).
 """
 
 from __future__ import annotations
@@ -286,6 +289,14 @@ class Engine:
         self._run_to_block = False
         #: the run-to-block ready FIFO of pids (None until it engages)
         self._ready: deque | None = None
+        #: the batched classes' templates ``(members, base, patches)``
+        self._batch_classes: list = []
+        #: the lockstep plan compiled by start (None: it refused)
+        self._lockstep = None
+        #: why start compiled no lockstep plan (None when it did); kept
+        #: apart from ``class_batch_reasons``, since a refusal is not a
+        #: batching fallback
+        self.lockstep_reason: str | None = None
         # recording: columnar trace (ring mode when segments are not kept);
         # the buffer owns the p2p/collective record tables too
         self.trace = TraceBuffer(keep_events=config.record_segments)
@@ -328,7 +339,8 @@ class Engine:
             return self.finish()
 
     def start(self) -> None:
-        """Create the interpreters and make every rank runnable."""
+        """Create the interpreters, make every rank runnable and, where
+        it applies, compile the lockstep plan (see :meth:`drain`)."""
         cfg = self.config
         # One compiled-expression cache shared by every rank: the AST is
         # rank-independent, so each expression compiles exactly once.
@@ -343,6 +355,7 @@ class Engine:
         self._run_to_block = (
             len(batched) == cfg.nprocs and cfg.record_segments
         )
+        self._lockstep = self._compile_lockstep(len(batched))
         for pid in range(cfg.nprocs):
             stream = batched.get(pid)
             if stream is not None:
@@ -409,6 +422,36 @@ class Engine:
             self._step_aside("devirt_sources", exc)
             return {}
 
+    def _compile_lockstep(self, ranks_batched: int):
+        """The lockstep plan of this run (see :mod:`repro.simulator.lockstep`),
+        or None with the refusal in ``lockstep_reason``.
+
+        Lockstep needs the run-to-block condition plus one class of
+        every rank; the compiler then proves the rest or refuses."""
+        cfg = self.config
+        classes = self._batch_classes
+        if not cfg.record_segments:
+            reason = "ring mode: segments are not recorded"
+        elif not self._run_to_block:
+            reason = f"{ranks_batched} of {cfg.nprocs} ranks class-batched"
+        elif len(classes) != 1:
+            reason = f"{len(classes)} rank classes"
+        else:
+            from repro.simulator.lockstep import Refusal, compile_plan
+
+            try:
+                return compile_plan(
+                    *classes[0], cost=self.cost, delays=self._delays,
+                    send_ovh=self._send_ovh, recv_ovh=self._recv_ovh,
+                )
+            except Refusal as exc:
+                reason = str(exc)
+            except Exception as exc:
+                self._step_aside("compile_plan", exc)
+                reason = f"compile_plan raised {type(exc).__name__}"
+        self.lockstep_reason = reason
+        return None
+
     def _step_aside(self, component: str, exc: Exception) -> None:
         """Record why an optimizer analysis raised and was skipped."""
         self.class_batch_reasons += (
@@ -468,6 +511,7 @@ class Engine:
         stats["ranks_batched"] = result.ranks_batched
         stats["fallbacks"] = result.fallbacks
         self.class_batch_reasons += result.fallback_reasons
+        self._batch_classes = result.classes
         return result.streams
 
     def drain(self) -> None:
@@ -498,7 +542,29 @@ class Engine:
         raised while running to block is replaced by the one a fresh
         engine raises through the time-ordered loop.  A deadlock needs no
         replay: the blocked set and its clocks are interleaving-free.
+
+        **Lockstep.**  When the run-to-block condition holds and one
+        batched class covers every rank, every rank runs a patched copy of
+        one template, so :meth:`start` can check the whole run statically
+        (:func:`repro.simulator.lockstep.compile_plan`): every position is
+        a pure-cost compute, a send, a concrete-source receive, a wait or
+        waitall, or a collective whose op, root and size are the same on
+        every rank; non-overtaking pairs each receive position with one
+        send position, as a permutation of the ranks, that comes before
+        the position completing the receive; every wait names an
+        outstanding request, and every request is waited on.  Then
+        running all ranks through position ``k`` before ``k + 1`` is a
+        schedule in which every value is written before it is read, so by
+        the same determinacy it gives every clock and row value of the
+        other loops, and it cannot deadlock or raise.  The drain runs
+        that schedule as float64 columns and appends the rows as blocks.
+        Any failed check leaves a reason in ``lockstep_reason`` and the
+        loops above drain unchanged; they stay lockstep's fallback and
+        oracle.
         """
+        if self._lockstep is not None:
+            self._drain_lockstep()
+            return
         if not self._run_to_block:
             self._drain_time_ordered()
             return
@@ -549,6 +615,18 @@ class Engine:
             else:
                 proc.status = _Status.DONE
 
+    def _drain_lockstep(self) -> None:
+        """Run the compiled lockstep plan: every rank to completion, one
+        template position at a time (see :meth:`drain`)."""
+        plan = self._lockstep
+        clocks = plan.run(self.trace)
+        for proc, clock in zip(self.procs, clocks):
+            proc.clock = clock
+            proc.status = _Status.DONE
+        self.mpi_call_count += plan.mpi_calls
+        self.compute_count += plan.compute_ops
+        self.wildcard_stats["devirt"] += plan.devirt
+
     def _entry_live(self, entry: tuple) -> bool:
         """Queue staleness predicate: does this entry still schedule its
         proc?  (Superseded tokens and parked/finished procs do not.)"""
@@ -592,8 +670,12 @@ class Engine:
             self.trace.collectives.row_count
         )
         # drain-dependent: the run-to-block drain hands off less often
-        # than the time-ordered one
-        reg.counter("engine.run_to_block").inc(int(self._ready is not None))
+        # than the time-ordered one, and lockstep not at all
+        lockstep = self._lockstep is not None
+        reg.counter("engine.run_to_block").inc(
+            int(self._ready is not None or lockstep)
+        )
+        reg.counter("engine.lockstep").inc(int(lockstep))
         reg.counter("engine.rank_handoffs").inc(self._handoffs)
         stats = self.class_batch_stats
         reg.counter("sim.class_batch.classes").inc(stats["classes"])

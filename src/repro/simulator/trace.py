@@ -172,6 +172,20 @@ class RowStore:
         if self.count - self._sealed >= CHUNK_EVENTS:
             self.seal()
 
+    def append_block(self, *mats: np.ndarray) -> None:
+        """Append whole rows given as one matrix per part (a chunk of its
+        own, or one fold in ring mode)."""
+        self.seal()
+        rows = len(mats[0])
+        if not rows:
+            return
+        if self.fold is None:
+            self._starts.append(self.count)
+            self._chunks.append(mats)
+        else:
+            self.fold(*mats)
+        self.count = self._sealed = self.count + rows
+
     def update(self, index: int, **values) -> None:
         """Overwrite named columns of one kept row in place."""
         off = index - self._sealed
@@ -430,6 +444,11 @@ class P2PTable:
         )
         self.append = self._store.append
 
+    def append_block(self, ints: np.ndarray, floats: np.ndarray) -> None:
+        """Append whole rows: an ``(n, 9)`` int64 and an ``(n, 5)`` float64
+        matrix, columns in table order."""
+        self._store.append_block(ints, floats)
+
     def set_wait(
         self, row: int, completion: float, wait_vid: int, wait_time: float
     ) -> None:
@@ -529,6 +548,18 @@ class CollectiveTable:
         return self._rows.append(
             record.index, MPI_OP_CODES[record.mpi_op], record.root, record.nbytes
         )
+
+    def append_block(
+        self, rows: np.ndarray, sizes: np.ndarray, parts: np.ndarray
+    ) -> None:
+        """Append whole instances: ``rows`` (``(n, 4)`` int64: index, op
+        code, root, nbytes), each row's participant count in ``sizes``, and
+        the participants as one ``(sizes.sum(), 4)`` float64 matrix (rank,
+        vid, arrival, completion), row after row."""
+        offsets = self._parts.count + np.cumsum(sizes, dtype=np.int64)
+        self._parts.append_block(parts)
+        self._offsets.append_block(offsets.reshape(-1, 1))
+        self._rows.append_block(rows)
 
     def seal(self) -> None:
         """Seal pending rows and participants into ndarray chunks."""
@@ -649,7 +680,8 @@ class TraceBuffer:
     timeline event and ``append_counters(rank, vid, tot_ins, tot_cyc,
     tot_lst_ins, l2_dcm)`` the PMU counter deltas of one compute span.
     Both are their store's own bound ``append``, so the engine makes one
-    Python call per row.
+    Python call per row; the lockstep drain appends whole matrices with
+    :meth:`append_block` instead.
 
     Only per-rank row order is contract: every rank's events (and its P2P
     and collective rows) appear in that rank's execution order, but the
@@ -697,6 +729,12 @@ class TraceBuffer:
         self._agg_count = -1
         self._counter_agg: dict[tuple[int, int], PerfCounters] = {}
         self._cagg_count = -1
+
+    def append_block(self, events: np.ndarray, counters: np.ndarray) -> None:
+        """Append whole event and counter rows, one matrix each (columns
+        in table order)."""
+        self._events.append_block(events)
+        self._counters.append_block(counters)
 
     def _sums(self, store: RowStore, acc: dict, fold) -> dict:
         """``acc`` folded over every row of ``store``: the whole table in

@@ -62,6 +62,16 @@ def per_rank_oracle():
 
 
 @contextlib.contextmanager
+def fifo_drain():
+    """Run engines without the lockstep drain: a run lockstep would take
+    drains through the run-to-block FIFO instead, lockstep's per-event
+    oracle (the time-ordered loop stays reachable via
+    :func:`per_rank_oracle`)."""
+    with mock.patch.object(Engine, "_compile_lockstep", lambda self, *args: None):
+        yield
+
+
+@contextlib.contextmanager
 def per_rank_lint():
     """Run the lint with class batching off: the lint's identity oracle.
 

@@ -12,7 +12,9 @@ nonblocking, collectives, time-separated wildcard races),
 ones) and ``make_stride_workload`` (loop-carried strides whose partners
 read ``("frame", name)`` leaves, next to invalidation traps) — at 100
 seeds each.  Draws whose ranks all batch run through the engine's
-run-to-block drain, so the sweep gates it too.
+run-to-block drain, and those with one class of every rank through its
+lockstep drain, so the sweep gates both; lockstep-engaged draws are also
+compared with the run-to-block FIFO drain they replace.
 """
 
 import random
@@ -25,7 +27,11 @@ from tests.conftest import (
     GENERATORS,
     _compiled,
     _fingerprint,
+    canonical_collective_rows,
+    canonical_p2p_rows,
+    fifo_drain,
     per_rank_oracle,
+    per_rank_trace_bytes,
 )
 
 def _draw(generator, seed):
@@ -78,4 +84,48 @@ def test_serial_draws_run_to_block(generator):
     want = RUN_TO_BLOCK_SHARE[generator]
     assert engaged >= want, (
         f"only {engaged}/100 {generator} draws run to block (want {want})"
+    )
+
+
+#: Minimum serial draws out of 100 per generator that run lockstep (one
+#: batched class of every rank; measured: stride 69, workload 26, wild
+#: 16 -- every run-to-block draw of the three generators).
+LOCKSTEP_SHARE = {"stride": 60, "workload": 20, "wild": 12}
+
+
+def _ground_truth(program, psg, nprocs):
+    result = simulate(program, psg, SimulationConfig(nprocs=nprocs))
+    trace = result.trace
+    return (
+        _fingerprint(program, psg, nprocs),
+        per_rank_trace_bytes(trace),
+        canonical_p2p_rows(trace.p2p),
+        canonical_collective_rows(trace.collectives),
+        result.finish_times,
+    ), result.metrics.counter("engine.lockstep")
+
+
+@pytest.mark.parametrize("generator", sorted(GENERATORS))
+def test_serial_draws_run_lockstep(generator):
+    """Lockstep cannot silently stop engaging: a stated share of each
+    generator's draws run it, and each engaged draw equals both the FIFO
+    drain and the per-rank oracle (fingerprint, per-rank trace rows,
+    communication tables, finish times)."""
+    engaged = 0
+    for seed in range(100):
+        program, psg, nprocs = _draw(generator, seed)
+        lockstep, ran = _ground_truth(program, psg, nprocs)
+        if not ran:
+            continue
+        engaged += 1
+        with fifo_drain():
+            fifo, _ = _ground_truth(program, psg, nprocs)
+        with per_rank_oracle():
+            oracle, _ = _ground_truth(program, psg, nprocs)
+        assert lockstep == fifo == oracle, (
+            f"{generator} seed {seed}: lockstep, FIFO and oracle differ"
+        )
+    want = LOCKSTEP_SHARE[generator]
+    assert engaged >= want, (
+        f"only {engaged}/100 {generator} draws run lockstep (want {want})"
     )
