@@ -34,16 +34,19 @@ execution of a frame-reading statement, the frame values its template
 reads; each execution's member values are then evaluated under that
 frame and cached by its bits.
 
-The builder never touches the engine: it returns plain per-rank op lists
-(class members whose stream needs no substitution share one list — each
-rank consumes its own ``iter``), and the engine feeds them through the
-same handler loop as generator-backed ranks.  Bit-identity with the
-per-rank oracle is gated by ``tests/test_oracle_sweep.py``.
+The builder never touches the engine: it returns each class's template
+plus plain per-rank op lists fanned out from it on first read (class
+members whose stream needs no substitution share one list — each rank
+consumes its own ``iter``), and the engine feeds them through the same
+handler loop as generator-backed ranks.  A run the lockstep drain takes
+reads only the templates, so its lists are never built.  Bit-identity
+with the per-rank oracle is gated by ``tests/test_oracle_sweep.py``.
 """
 
 from __future__ import annotations
 
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 
@@ -92,24 +95,58 @@ class _Fallback(Exception):
     """Degrade one class to per-rank interpretation (with a reason)."""
 
 
+class BatchedStreams(Mapping):
+    """Every batched rank's complete op list, fanned out from the class
+    templates on the first read of a list.  Its length (the number of
+    batched ranks) does not fan out, so a run whose lockstep plan runs
+    every rank never materializes the per-rank lists."""
+
+    def __init__(self, classes: list) -> None:
+        self._classes = classes
+        self._lists: dict[int, list] | None = None
+
+    def __len__(self) -> int:
+        if self._lists is not None:
+            return len(self._lists)
+        return sum(len(members) for members, _base, _patches in self._classes)
+
+    def __iter__(self):
+        return iter(self._fanned_out())
+
+    def __getitem__(self, rank: int) -> list:
+        return self._fanned_out()[rank]
+
+    def _fanned_out(self) -> dict[int, list]:
+        if self._lists is None:
+            self._lists = {}
+            for members, base, patches in self._classes:
+                _fan_out(self._lists, base, patches, members)
+            # the lists hold every op now: let the templates go
+            self._classes = None
+        return self._lists
+
+
 @dataclass
 class BatchResult:
     """Outcome of one engine's template build.
 
-    ``streams`` maps every successfully batched rank (representatives
-    included) to its complete op list; ranks absent from it run the
-    normal per-rank interpreter.  ``classes`` holds each batched class's
-    template ``(members, base, patches)`` (see :func:`_build_template`):
-    member ``members[i]`` runs ``base`` with ``per_member[i]`` at every
-    patched ``(position, per_member)``.
+    ``classes`` holds each batched class's template ``(members, base,
+    patches)`` (see :func:`_build_template`): member ``members[i]`` runs
+    ``base`` with ``per_member[i]`` at every patched ``(position,
+    per_member)``.  ``streams`` maps every batched rank (representatives
+    included) to its complete op list, fanned out when first read; ranks
+    absent from it run the normal per-rank interpreter.
     """
 
-    streams: dict[int, list]
     classes: list[tuple[list[int], list, list]] = field(default_factory=list)
     classes_batched: int = 0
     ranks_batched: int = 0
     fallbacks: int = 0
     fallback_reasons: tuple[str, ...] = ()
+    streams: BatchedStreams = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.streams = BatchedStreams(self.classes)
 
 
 def build_batched_streams(
@@ -154,7 +191,7 @@ def build_batched_streams(
     # workload bits -> baked cost row, shared by every class: the cost is
     # rank-independent whenever it is baked at all
     precost_cache: dict[bytes, tuple] = {}
-    result = BatchResult(streams={})
+    result = BatchResult()
     reasons: list[str] = []
 
     for cls in summary.classes:
@@ -182,7 +219,6 @@ def build_batched_streams(
         except _Fallback as exc:
             _note(result, reasons, str(exc))
             continue
-        _fan_out(result.streams, base, patches, members)
         result.classes.append((members, base, patches))
         result.classes_batched += 1
         result.ranks_batched += len(members)

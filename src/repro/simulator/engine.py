@@ -30,10 +30,10 @@ When every rank runs a class-batched stream and segments are recorded,
 the serial drain runs each ready rank until it blocks instead (see
 :meth:`Engine.drain`): every receive source is then concrete, so the
 result does not depend on how ranks interleave, only the global order of
-trace rows does.  When, in addition, one class covers every rank and
-:meth:`Engine.start` proves its point-to-point pairing from the class
-template, the drain runs all ranks in lockstep, one template position at
-a time as numpy columns (:mod:`repro.simulator.lockstep`).
+trace rows does.  When, in addition, :meth:`Engine.start` proves the
+point-to-point pairing and a merge order of the class templates, the
+drain runs all ranks in lockstep, one template position at a time as
+numpy columns (:mod:`repro.simulator.lockstep`).
 """
 
 from __future__ import annotations
@@ -357,7 +357,9 @@ class Engine:
         )
         self._lockstep = self._compile_lockstep(len(batched))
         for pid in range(cfg.nprocs):
-            stream = batched.get(pid)
+            # a compiled plan runs every rank, so its streams are never
+            # fanned out (see classbatch.BatchedStreams)
+            stream = () if self._lockstep is not None else batched.get(pid)
             if stream is not None:
                 # Class-batched rank: its whole op stream was derived from
                 # the class representative — consume it through a plain
@@ -426,23 +428,22 @@ class Engine:
         """The lockstep plan of this run (see :mod:`repro.simulator.lockstep`),
         or None with the refusal in ``lockstep_reason``.
 
-        Lockstep needs the run-to-block condition plus one class of
-        every rank; the compiler then proves the rest or refuses."""
+        Lockstep needs the run-to-block condition: every rank
+        class-batched, segments recorded.  The compiler then proves the
+        rest over all the batched classes or refuses."""
         cfg = self.config
-        classes = self._batch_classes
         if not cfg.record_segments:
             reason = "ring mode: segments are not recorded"
         elif not self._run_to_block:
             reason = f"{ranks_batched} of {cfg.nprocs} ranks class-batched"
-        elif len(classes) != 1:
-            reason = f"{len(classes)} rank classes"
         else:
             from repro.simulator.lockstep import Refusal, compile_plan
 
             try:
                 return compile_plan(
-                    *classes[0], cost=self.cost, delays=self._delays,
-                    send_ovh=self._send_ovh, recv_ovh=self._recv_ovh,
+                    self._batch_classes, cfg.nprocs, cost=self.cost,
+                    delays=self._delays, send_ovh=self._send_ovh,
+                    recv_ovh=self._recv_ovh,
                 )
             except Refusal as exc:
                 reason = str(exc)
@@ -462,10 +463,11 @@ class Engine:
         self, analysis, expr_cache: dict, devirt: dict
     ) -> dict:
         """Per-rank op streams for every batchable equivalence class (see
-        :mod:`repro.simulator.classbatch`); empty dict = everything runs
-        per-rank.  Purely an optimizer: any failure degrades to per-rank,
-        with its reason appended to ``class_batch_reasons``; the identity
-        sweep plus the batch counters keep it honest."""
+        :mod:`repro.simulator.classbatch`), fanned out from the class
+        templates only when first read; empty = everything runs per-rank.
+        Purely an optimizer: any failure degrades to per-rank, with its
+        reason appended to ``class_batch_reasons``; the identity sweep
+        plus the batch counters keep it honest."""
         cfg = self.config
         if analysis is None:
             return {}
@@ -543,24 +545,24 @@ class Engine:
         engine raises through the time-ordered loop.  A deadlock needs no
         replay: the blocked set and its clocks are interleaving-free.
 
-        **Lockstep.**  When the run-to-block condition holds and one
-        batched class covers every rank, every rank runs a patched copy of
-        one template, so :meth:`start` can check the whole run statically
-        (:func:`repro.simulator.lockstep.compile_plan`): every position is
-        a pure-cost compute, a send, a concrete-source receive, a wait or
-        waitall, or a collective whose op, root and size are the same on
-        every rank; non-overtaking pairs each receive position with one
-        send position, as a permutation of the ranks, that comes before
-        the position completing the receive; every wait names an
-        outstanding request, and every request is waited on.  Then
-        running all ranks through position ``k`` before ``k + 1`` is a
-        schedule in which every value is written before it is read, so by
-        the same determinacy it gives every clock and row value of the
-        other loops, and it cannot deadlock or raise.  The drain runs
-        that schedule as float64 columns and appends the rows as blocks.
-        Any failed check leaves a reason in ``lockstep_reason`` and the
-        loops above drain unchanged; they stay lockstep's fallback and
-        oracle.
+        **Lockstep.**  When the run-to-block condition holds, every rank
+        runs a patched copy of its class's template, so :meth:`start` can
+        check the whole run statically
+        (:func:`repro.simulator.lockstep.compile_plan`): every position
+        is a pure-cost compute, a send, a concrete-source receive, a wait
+        or waitall, or a collective whose op, root and size are the same
+        on every rank of every class; non-overtaking pairs each receive
+        row with one send row of any class; the classes' positions merge
+        into one order in which every send comes before the position
+        completing its receive and each collective runs once every class
+        has reached it; every wait names an outstanding request, and
+        every request is waited on.  Then the merged order is a schedule
+        in which every value is written before it is read, so by the
+        same determinacy it gives every clock and row value of the other
+        loops, and it cannot deadlock or raise.  The drain runs that
+        schedule as float64 columns and appends the rows as blocks.  Any
+        failed check leaves a reason in ``lockstep_reason`` and the loops
+        above drain unchanged; they stay lockstep's fallback and oracle.
         """
         if self._lockstep is not None:
             self._drain_lockstep()

@@ -12,8 +12,8 @@ nonblocking, collectives, time-separated wildcard races),
 ones) and ``make_stride_workload`` (loop-carried strides whose partners
 read ``("frame", name)`` leaves, next to invalidation traps) — at 100
 seeds each.  Draws whose ranks all batch run through the engine's
-run-to-block drain, and those with one class of every rank through its
-lockstep drain, so the sweep gates both; lockstep-engaged draws are also
+run-to-block drain, and those whose pairing the lockstep compiler proves
+through its lockstep drain, so the sweep gates both; lockstep-engaged draws are also
 compared with the run-to-block FIFO drain they replace.
 """
 
@@ -87,9 +87,10 @@ def test_serial_draws_run_to_block(generator):
     )
 
 
-#: Minimum serial draws out of 100 per generator that run lockstep (one
-#: batched class of every rank; measured: stride 69, workload 26, wild
-#: 16 -- every run-to-block draw of the three generators).
+#: Minimum serial draws out of 100 per generator that run lockstep
+#: (measured: stride 69, workload 26, wild 16 -- every run-to-block draw
+#: of the three generators, each one class of every rank; multi-class
+#: runs are covered by ``tests/test_lockstep.py``).
 LOCKSTEP_SHARE = {"stride": 60, "workload": 20, "wild": 12}
 
 

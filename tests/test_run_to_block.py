@@ -10,7 +10,7 @@ trace tables does.  These tests pin:
 - engagement: every bundled app at two scales where all its ranks batch,
   and the four ``diagnose_apps`` case-study pipelines, equal the per-rank
   oracle (fingerprint, per-rank trace rows, communication tables,
-  report sha); the single-class ones run the lockstep drain (see
+  report sha); all of them run the lockstep drain (see
   ``tests/test_lockstep.py``);
 - non-engagement: ring mode, a refused class and an undevirtualized
   wildcard keep the time-ordered loop;
@@ -90,11 +90,6 @@ ENGAGED_APPS = [
 ]
 
 
-#: Entries whose ranks batch as two classes: every other entry is one
-#: class of every rank, which the drain runs in lockstep.
-TWO_CLASS_APPS = ("zeusmp", "zeusmp_fixed")
-
-
 @pytest.mark.parametrize("app, nprocs", ENGAGED_APPS)
 def test_bundled_app_engages_and_matches_oracle(app, nprocs):
     spec = get_app(app)
@@ -104,9 +99,7 @@ def test_bundled_app_engages_and_matches_oracle(app, nprocs):
     run = profile_run(spec.program, spec.psg, config)
     assert _engaged(run.result) == 1
     assert _engaged(oracle.result) == 0
-    assert run.result.metrics.counter("engine.lockstep") == (
-        app not in TWO_CLASS_APPS
-    )
+    assert run.result.metrics.counter("engine.lockstep") == 1
     assert run_fingerprint(run) == run_fingerprint(oracle)
     assert per_rank_trace_bytes(run.result.trace) == per_rank_trace_bytes(
         oracle.result.trace
@@ -131,8 +124,8 @@ def test_lu_keeps_the_time_ordered_loop():
 
 def test_run_to_block_cuts_rank_handoffs():
     """The point of the loop: a rank is handed back to the scheduler only
-    when it blocks, not whenever another rank's clock is smaller.  (CG is
-    one class, so the FIFO runs only with lockstep patched off.)"""
+    when it blocks, not whenever another rank's clock is smaller.  (CG
+    runs lockstep, so the FIFO runs only with lockstep patched off.)"""
     spec = get_app("cg")
     config = _app_config(spec, 16)
     with per_rank_oracle():
