@@ -23,6 +23,8 @@ import math
 import struct
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from repro.minilang.ast_nodes import MpiOp
 from repro.util.rng import RngStream
 
@@ -167,25 +169,32 @@ class CostModel:
         self._rank_core_speed: dict[int, float] = {}
         self._rank_mem_speed: dict[int, float] = {}
         self._noise_stream_cache: dict[int, RngStream] = {}
+        #: rank column bytes -> (core speed, mem speed) columns
+        self._speed_columns: dict[bytes, tuple] = {}
 
     # -- per-rank heterogeneity --------------------------------------------
 
     def core_speed(self, rank: int) -> float:
         """Multiplicative core speed of ``rank`` (median 1.0)."""
         if rank not in self._rank_core_speed:
-            stream = RngStream(self.seed, "core_speed", rank)
-            self._rank_core_speed[rank] = stream.lognormal_factor(
-                self.machine.core_speed_sigma
+            self._rank_core_speed[rank] = self._speed_factor(
+                "core_speed", rank, self.machine.core_speed_sigma
             )
         return self._rank_core_speed[rank]
 
     def mem_speed(self, rank: int) -> float:
         if rank not in self._rank_mem_speed:
-            stream = RngStream(self.seed, "mem_speed", rank)
-            self._rank_mem_speed[rank] = stream.lognormal_factor(
-                self.machine.mem_speed_sigma
+            self._rank_mem_speed[rank] = self._speed_factor(
+                "mem_speed", rank, self.machine.mem_speed_sigma
             )
         return self._rank_mem_speed[rank]
+
+    def _speed_factor(self, kind: str, rank: int, sigma: float) -> float:
+        """One rank's draw of a speed factor (no stream when the spread is
+        off: the factor is then exactly 1.0)."""
+        if sigma <= 0.0:
+            return 1.0
+        return RngStream(self.seed, kind, rank).lognormal_factor(sigma)
 
     def _noise(self, rank: int) -> float:
         if self.machine.noise_sigma <= 0.0:
@@ -225,6 +234,49 @@ class CostModel:
             l2_dcm=(w.mem_bytes / m.cache_line) * miss_rate,
         )
         return duration, counters
+
+    def compute_cost_columns(
+        self, ranks: np.ndarray, flops, mem_bytes, locality, threads,
+    ) -> tuple[np.ndarray, ...]:
+        """:meth:`compute_cost` for many ranks at once on a machine without
+        per-execution noise: ``(duration, ins, cyc, lst, dcm)`` columns
+        over ``ranks``.  The workload fields are columns or shared scalars.
+        Every element carries the bits of the scalar call: the same IEEE
+        operations in the same association, and the thread ``min`` keeps
+        Python's tie rule (the noise factor is exactly 1.0)."""
+        m = self.machine
+        core, mem = self._speeds(ranks)
+        locality_penalty = 1.0 + 7.0 * (1.0 - locality)
+        arith_time = flops / (m.flop_rate * core)
+        mem_time = mem_bytes * locality_penalty / (m.mem_bandwidth * mem)
+        cores = float(m.cores_per_rank)
+        threads = np.where(cores < threads, cores, threads)
+        speedup = 1.0 + m.thread_efficiency * (threads - 1.0)
+        duration = (arith_time + mem_time) / speedup
+        miss_rate = 0.02 + 0.9 * (1.0 - locality)
+        return tuple(
+            np.broadcast_to(column, len(ranks)).astype(np.float64)
+            for column in (
+                duration,
+                flops * m.ins_per_flop + mem_bytes / 8.0,
+                duration * m.clock_hz,
+                mem_bytes / 8.0,
+                (mem_bytes / m.cache_line) * miss_rate,
+            )
+        )
+
+    def _speeds(self, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The core and memory speed columns of ``ranks`` (each rank's
+        factors drawn once, by :meth:`core_speed`/:meth:`mem_speed`)."""
+        key = ranks.tobytes()
+        columns = self._speed_columns.get(key)
+        if columns is None:
+            listed = ranks.tolist()
+            columns = self._speed_columns[key] = (
+                np.asarray([self.core_speed(r) for r in listed]),
+                np.asarray([self.mem_speed(r) for r in listed]),
+            )
+        return columns
 
     # -- communication -------------------------------------------------------
 

@@ -273,12 +273,14 @@ class Engine:
         self.procs: list[_Proc] = []
         #: runnable-rank queue, entries (clock, token, pid); stale
         #: entries (superseded token / non-READY proc) are pruned lazily
-        #: by the queue itself via the _entry_live predicate
-        self._queue = BinaryHeapQueue(live=self._entry_live)
-        #: per-instance handler dispatch: bound methods, one dict lookup
-        #: per op
+        #: by the queue itself via the :func:`_entry_live` predicate
+        self._queue = BinaryHeapQueue(live=_entry_live(self.procs))
+        #: op-type dispatch: one dict lookup per op.  The handlers are the
+        #: class's plain functions (called with the engine), not bound
+        #: methods: nothing the engine holds refers back to it, so a
+        #: finished engine is freed by reference counting alone
         self._handlers = {
-            op_type: getattr(self, name)
+            op_type: getattr(type(self), name)
             for op_type, name in _HANDLER_NAMES.items()
         }
         #: ``_push`` calls so far: every hand-off of a rank back to the
@@ -289,8 +291,9 @@ class Engine:
         self._run_to_block = False
         #: the run-to-block ready FIFO of pids (None until it engages)
         self._ready: deque | None = None
-        #: the batched classes' templates ``(members, base, patches)``
-        self._batch_classes: list = []
+        #: the batched classes' templates ``(members, base, patches)``,
+        #: until start has compiled (or refused) the lockstep plan
+        self._batch_classes: list | None = None
         #: the lockstep plan compiled by start (None: it refused)
         self._lockstep = None
         #: why start compiled no lockstep plan (None when it did); kept
@@ -356,10 +359,16 @@ class Engine:
             len(batched) == cfg.nprocs and cfg.record_segments
         )
         self._lockstep = self._compile_lockstep(len(batched))
+        self._batch_classes = None
+        if self._lockstep is not None:
+            # A compiled plan runs every rank, so no stream is fanned out
+            # (see classbatch.BatchedStreams) and no rank is queued; each
+            # still counts the one hand-off start gives it.
+            self.procs.extend(_Proc(pid, iter(())) for pid in range(cfg.nprocs))
+            self._handoffs = cfg.nprocs
+            return
         for pid in range(cfg.nprocs):
-            # a compiled plan runs every rank, so its streams are never
-            # fanned out (see classbatch.BatchedStreams)
-            stream = () if self._lockstep is not None else batched.get(pid)
+            stream = batched.get(pid)
             if stream is not None:
                 # Class-batched rank: its whole op stream was derived from
                 # the class representative — consume it through a plain
@@ -599,23 +608,28 @@ class Engine:
         while entry is not None:
             ready.append(entry[2])
             entry = self._queue.pop()
+        # the instance attribute shadows the method only while draining:
+        # kept, its bound method would tie the engine into a cycle
         self._push = self._push_ready
         procs = self.procs
         handlers = self._handlers
         popleft = ready.popleft
-        while ready:
-            proc = procs[popleft()]
-            for op in proc.gen:
-                try:
-                    handler = handlers[type(op)]
-                except KeyError:
-                    raise SimulationError(
-                        f"engine cannot handle {type(op).__name__}"
-                    ) from None
-                if handler(proc, op):
-                    break
-            else:
-                proc.status = _Status.DONE
+        try:
+            while ready:
+                proc = procs[popleft()]
+                for op in proc.gen:
+                    try:
+                        handler = handlers[type(op)]
+                    except KeyError:
+                        raise SimulationError(
+                            f"engine cannot handle {type(op).__name__}"
+                        ) from None
+                    if handler(self, proc, op):
+                        break
+                else:
+                    proc.status = _Status.DONE
+        finally:
+            del self._push
 
     def _drain_lockstep(self) -> None:
         """Run the compiled lockstep plan: every rank to completion, one
@@ -628,12 +642,6 @@ class Engine:
         self.mpi_call_count += plan.mpi_calls
         self.compute_count += plan.compute_ops
         self.wildcard_stats["devirt"] += plan.devirt
-
-    def _entry_live(self, entry: tuple) -> bool:
-        """Queue staleness predicate: does this entry still schedule its
-        proc?  (Superseded tokens and parked/finished procs do not.)"""
-        proc = self.procs[entry[2]]
-        return proc.status is _Status.READY and proc.token == entry[1]
 
     def finish(self) -> SimulationResult:
         """Diagnose deadlock and assemble the run's result."""
@@ -756,7 +764,7 @@ class Engine:
             handler = handlers.get(type(op))
             if handler is None:
                 raise SimulationError(f"engine cannot handle {type(op).__name__}")
-            if handler(proc, op):
+            if handler(self, proc, op):
                 return queue_pop()
             # Anti-churn check: keep stepping while this proc is still the
             # globally minimal clock.  One fused queue op does it all:
@@ -806,7 +814,7 @@ class Engine:
     def _handle_precosted_compute_op(
         self, proc: _Proc, op: ops.PrecostedComputeOp
     ) -> bool:
-        """Compute whose cost-model query was baked at fan-out build time
+        """Compute whose cost-model query was baked into the class template
         (see :mod:`repro.simulator.classbatch`) — same clock arithmetic and
         trace rows as :meth:`_handle_compute`, minus the per-event cache
         probe."""
@@ -1152,6 +1160,18 @@ class Engine:
                 self._push(other)
 
 
+def _entry_live(procs: list[_Proc]):
+    """The queue's staleness predicate over the engine's procs: does an
+    entry still schedule its proc?  (Superseded tokens and parked or
+    finished procs do not.)"""
+
+    def live(entry: tuple) -> bool:
+        proc = procs[entry[2]]
+        return proc.status is _Status.READY and proc.token == entry[1]
+
+    return live
+
+
 def _devirt_stream(gen, pid: int, devirt: dict):
     """Rewrite proven-unique wildcard receives in one rank's op stream.
 
@@ -1188,8 +1208,8 @@ def _devirt_stream(gen, pid: int, devirt: dict):
         yield op
 
 
-#: Op-type dispatch for the hot loop: bound per instance in ``__init__``
-#: (one dict lookup + bound call per op).
+#: Op-type dispatch for the hot loop: resolved per engine class in
+#: ``__init__`` (one dict lookup + one call per op).
 _HANDLER_NAMES = {
     ops.ComputeOp: "_handle_compute_op",
     ops.PrecostedComputeOp: "_handle_precosted_compute_op",

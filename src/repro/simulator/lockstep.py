@@ -1,19 +1,20 @@
 """Lockstep drain: a class-batched recorded run, one template position at a time.
 
-When class batching covers every rank, each rank class runs patched
-copies of one template (see :mod:`repro.simulator.classbatch`): position
-``k`` of every member's stream is the same kind of operation at the same
-statement, and only rank-varying fields (partners, tags, sizes,
-workloads) differ.  :func:`compile_plan` checks, once at
+When class batching covers every rank, each rank class runs one
+template (see :mod:`repro.simulator.classbatch`): position ``k`` of every
+member's stream is the same kind of operation at the same statement, and
+only rank-varying fields (partners, tags, sizes, workloads) differ, held
+as one numpy column over the members.  :func:`compile_plan` reads those
+columns directly (no member op object is built) and checks, once at
 ``Engine.start``, that every position of every class has a lockstep rule
 and that the point-to-point matching is fixed by program order alone:
 
 * every position is a compute whose cost is pure (precosted, or costed
-  per member once per distinct workload when per-execution noise is
-  off), a send or isend, a receive or irecv with a concrete source and
-  tag, a wait or waitall, or a collective whose op, root and byte count
-  are the same on every rank.  The k-th collective of every class is one
-  instance;
+  for all members at once by ``CostModel.compute_cost_columns`` when
+  per-execution noise is off), a send or isend, a receive or irecv with
+  a concrete source and tag, a wait or waitall, or a collective whose
+  op, root and byte count are the same on every rank.  The k-th
+  collective of every class is one instance;
 * MPI's non-overtaking rule pairs the k-th receive of a channel
   ``(source, destination, tag)`` with its k-th send.  With concrete
   sources that pairing is static: a rank belongs to one class, so its
@@ -58,10 +59,13 @@ position, class after class.
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 
 from repro.minilang.ast_nodes import MpiOp
 from repro.simulator import ops
+from repro.simulator.classbatch import COST_FIELDS, WORKLOAD_FIELDS, field_values
 from repro.simulator.trace import MPI_OP_CODES, WILDCARD_CODE
 
 __all__ = ["Plan", "Refusal", "compile_plan"]
@@ -76,6 +80,8 @@ _WAIT_CODE = MPI_OP_CODES[MpiOp.WAIT]
 _WAITALL_CODE = MPI_OP_CODES[MpiOp.WAITALL]
 _ROOTED_SPREAD = (MpiOp.BCAST, MpiOp.SCATTER)
 _ROOTED_GATHER = (MpiOp.REDUCE, MpiOp.GATHER)
+_PACK_4D = struct.Struct("<4d").pack
+_I64_MAX = (1 << 63) - 1
 
 
 class Refusal(Exception):
@@ -303,9 +309,13 @@ def compile_plan(
     _runtime_steps(plan, parts, send_first, received, recv_ovh)
     _merge(plan, parts, send_at, cost)
 
-    counters = [_counter_rows(cls) for cls in parts if cls.counters]
-    if counters:
-        plan.counters = np.concatenate(counters)
+    sizes = [len(cls.counters) * cls.n for cls in parts]
+    # column-major, so that each column is written in one sweep
+    plan.counters = np.empty((6, sum(sizes))).T
+    at = 0
+    for cls, size in zip(parts, sizes):
+        _counter_rows(cls, plan.counters[at:at + size])
+        at += size
     plan.mpi_calls = sum(cls.mpi_positions * cls.n for cls in parts)
     plan.compute_ops = sum(len(cls.counters) * cls.n for cls in parts)
     plan.devirt = sum(cls.devirt_positions * cls.n for cls in parts)
@@ -327,12 +337,15 @@ def _messages(plan: Plan, parts: list) -> tuple[list, list, dict]:
     s_transfer = np.empty(s_first[-1])
     for index, (c, pos) in enumerate(send_at):
         parts[c].send_index[pos] = index
-        s_transfer[s_first[index]:s_first[index + 1]] = parts[c].steps[pos][2]
+        lo, hi = s_first[index], s_first[index + 1]
+        s_transfer[lo:hi] = parts[c].steps[pos][2]
     s_dest, s_tag, s_nbytes = (
         _concat([parts[c].sends[pos][i] for c, pos in send_at])
         for i in range(3)
     )
-    s_vid = np.asarray([parts[c].vids[pos] for c, pos in send_at])[s_of_row]
+    s_vid = np.asarray(
+        [parts[c].vids[pos] for c, pos in send_at], dtype=np.int64
+    )
     # Receive rows: every receive position's members, class after class.
     recv_at = [(c, recv) for c, cls in enumerate(parts) for recv in cls.recvs]
     r_first, r_of_row = _layout(parts, recv_at)
@@ -346,21 +359,25 @@ def _messages(plan: Plan, parts: list) -> tuple[list, list, dict]:
         lambda row: send_at[s_of_row[row]],
         lambda row: (recv_at[r_of_row[row]][0], recv_at[r_of_row[row]][1][0]),
     )
-    # the send positions each receive position reads from, as distinct
-    # (receive position, send position) links in receive position order
+    # each receive row's send position, and the send positions each
+    # receive position reads from, as distinct (receive position, send
+    # position) links in receive position order
+    read_from = s_of_row[paired]
     nsend = len(send_at) or 1
-    links = np.unique(r_of_row * nsend + s_of_row[paired])
-    bounds = np.searchsorted(links // nsend, np.arange(len(recv_at) + 1))
+    links = _distinct(r_of_row * nsend + read_from)
+    bounds = np.searchsorted(
+        links // nsend, np.arange(len(recv_at) + 1)
+    ).tolist()
     sources = (links % nsend).tolist()
 
     received: dict[tuple, tuple] = {}
     block_vids: list[tuple] = []
+    transfer = s_transfer[paired]
     for index, (c, (pos, *_)) in enumerate(recv_at):
         cls = parts[c]
-        lo, hi = int(r_first[index]), int(r_first[index + 1])
-        gather = paired[lo:hi]
+        lo, hi = r_first[index], r_first[index + 1]
         received[c, pos] = (
-            gather, s_transfer[gather], slice(lo, hi),
+            paired[lo:hi], transfer[lo:hi], slice(lo, hi),
             sources[bounds[index]:bounds[index + 1]],
         )
         block_vids.append(
@@ -371,12 +388,15 @@ def _messages(plan: Plan, parts: list) -> tuple[list, list, dict]:
             np.asarray(col)[r_of_row] for col in zip(*block_vids)
         )
         devirt = np.asarray([recv[3] for _, recv in recv_at])[r_of_row]
-        plan.p2p_ints = np.column_stack((
-            r_src, s_vid[paired], r_rank, recv_vid, wait_vid, r_tag,
+        # column-major, so that each column is written in one sweep
+        ints = plan.p2p_ints = np.empty((9, len(paired)), dtype=np.int64).T
+        for j, column in enumerate((
+            r_src, s_vid[read_from], r_rank, recv_vid, wait_vid, r_tag,
             s_nbytes[paired], np.where(devirt, WILDCARD_CODE, r_src), r_tag,
-        )).astype(np.int64)
+        )):
+            ints[:, j] = column
     plan.send_rows = int(s_first[-1])
-    return send_at, s_first.tolist(), received
+    return send_at, s_first, received
 
 
 def _runtime_steps(
@@ -388,9 +408,12 @@ def _runtime_steps(
     slot = 0
     for c, cls in enumerate(parts):
         slots: dict[int, int] = {}
+        n = cls.n
+        first = cls.first_row
         for pos, step in enumerate(cls.steps):
             kind = step[0]
-            rows = cls.rows(pos)
+            rows = slice(first, first + n)
+            first += n
             if kind == _ADVANCE:
                 out = (_ADVANCE, c, rows, step[1], None)
             elif kind == _SEND:
@@ -427,34 +450,28 @@ def _compile_class(
     """Check every position of one class and compile its partial steps;
     messages are paired and collectives merged across classes later.
 
-    A position's checks and columns depend only on its op (or, when
-    patched, its per-member list, which class batching shares between
-    the positions of equal fan-outs), so each is worked out once; only
-    the request bookkeeping follows the positions one by one."""
+    A position's checks and columns depend only on its op or, when
+    patched, its column set (which class batching shares between the
+    positions of equal columns), so each is worked out once; only the
+    request bookkeeping follows the positions one by one."""
     cls = _Class(members, base)
     patched = dict(patches)
     steps, vids, op_codes = cls.steps, cls.vids, cls.op_codes
-    #: id of a position's op or per-member list -> :func:`_position`
+    #: id of a position's op or column set -> :func:`_position`
     memo: dict[int, tuple] = {}
     context = (
-        cls.n, members, cost, _delay_columns(delays, members), {},
+        cls.n, cls.members, cost, _delay_columns(delays, members), {},
         cost.machine.noise_sigma > 0.0, nprocs,
     )
     #: request name -> FIFO of (kind, position), like ``_Proc.requests``
     requests: dict[str, list] = {}
 
     for pos, op in enumerate(base):
-        per_member = patched.get(pos)
-        if per_member is None:
-            key = id(op)
-        else:
-            # the representative's own op may be the plain twin of what
-            # the members run (not precosted): read the member ops only
-            op = per_member[0]
-            key = id(per_member)
+        column_set = patched.get(pos)
+        key = id(op) if column_set is None else id(column_set)
         info = memo.get(key)
         if info is None:
-            info = memo[key] = _position(op, per_member, *context)
+            info = memo[key] = _position(op, column_set, *context)
         what, vid, op_code, step, detail = info
         vids.append(vid)
         op_codes.append(op_code)
@@ -514,31 +531,27 @@ def _compile_class(
 
 
 def _position(
-    op, per_member, n: int, members, cost, delay_at: dict, costs: dict,
+    op, column_set, n: int, members, cost, delay_at: dict, costs: dict,
     noisy: bool, nprocs: int,
 ) -> tuple:
     """``(what, vid, op code, step, detail)`` of a position holding
-    ``op`` (``per_member``: each member's op, or None when all share
-    ``op``); raises :class:`Refusal` when it has no lockstep rule.  The
-    step of a receive or wait depends on the requests outstanding, so
+    ``op``, or the members' ops of ``column_set`` when it is patched;
+    raises :class:`Refusal` when it has no lockstep rule.  The step of a
+    receive or wait depends on the requests outstanding, so
     :func:`_compile_class` builds it."""
-    op_type = type(op)
-    if per_member is not None and any(
-        type(o) is not op_type for o in per_member
-    ):
-        raise Refusal(f"{op.location}: op type varies by rank")
-    vid = _uniform(op, per_member, "vid")
+    if column_set is None:
+        op_type, values = type(op), field_values(op)
+    else:
+        op_type, values = column_set.make, column_set.values
+    vid = values["vid"]
     if op_type is ops.PrecostedComputeOp:
-        duration, *row = (
-            _floats(op, per_member, name)
-            for name in ("duration", "ins", "cyc", "lst", "dcm")
-        )
+        duration, *row = (values[name] for name in COST_FIELDS)
     elif op_type is ops.ComputeOp:
         if noisy:
             raise Refusal(
                 f"{op.location}: compute cost draws per-execution noise"
             )
-        duration, *row = _member_costs(cost, costs, op, per_member, members)
+        duration, *row = _member_costs(cost, costs, values, members)
     if op_type is ops.PrecostedComputeOp or op_type is ops.ComputeOp:
         delayed = delay_at.get((op.location.filename, op.location.line))
         if delayed is not None:
@@ -549,37 +562,28 @@ def _position(
     if op_type is ops.PrecostedSendOp:
         # the engine's batched sends are always precosted
         return (
-            "send", vid, _uniform(op, per_member, "op_code"),
-            (_SEND, _floats(op, per_member, "overhead"),
-             _floats(op, per_member, "transfer")),
+            "send", vid, values["op_code"],
+            (_SEND, values["overhead"], values["transfer"]),
             (tuple(
-                _ints(op, per_member, name, n)
-                for name in ("dest", "tag", "nbytes")
-            ), _uniform(op, per_member, "request")),
+                _ints(values, name, n) for name in ("dest", "tag", "nbytes")
+            ), values["request"]),
         )
     if op_type is ops.RecvOp or op_type is ops.DevirtRecvOp:
         for name in ("src", "tag"):
-            if any(
-                getattr(o, name) is ops.ANY for o in per_member or (op,)
-            ):
+            if values[name] is ops.ANY:
                 raise Refusal(f"{op.location}: receive from ANY {name}")
         return (
-            "recv", vid, MPI_OP_CODES[_uniform(op, per_member, "mpi_op")],
-            None,
-            ((_ints(op, per_member, "src", n), _ints(op, per_member, "tag", n),
-              op_type is ops.DevirtRecvOp),
-             _uniform(op, per_member, "request")),
+            "recv", vid, MPI_OP_CODES[values["mpi_op"]], None,
+            ((_ints(values, "src", n), _ints(values, "tag", n),
+              op_type is ops.DevirtRecvOp), values["request"]),
         )
     if op_type is ops.WaitOp:
-        return "wait", vid, _WAIT_CODE, None, _uniform(
-            op, per_member, "request"
-        )
+        return "wait", vid, _WAIT_CODE, None, values["request"]
     if op_type is ops.WaitAllOp:
         return "waitall", vid, _WAITALL_CODE, None, None
     if op_type is ops.CollectiveOp:
         mpi_op, root, nbytes = (
-            _uniform(op, per_member, name)
-            for name in ("mpi_op", "root", "nbytes")
+            _uniform(op, values, name) for name in ("mpi_op", "root", "nbytes")
         )
         if not 0 <= root < nprocs:
             raise Refusal(f"{op.location}: root {root} is not a rank")
@@ -590,28 +594,22 @@ def _position(
     raise Refusal(f"{op.location}: no lockstep rule for {op_type.__name__}")
 
 
-def _uniform(op, per_member, name: str):
+def _uniform(op, values: dict, name: str):
     """A field every member holds the same value of."""
-    value = getattr(op, name)
-    if per_member is not None and any(
-        getattr(o, name) != value for o in per_member
-    ):
-        raise Refusal(f"{op.location}: {name} varies by rank")
+    value = values[name]
+    if type(value) is np.ndarray:
+        if not (value == value[0]).all():
+            raise Refusal(f"{op.location}: {name} varies by rank")
+        return value[0].item()
     return value
 
 
-def _floats(op, per_member, name: str):
-    """A float field as a scalar (unpatched) or a per-member column."""
-    if per_member is None:
-        return getattr(op, name)
-    return np.asarray([getattr(o, name) for o in per_member], dtype=np.float64)
-
-
-def _ints(op, per_member, name: str, n: int) -> np.ndarray:
+def _ints(values: dict, name: str, n: int) -> np.ndarray:
     """An integer field as a per-member column."""
-    if per_member is None:
-        return np.full(n, getattr(op, name), dtype=np.int64)
-    return np.asarray([getattr(o, name) for o in per_member], dtype=np.int64)
+    value = values[name]
+    if type(value) is np.ndarray:
+        return value
+    return np.full(n, value, dtype=np.int64)
 
 
 def _merge(plan: Plan, parts: list, send_at: list, cost) -> None:
@@ -720,47 +718,35 @@ def _stuck(parts: list, cursor: list, k: int, scheduled: list, send_at) -> str:
     )
 
 
-def _counter_rows(cls: _Class) -> np.ndarray:
-    """The class's counter rows (rank, vid, ins, cyc, lst, dcm), compute
-    position after compute position."""
-    n = cls.n
-    columns = [np.tile(cls.members, len(cls.counters))]
-    for values in zip(*cls.counters):
+def _counter_rows(cls: _Class, out: np.ndarray) -> None:
+    """Fill ``out`` with the class's counter rows (rank, vid, ins, cyc,
+    lst, dcm), compute position after compute position."""
+    if not cls.counters:
+        return
+    positions = len(cls.counters)
+    out[:, 0] = np.tile(cls.members, positions)
+    for j, values in enumerate(zip(*cls.counters), 1):
+        column = out[:, j].reshape(positions, cls.n)
         if any(type(v) is np.ndarray for v in values):
-            column = np.empty((len(values), n))
             for i, value in enumerate(values):
                 column[i] = value
-            columns.append(column.ravel())
         else:
-            columns.append(np.repeat(np.asarray(values, dtype=np.float64), n))
-    return np.column_stack(columns).astype(np.float64)
+            column[:] = np.asarray(values, dtype=np.float64)[:, None]
 
 
-def _member_costs(cost, costs: dict, op, per_member, members) -> tuple:
+def _member_costs(cost, costs: dict, values: dict, members) -> tuple:
     """Duration and counter columns of a compute position whose cost is
-    not precosted: ``cost.compute_cost(rank, workload)`` once per member
-    rank (pure when per-execution noise is off, like the engine's
+    not precosted: ``cost.compute_cost(rank, workload)`` of every member
+    at once (pure when per-execution noise is off, like the engine's
     ``_compute_cache``).  ``costs`` keeps the columns of an unpatched
     position per distinct workload bits."""
-    if per_member is None:
-        workload = op.workload
-        key = workload.bits()
-        cached = costs.get(key)
-        if cached is not None:
-            return cached
-        workloads = (workload,) * len(members)
-    else:
-        workloads = [o.workload for o in per_member]
-    out = [[], [], [], [], []]
-    for rank, workload in zip(members, workloads):
-        duration, c = cost.compute_cost(rank, workload)
-        for col, value in zip(out, (
-            duration, c.tot_ins, c.tot_cyc, c.tot_lst_ins, c.l2_dcm,
-        )):
-            col.append(value)
-    columns = tuple(np.asarray(col, dtype=np.float64) for col in out)
-    if per_member is None:
-        costs[key] = columns
+    workload = [values[name] for name in WORKLOAD_FIELDS]
+    if any(type(v) is np.ndarray for v in workload):
+        return cost.compute_cost_columns(members, *workload)
+    key = _PACK_4D(*workload)
+    columns = costs.get(key)
+    if columns is None:
+        columns = costs[key] = cost.compute_cost_columns(members, *workload)
     return columns
 
 
@@ -793,14 +779,11 @@ def _pair(
     receiver's) program order: a stable sort of both sides by channel
     lines the pairs up.  ``send_at``/``recv_at`` map a row to its
     ``(class, position)``."""
-    orders = [
-        np.lexsort((tag, src * nprocs + dest)) for src, dest, tag in (sends, recvs)
-    ]
-    keys = [
-        np.stack(columns)[:, order] for columns, order in zip((sends, recvs), orders)
-    ]
+    keys = _channel_keys(nprocs, sends, recvs)
+    orders = [np.argsort(key, kind="stable") for key in keys]
+    ordered = [key[order] for key, order in zip(keys, orders)]
     m = min(len(order) for order in orders)
-    differ = np.flatnonzero((keys[0][:, :m] != keys[1][:, :m]).any(axis=0))
+    differ = np.flatnonzero(ordered[0][:m] != ordered[1][:m])
     if len(differ) or len(orders[0]) != len(orders[1]):
         k = differ[0] if len(differ) else m
         c, pos = min(
@@ -817,11 +800,39 @@ def _pair(
     return paired
 
 
+def _channel_keys(nprocs: int, *sides: tuple) -> list[np.ndarray]:
+    """One int64 key per row of each side's ``(source, destination,
+    tag)`` columns, ordered like the channels; tags are first numbered
+    densely when the key would not fit int64 otherwise."""
+    tags = [tag for _, _, tag in sides]
+    width = max((int(tag.max()) for tag in tags if len(tag)), default=0) + 1
+    if nprocs * nprocs * width > _I64_MAX:
+        distinct, dense = np.unique(np.concatenate(tags), return_inverse=True)
+        width = len(distinct)
+        tags = np.split(dense.reshape(-1), [len(tags[0])])
+    return [
+        (src * nprocs + dest) * width + tag
+        for (src, dest, _), tag in zip(sides, tags)
+    ]
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct keys in increasing order (a stable sort, which is
+    linear on the runs of a nearly sorted column)."""
+    keys = np.sort(keys, kind="stable")
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
 def _layout(parts: list, at: list) -> tuple[np.ndarray, np.ndarray]:
     """Rows for ``at``'s positions ``(class, ...)``, one per member: each
-    position's first row (plus the end), and each row's position."""
+    position's first row (plus the end, a list), and each row's
+    position."""
     sizes = [parts[c].n for c, *_ in at]
-    first = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+    first = [0]
+    for size in sizes:
+        first.append(first[-1] + size)
     return first, np.repeat(np.arange(len(at)), sizes)
 
 

@@ -57,11 +57,13 @@ class ComputeOp(Op):
 class PrecostedComputeOp(ComputeOp):
     """A compute op whose cost-model query was hoisted to build time.
 
-    Class-batched fan-out (``repro.simulator.classbatch``) evaluates
+    Class batching (``repro.simulator.classbatch``) evaluates
     ``CostModel.compute_cost`` once per distinct workload per class — the
     cost is rank-independent whenever per-execution noise is off, which
-    the builder checks — and bakes the result in, so the engine's compute
-    handler skips the per-event ``(pid, workload)`` cache probe entirely.
+    the template build checks — and bakes the result into the template
+    (a column over the members where the workload varies), so the
+    engine's compute handler skips the per-event ``(pid, workload)`` cache
+    probe entirely.
     Bit-identical to handling the plain :class:`ComputeOp` (gated by the
     per-rank oracle sweep).
     """
@@ -88,9 +90,10 @@ class PrecostedSendOp(SendOp):
     """A send whose network-cost queries were hoisted to build time.
 
     ``overhead`` and ``transfer`` are pure functions of the (fixed)
-    network model and the byte count, so class-batched fan-out
-    (``repro.simulator.classbatch``) bakes them per instance and the
-    engine's send handler skips both cost-model calls per event.
+    network model and the byte count, so class batching
+    (``repro.simulator.classbatch``) bakes them into the template (once
+    per distinct byte count) and the engine's send handler skips both
+    cost-model calls per event.
     Bit-identical to handling the plain :class:`SendOp`.
     """
 

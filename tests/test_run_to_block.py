@@ -20,6 +20,7 @@ trace tables does.  These tests pin:
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.analysis.batching import _RECV_FIELDS, _SENDRECV_FIELDS, FieldRule
@@ -291,8 +292,19 @@ class TestNoWildcardInBatchedColumns:
 
     def test_any_member_value_refuses_the_class(self):
         rule = FieldRule("src", "rank", ("const", ops.ANY))
+        members = np.arange(2, dtype=np.int64)  # the evaluator's column
         with pytest.raises(_Fallback, match="not a valid rank"):
-            _member_values(rule, [0, 1], 4, None)
+            _member_values(rule, members, 4, None)
+
+    def test_any_on_one_member_refuses_the_class(self):
+        # the other members' ints must not let the column through
+        rule = FieldRule("src", "rank", (
+            "sel", ("bin", "==", ("rank",), ("const", 2)),
+            ("const", ops.ANY), ("rank",),
+        ))
+        members = np.arange(4, dtype=np.int64)
+        with pytest.raises(_Fallback, match="not a valid rank"):
+            _member_values(rule, members, 4, None)
 
     def test_program_with_a_rank_varying_any_source(self):
         program, psg = _compiled(RANK_VARYING_ANY_SOURCE, "anysrc")
