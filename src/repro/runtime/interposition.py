@@ -23,18 +23,23 @@ path.
 **Vectorized collection.**  :func:`collect_comm_dependence` reads the
 struct-of-arrays record tables (:class:`~repro.simulator.trace.P2PTable` /
 :class:`~repro.simulator.trace.CollectiveTable`) directly instead of
-walking per-message record objects: unique edges come from a lexsort over
-the seven key columns with counts/max-waits reduced per group
-(``np.maximum.reduceat``), collective waits reduce over the ragged
-participant arrays, and the content-derived sampling draws batch a shared
-BLAKE2b prefix over the key columns.  The output — every dict, every
-value, every insertion order — is bit-identical to the historical
-object-walking loop (property-tested against it over randomized
-workloads).
+walking per-message record objects.  Unique edges come from one stable
+lexsort over the seven key columns, with counts and max waits reduced per
+group (``np.maximum.reduceat``); each edge is built once, from the
+``tolist()`` key columns of its first row.  Collective instances take
+their worst waits and laggards from
+:meth:`~repro.simulator.trace.CollectiveTable.wait_columns`, sort their
+participants by rank once per table, and group by signature, so one
+:class:`CollectiveGroup` is built per signature, not per instance.  The
+content-derived sampling draws batch a shared BLAKE2b prefix over the key
+columns.  The output — every dict, every value, every insertion order —
+is bit-identical to the historical object-walking loop (property-tested
+against it over randomized workloads and hand-built collective tables).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -216,87 +221,89 @@ def _collect_p2p(dep: CommDependence, result: SimulationResult,
     # occurrence, which fixes the dicts' insertion order to match the
     # historical record-walking loop exactly.
     order = np.lexsort(tuple(reversed(key_cols)))
-    sorted_keys = [c[order] for c in key_cols]
     boundary = np.zeros(m, dtype=bool)
     boundary[0] = True
-    for c in sorted_keys:
+    for c in key_cols:
+        c = c[order]
         boundary[1:] |= c[1:] != c[:-1]
     starts = np.flatnonzero(boundary)
     counts = np.diff(np.append(starts, m))
     max_waits = np.maximum.reduceat(cols["wait_time"][order], starts)
     first_rows = order[starts]  # original row of each group's first record
-    for g in np.argsort(first_rows, kind="stable").tolist():
-        i = int(starts[g])
-        edge = CommEdge(
-            send_rank=int(sorted_keys[0][i]),
-            send_vid=int(sorted_keys[1][i]),
-            recv_rank=int(sorted_keys[2][i]),
-            recv_vid=int(sorted_keys[3][i]),
-            wait_vid=int(sorted_keys[4][i]),
-            tag=int(sorted_keys[5][i]),
-            nbytes=int(sorted_keys[6][i]),
-        )
-        key = edge.key()
-        dep.edges[key] = edge
-        dep.edge_stats[key] = (int(counts[g]), max(0.0, float(max_waits[g])))
+    by_first = np.argsort(first_rows, kind="stable")
+    firsts = first_rows[by_first]
+    keys = list(zip(*(c[firsts].tolist() for c in key_cols)))
+    dep.edges.update(zip(keys, itertools.starmap(CommEdge, keys)))
+    dep.edge_stats.update(zip(keys, zip(
+        counts[by_first].tolist(),
+        [max(0.0, w) for w in max_waits[by_first].tolist()],
+    )))
 
 
 def _collect_collectives(dep: CommDependence, result: SimulationResult,
                          sample_probability: float, threshold: float,
                          seed: int) -> None:
-    """Fold the collective table into ``dep`` (groups + stats)."""
+    """Fold the collective table into ``dep`` (groups + stats), vectorized.
+
+    Each instance's worst wait and laggard come from
+    :meth:`~repro.simulator.trace.CollectiveTable.wait_columns`.  Kept
+    instances are grouped by signature (op, root, size and the
+    participants' ``(rank, vid)`` pairs by rank), and one
+    :class:`CollectiveGroup` is built per signature.  A signature's
+    laggard is the laggard of its last instance whose worst wait equals
+    the signature's maximum: the instance where a running
+    ``worst >= max_wait`` test over the instances last holds.
+    """
     table = result.trace.collectives
     n = table.row_count
     dep.observed_events += n
     if not n:
         return
     cols = table.columns()
-    keep = (
-        _collective_keep_mask(seed, threshold, cols["index"])
-        if sample_probability < 1.0
-        else None
-    )
-    offsets = cols["offsets"]
-    starts = offsets[:-1]
-    # Per-instance reductions over the ragged participant arrays: the
-    # intrinsic op cost is the minimum (completion - arrival); the worst
-    # wait is the maximum over it (floored at zero like wait_of).
-    diffs = cols["part_completion"] - cols["part_arrival"]
-    if len(diffs):
-        op_costs = np.minimum.reduceat(diffs, starts)
-        worsts = np.maximum(
-            0.0, np.maximum.reduceat(diffs, starts) - op_costs
-        )
+    if sample_probability < 1.0:
+        kept = np.flatnonzero(_collective_keep_mask(seed, threshold, cols["index"]))
     else:
-        worsts = np.zeros(n)
-    part_rank = cols["part_rank"]
-    part_vid = cols["part_vid"]
-    part_arrival = cols["part_arrival"]
-    op_l = cols["op"].tolist()
-    root_l = cols["root"].tolist()
-    nbytes_l = cols["nbytes"].tolist()
-    for i in range(n):
-        if keep is not None and not keep[i]:
-            continue
-        dep.recorded_events += 1
-        s, e = int(offsets[i]), int(offsets[i + 1])
-        ranks = part_rank[s:e]
+        kept = np.arange(n)
+    dep.recorded_events += len(kept)
+    if not len(kept):
+        return
+    waits = table.wait_columns()
+    offsets = cols["offsets"]
+    worsts = np.maximum.reduceat(waits["wait"], offsets[:-1])[kept]
+    laggards = waits["laggard"][kept]
+    # each instance's participants as (rank, vid) rows sorted by rank
+    by_rank = np.lexsort((cols["part_rank"], waits["row"]))
+    pairs = np.stack((cols["part_rank"][by_rank], cols["part_vid"][by_rank]), axis=1)
+    number: dict[tuple, int] = {}
+    group_of = np.fromiter(
+        (
+            number.setdefault((op, root, nbytes, pairs[lo:hi].tobytes()), len(number))
+            for op, root, nbytes, lo, hi in zip(
+                cols["op"][kept].tolist(), cols["root"][kept].tolist(),
+                cols["nbytes"][kept].tolist(), offsets[kept].tolist(),
+                offsets[kept + 1].tolist(),
+            )
+        ),
+        dtype=np.int64, count=len(kept),
+    )
+    k = len(number)
+    top = np.full(k, -np.inf)
+    np.maximum.at(top, group_of, worsts)
+    last = np.full(k, -1, dtype=np.int64)
+    at_top = np.flatnonzero(worsts == top[group_of])
+    np.maximum.at(last, group_of[at_top], at_top)
+    for (op, root, nbytes, blob), count, worst, laggard in zip(
+        number, np.bincount(group_of, minlength=k).tolist(), top.tolist(),
+        laggards[last].tolist(),
+    ):
+        vids = np.frombuffer(blob, dtype=np.int64).reshape(-1, 2).tolist()
         group = CollectiveGroup(
-            mpi_op=MPI_CODE_TO_OP[op_l[i]],
-            root=root_l[i],
-            nbytes=nbytes_l[i],
-            vids=tuple(sorted(zip(ranks.tolist(), part_vid[s:e].tolist()))),
+            mpi_op=MPI_CODE_TO_OP[op], root=root, nbytes=nbytes,
+            vids=tuple(map(tuple, vids)),
         )
         key = group.key()
-        count, max_wait, laggard = dep.group_stats.get(key, (0, 0.0, -1))
-        worst = float(worsts[i])
-        if worst >= max_wait:
-            # the laggard everyone waited for: max (arrival, rank)
-            arrivals = part_arrival[s:e]
-            tied = np.flatnonzero(arrivals == arrivals.max())
-            laggard = int(ranks[tied].max())
         dep.groups[key] = group
-        dep.group_stats[key] = (count + 1, max(max_wait, worst), laggard)
+        dep.group_stats[key] = (count, max(0.0, worst), laggard)
 
 
 def collect_comm_dependence(

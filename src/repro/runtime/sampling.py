@@ -42,10 +42,16 @@ class SamplingProfile:
     perf: dict[tuple[int, int], PerformanceVector]
 
     def vector(self, rank: int, vid: int) -> PerformanceVector:
-        return self.perf.get((rank, vid), PerformanceVector())
+        """The vector of ``(rank, vid)``; a fresh empty one if unsampled."""
+        vec = self.perf.get((rank, vid))
+        return PerformanceVector() if vec is None else vec
 
     def vertex_times(self, vid: int) -> list[float]:
-        return [self.vector(r, vid).time for r in range(self.nprocs)]
+        get = self.perf.get
+        return [
+            0.0 if vec is None else vec.time
+            for vec in (get((r, vid)) for r in range(self.nprocs))
+        ]
 
     def sampled_vids(self) -> set[int]:
         return {vid for (_r, vid) in self.perf}
@@ -62,10 +68,13 @@ def sample_result(
     One columnar pass over the TraceBuffer event columns.  A segment
     ``[start, end]`` holds the samples at instants ``k/freq_hz`` with
     ``start < t <= end``; segments holding none are dropped (so every
-    segment kept has a positive duration).  The rest are put in
-    rank-major ``(rank, start, end)`` order (ties in recorded order),
-    grouped by ``(rank, vid)`` in first-occurrence order, and accumulated
-    per group with ``np.bincount``:
+    segment kept has a positive duration).  The result is defined by
+    rank-major ``(rank, start, end)`` order (ties in recorded order):
+    ``perf`` is keyed in the order a per-segment ``+=`` loop in that order
+    would first meet each key, and every float sum has that loop's
+    association.  The rest are grouped by ``(rank, vid)``
+    (:func:`~repro.simulator.trace.group_rows`) and accumulated per group
+    with ``np.bincount``:
 
     - ``time`` sums ``count * period`` and ``visits`` counts segments;
     - ``wait`` sums ``wait * frac``, where
@@ -75,9 +84,13 @@ def sample_result(
       ``total`` (a vertex without counters, or with zero exact time,
       gets none).
 
-    ``np.bincount`` adds weights in occurrence order, so every float sum
-    has the association of a per-segment ``+=`` loop in that order, and
-    ``perf`` is keyed in the order such a loop would first meet each key.
+    No row is sorted when each rank's kept rows already come in
+    ``(start, end)`` order, which an O(rows) check over a stable radix
+    sort of the ranks confirms.  All rows of a key come from one rank, so
+    ``np.bincount``'s occurrence-order sums are then the rank-major loop's
+    sums, and ordering the keys by (rank, first row) gives its key order.
+    A run that fails the check is put in rank-major order by
+    ``np.lexsort`` first, so the result is the same either way.
     """
     if freq_hz <= 0:
         raise ValueError("sampling frequency must be positive")
@@ -89,54 +102,66 @@ def sample_result(
 
     cols = result.trace.columns()
     start_c, end_c = cols["start"], cols["end"]
-    order = np.lexsort((end_c, start_c, cols["rank"]))
-    # samples at instants t = k*period with start < t <= end:
-    counts = (np.floor(end_c / period) - np.floor(start_c / period))[order]
-    keep = counts > 0
-    order, counts = order[keep], counts[keep]
-    if len(order):
+    # samples at instants t = k*period with start < t <= end (in-place
+    # steps: fresh row-sized arrays cost more than the arithmetic)
+    counts = np.floor(np.divide(end_c, period))
+    counts -= np.floor(np.divide(start_c, period))
+    kept = np.flatnonzero(counts > 0)
+    if len(kept):
+        rank, vid, start, end, wait, counts = (
+            c[kept] for c in (
+                cols["rank"], cols["vid"], start_c, end_c, cols["wait"], counts
+            )
+        )
+        if not _rank_ordered(rank, start, end):
+            order = np.lexsort((end, start, rank))
+            rank, vid, start, end, wait, counts = (
+                c[order] for c in (rank, vid, start, end, wait, counts)
+            )
         total_samples = int(counts.astype(np.int64).sum())
-        duration = end_c[order] - start_c[order]
-        inv, keys = group_rows(cols["rank"][order], cols["vid"][order])
-        n = len(keys)
-        sampled = counts * period
+        inv, ranks, vids = group_rows(rank, vid)
+        n = len(ranks)
+        sampled = np.multiply(counts, period, out=counts)
+        duration = np.subtract(end, start, out=end)
         frac = sampled / duration
-        frac = np.where(frac < 1.0, frac, 1.0)  # Python's min(1.0, frac)
-        time_sums = np.bincount(inv, weights=sampled, minlength=n)
-        visit_counts = np.bincount(inv, minlength=n)
-        wait_sums = np.bincount(inv, weights=cols["wait"][order] * frac, minlength=n)
+        np.fmin(frac, 1.0, out=frac)  # Python's min(1.0, frac), NaN -> 1.0
         # per-group exact counters and exact time, looked up once per key;
         # groups left at zero add +0.0 per segment, which changes no sum
         vertex_counters = result.vertex_counters
         vertex_time = result.vertex_time
-        exact = np.zeros((n, 4))
+        keys = list(zip(ranks.tolist(), vids.tolist()))
+        spread, totals, exacts = [], [], []
+        for g, c in enumerate(map(vertex_counters.get, keys)):
+            if c is not None:
+                t = vertex_time.get(keys[g], 0.0)
+                if t > 0:
+                    spread.append(g)
+                    totals.append(t)
+                    exacts.append((c.tot_ins, c.tot_cyc, c.tot_lst_ins, c.l2_dcm))
         total = np.zeros(n)
-        for g, key in enumerate(keys):
-            c = vertex_counters.get(key)
-            t = vertex_time.get(key, 0.0)
-            if c is not None and t > 0:
-                exact[g] = (c.tot_ins, c.tot_cyc, c.tot_lst_ins, c.l2_dcm)
-                total[g] = t
+        exact = np.zeros((4, n))
+        if spread:
+            total[spread] = totals
+            exact[:, spread] = np.array(exacts).T
         row_total = total[inv]
-        share = np.divide(
-            duration, row_total, out=np.zeros(len(inv)), where=row_total > 0
-        ) * frac
-        counter_sums = [
-            np.bincount(inv, weights=exact[inv, f] * share, minlength=n)
-            for f in range(4)
+        share = np.zeros(len(inv))
+        np.divide(duration, row_total, out=share, where=row_total > 0)
+        share *= frac
+        sums = [
+            np.bincount(inv, weights=sampled, minlength=n),
+            np.bincount(inv, weights=np.multiply(wait, frac, out=wait), minlength=n),
+            np.bincount(inv, minlength=n),
         ]
-        for g, key in enumerate(keys):
-            perf[key] = PerformanceVector(
-                time=float(time_sums[g]),
-                wait=float(wait_sums[g]),
-                visits=int(visit_counts[g]),
-                counters=PerfCounters(
-                    tot_ins=float(counter_sums[0][g]),
-                    tot_cyc=float(counter_sums[1][g]),
-                    tot_lst_ins=float(counter_sums[2][g]),
-                    l2_dcm=float(counter_sums[3][g]),
-                ),
-            )
+        for column in exact:
+            weights = column[inv]
+            weights *= share
+            sums.append(np.bincount(inv, weights=weights, minlength=n))
+        # key order: rank-major, then first row (a stable sort by rank)
+        order = np.argsort(ranks, kind="stable")
+        for g, t, w, v, ins, cyc, lst, dcm in zip(
+            order.tolist(), *(s[order].tolist() for s in sums)
+        ):
+            perf[keys[g]] = PerformanceVector(t, w, v, PerfCounters(ins, cyc, lst, dcm))
 
     return SamplingProfile(
         freq_hz=freq_hz,
@@ -144,6 +169,19 @@ def sample_result(
         total_samples=total_samples,
         perf=perf,
     )
+
+
+def _rank_ordered(rank: np.ndarray, start: np.ndarray, end: np.ndarray) -> bool:
+    """Whether every rank's rows are ``(start, end)``-nondecreasing in row
+    order, i.e. whether a stable sort by rank alone is already rank-major
+    ``(rank, start, end)`` order.  O(rows) after a stable sort of the
+    ranks, radix for 16-bit ranks; a NaN time fails the check."""
+    key = rank.astype(np.uint16 if rank.max() < 1 << 16 else np.int64)
+    order = np.argsort(key, kind="stable")
+    r, s, e = rank[order], start[order], end[order]
+    s0, s1 = s[:-1], s[1:]
+    ok = (s1 > s0) | ((s1 == s0) & (e[1:] >= e[:-1])) | (r[1:] != r[:-1])
+    return bool(ok.all())
 
 
 def exact_profile(result: SimulationResult) -> SamplingProfile:

@@ -19,6 +19,7 @@ across ranks and scales, not on cycle accuracy:
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass, replace
@@ -31,6 +32,8 @@ from repro.util.rng import RngStream
 __all__ = ["PerfCounters", "Workload", "MachineModel", "NetworkModel", "CostModel"]
 
 _PACK_4D = struct.Struct("<4d").pack
+_PACK_D = struct.Struct("<d").pack
+_UNPACK_D = struct.Struct("<d").unpack
 
 
 @dataclass
@@ -153,6 +156,16 @@ class NetworkModel:
         raise ValueError(f"{op} is not a collective")
 
 
+@functools.lru_cache(maxsize=1 << 16)
+def _drawn_speed_factor(seed: int, kind: str, rank: int, sigma_bits: bytes) -> float:
+    """``RngStream(seed, kind, rank).lognormal_factor(sigma)``, shared by
+    every :class:`CostModel`: a factor depends only on these four values,
+    and building its stream costs far more than the lookup.  Keyed on
+    sigma's IEEE bits, like every cost memo."""
+    (sigma,) = _UNPACK_D(sigma_bits)
+    return RngStream(seed, kind, rank).lognormal_factor(sigma)
+
+
 class CostModel:
     """Binds machine + network models to a seeded noise/heterogeneity RNG."""
 
@@ -194,7 +207,7 @@ class CostModel:
         off: the factor is then exactly 1.0)."""
         if sigma <= 0.0:
             return 1.0
-        return RngStream(self.seed, kind, rank).lognormal_factor(sigma)
+        return _drawn_speed_factor(self.seed, kind, rank, _PACK_D(sigma))
 
     def _noise(self, rank: int) -> float:
         if self.machine.noise_sigma <= 0.0:

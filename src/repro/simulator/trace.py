@@ -57,6 +57,7 @@ from __future__ import annotations
 import base64
 from collections.abc import Callable, Iterator
 from functools import partial
+from itertools import compress
 
 import numpy as np
 
@@ -72,6 +73,7 @@ __all__ = [
     "mpi_op_code",
     "group_rows",
     "fold_rows",
+    "KeySums",
     "RowStore",
     "RowView",
     "TraceBuffer",
@@ -298,61 +300,122 @@ class RowStore:
 # ----------------------------------------------------------------------
 
 
+#: Dense grouping allots one table slot per possible (rank, vid) key; it is
+#: used while there are at most this many slots per row, else rows are
+#: grouped by sorting (the table stays O(rows) either way).
+_DENSE_SLOTS_PER_ROW = 4
+
+
 def group_rows(
     rank: np.ndarray, vid: np.ndarray
-) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Group rows by (rank, vid): returns ``(inverse, keys)``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group rows by (rank, vid): returns ``(inverse, ranks, vids)``.
 
     Groups are numbered in first-occurrence order: row ``i`` belongs to
-    ``keys[inverse[i]]``, and ``keys`` lists each key where it first
-    appears.
+    group ``inverse[i]``, whose key is ``(ranks[g], vids[g])`` (int64),
+    and group ``g`` first appears before group ``g + 1``.  Ranks and vids
+    must be non-negative.
+
+    Each key gets the code ``rank * V + vid`` (``V`` = max vid + 1).  When
+    the code space is at most :data:`_DENSE_SLOTS_PER_ROW` slots per row, a
+    dense table indexed by code takes each key's first row
+    (``np.minimum.at``), so no row is sorted; only the first rows of the
+    keys are.  Otherwise ``np.unique`` sorts the codes.  Both give the
+    same groups in the same order.
     """
-    composite = rank.astype(np.int64) * (int(vid.max()) + 1 if len(vid) else 1)
-    composite = composite + vid.astype(np.int64)
-    _uniq, first, inv = np.unique(composite, return_index=True, return_inverse=True)
-    order = np.argsort(first, kind="stable")
-    renumber = np.empty_like(order)
-    renumber[order] = np.arange(len(order))
-    first = first[order]
-    keys = list(zip(
-        rank[first].astype(np.int64).tolist(), vid[first].astype(np.int64).tolist()
-    ))
-    return renumber[inv], keys
+    n = len(rank)
+    if not n:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty
+    r = rank.astype(np.int64)
+    v = vid.astype(np.int64)
+    if r.min() < 0 or v.min() < 0:
+        raise ValueError("ranks and vids must be non-negative")
+    width = int(v.max()) + 1
+    code = r * width + v
+    slots = (int(r.max()) + 1) * width
+    if slots <= _DENSE_SLOTS_PER_ROW * n:
+        first_of = np.full(slots, n, dtype=np.int64)
+        np.minimum.at(first_of, code, np.arange(n, dtype=np.int64))
+        first = np.sort(first_of[first_of < n])
+        number = np.empty(slots, dtype=np.int64)  # only used codes are read
+        number[code[first]] = np.arange(len(first), dtype=np.int64)
+        inv = number[code]
+    else:
+        _uniq, first, inv = np.unique(code, return_index=True, return_inverse=True)
+        order = np.argsort(first, kind="stable")
+        renumber = np.empty_like(order)
+        renumber[order] = np.arange(len(order))
+        first = first[order]
+        inv = renumber[inv]
+    return inv, r[first], v[first]
 
 
-def fold_rows(
-    acc: dict[tuple[int, int], tuple], rank: np.ndarray, vid: np.ndarray, *weights
-) -> None:
+class KeySums:
+    """Running per-``(rank, vid)`` sums of a fixed number of weight columns:
+    ``keys`` in first-occurrence order and one list per column, aligned
+    with ``keys``."""
+
+    __slots__ = ("keys", "columns", "_index")
+
+    def __init__(self, width: int) -> None:
+        self.keys: list[tuple[int, int]] = []
+        self.columns: list[list] = [[] for _ in range(width)]
+        #: key -> position, built on the first fold into a non-empty acc
+        self._index: dict[tuple[int, int], int] | None = None
+
+    def clear(self) -> None:
+        self.keys = []
+        self.columns = [[] for _ in self.columns]
+        self._index = None
+
+
+def fold_rows(acc: KeySums, rank: np.ndarray, vid: np.ndarray, *weights) -> None:
     """Fold weight columns into running per-``(rank, vid)`` sums in ``acc``.
 
+    Rows are grouped once by :func:`group_rows` (no sort of the rows), and
     ``np.bincount`` adds each group's weights in occurrence order, so a
     key's partial is a left fold of its rows in row order.  All rows of a
     key come from one rank, so that is the rank's execution order: one
     fold over a whole table does not depend on how ranks interleave.  A
     key new to ``acc`` stores its partial as is (so one fold over a whole
-    table equals a one-shot sum); a known key adds the partial once per
+    table equals a one-shot sum, and a fold into an empty ``acc`` takes
+    the partials' lists whole); a known key adds the partial once per
     column.  New keys join ``acc`` in first-occurrence order.  A weight of
     ``None`` counts rows (int sums).
     """
     if not len(rank):
         return
-    inv, keys = group_rows(rank, vid)
-    n = len(keys)
-    sums = [np.bincount(inv, weights=w, minlength=n).tolist() for w in weights]
-    for key, part in zip(keys, zip(*sums)):
-        prev = acc.get(key)
-        acc[key] = part if prev is None else tuple(
-            a + b for a, b in zip(prev, part)
-        )
+    inv, ranks, vids = group_rows(rank, vid)
+    n = len(ranks)
+    keys = list(zip(ranks.tolist(), vids.tolist()))
+    parts = [np.bincount(inv, weights=w, minlength=n).tolist() for w in weights]
+    if not acc.keys:
+        acc.keys, acc.columns, acc._index = keys, parts, None
+        return
+    index = acc._index
+    if index is None:
+        index = acc._index = {key: i for i, key in enumerate(acc.keys)}
+    columns = acc.columns
+    for g, key in enumerate(keys):
+        i = index.get(key)
+        if i is None:
+            index[key] = len(acc.keys)
+            acc.keys.append(key)
+            for column, part in zip(columns, parts):
+                column.append(part[g])
+        else:
+            for column, part in zip(columns, parts):
+                column[i] += part[g]
 
 
-def _fold_events(acc: dict, m: np.ndarray) -> None:
+def _fold_events(acc: KeySums, m: np.ndarray) -> None:
     """Event rows -> per-key (time, wait, waited rows, visits)."""
     wait = m[:, 5]
     fold_rows(acc, m[:, 0], m[:, 1], m[:, 4] - m[:, 3], wait, wait != 0.0, None)
 
 
-def _fold_counters(acc: dict, m: np.ndarray) -> None:
+def _fold_counters(acc: KeySums, m: np.ndarray) -> None:
     """Counter rows -> per-key (tot_ins, tot_cyc, tot_lst_ins, l2_dcm)."""
     fold_rows(acc, m[:, 0], m[:, 1], m[:, 2], m[:, 3], m[:, 4], m[:, 5])
 
@@ -686,15 +749,19 @@ class TraceBuffer:
     Only per-rank row order is contract: every rank's events (and its P2P
     and collective rows) appear in that rank's execution order, but the
     global interleaving of different ranks' rows depends on the drain
-    (see ``Engine.drain``).  The per-(rank, vid) sums of :func:`fold_rows`
-    accumulate per key in per-rank order, and
-    :func:`repro.runtime.sampling.sample_result` re-sorts rank-major
-    before accumulating, so aggregates and profiles do not depend on the
-    interleaving.  Any consumer that reads the global row order of the
-    event, P2P or collective tables (or a collective's participant order)
-    must re-sort it first.  In ring mode a chunk seals at a global row
-    count, so each key's partials join at interleaving-dependent
-    boundaries.
+    (see ``Engine.drain``).  Aggregates and profiles do not depend on the
+    interleaving, and neither re-sorts the rows to get there: all rows of
+    a ``(rank, vid)`` key come from one rank, so the per-key sums of
+    :func:`fold_rows` accumulate in that rank's order, and
+    :func:`repro.runtime.sampling.sample_result` orders its keys by
+    (rank, first row) after checking that each rank's rows already come
+    in ``(start, end)`` order (it sorts only a run that fails the check).
+    Any other consumer that reads the global row order of the event, P2P
+    or collective tables (or a collective's participant order) must
+    re-sort it first; communication collection groups edges by a sort of
+    their keys and collective participants by rank.  In ring mode a chunk
+    seals at a global row count, so each key's partials join at
+    interleaving-dependent boundaries.
     """
 
     __slots__ = (
@@ -712,8 +779,8 @@ class TraceBuffer:
         self.collectives = CollectiveTable()
         # Running per-(rank, vid) sums: ring mode folds every sealed chunk
         # into them; recorded mode refolds the whole table on read.
-        self._event_acc: dict[tuple[int, int], tuple] = {}
-        self._counter_acc: dict[tuple[int, int], tuple] = {}
+        self._event_acc = KeySums(4)
+        self._counter_acc = KeySums(4)
         ring = not keep_events
         self._events = RowStore(
             ("events", "f8", _EVENT_COLUMNS),
@@ -736,7 +803,7 @@ class TraceBuffer:
         self._events.append_block(events)
         self._counters.append_block(counters)
 
-    def _sums(self, store: RowStore, acc: dict, fold) -> dict:
+    def _sums(self, store: RowStore, acc: KeySums, fold) -> KeySums:
         """``acc`` folded over every row of ``store``: the whole table in
         one pass when events are kept, else just the ring's pending tail."""
         if self.keep_events:
@@ -793,10 +860,12 @@ class TraceBuffer:
         if self._agg_count != self._events.count:
             self._agg_count = self._events.count
             acc = self._sums(self._events, self._event_acc, _fold_events)
+            keys = acc.keys
+            time, wait, waited, visits = acc.columns
             self._aggregates = (
-                {key: s[0] for key, s in acc.items()},
-                {key: s[1] for key, s in acc.items() if s[2]},
-                {key: s[3] for key, s in acc.items()},
+                dict(zip(keys, time)),
+                dict(compress(zip(keys, wait), waited)),
+                dict(zip(keys, visits)),
             )
         return self._aggregates
 
@@ -813,7 +882,7 @@ class TraceBuffer:
         if self._cagg_count != self._counters.count:
             self._cagg_count = self._counters.count
             acc = self._sums(self._counters, self._counter_acc, _fold_counters)
-            self._counter_agg = {key: PerfCounters(*s) for key, s in acc.items()}
+            self._counter_agg = dict(zip(acc.keys, map(PerfCounters, *acc.columns)))
         return self._counter_agg
 
     # -- serialization (Session artifact cache) ----------------------------

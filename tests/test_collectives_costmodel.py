@@ -1,6 +1,8 @@
 """Collective tracker and cost-model tests."""
 
+import struct
 
+import numpy as np
 import pytest
 
 from repro.minilang.ast_nodes import MpiOp
@@ -13,6 +15,7 @@ from repro.simulator.costmodel import (
     PerfCounters,
     Workload,
 )
+from repro.util.rng import RngStream
 
 LOC = SourceLocation("t.mm", 1)
 
@@ -123,6 +126,43 @@ class TestComputeCost:
         assert a.mem_speed(3) == b.mem_speed(3)
         c = CostModel(MachineModel(mem_speed_sigma=0.3), seed=2)
         assert a.mem_speed(3) != c.mem_speed(3)
+
+    def test_shared_speed_factors_equal_fresh_draws_bit_for_bit(self, monkeypatch):
+        """Speed factors are drawn once per (seed, kind, rank, sigma bits)
+        and shared by every cost model; each equals its own stream's draw."""
+        from repro.simulator import costmodel
+
+        def bits(x):
+            return struct.pack("<d", x)
+
+        sigmas = (0.05, 0.3, 0.3 + 2**-52)  # the last differs in one ulp
+        models = [
+            CostModel(MachineModel(core_speed_sigma=s, mem_speed_sigma=s), seed=seed)
+            for seed in (1, 7) for s in sigmas
+        ]
+        want = {
+            (m.seed, m.machine.mem_speed_sigma, kind, r): bits(
+                RngStream(m.seed, kind, r).lognormal_factor(m.machine.mem_speed_sigma)
+            )
+            for m in models for kind in ("core_speed", "mem_speed") for r in range(6)
+        }
+        for m in models:
+            for r in range(6):
+                sigma = m.machine.mem_speed_sigma
+                assert bits(m.core_speed(r)) == want[(m.seed, sigma, "core_speed", r)]
+                assert bits(m.mem_speed(r)) == want[(m.seed, sigma, "mem_speed", r)]
+        # a new model of a drawn configuration builds no stream at all
+        def no_stream(*args):
+            raise AssertionError("speed factor drawn twice")
+
+        monkeypatch.setattr(costmodel, "RngStream", no_stream)
+        again = CostModel(MachineModel(mem_speed_sigma=0.3), seed=7)
+        assert bits(again.mem_speed(5)) == want[(7, 0.3, "mem_speed", 5)]
+        core, mem = again._speeds(np.arange(6))
+        assert [bits(x) for x in mem.tolist()] == [
+            want[(7, 0.3, "mem_speed", r)] for r in range(6)
+        ]
+        assert core.tolist() == [1.0] * 6  # no spread: no draw, exactly 1.0
 
     def test_noise_sigma_zero_is_deterministic(self):
         cm = CostModel()

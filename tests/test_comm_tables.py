@@ -9,6 +9,7 @@ subsets at ``sample_probability < 1`` — over randomized workloads.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.minilang import parse_program
+from repro.minilang.ast_nodes import MpiOp
 from repro.psg import build_psg
 from repro.runtime import collect_comm_dependence
 from repro.runtime.interposition import (
@@ -28,9 +30,11 @@ from repro.simulator import (
     CollectiveTable,
     P2PTable,
     SimulationConfig,
+    TraceBuffer,
     WILDCARD_CODE,
     simulate,
 )
+from repro.simulator.events import CollectiveRecord
 from repro.util.rng import derive_seed
 
 
@@ -367,6 +371,110 @@ class TestCollectiveTable:
         assert back.row_count == table.row_count
         for a, b in zip(back.records(), table.records()):
             assert a == b
+
+
+def _collective_result(instances):
+    """A minimal result holding only hand-built collective instances, each
+    ``(op, root, nbytes, [(rank, vid, arrival, completion), ...])`` with
+    participants in arrival-insertion order."""
+    buf = TraceBuffer()
+    for index, (op, root, nbytes, parts) in enumerate(instances):
+        buf.collectives.append_record(CollectiveRecord(
+            index=index, mpi_op=op, root=root, nbytes=nbytes,
+            vids={r: v for r, v, _a, _c in parts},
+            arrivals={r: a for r, _v, a, _c in parts},
+            completions={r: c for r, _v, _a, c in parts},
+        ))
+    return SimpleNamespace(
+        trace=buf,
+        p2p_records=buf.p2p.records(),
+        collective_records=buf.collectives.records(),
+        indirect_notes=[],
+    )
+
+
+def _assert_collectives_match_reference(instances):
+    result = _collective_result(instances)
+    for probability, seeds in ((1.0, (0,)), (0.65, range(8)), (0.3, range(8))):
+        for seed in seeds:
+            got = collect_comm_dependence(
+                result, sample_probability=probability, seed=seed
+            )
+            want = reference_collect(
+                result, sample_probability=probability, seed=seed
+            )
+            assert_dependence_identical(got, want)
+    return collect_comm_dependence(result)
+
+
+def dep_laggards(instances):
+    """Each instance's laggard, from the table's wait columns."""
+    table = _collective_result(instances).trace.collectives
+    return table.wait_columns()["laggard"].tolist()
+
+
+class TestCollectiveEdgeCases:
+    """Hand-built collective tables against the per-record reference, at
+    ``sample_probability`` 1 and below."""
+
+    ALLREDUCE = MpiOp.ALLREDUCE
+
+    def test_repeated_signature_with_exactly_tied_worst_waits(self):
+        # instances 0 and 2 share a signature (participants inserted in
+        # different orders) and both have worst wait exactly 1.0; the
+        # last tied instance's laggard (rank 0) must win
+        instances = [
+            (self.ALLREDUCE, 0, 8, [(0, 5, 1.0, 3.0), (1, 6, 2.0, 3.0), (2, 7, 1.5, 3.0)]),
+            (MpiOp.BCAST, 1, 64, [(1, 9, 2.5, 3.5), (0, 9, 3.0, 3.5), (2, 9, 3.0, 3.5)]),
+            (self.ALLREDUCE, 0, 8, [(2, 7, 4.0, 6.0), (0, 5, 5.0, 6.0), (1, 6, 4.5, 6.0)]),
+            (self.ALLREDUCE, 0, 8, [(0, 5, 7.0, 8.0), (1, 6, 7.25, 8.0), (2, 7, 7.0, 8.0)]),
+        ]
+        dep = _assert_collectives_match_reference(instances)
+        key = (self.ALLREDUCE, 0, 8, ((0, 5), (1, 6), (2, 7)))
+        assert list(dep.groups) == [key, (MpiOp.BCAST, 1, 64, ((0, 9), (1, 9), (2, 9)))]
+        assert dep.group_stats[key] == (3, 1.0, 0)
+
+    def test_tied_arrivals_pick_the_max_rank_laggard(self):
+        instances = [
+            (MpiOp.BARRIER, 0, 0, [(2, 4, 3.0, 4.0), (0, 4, 3.0, 4.0), (1, 4, 1.0, 4.0)]),
+            (MpiOp.BARRIER, 0, 0, [(1, 4, 5.0, 6.0), (0, 4, 5.0, 6.0), (2, 4, 4.0, 6.0)]),
+            # everyone arrives at once: worst wait 0.0, below the maximum,
+            # so the first instance's laggard (rank 2 of the 3.0 tie) stays
+            (MpiOp.BARRIER, 0, 0, [(0, 4, 7.0, 8.0), (2, 4, 7.0, 8.0), (1, 4, 7.0, 8.0)]),
+        ]
+        dep = _assert_collectives_match_reference(instances)
+        ((_key, stats),) = dep.group_stats.items()
+        assert stats == (3, 2.0, 2)
+        laggards = dep_laggards(instances)
+        assert laggards == [2, 1, 2]  # max rank among each tie
+
+    def test_all_zero_worst_waits_keep_a_zero_maximum(self):
+        instances = [
+            (self.ALLREDUCE, 0, 8, [(0, 3, 1.0, 2.0), (1, 3, 1.0, 2.0)]),
+            (self.ALLREDUCE, 0, 8, [(1, 3, 3.0, 4.0), (0, 3, 3.0, 4.0)]),
+        ]
+        dep = _assert_collectives_match_reference(instances)
+        ((_key, stats),) = dep.group_stats.items()
+        assert repr(stats) == "(2, 0.0, 1)"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_ragged_tables_with_many_ties(self, data):
+        """Ragged participant sets, a small signature pool and times drawn
+        from a few values, so worst waits and arrivals tie often."""
+        times = st.sampled_from([0.0, 0.5, 1.0, 1.5])
+        instances = []
+        for _ in range(data.draw(st.integers(1, 12))):
+            ranks = data.draw(st.permutations(range(4)))
+            size = data.draw(st.integers(1, 4))
+            parts = []
+            for r in ranks[:size]:
+                arrival = data.draw(times)
+                parts.append((r, data.draw(st.integers(0, 1)), arrival,
+                              arrival + data.draw(times) + 1.0))
+            op = data.draw(st.sampled_from([MpiOp.ALLREDUCE, MpiOp.BARRIER]))
+            instances.append((op, data.draw(st.integers(0, 1)), 8, parts))
+        _assert_collectives_match_reference(instances)
 
 
 class TestTraceBufferOwnership:

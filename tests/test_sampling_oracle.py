@@ -10,6 +10,7 @@ runs, and on hand-built traces that hit the edge cases.
 
 from __future__ import annotations
 
+import contextlib
 import struct
 from types import SimpleNamespace
 
@@ -19,10 +20,12 @@ import pytest
 from repro.apps import APPS, get_app
 from repro.runtime import sample_result
 from repro.runtime.perfdata import PerformanceVector
+from repro.runtime import sampling
 from repro.runtime.sampling import SamplingProfile
 from repro.simulator import SimulationConfig, simulate
 from repro.simulator.costmodel import MachineModel, PerfCounters
-from repro.simulator.trace import TraceBuffer
+from repro.simulator.trace import CHUNK_EVENTS, TraceBuffer
+from tests.conftest import fifo_drain, per_rank_oracle
 
 FREQS = (20.0, 200.0, 1000.0)
 SCALES = (4, 16)
@@ -203,7 +206,7 @@ def test_zero_vertex_time_spreads_no_counters():
     assert profile.perf[(0, 2)].counters.l2_dcm > 0
 
 
-def test_rank_major_start_end_order_with_ties_in_recorded_order():
+def test_rank_major_start_end_order_with_ties_in_recorded_order(monkeypatch):
     # ranks interleaved, one rank's equal-start rows recorded longest
     # first, and exact (rank, start, end) ties recorded out of vid order
     rows = [
@@ -214,5 +217,100 @@ def test_rank_major_start_end_order_with_ties_in_recorded_order():
         (1, 4, 0.05, 0.09, 0.0),
         (0, 7, 0.05, 0.06, 0.0),
     ]
+    checks = _spy_rank_order_check(monkeypatch)
     profile = assert_same_profile(_fake_result(rows), 200.0)
     assert list(profile.perf) == [(0, 9), (0, 7), (0, 3), (1, 4)]
+    # rank 0's equal-start rows come longest first: not (start, end) order,
+    # so the columnar pass took its lexsort fallback
+    assert checks == [False]
+
+
+def _spy_rank_order_check(monkeypatch) -> list[bool]:
+    """Record every answer of ``sample_result``'s row-order check."""
+    checks: list[bool] = []
+
+    def spy(*args):
+        checks.append(real(*args))
+        return checks[-1]
+
+    real = sampling._rank_ordered
+    monkeypatch.setattr(sampling, "_rank_ordered", spy)
+    return checks
+
+
+# -- the fast path's precondition on every drain ---------------------------
+
+
+def _ranks_in_start_end_order(trace) -> bool:
+    """Every rank's event rows (start, end)-nondecreasing in row order,
+    checked rank by rank."""
+    cols = trace.columns()
+    rank, start, end = cols["rank"], cols["start"], cols["end"]
+    for r in np.unique(rank):
+        s, e = start[rank == r], end[rank == r]
+        ordered = (s[1:] > s[:-1]) | ((s[1:] == s[:-1]) & (e[1:] >= e[:-1]))
+        if not ordered.all():
+            return False
+    return True
+
+
+DRAINS = {
+    "lockstep": contextlib.nullcontext,
+    "fifo": fifo_drain,
+    "time_ordered": per_rank_oracle,
+}
+
+
+@pytest.mark.parametrize("drain", sorted(DRAINS))
+@pytest.mark.parametrize("nprocs", SCALES)
+@pytest.mark.parametrize("app", sorted(APPS))
+def test_every_drain_records_ranks_in_start_end_order(app, nprocs, drain, monkeypatch):
+    """``sample_result`` sorts no row when each rank's rows already come in
+    (start, end) order; every drain records them that way, so the bundled
+    apps never take the lexsort fallback."""
+    with DRAINS[drain]():
+        result = _run_app(app, nprocs)
+    assert _ranks_in_start_end_order(result.trace)
+    checks = _spy_rank_order_check(monkeypatch)
+    assert_same_profile(result, 200.0)
+    assert checks == [True]
+
+
+def test_multi_chunk_lockstep_run_matches_oracle_and_one_shot_sums():
+    """cg at P=128 drains in lockstep into several sealed chunks; the
+    sampled profile still equals the per-segment loop, and the per-key
+    sums behind ``vertex_time`` / ``vertex_counters`` equal one-shot
+    ``np.bincount`` sums over the whole table."""
+    result = _run_app("cg", 128)
+    assert result.metrics.counter("engine.lockstep") == 1
+    assert result.trace.event_count > CHUNK_EVENTS
+    for freq in FREQS:
+        assert_same_profile(result, freq)
+
+    def one_shot(cols, *names):
+        code = cols["rank"].astype(np.int64) * (1 << 32) + cols["vid"].astype(np.int64)
+        _uniq, first, inv = np.unique(code, return_index=True, return_inverse=True)
+        sums = [np.bincount(inv, weights=w).tolist() for w in names]
+        return {  # keyed in first-occurrence order, like the fold
+            (int(cols["rank"][first[g]]), int(cols["vid"][first[g]])):
+                tuple(s[g] for s in sums)
+            for g in np.argsort(first).tolist()
+        }
+
+    ev = result.trace.columns()
+    want_time = one_shot(ev, ev["end"] - ev["start"])
+    got_time = result.vertex_time
+    assert list(got_time) == list(want_time)
+    for key, (t,) in want_time.items():
+        assert _bits(got_time[key]) == _bits(t), key
+    cc = result.trace.counter_columns()
+    want_counters = one_shot(
+        cc, cc["tot_ins"], cc["tot_cyc"], cc["tot_lst_ins"], cc["l2_dcm"]
+    )
+    got_counters = result.vertex_counters
+    assert list(got_counters) == list(want_counters)
+    for key, sums in want_counters.items():
+        c = got_counters[key]
+        assert [_bits(x) for x in (c.tot_ins, c.tot_cyc, c.tot_lst_ins, c.l2_dcm)] == [
+            _bits(x) for x in sums
+        ], key

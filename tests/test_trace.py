@@ -13,6 +13,7 @@ from repro.simulator.trace import (
     MPI_OP_CODES,
     WILDCARD_CODE,
     TraceBuffer,
+    group_rows,
     mpi_op_code,
 )
 from tests.conftest import run_source
@@ -144,6 +145,32 @@ class TestAggregation:
         assert agg[(0, 3)].tot_lst_ins == 5.5
         assert agg[(0, 3)].l2_dcm == 1.25
         assert agg[(1, 3)].tot_ins == 7.0
+
+    @pytest.mark.parametrize("slots_per_row", [0, 1 << 40], ids=["sort", "dense"])
+    @pytest.mark.parametrize("vid_span", [3, 50, 10**6])
+    def test_group_rows_matches_first_occurrence_walk(
+        self, monkeypatch, slots_per_row, vid_span
+    ):
+        """Both grouping paths (a dense code table, or a sort when the code
+        space is sparse) number keys exactly like a first-occurrence walk."""
+        import repro.simulator.trace as trace_mod
+
+        monkeypatch.setattr(trace_mod, "_DENSE_SLOTS_PER_ROW", slots_per_row)
+        rng = np.random.default_rng(vid_span)
+        rank = rng.integers(0, 7, 400).astype(np.float64)
+        vid = rng.integers(0, vid_span, 400).astype(np.float64)
+        number: dict[tuple[int, int], int] = {}
+        want = [
+            number.setdefault((int(r), int(v)), len(number))
+            for r, v in zip(rank, vid)
+        ]
+        inv, ranks, vids = group_rows(rank, vid)
+        assert inv.tolist() == want
+        assert list(zip(ranks.tolist(), vids.tolist())) == list(number)
+
+    def test_group_rows_rejects_negative_keys(self):
+        with pytest.raises(ValueError):
+            group_rows(np.array([0.0, 1.0]), np.array([2.0, -1.0]))
 
     def test_empty_buffer(self):
         buf = TraceBuffer()
@@ -418,6 +445,30 @@ class TestChunkedTables:
                                3: c.l2_dcm}) == self._bits(
                 {0: ins, 1: cyc, 2: lst, 3: dcm}
             )
+
+    def test_ring_fold_appends_keys_first_seen_in_later_chunks(self):
+        # chunk 1 holds keys of rank 0 only; ranks 1 and 2 first appear in
+        # chunks 2 and 3, interleaved with rows of keys already held
+        events = [
+            (r, v, 0, 0.1 * i, 0.1 * i + 0.3 / (i + 1), 0.01 * (i % 3), -1)
+            for i, (r, v) in enumerate(
+                [(0, i % 2) for i in range(16)]
+                + [(1, 5), (0, 1)] * 8
+                + [(2, 3), (0, 0), (1, 5), (2, 4)] * 4
+            )
+        ]
+        buf = TraceBuffer(keep_events=False)
+        _fill(buf, events)
+        totals, waited = self._chunked_reference(
+            [((r, v), (e - s, w)) for r, v, _k, s, e, w, _o in events], 16, 2
+        )
+        assert list(buf.vertex_time()) == [(0, 0), (0, 1), (1, 5), (2, 3), (2, 4)]
+        assert self._bits(buf.vertex_time()) == self._bits(
+            {k: t[0] for k, t in totals.items()}
+        )
+        assert self._bits(buf.vertex_wait()) == self._bits(
+            {k: t[1] for k, t in totals.items() if waited[k]}
+        )
 
     def test_sealed_set_wait_survives_json_round_trip(self):
         import json
