@@ -248,15 +248,33 @@ class CostModel:
         )
         return duration, counters
 
+    def noise_columns(self, ranks: np.ndarray, count: int) -> np.ndarray:
+        """The first ``count`` per-execution noise factors of every rank in
+        ``ranks``, as a ``(count, len(ranks))`` matrix: row ``k`` holds each
+        rank's factor for its ``k``-th compute.  Each rank draws from a
+        fresh ``exec_noise`` stream, so the streams :meth:`compute_cost`
+        draws from are left as they were; a vector draw equals that many
+        scalar :meth:`RngStream.lognormal_factor` draws bit for bit
+        (``tests/test_util_rng.py``)."""
+        sigma = self.machine.noise_sigma
+        out = np.empty((count, len(ranks)))
+        for i, rank in enumerate(ranks.tolist()):
+            gen = RngStream(self.seed, "exec_noise", rank).generator()
+            out[:, i] = np.exp(gen.normal(0.0, sigma, size=count))
+        return out
+
     def compute_cost_columns(
         self, ranks: np.ndarray, flops, mem_bytes, locality, threads,
+        noise=None,
     ) -> tuple[np.ndarray, ...]:
-        """:meth:`compute_cost` for many ranks at once on a machine without
-        per-execution noise: ``(duration, ins, cyc, lst, dcm)`` columns
-        over ``ranks``.  The workload fields are columns or shared scalars.
-        Every element carries the bits of the scalar call: the same IEEE
-        operations in the same association, and the thread ``min`` keeps
-        Python's tie rule (the noise factor is exactly 1.0)."""
+        """:meth:`compute_cost` for many ranks at once: ``(duration, ins,
+        cyc, lst, dcm)`` columns over ``ranks``.  The workload fields are
+        columns or shared scalars; ``noise`` is a column of per-execution
+        factors (see :meth:`noise_columns`), or None for a noise-free
+        machine.  Every element carries the bits of the scalar call: the
+        same IEEE operations in the same association, and the thread
+        ``min`` keeps Python's tie rule (without noise the factor is
+        exactly 1.0)."""
         m = self.machine
         core, mem = self._speeds(ranks)
         locality_penalty = 1.0 + 7.0 * (1.0 - locality)
@@ -266,6 +284,8 @@ class CostModel:
         threads = np.where(cores < threads, cores, threads)
         speedup = 1.0 + m.thread_efficiency * (threads - 1.0)
         duration = (arith_time + mem_time) / speedup
+        if noise is not None:
+            duration = duration * noise
         miss_rate = 0.02 + 0.9 * (1.0 - locality)
         return tuple(
             np.broadcast_to(column, len(ranks)).astype(np.float64)

@@ -26,21 +26,17 @@ Blocking semantics:
 The engine also detects deadlock (heap empty, ranks still blocked) and
 reports a per-rank stuck-at diagnostic.
 
-When every rank runs a class-batched stream and segments are recorded,
-the serial drain runs each ready rank until it blocks instead (see
-:meth:`Engine.drain`): every receive source is then concrete, so the
-result does not depend on how ranks interleave, only the global order of
-trace rows does.  When, in addition, :meth:`Engine.start` proves the
-point-to-point pairing and a merge order of the class templates, the
-drain runs all ranks in lockstep, one template position at a time as
-numpy columns (:mod:`repro.simulator.lockstep`).
+When every rank runs a class-batched stream, segments are recorded and
+:meth:`Engine.start` proves the point-to-point pairing and a merge order
+of the class templates, the drain runs all ranks in lockstep instead,
+one template position at a time as numpy columns (see
+:meth:`Engine.drain` and :mod:`repro.simulator.lockstep`).
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from collections.abc import Iterator
@@ -50,10 +46,7 @@ from repro.minilang import ast_nodes as ast
 from repro.minilang.ast_nodes import MpiOp
 from repro.psg.graph import PSG
 from repro.simulator import ops
-from repro.simulator.collectives import (
-    CollectiveMismatchError,
-    CollectiveTracker,
-)
+from repro.simulator.collectives import CollectiveTracker
 from repro.simulator.costmodel import (
     CostModel,
     MachineModel,
@@ -313,10 +306,6 @@ class Engine:
         #: scheduler (the engine.rank_handoffs counter); also the heap
         #: tie-break token
         self._handoffs = 0
-        #: set by :meth:`start` when the drain may run ranks to block
-        self._run_to_block = False
-        #: the run-to-block ready FIFO of pids (None until it engages)
-        self._ready: deque | None = None
         #: the batched classes' templates ``(members, base, patches)``,
         #: until start has compiled (or refused) the lockstep plan
         self._batch_classes: list | None = None
@@ -378,13 +367,6 @@ class Engine:
         analysis = self._rank_analysis(expr_cache)
         devirt = self._devirt_map()
         batched = self._build_batched_streams(analysis, expr_cache, devirt)
-        # Every rank class-batched means every receive source is concrete
-        # (batching refuses a wildcard it cannot devirtualize), so the
-        # drain may run ranks to block; ring mode folds its event chunks
-        # in global order, so it keeps the time-ordered loop.
-        self._run_to_block = (
-            len(batched) == cfg.nprocs and cfg.record_segments
-        )
         self._lockstep = self._compile_lockstep(len(batched))
         self._batch_classes = None
         if self._lockstep is not None:
@@ -466,13 +448,15 @@ class Engine:
         """The lockstep plan of this run (see :mod:`repro.simulator.lockstep`),
         or None with the refusal in ``lockstep_reason``.
 
-        Lockstep needs the run-to-block condition: every rank
-        class-batched, segments recorded.  The compiler then proves the
-        rest over all the batched classes or refuses."""
+        Lockstep needs every rank class-batched, so that every receive
+        source is concrete (batching refuses a wildcard it cannot
+        devirtualize), and segments recorded, since ring mode folds its
+        event chunks in global order.  The compiler then proves the rest
+        over all the batched classes or refuses."""
         cfg = self.config
         if not cfg.record_segments:
             reason = "ring mode: segments are not recorded"
-        elif not self._run_to_block:
+        elif ranks_batched != cfg.nprocs:
             reason = f"{ranks_batched} of {cfg.nprocs} ranks class-batched"
         else:
             from repro.simulator.lockstep import Refusal, compile_plan
@@ -560,64 +544,45 @@ class Engine:
         It returns when no rank is runnable: all done, or all blocked — a
         deadlock the caller diagnoses via :meth:`finish`.
 
-        Two loops serve it.  The time-ordered loop always steps the rank
-        with the smallest clock; it serves ring mode and any run with a
-        per-rank class, and it is the loop the per-rank oracle runs.  When
-        :meth:`start` found every rank class-batched and segments recorded,
-        the drain runs each ready rank until it blocks or finishes instead,
-        with no heap between ops.  That is sound because every receive
-        source is then concrete: MPI's non-overtaking rule fixes each match
-        from per-rank program order, so (Kahn's determinacy of process
-        networks) every clock and every row value is independent of the
-        interleaving.
+        Two drains serve it.  The time-ordered loop always steps the rank
+        with the smallest clock; it is the loop the per-rank oracle runs,
+        and it drains every run that :meth:`start` compiled no lockstep
+        plan for, so every error and deadlock comes from it.
 
-        Only the global row order of the trace tables changes, so only
-        per-rank row order is contract.  The interleaving of different
-        ranks' event rows, the order of P2P and collective rows, and a
-        collective record's participant order may differ between the two
-        loops; consumers that compare or fold across ranks re-sort (by
+        **Lockstep.**  When every rank runs a class-batched stream and
+        segments are recorded, every rank runs a patched copy of its
+        class's template, so :meth:`start` can check the whole run
+        statically (:func:`repro.simulator.lockstep.compile_plan`): every
+        position is a compute (its per-execution noise drawn up front), a
+        send, a concrete-source receive, a wait or waitall, or a
+        collective whose op, root and size are the same on every rank of
+        every class; non-overtaking pairs each receive row with one send
+        row of any class; the classes' positions merge into one order in
+        which every send comes before the position completing its receive
+        and each collective runs once every class has reached it; every
+        wait names an outstanding request, and every request is waited
+        on.  Then the merged order is a schedule in which every value is
+        written before it is read.  Every receive source is concrete, so
+        MPI's non-overtaking rule fixes each match from per-rank program
+        order and (Kahn's determinacy of process networks) every clock
+        and every row value is independent of the schedule: lockstep
+        gives the time-ordered loop's values bit for bit, and it cannot
+        deadlock or raise.  The drain runs that schedule as float64
+        columns and appends the rows as blocks.  Any failed check leaves
+        a reason in ``lockstep_reason`` and the time-ordered loop drains
+        instead; it stays lockstep's fallback and oracle.
+
+        Only the global row order of the trace tables differs between the
+        two drains, so only per-rank row order is contract.  The
+        interleaving of different ranks' event rows, the order of P2P and
+        collective rows, and a collective record's participant order may
+        differ; consumers that compare or fold across ranks re-sort (by
         rank, then per-rank order) rather than rely on global row order.
-
-        Which rank errs first does depend on the interleaving, so an error
-        raised while running to block is replaced by the one a fresh
-        engine raises through the time-ordered loop.  A deadlock needs no
-        replay: the blocked set and its clocks are interleaving-free.
-
-        **Lockstep.**  When the run-to-block condition holds, every rank
-        runs a patched copy of its class's template, so :meth:`start` can
-        check the whole run statically
-        (:func:`repro.simulator.lockstep.compile_plan`): every position
-        is a pure-cost compute, a send, a concrete-source receive, a wait
-        or waitall, or a collective whose op, root and size are the same
-        on every rank of every class; non-overtaking pairs each receive
-        row with one send row of any class; the classes' positions merge
-        into one order in which every send comes before the position
-        completing its receive and each collective runs once every class
-        has reached it; every wait names an outstanding request, and
-        every request is waited on.  Then the merged order is a schedule
-        in which every value is written before it is read, so by the
-        same determinacy it gives every clock and row value of the other
-        loops, and it cannot deadlock or raise.  The drain runs that
-        schedule as float64 columns and appends the rows as blocks.  Any
-        failed check leaves a reason in ``lockstep_reason`` and the loops
-        above drain unchanged; they stay lockstep's fallback and oracle.
         """
         if self._lockstep is not None:
             self._drain_lockstep()
-            return
-        if not self._run_to_block:
+        else:
             self._drain_time_ordered()
-            return
-        try:
-            self._drain_to_block()
-        except (SimulationError, CollectiveMismatchError):
-            replay = type(self)(self.program, self.psg, self.config)
-            replay.start()
-            try:
-                replay._drain_time_ordered()
-            except (SimulationError, CollectiveMismatchError) as oracle:
-                raise oracle from None
-            raise
 
     def _drain_time_ordered(self) -> None:
         """Step the globally minimal rank until none is runnable."""
@@ -626,39 +591,6 @@ class Engine:
         entry = queue.pop()
         while entry is not None:
             entry = self._step(procs[entry[2]])
-
-    def _drain_to_block(self) -> None:
-        """Run each ready rank until it blocks or finishes; a woken rank
-        joins the back of the ready FIFO (see :meth:`drain`)."""
-        # Take over the ranks start() queued, in queue order; from here on
-        # _push feeds the FIFO and the heap stays empty.
-        ready = self._ready = deque()
-        entry = self._queue.pop()
-        while entry is not None:
-            ready.append(entry[2])
-            entry = self._queue.pop()
-        # the instance attribute shadows the method only while draining:
-        # kept, its bound method would tie the engine into a cycle
-        self._push = self._push_ready
-        procs = self.procs
-        handlers = self._handlers
-        popleft = ready.popleft
-        try:
-            while ready:
-                proc = procs[popleft()]
-                for op in proc.gen:
-                    try:
-                        handler = handlers[type(op)]
-                    except KeyError:
-                        raise SimulationError(
-                            f"engine cannot handle {type(op).__name__}"
-                        ) from None
-                    if handler(self, proc, op):
-                        break
-                else:
-                    proc.status = _Status.DONE
-        finally:
-            del self._push
 
     def _drain_lockstep(self) -> None:
         """Run the compiled lockstep plan: every rank to completion, one
@@ -708,13 +640,12 @@ class Engine:
         reg.counter("engine.collectives").inc(
             self.trace.collectives.row_count
         )
-        # drain-dependent: the run-to-block drain hands off less often
-        # than the time-ordered one, and lockstep not at all
-        lockstep = self._lockstep is not None
-        reg.counter("engine.run_to_block").inc(
-            int(self._ready is not None or lockstep)
-        )
-        reg.counter("engine.lockstep").inc(int(lockstep))
+        # drain-dependent: lockstep hands no rank off after start.
+        # engine.run_to_block is an alias of engine.lockstep, kept so the
+        # pinned work counters of benchmarks/baseline.json still match.
+        lockstep = int(self._lockstep is not None)
+        reg.counter("engine.run_to_block").inc(lockstep)
+        reg.counter("engine.lockstep").inc(lockstep)
         reg.counter("engine.rank_handoffs").inc(self._handoffs)
         stats = self.class_batch_stats
         reg.counter("sim.class_batch.classes").inc(stats["classes"])
@@ -737,12 +668,6 @@ class Engine:
         proc.status = _Status.READY
         proc.token = self._handoffs = self._handoffs + 1
         self._queue.push((proc.clock, proc.token, proc.pid))
-
-    def _push_ready(self, proc: _Proc) -> None:
-        """``_push`` while running to block: no heap, no token."""
-        proc.status = _Status.READY
-        self._handoffs += 1
-        self._ready.append(proc.pid)
 
     def _describe_block(self, proc: _Proc) -> str:
         kind = proc.blocked_on[0] if proc.blocked_on else "?"

@@ -9,12 +9,11 @@ columns directly (no member op object is built) and checks, once at
 ``Engine.start``, that every position of every class has a lockstep rule
 and that the point-to-point matching is fixed by program order alone:
 
-* every position is a compute whose cost is pure (precosted, or costed
-  for all members at once by ``CostModel.compute_cost_columns`` when
-  per-execution noise is off), a send or isend, a receive or irecv with
-  a concrete source and tag, a wait or waitall, or a collective whose
-  op, root and byte count are the same on every rank.  The k-th
-  collective of every class is one instance;
+* every position is a compute (precosted, or costed for all members at
+  once by ``CostModel.compute_cost_columns``), a send or isend, a
+  receive or irecv with a concrete source and tag, a wait or waitall,
+  or a collective whose op, root and byte count are the same on every
+  rank.  The k-th collective of every class is one instance;
 * MPI's non-overtaking rule pairs the k-th receive of a channel
   ``(source, destination, tag)`` with its k-th send.  With concrete
   sources that pairing is static: a rank belongs to one class, so its
@@ -53,6 +52,13 @@ merged order, proven the same way, at a Python cost of O(positions)
 for the pass and O(gates) for the merge (``Plan.merge_visits`` counts
 the receive gates it visits).
 
+Per-execution noise is drawn at compile time: each rank draws from its
+own stream, once per compute in program order, and a rank runs its
+class's template positions in order, so the ``k``-th compute position
+of a class takes every member's ``k``-th factor
+(``CostModel.noise_columns``).  The factors apply per position, after
+the memo of distinct ops, since one op may fill several positions.
+
 Each column operation repeats the per-event handler's arithmetic in the
 same association, and each Python ``max`` or ternary becomes the
 ``np.where`` that keeps the same operand on ties (``np.maximum`` would
@@ -65,7 +71,7 @@ never ``-0.0`` or NaN.
 
 When any check fails the compiler raises :class:`Refusal` with one
 reason, naming the source location of the position that failed; the
-engine then drains through its per-event loops unchanged.  Only per-rank
+engine then drains through its time-ordered loop.  Only per-rank
 row order is contract: lockstep appends each class's rows position by
 position, class after class.
 """
@@ -386,10 +392,13 @@ def _compile_class(
     n, ranks = cls.n, cls.members
     #: id of a position's op or column set -> :func:`_position`
     memo: dict[int, tuple] = {}
-    context = (
-        n, ranks, cost, _delay_columns(delays, members), {},
-        cost.machine.noise_sigma > 0.0, nprocs,
-    )
+    noisy = cost.machine.noise_sigma > 0.0
+    context = (n, ranks, cost, _delay_columns(delays, members), {}, noisy, nprocs)
+    if noisy:
+        # row k: every member's factor for its k-th compute
+        noise = cost.noise_columns(
+            ranks, sum(type(op) is ops.ComputeOp for op in base)
+        )
     #: request name -> FIFO of (position, receive number or None for an
     #: isend), like ``_Proc.requests``
     requests: dict[str, list] = {}
@@ -415,6 +424,12 @@ def _compile_class(
         op_codes.append(op_code)
         rows = slice(row, row + n)
         row += n
+        if what == "noisy":
+            duration, *counters = cost.compute_cost_columns(
+                ranks, *operand, noise=noise[len(cls.counters)],
+            )
+            what, operand = "compute", _delayed(duration, detail, n)
+            detail = ((vid, *counters), True)
         if what == "compute":
             runtime.append((_ADVANCE, c, rows, operand, None))
             if detail[1]:
@@ -718,28 +733,29 @@ def _position(
     raises :class:`Refusal` when it has no lockstep rule.  The operand is
     a compute's duration, a send's overhead or a collective's ``(op,
     root, nbytes)``; a receive or wait depends on the requests
-    outstanding, so :func:`_compile_class` builds its step."""
+    outstanding, so :func:`_compile_class` builds its step.  A compute
+    that draws noise is ``"noisy"``: its operand is the workload and its
+    detail the injected delay, and :func:`_compile_class` costs each
+    position it fills with that position's factors."""
     if column_set is None:
         op_type, values = type(op), field_values(op)
     else:
         op_type, values = column_set.make, column_set.values
     vid = values["vid"]
-    if op_type is ops.PrecostedComputeOp:
-        duration, *row = (values[name] for name in COST_FIELDS)
-    elif op_type is ops.ComputeOp:
-        if noisy:
-            raise Refusal(
-                f"{op.location}: compute cost draws per-execution noise"
-            )
-        duration, *row = _member_costs(cost, costs, values, members)
     if op_type is ops.PrecostedComputeOp or op_type is ops.ComputeOp:
         delayed = delay_at.get((op.location.filename, op.location.line))
-        if delayed is not None:
-            idx, extra = delayed
-            duration = np.broadcast_to(duration, n).astype(np.float64)
-            duration[idx] += extra
+        if op_type is ops.PrecostedComputeOp:
+            duration, *row = (values[name] for name in COST_FIELDS)
+        elif noisy:
+            workload = [values[name] for name in WORKLOAD_FIELDS]
+            return "noisy", vid, -1, workload, delayed
+        else:
+            duration, *row = _member_costs(cost, costs, values, members)
         varies = any(type(v) is np.ndarray for v in row)
-        return "compute", vid, -1, duration, ((vid, *row), varies)
+        return (
+            "compute", vid, -1, _delayed(duration, delayed, n),
+            ((vid, *row), varies),
+        )
     if op_type is ops.PrecostedSendOp:
         # the engine's batched sends are always precosted
         transfer = values["transfer"]
@@ -817,8 +833,8 @@ def _counter_rows(cls: _Class, out: np.ndarray) -> None:
 
 def _member_costs(cost, costs: dict, values: dict, members) -> tuple:
     """Duration and counter columns of a compute position whose cost is
-    not precosted: ``cost.compute_cost(rank, workload)`` of every member
-    at once (pure when per-execution noise is off, like the engine's
+    not precosted and draws no noise: ``cost.compute_cost(rank,
+    workload)`` of every member at once (pure, like the engine's
     ``_compute_cache``).  ``costs`` keeps the columns of an unpatched
     position per distinct workload bits."""
     workload = [values[name] for name in WORKLOAD_FIELDS]
@@ -829,6 +845,17 @@ def _member_costs(cost, costs: dict, values: dict, members) -> tuple:
     if columns is None:
         columns = costs[key] = cost.compute_cost_columns(members, *workload)
     return columns
+
+
+def _delayed(duration, delayed, n: int):
+    """A compute's duration plus the injected delays ``(member indices,
+    extra seconds)`` of its statement, if any (see :func:`_delay_columns`)."""
+    if delayed is None:
+        return duration
+    idx, extra = delayed
+    duration = np.broadcast_to(duration, n).astype(np.float64)
+    duration[idx] += extra
+    return duration
 
 
 def _delay_columns(delays: dict, members) -> dict:

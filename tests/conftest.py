@@ -62,16 +62,6 @@ def per_rank_oracle():
 
 
 @contextlib.contextmanager
-def fifo_drain():
-    """Run engines without the lockstep drain: a run lockstep would take
-    drains through the run-to-block FIFO instead, lockstep's per-event
-    oracle (the time-ordered loop stays reachable via
-    :func:`per_rank_oracle`)."""
-    with mock.patch.object(Engine, "_compile_lockstep", lambda self, *args: None):
-        yield
-
-
-@contextlib.contextmanager
 def per_rank_lint():
     """Run the lint with class batching off: the lint's identity oracle.
 
@@ -590,7 +580,7 @@ def per_rank_trace_bytes(trace):
     own order, as raw column bytes.
 
     The global interleaving of rows depends on how the engine scheduled
-    ranks (time-ordered or run to block); per-rank order is the contract
+    ranks (time-ordered or lockstep); per-rank order is the contract
     every consumer reads, so this is what identity checks compare."""
     out = {}
     for table in ("columns", "counter_columns"):

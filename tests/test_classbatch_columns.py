@@ -39,7 +39,7 @@ from repro.simulator.costmodel import CostModel, MachineModel, Workload
 from repro.simulator.engine import Engine
 from repro.simulator.errors import SimulationError
 from repro.analysis.rankdep import eval_term
-from tests.conftest import _compiled, fifo_drain
+from tests.conftest import _compiled
 
 # ---------------------------------------------------------------------------
 # the column evaluator
@@ -472,9 +472,6 @@ def test_finished_engine_dies_by_refcount(name, nprocs, lockstep):
     gc.disable()
     try:
         _dies_by_refcount(name, nprocs, lockstep)
-        with fifo_drain():  # the run-to-block FIFO drain
-            if lockstep:
-                _dies_by_refcount(name, nprocs, False)
     finally:
         if enabled:
             gc.enable()

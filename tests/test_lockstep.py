@@ -6,10 +6,10 @@ proves the point-to-point pairing at start, merges the classes'
 positions into one order, and runs all ranks one template position at a
 time as numpy columns.  These tests pin:
 
-- identity: engaged runs equal the run-to-block FIFO drain
-  (:func:`tests.conftest.fifo_drain`) and the per-rank oracle, bit for
-  bit, including tie-heavy and delay-injected runs, one class or many
-  (a seeded multi-class corpus among them);
+- identity: engaged runs equal the per-rank oracle
+  (:func:`tests.conftest.per_rank_oracle`), bit for bit, including
+  tie-heavy, delay-injected and noisy runs, one class or many (a seeded
+  multi-class corpus among them);
 - refusal reasons, kept in ``Engine.lockstep_reason`` with the source
   location of the position that failed, and never in
   ``class_batch_reasons``;
@@ -36,7 +36,6 @@ from tests.conftest import (
     _compiled,
     canonical_collective_rows,
     canonical_p2p_rows,
-    fifo_drain,
     per_rank_oracle,
     per_rank_trace_bytes,
 )
@@ -83,19 +82,17 @@ def ground_truth(program, psg, config):
     }, result.metrics
 
 
-def assert_three_way(program, psg, config) -> tuple:
-    """Lockstep engages, and equals the FIFO drain and the oracle; returns
-    the lockstep and FIFO runs' metrics."""
+def assert_matches_oracle(program, psg, config):
+    """Lockstep engages and equals the per-rank oracle; returns the
+    lockstep run's metrics."""
     lockstep, metrics = ground_truth(program, psg, config)
-    with fifo_drain():
-        fifo, fifo_metrics = ground_truth(program, psg, config)
     with per_rank_oracle():
-        oracle, _ = ground_truth(program, psg, config)
+        oracle, oracle_metrics = ground_truth(program, psg, config)
     assert metrics.counter("engine.lockstep") == 1
-    assert fifo_metrics.counter("engine.lockstep") == 0
+    assert oracle_metrics.counter("engine.lockstep") == 0
     for key in lockstep:
-        assert lockstep[key] == fifo[key] == oracle[key], key
-    return metrics, fifo_metrics
+        assert lockstep[key] == oracle[key], key
+    return metrics
 
 
 def _engine(source, name, nprocs, **cfg):
@@ -172,20 +169,18 @@ class TestIdentity:
 
     def test_receive_gathers_from_two_send_positions(self):
         program, psg = _compiled(CROSSED, "crossed")
-        assert_three_way(program, psg, SimulationConfig(nprocs=4))
+        assert_matches_oracle(program, psg, SimulationConfig(nprocs=4))
 
     def test_devirtualized_wildcards(self):
         program, psg = _compiled(DEVIRTUALIZED, "devirt")
-        metrics = assert_three_way(program, psg, SimulationConfig(
+        metrics = assert_matches_oracle(program, psg, SimulationConfig(
             nprocs=self.NPROCS,
         ))
-        assert [m.counter("sim.wildcard.devirt") for m in metrics] == [
-            2 * self.NPROCS, 2 * self.NPROCS,
-        ]
+        assert metrics.counter("sim.wildcard.devirt") == 2 * self.NPROCS
 
     def test_every_position_kind(self):
         program, psg = _compiled(EVERY_KIND, "every_kind")
-        assert_three_way(program, psg, SimulationConfig(nprocs=self.NPROCS))
+        assert_matches_oracle(program, psg, SimulationConfig(nprocs=self.NPROCS))
 
     def test_ties(self):
         """A free network makes arrivals equal posts and clocks equal
@@ -193,7 +188,7 @@ class TestIdentity:
         program, psg = _compiled(EVERY_KIND, "every_kind")
         free = NetworkModel(latency=0.0, bandwidth=float("inf"),
                             call_overhead=0.0)
-        assert_three_way(program, psg, SimulationConfig(
+        assert_matches_oracle(program, psg, SimulationConfig(
             nprocs=self.NPROCS, network=free,
         ))
 
@@ -204,7 +199,7 @@ class TestIdentity:
             DelayInjection(2, "every_kind.mm", 5, 0.5),
             DelayInjection(4, "every_kind.mm", 3, 1e-3),
         ]
-        assert_three_way(program, psg, SimulationConfig(
+        assert_matches_oracle(program, psg, SimulationConfig(
             nprocs=self.NPROCS, injected_delays=delays,
         ))
 
@@ -213,7 +208,7 @@ class TestIdentity:
         precosted), once per distinct workload."""
         program, psg = _compiled(EVERY_KIND, "every_kind")
         machine = MachineModel(core_speed_sigma=0.2, mem_speed_sigma=0.3)
-        assert_three_way(program, psg, SimulationConfig(
+        assert_matches_oracle(program, psg, SimulationConfig(
             nprocs=self.NPROCS, machine=machine, seed=3,
         ))
 
@@ -227,7 +222,7 @@ class TestIdentity:
         delays = []
         if app == "cg":
             delays = [DelayInjection(4, "cg.mm", 13, 25.0)]
-        assert_three_way(spec.program, spec.psg, SimulationConfig(
+        assert_matches_oracle(spec.program, spec.psg, SimulationConfig(
             nprocs=nprocs, params=spec.merged_params(),
             machine=spec.machine or MachineModel(), seed=1,
             injected_delays=delays,
@@ -345,9 +340,8 @@ def make_multiclass_workload(seed: int) -> tuple[str, int, int]:
 
 
 def assert_multiclass(program, psg, config, classes: int) -> None:
-    metrics, fifo_metrics = assert_three_way(program, psg, config)
+    metrics = assert_matches_oracle(program, psg, config)
     assert metrics.counter("sim.class_batch.classes") == classes
-    assert fifo_metrics.counter("sim.class_batch.classes") == classes
 
 
 class TestMultiClassIdentity:
@@ -398,6 +392,105 @@ class TestMultiClassIdentity:
 
 
 # ---------------------------------------------------------------------------
+# identity under per-execution noise
+
+
+#: Two compute ops, each filling one position per iteration: every
+#: position takes its own factors, however the compiler memoizes the op.
+NOISY_LOOP = """\
+def main() {
+    for (var it = 0; it < 5; it = it + 1) {
+        compute(flops = 1000 * (rank + 1), bytes = 64 * rank);
+        sendrecv(dest = (rank + 1) % nprocs, tag = 2, bytes = 256,
+                 src = (rank - 1 + nprocs) % nprocs);
+        compute(flops = 3000);
+    }
+    allreduce(bytes = 8);
+}
+"""
+
+#: Two chains, r -> r + 2: at P=8 the heads, the middle and the tails are
+#: three classes.  A middle rank's receive reads another middle rank's
+#: later send, which class-granular merging cannot order, so lockstep
+#: refuses at merge, after the compiler drew the noise; the run itself
+#: completes.
+CHAINS = """\
+def main() {
+    compute(flops = 1000000 * (rank + 1));
+    if (rank >= 2) {
+        recv(src = rank - 2, tag = 1);
+    }
+    compute(flops = 2000 * (rank + 1));
+    if (rank < nprocs - 2) {
+        send(dest = rank + 2, tag = 1, bytes = 64);
+    }
+    allreduce(bytes = 8);
+}
+"""
+
+NOISE = MachineModel(noise_sigma=0.1)
+
+
+class TestNoise:
+    """Each rank's k-th compute draws the k-th factor of its own stream,
+    in lockstep as in the per-event handler."""
+
+    NPROCS = 6
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_every_position_kind(self, seed):
+        program, psg = _compiled(EVERY_KIND, "every_kind")
+        assert_matches_oracle(program, psg, SimulationConfig(
+            nprocs=self.NPROCS, machine=NOISE, seed=seed,
+        ))
+
+    def test_one_op_fills_several_positions(self):
+        program, psg = _compiled(NOISY_LOOP, "noisy_loop")
+        assert_matches_oracle(program, psg, SimulationConfig(
+            nprocs=self.NPROCS, machine=NOISE, seed=2,
+        ))
+
+    def test_with_per_rank_speeds(self):
+        machine = MachineModel(
+            noise_sigma=0.1, core_speed_sigma=0.2, mem_speed_sigma=0.3,
+        )
+        program, psg = _compiled(EVERY_KIND, "every_kind")
+        assert_matches_oracle(program, psg, SimulationConfig(
+            nprocs=self.NPROCS, machine=machine, seed=3,
+        ))
+        program, psg = _compiled(THREE_CLASSES, "three")
+        assert_multiclass(program, psg, SimulationConfig(
+            nprocs=self.NPROCS, machine=machine, seed=3,
+        ), 3)
+
+    def test_delay_injection(self):
+        """An injected delay adds to the noisy duration; the cycle
+        counter stays the noisy duration's."""
+        program, psg = _compiled(NOISY_LOOP, "noisy_loop")
+        assert_matches_oracle(program, psg, SimulationConfig(
+            nprocs=self.NPROCS, machine=NOISE, seed=1,
+            injected_delays=[DelayInjection(2, "noisy_loop.mm", 3, 0.25)],
+        ))
+
+    def test_refusal_at_merge_leaves_the_noise_streams(self):
+        program, psg = _compiled(CHAINS, "chains")
+        config = SimulationConfig(nprocs=8, machine=NOISE, seed=2)
+        engine = Engine(program, psg, config)
+        engine.run()
+        assert engine.class_batch_stats["classes"] == 3
+        assert engine.lockstep_reason == (
+            "chains.mm:4: receive completes before its paired send at "
+            "chains.mm:8"
+        )
+        refused, metrics = ground_truth(program, psg, config)
+        with per_rank_oracle():
+            oracle, _ = ground_truth(program, psg, config)
+        assert metrics.counter("engine.lockstep") == 0
+        for key in refused:
+            assert refused[key] == oracle[key], key
+
+
+# ---------------------------------------------------------------------------
 # refusal reasons
 
 
@@ -445,14 +538,14 @@ class TestRefusalReasons:
         assert result.metrics.counter("sim.class_batch.ranks_batched") == 6
 
     def test_noisy_compute(self):
+        """Per-execution noise is drawn at start, so it refuses nothing."""
         engine = _engine(
             EVERY_KIND, "every_kind", 6,
             machine=MachineModel(noise_sigma=0.1),
         )
-        engine.run()
-        assert engine.lockstep_reason == (
-            "every_kind.mm:3: compute cost draws per-execution noise"
-        )
+        result = engine.run()
+        assert engine.lockstep_reason is None
+        assert result.metrics.counter("engine.lockstep") == 1
 
     @pytest.mark.parametrize("source, reason", [
         (UNRECEIVED, "unreceived.mm:3: sends and receives do not pair up "

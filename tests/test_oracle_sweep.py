@@ -11,10 +11,9 @@ nonblocking, collectives, time-separated wildcard races),
 ``make_wild_workload`` (devirtualizable wildcard patterns next to racy
 ones) and ``make_stride_workload`` (loop-carried strides whose partners
 read ``("frame", name)`` leaves, next to invalidation traps) — at 100
-seeds each.  Draws whose ranks all batch run through the engine's
-run-to-block drain, and those whose pairing the lockstep compiler proves
-through its lockstep drain, so the sweep gates both; lockstep-engaged draws are also
-compared with the run-to-block FIFO drain they replace.
+seeds each.  Draws whose pairing the lockstep compiler proves run
+through the engine's lockstep drain and the rest through its
+time-ordered loop, so the sweep gates both.
 """
 
 import random
@@ -29,7 +28,6 @@ from tests.conftest import (
     _fingerprint,
     canonical_collective_rows,
     canonical_p2p_rows,
-    fifo_drain,
     per_rank_oracle,
     per_rank_trace_bytes,
 )
@@ -65,32 +63,12 @@ def test_stride_draws_mostly_batch():
     assert batched >= 50, f"only {batched}/100 stride draws batch"
 
 
-#: Minimum serial draws out of 100 per generator that run to block (all
-#: ranks class-batched; measured: stride 69, workload 26, wild 16).
-#: Draws with a racing wildcard, a singleton class or an invalidation trap
-#: keep the time-ordered loop, which the sweep covers too.
-RUN_TO_BLOCK_SHARE = {"stride": 60, "workload": 20, "wild": 12}
-
-
-@pytest.mark.parametrize("generator", sorted(GENERATORS))
-def test_serial_draws_run_to_block(generator):
-    """The sweep is not vacuous for the run-to-block drain either: a
-    stated share of each generator's serial draws engage it."""
-    engaged = 0
-    for seed in range(100):
-        program, psg, nprocs = _draw(generator, seed)
-        result = simulate(program, psg, SimulationConfig(nprocs=nprocs))
-        engaged += result.metrics.counter("engine.run_to_block")
-    want = RUN_TO_BLOCK_SHARE[generator]
-    assert engaged >= want, (
-        f"only {engaged}/100 {generator} draws run to block (want {want})"
-    )
-
-
 #: Minimum serial draws out of 100 per generator that run lockstep
-#: (measured: stride 69, workload 26, wild 16 -- every run-to-block draw
-#: of the three generators, each one class of every rank; multi-class
-#: runs are covered by ``tests/test_lockstep.py``).
+#: (measured: stride 69, workload 26, wild 16 -- every draw whose ranks
+#: all class-batch, each one class of every rank; multi-class runs are
+#: covered by ``tests/test_lockstep.py``).  Draws with a racing
+#: wildcard, a singleton class or an invalidation trap keep the
+#: time-ordered loop, which the sweep covers too.
 LOCKSTEP_SHARE = {"stride": 60, "workload": 20, "wild": 12}
 
 
@@ -109,9 +87,9 @@ def _ground_truth(program, psg, nprocs):
 @pytest.mark.parametrize("generator", sorted(GENERATORS))
 def test_serial_draws_run_lockstep(generator):
     """Lockstep cannot silently stop engaging: a stated share of each
-    generator's draws run it, and each engaged draw equals both the FIFO
-    drain and the per-rank oracle (fingerprint, per-rank trace rows,
-    communication tables, finish times)."""
+    generator's draws run it, and each engaged draw equals the per-rank
+    oracle (fingerprint, per-rank trace rows, communication tables,
+    finish times)."""
     engaged = 0
     for seed in range(100):
         program, psg, nprocs = _draw(generator, seed)
@@ -119,12 +97,10 @@ def test_serial_draws_run_lockstep(generator):
         if not ran:
             continue
         engaged += 1
-        with fifo_drain():
-            fifo, _ = _ground_truth(program, psg, nprocs)
         with per_rank_oracle():
             oracle, _ = _ground_truth(program, psg, nprocs)
-        assert lockstep == fifo == oracle, (
-            f"{generator} seed {seed}: lockstep, FIFO and oracle differ"
+        assert lockstep == oracle, (
+            f"{generator} seed {seed}: lockstep and oracle differ"
         )
     want = LOCKSTEP_SHARE[generator]
     assert engaged >= want, (

@@ -25,7 +25,7 @@ from repro.runtime.sampling import SamplingProfile
 from repro.simulator import SimulationConfig, simulate
 from repro.simulator.costmodel import MachineModel, PerfCounters
 from repro.simulator.trace import CHUNK_EVENTS, TraceBuffer
-from tests.conftest import fifo_drain, per_rank_oracle
+from tests.conftest import per_rank_oracle
 
 FREQS = (20.0, 200.0, 1000.0)
 SCALES = (4, 16)
@@ -256,7 +256,6 @@ def _ranks_in_start_end_order(trace) -> bool:
 
 DRAINS = {
     "lockstep": contextlib.nullcontext,
-    "fifo": fifo_drain,
     "time_ordered": per_rank_oracle,
 }
 

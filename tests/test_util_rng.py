@@ -1,6 +1,7 @@
 """Tests for the deterministic named RNG streams."""
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -101,3 +102,18 @@ class TestRngStream:
         s = RngStream(9, "n")
         draws = np.array([s.normal(10.0, 0.1) for _ in range(500)])
         assert 9.8 < draws.mean() < 10.2
+
+    @pytest.mark.parametrize("sigma", [0.05, 0.3])
+    def test_vector_lognormal_draw_equals_scalar_draws(self, sigma):
+        """The lockstep drain draws a rank's noise factors as one vector
+        (``CostModel.noise_columns``), the per-event handler one scalar
+        at a time: they must agree bit for bit, and leave the stream in
+        the same place.  A SIMD ``exp`` that rounds differently from the
+        scalar one fails here."""
+        n = 10_000
+        vector = RngStream(5, "exec_noise", 3)
+        scalar = RngStream(5, "exec_noise", 3)
+        drawn = np.exp(vector.generator().normal(0.0, sigma, size=n))
+        one_by_one = np.array([scalar.lognormal_factor(sigma) for _ in range(n)])
+        assert drawn.tobytes() == one_by_one.tobytes()
+        assert vector.lognormal_factor(sigma) == scalar.lognormal_factor(sigma)
