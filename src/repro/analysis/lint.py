@@ -30,6 +30,20 @@ iterations unroll rank by rank through the ordinary per-rank interpreter,
 which is the identity oracle; runtime errors and iteration-limit
 truncation therefore always come from it.
 
+When every rank's stream is class-batched, no receive names ``ANY`` and
+some op is point-to-point, the replay first matches without a mailbox
+(:class:`_PairedReplay`): with no wildcard, the Mailbox pairs the k-th
+receive of each channel ``(source, destination, tag)`` with its k-th
+send whatever the visit order, so one sort of every send and receive row
+by channel, read off the class templates' member columns
+(:func:`~repro.simulator.matching.pair_channels`), fixes every match up
+front.  A send then marks its paired receive row, and a receive is
+satisfied exactly when its row is marked.  That replay is kept only when
+every channel pairs one for one and every rank finishes, where it ends
+in the Mailbox replay's state; otherwise the Mailbox replay runs from
+scratch, so every deadlock, leftover and tag-mismatch finding comes from
+it.
+
 Rule catalog (stable ids):
 
 =========================  ========  =============================================
@@ -84,10 +98,12 @@ from __future__ import annotations
 import enum
 import re
 from collections import deque
-from itertools import compress
+from itertools import compress, repeat
 from operator import itemgetter
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Mapping
+
+import numpy as np
 
 from repro.minilang import ast_nodes as ast
 from repro.minilang.ast_nodes import MpiOp
@@ -96,7 +112,7 @@ from repro.psg.graph import PSG
 from repro.simulator import ops
 from repro.simulator.errors import IterationLimitError, SimulationError
 from repro.simulator.interp import Interpreter
-from repro.simulator.matching import Mailbox
+from repro.simulator.matching import Mailbox, pair_channels
 
 from repro.analysis.rankdep import analyze_program
 from repro.analysis.symmetry import SymmetrySummary, partition_ranks
@@ -166,6 +182,10 @@ class LintReport:
     #: ranks whose stream came from a class representative rather than
     #: their own interpreter (engagement counter; not part of the output)
     ranks_batched: int = 0
+    #: why the replay matched point-to-point ops through the Mailbox;
+    #: None when the static channel pairing matched them (engagement
+    #: record; not part of the output)
+    mailbox_reason: str | None = "no replay ran"
 
     @property
     def errors(self) -> tuple[LintFinding, ...]:
@@ -260,6 +280,12 @@ class _Stream:
     error: str | None = None
     error_location: SourceLocation | None = None
     truncated: bool = False
+    #: the paired replay's row numbering (see :func:`_pair_rows`): at a
+    #: send or receive, the row of the class's first member, shared by the
+    #: members like ``kinds``; the stream's row is that plus ``member``,
+    #: its index in the class
+    rows: list[int] | None = None
+    member: int = 0
 
 
 def _unroll(
@@ -311,48 +337,50 @@ def _batched_streams(
     max_iterations: int,
     symmetry: SymmetrySummary,
     expr_cache: dict,
-) -> dict[int, list]:
-    """Complete op lists for every rank of a batchable class (see
-    :mod:`repro.simulator.classbatch`).  No devirtualization map, so a
-    class with a wildcard receive stays per-rank and the wildcard rules
-    still see ``ANY``; a class whose representative raised or ran past
-    ``max_iterations`` is absent, so errors come from the per-rank path.
-    No cost model either: the replay is untimed, so no op is precosted."""
-    if symmetry.n_classes == nprocs:
-        return {}  # all singletons (also every degraded partition)
-    from repro.simulator.classbatch import build_batched_streams
+):
+    """The class templates of every batchable class and their members'
+    complete op lists (a :class:`~repro.simulator.classbatch.BatchResult`).
+    No devirtualization map, so a class with a wildcard receive stays
+    per-rank and the wildcard rules still see ``ANY``; a class whose
+    representative raised or ran past ``max_iterations`` is absent, so
+    errors come from the per-rank path.  No cost model either: the
+    replay is untimed, so no op is precosted."""
+    from repro.simulator.classbatch import BatchResult, build_batched_streams
 
+    if symmetry.n_classes == nprocs:
+        return BatchResult()  # all singletons (also every degraded partition)
     return build_batched_streams(
         program=program, psg=psg, nprocs=nprocs, params=params,
         entry=entry, max_iterations=max_iterations,
         analysis=symmetry.analysis, summary=symmetry, expr_cache=expr_cache,
         cost=None, precost_compute=False, devirt=None,
-    ).streams
+    )
 
 
 def _class_streams(
-    members: tuple[int, ...], batched: dict[int, list], max_ops: int
+    members: list[int], base: list, batched: Mapping[int, list],
+    first: _Stream, positions: list[int], rows: list[int] | None,
 ) -> list[_Stream]:
     """The streams of one batched class, classified once.
 
     The members' op lists are patched copies of the representative's
-    (``members[0]``): the same op types at every position, so the same
-    kind codes, wildcard flag and truncation.  Each other member keeps
-    its own ops at the representative's kept positions; members that
-    share the representative's list share its events too."""
-    base = batched[members[0]]
-    first = _Stream(members[0])
-    positions: list[int] = []
-    _unroll(first, base, max_ops, positions)
+    (``members[0]``, whose list is the template's ``base``), classified
+    into ``first`` with its kept ``positions``: the same op types at
+    every position, so the same kind codes, wildcard flag, truncation
+    and paired-replay rows.  Each other member keeps its own ops at the
+    kept positions; members that share the representative's list share
+    its events too."""
     take = itemgetter(*positions) if len(positions) > 1 else (
         lambda whole: [whole[p] for p in positions]
     )
+    first.rows = rows
     out = [first]
-    for rank in members[1:]:
+    for i, rank in enumerate(members[1:], 1):
         whole = batched[rank]
         out.append(_Stream(
             rank, first.events if whole is base else list(take(whole)),
             first.kinds, first.any_src, truncated=first.truncated,
+            rows=rows, member=i,
         ))
     return out
 
@@ -367,24 +395,39 @@ def _collect_streams(
     max_iterations: int,
     symmetry: SymmetrySummary,
     expr_cache: dict,
-) -> tuple[list[_Stream], int]:
-    """Every rank's filtered, classified op stream, plus how many came
-    class-batched.  The rest run the per-rank interpreter, which is the
-    oracle."""
+) -> tuple[list[_Stream], int, memoryview | str]:
+    """Every rank's filtered, classified op stream, how many came
+    class-batched, and the paired replay's pairing, or why it steps
+    aside (see :func:`_pair_rows`).  The other ranks run the per-rank
+    interpreter, which is the oracle."""
     # a representative stops at the op budget's worth of loop iterations
     # (a per-rank unroll stops at that many P2P ops); its class then
     # unrolls per rank, which truncates exactly as before
-    batched = _batched_streams(
+    result = _batched_streams(
         program, psg, nprocs, params, entry,
         min(max_iterations, max_ops_per_rank), symmetry, expr_cache,
     )
     # a class is batched whole or not at all: classify each batched
     # class once, through its representative
+    classes: list[tuple] = []
+    for members, base, patches in result.classes:
+        first, positions = _Stream(members[0]), []
+        _unroll(first, base, max_ops_per_rank, positions)
+        classes.append((members, base, patches, first, positions))
+    # pair before the members' op lists fan out, so that the pairing's
+    # temporaries do not add to their memory
+    pairing = _pair_rows(classes, nprocs)
+    if type(pairing) is str:
+        rows = repeat(None)
+    else:
+        pairing, rows = pairing
+    batched = result.streams
     classified: dict[int, _Stream] = {}
-    for cls in symmetry.classes:
-        if len(cls.ranks) > 1 and cls.ranks[0] in batched:
-            for stream in _class_streams(cls.ranks, batched, max_ops_per_rank):
-                classified[stream.rank] = stream
+    for (members, base, _, first, positions), class_rows in zip(classes, rows):
+        for stream in _class_streams(
+            members, base, batched, first, positions, class_rows
+        ):
+            classified[stream.rank] = stream
     streams: list[_Stream] = []
     for rank in range(nprocs):
         stream = classified.get(rank)
@@ -396,7 +439,7 @@ def _collect_streams(
                 expr_cache=expr_cache,
             ).run(), max_ops_per_rank)
         streams.append(stream)
-    return streams, len(batched)
+    return streams, len(batched), pairing
 
 
 def _location_of(message: str) -> SourceLocation | None:
@@ -461,25 +504,27 @@ class _Replay:
     itself; the wakes only spare the visits that would find it shut."""
 
     def __init__(self, streams: list[_Stream], nprocs: int) -> None:
+        self._start(streams, nprocs)
+        self.mailboxes = [Mailbox(r) for r in range(nprocs)]
+        #: the blocking receive a _BLK_RECV rank parked on has matched
+        self.block_resolved = [False] * nprocs
+
+    def _start(self, streams: list[_Stream], nprocs: int) -> None:
+        """The state both replays keep."""
         self.streams = streams
         self.nprocs = nprocs
         self.pos = [0] * nprocs
         self.state = [_RUN] * nprocs
         #: woken since its last visit (every rank starts awake)
         self.runnable = [True] * nprocs
-        self.mailboxes = [Mailbox(r) for r in range(nprocs)]
         #: rank -> request name -> FIFO of its requests, like the
         #: engine's ``_Proc.requests``: an irecv's posted receive, or None
         #: for an isend (complete once posted)
         self.requests: list[dict[str, list]] = [{} for _ in range(nprocs)]
         #: the irecv a _BLK_WAIT rank's ``wait`` waits on (None: waitall)
-        self.waiting: list[_Recv | None] = [None] * nprocs
+        self.waiting: list = [None] * nprocs
         #: rank -> its unmatched irecvs, in posting order
-        self.open_irecvs: list[dict[_Recv, ops.RecvOp]] = [
-            {} for _ in range(nprocs)
-        ]
-        #: the blocking receive a _BLK_RECV rank parked on has matched
-        self.block_resolved = [False] * nprocs
+        self.open_irecvs: list[dict] = [{} for _ in range(nprocs)]
         self.coll_count = [0] * nprocs
         #: unreleased collective instance -> rank -> op it arrived with
         self.coll_arrivals: dict[int, dict[int, ops.CollectiveOp]] = {}
@@ -638,6 +683,238 @@ class _Replay:
             for dest, mailbox in enumerate(self.mailboxes)
             for msg in mailbox.pending_messages()
         ]
+
+
+class _PairedReplay(_Replay):
+    """The replay with every point-to-point match fixed up front by the
+    channel pairing of :func:`_pair_rows`, so no mailbox is kept.
+
+    A send marks its paired receive row arrived and wakes that row's
+    rank if it is parked on the row (a blocking receive) or waits with
+    it open (an irecv); a receive is satisfied exactly when its row is
+    marked.  Request FIFOs, waits and open irecvs hold receive rows.
+    Visit order, wakes, collectives and the blocking self-send rule are
+    the Mailbox replay's: with no wildcard the Mailbox makes exactly
+    these matches, so a paired replay in which every rank finishes ends
+    in the Mailbox replay's state.  The visit loop repeats
+    :meth:`_Replay._advance` with the matching inlined, since a method
+    call per op would cost much of what the pairing saves."""
+
+    def __init__(
+        self, streams: list[_Stream], nprocs: int, recv_of: memoryview,
+    ) -> None:
+        self._start(streams, nprocs)
+        #: send row -> the receive row it pairs with
+        self.recv_of = recv_of
+        #: receive row -> its paired send has run (0 or 1)
+        self.arrived = bytearray(len(recv_of))
+        #: the receive row a _BLK_RECV rank parked on (-1: none yet)
+        self.parked = [-1] * nprocs
+
+    def _advance(self, rank: int) -> None:
+        state = self.state[rank]
+        if state == _DONE:
+            return
+        stream = self.streams[rank]
+        events, kinds = stream.events, stream.kinds
+        rows, member = stream.rows, stream.member
+        arrived, parked = self.arrived, self.parked
+        own_irecvs = self.open_irecvs[rank]
+        pos, end = self.pos[rank], len(events)
+        if state != _RUN:
+            if state == _BLK_RECV:
+                if not arrived[parked[rank]]:
+                    return
+            elif state == _BLK_WAIT:
+                waiting = self.waiting[rank]
+                if own_irecvs if waiting is None else waiting in own_irecvs:
+                    return
+                self.waiting[rank] = None
+            elif self.coll_count[rank] - 1 in self.coll_arrivals:
+                return  # _BLK_COLL: its instance is not released yet
+            pos += 1
+        state = _DONE
+        requests = self.requests[rank]
+        recv_of, open_irecvs = self.recv_of, self.open_irecvs
+        runnable, states = self.runnable, self.state
+        while pos < end:
+            kind = kinds[pos]
+            if kind == _SEND:
+                op = events[pos]
+                row = recv_of[rows[pos] + member]
+                arrived[row] = 1
+                dest = op.dest
+                if parked[dest] == row:
+                    runnable[dest] = True
+                elif row in open_irecvs[dest]:
+                    del open_irecvs[dest][row]
+                    if states[dest] == _BLK_WAIT:
+                        runnable[dest] = True
+                elif op.blocking and dest == rank:
+                    # the receive is not posted yet (see _Replay._deliver)
+                    self.self_send_hits.append((rank, op))
+                if op.request is not None:  # an isend
+                    requests.setdefault(op.request, []).append(None)
+            elif kind == _RECV:
+                row = rows[pos] + member
+                if not arrived[row]:
+                    parked[rank] = row
+                    state = _BLK_RECV
+                    break
+            elif kind == _IRECV:
+                op = events[pos]
+                row = rows[pos] + member
+                if op.request is not None:
+                    requests.setdefault(op.request, []).append(row)
+                if not arrived[row]:
+                    own_irecvs[row] = op
+            elif kind == _WAIT:
+                queue = requests.get(events[pos].request)
+                if queue:
+                    row = queue.pop(0)
+                    if not queue:
+                        del requests[events[pos].request]
+                    if row is not None and row in own_irecvs:
+                        self.waiting[rank] = row
+                        state = _BLK_WAIT
+                        break
+            elif kind == _WAITALL:
+                requests.clear()
+                if own_irecvs:
+                    state = _BLK_WAIT
+                    break
+            elif not self._arrive(rank, events[pos]):
+                state = _BLK_COLL
+                break
+            pos += 1
+        self.pos[rank] = pos
+        states[rank] = state
+
+    def leftover_messages(self) -> list[tuple[int, ops.SendOp, int]]:
+        """None: every send row pairs with a receive row, so once every
+        rank has finished every message was received.  (A paired replay
+        that leaves a rank blocked is dropped for the Mailbox replay.)"""
+        assert not self.blocked_ranks()
+        return []
+
+
+def _pair_rows(
+    classes: list[tuple], nprocs: int,
+) -> tuple[memoryview, list[list[int]]] | str:
+    """Number every send and receive row and pair them channel by
+    channel, for :class:`_PairedReplay`.
+
+    Rows run class after class, position by position, over each
+    position's members: a position's rows are its member columns,
+    ``(rank, dest, tag)`` at a send and ``(src, rank, tag)`` at a
+    receive, read off the class template.  ``classes`` holds each batched
+    class's ``(members, base, patches, representative's stream, kept
+    template positions)``.  Returns the receive row of each send row (a
+    view of one int64 array: a list would hold an int object per row)
+    and each class's row list (at a send or receive, the row of the
+    class's first member), or why the paired replay steps aside: a rank
+    that is not class-batched, a truncated stream, no point-to-point
+    op, a receive naming ``ANY``, or a channel whose sends and receives
+    do not pair one for one."""
+    from repro.simulator.classbatch import stack_columns
+
+    if sum(len(members) for members, *_ in classes) != nprocs:
+        return "not every rank is class-batched"
+    if any(first.truncated for _, _, _, first, _ in classes):
+        return "streams incomplete"
+    if not any(
+        _SEND in kinds or _RECV in kinds or _IRECV in kinds
+        for kinds in (first.kinds for _, _, _, first, _ in classes)
+    ):
+        return "no point-to-point op"
+    i64 = np.int64
+    sides: list[list[list]] = [[[], [], []], [[], [], []]]
+    counts = [0, 0]
+    class_rows = []
+    for members, base, patches, first, positions in classes:
+        kinds = np.asarray(first.kinds, dtype=np.int64)
+        n = len(members)
+        slots = base.copy()
+        for pos, column_set in patches:
+            slots[pos] = column_set
+        rows = np.zeros(len(kinds), dtype=np.int64)
+        kept = np.asarray(positions, dtype=np.int64)
+        for side, (mask, fields) in enumerate((
+            (kinds == _SEND, _send_columns),
+            ((kinds == _RECV) | (kinds == _IRECV), _recv_columns),
+        )):
+            at = np.flatnonzero(mask)
+            if not len(at):
+                continue
+            rows[at] = counts[side] + n * np.arange(len(at))
+            counts[side] += n * len(at)
+            try:
+                peer, tag = stack_columns(
+                    [slots[p] for p in kept[at].tolist()], n, (i64, i64),
+                    fields,
+                )
+            except _Wildcard as exc:
+                return f"{exc}: receive from ANY"
+            except OverflowError:
+                return "a point-to-point argument does not fit int64"
+            own = np.tile(np.asarray(members, dtype=np.int64), len(at))
+            columns = sides[side]
+            # (source, destination, tag): a send's peer is its
+            # destination, a receive's its source
+            for column, values in zip(
+                columns, (own, peer) if side == 0 else (peer, own)
+            ):
+                column.append(values)
+            columns[2].append(tag)
+        class_rows.append(rows.tolist())
+    # one class's columns are used as they are
+    sends, recvs = (
+        tuple(
+            column[0] if len(column) == 1
+            else np.concatenate(column) if column else np.empty(0, dtype=i64)
+            for column in columns
+        )
+        for columns in sides
+    )
+    del sides  # the per-class pieces, before the sort's temporaries
+    paired, mismatch = pair_channels(nprocs, sends, recvs)
+    if mismatch is not None:
+        side, row = (0, mismatch[0]) if mismatch[0] is not None else (
+            1, mismatch[1]
+        )
+        src, dest, tag = (int(column[row]) for column in (sends, recvs)[side])
+        return (
+            f"channel ({src} -> {dest}, tag {tag}) does not pair one for one"
+        )
+    del sends, recvs
+    recv_of = np.empty(len(paired), dtype=np.int64)
+    recv_of[paired] = np.arange(len(paired))
+    return memoryview(recv_of), class_rows
+
+
+class _Wildcard(Exception):
+    """A receive names ``ANY``; the message is its location."""
+
+
+def _send_columns(slot) -> tuple:
+    """A send position's ``(dest, tag)``: an op's values, or a column
+    set's values and member columns."""
+    if isinstance(slot, ops.Op):
+        return slot.dest, slot.tag
+    values = slot.values
+    return values["dest"], values["tag"]
+
+
+def _recv_columns(slot) -> tuple:
+    """A receive position's ``(src, tag)``, like :func:`_send_columns`."""
+    if isinstance(slot, ops.Op):
+        src, tag, where = slot.src, slot.tag, slot.location
+    else:
+        values = slot.values
+        src, tag, where = values["src"], values["tag"], values["location"]
+    if src is ops.ANY or tag is ops.ANY:
+        raise _Wildcard(str(where))
+    return src, tag
 
 
 # --------------------------------------------------------------------------
@@ -958,7 +1235,7 @@ def run_lint(
             program, nprocs, params, entry=entry, cache=expr_cache
         ),
     )
-    streams, ranks_batched = _collect_streams(
+    streams, ranks_batched, pairing = _collect_streams(
         program, psg, nprocs, params, entry, max_ops_per_rank,
         max_iterations, symmetry, expr_cache,
     )
@@ -981,8 +1258,7 @@ def run_lint(
             ranks_batched=ranks_batched,
         )
 
-    replay = _Replay(streams, nprocs)
-    replay.run()
+    replay, mailbox_reason = _run_replay(streams, pairing, nprocs)
 
     for rank, op in replay.self_send_hits:
         findings.add(
@@ -1135,7 +1411,30 @@ def run_lint(
         symmetry=symmetry,
         incomplete=False,
         ranks_batched=ranks_batched,
+        mailbox_reason=mailbox_reason,
     )
+
+
+def _run_replay(
+    streams: list[_Stream], pairing: memoryview | str, nprocs: int,
+) -> tuple[_Replay, str | None]:
+    """The finished replay, and why it matched through the Mailbox (None
+    when the paired replay engaged; ``pairing`` is :func:`_pair_rows`'s
+    receive rows or its reason).  The paired replay is kept only when
+    every rank finished; otherwise the Mailbox replay runs from scratch,
+    so every deadlock finding comes from it."""
+    if type(pairing) is str:
+        reason = pairing
+    else:
+        replay = _PairedReplay(streams, nprocs, pairing)
+        replay.run()
+        blocked = replay.blocked_ranks()
+        if not blocked:
+            return replay, None
+        reason = f"rank {blocked[0]} is blocked at the end"
+    replay = _Replay(streams, nprocs)
+    replay.run()
+    return replay, reason
 
 
 def _deadlock_findings(

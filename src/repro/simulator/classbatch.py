@@ -91,6 +91,7 @@ __all__ = [
     "ColumnSet",
     "build_batched_streams",
     "field_values",
+    "stack_columns",
 ]
 
 #: Hard sizing caps: fan-out trades memory for speed, so refuse templates
@@ -241,6 +242,42 @@ class BatchResult:
 
     def __post_init__(self) -> None:
         self.streams = BatchedStreams(self.classes)
+
+
+def stack_columns(
+    rows: list, n: int, dtypes: tuple, fields=None,
+) -> list[np.ndarray]:
+    """One class's member columns end to end, position after position.
+
+    ``rows`` holds one entry per position, ``fields(entry)`` (the entry
+    itself by default) its fields' member columns, each an array over
+    the class's ``n`` members or one value every member holds.  Positions
+    that share an entry object (class batching shares ops and column
+    sets between positions of equal values) share its row of the stack,
+    so the work is one row per distinct entry and one gather per field,
+    not one array per position.  Returns the first ``len(dtypes)``
+    fields, each as one column of the given dtype."""
+    where: dict[int, int] = {}
+    distinct: list = []
+    slots: list[int] = []
+    for row in rows:
+        i = where.get(id(row))
+        if i is None:
+            i = where[id(row)] = len(distinct)
+            distinct.append(row if fields is None else fields(row))
+        slots.append(i)
+    gather = len(distinct) < len(slots)
+    out = []
+    for j, dtype in enumerate(dtypes):
+        table = np.concatenate([
+            row[j] if type(row[j]) is np.ndarray
+            else np.full(n, row[j], dtype=dtype)
+            for row in distinct
+        ]).astype(dtype, copy=False)
+        out.append(
+            table.reshape(-1, n)[slots].reshape(-1) if gather else table
+        )
+    return out
 
 
 def build_batched_streams(

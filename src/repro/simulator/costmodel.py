@@ -265,16 +265,14 @@ class CostModel:
 
     def compute_cost_columns(
         self, ranks: np.ndarray, flops, mem_bytes, locality, threads,
-        noise=None,
     ) -> tuple[np.ndarray, ...]:
-        """:meth:`compute_cost` for many ranks at once: ``(duration, ins,
-        cyc, lst, dcm)`` columns over ``ranks``.  The workload fields are
-        columns or shared scalars; ``noise`` is a column of per-execution
-        factors (see :meth:`noise_columns`), or None for a noise-free
-        machine.  Every element carries the bits of the scalar call: the
-        same IEEE operations in the same association, and the thread
-        ``min`` keeps Python's tie rule (without noise the factor is
-        exactly 1.0)."""
+        """:meth:`compute_cost` for many ranks at once, without the
+        per-execution noise factor: ``(duration, ins, cyc, lst, dcm)``
+        columns over ``ranks``.  The workload fields are columns or shared
+        scalars.  Every element carries the bits of the scalar call on a
+        noise-free machine: the same IEEE operations in the same
+        association, and the thread ``min`` keeps Python's tie rule (see
+        :meth:`noisy_cost_columns` for the factor)."""
         m = self.machine
         core, mem = self._speeds(ranks)
         locality_penalty = 1.0 + 7.0 * (1.0 - locality)
@@ -284,8 +282,6 @@ class CostModel:
         threads = np.where(cores < threads, cores, threads)
         speedup = 1.0 + m.thread_efficiency * (threads - 1.0)
         duration = (arith_time + mem_time) / speedup
-        if noise is not None:
-            duration = duration * noise
         miss_rate = 0.02 + 0.9 * (1.0 - locality)
         return tuple(
             np.broadcast_to(column, len(ranks)).astype(np.float64)
@@ -296,6 +292,20 @@ class CostModel:
                 mem_bytes / 8.0,
                 (mem_bytes / m.cache_line) * miss_rate,
             )
+        )
+
+    def noisy_cost_columns(
+        self, columns: tuple, noise: np.ndarray,
+    ) -> tuple[np.ndarray, ...]:
+        """:meth:`compute_cost_columns`' ``columns`` with one
+        per-execution factor per rank applied (see :meth:`noise_columns`).
+        Only the duration and the cycle count depend on the factor; both
+        keep :meth:`compute_cost`'s association, ``((arith + mem) /
+        speedup) * noise`` and the noisy duration times the clock."""
+        duration = columns[0] * noise
+        return (
+            duration, columns[1], duration * self.machine.clock_hz,
+            columns[3], columns[4],
         )
 
     def _speeds(self, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -57,7 +57,9 @@ own stream, once per compute in program order, and a rank runs its
 class's template positions in order, so the ``k``-th compute position
 of a class takes every member's ``k``-th factor
 (``CostModel.noise_columns``).  The factors apply per position, after
-the memo of distinct ops, since one op may fill several positions.
+the memo of distinct ops, since one op may fill several positions: an
+op's noise-free columns are costed once, and each position scales only
+the duration and cycle columns, the two that depend on the factor.
 
 Each column operation repeats the per-event handler's arithmetic in the
 same association, and each Python ``max`` or ternary becomes the
@@ -90,7 +92,9 @@ from repro.simulator.classbatch import (
     WORKLOAD_FIELDS,
     ColumnSet,
     field_values,
+    stack_columns,
 )
+from repro.simulator.matching import pair_channels
 from repro.simulator.trace import MPI_OP_CODES, WILDCARD_CODE
 
 __all__ = ["Plan", "Refusal", "compile_plan"]
@@ -106,7 +110,6 @@ _WAITALL_CODE = MPI_OP_CODES[MpiOp.WAITALL]
 _ROOTED_SPREAD = (MpiOp.BCAST, MpiOp.SCATTER)
 _ROOTED_GATHER = (MpiOp.REDUCE, MpiOp.GATHER)
 _PACK_4D = struct.Struct("<4d").pack
-_I64_MAX = (1 << 63) - 1
 
 
 class Refusal(Exception):
@@ -315,13 +318,14 @@ class _Messages:
     position by that number."""
 
     def __init__(self) -> None:
-        #: per send position: ``(class, position, vid, sender, dest, tag,
-        #: nbytes, transfer)``, the last five columns over its rows
+        #: per send position: ``(class, position, vid, (dest, tag, nbytes,
+        #: transfer))``, the last its member columns; positions holding
+        #: one op or column set share the tuple
         self.sends: list[tuple] = []
         self.send_rows = 0
         #: per receive position: ``[class, position, vid, vid of the
         #: position completing it, devirtualized, gate completing it,
-        #: source, receiver, tag]``, the last three columns over its rows
+        #: (source, tag, devirtualized)]``, shared like a send's
         self.recvs: list[list] = []
         self.gates = 0
 
@@ -425,8 +429,8 @@ def _compile_class(
         rows = slice(row, row + n)
         row += n
         if what == "noisy":
-            duration, *counters = cost.compute_cost_columns(
-                ranks, *operand, noise=noise[len(cls.counters)],
+            duration, *counters = cost.noisy_cost_columns(
+                operand, noise[len(cls.counters)],
             )
             what, operand = "compute", _delayed(duration, detail, n)
             detail = ((vid, *counters), True)
@@ -442,14 +446,15 @@ def _compile_class(
             lo = msgs.send_rows
             msgs.send_rows = lo + n
             runtime.append((_SEND, c, rows, operand, slice(lo, lo + n)))
-            sends.append((c, pos, vid, ranks, *columns))
+            sends.append((c, pos, vid, columns))
             if request is not None:
                 requests.setdefault(request, []).append((pos, None))
         elif what == "recv":
-            (src, tag, devirt), request = detail
+            columns, request = detail
+            devirt = columns[2]
             cls.devirt_positions += devirt
             ri = len(recvs)
-            recvs.append([c, pos, vid, vid, devirt, -1, src, ranks, tag])
+            recvs.append([c, pos, vid, vid, devirt, -1, columns])
             if request is None:
                 runtime.append((_RECV, c, rows, ri, recv_ovh))
                 complete(pos, vid, [ri])
@@ -494,37 +499,49 @@ def _compile_class(
 
 
 def _messages(plan: Plan, parts: list, msgs: _Messages) -> tuple:
-    """Pair every receive row with its send row (see :func:`_pair`) and
-    fill the plan's P2P identity columns and each receive position's
-    gather rows, transfer times and P2P block (``plan.received``).
+    """Pair every receive row with its send row (see
+    :func:`~repro.simulator.matching.pair_channels`) and fill the plan's
+    P2P identity columns and each receive position's gather rows,
+    transfer times and P2P block (``plan.received``).
 
     Returns the distinct ``(receive position, send position)`` links,
     sorted, as two columns: which send positions each receive position
     reads from."""
-    s_class, s_pos, s_vid, *s_cols = _columns(msgs.sends, 8)
-    r_class, r_pos, r_vid, r_wait_vid, r_devirt, _gate, *r_cols = \
-        _columns(msgs.recvs, 9)
+    s_class, s_pos, s_vid, s_cols = _columns(msgs.sends, 4)
+    r_class, r_pos, r_vid, r_wait_vid, r_devirt, _gate, r_cols = \
+        _columns(msgs.recvs, 7)
     nsend, nrecv = len(s_class), len(r_class)
-    s_of_row = np.repeat(np.arange(nsend), [len(col) for col in s_cols[0]])
-    r_sizes = [len(col) for col in r_cols[1]]
-    r_first = [0, *itertools.accumulate(r_sizes)]
+    sizes = np.asarray([cls.n for cls in parts], dtype=np.int64)
+    s_classes = np.asarray(s_class, dtype=np.int64)
+    r_classes = np.asarray(r_class, dtype=np.int64)
+    s_of_row = np.repeat(np.arange(nsend), sizes[s_classes])
+    r_sizes = sizes[r_classes]
+    r_first = [0, *itertools.accumulate(r_sizes.tolist())]
     r_of_row = np.repeat(np.arange(nrecv), r_sizes)
-    s_rank, s_dest, s_tag, s_nbytes = (_concat(col) for col in s_cols[:4])
-    s_transfer = _concat(s_cols[4], np.float64)
-    r_src, r_rank, r_tag = (_concat(col) for col in r_cols)
-
-    def send_at(row):
-        index = s_of_row[row]
-        return s_class[index], s_pos[index]
-
-    def recv_at(row):
-        index = r_of_row[row]
-        return r_class[index], r_pos[index]
-
-    paired = _pair(
-        parts, plan.nprocs, (s_rank, s_dest, s_tag), (r_src, r_rank, r_tag),
-        send_at, recv_at,
+    i64 = np.int64
+    s_rank, s_dest, s_tag, s_nbytes, s_transfer = _stacked(
+        parts, s_classes, s_cols, (i64, i64, i64, np.float64),
     )
+    r_rank, r_src, r_tag = _stacked(parts, r_classes, r_cols, (i64, i64))
+
+    paired, mismatch = pair_channels(
+        plan.nprocs, (s_rank, s_dest, s_tag), (r_src, r_rank, r_tag),
+    )
+    if mismatch is not None:
+        # the earlier of the two rows where the sorted channels part
+        send_row, recv_row = mismatch
+        where = []
+        if send_row is not None:
+            index = s_of_row[send_row]
+            where.append((s_class[index], s_pos[index]))
+        if recv_row is not None:
+            index = r_of_row[recv_row]
+            where.append((r_class[index], r_pos[index]))
+        c, pos = min(where, key=lambda at: at[1])
+        raise Refusal(
+            f"{parts[c].base[pos].location}: sends and receives do not pair "
+            "up channel by channel"
+        )
     transfer = s_transfer[paired]
     plan.received = [
         (paired[lo:hi], transfer[lo:hi], slice(lo, hi))
@@ -553,13 +570,35 @@ def _columns(rows: list, width: int) -> list:
     return list(zip(*rows)) if rows else [()] * width
 
 
+def _stacked(
+    parts: list, classes: np.ndarray, columns: tuple, dtypes: tuple,
+) -> list[np.ndarray]:
+    """The member rank of every row, then the ``dtypes`` fields of each
+    position's member-column tuple (``columns``, positions numbered class
+    after class as ``classes`` says), each one column over all rows: a
+    class's positions are stacked at once (see
+    :func:`~repro.simulator.classbatch.stack_columns`)."""
+    bounds = np.searchsorted(classes, np.arange(len(parts) + 1)).tolist()
+    fields: list[list] = [[] for _ in range(len(dtypes) + 1)]
+    for cls, lo, hi in zip(parts, bounds, bounds[1:]):
+        if hi > lo:
+            stacked = stack_columns(columns[lo:hi], cls.n, dtypes)
+            for field, column in zip(
+                fields, (np.tile(cls.members, hi - lo), *stacked),
+            ):
+                field.append(column)
+    return [
+        _concat(field, dtype) for field, dtype in zip(fields, (np.int64, *dtypes))
+    ]
+
+
 def _gate_needs(parts: list, msgs: _Messages, links: tuple) -> None:
     """Add each gate's needs to it: per sending
     class, the highest send position it reads.  Sends of a class are
     scheduled in position order, so a gate may run once every such
     class has passed that position."""
     link_r, link_s = links
-    s_class, s_pos, *_ = _columns(msgs.sends, 8)
+    s_class, s_pos, *_ = _columns(msgs.sends, 4)
     gate = np.asarray([recv[5] for recv in msgs.recvs], dtype=np.int64)[link_r]
     sender = np.asarray(s_class, dtype=np.int64)[link_s]
     position = np.asarray(s_pos, dtype=np.int64)[link_s]
@@ -734,9 +773,10 @@ def _position(
     a compute's duration, a send's overhead or a collective's ``(op,
     root, nbytes)``; a receive or wait depends on the requests
     outstanding, so :func:`_compile_class` builds its step.  A compute
-    that draws noise is ``"noisy"``: its operand is the workload and its
-    detail the injected delay, and :func:`_compile_class` costs each
-    position it fills with that position's factors."""
+    that draws noise is ``"noisy"``: its operand is its noise-free cost
+    columns and its detail the injected delay, and
+    :func:`_compile_class` applies each position it fills that
+    position's factors (``CostModel.noisy_cost_columns``)."""
     if column_set is None:
         op_type, values = type(op), field_values(op)
     else:
@@ -747,8 +787,8 @@ def _position(
         if op_type is ops.PrecostedComputeOp:
             duration, *row = (values[name] for name in COST_FIELDS)
         elif noisy:
-            workload = [values[name] for name in WORKLOAD_FIELDS]
-            return "noisy", vid, -1, workload, delayed
+            columns = _member_costs(cost, costs, values, members)
+            return "noisy", vid, -1, columns, delayed
         else:
             duration, *row = _member_costs(cost, costs, values, members)
         varies = any(type(v) is np.ndarray for v in row)
@@ -832,11 +872,11 @@ def _counter_rows(cls: _Class, out: np.ndarray) -> None:
 
 
 def _member_costs(cost, costs: dict, values: dict, members) -> tuple:
-    """Duration and counter columns of a compute position whose cost is
-    not precosted and draws no noise: ``cost.compute_cost(rank,
-    workload)`` of every member at once (pure, like the engine's
-    ``_compute_cache``).  ``costs`` keeps the columns of an unpatched
-    position per distinct workload bits."""
+    """Noise-free duration and counter columns of a compute position
+    whose cost is not precosted: ``cost.compute_cost(rank, workload)``
+    of every member at once, without the noise factor (pure, like the
+    engine's ``_compute_cache``).  ``costs`` keeps the columns of an
+    unpatched position per distinct workload bits."""
     workload = [values[name] for name in WORKLOAD_FIELDS]
     if any(type(v) is np.ndarray for v in workload):
         return cost.compute_cost_columns(members, *workload)
@@ -873,55 +913,6 @@ def _delay_columns(delays: dict, members) -> dict:
         key: (np.asarray(idx, dtype=np.int64), np.asarray(extras))
         for key, (idx, extras) in out.items()
     }
-
-
-def _pair(
-    parts: list, nprocs: int, sends: tuple, recvs: tuple, send_at, recv_at,
-) -> np.ndarray:
-    """The send row each receive row pairs with.
-
-    MPI's non-overtaking rule pairs the k-th receive of each channel
-    ``(source, destination, tag)`` with its k-th send.  Rows run class
-    after class, position by position, and a rank belongs to one class,
-    so the rows of one channel already run in its sender's (and its
-    receiver's) program order: a stable sort of both sides by channel
-    lines the pairs up.  ``send_at``/``recv_at`` map a row to its
-    ``(class, position)``."""
-    keys = _channel_keys(nprocs, sends, recvs)
-    orders = [np.argsort(key, kind="stable") for key in keys]
-    ordered = [key[order] for key, order in zip(keys, orders)]
-    m = min(len(order) for order in orders)
-    differ = np.flatnonzero(ordered[0][:m] != ordered[1][:m])
-    if len(differ) or len(orders[0]) != len(orders[1]):
-        k = differ[0] if len(differ) else m
-        c, pos = min(
-            (at(order[k]) for order, at in zip(orders, (send_at, recv_at))
-             if k < len(order)),
-            key=lambda where: where[1],
-        )
-        raise Refusal(
-            f"{parts[c].base[pos].location}: sends and receives do not pair "
-            "up channel by channel"
-        )
-    paired = np.empty(len(orders[1]), dtype=np.int64)
-    paired[orders[1]] = orders[0]
-    return paired
-
-
-def _channel_keys(nprocs: int, *sides: tuple) -> list[np.ndarray]:
-    """One int64 key per row of each side's ``(source, destination,
-    tag)`` columns, ordered like the channels; tags are first numbered
-    densely when the key would not fit int64 otherwise."""
-    tags = [tag for _, _, tag in sides]
-    width = max((int(tag.max()) for tag in tags if len(tag)), default=0) + 1
-    if nprocs * nprocs * width > _I64_MAX:
-        distinct, dense = np.unique(np.concatenate(tags), return_inverse=True)
-        width = len(distinct)
-        tags = np.split(dense.reshape(-1), [len(tags[0])])
-    return [
-        (src * nprocs + dest) * width + tag
-        for (src, dest, _), tag in zip(sides, tags)
-    ]
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:

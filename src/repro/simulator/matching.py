@@ -30,6 +30,13 @@ win).  Every insertion carries a mailbox-local monotone stamp so the
 earliest-inserted-wins semantics of the old linear scan are reproduced
 exactly: the minimum stamp over candidate bucket heads is the element the
 old code would have found first.
+
+**Static pairing.**  With no wildcard on either side, the rules above pair
+the k-th receive of each channel ``(source, destination, tag)`` with its
+k-th send, whatever the timing.  :func:`pair_channels` computes that
+pairing for whole columns of send and receive rows at once, for callers
+that know every rank's operations in program order up front (the
+lockstep drain, the lint's replay).
 """
 
 from __future__ import annotations
@@ -39,9 +46,13 @@ from collections import deque
 from dataclasses import dataclass, field
 from collections.abc import Iterator
 
+import numpy as np
+
 from repro.simulator.ops import ANY
 
-__all__ = ["Message", "PostedRecv", "Mailbox", "Match"]
+__all__ = ["Message", "PostedRecv", "Mailbox", "Match", "pair_channels"]
+
+_I64_MAX = (1 << 63) - 1
 
 _msg_counter = itertools.count()
 _recv_counter = itertools.count()
@@ -245,3 +256,59 @@ class Mailbox:
         entries = [e for bucket in self._pending.values() for e in bucket]
         entries.sort(key=lambda e: e[0])
         return [m for _stamp, m in entries]
+
+
+def pair_channels(
+    nprocs: int, sends: tuple, recvs: tuple,
+) -> tuple[np.ndarray | None, tuple[int | None, int | None] | None]:
+    """The send row each receive row pairs with, under MPI's
+    non-overtaking rule.
+
+    ``sends`` and ``recvs`` are each three int64 columns ``(source,
+    destination, tag)``, one entry per row, with no wildcard.  Within one
+    channel the rows must already run in program order (as they do when
+    a rank's rows are numbered in its own order): a stable sort of both
+    sides by channel then lines the k-th receive of each channel up with
+    its k-th send.
+
+    Returns ``(paired, None)`` when every channel holds as many sends as
+    receives, ``paired[r]`` being the send row of receive row ``r``.
+    Otherwise returns ``(None, (send row, receive row))``: the rows at
+    the first sorted place where the two sides differ, either None when
+    its side has run out there."""
+    keys = _channel_keys(nprocs, sends, recvs)
+    orders = []
+    for key in keys:
+        orders.append(np.argsort(key, kind="stable"))
+        key.sort()  # in place: the keys are this function's own arrays
+    m = min(len(order) for order in orders)
+    differ = np.flatnonzero(keys[0][:m] != keys[1][:m])
+    if len(differ) or len(orders[0]) != len(orders[1]):
+        k = differ[0] if len(differ) else m
+        return None, tuple(
+            int(order[k]) if k < len(order) else None for order in orders
+        )
+    del keys  # before the pairing's allocation
+    paired = np.empty(len(orders[1]), dtype=np.int64)
+    paired[orders[1]] = orders[0]
+    return paired, None
+
+
+def _channel_keys(nprocs: int, *sides: tuple) -> list[np.ndarray]:
+    """One int64 key per row of each side's ``(source, destination,
+    tag)`` columns, ordered like the channels; tags are first numbered
+    densely when the key would not fit int64 otherwise."""
+    tags = [tag for _, _, tag in sides]
+    width = max((int(tag.max()) for tag in tags if len(tag)), default=0) + 1
+    if nprocs * nprocs * width > _I64_MAX:
+        distinct, dense = np.unique(np.concatenate(tags), return_inverse=True)
+        width = len(distinct)
+        tags = np.split(dense.reshape(-1), [len(tags[0])])
+    keys = []
+    for (src, dest, _), tag in zip(sides, tags):
+        key = src * nprocs
+        key += dest
+        key *= width
+        key += tag
+        keys.append(key)
+    return keys

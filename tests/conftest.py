@@ -16,6 +16,7 @@ from repro.minilang import parse_program
 from repro.psg import build_psg
 from repro.runtime import profile_run
 from repro.simulator import SimulationConfig, simulate
+from repro.simulator.classbatch import BatchResult
 from repro.simulator.engine import Engine
 
 
@@ -68,7 +69,20 @@ def per_rank_lint():
     With no batched streams every rank unrolls through its own
     interpreter.
     """
-    with mock.patch.object(lint, "_batched_streams", lambda *args: {}):
+    with mock.patch.object(
+        lint, "_batched_streams", lambda *args: BatchResult()
+    ):
+        yield
+
+
+@contextlib.contextmanager
+def mailbox_replay():
+    """Run the lint with the static channel pairing stepping aside: every
+    replay then matches through the Mailbox, the paired replay's oracle.
+    """
+    with mock.patch.object(
+        lint, "_pair_rows", lambda *args: "pairing off by request"
+    ):
         yield
 
 

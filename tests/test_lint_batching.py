@@ -266,8 +266,9 @@ def main() {
         build = lint._batched_streams
 
         def capturing(*args):
-            lists.update(build(*args))
-            return lists
+            result = build(*args)
+            lists.update(result.streams)
+            return result
 
         with mock.patch.object(lint, "_batched_streams", capturing):
             report = _assert_matches_oracle(program, psg, 5)

@@ -28,7 +28,7 @@ from repro.api import run_fingerprint
 from repro.apps import get_app
 from repro.runtime import profile_run
 from repro.simulator import SimulationConfig
-from repro.simulator.costmodel import MachineModel, NetworkModel
+from repro.simulator.costmodel import CostModel, MachineModel, NetworkModel
 from repro.simulator.engine import DelayInjection, Engine
 from repro.simulator.collectives import CollectiveMismatchError
 from repro.simulator.errors import DeadlockError, MpiUsageError
@@ -449,6 +449,27 @@ class TestNoise:
         assert_matches_oracle(program, psg, SimulationConfig(
             nprocs=self.NPROCS, machine=NOISE, seed=2,
         ))
+
+    def test_each_op_is_costed_once(self, monkeypatch):
+        """A noisy compute op is costed once however many positions it
+        fills; each position scales only its duration and cycles."""
+        calls = []
+        columns = CostModel.compute_cost_columns
+
+        def counting(cost, *args):
+            calls.append(args)
+            return columns(cost, *args)
+
+        monkeypatch.setattr(CostModel, "compute_cost_columns", counting)
+        program, psg = _compiled(NOISY_LOOP, "noisy_loop")
+        engine = Engine(program, psg, SimulationConfig(
+            nprocs=self.NPROCS, machine=NOISE, seed=2,
+        ))
+        engine.run()
+        assert engine.lockstep_reason is None
+        assert engine.class_batch_stats["classes"] == 1
+        # two compute statements fill ten positions
+        assert len(calls) == 2
 
     def test_with_per_rank_speeds(self):
         machine = MachineModel(
