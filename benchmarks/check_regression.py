@@ -652,7 +652,9 @@ def check_classbatch_speedup(min_speedup: float = 3.0, repeats: int = 2) -> bool
     Identity is gated by the per-rank oracle sweep in
     ``tests/test_oracle_sweep.py``; here we assert the *other*
     half of the contract — the batched path actually engages (all 4096
-    ranks ride a template, zero fallbacks) and pays off in wall clock.
+    ranks ride a template, zero fallbacks, and the run drains in
+    lockstep, so a silent return to the time-ordered loop fails here
+    rather than only slowing the gate) and pays off in wall clock.
     ``repeats`` defaults below the drift rows': each per-rank oracle run
     interprets all 4096 ranks and dominates the gate's budget.
     """
@@ -665,11 +667,12 @@ def check_classbatch_speedup(min_speedup: float = 3.0, repeats: int = 2) -> bool
     counters = probe.metrics.counters
     batched = counters.get("sim.class_batch.ranks_batched", 0)
     fallbacks = counters.get("sim.class_batch.fallbacks", 0)
-    if batched < 4096 or fallbacks:
+    lockstep = counters.get("engine.lockstep", 0)
+    if batched < 4096 or fallbacks or lockstep != 1:
         print(
             f"classbatch gate: batching disengaged on the symmetric "
             f"workload ({batched}/4096 ranks batched, "
-            f"{fallbacks} fallbacks)",
+            f"{fallbacks} fallbacks, engine.lockstep={lockstep})",
             file=sys.stderr,
         )
         return False

@@ -26,9 +26,9 @@ Blocking semantics:
 The engine also detects deadlock (heap empty, ranks still blocked) and
 reports a per-rank stuck-at diagnostic.
 
-When every rank runs a class-batched stream, segments are recorded and
-:meth:`Engine.start` proves the point-to-point pairing and a merge order
-of the class templates, the drain runs all ranks in lockstep instead,
+When every rank runs a class-batched stream (in either recording mode)
+and :meth:`Engine.start` proves the point-to-point pairing and a merge
+order of the class templates, the drain runs all ranks in lockstep instead,
 one template position at a time as numpy columns (see
 :meth:`Engine.drain` and :mod:`repro.simulator.lockstep`).
 """
@@ -143,6 +143,11 @@ class SimulationConfig:
     network: NetworkModel = field(default_factory=NetworkModel)
     seed: int = 0
     max_iterations: int = 10_000_000
+    #: Keep every event and counter row (recorded mode), or only their
+    #: per-vertex sums (ring mode: memory bounded by chunk size and
+    #: vertices).  Both fold the sums by one rule, so both give the same
+    #: aggregates and finish times bit for bit, and both drain in
+    #: lockstep when it applies.
     record_segments: bool = True
     injected_delays: list[DelayInjection] = field(default_factory=list)
     entry: str = "main"
@@ -450,13 +455,12 @@ class Engine:
 
         Lockstep needs every rank class-batched, so that every receive
         source is concrete (batching refuses a wildcard it cannot
-        devirtualize), and segments recorded, since ring mode folds its
-        event chunks in global order.  The compiler then proves the rest
-        over all the batched classes or refuses."""
+        devirtualize).  The compiler then proves the rest over all the
+        batched classes or refuses.  Ring mode is no condition: its
+        per-key sums fold each rank's rows in order, whatever the drain
+        (see :func:`repro.simulator.trace.fold_rows`)."""
         cfg = self.config
-        if not cfg.record_segments:
-            reason = "ring mode: segments are not recorded"
-        elif ranks_batched != cfg.nprocs:
+        if ranks_batched != cfg.nprocs:
             reason = f"{ranks_batched} of {cfg.nprocs} ranks class-batched"
         else:
             from repro.simulator.lockstep import Refusal, compile_plan
@@ -549,8 +553,8 @@ class Engine:
         and it drains every run that :meth:`start` compiled no lockstep
         plan for, so every error and deadlock comes from it.
 
-        **Lockstep.**  When every rank runs a class-batched stream and
-        segments are recorded, every rank runs a patched copy of its
+        **Lockstep.**  When every rank runs a class-batched stream, in
+        either recording mode, every rank runs a patched copy of its
         class's template, so :meth:`start` can check the whole run
         statically (:func:`repro.simulator.lockstep.compile_plan`): every
         position is a compute (its per-execution noise drawn up front), a
@@ -568,9 +572,12 @@ class Engine:
         and every row value is independent of the schedule: lockstep
         gives the time-ordered loop's values bit for bit, and it cannot
         deadlock or raise.  The drain runs that schedule as float64
-        columns and appends the rows as blocks.  Any failed check leaves
-        a reason in ``lockstep_reason`` and the time-ordered loop drains
-        instead; it stays lockstep's fallback and oracle.
+        columns and appends the rows as blocks: one per table when
+        segments are recorded, and in ring mode event and counter blocks
+        no larger than the ring's seal size, as the positions run.  Any
+        failed check leaves a reason in ``lockstep_reason`` and the
+        time-ordered loop drains instead; it stays lockstep's fallback
+        and oracle.
 
         Only the global row order of the trace tables differs between the
         two drains, so only per-rank row order is contract.  The

@@ -1,4 +1,4 @@
-"""Lockstep drain: a class-batched recorded run, one template position at a time.
+"""Lockstep drain: a class-batched run, one template position at a time.
 
 When class batching covers every rank, each rank class runs one
 template (see :mod:`repro.simulator.classbatch`): position ``k`` of every
@@ -75,7 +75,9 @@ When any check fails the compiler raises :class:`Refusal` with one
 reason, naming the source location of the position that failed; the
 engine then drains through its time-ordered loop.  Only per-rank
 row order is contract: lockstep appends each class's rows position by
-position, class after class.
+position, class after class, when segments are recorded, and in ring
+mode hands the event and counter rows on in merged order, in blocks of
+at most the ring's seal size.
 """
 
 from __future__ import annotations
@@ -110,6 +112,8 @@ _WAITALL_CODE = MPI_OP_CODES[MpiOp.WAITALL]
 _ROOTED_SPREAD = (MpiOp.BCAST, MpiOp.SCATTER)
 _ROOTED_GATHER = (MpiOp.REDUCE, MpiOp.GATHER)
 _PACK_4D = struct.Struct("<4d").pack
+_NO_EVENTS = np.empty((0, 7))
+_NO_COUNTERS = np.empty((0, 6))
 
 
 class Refusal(Exception):
@@ -139,7 +143,10 @@ class Plan:
         #: run position by position
         self.class_rows: list[tuple] = []
         self.event_rows = 0
-        self.counters = np.empty((0, 6))
+        #: per class: its members, and per compute position its counter
+        #: row ``(vid, ins, cyc, lst, dcm)`` and the indices of the rows
+        #: holding a member column (see :func:`_counter_rows`)
+        self.counter_classes: list[tuple] = []
         #: send rows (every send position's members)
         self.send_rows = 0
         #: per receive position (numbered class after class, position
@@ -158,22 +165,33 @@ class Plan:
         self.merge_visits = 0
 
     def run(self, trace) -> list[float]:
-        """Execute every step, append the rows to ``trace`` and return
-        the finish clocks in rank order.  A plan runs once: it drops its
-        steps as it starts, so an engine kept alive after its run does
-        not keep them."""
+        """Execute every step, hand the rows to ``trace`` and return the
+        finish clocks in rank order.
+
+        A trace that keeps its rows takes the event and counter tables as
+        one block each.  A ring trace (``trace.block_rows()`` rows per
+        block) takes them in blocks as the steps produce them, so no
+        whole-run event or counter matrix is built; each rank's rows
+        still come in its program order, which is all its per-key sums
+        read.  A plan runs once: it drops its steps as it starts, so an
+        engine kept alive after its run does not keep them."""
         steps, self.steps = self.steps, []
         received, self.received = self.received, []
         nprocs = self.nprocs
-        events = np.empty((self.event_rows, 7))
-        for first, members, vids, op_codes in self.class_rows:
-            block = events[first:first + len(vids) * len(members)]
-            block[:, 0] = np.tile(members, len(vids))
-            block[:, 1] = np.repeat(vids, len(members))
-            block[:, 6] = np.repeat(op_codes, len(members))
-        events[:, 2] = events[:, 6] >= 0
-        events[:, 5] = 0.0
-        end, wait = events[:, 4], events[:, 5]
+        size = trace.block_rows()
+        if size is None:
+            slabs = None
+            events = np.empty((self.event_rows, 7))
+            for first, members, vids, op_codes in self.class_rows:
+                block = events[first:first + len(vids) * len(members)]
+                block[:, 0] = np.tile(members, len(vids))
+                block[:, 1] = np.repeat(vids, len(members))
+                block[:, 6] = np.repeat(op_codes, len(members))
+            events[:, 2] = events[:, 6] >= 0
+            events[:, 5] = 0.0
+            end, wait = events[:, 4], events[:, 5]
+        else:
+            slabs = _Slabs(lambda m: trace.append_block(m, _NO_COUNTERS), 7, size)
         #: send times by send row; an arrival is added where it is read
         sent = np.empty(self.send_rows)
         #: the P2P float rows: send time, arrival, post, completion, wait
@@ -187,7 +205,7 @@ class Plan:
         where = np.where
         for kind, c, rows, a, b in steps:
             if kind == _COLL:
-                mpi_op, root, cost, ovh = a
+                mpi_op, root, cost, ovh, code = a
                 arrival = np.concatenate(clks)
                 if mpi_op in _ROOTED_SPREAD:
                     late = arrival[root] + cost
@@ -198,13 +216,19 @@ class Plan:
                 else:
                     clk = np.full(nprocs, arrival.max() + cost)
                 w = clk - arrival - cost
-                wait[rows] = where(w > 0.0, w, 0.0)
-                end[rows] = clk
+                w = where(w > 0.0, w, 0.0)
+                if slabs is None:
+                    wait[rows] = w
+                    end[rows] = clk
+                else:
+                    rank, vid = self.collective_parts[b].T
+                    slabs.put(nprocs, rank, vid, 1.0, arrival, clk, w, code)
                 coll[0, b] = arrival
                 coll[1, b] = clk
                 clks = [clk[s] for s in slices]
                 continue
-            clk = clks[c]
+            start = clk = clks[c]
+            w = None
             if kind == _ADVANCE:
                 clk = clk + a
             elif kind == _SEND:
@@ -214,17 +238,15 @@ class Plan:
                 gather, transfer, block = received[a]
                 send_time = sent[gather]
                 arrival = send_time + transfer
-                start = clk
                 clk = where(arrival > start, arrival, start) + b
                 w = arrival - start
                 w = where(w < 0.0, 0.0, w)
-                wait[rows] = w
                 _p2p_rows(p2p[block], send_time, arrival, start, clk, w)
             elif kind == _IRECV:
                 posted[b] = clk
                 clk = clk + a
             else:  # _WAITALL
-                start = latest = clk
+                latest = clk
                 taken = []
                 for ri in a:
                     gather, transfer, block = received[ri]
@@ -236,23 +258,43 @@ class Plan:
                     taken.append((block, send_time, arrival, post, ready))
                 clk = latest + b
                 w = latest - start
-                wait[rows] = where(w > 0.0, w, 0.0)
+                w = where(w > 0.0, w, 0.0)
                 for block, send_time, arrival, post, ready in taken:
-                    w = ready - start
+                    late = ready - start
                     _p2p_rows(
                         p2p[block], send_time, arrival, post, clk,
-                        where(w > 0.0, w, 0.0),
+                        where(late > 0.0, late, 0.0),
                     )
             clks[c] = clk
-            end[rows] = clk
-        # a position starts where the class's previous one ended
-        for first, members, vids, _ in self.class_rows:
-            if len(vids):
+            if slabs is None:
+                end[rows] = clk
+                if w is not None:
+                    wait[rows] = w
+            else:
+                first, members, vids, op_codes = self.class_rows[c]
                 n = len(members)
-                last = first + len(vids) * n
-                events[first:first + n, 3] = 0.0
-                events[first + n:last, 3] = events[first:last - n, 4]
-        trace.append_block(events, self.counters)
+                pos = (rows.start - first) // n
+                op = op_codes[pos]
+                slabs.put(
+                    n, members, vids[pos], op >= 0, start, clk,
+                    0.0 if w is None else w, op,
+                )
+        if slabs is None:
+            # a position starts where the class's previous one ended
+            for first, members, vids, _ in self.class_rows:
+                if len(vids):
+                    n = len(members)
+                    last = first + len(vids) * n
+                    events[first:first + n, 3] = 0.0
+                    events[first + n:last, 3] = events[first:last - n, 4]
+            trace.append_block(events, _counter_rows(self.counter_classes))
+        else:
+            slabs.flush()
+            counters = _Slabs(lambda m: trace.append_block(_NO_EVENTS, m), 6, size)
+            for members, table, _varied in self.counter_classes:
+                for row in table:
+                    counters.put(len(members), members, *row)
+            counters.flush()
         trace.p2p.append_block(self.p2p_ints, p2p)
         ncoll = len(self.collective_rows)
         if ncoll:
@@ -263,6 +305,41 @@ class Plan:
         finish = np.empty(nprocs)
         finish[self.ranks] = np.concatenate(clks)
         return finish.tolist()
+
+
+class _Slabs:
+    """Rows handed on in blocks of at most ``size`` rows, in the order
+    they are put: how a ring trace takes its event and counter rows."""
+
+    def __init__(self, hand, width: int, size: int) -> None:
+        self.hand, self.width, self.size = hand, width, size
+        # column-major, so that each column is written in one sweep
+        self.block = np.empty((width, size)).T
+        self.at = 0
+
+    def put(self, n: int, *columns) -> None:
+        """Put ``n`` rows, each column given as one value for every row
+        or as a column of ``n`` values."""
+        done = 0
+        while done < n:
+            take = min(self.size - self.at, n - done)
+            rows = self.block[self.at:self.at + take]
+            for j, column in enumerate(columns):
+                rows[:, j] = (
+                    column[done:done + take] if type(column) is np.ndarray
+                    else column
+                )
+            done += take
+            self.at += take
+            if self.at == self.size:
+                self.flush()
+
+    def flush(self) -> None:
+        """Hand on the rows put since the last block."""
+        if self.at:
+            self.hand(self.block[:self.at])
+            self.block = np.empty((self.width, self.size)).T
+            self.at = 0
 
 
 def _p2p_rows(rows: np.ndarray, *columns) -> None:
@@ -361,13 +438,9 @@ def compile_plan(
     _gate_needs(parts, msgs, links)
     _merge(plan, parts, cost, msgs, links)
 
-    sizes = [len(cls.counters) * cls.n for cls in parts]
-    # column-major, so that each column is written in one sweep
-    plan.counters = np.empty((6, sum(sizes))).T
-    at = 0
-    for cls, size in zip(parts, sizes):
-        _counter_rows(cls, plan.counters[at:at + size])
-        at += size
+    plan.counter_classes = [
+        (cls.members, cls.counters, cls.varied) for cls in parts
+    ]
     plan.mpi_calls = sum(cls.mpi_positions * cls.n for cls in parts)
     plan.compute_ops = sum(len(cls.counters) * cls.n for cls in parts)
     plan.devirt = sum(cls.devirt_positions * cls.n for cls in parts)
@@ -543,25 +616,31 @@ def _messages(plan: Plan, parts: list, msgs: _Messages) -> tuple:
             "up channel by channel"
         )
     transfer = s_transfer[paired]
+    # one value per P2P row each: drop those only the pairing reads
+    # before the identity matrix is allocated
+    del s_rank, s_dest, s_tag, s_transfer
     plan.received = [
         (paired[lo:hi], transfer[lo:hi], slice(lo, hi))
         for lo, hi in zip(r_first, r_first[1:])
     ]
     plan.send_rows = msgs.send_rows
     read_from = s_of_row[paired]
-    if nrecv:
-        devirt = np.asarray(r_devirt)[r_of_row]
-        # column-major, so that each column is written in one sweep
-        ints = plan.p2p_ints = np.empty((9, len(paired)), dtype=np.int64).T
-        for j, column in enumerate((
-            r_src, np.asarray(s_vid, dtype=np.int64)[read_from], r_rank,
-            np.asarray(r_vid, dtype=np.int64)[r_of_row],
-            np.asarray(r_wait_vid, dtype=np.int64)[r_of_row], r_tag,
-            s_nbytes[paired], np.where(devirt, WILDCARD_CODE, r_src), r_tag,
-        )):
-            ints[:, j] = column
+    del s_of_row
     width = nsend or 1
     links = _distinct(r_of_row * width + read_from)
+    if nrecv:
+        # column-major, so that each column is written in one sweep, and
+        # column by column, so that one gathered column is alive at once
+        ints = plan.p2p_ints = np.empty((9, len(paired)), dtype=np.int64).T
+        ints[:, 0] = r_src
+        ints[:, 1] = np.asarray(s_vid, dtype=np.int64)[read_from]
+        ints[:, 2] = r_rank
+        ints[:, 3] = np.asarray(r_vid, dtype=np.int64)[r_of_row]
+        ints[:, 4] = np.asarray(r_wait_vid, dtype=np.int64)[r_of_row]
+        ints[:, 5] = r_tag
+        ints[:, 6] = s_nbytes[paired]
+        ints[:, 7] = np.where(np.asarray(r_devirt)[r_of_row], WILDCARD_CODE, r_src)
+        ints[:, 8] = r_tag
     return links // width, links % width
 
 
@@ -691,7 +770,7 @@ def _merge(plan: Plan, parts: list, cost, msgs: _Messages, links) -> None:
                 costs[key] = cost.collective_cost(mpi_op, nprocs, nbytes)
             steps.append((
                 _COLL, -1, rows,
-                (mpi_op, int(at_rank[root]), costs[key], overhead),
+                (mpi_op, int(at_rank[root]), costs[key], overhead, code),
                 slice(k * nprocs, (k + 1) * nprocs),
             ))
             collectives.append((k, code, root, nbytes))
@@ -848,27 +927,35 @@ def _ints(values: dict, name: str, n: int) -> np.ndarray:
     return np.full(n, value, dtype=np.int64)
 
 
-def _counter_rows(cls: _Class, out: np.ndarray) -> None:
-    """Fill ``out`` with the class's counter rows (rank, vid, ins, cyc,
-    lst, dcm), compute position after compute position."""
-    if not cls.counters:
-        return
-    positions = len(cls.counters)
-    out[:, 0] = np.tile(cls.members, positions)
-    varied = cls.varied
-    if varied:
-        # the rows holding a member column are written one by one
-        counters = cls.counters.copy()
-        for i in varied:
-            counters[i] = (0.0,) * 5
-    else:
-        counters = cls.counters
-    table = np.asarray(counters, dtype=np.float64)
-    for j in range(5):
-        column = out[:, j + 1].reshape(positions, cls.n)
-        column[:] = table[:, j, None]
-        for i in varied:
-            column[i] = cls.counters[i][j]
+def _counter_rows(classes: list) -> np.ndarray:
+    """The counter rows (rank, vid, ins, cyc, lst, dcm) of ``classes``
+    (``Plan.counter_classes``), class after class, compute position after
+    compute position."""
+    sizes = [len(counters) * len(members) for members, counters, _ in classes]
+    # column-major, so that each column is written in one sweep
+    out = np.empty((6, sum(sizes))).T
+    at = 0
+    for (members, counters, varied), size in zip(classes, sizes):
+        if not counters:
+            continue
+        rows = out[at:at + size]
+        at += size
+        positions, n = len(counters), len(members)
+        rows[:, 0] = np.tile(members, positions)
+        if varied:
+            # the rows holding a member column are written one by one
+            table = counters.copy()
+            for i in varied:
+                table[i] = (0.0,) * 5
+        else:
+            table = counters
+        table = np.asarray(table, dtype=np.float64)
+        for j in range(5):
+            column = rows[:, j + 1].reshape(positions, n)
+            column[:] = table[:, j, None]
+            for i in varied:
+                column[i] = counters[i][j]
+    return out
 
 
 def _member_costs(cost, costs: dict, values: dict, members) -> tuple:

@@ -34,7 +34,9 @@ C-level ``list.__iadd__`` per row — no per-row objects, no dict updates).
 At :data:`CHUNK_EVENTS` pending rows the list seals into ndarray chunks.
 With ``keep_events=False`` the event and counter stores are bounded rings:
 each sealed chunk is folded into running per-vertex sums and dropped, so
-memory stays O(chunk + vertices) no matter how long the run is.
+memory stays O(chunk + vertices) no matter how long the run is.  A drain
+that appends whole blocks hands a ring blocks of at most
+:data:`CHUNK_EVENTS` rows (:meth:`TraceBuffer.block_rows`).
 
 **Read path.**  Everything downstream is a lazy view over the columns:
 
@@ -44,7 +46,10 @@ memory stays O(chunk + vertices) no matter how long the run is.
 * :meth:`TraceBuffer.vertex_time` / ``vertex_wait`` / ``vertex_visits`` /
   ``vertex_counters`` — per-``(rank, vid)`` sums over the whole table,
   each column summed when first read (one :func:`group_rows` per table
-  size), or chunk by chunk by :func:`fold_rows` in ring mode,
+  size), or chunk by chunk by :func:`fold_rows` in ring mode.  Both
+  follow one rule, a left fold of each key's rows in row order, so ring
+  mode is recorded mode minus the rows: the same sums, bit for bit,
+  wherever its chunks seal,
 * ``columns()`` — the raw column arrays for vectorized consumers
   (sampling, timelines, communication collection, baselines).
 
@@ -306,6 +311,9 @@ class RowStore:
 #: grouped by sorting (the table stays O(rows) either way).
 _DENSE_SLOTS_PER_ROW = 4
 
+#: the vid bits of a :class:`KeySums` key code
+_VID = (1 << 32) - 1
+
 
 def group_rows(
     rank: np.ndarray, vid: np.ndarray
@@ -354,66 +362,90 @@ def group_rows(
 
 class KeySums:
     """Running per-``(rank, vid)`` sums of a fixed number of weight columns:
-    ``keys`` in first-occurrence order and one list per column, aligned
-    with ``keys``."""
+    the keys' codes (``rank << 32 | vid``) in first-occurrence order in
+    ``codes``, and one array per column in ``sums``, aligned with them."""
 
-    __slots__ = ("keys", "columns", "_index")
+    __slots__ = ("codes", "sums", "_sorted", "_slots")
 
     def __init__(self, width: int) -> None:
-        self.keys: list[tuple[int, int]] = []
-        self.columns: list[list] = [[] for _ in range(width)]
-        #: key -> position, built on the first fold into a non-empty acc
-        self._index: dict[tuple[int, int], int] | None = None
+        self.codes = np.empty(0, dtype=np.int64)
+        self.sums: list[np.ndarray] = [np.zeros(0)] * width
+        #: ``codes`` sorted, and the position in ``codes`` of each; built
+        #: by the first fold into a non-empty accumulator
+        self._sorted: np.ndarray | None = None
+        self._slots: np.ndarray | None = None
 
     def clear(self) -> None:
-        self.keys = []
-        self.columns = [[] for _ in self.columns]
-        self._index = None
+        self.__init__(len(self.sums))
+
+    @property
+    def keys(self) -> list[tuple[int, int]]:
+        """The ``(rank, vid)`` keys, in first-occurrence order."""
+        return list(zip((self.codes >> 32).tolist(), (self.codes & _VID).tolist()))
+
+    @property
+    def columns(self) -> list[list]:
+        """The sums as one list of Python numbers per column."""
+        return [column.tolist() for column in self.sums]
 
 
 def fold_rows(acc: KeySums, rank: np.ndarray, vid: np.ndarray, *weights) -> None:
     """Fold weight columns into running per-``(rank, vid)`` sums in ``acc``.
 
-    Rows are grouped once by :func:`group_rows` (no sort of the rows), and
-    ``np.bincount`` adds each group's weights in occurrence order, so a
-    key's partial is a left fold of its rows in row order.  All rows of a
-    key come from one rank, so that is the rank's execution order: one
-    fold over a whole table does not depend on how ranks interleave.  A
-    key new to ``acc`` stores its partial as is (so one fold over a whole
-    table equals a one-shot sum, and a fold into an empty ``acc`` takes
-    the partials' lists whole); a known key adds the partial once per
-    column.  New keys join ``acc`` in first-occurrence order.  A weight of
-    ``None`` counts rows (int sums).
+    Each row adds its weights to its key's running sum, in row order; a
+    key new to ``acc`` starts at ``0.0``.  So a key's sum is one left fold
+    of all its rows, however they were split into folds: folding a table
+    chunk by chunk gives the bits of one fold over the whole table.  All
+    rows of a key come from one rank, so row order is that rank's
+    execution order, and the sums do not depend on how ranks interleave.
+
+    Rows are grouped once by :func:`group_rows` (no sort of the rows).  A
+    fold into an empty ``acc`` is one ``np.bincount`` per column; a later
+    fold looks its groups up among the known keys (``np.searchsorted``)
+    and adds each row in turn with ``np.add.at``.  New keys join ``acc``
+    in first-occurrence order.  A weight of ``None`` counts rows (int
+    sums).  Ranks and vids must be below ``2**32``.
     """
     if not len(rank):
         return
     inv, ranks, vids = group_rows(rank, vid)
-    n = len(ranks)
-    keys = list(zip(ranks.tolist(), vids.tolist()))
-    parts = [np.bincount(inv, weights=w, minlength=n).tolist() for w in weights]
-    if not acc.keys:
-        acc.keys, acc.columns, acc._index = keys, parts, None
+    codes = ranks << 32 | vids
+    if not len(acc.codes):
+        acc.codes = codes
+        acc.sums = [
+            np.bincount(inv, weights=w, minlength=len(codes)) for w in weights
+        ]
         return
-    index = acc._index
-    if index is None:
-        index = acc._index = {key: i for i, key in enumerate(acc.keys)}
-    columns = acc.columns
-    for g, key in enumerate(keys):
-        i = index.get(key)
-        if i is None:
-            index[key] = len(acc.keys)
-            acc.keys.append(key)
-            for column, part in zip(columns, parts):
-                column.append(part[g])
-        else:
-            for column, part in zip(columns, parts):
-                column[i] += part[g]
+    if acc._slots is None:
+        acc._slots = np.argsort(acc.codes)
+        acc._sorted = acc.codes[acc._slots]
+    known = acc._sorted
+    at = np.minimum(np.searchsorted(known, codes), len(known) - 1)
+    found = known[at] == codes
+    slot = np.where(found, acc._slots[at], -1)
+    new = np.flatnonzero(~found)
+    if len(new):
+        k = len(acc.codes)
+        slot[new] = np.arange(k, k + len(new))
+        acc.codes = np.concatenate((acc.codes, codes[new]))
+        acc.sums = [
+            np.concatenate((column, np.zeros(len(new), dtype=column.dtype)))
+            for column in acc.sums
+        ]
+        merged = np.concatenate((known, codes[new]))
+        order = np.argsort(merged, kind="stable")  # merges the sorted run
+        acc._sorted = merged[order]
+        acc._slots = np.concatenate((acc._slots, slot[new]))[order]
+    rows = slot[inv]
+    for column, w in zip(acc.sums, weights):
+        np.add.at(column, rows, 1 if w is None else w)
 
 
 def _fold_events(acc: KeySums, m: np.ndarray) -> None:
     """Event rows -> per-key (time, wait, waited rows, visits)."""
     wait = m[:, 5]
-    fold_rows(acc, m[:, 0], m[:, 1], m[:, 4] - m[:, 3], wait, wait != 0.0, None)
+    waited = (wait != 0.0).astype(np.float64)  # np.add.at is slow on bools
+    fold_rows(acc, m[:, 0], m[:, 1], m[:, 4] - m[:, 3], wait, waited, None)
 
 
 def _fold_counters(acc: KeySums, m: np.ndarray) -> None:
@@ -760,9 +792,9 @@ class TraceBuffer:
     Any other consumer that reads the global row order of the event, P2P
     or collective tables (or a collective's participant order) must
     re-sort it first; communication collection groups edges by a sort of
-    their keys and collective participants by rank.  In ring mode a chunk
-    seals at a global row count, so each key's partials join at
-    interleaving-dependent boundaries.
+    their keys and collective participants by rank.  Ring mode folds by
+    the same rule, each row into its key's running sum as its chunk
+    seals, so its aggregates equal recorded mode's bit for bit.
     """
 
     __slots__ = (
@@ -809,6 +841,12 @@ class TraceBuffer:
         in table order)."""
         self._events.append_block(events)
         self._counters.append_block(counters)
+
+    def block_rows(self) -> int | None:
+        """The most event or counter rows a drain should hand
+        :meth:`append_block` at once: ``None`` when rows are kept (one
+        block each), else the ring's seal size, :data:`CHUNK_EVENTS`."""
+        return None if self.keep_events else CHUNK_EVENTS
 
     def _sums(self, store: RowStore, acc: KeySums, fold) -> KeySums:
         """``acc`` folded over every row of ``store``: the whole table in

@@ -635,3 +635,24 @@ def canonical_collective_rows(table):
             int(cols["nbytes"][i]), tuple(parts),
         ))
     return sorted(rows)
+
+
+def aggregate_bits(result):
+    """A run's per-vertex aggregates and finish times as IEEE bits: what
+    ring mode keeps, so what ring and recorded runs must share.  Key
+    order is left out (it follows the global row order)."""
+
+    def bits(values):
+        return np.asarray(values, dtype=np.float64).tobytes()
+
+    counters = result.vertex_counters
+    return {
+        "vertex_time": {k: bits(v) for k, v in result.vertex_time.items()},
+        "vertex_wait": {k: bits(v) for k, v in result.vertex_wait.items()},
+        "vertex_visits": dict(result.vertex_visits),
+        "vertex_counters": {
+            k: bits((c.tot_ins, c.tot_cyc, c.tot_lst_ins, c.l2_dcm))
+            for k, c in counters.items()
+        },
+        "finish_times": bits(result.finish_times),
+    }

@@ -1,10 +1,10 @@
 """Lockstep drain: where it engages, that it changes nothing, and that a
 refusal leaves the per-event drain's results and errors as they were.
 
-When batched classes cover every rank of a recorded run, the engine
-proves the point-to-point pairing at start, merges the classes'
-positions into one order, and runs all ranks one template position at a
-time as numpy columns.  These tests pin:
+When batched classes cover every rank of a run, recorded or ring mode,
+the engine proves the point-to-point pairing at start, merges the
+classes' positions into one order, and runs all ranks one template
+position at a time as numpy columns.  These tests pin:
 
 - identity: engaged runs equal the per-rank oracle
   (:func:`tests.conftest.per_rank_oracle`), bit for bit, including
@@ -34,6 +34,7 @@ from repro.simulator.collectives import CollectiveMismatchError
 from repro.simulator.errors import DeadlockError, MpiUsageError
 from tests.conftest import (
     _compiled,
+    aggregate_bits,
     canonical_collective_rows,
     canonical_p2p_rows,
     per_rank_oracle,
@@ -511,6 +512,39 @@ class TestNoise:
             assert refused[key] == oracle[key], key
 
 
+class TestRingSlabs:
+    """A ring-mode lockstep run hands its event and counter rows to the
+    trace in blocks no larger than the ring's seal size, and the trace
+    keeps none of them: no whole-run matrix is built or kept."""
+
+    @pytest.mark.parametrize("chunk", [4, 16])
+    def test_blocks_stay_within_the_seal_size(self, monkeypatch, chunk):
+        import repro.simulator.trace as trace_mod
+
+        monkeypatch.setattr(trace_mod, "CHUNK_EVENTS", chunk)
+        recorded = _engine(EVERY_KIND, "every_kind", 6).run()
+        blocks = []
+        append_block = trace_mod.TraceBuffer.append_block
+
+        def spy(trace, events, counters):
+            blocks.append((len(events), len(counters)))
+            append_block(trace, events, counters)
+
+        monkeypatch.setattr(trace_mod.TraceBuffer, "append_block", spy)
+        engine = _engine(EVERY_KIND, "every_kind", 6, record_segments=False)
+        result = engine.run()
+        assert result.metrics.counter("engine.lockstep") == 1
+        events, counters = (sum(column) for column in zip(*blocks))
+        assert (events, counters) == (
+            result.trace.event_count, result.trace.counter_count
+        )
+        assert events > 2 * chunk and counters > chunk
+        assert max(max(sizes) for sizes in blocks) <= chunk
+        assert result.trace._events._chunks == []
+        assert result.trace._counters._chunks == []
+        assert aggregate_bits(result) == aggregate_bits(recorded)
+
+
 # ---------------------------------------------------------------------------
 # refusal reasons
 
@@ -552,11 +586,25 @@ class TestRefusalReasons:
         assert result.metrics.counter("engine.lockstep") == 0
 
     def test_ring_mode(self):
+        """Ring mode is no refusal: its per-key sums fold each rank's rows
+        in order whatever the drain, so they keep the oracle's bits."""
         engine = _engine(EVERY_KIND, "every_kind", 6, record_segments=False)
         result = engine.run()
-        assert engine.lockstep_reason == "ring mode: segments are not recorded"
-        assert result.metrics.counter("engine.lockstep") == 0
-        assert result.metrics.counter("sim.class_batch.ranks_batched") == 6
+        assert engine.lockstep_reason is None
+        assert result.metrics.counter("engine.lockstep") == 1
+        assert result.metrics.counter("engine.trace_events") > 0
+        with per_rank_oracle():
+            oracle = _engine(
+                EVERY_KIND, "every_kind", 6, record_segments=False
+            ).run()
+        assert oracle.metrics.counter("engine.lockstep") == 0
+        assert aggregate_bits(result) == aggregate_bits(oracle)
+        assert canonical_p2p_rows(result.trace.p2p) == canonical_p2p_rows(
+            oracle.trace.p2p
+        )
+        assert canonical_collective_rows(
+            result.trace.collectives
+        ) == canonical_collective_rows(oracle.trace.collectives)
 
     def test_noisy_compute(self):
         """Per-execution noise is drawn at start, so it refuses nothing."""

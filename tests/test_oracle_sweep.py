@@ -26,6 +26,7 @@ from tests.conftest import (
     GENERATORS,
     _compiled,
     _fingerprint,
+    aggregate_bits,
     canonical_collective_rows,
     canonical_p2p_rows,
     per_rank_oracle,
@@ -81,6 +82,7 @@ def _ground_truth(program, psg, nprocs):
         canonical_p2p_rows(trace.p2p),
         canonical_collective_rows(trace.collectives),
         result.finish_times,
+        aggregate_bits(result),
     ), result.metrics.counter("engine.lockstep")
 
 
@@ -89,7 +91,8 @@ def test_serial_draws_run_lockstep(generator):
     """Lockstep cannot silently stop engaging: a stated share of each
     generator's draws run it, and each engaged draw equals the per-rank
     oracle (fingerprint, per-rank trace rows, communication tables,
-    finish times)."""
+    finish times).  Each engaged draw runs ring mode too, in lockstep,
+    and keeps the recorded run's aggregate and finish-time bits."""
     engaged = 0
     for seed in range(100):
         program, psg, nprocs = _draw(generator, seed)
@@ -101,6 +104,13 @@ def test_serial_draws_run_lockstep(generator):
             oracle, _ = _ground_truth(program, psg, nprocs)
         assert lockstep == oracle, (
             f"{generator} seed {seed}: lockstep and oracle differ"
+        )
+        ring = simulate(
+            program, psg, SimulationConfig(nprocs=nprocs, record_segments=False)
+        )
+        assert ring.metrics.counter("engine.lockstep") == 1
+        assert aggregate_bits(ring) == lockstep[-1], (
+            f"{generator} seed {seed}: ring and recorded aggregates differ"
         )
     want = LOCKSTEP_SHARE[generator]
     assert engaged >= want, (

@@ -1,9 +1,9 @@
 """Which drain a run takes: lockstep or the time-ordered loop.
 
-When every rank runs a class-batched stream and the run records
-segments, every receive source is concrete, so matches, clocks and row
-values do not depend on how ranks interleave; only the global row order
-of the trace tables does.  Such a run drains in lockstep when the
+When every rank runs a class-batched stream, in either recording mode,
+every receive source is concrete, so matches, clocks and row values do
+not depend on how ranks interleave; only the global row order of the
+trace tables does.  Such a run drains in lockstep when the
 compiler proves it (see ``tests/test_lockstep.py``), and through the
 time-ordered loop otherwise.  These tests pin:
 
@@ -11,8 +11,8 @@ time-ordered loop otherwise.  These tests pin:
   noise-free and noisy, and the four ``diagnose_apps`` case-study
   pipelines run lockstep and equal the per-rank oracle (fingerprint,
   per-rank trace rows, communication tables, report sha);
-- non-engagement: ring mode, a refused class and an undevirtualized
-  wildcard keep the time-ordered loop;
+- non-engagement: a refused class and an undevirtualized wildcard keep
+  the time-ordered loop, while ring mode engages like recorded mode;
 - errors and deadlocks: a fully batched program lockstep refuses raises
   or deadlocks through the time-ordered loop, exactly as the oracle
   does.
@@ -41,6 +41,7 @@ from repro.simulator.engine import DelayInjection, Engine
 from tests.conftest import (
     _compiled,
     _fingerprint,
+    aggregate_bits,
     canonical_collective_rows,
     canonical_p2p_rows,
     per_rank_oracle,
@@ -236,18 +237,18 @@ class TestStaysTimeOrdered:
         assert _fingerprint(program, psg, self.NPROCS) == oracle
 
     def test_ring_mode(self):
-        """Ring mode folds event chunks in global order, so it keeps the
-        time-ordered loop and its folded aggregates stay bit-identical."""
+        """Ring mode folds each rank's rows in order whatever the drain,
+        so it runs lockstep too, and its folded aggregates stay
+        bit-identical to the per-rank oracle's."""
         program, psg = _compiled(BATCHED, "batched")
         config = SimulationConfig(nprocs=self.NPROCS, record_segments=False)
         with per_rank_oracle():
             oracle = simulate(program, psg, config)
         result = simulate(program, psg, config)
-        assert _engaged(result) == 0
+        assert _engaged(result) == 1
+        assert _engaged(oracle) == 0
         assert result.metrics.counter("sim.class_batch.ranks_batched") == 8
-        assert result.finish_times == oracle.finish_times
-        for view in ("vertex_time", "vertex_wait", "vertex_visits"):
-            assert getattr(result, view) == getattr(oracle, view), view
+        assert aggregate_bits(result) == aggregate_bits(oracle)
         assert _tables(result) == _tables(oracle)
 
     @pytest.mark.parametrize("source, name", [

@@ -286,7 +286,7 @@ class TestEngineIntegration:
 
 class TestChunkedTables:
     """Pins what every chunked table keeps across many seals: column
-    layout, in-place updates, float association of the ring fold, and
+    layout, in-place updates, the ring fold's chunk independence, and
     the document bytes."""
 
     @pytest.fixture(autouse=True)
@@ -369,25 +369,6 @@ class TestChunkedTables:
         )
 
     @staticmethod
-    def _chunked_reference(rows, chunk, nweights):
-        """Per chunk, a left fold of each key's weights in row order; the
-        chunk partials then join each key's total in chunk order."""
-        totals, flags = {}, {}
-        for c0 in range(0, len(rows), chunk):
-            partials = {}
-            for key, weights in rows[c0:c0 + chunk]:
-                part = partials.setdefault(key, [0.0] * nweights)
-                for j, w in enumerate(weights):
-                    part[j] = part[j] + w
-                flags[key] = flags.get(key, False) or weights[-1] != 0.0
-            for key, part in partials.items():
-                if key in totals:
-                    totals[key] = [a + b for a, b in zip(totals[key], part)]
-                else:
-                    totals[key] = part
-        return totals, flags
-
-    @staticmethod
     def _bits(d):
         import struct
 
@@ -396,13 +377,26 @@ class TestChunkedTables:
             for k, v in d.items()
         ]
 
-    def test_ring_fold_associates_per_chunk(self):
+    @pytest.mark.parametrize(
+        "chunk", [1, 16, 64, CHUNK_EVENTS], ids=["1", "16", "64", "default"]
+    )
+    def test_ring_fold_is_chunk_independent(self, monkeypatch, chunk):
+        """Ring mode is recorded mode minus the rows: every key's sums are
+        one left fold of its rows in row order, wherever chunks seal, and
+        keys come in first-occurrence order.  Ranks 1 and 2 first appear
+        after many rows of rank 0, interleaved with keys already held."""
+        import repro.simulator.trace as trace_mod
+
+        monkeypatch.setattr(trace_mod, "CHUNK_EVENTS", chunk)
         rng = np.random.default_rng(5)
         n = 300
+        ranks = np.concatenate(
+            [np.zeros(40, dtype=np.int64), rng.integers(0, 3, n - 40)]
+        )
         events = [
             (int(r), int(v), 0, float(s), float(s) + float(d), float(w), -1)
             for r, v, s, d, w in zip(
-                rng.integers(0, 3, n),
+                ranks,
                 rng.integers(0, 4, n),
                 rng.random(n) * 10.0,
                 rng.random(n) / 3.0,
@@ -411,64 +405,33 @@ class TestChunkedTables:
         ]
         counters = [
             (int(r), int(v), *(float(x) for x in rng.random(4) * 1e3 / 3.0))
-            for r, v in zip(rng.integers(0, 3, n), rng.integers(0, 4, n))
+            for r, v in zip(ranks, rng.integers(0, 4, n))
         ]
-        buf = TraceBuffer(keep_events=False)
-        _fill(buf, events)
-        for row in counters:
-            buf.append_counters(*row)
+        kept, ring = TraceBuffer(), TraceBuffer(keep_events=False)
+        for buf in (kept, ring):
+            _fill(buf, events)
+            for row in counters:
+                buf.append_counters(*row)
+        first_seen = list(dict.fromkeys((r, v) for r, v, *_ in events))
+        assert list(ring.vertex_time()) == first_seen
+        for view in ("vertex_time", "vertex_wait", "vertex_visits"):
+            got, want = getattr(ring, view)(), getattr(kept, view)()
+            assert self._bits(got) == self._bits(want), view
+        def quads(agg):
+            return [
+                (key, np.asarray(
+                    (c.tot_ins, c.tot_cyc, c.tot_lst_ins, c.l2_dcm)
+                ).tobytes())
+                for key, c in agg.items()
+            ]
 
-        totals, waited = self._chunked_reference(
-            [((r, v), (e - s, w)) for r, v, _k, s, e, w, _o in events], 16, 2
+        got = quads(ring.vertex_counters())
+        assert [key for key, _ in got] == list(
+            dict.fromkeys((r, v) for r, v, *_ in counters)
         )
-        ref_time = {k: t[0] for k, t in totals.items()}
-        ref_wait = {k: t[1] for k, t in totals.items() if waited[k]}
-        ref_visits = {}
-        for r, v, *_ in events:
-            ref_visits[(r, v)] = ref_visits.get((r, v), 0) + 1
-        assert self._bits(buf.vertex_time()) == self._bits(ref_time)
-        assert self._bits(buf.vertex_wait()) == self._bits(ref_wait)
-        assert list(buf.vertex_visits().items()) == list(ref_visits.items())
-        # the chunked association really differs from one flat pass here
-        flat = TraceBuffer()
-        _fill(flat, events)
-        assert self._bits(flat.vertex_time()) != self._bits(ref_time)
-
-        ctotals, _ = self._chunked_reference(
-            [((r, v), tuple(w)) for r, v, *w in counters], 16, 4
-        )
-        got = buf.vertex_counters()
-        assert list(got) == list(ctotals)
-        for key, (ins, cyc, lst, dcm) in ctotals.items():
-            c = got[key]
-            assert self._bits({0: c.tot_ins, 1: c.tot_cyc, 2: c.tot_lst_ins,
-                               3: c.l2_dcm}) == self._bits(
-                {0: ins, 1: cyc, 2: lst, 3: dcm}
-            )
-
-    def test_ring_fold_appends_keys_first_seen_in_later_chunks(self):
-        # chunk 1 holds keys of rank 0 only; ranks 1 and 2 first appear in
-        # chunks 2 and 3, interleaved with rows of keys already held
-        events = [
-            (r, v, 0, 0.1 * i, 0.1 * i + 0.3 / (i + 1), 0.01 * (i % 3), -1)
-            for i, (r, v) in enumerate(
-                [(0, i % 2) for i in range(16)]
-                + [(1, 5), (0, 1)] * 8
-                + [(2, 3), (0, 0), (1, 5), (2, 4)] * 4
-            )
-        ]
-        buf = TraceBuffer(keep_events=False)
-        _fill(buf, events)
-        totals, waited = self._chunked_reference(
-            [((r, v), (e - s, w)) for r, v, _k, s, e, w, _o in events], 16, 2
-        )
-        assert list(buf.vertex_time()) == [(0, 0), (0, 1), (1, 5), (2, 3), (2, 4)]
-        assert self._bits(buf.vertex_time()) == self._bits(
-            {k: t[0] for k, t in totals.items()}
-        )
-        assert self._bits(buf.vertex_wait()) == self._bits(
-            {k: t[1] for k, t in totals.items() if waited[k]}
-        )
+        assert got == quads(kept.vertex_counters())
+        # no row was kept
+        assert ring._events._chunks == [] and ring._counters._chunks == []
 
     def test_sealed_set_wait_survives_json_round_trip(self):
         import json
