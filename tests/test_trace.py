@@ -433,6 +433,104 @@ class TestChunkedTables:
         # no row was kept
         assert ring._events._chunks == [] and ring._counters._chunks == []
 
+    @staticmethod
+    def _fold_reference(rows, nweights, chunk=None):
+        """Each key's weights summed as one left fold in row order, keys in
+        first-occurrence order.  With ``chunk``, the old per-chunk rule
+        instead: a left fold per chunk, the partials joined in chunk order."""
+        step = chunk or max(len(rows), 1)
+        totals, flags = {}, {}
+        for c0 in range(0, len(rows), step):
+            partials = {}
+            for key, weights in rows[c0:c0 + step]:
+                part = partials.setdefault(key, [0.0] * nweights)
+                for j, w in enumerate(weights):
+                    part[j] = part[j] + w
+                flags[key] = flags.get(key, False) or weights[-1] != 0.0
+            for key, part in partials.items():
+                if key in totals:
+                    totals[key] = [a + b for a, b in zip(totals[key], part)]
+                else:
+                    totals[key] = part
+        return totals, flags
+
+    def test_ring_fold_associates_per_chunk(self):
+        """How the ring fold associates across chunk seals: each chunk
+        continues every key's running sum, so the totals are one left fold
+        in row order, not chunk partials joined afterwards."""
+        rng = np.random.default_rng(5)
+        n = 300
+        events = [
+            (int(r), int(v), 0, float(s), float(s) + float(d), float(w), -1)
+            for r, v, s, d, w in zip(
+                rng.integers(0, 3, n),
+                rng.integers(0, 4, n),
+                rng.random(n) * 10.0,
+                rng.random(n) / 3.0,
+                rng.random(n) / 7.0 * (rng.random(n) > 0.4),
+            )
+        ]
+        counters = [
+            (int(r), int(v), *(float(x) for x in rng.random(4) * 1e3 / 3.0))
+            for r, v in zip(rng.integers(0, 3, n), rng.integers(0, 4, n))
+        ]
+        buf = TraceBuffer(keep_events=False)
+        _fill(buf, events)
+        for row in counters:
+            buf.append_counters(*row)
+
+        rows = [((r, v), (e - s, w)) for r, v, _k, s, e, w, _o in events]
+        totals, waited = self._fold_reference(rows, 2)
+        ref_time = {k: t[0] for k, t in totals.items()}
+        ref_wait = {k: t[1] for k, t in totals.items() if waited[k]}
+        ref_visits = {}
+        for r, v, *_ in events:
+            ref_visits[(r, v)] = ref_visits.get((r, v), 0) + 1
+        assert self._bits(buf.vertex_time()) == self._bits(ref_time)
+        assert self._bits(buf.vertex_wait()) == self._bits(ref_wait)
+        assert list(buf.vertex_visits().items()) == list(ref_visits.items())
+        # per-chunk partials would give other bits on these rows
+        chunked, _ = self._fold_reference(rows, 2, chunk=16)
+        assert self._bits(buf.vertex_time()) != self._bits(
+            {k: t[0] for k, t in chunked.items()}
+        )
+
+        ctotals, _ = self._fold_reference(
+            [((r, v), tuple(w)) for r, v, *w in counters], 4
+        )
+        got = buf.vertex_counters()
+        assert list(got) == list(ctotals)
+        for key, (ins, cyc, lst, dcm) in ctotals.items():
+            c = got[key]
+            assert self._bits({0: c.tot_ins, 1: c.tot_cyc, 2: c.tot_lst_ins,
+                               3: c.l2_dcm}) == self._bits(
+                {0: ins, 1: cyc, 2: lst, 3: dcm}
+            )
+
+    def test_ring_fold_appends_keys_first_seen_in_later_chunks(self):
+        # chunk 1 holds keys of rank 0 only; ranks 1 and 2 first appear in
+        # chunks 2 and 3, interleaved with rows of keys already held
+        events = [
+            (r, v, 0, 0.1 * i, 0.1 * i + 0.3 / (i + 1), 0.01 * (i % 3), -1)
+            for i, (r, v) in enumerate(
+                [(0, i % 2) for i in range(16)]
+                + [(1, 5), (0, 1)] * 8
+                + [(2, 3), (0, 0), (1, 5), (2, 4)] * 4
+            )
+        ]
+        buf = TraceBuffer(keep_events=False)
+        _fill(buf, events)
+        totals, waited = self._fold_reference(
+            [((r, v), (e - s, w)) for r, v, _k, s, e, w, _o in events], 2
+        )
+        assert list(buf.vertex_time()) == [(0, 0), (0, 1), (1, 5), (2, 3), (2, 4)]
+        assert self._bits(buf.vertex_time()) == self._bits(
+            {k: t[0] for k, t in totals.items()}
+        )
+        assert self._bits(buf.vertex_wait()) == self._bits(
+            {k: t[1] for k, t in totals.items() if waited[k]}
+        )
+
     def test_sealed_set_wait_survives_json_round_trip(self):
         import json
 
