@@ -70,7 +70,6 @@ class FieldRule:
     field: str
     coerce: str
     term: tuple
-    affine: tuple | None = None
     frame: tuple[str, ...] = ()
 
 
@@ -141,14 +140,8 @@ def stmt_template(analysis: RankAnalysis, stmt: ast.Stmt) -> StmtTemplate:
                 f"{stmt.location}: {field} is rank-dependent with no "
                 "closed rank function"
             )
-        affine = av.affine
-        if affine is not None and not all(
-            isinstance(c, int) or c is None for c in affine
-        ):
-            affine = None
         varying.append(FieldRule(
-            field, coerce, av.term, affine,
-            tuple(sorted(frame_names(av.term))),
+            field, coerce, av.term, tuple(sorted(frame_names(av.term))),
         ))
     return StmtTemplate(stmt.stmt_id, tuple(varying))
 

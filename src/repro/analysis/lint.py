@@ -343,8 +343,8 @@ def _batched_streams(
     No devirtualization map, so a class with a wildcard receive stays
     per-rank and the wildcard rules still see ``ANY``; a class whose
     representative raised or ran past ``max_iterations`` is absent, so
-    errors come from the per-rank path.  No cost model either: the
-    replay is untimed, so no op is precosted."""
+    errors come from the per-rank path.  The templates are the engine's:
+    they record ops and member columns only, and no op is precosted."""
     from repro.simulator.classbatch import BatchResult, build_batched_streams
 
     if symmetry.n_classes == nprocs:
@@ -353,7 +353,7 @@ def _batched_streams(
         program=program, psg=psg, nprocs=nprocs, params=params,
         entry=entry, max_iterations=max_iterations,
         analysis=symmetry.analysis, summary=symmetry, expr_cache=expr_cache,
-        cost=None, precost_compute=False, devirt=None,
+        devirt=None,
     )
 
 

@@ -27,13 +27,12 @@ class (never the run) to per-rank interpretation:
    surfaces at the same simulated moment the per-rank oracle would
    surface it, not eagerly at engine start.
 
-A column is evaluated for the whole class at once: an affine rule as
-``a * members + b`` (``np.mod`` for ``% mod``, which floors like Python's
-``%``) when its range provably fits int64; any other integer term of
-``rank``, ``P``, constants and frame locals under ``+ - * / %``,
-comparisons, ``&& || !``, unary ``-`` and ``sel`` as one int64 or bool
-column (:func:`_term_column`, exact while no member's evaluation could
-raise or leave int64); anything else by ``eval_term`` per member.
+A column is evaluated for the whole class at once: an integer term of
+``rank``, ``P``, constants and frame locals under ``+ - * / %``
+(``np.mod``, which floors like Python's ``%``), comparisons,
+``&& || !``, unary ``-`` and ``sel`` as one int64 or bool column
+(:func:`_term_column`, exact while no member's evaluation could raise or
+leave int64); anything else by ``eval_term`` per member.
 Coercion to the interpreter's argument types runs on whole columns; any
 value the interpreter would reject refuses the class with the reason the
 per-member evaluation gives (:func:`_member_values`).
@@ -47,15 +46,19 @@ execution of a frame-reading statement, the frame values its template
 reads; each execution's member columns are then evaluated under that
 frame and cached by its bits.
 
-The builder never touches the engine: it returns each class's template
-plus plain per-rank op lists fanned out from it on first read, and the
-engine feeds them through the same handler loop as generator-backed
-ranks.  Fan-out is the only place member op objects are built: a column
-set builds its members' ops once (with plain Python ``int``/``float``
-fields), so positions sharing a column set share them, and class members
-whose stream needs no substitution share one list (each rank consumes its
-own ``iter``).  A run the lockstep drain takes reads only the columns, so
-no member op is built.  Bit-identity with the per-rank oracle is gated by
+The builder never touches the engine or a cost model: a template holds
+the interpreter's own ops and the member columns, for the engine and the
+lint alike, and each drain costs what it runs.  It returns each class's
+template plus plain per-rank op lists fanned out from it on first read,
+and the engine feeds them through the same handler loop as
+generator-backed ranks; only a run that gets no lockstep plan first
+swaps in precosted twins (:func:`precost_classes`).  Fan-out is the only
+place member op objects are built: a column set builds its members' ops
+once (with plain Python ``int``/``float`` fields), so positions sharing
+a column set share them, and class members whose stream needs no
+substitution share one list (each rank consumes its own ``iter``).  A
+run the lockstep drain takes reads only the columns, so no member op is
+built.  Bit-identity with the per-rank oracle is gated by
 ``tests/test_oracle_sweep.py``.
 """
 
@@ -85,13 +88,15 @@ from repro.simulator.errors import SimulationError
 from repro.simulator.interp import _YIELD_ONE, Interpreter
 
 __all__ = [
-    "COST_FIELDS",
     "WORKLOAD_FIELDS",
+    "BatchedStreams",
     "BatchResult",
     "ColumnSet",
     "build_batched_streams",
     "field_values",
+    "precost_classes",
     "stack_columns",
+    "transfer_column",
 ]
 
 #: Hard sizing caps: fan-out trades memory for speed, so refuse templates
@@ -110,7 +115,7 @@ _RECV_HALF = {"recv_src": "src", "recv_tag": "tag"}
 #: A compute's workload, split into the fields a column can vary.
 WORKLOAD_FIELDS = ("flops", "mem_bytes", "locality", "threads")
 #: A precosted compute's baked cost fields, in ``PrecostedComputeOp`` order.
-COST_FIELDS = ("duration", "ins", "cyc", "lst", "dcm")
+_COST_FIELDS = ("duration", "ins", "cyc", "lst", "dcm")
 
 #: The int64 range a column evaluates in, symmetric so that no floored
 #: ``%`` meets ``INT64_MIN % -1``.
@@ -119,7 +124,6 @@ _I64_MAX = (1 << 63) - 1
 #: A frame-leaf local that was not in the frame when the statement ran.
 _UNBOUND = object()
 _PACK_D = struct.Struct("<d").pack
-_PACK_4D = struct.Struct("<4d").pack
 #: op type -> getter of its field tuple (the classification memo's keys)
 _FIELDS: dict[type, attrgetter] = {}
 
@@ -291,18 +295,12 @@ def build_batched_streams(
     analysis: RankAnalysis,
     summary: SymmetrySummary,
     expr_cache: dict,
-    cost: CostModel | None,
-    precost_compute: bool,
     devirt: dict | None = None,
 ) -> BatchResult:
-    """Build the class template of every batchable class.
-
-    ``precost_compute`` must only be True when ``cost.compute_cost`` is
-    rank-independent (no per-execution noise, no per-rank speed spread) —
-    the engine checks the machine model before enabling it.  With
-    ``cost=None`` nothing is precosted (sends stay plain ``SendOp``s),
-    for callers that never time the streams; ``precost_compute`` must
-    then be False.
+    """Build the class template of every batchable class.  A template
+    records the representative's ops and its members' columns only, for
+    the engine and the lint alike: no op is precosted (see
+    :func:`precost_classes`).
 
     ``devirt`` is the match-order devirtualization map (see
     ``Engine._devirt_map``): an ANY-source receive with a proven-unique
@@ -319,9 +317,6 @@ def build_batched_streams(
     # Recording closures compile into a cache of their own, so the
     # program's shared one holds exactly what per-rank interpreters compile.
     rep_cache = {} if frame_stmts else expr_cache
-    # workload bits -> baked cost row, shared by every class: the cost is
-    # rank-independent whenever it is baked at all
-    precost_cache: dict[bytes, tuple] = {}
     result = BatchResult()
     reasons: list[str] = []
 
@@ -344,8 +339,7 @@ def build_batched_streams(
         try:
             base, patches = _build_template(
                 rep_stream, frame_values, frame_stmts, members, analysis,
-                loc_index, template_cache, nprocs, cost, precost_compute,
-                precost_cache, devirt,
+                loc_index, template_cache, nprocs, devirt,
             )
         except _Fallback as exc:
             _note(result, reasons, str(exc))
@@ -441,7 +435,7 @@ class _Build:
 
     def __init__(
         self, members, nprocs, analysis, loc_index, template_cache,
-        frame_stmts, cost, precost_compute, precost_cache, devirt,
+        frame_stmts, devirt,
     ) -> None:
         self.members = members
         self.ranks = np.asarray(members, dtype=np.int64)
@@ -450,9 +444,6 @@ class _Build:
         self.loc_index = loc_index
         self.template_cache = template_cache
         self.frame_stmts = frame_stmts
-        self.cost = cost
-        self.precost_compute = precost_compute
-        self.precost_cache = precost_cache
         self.devirt = devirt
         #: (stmt_id, field, frame key) -> coerced member column
         self.value_cache: dict = {}
@@ -471,15 +462,12 @@ def _build_template(
     loc_index: dict,
     template_cache: dict,
     nprocs: int,
-    cost: CostModel | None,
-    precost_compute: bool,
-    precost_cache: dict,
     devirt: dict | None,
 ):
     """One pass over the representative stream -> (base, patches).
 
-    ``base`` is the representative's stream with shared compute and send
-    ops swapped for their precosted twins; ``patches`` lists ``(position,
+    ``base`` is the representative's stream (a devirtualized wildcard's
+    position takes its rewritten op); ``patches`` lists ``(position,
     column set)`` for rank-varying positions.  Instances with equal
     fields and frame share one classification (memoized streams repeat
     instances, frame-reading statements yield fresh ones), and a column
@@ -487,7 +475,7 @@ def _build_template(
     """
     build = _Build(
         members, nprocs, analysis, loc_index, template_cache, frame_stmts,
-        cost, precost_compute, precost_cache, devirt,
+        devirt,
     )
     base: list = []
     patches: list[tuple[int, ColumnSet]] = []
@@ -564,15 +552,8 @@ def _classify_op(op, recorded: tuple | None, build: _Build) -> tuple:
     if isinstance(template, IneligibleStmt):
         raise _Fallback(str(template))
 
-    cost = build.cost
     rules = _rules_for(op, op_type, template)
     if not rules and devirt_srcs is None:
-        if build.precost_compute and op_type is ops.ComputeOp:
-            return ("share", _precosted(
-                op, op.workload, cost, build.precost_cache
-            ))
-        if op_type is ops.SendOp and cost is not None:
-            return ("share", _precosted_send(op, op.nbytes, cost))
         return ("share", op)
 
     # Frame-reading statements: this execution's frame, bound for every
@@ -597,7 +578,7 @@ def _classify_op(op, recorded: tuple | None, build: _Build) -> tuple:
 def _vary(op, op_type, stmt, rules, env, frame_key, devirt_srcs, build):
     """Derive a rank-varying instance's member columns (witness-checked
     against the representative at index 0) and build its column set."""
-    loc, members, cost = op.location, build.members, build.cost
+    loc, members = op.location, build.members
     columns: dict[str, np.ndarray] = {}
     value_cache = build.value_cache
     for rule, attr in rules:
@@ -616,6 +597,7 @@ def _vary(op, op_type, stmt, rules, env, frame_key, devirt_srcs, build):
         columns[attr] = column
 
     values = field_values(op)
+    make = op_type
     if devirt_srcs is not None:
         # Devirtualized wildcard: every member (the representative
         # included, hence "vary0") runs a concrete-source DevirtRecvOp;
@@ -628,24 +610,9 @@ def _vary(op, op_type, stmt, rules, env, frame_key, devirt_srcs, build):
                 (devirt_srcs[m] for m in members), np.int64, len(members),
             )
         columns["src"] = srcs
-    elif op_type is ops.ComputeOp:
-        make = ops.PrecostedComputeOp if build.precost_compute \
-            else ops.ComputeOp
-    elif op_type is ops.SendOp and cost is not None:
-        make = ops.PrecostedSendOp
-    else:
-        make = op_type
     values.update(columns)
     if op_type is ops.ComputeOp:
         _check_workload(op, values)
-    if make is ops.PrecostedComputeOp:
-        values.update(_precost_columns(
-            values, len(members), cost, build.precost_cache
-        ))
-    elif make is ops.PrecostedSendOp:
-        values["overhead"] = cost.send_overhead()
-        values["transfer"] = _transfer_column(values["nbytes"], cost)
-        values["op_code"] = MPI_OP_CODES[op.mpi_op]
     column_set = ColumnSet(make, values, len(members))
     if devirt_srcs is not None:
         return ("vary0", column_set, column_set.member_op(0))
@@ -710,47 +677,26 @@ def _member_values(
     exactly (``_rank_arg``/``_tag_arg``/``_bytes_arg``/``_number_arg``);
     any value the validators would reject mid-run raises ``_Fallback`` so
     the per-rank path reproduces the error at the right simulated moment.
-    An affine column is checked whole; values evaluated per member, or a
+    A term column is checked whole; values evaluated per member, or a
     column that fails its check, go through :func:`_coerce_values`, so a
     refusal names the first offending member's value.
     """
     members = np.asarray(members, dtype=np.int64)
-    affine = rule.affine
-    if affine is not None and affine[2] == 0:
-        # the term's own evaluation would fail the same way
-        raise _Fallback("term evaluation failed: modulo by zero")
-    column = None if affine is None else _affine_column(affine, members)
-    if column is not None:
-        if rule.coerce == "number":
-            return column.astype(np.float64)
-        if _in_range(rule, column, nprocs):
-            return column
+    column = _term_column(rule.term, members, nprocs, env)
+    if column is None:
+        try:
+            raw = [
+                eval_term(rule.term, r, nprocs, env) for r in members.tolist()
+            ]
+        except SimulationError as exc:
+            raise _Fallback(f"term evaluation failed: {exc}") from exc
+    elif column.dtype == bool or not _in_range(rule, column, nprocs):
+        # every coercion rejects a bool: the per-member reason
         raw = column.tolist()
-    elif affine is not None:
-        # exact Python ints where int64 could overflow
-        a, b, mod = affine
-        raw = (
-            [a * r + b for r in members.tolist()]
-            if mod is None
-            else [(a * r + b) % mod for r in members.tolist()]
-        )
+    elif rule.coerce == "number":
+        return column.astype(np.float64)
     else:
-        column = _term_column(rule.term, members, nprocs, env)
-        if column is None:
-            try:
-                raw = [
-                    eval_term(rule.term, r, nprocs, env)
-                    for r in members.tolist()
-                ]
-            except SimulationError as exc:
-                raise _Fallback(f"term evaluation failed: {exc}") from exc
-        elif column.dtype == bool or not _in_range(rule, column, nprocs):
-            # every coercion rejects a bool: the per-member reason
-            raw = column.tolist()
-        elif rule.coerce == "number":
-            return column.astype(np.float64)
-        else:
-            return column
+        return column
     out = _coerce_values(rule, raw, nprocs)
     try:
         return np.array(
@@ -761,27 +707,6 @@ def _member_values(
         raise _Fallback(
             f"derived {rule.field}={v!r} exceeds the int64 range"
         ) from None
-
-
-def _affine_column(affine: tuple, members: np.ndarray) -> np.ndarray | None:
-    """``a * members + b`` (floored ``% mod``) in int64, or None when an
-    intermediate could leave the int64 range: the coefficients are
-    unbounded Python ints, so the range is checked in Python first."""
-    a, b, mod = affine
-    if not (
-        type(a) is int and type(b) is int
-        and (mod is None or type(mod) is int)
-    ):
-        return None
-    lo, hi = int(members.min()), int(members.max())
-    # a * r + b is monotone in r: its extremes sit at the end points
-    bounds = (a, b, a * lo, a * hi, a * lo + b, a * hi + b) + (
-        () if mod is None else (mod,)
-    )
-    if any(abs(v) > _I64_MAX for v in bounds):
-        return None
-    column = a * members + b
-    return column if mod is None else np.mod(column, mod)
 
 
 def _in_range(rule, column: np.ndarray, nprocs: int) -> bool:
@@ -984,31 +909,93 @@ def _check_workload(op, values: dict) -> None:
         values["locality"] = np.where(locality < 1.0, locality, 1.0)
 
 
-def _precost_columns(
-    values: dict, n: int, cost: CostModel, precost_cache: dict
-) -> dict:
-    """The baked cost columns of a varying precosted compute: the cost
-    model is queried once per distinct workload bits (rank-independent,
-    by the caller's machine check) and scattered over the members."""
+def precost_classes(
+    classes: list, cost: CostModel, precost_compute: bool,
+) -> list:
+    """The batched classes ``(members, base, patches)`` with their sends,
+    and their computes when ``precost_compute``, swapped for precosted
+    twins (:class:`ops.PrecostedSendOp`, :class:`ops.PrecostedComputeOp`):
+    what the engine's time-ordered loop runs when it gets no lockstep plan.
+
+    A send's costs are pure in its byte count (the network model is fixed
+    and noise-free).  ``precost_compute`` must only be True when
+    ``cost.compute_cost`` is rank-independent (no per-execution noise, no
+    per-rank speed spread); the cost model is then queried once per
+    distinct workload bits over all classes.  Positions that share an op
+    or a column set share its twin."""
+    #: workload bits -> baked cost row, shared by every class
+    baked: dict[bytes, tuple] = {}
+    #: id of an op or column set -> its twin
+    twins: dict[int, object] = {}
+
+    def twin(item):
+        out = twins.get(id(item))
+        if out is None:
+            precosted = _precosted_set if type(item) is ColumnSet \
+                else _precosted_op
+            out = twins[id(item)] = precosted(
+                item, cost, precost_compute, baked,
+            )
+        return out
+
+    return [
+        (
+            members, [twin(op) for op in base],
+            [(pos, twin(column_set)) for pos, column_set in patches],
+        )
+        for members, base, patches in classes
+    ]
+
+
+def _precosted_op(op, cost: CostModel, precost_compute: bool, baked: dict):
+    """The precosted twin of one op every member runs, or the op."""
+    op_type = type(op)
+    if op_type is ops.SendOp:
+        return ops.PrecostedSendOp(
+            **field_values(op), overhead=cost.send_overhead(),
+            transfer=cost.p2p_transfer(op.nbytes),
+            op_code=MPI_OP_CODES[op.mpi_op],
+        )
+    if op_type is not ops.ComputeOp or not precost_compute:
+        return op
+    return ops.PrecostedComputeOp(
+        op.vid, op.location, op.workload, *_bake(cost, op.workload, baked),
+    )
+
+
+def _precosted_set(
+    column_set: ColumnSet, cost: CostModel, precost_compute: bool,
+    baked: dict,
+) -> ColumnSet:
+    """The precosted twin of one rank-varying position, or the column
+    set: a compute's cost columns are scattered from one query per
+    distinct workload bits."""
+    make, values, n = column_set.make, column_set.values, column_set.n
+    if make is ops.SendOp:
+        return ColumnSet(ops.PrecostedSendOp, {
+            **values, "overhead": cost.send_overhead(),
+            "transfer": transfer_column(values["nbytes"], cost),
+            "op_code": MPI_OP_CODES[values["mpi_op"]],
+        }, n)
+    if make is not ops.ComputeOp or not precost_compute:
+        return column_set
     rows = np.empty((n, 4))
     for j, f in enumerate(WORKLOAD_FIELDS):
         rows[:, j] = values[f]
     _, first, inverse = np.unique(
         rows.view(np.uint64), axis=0, return_index=True, return_inverse=True,
     )
-    baked = []
-    for i in first.tolist():
-        workload = rows[i].tolist()
-        key = _PACK_4D(*workload)
-        row = precost_cache.get(key)
-        if row is None:
-            row = precost_cache[key] = _bake(cost, Workload(*workload))
-        baked.append(row)
-    table = np.asarray(baked, dtype=np.float64)[inverse.reshape(-1)]
-    return {f: table[:, j].copy() for j, f in enumerate(COST_FIELDS)}
+    table = np.asarray([
+        _bake(cost, Workload(*rows[i].tolist()), baked)
+        for i in first.tolist()
+    ], dtype=np.float64)[inverse.reshape(-1)]
+    return ColumnSet(ops.PrecostedComputeOp, {
+        **values,
+        **{f: table[:, j].copy() for j, f in enumerate(_COST_FIELDS)},
+    }, n)
 
 
-def _transfer_column(nbytes, cost: CostModel):
+def transfer_column(nbytes, cost: CostModel):
     """Per-member transfer times of a send (one cost query per distinct
     byte count), or the one time every member shares."""
     if type(nbytes) is not np.ndarray:
@@ -1018,40 +1005,18 @@ def _transfer_column(nbytes, cost: CostModel):
     return np.asarray(times, dtype=np.float64)[inverse.reshape(-1)]
 
 
-def _precosted_send(op, nbytes: int, cost: CostModel):
-    """The precosted twin of one send op: the network model is fixed and
-    noise-free, so both per-event cost queries are pure in ``nbytes``."""
-    return ops.PrecostedSendOp(
-        vid=op.vid, location=op.location, dest=op.dest, tag=op.tag,
-        nbytes=nbytes, mpi_op=op.mpi_op, blocking=op.blocking,
-        request=op.request,
-        overhead=cost.send_overhead(), transfer=cost.p2p_transfer(nbytes),
-        op_code=MPI_OP_CODES[op.mpi_op],
-    )
-
-
-def _bake(cost: CostModel, workload: Workload) -> tuple:
-    """``(duration, ins, cyc, lst, dcm)`` of one rank-independent compute."""
-    duration, counters = cost.compute_cost(0, workload)
-    return (
-        duration, counters.tot_ins, counters.tot_cyc,
-        counters.tot_lst_ins, counters.l2_dcm,
-    )
-
-
-def _precosted(op, workload, cost: CostModel, precost_cache: dict):
-    """The precosted twin of one compute op (cost queried once per
-    distinct workload value — rank-independent by the caller's machine
-    check)."""
+def _bake(cost: CostModel, workload: Workload, baked: dict) -> tuple:
+    """``(duration, ins, cyc, lst, dcm)`` of one rank-independent compute,
+    queried once per distinct workload bits (``baked`` keeps them)."""
     key = workload.bits()
-    baked = precost_cache.get(key)
-    if baked is None:
-        baked = precost_cache[key] = _bake(cost, workload)
-    duration, ins, cyc, lst, dcm = baked
-    return ops.PrecostedComputeOp(
-        vid=op.vid, location=op.location, workload=workload,
-        duration=duration, ins=ins, cyc=cyc, lst=lst, dcm=dcm,
-    )
+    row = baked.get(key)
+    if row is None:
+        duration, counters = cost.compute_cost(0, workload)
+        row = baked[key] = (
+            duration, counters.tot_ins, counters.tot_cyc,
+            counters.tot_lst_ins, counters.l2_dcm,
+        )
+    return row
 
 
 def _fan_out(

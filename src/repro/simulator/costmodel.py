@@ -268,10 +268,12 @@ class CostModel:
     ) -> tuple[np.ndarray, ...]:
         """:meth:`compute_cost` for many ranks at once, without the
         per-execution noise factor: ``(duration, ins, cyc, lst, dcm)``
-        columns over ``ranks``.  The workload fields are columns or shared
-        scalars.  Every element carries the bits of the scalar call on a
-        noise-free machine: the same IEEE operations in the same
-        association, and the thread ``min`` keeps Python's tie rule (see
+        columns over ``ranks``, read-only.  The workload fields are
+        columns or shared scalars; a column every rank shares, as on a
+        machine without per-rank speed spread, is one value broadcast.
+        Every element carries the bits of the scalar call on a noise-free
+        machine: the same IEEE operations in the same association, and
+        the thread ``min`` keeps Python's tie rule (see
         :meth:`noisy_cost_columns` for the factor)."""
         m = self.machine
         core, mem = self._speeds(ranks)
@@ -284,7 +286,7 @@ class CostModel:
         duration = (arith_time + mem_time) / speedup
         miss_rate = 0.02 + 0.9 * (1.0 - locality)
         return tuple(
-            np.broadcast_to(column, len(ranks)).astype(np.float64)
+            np.broadcast_to(np.asarray(column, dtype=np.float64), len(ranks))
             for column in (
                 duration,
                 flops * m.ins_per_flop + mem_bytes / 8.0,
@@ -308,9 +310,13 @@ class CostModel:
             columns[3], columns[4],
         )
 
-    def _speeds(self, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _speeds(self, ranks: np.ndarray) -> tuple:
         """The core and memory speed columns of ``ranks`` (each rank's
-        factors drawn once, by :meth:`core_speed`/:meth:`mem_speed`)."""
+        factors drawn once, by :meth:`core_speed`/:meth:`mem_speed`), or
+        the factor every rank draws, 1.0, on a machine without spread."""
+        m = self.machine
+        if m.core_speed_sigma <= 0.0 and m.mem_speed_sigma <= 0.0:
+            return 1.0, 1.0
         key = ranks.tobytes()
         columns = self._speed_columns.get(key)
         if columns is None:

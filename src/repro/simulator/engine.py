@@ -363,7 +363,11 @@ class Engine:
 
     def start(self) -> None:
         """Create the interpreters, make every rank runnable and, where
-        it applies, compile the lockstep plan (see :meth:`drain`)."""
+        it applies, compile the lockstep plan (see :meth:`drain`).
+
+        The class templates carry no costs: lockstep costs what it runs.
+        Only a run that gets no plan precosts them, in one pass
+        (:meth:`_precosted_streams`), for the time-ordered loop."""
         cfg = self.config
         # One compiled-expression cache shared by every rank, and by every
         # engine of this program: the AST is rank- and scale-independent,
@@ -373,7 +377,7 @@ class Engine:
         devirt = self._devirt_map()
         batched = self._build_batched_streams(analysis, expr_cache, devirt)
         self._lockstep = self._compile_lockstep(len(batched))
-        self._batch_classes = None
+        classes, self._batch_classes = self._batch_classes, None
         if self._lockstep is not None:
             # A compiled plan runs every rank, so no stream is fanned out
             # (see classbatch.BatchedStreams) and no rank is queued; each
@@ -381,6 +385,8 @@ class Engine:
             self.procs.extend(_Proc(pid, iter(())) for pid in range(cfg.nprocs))
             self._handoffs = cfg.nprocs
             return
+        if classes:
+            batched = self._precosted_streams(classes, batched)
         for pid in range(cfg.nprocs):
             stream = batched.get(pid)
             if stream is not None:
@@ -479,6 +485,29 @@ class Engine:
         self.lockstep_reason = reason
         return None
 
+    def _precosted_streams(self, classes: list, batched):
+        """The batched ranks' streams with their sends, and their computes
+        when the cost is rank- and execution-independent, swapped for
+        precosted twins (:func:`repro.simulator.classbatch.precost_classes`),
+        so the time-ordered loop skips their per-event cost queries.  Purely
+        an optimizer: a pass that raises steps aside, and ``batched``, the
+        plain ops, runs instead."""
+        from repro.simulator.classbatch import BatchedStreams, precost_classes
+
+        machine = self.config.machine
+        try:
+            return BatchedStreams(precost_classes(
+                classes, self.cost,
+                precost_compute=(
+                    machine.noise_sigma <= 0.0
+                    and machine.core_speed_sigma <= 0.0
+                    and machine.mem_speed_sigma <= 0.0
+                ),
+            ))
+        except Exception as exc:
+            self._step_aside("precost_classes", exc)
+            return batched
+
     def _step_aside(self, component: str, exc: Exception) -> None:
         """Record why an optimizer analysis raised and was skipped."""
         self.class_batch_reasons += (
@@ -510,7 +539,6 @@ class Engine:
                     f"partition_ranks degraded: {summary.degraded}",
                 )
                 return {}
-            machine = cfg.machine
             result = build_batched_streams(
                 program=self.program,
                 psg=self.psg,
@@ -522,14 +550,6 @@ class Engine:
                 summary=summary,
                 expr_cache=expr_cache,
                 devirt=devirt,
-                cost=self.cost,
-                # Baked compute costs are only sound when the cost model
-                # is rank- and execution-independent.
-                precost_compute=(
-                    machine.noise_sigma <= 0.0
-                    and machine.core_speed_sigma <= 0.0
-                    and machine.mem_speed_sigma <= 0.0
-                ),
             )
         except Exception as exc:
             self._step_aside("build_batched_streams", exc)

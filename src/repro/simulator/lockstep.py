@@ -9,11 +9,13 @@ columns directly (no member op object is built) and checks, once at
 ``Engine.start``, that every position of every class has a lockstep rule
 and that the point-to-point matching is fixed by program order alone:
 
-* every position is a compute (precosted, or costed for all members at
-  once by ``CostModel.compute_cost_columns``), a send or isend, a
-  receive or irecv with a concrete source and tag, a wait or waitall,
-  or a collective whose op, root and byte count are the same on every
-  rank.  The k-th collective of every class is one instance;
+* every position is a compute, a send or isend, a receive or irecv
+  with a concrete source and tag, a wait or waitall, or a collective
+  whose op, root and byte count are the same on every rank.  The k-th
+  collective of every class is one instance.  A template carries no
+  costs: a compute is costed for all members at once by
+  ``CostModel.compute_cost_columns``, and a send from its byte-count
+  column and the send overhead;
 * MPI's non-overtaking rule pairs the k-th receive of a channel
   ``(source, destination, tag)`` with its k-th send.  With concrete
   sources that pairing is static: a rank belongs to one class, so its
@@ -90,11 +92,11 @@ import numpy as np
 from repro.minilang.ast_nodes import MpiOp
 from repro.simulator import ops
 from repro.simulator.classbatch import (
-    COST_FIELDS,
     WORKLOAD_FIELDS,
     ColumnSet,
     field_values,
     stack_columns,
+    transfer_column,
 )
 from repro.simulator.matching import pair_channels
 from repro.simulator.trace import MPI_OP_CODES, WILDCARD_CODE
@@ -144,8 +146,8 @@ class Plan:
         self.class_rows: list[tuple] = []
         self.event_rows = 0
         #: per class: its members, and per compute position its counter
-        #: row ``(vid, ins, cyc, lst, dcm)`` and the indices of the rows
-        #: holding a member column (see :func:`_counter_rows`)
+        #: row ``(vid, ins, cyc, lst, dcm)``, each counter a member column
+        #: (see :func:`_counter_rows`)
         self.counter_classes: list[tuple] = []
         #: send rows (every send position's members)
         self.send_rows = 0
@@ -291,7 +293,7 @@ class Plan:
         else:
             slabs.flush()
             counters = _Slabs(lambda m: trace.append_block(_NO_EVENTS, m), 6, size)
-            for members, table, _varied in self.counter_classes:
+            for members, table in self.counter_classes:
                 for row in table:
                     counters.put(len(members), members, *row)
             counters.flush()
@@ -367,9 +369,8 @@ class _Class:
         self.vids: list[int] = []
         self.op_codes: list[int] = []
         #: per compute position its counter row ``(vid, ins, cyc, lst,
-        #: dcm)``, and the indices of the rows holding a member column
+        #: dcm)``, each counter a member column
         self.counters: list[tuple] = []
-        self.varied: list[int] = []
         #: receive-completing positions in order, each ``(position, the
         #: receive positions it completes)``; then ``(position, needs,
         #: receive positions)``
@@ -438,9 +439,7 @@ def compile_plan(
     _gate_needs(parts, msgs, links)
     _merge(plan, parts, cost, msgs, links)
 
-    plan.counter_classes = [
-        (cls.members, cls.counters, cls.varied) for cls in parts
-    ]
+    plan.counter_classes = [(cls.members, cls.counters) for cls in parts]
     plan.mpi_calls = sum(cls.mpi_positions * cls.n for cls in parts)
     plan.compute_ops = sum(len(cls.counters) * cls.n for cls in parts)
     plan.devirt = sum(cls.devirt_positions * cls.n for cls in parts)
@@ -470,7 +469,10 @@ def _compile_class(
     #: id of a position's op or column set -> :func:`_position`
     memo: dict[int, tuple] = {}
     noisy = cost.machine.noise_sigma > 0.0
-    context = (n, ranks, cost, _delay_columns(delays, members), {}, noisy, nprocs)
+    context = (
+        n, ranks, cost, _delay_columns(delays, members), {}, noisy, nprocs,
+        send_ovh,
+    )
     if noisy:
         # row k: every member's factor for its k-th compute
         noise = cost.noise_columns(
@@ -506,12 +508,10 @@ def _compile_class(
                 operand, noise[len(cls.counters)],
             )
             what, operand = "compute", _delayed(duration, detail, n)
-            detail = ((vid, *counters), True)
+            detail = (vid, *counters)
         if what == "compute":
             runtime.append((_ADVANCE, c, rows, operand, None))
-            if detail[1]:
-                cls.varied.append(len(cls.counters))
-            cls.counters.append(detail[0])
+            cls.counters.append(detail)
             continue
         cls.mpi_positions += 1
         if what == "send":
@@ -844,13 +844,16 @@ def _stuck(parts: list, cursor: list, k: int, msgs: _Messages, links) -> str:
 
 def _position(
     op, column_set, n: int, members, cost, delay_at: dict, costs: dict,
-    noisy: bool, nprocs: int,
+    noisy: bool, nprocs: int, send_ovh: float,
 ) -> tuple:
     """``(what, vid, op code, operand, detail)`` of a position holding
     ``op``, or the members' ops of ``column_set`` when it is patched;
-    raises :class:`Refusal` when it has no lockstep rule.  The operand is
-    a compute's duration, a send's overhead or a collective's ``(op,
-    root, nbytes)``; a receive or wait depends on the requests
+    raises :class:`Refusal` when it has no lockstep rule.  Templates
+    carry no costs, so this is where they are costed: the operand is a
+    compute's duration (every member's, by :func:`_member_costs`), a
+    send's overhead (its transfer times, one cost query per distinct byte
+    count, go with its columns) or a collective's ``(op, root,
+    nbytes)``; a receive or wait depends on the requests
     outstanding, so :func:`_compile_class` builds its step.  A compute
     that draws noise is ``"noisy"``: its operand is its noise-free cost
     columns and its detail the injected delay, and
@@ -861,30 +864,21 @@ def _position(
     else:
         op_type, values = column_set.make, column_set.values
     vid = values["vid"]
-    if op_type is ops.PrecostedComputeOp or op_type is ops.ComputeOp:
+    if op_type is ops.ComputeOp:
         delayed = delay_at.get((op.location.filename, op.location.line))
-        if op_type is ops.PrecostedComputeOp:
-            duration, *row = (values[name] for name in COST_FIELDS)
-        elif noisy:
-            columns = _member_costs(cost, costs, values, members)
+        columns = _member_costs(cost, costs, values, members)
+        if noisy:
             return "noisy", vid, -1, columns, delayed
-        else:
-            duration, *row = _member_costs(cost, costs, values, members)
-        varies = any(type(v) is np.ndarray for v in row)
+        duration, *row = columns
         return (
-            "compute", vid, -1, _delayed(duration, delayed, n),
-            ((vid, *row), varies),
+            "compute", vid, -1, _delayed(duration, delayed, n), (vid, *row),
         )
-    if op_type is ops.PrecostedSendOp:
-        # the engine's batched sends are always precosted
-        transfer = values["transfer"]
-        if type(transfer) is not np.ndarray:
-            transfer = np.full(n, transfer, dtype=np.float64)
+    if op_type is ops.SendOp:
+        nbytes = values["nbytes"]
         return (
-            "send", vid, values["op_code"], values["overhead"],
-            (tuple(
-                _ints(values, name, n) for name in ("dest", "tag", "nbytes")
-            ) + (transfer,), values["request"]),
+            "send", vid, MPI_OP_CODES[values["mpi_op"]], send_ovh,
+            ((values["dest"], values["tag"], nbytes,
+              transfer_column(nbytes, cost)), values["request"]),
         )
     if op_type is ops.RecvOp or op_type is ops.DevirtRecvOp:
         for name in ("src", "tag"):
@@ -892,8 +886,8 @@ def _position(
                 raise Refusal(f"{op.location}: receive from ANY {name}")
         return (
             "recv", vid, MPI_OP_CODES[values["mpi_op"]], None,
-            ((_ints(values, "src", n), _ints(values, "tag", n),
-              op_type is ops.DevirtRecvOp), values["request"]),
+            ((values["src"], values["tag"], op_type is ops.DevirtRecvOp),
+             values["request"]),
         )
     if op_type is ops.WaitOp:
         return "wait", vid, _WAIT_CODE, None, values["request"]
@@ -919,51 +913,33 @@ def _uniform(op, values: dict, name: str):
     return value
 
 
-def _ints(values: dict, name: str, n: int) -> np.ndarray:
-    """An integer field as a per-member column."""
-    value = values[name]
-    if type(value) is np.ndarray:
-        return value
-    return np.full(n, value, dtype=np.int64)
-
-
 def _counter_rows(classes: list) -> np.ndarray:
     """The counter rows (rank, vid, ins, cyc, lst, dcm) of ``classes``
     (``Plan.counter_classes``), class after class, compute position after
     compute position."""
-    sizes = [len(counters) * len(members) for members, counters, _ in classes]
+    sizes = [len(counters) * len(members) for members, counters in classes]
     # column-major, so that each column is written in one sweep
     out = np.empty((6, sum(sizes))).T
     at = 0
-    for (members, counters, varied), size in zip(classes, sizes):
+    for (members, counters), size in zip(classes, sizes):
         if not counters:
             continue
         rows = out[at:at + size]
         at += size
-        positions, n = len(counters), len(members)
-        rows[:, 0] = np.tile(members, positions)
-        if varied:
-            # the rows holding a member column are written one by one
-            table = counters.copy()
-            for i in varied:
-                table[i] = (0.0,) * 5
-        else:
-            table = counters
-        table = np.asarray(table, dtype=np.float64)
-        for j in range(5):
-            column = rows[:, j + 1].reshape(positions, n)
-            column[:] = table[:, j, None]
-            for i in varied:
-                column[i] = counters[i][j]
+        rows[:, 0] = np.tile(members, len(counters))
+        vids, *columns = zip(*counters)
+        rows[:, 1] = np.repeat(np.asarray(vids, dtype=np.float64), len(members))
+        for j, column in enumerate(columns, 2):
+            rows[:, j] = np.concatenate(column)
     return out
 
 
 def _member_costs(cost, costs: dict, values: dict, members) -> tuple:
-    """Noise-free duration and counter columns of a compute position
-    whose cost is not precosted: ``cost.compute_cost(rank, workload)``
-    of every member at once, without the noise factor (pure, like the
-    engine's ``_compute_cache``).  ``costs`` keeps the columns of an
-    unpatched position per distinct workload bits."""
+    """Noise-free duration and counter columns of a compute position:
+    ``cost.compute_cost(rank, workload)`` of every member at once,
+    without the noise factor (pure, like the engine's
+    ``_compute_cache``).  ``costs`` keeps the columns of an unpatched
+    position per distinct workload bits."""
     workload = [values[name] for name in WORKLOAD_FIELDS]
     if any(type(v) is np.ndarray for v in workload):
         return cost.compute_cost_columns(members, *workload)

@@ -55,15 +55,17 @@ class ComputeOp(Op):
 
 @dataclass(slots=True)
 class PrecostedComputeOp(ComputeOp):
-    """A compute op whose cost-model query was hoisted to build time.
+    """A compute op whose cost-model query was hoisted to engine start.
 
-    Class batching (``repro.simulator.classbatch``) evaluates
-    ``CostModel.compute_cost`` once per distinct workload per class — the
-    cost is rank-independent whenever per-execution noise is off, which
-    the template build checks — and bakes the result into the template
+    Class templates carry no costs.  When a run gets no lockstep plan, the
+    engine bakes its batched classes for the time-ordered loop
+    (``repro.simulator.classbatch.precost_classes``): it evaluates
+    ``CostModel.compute_cost`` once per distinct workload bits — only
+    when the cost is rank- and execution-independent (no noise, no
+    per-rank speed spread) — and bakes the result into a twin of the op
     (a column over the members where the workload varies), so the
-    engine's compute handler skips the per-event ``(pid, workload)`` cache
-    probe entirely.
+    engine's compute handler skips the per-event ``(pid, workload)``
+    cache probe entirely.
     Bit-identical to handling the plain :class:`ComputeOp` (gated by the
     per-rank oracle sweep).
     """
@@ -87,13 +89,14 @@ class SendOp(Op):
 
 @dataclass(slots=True)
 class PrecostedSendOp(SendOp):
-    """A send whose network-cost queries were hoisted to build time.
+    """A send whose network-cost queries were hoisted to engine start.
 
     ``overhead`` and ``transfer`` are pure functions of the (fixed)
-    network model and the byte count, so class batching
-    (``repro.simulator.classbatch``) bakes them into the template (once
-    per distinct byte count) and the engine's send handler skips both
-    cost-model calls per event.
+    network model and the byte count.  When a run gets no lockstep plan,
+    the engine bakes them into twins of its batched classes' sends for
+    the time-ordered loop (``repro.simulator.classbatch.precost_classes``,
+    once per distinct byte count of a column), so the send handler skips
+    both cost-model calls per event.
     Bit-identical to handling the plain :class:`SendOp`.
     """
 

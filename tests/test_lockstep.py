@@ -14,7 +14,10 @@ position at a time as numpy columns.  These tests pin:
   location of the position that failed, and never in
   ``class_batch_reasons``;
 - refusal parity: a program lockstep refuses deadlocks, raises, or
-  leaves a request open exactly as the oracle does.
+  leaves a request open exactly as the oracle does;
+- one schedule proof, two consumers: the lint's templates, ops and
+  member columns like the engine's, compile where the engine's do, to
+  the same clocks.
 """
 
 from __future__ import annotations
@@ -24,14 +27,18 @@ import random
 import numpy as np
 import pytest
 
+import repro.simulator.classbatch as classbatch
+from repro.analysis import run_lint
 from repro.api import run_fingerprint
-from repro.apps import get_app
+from repro.apps import APPS, get_app
 from repro.runtime import profile_run
 from repro.simulator import SimulationConfig
 from repro.simulator.costmodel import CostModel, MachineModel, NetworkModel
 from repro.simulator.engine import DelayInjection, Engine
 from repro.simulator.collectives import CollectiveMismatchError
 from repro.simulator.errors import DeadlockError, MpiUsageError
+from repro.simulator.lockstep import Refusal, compile_plan
+from repro.simulator.trace import TraceBuffer
 from tests.conftest import (
     _compiled,
     aggregate_bits,
@@ -205,8 +212,8 @@ class TestIdentity:
         ))
 
     def test_per_rank_cost_model(self):
-        """Per-rank speed spread: compute is costed per member (not
-        precosted), once per distinct workload."""
+        """Per-rank speed spread: compute is costed per member, once per
+        distinct workload."""
         program, psg = _compiled(EVERY_KIND, "every_kind")
         machine = MachineModel(core_speed_sigma=0.2, mem_speed_sigma=0.3)
         assert_matches_oracle(program, psg, SimulationConfig(
@@ -847,3 +854,50 @@ class TestCrossClassRefusalParity:
         assert per_rank_trace_bytes(result.trace) == per_rank_trace_bytes(
             oracle.trace
         )
+
+
+# ---------------------------------------------------------------------------
+# the lint's templates
+
+
+@pytest.mark.parametrize("app", sorted(APPS))
+def test_lint_templates_compile_where_the_engines_do(app, monkeypatch):
+    """The lint's class templates, given the engine's cost model, compile
+    exactly where the engine's own do, to the same finish clocks, and
+    refuse elsewhere with the engine's reason."""
+    spec = get_app(app)
+    nprocs = 16
+    engine = Engine(spec.program, spec.psg, SimulationConfig(
+        nprocs=nprocs, params=spec.merged_params(),
+        machine=spec.machine or MachineModel(),
+    ))
+    result = engine.run()
+    builds = []
+    build = classbatch.build_batched_streams
+
+    def capturing(**kwargs):
+        builds.append(build(**kwargs))
+        return builds[-1]
+
+    monkeypatch.setattr(classbatch, "build_batched_streams", capturing)
+    run_lint(spec.program, spec.psg, nprocs, spec.merged_params())
+    (lint,) = builds
+    batched = sum(len(members) for members, _base, _patches in lint.classes)
+    plan = None
+    if batched != nprocs:
+        reason = f"{batched} of {nprocs} ranks class-batched"
+    else:
+        try:
+            plan = compile_plan(
+                lint.classes, nprocs, cost=engine.cost, delays=engine._delays,
+                send_ovh=engine._send_ovh, recv_ovh=engine._recv_ovh,
+            )
+            reason = None
+        except Refusal as exc:
+            reason = str(exc)
+    assert reason == engine.lockstep_reason
+    if plan is not None:
+        finish = plan.run(TraceBuffer(keep_events=True))
+        assert np.asarray(finish).tobytes() == np.asarray(
+            result.finish_times
+        ).tobytes()
