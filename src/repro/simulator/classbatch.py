@@ -37,14 +37,22 @@ Coercion to the interpreter's argument types runs on whole columns; any
 value the interpreter would reject refuses the class with the reason the
 per-member evaluation gives (:func:`_member_values`).
 
+The representative runs through a recording interpreter
+(:class:`_FrameRecorder`) that yields one op per distinct (statement,
+inline path, bits of the frame locals the statement reads): bit-equal
+executions share one instance, so the template builder classifies each
+distinct op once.  Its closures compile once per program, into a
+sub-cache of the program's compile cache, so the main cache holds
+exactly what per-rank interpreters compile.
+
 A rank function may read a loop-carried, rank-invariant local through a
 ``("frame", name)`` leaf (CG's hypercube partner ``rank - s`` for the
 doubling stride ``s``).  Such a value is not fixed per statement, so the
-representative runs through a recording interpreter (a private compile
-cache — the program's shared one keeps its closures) that notes, for every
-execution of a frame-reading statement, the frame values its template
-reads; each execution's member columns are then evaluated under that
-frame and cached by its bits.
+recorder notes, for each distinct op of a frame-reading statement, the
+frame values its template reads; the op's member columns are then
+evaluated under that frame and cached by its bits.  The template may
+read a leaf through an intermediate local (``w = rank * s`` used as
+``w``), so the recorder's key holds the template's frame locals too.
 
 The builder never touches the engine or a cost model: a template holds
 the interpreter's own ops and the member columns, for the engine and the
@@ -78,14 +86,20 @@ from repro.analysis.batching import (
     op_stmt_index,
     stmt_template,
 )
-from repro.analysis.rankdep import RankAnalysis, eval_term
+from repro.analysis.rankdep import (
+    RankAnalysis,
+    _compute_arg_exprs,
+    _free_names,
+    eval_term,
+    mpi_arg_exprs,
+)
 from repro.analysis.symmetry import SymmetrySummary
-from repro.minilang.ast_nodes import MpiOp
+from repro.minilang.ast_nodes import ComputeStmt, MpiOp
 from repro.simulator import ops
 from repro.simulator.trace import MPI_OP_CODES
 from repro.simulator.costmodel import CostModel, Workload
 from repro.simulator.errors import SimulationError
-from repro.simulator.interp import _YIELD_ONE, Interpreter
+from repro.simulator.interp import _YIELD_ONE, _YIELD_PAIR, Interpreter
 
 __all__ = [
     "WORKLOAD_FIELDS",
@@ -107,6 +121,9 @@ _MAX_RECORDED_REASONS = 8
 
 #: Key of the op-location index in the caller's per-program compile cache.
 _LOC_INDEX_KEY = "__classbatch_loc_index__"
+#: Key of the recorder's own compile cache inside the per-program one
+#: (see :class:`_FrameRecorder`).
+_RECORDER_KEY = "__classbatch_recorder__"
 
 #: Fields of the recv half of a sendrecv, as named by the analysis-side
 #: capture layout -> the RecvOp attribute they set.
@@ -121,7 +138,7 @@ _COST_FIELDS = ("duration", "ins", "cyc", "lst", "dcm")
 #: ``%`` meets ``INT64_MIN % -1``.
 _I64_MAX = (1 << 63) - 1
 
-#: A frame-leaf local that was not in the frame when the statement ran.
+#: A frame local that was not in the frame when the statement ran.
 _UNBOUND = object()
 _PACK_D = struct.Struct("<d").pack
 #: op type -> getter of its field tuple (the classification memo's keys)
@@ -314,9 +331,6 @@ def build_batched_streams(
         loc_index = expr_cache[_LOC_INDEX_KEY] = op_stmt_index(program)
     template_cache: dict[int, StmtTemplate | IneligibleStmt] = {}
     frame_stmts = _frame_stmts(analysis, loc_index, template_cache)
-    # Recording closures compile into a cache of their own, so the
-    # program's shared one holds exactly what per-rank interpreters compile.
-    rep_cache = {} if frame_stmts else expr_cache
     result = BatchResult()
     reasons: list[str] = []
 
@@ -328,7 +342,7 @@ def build_batched_streams(
         try:
             rep_stream, frame_values = _materialize(
                 program, psg, rep, nprocs, params, entry, max_iterations,
-                rep_cache, frame_stmts,
+                expr_cache, frame_stmts,
             )
         except Exception as exc:  # surfaces at the right time per-rank
             _note(result, reasons, f"representative rank {rep} raised: {exc}")
@@ -389,43 +403,89 @@ def _frame_stmts(
 
 
 class _FrameRecorder(Interpreter):
-    """A representative's interpreter that records, per execution of a
-    frame-reading statement, the values of the locals its template reads:
-    ``frame_values[id(op)]`` for each op the execution yields (a
-    sendrecv's two halves share one entry).  Its ops are fresh per
-    execution (the arguments read the frame, so no memo tier applies), and
-    the materialized stream keeps them alive, so ids stay unique."""
+    """A representative's interpreter that yields one op (or sendrecv
+    pair) per distinct (statement, inline path, bits of the frame locals
+    the statement reads), so bit-equal executions share one instance and
+    the template builder classifies it once.
+
+    The per-rank memo (:func:`repro.simulator.interp._reused`) covers
+    statements whose arguments are rank-static; every other op statement
+    is wrapped by :func:`_recording`.  Its key is the inline path plus the
+    bits of the frame-resident locals its captured arguments read, and of
+    the locals its template reads through ``("frame", name)`` leaves
+    (``frame_stmts``); the recorder's rank, ``nprocs`` and params are
+    fixed, so the key fixes the op.  For a statement in ``frame_stmts``
+    it also notes ``frame_values[id(op)]``, the template's frame values,
+    once per op (a sendrecv's two halves share one entry).
+
+    The wrapped closures hold nothing specific to a rank, a scale or the
+    params: they compile once per program into ``expr_cache``'s
+    recorder sub-cache, and read ``frame_stmts`` and the memo from the
+    recorder at run time.  The memo dies with the recorder; the
+    materialized stream keeps every op alive anyway, so ids stay unique.
+    """
 
     def __init__(self, *args, frame_stmts: dict, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.frame_stmts = frame_stmts
         self.frame_values: dict[int, tuple] = {}
+        #: (stmt_id, inline path, *frame bits) -> the op or sendrecv pair
+        self.recorded_ops: dict[tuple, object] = {}
 
     def _compile_stmt(self, stmt):
         kind, fn = super()._compile_stmt(stmt)
-        names = self.frame_stmts.get(stmt.stmt_id)
-        if names is None or getattr(fn, "_memoized_op", False):
+        if kind not in (_YIELD_ONE, _YIELD_PAIR) \
+                or getattr(fn, "_memoized_op", False):
             return kind, fn
+        exprs = _compute_arg_exprs(stmt) if isinstance(
+            stmt, ComputeStmt
+        ) else mpi_arg_exprs(stmt)
+        read: set[str] = set()
+        for expr in exprs:
+            if expr is not None:
+                _free_names(expr, read)
+        names = tuple(sorted(read & self._fnames))
+        return kind, _recording(fn, kind, stmt.stmt_id, names)
 
-        def record(frame, ctx, ip):
-            out = fn(frame, ctx, ip)
-            values = tuple(frame.get(n, _UNBOUND) for n in names)
-            for op in (out,) if kind == _YIELD_ONE else out:
-                ctx.frame_values[id(op)] = values
-            return out
 
-        return kind, record
+def _recording(build, kind: int, stmt_id: int, names: tuple[str, ...]):
+    """Memoize an op statement per recorder by the bits of the frame
+    locals ``names`` (its captured arguments' reads) and of its
+    template's frame locals.  A build that raises stores nothing, so it
+    raises again at the same position."""
+
+    def fn(frame, ctx, ip):
+        key = (stmt_id, ip)
+        for name in names:
+            # the type tells 1, 1.0 and True apart; a float keys by bits
+            v = frame.get(name, _UNBOUND)
+            t = type(v)
+            key += (t, _PACK_D(v) if t is float else v)
+        frame_names = ctx.frame_stmts.get(stmt_id)
+        if frame_names is not None:
+            recorded = tuple(frame.get(n, _UNBOUND) for n in frame_names)
+            key += (_frame_key(recorded),)
+        out = ctx.recorded_ops.get(key)
+        if out is None:
+            out = ctx.recorded_ops[key] = build(frame, ctx, ip)
+            if frame_names is not None:
+                for op in (out,) if kind == _YIELD_ONE else out:
+                    ctx.frame_values[id(op)] = recorded
+        return out
+
+    return fn
 
 
 def _materialize(
     program, psg, rank, nprocs, params, entry, max_iterations,
     expr_cache, frame_stmts,
 ) -> tuple[list, dict]:
-    """The representative's op stream plus its recorded frame values."""
+    """The representative's op stream plus its recorded frame values;
+    the recorder compiles into ``expr_cache``'s recorder sub-cache."""
     interp = _FrameRecorder(
         program, psg, rank, nprocs, params, frame_stmts=frame_stmts,
         max_iterations=max_iterations, entry=entry,
-        expr_cache=expr_cache,
+        expr_cache=expr_cache.setdefault(_RECORDER_KEY, {}),
     )
     return list(interp.run()), interp.frame_values
 
@@ -448,8 +508,8 @@ class _Build:
         #: (stmt_id, field, frame key) -> coerced member column
         self.value_cache: dict = {}
         #: (op type and fields, frame bits) -> classification of every
-        #: instance with those, so bit-equal executions share one column
-        #: set (and so its member ops)
+        #: op with those, so ops of different inputs but equal contents
+        #: share one column set (and so its member ops)
         self.classified: dict[tuple, tuple] = {}
 
 
@@ -468,10 +528,11 @@ def _build_template(
 
     ``base`` is the representative's stream (a devirtualized wildcard's
     position takes its rewritten op); ``patches`` lists ``(position,
-    column set)`` for rank-varying positions.  Instances with equal
-    fields and frame share one classification (memoized streams repeat
-    instances, frame-reading statements yield fresh ones), and a column
-    is evaluated once per statement, field and frame.
+    column set)`` for rank-varying positions.  The recorder repeats one
+    instance for bit-equal executions, so an instance is classified once
+    (by ``id``); instances with different inputs but equal fields and
+    frame share one classification, and a column is evaluated once per
+    statement, field and frame.
     """
     build = _Build(
         members, nprocs, analysis, loc_index, template_cache, frame_stmts,
@@ -483,7 +544,10 @@ def _build_template(
     # set, op); "vary0" means even the representative's own op was
     # rewritten (devirtualized wildcard), so base takes that op
     inst_cache: dict[int, tuple] = {}
-    varying_budget = _MAX_VARYING_INSTANCES
+    classified = build.classified
+    # fan-out builds member ops once per column set, so only a new column
+    # set (the classification memo grows) charges the size cap
+    charged = 0
 
     for pos, op in enumerate(rep_stream):
         entry = inst_cache.get(id(op))
@@ -491,9 +555,9 @@ def _build_template(
             entry = inst_cache[id(op)] = _classify_op(
                 op, frame_values.get(id(op)), build
             )
-            if entry[0] != "share":
-                varying_budget -= len(members)
-                if varying_budget < 0:
+            if len(classified) > charged:
+                charged = len(classified)
+                if charged * len(members) > _MAX_VARYING_INSTANCES:
                     raise _Fallback("rank-varying instances exceed size cap")
         if entry[0] == "share":
             base.append(entry[1])
@@ -514,9 +578,9 @@ def _classify_op(op, recorded: tuple | None, build: _Build) -> tuple:
 
     The columns are fixed per (statement, field, frame) within a class,
     so a classification is a function of the instance's fields and frame
-    alone: instances equal in both share it (and so one column set).  A
-    frame-reading statement yields a fresh instance per execution, so
-    its instances look the memo up first."""
+    alone: instances equal in both share it (and so one column set).
+    Called once per distinct instance; a frame-reading statement's
+    instances differ in their inputs, so they look the memo up first."""
     content = None
     if recorded is not None:
         content = (_content(op), _frame_key(recorded))

@@ -64,6 +64,19 @@ def main() {
 }
 """
 
+#: A ``±0.0`` local read by a rank-varying compute: ``-0.0`` bytes on the
+#: first iteration, ``0.0`` on the next two (``==``, bit-distinct).
+SIGNED_ZERO_LOCAL = """\
+def main() {
+    var z = -0.0;
+    for (var it = 0; it < 3; it = it + 1) {
+        compute(flops = 1000 * (rank + 1), bytes = z);
+        z = 0.0;
+    }
+    barrier();
+}
+"""
+
 
 class _Spy:
     """Counts ``compute_cost`` and ``compute_cost_columns`` calls, and
@@ -298,6 +311,40 @@ class TestSignedZeros:
         workloads = [op.workload for op in _computes(classes)]
         assert _zero_signs(workloads) == {-1.0, 1.0}
         assert spy.calls == len({w.bits() for w in workloads})
+
+    def test_signed_zero_local_gives_two_ops(self, monkeypatch):
+        """The recorder memoizes ops by the bits of the locals they read:
+        ``-0.0`` and ``0.0`` give two ops, two classifications and two
+        column sets."""
+        program, psg = _compiled(SIGNED_ZERO_LOCAL, "signed_zero_local")
+        spy = _Spy(monkeypatch)
+        classify = classbatch._classify_op
+        classified = []
+
+        def counting(op, *args):
+            classified.append(op)
+            return classify(op, *args)
+
+        monkeypatch.setattr(classbatch, "_classify_op", counting)
+        Engine(program, psg, SimulationConfig(nprocs=self.NPROCS)).start()
+        (result,) = spy.results
+        assert result.ranks_batched == self.NPROCS
+        ((_members, base, patches),) = result.classes
+        first, second, third = (
+            op for op in base if type(op) is ops.ComputeOp
+        )
+        assert second is third and first is not second
+        assert _zero_signs([first.workload, second.workload]) == {-1.0, 1.0}
+        assert [op for op in classified if type(op) is ops.ComputeOp] == [
+            first, second,
+        ]
+        assert len({id(column_set) for _, column_set in patches}) == 2
+
+    def test_signed_zero_local_matches_per_rank_oracle(self):
+        program, psg = _compiled(SIGNED_ZERO_LOCAL, "signed_zero_local")
+        with per_rank_oracle():
+            oracle = _fingerprint(program, psg, self.NPROCS)
+        assert _fingerprint(program, psg, self.NPROCS) == oracle
 
     def test_fingerprint_matches_per_rank_oracle(self):
         program, psg = _compiled(SIGNED_ZEROS, "signed_zeros")

@@ -2,9 +2,12 @@
 
 Every ``Engine`` started on a program reuses that program's compile
 cache (``engine.program_cache``): compiled statements, the rank
-analysis's call-graph facts and class batching's op -> statement index.
+analysis's call-graph facts, class batching's op -> statement index and
+the representative recorder's own compiled statements (one sub-cache).
 Its entries depend on the program alone, so runs at any scale, in any
-order and from any thread give the fingerprints of fresh caches.
+order and from any thread give the fingerprints and class templates of
+fresh caches, and the recorder's sub-cache leaves the compiled
+statements per-rank interpreters read as they would be without it.
 
 The lockstep compiler makes one pass over each class's positions and
 then merges the classes gate by gate: its merge visits grow with the
@@ -14,9 +17,11 @@ receive-completing positions, not with the positions between them.
 from __future__ import annotations
 
 import gc
+import struct
 import weakref
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from repro.analysis.rankdep import _FACTS_KEY
@@ -24,9 +29,11 @@ from repro.api import AnalysisConfig, Pipeline, run_fingerprint
 from repro.apps import get_app
 from repro.simulator import SimulationConfig
 from repro.simulator import engine as engine_mod
-from repro.simulator.classbatch import _LOC_INDEX_KEY
+from repro.simulator import classbatch
+from repro.simulator.classbatch import _LOC_INDEX_KEY, _RECORDER_KEY
+from repro.simulator.costmodel import MachineModel
 from repro.simulator.engine import Engine
-from tests.conftest import _compiled
+from tests.conftest import _compiled, per_rank_oracle
 
 SCALES = (8, 16, 32)
 
@@ -52,10 +59,101 @@ def test_shared_cache_gives_the_fingerprints_of_fresh_caches(app):
     assert _fingerprints(app, SCALES, jobs=2) == fresh
 
 
-@pytest.mark.parametrize("app", ["zeusmp", "sst"])
+def _value_key(value):
+    """A column set value by its bits: a column's dtype and bytes, a
+    shared float's IEEE pattern, anything else as is."""
+    if type(value) is np.ndarray:
+        return (value.dtype.str, value.tobytes())
+    if type(value) is float:
+        return (float, struct.pack("<d", value))
+    return (type(value), value)
+
+
+def _template_key(result) -> tuple:
+    """Every class template of one build: members, the base ops' types
+    and fields (workloads by bits), and each patch's position, op type
+    and column values."""
+    return tuple(
+        (
+            tuple(members),
+            tuple(classbatch._content(op) for op in base),
+            tuple(
+                (pos, column_set.make, tuple(sorted(
+                    (name, _value_key(value))
+                    for name, value in column_set.values.items()
+                )))
+                for pos, column_set in patches
+            ),
+        )
+        for members, base, patches in result.classes
+    )
+
+
+def _templates(app: str, scales, *, jobs: int = 1) -> dict[int, tuple]:
+    """The class templates of each scale's run, by ``nprocs``."""
+    build = classbatch.build_batched_streams
+    out: dict[int, tuple] = {}
+
+    def capturing(**kwargs):
+        result = build(**kwargs)
+        out[kwargs["nprocs"]] = _template_key(result)
+        return result
+
+    with mock.patch.object(classbatch, "build_batched_streams", capturing):
+        _fingerprints(app, scales, jobs=jobs)
+    assert sorted(out) == sorted(scales)
+    return out
+
+
+@pytest.mark.parametrize("app", ["cg", "mg"])
+def test_shared_cache_gives_the_templates_of_fresh_caches(app):
+    with _fresh_caches():
+        fresh = _templates(app, SCALES)
+    assert all(fresh[p] for p in SCALES)  # every scale batches a class
+    assert _templates(app, SCALES) == fresh
+    assert _templates(app, SCALES[::-1]) == fresh
+    assert _templates(app, SCALES, jobs=2) == fresh
+
+
+def _compiled_keys(cache: dict) -> set:
+    """The compiled-statement and compiled-expression entries."""
+    return {key for key in cache if type(key) is not str}
+
+
+@pytest.mark.parametrize("app", ["cg", "mg"])
+def test_recorder_compiles_into_its_own_sub_cache(app):
+    """A template build leaves the compiled entries of the program's
+    cache to per-rank interpreters: after it, they compile exactly what
+    a per-rank-only run compiles, and not the recorder's closures."""
+    spec = get_app(app)
+    config = SimulationConfig(
+        nprocs=16, params=spec.merged_params(),
+        machine=spec.machine or MachineModel(),
+    )
+    cache: dict = {}
+    with mock.patch.object(engine_mod, "program_cache", lambda p: cache):
+        engine = Engine(spec.program, spec.psg, config)
+        engine.start()
+        assert engine.class_batch_stats["ranks_batched"] == 16
+        assert _compiled_keys(cache) == set()
+        recorder = cache[_RECORDER_KEY]
+        with per_rank_oracle():
+            Engine(spec.program, spec.psg, config).run()
+    fresh: dict = {}
+    with mock.patch.object(engine_mod, "program_cache", lambda p: fresh), \
+            per_rank_oracle():
+        Engine(spec.program, spec.psg, config).run()
+    assert _compiled_keys(cache) == _compiled_keys(fresh)
+    assert _compiled_keys(recorder) == _compiled_keys(fresh)
+    bodies = [id(func) for func in spec.program.functions.values()]
+    assert all(cache[key] is not recorder[key] for key in bodies if key in cache)
+
+
+@pytest.mark.parametrize("app", ["zeusmp", "sst", "cg", "mg"])
 def test_later_scales_compile_nothing_new(app):
     """Every entry is program-only: once one scale has run, the next
-    ones find everything they compile already there."""
+    ones find everything they compile already there, the recorder's
+    sub-cache included."""
     spec = get_app(app)
     program = spec.program
     cache = engine_mod.program_cache(program)
@@ -65,7 +163,7 @@ def test_later_scales_compile_nothing_new(app):
         Engine(program, spec.psg, SimulationConfig(
             nprocs=nprocs, params=spec.merged_params(),
         )).run()
-        sizes.append(len(cache))
+        sizes.append((len(cache), len(cache[_RECORDER_KEY])))
     assert _FACTS_KEY in cache and _LOC_INDEX_KEY in cache
     assert sizes == [sizes[0]] * len(SCALES)
 
