@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 
 from repro.minilang import ast_nodes as ast
 from repro.psg.graph import PSG
@@ -53,6 +53,7 @@ __all__ = [
     "LoopSpec",
     "ScalingSkeleton",
     "build_comm_graph",
+    "count_comm",
     "extract_concrete",
 ]
 
@@ -64,6 +65,8 @@ _MAX_FAMILIES = 4096
 #: iteration cap while *walking* nested const loops is not needed (the
 #: walk visits each body once); this caps *instantiation* work instead
 _MAX_INSTANCE_OPS = 2_000_000
+#: :func:`extract_concrete`'s default interpreter iteration budget.
+EXTRACT_MAX_ITERATIONS = 2_000_000
 
 #: sentinel for variables whose value the walk cannot express
 _POISON = ("var", "!opaque")
@@ -849,7 +852,7 @@ def extract_concrete(
     params: Mapping[str, object] | None = None,
     *,
     entry: str = "main",
-    max_iterations: int = 2_000_000,
+    max_iterations: int = EXTRACT_MAX_ITERATIONS,
     expr_cache: dict | None = None,
 ) -> CommInstance:
     """Per-rank interpreter unroll aggregated into the same multiset
@@ -870,14 +873,21 @@ def extract_concrete(
             max_iterations=max_iterations, entry=entry,
             expr_cache=expr_cache,
         )
-        for op in interp.run():
-            if isinstance(op, ops.SendOp):
-                key = (rank, op.dest, op.tag, op.nbytes, op.blocking)
-                inst.sends[key] = inst.sends.get(key, 0) + 1
-            elif isinstance(op, ops.RecvOp):
-                key = (rank, op.src, op.tag, op.blocking)
-                inst.recvs[key] = inst.recvs.get(key, 0) + 1
-            elif isinstance(op, ops.CollectiveOp):
-                key = (rank, op.mpi_op.value, op.root, op.nbytes)
-                inst.collectives[key] = inst.collectives.get(key, 0) + 1
+        count_comm(inst, rank, interp.run())
     return inst
+
+
+def count_comm(inst: CommInstance, rank: int, rank_ops: Iterable) -> None:
+    """Add one rank's op stream to ``inst``; ops that do not communicate
+    (compute, waits, call notes) add nothing."""
+    sends, recvs, collectives = inst.sends, inst.recvs, inst.collectives
+    for op in rank_ops:
+        if isinstance(op, ops.SendOp):
+            key = (rank, op.dest, op.tag, op.nbytes, op.blocking)
+            sends[key] = sends.get(key, 0) + 1
+        elif isinstance(op, ops.RecvOp):
+            key = (rank, op.src, op.tag, op.blocking)
+            recvs[key] = recvs.get(key, 0) + 1
+        elif isinstance(op, ops.CollectiveOp):
+            key = (rank, op.mpi_op.value, op.root, op.nbytes)
+            collectives[key] = collectives.get(key, 0) + 1

@@ -114,7 +114,7 @@ from repro.simulator.errors import IterationLimitError, SimulationError
 from repro.simulator.interp import Interpreter
 from repro.simulator.matching import Mailbox, pair_channels
 
-from repro.analysis.rankdep import analyze_program
+from repro.analysis.rankdep import RankAnalysis, analyze_program
 from repro.analysis.symmetry import SymmetrySummary, partition_ranks
 
 __all__ = ["Severity", "LintFinding", "LintReport", "LintError", "run_lint"]
@@ -1229,11 +1229,31 @@ def run_lint(
     (memoized ops live on each interpreter)."""
     if expr_cache is None:
         expr_cache = {}
+    return _lint_at(
+        program, psg, nprocs, params,
+        analyze_program(program, nprocs, params, entry=entry, cache=expr_cache),
+        entry=entry, max_ops_per_rank=max_ops_per_rank,
+        max_iterations=max_iterations, expr_cache=expr_cache,
+    )[0]
+
+
+def _lint_at(
+    program: ast.Program,
+    psg: PSG,
+    nprocs: int,
+    params: Mapping[str, object] | None,
+    analysis: RankAnalysis,
+    *,
+    entry: str,
+    max_ops_per_rank: int,
+    max_iterations: int,
+    expr_cache: dict,
+) -> tuple[LintReport, list[_Stream]]:
+    """:func:`run_lint` with the rank analysis at ``nprocs`` given (the
+    concrete run's, or a symbolic run's instantiation, which equals it
+    field for field), plus every rank's stream."""
     symmetry = partition_ranks(
-        program, nprocs, params, entry=entry,
-        analysis=analyze_program(
-            program, nprocs, params, entry=entry, cache=expr_cache
-        ),
+        program, nprocs, params, entry=entry, analysis=analysis,
     )
     streams, ranks_batched, pairing = _collect_streams(
         program, psg, nprocs, params, entry, max_ops_per_rank,
@@ -1256,7 +1276,7 @@ def run_lint(
             symmetry=symmetry,
             incomplete=incomplete,
             ranks_batched=ranks_batched,
-        )
+        ), streams
 
     replay, mailbox_reason = _run_replay(streams, pairing, nprocs)
 
@@ -1412,7 +1432,7 @@ def run_lint(
         incomplete=False,
         ranks_batched=ranks_batched,
         mailbox_reason=mailbox_reason,
-    )
+    ), streams
 
 
 def _run_replay(

@@ -63,7 +63,7 @@ globals, so calls never mutate the caller frame).
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from collections.abc import Iterator, Mapping
 
@@ -77,6 +77,7 @@ __all__ = [
     "Rankness",
     "AbstractValue",
     "Decider",
+    "NotInstantiable",
     "RankAnalysis",
     "analyze_program",
     "closed_term",
@@ -162,7 +163,11 @@ def _terms_equal(a: tuple | None, b: tuple | None) -> bool:
 
 
 def _term_size(term: tuple) -> int:
-    return 1 + sum(_term_size(t) for t in term[1:] if isinstance(t, tuple))
+    size = 1
+    for sub in term[1:]:
+        if type(sub) is tuple:
+            size += _term_size(sub)
+    return size
 
 
 def _capped(term: tuple | None) -> tuple | None:
@@ -438,6 +443,377 @@ def _affine_result(form: tuple, term: tuple | None) -> AbstractValue:
 
 
 # --------------------------------------------------------------------------
+# expression folds (one verdict from its operands' verdicts)
+# --------------------------------------------------------------------------
+
+
+def _fold_unary(op: str, v: AbstractValue) -> AbstractValue:
+    if v.kind is Rankness.CONST:
+        try:
+            return const_av(_apply_unop(op, v.value))
+        except Exception:
+            return _DEP  # raising expressions never fold
+    term = None
+    if v.term is not None:
+        term = _capped(("un", op, v.term))
+    if op == "-":
+        form = _affine_form(v)
+        if form is not None and form[2] is None:
+            return _affine_result((-form[0], -form[1], None), term)
+    if v.kind <= Rankness.INVARIANT:
+        # keep the symbolic term: in symbolic-P mode INVARIANT values
+        # (functions of P/params) no longer fold to CONST
+        return AbstractValue(Rankness.INVARIANT, term=term)
+    return AbstractValue(Rankness.DEPENDENT, term=term)
+
+
+def _fold_call(func: str, *avs: AbstractValue) -> AbstractValue:
+    if all(a.kind is Rankness.CONST for a in avs):
+        try:
+            return const_av(_apply_call(func, [a.value for a in avs]))
+        except Exception:
+            return _DEP
+    term = None
+    if all(a.term is not None for a in avs):
+        term = _capped(("call", func) + tuple(a.term for a in avs))
+    if all(a.kind <= Rankness.INVARIANT for a in avs):
+        return AbstractValue(Rankness.INVARIANT, term=term)
+    return AbstractValue(Rankness.DEPENDENT, term=term)
+
+
+def _fold_binary(
+    op: str, left: AbstractValue, right: AbstractValue
+) -> AbstractValue:
+    # short-circuit: a decided && / || never evaluates its right side, so
+    # fold on the left alone when possible (matching the runtime); the
+    # walk still evaluates the right side, to record its verdict
+    if op in ("&&", "||") and left.kind is Rankness.CONST:
+        try:
+            lt = truthy(left.value)
+        except Exception:
+            return _DEP
+        if (op == "&&" and not lt) or (op == "||" and lt):
+            return const_av(op == "||")
+        if right.kind is Rankness.CONST:
+            try:
+                return const_av(truthy(right.value))
+            except Exception:
+                return _DEP
+        term = None
+        if right.term is not None:
+            term = _capped(("bin", op, left.term, right.term))
+        if right.kind <= Rankness.INVARIANT:
+            return AbstractValue(Rankness.INVARIANT, term=term)
+        return AbstractValue(Rankness.DEPENDENT, term=term)
+    if left.kind is Rankness.CONST and right.kind is Rankness.CONST:
+        try:
+            return const_av(_apply_binop(op, left.value, right.value))
+        except Exception:
+            return _DEP
+    term = None
+    if left.term is not None and right.term is not None:
+        term = _capped(("bin", op, left.term, right.term))
+    if op in ("+", "-", "*", "%"):
+        form = _affine_binop(op, left, right)
+        if form is not None:
+            return _affine_result(form, term)
+    if left.kind <= Rankness.INVARIANT and right.kind <= Rankness.INVARIANT:
+        return AbstractValue(Rankness.INVARIANT, term=term)
+    return AbstractValue(Rankness.DEPENDENT, term=term)
+
+
+# --------------------------------------------------------------------------
+# walk decisions (each a function of verdicts, so a concrete scale can
+# recompute it: see RankAnalysis.instantiate)
+# --------------------------------------------------------------------------
+
+
+def _branch_outcome(cond: AbstractValue) -> str:
+    """How the walk takes an ``if``: one arm ("then"/"else") on a constant
+    condition, both arms merged under the condition's taint ("split") on
+    a rank-dependent one, both arms joined ("join") otherwise."""
+    if cond.kind is Rankness.CONST:
+        try:
+            return "then" if truthy(cond.value) else "else"
+        except Exception:
+            return "join"  # invalid condition: runtime raises
+    return "split" if cond.kind >= Rankness.AFFINE else "join"
+
+
+def _loop_entered(cond: AbstractValue) -> bool:
+    """Does the walk analyze the body of a loop with this entry condition?"""
+    if cond.kind is not Rankness.CONST:
+        return True
+    try:
+        return truthy(cond.value)
+    except Exception:
+        return False  # invalid condition: runtime raises before the body
+
+
+def _rank_split(av: AbstractValue) -> bool:
+    return av.kind >= Rankness.AFFINE
+
+
+def _diverges(before: AbstractValue | None, after: AbstractValue | None) -> bool:
+    """After a loop with a rank-dependent trip count, may a local its body
+    writes differ across ranks?  Unless it holds one constant throughout
+    (equal INVARIANT verdicts may still be different values: ranks that
+    skip the body keep theirs)."""
+    return (
+        before is None or after is None
+        or before.kind is not Rankness.CONST
+        or not av_equal(before, after)
+    )
+
+
+def _leaf_differs(before: AbstractValue, after: AbstractValue) -> bool:
+    """Do a carried local's iterations disagree while staying
+    rank-invariant (it then gets its ``("frame", name)`` head leaf)?"""
+    return (
+        before.kind <= Rankness.INVARIANT
+        and after.kind <= Rankness.INVARIANT
+        and not av_equal(before, after)
+    )
+
+
+def _call_outcome(callee: AbstractValue) -> tuple:
+    """An indirect call's target: ("target", name) when constant,
+    ("split",) when it varies across ranks, ("invariant",) otherwise."""
+    from repro.simulator.interp import FuncRefValue
+
+    if callee.kind is Rankness.CONST and isinstance(callee.value, FuncRefValue):
+        return ("target", callee.value.name)
+    return ("split",) if callee.kind >= Rankness.AFFINE else ("invariant",)
+
+
+def _has_closed_term(av: AbstractValue) -> bool:
+    return closed_term(av) is not None
+
+
+def _summary_key(target: str, arg_avs) -> tuple:
+    """The abstract calling context a callee's analysis is memoized by."""
+    return (target,) + tuple(
+        (av.kind, type(av.value).__name__, av.value, av.term)
+        if av.kind is Rankness.CONST
+        else (av.kind, av.term)
+        for av in arg_avs
+    )
+
+
+#: How an instantiation that steps aside names each recorded step.
+_STEP_LABELS = {
+    join: "a join",
+    av_equal: "a comparison",
+    _fold_unary: "a folded value",
+    _fold_call: "a folded value",
+    _fold_binary: "a folded value",
+    _without_frame: "a frame invalidation",
+    _branch_outcome: "a branch",
+    _loop_entered: "a loop entry",
+    _rank_split: "a rank split",
+    _diverges: "a loop exit",
+    _leaf_differs: "a loop head",
+    _call_outcome: "a call target",
+    _has_closed_term: "a trip-count bound",
+}
+
+
+# --------------------------------------------------------------------------
+# instantiating a symbolic analysis at one scale
+# --------------------------------------------------------------------------
+
+
+def _reads_p(term: tuple | None) -> bool:
+    """Does ``term`` read the symbolic scale ``("P",)``?"""
+    if term is None:
+        return False
+    tag = term[0]
+    if tag == "P":
+        return True
+    if tag == "const" or tag == "rank" or tag == "frame":
+        return False
+    for sub in term[1:]:
+        if type(sub) is tuple and _reads_p(sub):
+            return True
+    return False
+
+
+def _same_av(a: AbstractValue | None, b: AbstractValue | None) -> bool:
+    """Field-for-field equality that tells 1, 1.0 and True apart."""
+    if a is b:
+        return True
+    if a is None or b is None:
+        return False
+    return (
+        a.kind is b.kind
+        and _same_const(a.value, b.value)
+        and a.affine == b.affine
+        and (a.term is b.term or _terms_equal(a.term, b.term))
+    )
+
+
+class NotInstantiable(Exception):
+    """A symbolic analysis cannot stand for the concrete one at a scale;
+    the message says where the walk would have gone another way."""
+
+
+def _where(node: object) -> str:
+    location = getattr(node, "location", None)
+    return f"{location}: " if location is not None else ""
+
+
+class _Refold:
+    """Verdicts of a symbolic run at one concrete scale: every term that
+    reads ``("P",)`` re-folds bottom-up through the walk's own folds with
+    P bound; every other verdict is shared as it is.
+
+    The memos key on ``id(term)`` of the symbolic run's own terms, which
+    its record keeps alive: ``reads`` and ``free`` (the verdict of each
+    P-free sub-term) hold for every scale and are the record's."""
+
+    def __init__(self, nprocs: int, reads: dict, free: dict) -> None:
+        self.nprocs = nprocs
+        self._reads = reads
+        self._free = free
+        self._memo: dict[int, AbstractValue] = {}
+
+    def reads_p(self, term: tuple) -> bool:
+        out = self._reads.get(id(term))
+        if out is None:
+            out = self._reads[id(term)] = _reads_p(term)
+        return out
+
+    def av(self, av):
+        if type(av) is not AbstractValue or av.term is None \
+                or not self.reads_p(av.term):
+            return av
+        return self.term(av.term)
+
+    def term(self, term: tuple) -> AbstractValue:
+        key = id(term)
+        out = self._memo.get(key) or self._free.get(key)
+        if out is None:
+            out = self._fold(term)
+            (self._memo if self.reads_p(term) else self._free)[key] = out
+        return out
+
+    def _fold(self, term: tuple) -> AbstractValue:
+        tag = term[0]
+        if tag == "const":
+            return const_av(term[1])
+        if tag == "rank":
+            return _RANK
+        if tag == "P":
+            return const_av(self.nprocs)
+        if tag == "frame":
+            return AbstractValue(Rankness.INVARIANT, term=term)
+        if tag == "bin":
+            return _fold_binary(term[1], self.term(term[2]), self.term(term[3]))
+        if tag == "un":
+            return _fold_unary(term[1], self.term(term[2]))
+        if tag == "call":
+            return _fold_call(term[1], *map(self.term, term[2:]))
+        if tag == "sel":
+            # a merge under a rank-dependent condition (which the recorded
+            # branch outcome keeps rank-dependent at this scale)
+            parts = [self.term(t).term for t in term[1:]]
+            if None in parts:
+                return _DEP
+            return AbstractValue(
+                Rankness.DEPENDENT, term=_capped(("sel", *parts))
+            )
+        if tag == "trip":
+            ends = [closed_term(self.term(t)) for t in term[3:]]
+            if None in ends:
+                raise NotInstantiable("a trip-count bound has no closed term")
+            return AbstractValue(
+                Rankness.DEPENDENT,
+                term=_capped(("trip", term[1], term[2], *ends)),
+            )
+        raise NotInstantiable(f"term tag {tag!r} does not re-fold")
+
+
+@dataclass
+class _SymbolicRecord:
+    """What a symbolic run noted for :meth:`RankAnalysis.instantiate`."""
+
+    #: reasons no scale can take the symbolic run's verdicts
+    hazards: tuple[str, ...]
+    #: (step function, arguments, symbolic outcome, AST node) of every
+    #: walk step whose outcome a concrete scale could change
+    steps: list[tuple]
+    #: callee -> the argument verdicts of each context it was analyzed
+    #: in, for callees where a context reads P (two contexts that meet
+    #: at some scale are analyzed once there)
+    contexts: dict[str, list[tuple]]
+    #: keys of the verdicts that read P
+    p_exprs: tuple[int, ...]
+    p_stmts: tuple[int, ...]
+    p_deciders: tuple[int, ...]
+    #: :class:`_Refold`'s scale-free memos
+    _reads: dict = field(default_factory=dict)
+    _free: dict = field(default_factory=dict)
+
+    def instantiate(self, analysis: RankAnalysis, nprocs: int) -> RankAnalysis:
+        if self.hazards:
+            raise NotInstantiable(self.hazards[0])
+        refold = _Refold(nprocs, self._reads, self._free)
+        inst = refold.av
+        for step, args, out, node in self.steps:
+            got = step(*map(inst, args))
+            if not (
+                _same_av(got, inst(out)) if type(out) is AbstractValue
+                else got == out
+            ):
+                raise NotInstantiable(
+                    f"{_where(node)}{_STEP_LABELS[step]} on nprocs goes "
+                    f"another way at P={nprocs}"
+                )
+        for target, contexts in self.contexts.items():
+            seen: set = set()
+            for args in contexts:
+                key = _summary_key(target, map(inst, args))
+                with contextlib.suppress(TypeError):
+                    if key in seen:
+                        raise NotInstantiable(
+                            f"two calling contexts of {target}() meet at "
+                            f"P={nprocs}"
+                        )
+                    seen.add(key)
+        expr_verdicts = dict(analysis.expr_verdicts)
+        for key in self.p_exprs:
+            expr_verdicts[key] = refold.term(expr_verdicts[key].term)
+        stmt_args = dict(analysis.stmt_args)
+        for sid in self.p_stmts:
+            stmt_args[sid] = tuple(map(inst, stmt_args[sid]))
+        deciders = dict(analysis.deciders)
+        for sid in self.p_deciders:
+            deciders[sid] = replace(deciders[sid], av=inst(deciders[sid].av))
+        return RankAnalysis(
+            program=analysis.program,
+            nprocs=nprocs,
+            params=dict(analysis.params),
+            entry=analysis.entry,
+            expr_verdicts=expr_verdicts,
+            stmt_args=stmt_args,
+            # a statement with a P argument is not constant with P symbolic
+            const_stmts=analysis.const_stmts | _const_stmts(
+                {sid: stmt_args[sid] for sid in self.p_stmts}
+            ),
+            deciders=deciders,
+            degraded_reasons=analysis.degraded_reasons,
+        )
+
+
+def _const_stmts(stmt_args: dict) -> frozenset[int]:
+    return frozenset(
+        sid
+        for sid, avs in stmt_args.items()
+        if all(av.kind is Rankness.CONST for av in avs)
+    )
+
+
+# --------------------------------------------------------------------------
 # analysis results
 # --------------------------------------------------------------------------
 
@@ -466,7 +842,10 @@ class RankAnalysis:
     ``nprocs`` is ``None`` for a *symbolic* run (``analyze_program`` with
     ``nprocs=None``): verdicts and terms are then closed over the extra
     ``("P",)`` symbol and hold for every scale — see
-    :mod:`repro.analysis.scaleparam`.
+    :mod:`repro.analysis.scaleparam`.  A symbolic run also notes every
+    walk step whose outcome a concrete scale could change, so that
+    :meth:`instantiate` can produce the concrete run at any scale, field
+    for field, or step aside.
     """
 
     program: ast.Program
@@ -485,6 +864,29 @@ class RankAnalysis:
     const_stmts: frozenset[int]
     deciders: dict[int, Decider]
     degraded_reasons: tuple[str, ...]
+    #: a symbolic run's notes for :meth:`instantiate` (None otherwise)
+    _record: _SymbolicRecord | None = field(
+        default=None, repr=False, compare=False
+    )
+
+    def instantiate(self, nprocs: int) -> RankAnalysis:
+        """This symbolic analysis at one concrete scale, without running
+        the dataflow again: equal field for field to
+        ``analyze_program(program, nprocs, params)``.
+
+        Every verdict that reads P re-folds with P bound, through the
+        walk's own folds; every noted walk step (a branch or loop entry
+        on P, a join or comparison where a P term meets another term, a
+        value whose P term was dropped) is recomputed at ``nprocs`` and
+        must come out as it did with P symbolic, or the walk there would
+        have gone another way.  Raises :class:`NotInstantiable` with the
+        first such step (or whole-program reason) otherwise."""
+        if self._record is None:
+            raise NotInstantiable(
+                "not a symbolic analysis" if self.nprocs is not None
+                else self.degraded or "no symbolic record"
+            )
+        return self._record.instantiate(self, nprocs)
 
     @property
     def degraded(self) -> str | None:
@@ -652,6 +1054,26 @@ class _Analyzer:
         self._frame_vars: set[str] = set()
         self._steps = 0
 
+    # -- walk steps a symbolic run notes (see _SymbolicAnalyzer) --------
+
+    def _join(self, x, y, node=None) -> AbstractValue:
+        return join(x, y)
+
+    def _av_equal(self, x, y, node=None) -> bool:
+        return av_equal(x, y)
+
+    def _decide(self, outcome, node, *avs):
+        return outcome(*avs)
+
+    def _drop_frame(self, av, name=None, node=None) -> AbstractValue:
+        return _without_frame(av, name)
+
+    def _cap(self, term: tuple, node) -> tuple | None:
+        return _capped(term)
+
+    def _note_context(self, target: str, arg_avs: list) -> None:
+        pass
+
     # -- recording -----------------------------------------------------
 
     def _record_expr(self, expr: ast.Expr, av: AbstractValue) -> None:
@@ -659,7 +1081,7 @@ class _Analyzer:
             return
         key = id(expr)
         old = self.expr_verdicts.get(key)
-        self.expr_verdicts[key] = av if old is None else join(old, av)
+        self.expr_verdicts[key] = av if old is None else self._join(old, av, expr)
 
     def _record_stmt_args(self, stmt: ast.Stmt, avs: tuple) -> None:
         if self._quiet:
@@ -667,7 +1089,7 @@ class _Analyzer:
         old = self.stmt_args.get(stmt.stmt_id)
         self.stmt_args[stmt.stmt_id] = (
             avs if old is None
-            else tuple(join(a, b) for a, b in zip(old, avs))
+            else tuple(self._join(a, b, stmt) for a, b in zip(old, avs))
         )
 
     def _record_decider(
@@ -676,7 +1098,7 @@ class _Analyzer:
         if self._quiet:
             return
         old = self.deciders.get(stmt.stmt_id)
-        joined = av if old is None else join(old.av, av)
+        joined = av if old is None else self._join(old.av, av, stmt)
         self.deciders[stmt.stmt_id] = Decider(
             stmt_id=stmt.stmt_id, location=stmt.location, kind=kind, av=joined
         )
@@ -759,7 +1181,9 @@ class _Analyzer:
         # witness re-runs this evaluator; subclasses take the chain below)
         expr_type = type(expr)
         if expr_type is ast.BinaryExpr:
-            return self._eval_binary(expr, env)
+            return _fold_binary(
+                expr.op, self._eval(expr.left, env), self._eval(expr.right, env)
+            )
         if expr_type is ast.VarRef:
             return self._resolve_name(expr.name, env)
         if isinstance(expr, (ast.IntLit, ast.FloatLit, ast.StringLit, ast.BoolLit)):
@@ -773,94 +1197,22 @@ class _Analyzer:
         if isinstance(expr, ast.VarRef):
             return self._resolve_name(expr.name, env)
         if isinstance(expr, ast.UnaryExpr):
-            v = self._eval(expr.operand, env)
-            if v.kind is Rankness.CONST:
-                try:
-                    return const_av(_apply_unop(expr.op, v.value))
-                except Exception:
-                    return _DEP  # raising expressions never fold
-            term = None
-            if v.term is not None:
-                term = _capped(("un", expr.op, v.term))
-            if expr.op == "-":
-                form = _affine_form(v)
-                if form is not None and form[2] is None:
-                    return _affine_result(
-                        (-form[0], -form[1], None), term
-                    )
-            if v.kind <= Rankness.INVARIANT:
-                # keep the symbolic term: in symbolic-P mode INVARIANT
-                # values (functions of P/params) no longer fold to CONST
-                return AbstractValue(Rankness.INVARIANT, term=term)
-            return AbstractValue(Rankness.DEPENDENT, term=term)
+            return _fold_unary(expr.op, self._eval(expr.operand, env))
         if isinstance(expr, ast.BinaryExpr):
-            return self._eval_binary(expr, env)
+            return _fold_binary(
+                expr.op, self._eval(expr.left, env), self._eval(expr.right, env)
+            )
         if isinstance(expr, ast.CallExpr):
-            avs = [self._eval(a, env) for a in expr.args]
-            if all(a.kind is Rankness.CONST for a in avs):
-                try:
-                    return const_av(
-                        _apply_call(expr.func, [a.value for a in avs])
-                    )
-                except Exception:
-                    return _DEP
-            term = None
-            if all(a.term is not None for a in avs):
-                term = _capped(
-                    ("call", expr.func) + tuple(a.term for a in avs)
-                )
-            if all(a.kind <= Rankness.INVARIANT for a in avs):
-                return AbstractValue(Rankness.INVARIANT, term=term)
-            return AbstractValue(Rankness.DEPENDENT, term=term)
+            return _fold_call(
+                expr.func, *[self._eval(a, env) for a in expr.args]
+            )
         return _DEP  # unknown node type: the interpreter raises on it
-
-    def _eval_binary(self, expr: ast.BinaryExpr, env: dict) -> AbstractValue:
-        op = expr.op
-        left = self._eval(expr.left, env)
-        # short-circuit: a decided && / || never evaluates its right side,
-        # so fold on the left alone when possible (matching the runtime)
-        if op in ("&&", "||") and left.kind is Rankness.CONST:
-            try:
-                lt = truthy(left.value)
-            except Exception:
-                self._eval(expr.right, env)  # still record the right side
-                return _DEP
-            if (op == "&&" and not lt) or (op == "||" and lt):
-                self._eval(expr.right, env)
-                return const_av(op == "||")
-            right = self._eval(expr.right, env)
-            if right.kind is Rankness.CONST:
-                try:
-                    return const_av(truthy(right.value))
-                except Exception:
-                    return _DEP
-            term = None
-            if right.term is not None:
-                term = _capped(("bin", op, left.term, right.term))
-            if right.kind <= Rankness.INVARIANT:
-                return AbstractValue(Rankness.INVARIANT, term=term)
-            return AbstractValue(Rankness.DEPENDENT, term=term)
-        right = self._eval(expr.right, env)
-        if left.kind is Rankness.CONST and right.kind is Rankness.CONST:
-            try:
-                return const_av(_apply_binop(op, left.value, right.value))
-            except Exception:
-                return _DEP
-        term = None
-        if left.term is not None and right.term is not None:
-            term = _capped(("bin", op, left.term, right.term))
-        if op in ("+", "-", "*", "%"):
-            form = _affine_binop(op, left, right)
-            if form is not None:
-                return _affine_result(form, term)
-        if left.kind <= Rankness.INVARIANT and right.kind <= Rankness.INVARIANT:
-            return AbstractValue(Rankness.INVARIANT, term=term)
-        return AbstractValue(Rankness.DEPENDENT, term=term)
 
     # -- environment merging -------------------------------------------
 
     def _merge_branch(
-        self, env_t: dict, env_e: dict, cond_av: AbstractValue
+        self, env_t: dict, env_e: dict, cond_av: AbstractValue,
+        rank_split: bool, stmt: ast.Stmt,
     ) -> dict:
         """Merge the two arm environments of an if statement.
 
@@ -868,45 +1220,46 @@ class _Analyzer:
         on becomes rank-dependent (with a ``sel`` term when both sides
         stayed symbolic).
         """
-        rank_split = cond_av.kind >= Rankness.AFFINE
         out: dict = {}
         for name in set(env_t) | set(env_e):
             a = env_t[name] if name in env_t else self._resolve_name(name, {})
             b = env_e[name] if name in env_e else self._resolve_name(name, {})
-            j = join(a, b)
-            if rank_split and not av_equal(a, b):
+            if rank_split and not self._av_equal(a, b, stmt):
                 if a.term is not None and b.term is not None \
                         and cond_av.term is not None:
-                    term = _capped(("sel", cond_av.term, a.term, b.term))
-                    j = AbstractValue(Rankness.DEPENDENT, term=term)
+                    term = self._cap(("sel", cond_av.term, a.term, b.term), stmt)
+                    out[name] = AbstractValue(Rankness.DEPENDENT, term=term)
                 else:
-                    j = _DEP
-            out[name] = j
+                    out[name] = _DEP
+            else:
+                out[name] = self._join(a, b, stmt)
         return out
 
-    def _invalidate(self, env: dict, names) -> None:
+    def _invalidate(self, env: dict, names, node=None) -> None:
         """Drop every term in ``env`` that reads a frame leaf of one of
         ``names`` (their frame value changed, or may have on some path)."""
         for name in self._frame_vars.intersection(names):
             for key, av in env.items():
-                env[key] = _without_frame(av, name)
+                env[key] = self._drop_frame(av, name, node)
 
-    def _bind(self, env: dict, name: str, av: AbstractValue) -> None:
+    def _bind(self, env: dict, name: str, av: AbstractValue, node) -> None:
         """``name = av``: terms that read ``name``'s old frame value —
         including ``av``'s own (``s = s * 2``) — lose them."""
         env[name] = av
-        self._invalidate(env, (name,))
+        self._invalidate(env, (name,), node)
 
-    def _join_env(self, a: dict, b: dict) -> dict:
+    def _join_env(self, a: dict, b: dict, node) -> dict:
         out: dict = {}
         for name in set(a) | set(b):
             x = a[name] if name in a else self._resolve_name(name, {})
             y = b[name] if name in b else self._resolve_name(name, {})
-            out[name] = join(x, y)
+            out[name] = self._join(x, y, node)
         return out
 
-    def _env_equal(self, a: dict, b: dict) -> bool:
-        return set(a) == set(b) and all(av_equal(a[k], b[k]) for k in a)
+    def _env_equal(self, a: dict, b: dict, node) -> bool:
+        return set(a) == set(b) and all(
+            self._av_equal(a[k], b[k], node) for k in a
+        )
 
     # -- statements -----------------------------------------------------
 
@@ -927,10 +1280,11 @@ class _Analyzer:
                 self._eval(stmt.init, env)
                 if stmt.init is not None
                 else const_av(0),
+                stmt,
             )
             return
         if isinstance(stmt, ast.Assign):
-            self._bind(env, stmt.name, self._eval(stmt.value, env))
+            self._bind(env, stmt.name, self._eval(stmt.value, env), stmt)
             return
         if isinstance(stmt, (ast.ReturnStmt, ast.ComputeStmt, ast.MpiStmt)) \
                 and self._quiet:
@@ -974,34 +1328,32 @@ class _Analyzer:
 
     def _analyze_if(self, stmt: ast.IfStmt, env: dict) -> None:
         cond_av = self._eval(stmt.cond, env)
-        if cond_av.kind is Rankness.CONST:
-            try:
-                taken = truthy(cond_av.value)
-            except Exception:
-                taken = None  # invalid condition: runtime raises
-            if taken is True:
-                self._analyze_block(stmt.then_body, env)
-                return
-            if taken is False:
-                if stmt.else_body is not None:
-                    self._analyze_block(stmt.else_body, env)
-                return
+        outcome = self._decide(_branch_outcome, stmt, cond_av)
+        if outcome == "then":
+            self._analyze_block(stmt.then_body, env)
+            return
+        if outcome == "else":
+            if stmt.else_body is not None:
+                self._analyze_block(stmt.else_body, env)
+            return
         env_t = dict(env)
         self._analyze_block(stmt.then_body, env_t)
         env_e = dict(env)
         if stmt.else_body is not None:
             self._analyze_block(stmt.else_body, env_e)
-        merged = self._merge_branch(env_t, env_e, cond_av)
+        merged = self._merge_branch(
+            env_t, env_e, cond_av, outcome == "split", stmt
+        )
         # a frame leaf stands for a rank-invariant frame value; a local
         # assigned in either arm may now differ across ranks (and the
         # condition read its pre-branch value), so no term keeps it
         written = _assigned_names(stmt.then_body)
         if stmt.else_body is not None:
             written |= _assigned_names(stmt.else_body)
-        self._invalidate(merged, written)
+        self._invalidate(merged, written, stmt)
         env.clear()
         env.update(merged)
-        if cond_av.kind >= Rankness.AFFINE:
+        if outcome == "split":
             observable = self._block_emits(stmt.then_body) or (
                 stmt.else_body is not None
                 and self._block_emits(stmt.else_body)
@@ -1028,14 +1380,16 @@ class _Analyzer:
             for _ in range(_MAX_LOOP_ITERS):
                 body_env = dict(state)
                 cond_av = run_body(body_env)
-                cond_joined = join(cond_joined, cond_av) \
+                cond_joined = self._join(cond_joined, cond_av, stmt) \
                     if cond_av is not None else cond_joined
-                new_state = self._join_env(state, body_env)
+                new_state = self._join_env(state, body_env, stmt)
                 for name in carried:
-                    leaf = self._head_leaf(name, state[name], body_env[name])
+                    leaf = self._head_leaf(
+                        name, state[name], body_env[name], stmt
+                    )
                     if leaf is not None:
                         new_state[name] = leaf
-                if self._env_equal(new_state, state):
+                if self._env_equal(new_state, state, stmt):
                     break
                 state = new_state
             else:
@@ -1044,9 +1398,13 @@ class _Analyzer:
                 run_body(body_env)
                 state = {
                     name: (state[name] if name in state and (
-                        av_equal(state[name], body_env.get(name, _DEP))
+                        self._av_equal(
+                            state[name], body_env.get(name, _DEP), stmt
+                        )
                         or name in carried
-                        and self._is_head_leaf(name, state[name], body_env[name])
+                        and self._is_head_leaf(
+                            name, state[name], body_env[name], stmt
+                        )
                     ) else _DEP)
                     for name in set(state) | set(body_env)
                 }
@@ -1054,58 +1412,51 @@ class _Analyzer:
             self._quiet -= 1
         run_body(dict(state))  # record under the stable head state
         cond_final = cond_joined if cond_joined is not None else const_av(True)
-        if cond_final.kind >= Rankness.AFFINE:
+        if self._decide(_rank_split, stmt, cond_final):
             # rank-dependent trip count: every variable the loop body can
-            # write diverges across ranks after the loop — unless it holds
-            # one constant throughout (equal INVARIANT verdicts may still
-            # be different values: ranks that skip the body keep theirs)
+            # write diverges across ranks after the loop
             for name in written:
-                before = env.get(name)
-                after = state.get(name)
-                if before is None or after is None \
-                        or before.kind is not Rankness.CONST \
-                        or not av_equal(before, after):
+                if self._decide(
+                    _diverges, stmt, env.get(name), state.get(name)
+                ):
                     state[name] = _DEP
-            self._invalidate(state, written)
+            self._invalidate(state, written, stmt)
         env.clear()
         env.update(state)
         return cond_final
 
     def _head_leaf(
-        self, name: str, before: AbstractValue, after: AbstractValue
+        self, name: str, before: AbstractValue, after: AbstractValue, stmt
     ) -> AbstractValue | None:
         """The loop-head value of a carried local whose iterations
         disagree while staying rank-invariant: the ``("frame", name)``
         leaf (None when the plain join applies)."""
-        if before.kind <= Rankness.INVARIANT \
-                and after.kind <= Rankness.INVARIANT \
-                and not av_equal(before, after):
+        if self._decide(_leaf_differs, stmt, before, after):
             self._frame_vars.add(name)
             return AbstractValue(Rankness.INVARIANT, term=("frame", name))
         return None
 
     def _is_head_leaf(
-        self, name: str, before: AbstractValue, after: AbstractValue
+        self, name: str, before: AbstractValue, after: AbstractValue, stmt
     ) -> bool:
         """Is ``before`` already the stable head leaf of ``name``?"""
-        leaf = self._head_leaf(name, before, after)
-        return leaf is not None and av_equal(before, leaf)
+        leaf = self._head_leaf(name, before, after, stmt)
+        return leaf is not None and self._av_equal(before, leaf, stmt)
 
     def _analyze_while(self, stmt: ast.WhileStmt, env: dict) -> None:
         first_cond = self._eval(stmt.cond, env)
-        if first_cond.kind is Rankness.CONST:
-            try:
-                if not truthy(first_cond.value):
-                    return  # loop never runs
-            except Exception:
-                return  # invalid condition: runtime raises before the body
+        if not self._decide(_loop_entered, stmt, first_cond):
+            return
 
         def run_body(body_env: dict) -> AbstractValue:
             self._analyze_block(stmt.body, body_env)
             return self._eval(stmt.cond, body_env)
 
-        cond_joined = join(first_cond, self._loop_fixpoint(stmt, env, run_body))
-        if cond_joined.kind >= Rankness.AFFINE and self._block_emits(stmt.body):
+        cond_joined = self._join(
+            first_cond, self._loop_fixpoint(stmt, env, run_body), stmt
+        )
+        if self._decide(_rank_split, stmt, cond_joined) \
+                and self._block_emits(stmt.body):
             self._record_decider(stmt, "loop", _DEP)
             self._degrade(
                 stmt, "while loop with rank-dependent condition emits ops"
@@ -1118,12 +1469,9 @@ class _Analyzer:
         first_cond = (
             self._eval(stmt.cond, env) if stmt.cond is not None else None
         )
-        if first_cond is not None and first_cond.kind is Rankness.CONST:
-            try:
-                if not truthy(first_cond.value):
-                    return
-            except Exception:
-                return
+        if first_cond is not None \
+                and not self._decide(_loop_entered, stmt, first_cond):
+            return
 
         def run_body(body_env: dict) -> AbstractValue | None:
             self._analyze_block(stmt.body, body_env)
@@ -1133,10 +1481,10 @@ class _Analyzer:
                 return self._eval(stmt.cond, body_env)
             return None
 
-        cond_joined = join(
-            first_cond, self._loop_fixpoint(stmt, env, run_body)
+        cond_joined = self._join(
+            first_cond, self._loop_fixpoint(stmt, env, run_body), stmt
         )
-        if cond_joined.kind >= Rankness.AFFINE and (
+        if self._decide(_rank_split, stmt, cond_joined) and (
             self._block_emits(stmt.body)
         ):
             trip = self._countable_trip(stmt, entry_env)
@@ -1199,58 +1547,56 @@ class _Analyzer:
         _free_names(cond.right, bound_free)
         if bound_free & written:
             return None
-        init_term = closed_term(self._eval(init_expr, entry_env))
-        bound_term = closed_term(self._eval(cond.right, entry_env))
-        if init_term is None or bound_term is None:
+        init_av = self._eval(init_expr, entry_env)
+        bound_av = self._eval(cond.right, entry_env)
+        if not self._decide(_has_closed_term, stmt, init_av) \
+                or not self._decide(_has_closed_term, stmt, bound_av):
             return None
-        return _capped(("trip", cond.op, delta, init_term, bound_term))
+        return self._cap(
+            ("trip", cond.op, delta, init_av.term, bound_av.term), stmt
+        )
 
     def _analyze_call(self, stmt: ast.CallStmt, env: dict) -> None:
         if self._quiet:
             return
         # the callee runs in a fresh frame: caller frame leaves mean
         # nothing there (a parameter may even shadow the caller's name)
-        arg_avs = [_without_frame(self._eval(a, env)) for a in stmt.args]
+        arg_avs = [
+            self._drop_frame(self._eval(a, env), None, stmt) for a in stmt.args
+        ]
         callee = stmt.callee
         target: str | None = None
         if isinstance(callee, ast.VarRef) \
                 and callee.name in self.program.functions:
             target = callee.name
         else:
-            from repro.simulator.interp import FuncRefValue
-
             callee_av = self._eval(callee, env)
-            if callee_av.kind is Rankness.CONST \
-                    and isinstance(callee_av.value, FuncRefValue):
-                target = callee_av.value.name
-            elif callee_av.kind >= Rankness.AFFINE:
+            outcome = self._decide(_call_outcome, stmt, callee_av)
+            if outcome[0] == "split":
                 # different ranks may call different functions
                 self._record_decider(stmt, "call", callee_av)
                 self._degrade(
                     stmt, "indirect call with rank-dependent target"
                 )
                 return
-            else:
+            if outcome[0] == "invariant":
                 # unknown-but-rank-invariant target: every rank calls the
                 # same function; its body was pre-analyzed pessimistically
                 # (address-taken), so nothing more to do here
                 return
+            target = outcome[1]
         func = self.program.functions.get(target)
         if func is None or len(func.params) != len(stmt.args):
             return  # runtime error; nothing executes past it
         if target in self._active or target in self.recursive:
             return  # covered by the pessimistic pre-analysis
-        key = (target,) + tuple(
-            (av.kind, type(av.value).__name__, av.value, av.term)
-            if av.kind is Rankness.CONST
-            else (av.kind, av.term)
-            for av in arg_avs
-        )
+        key = _summary_key(target, arg_avs)
         with contextlib.suppress(TypeError):  # unhashable: just re-analyze
             hash(key)
             if key in self._summaries:
                 return  # same abstract context already analyzed
             self._summaries.add(key)
+            self._note_context(target, arg_avs)
         self._analyze_function(target, dict(zip(func.params, arg_avs)))
 
     def _analyze_function(self, name: str, env: dict) -> None:
@@ -1279,11 +1625,6 @@ class _Analyzer:
         entry = self.program.functions.get(self.entry)
         if entry is not None and not entry.params:
             self._analyze_function(self.entry, {})
-        const_stmts = frozenset(
-            sid
-            for sid, avs in self.stmt_args.items()
-            if all(av.kind is Rankness.CONST for av in avs)
-        )
         return RankAnalysis(
             program=self.program,
             nprocs=self.nprocs,
@@ -1291,10 +1632,110 @@ class _Analyzer:
             entry=self.entry,
             expr_verdicts=self.expr_verdicts,
             stmt_args=self.stmt_args,
-            const_stmts=const_stmts,
+            const_stmts=_const_stmts(self.stmt_args),
             deciders=self.deciders,
             degraded_reasons=tuple(dict.fromkeys(self.degraded)),
         )
+
+
+class _SymbolicAnalyzer(_Analyzer):
+    """The walk with ``nprocs`` symbolic (``("P",)``), noting every step
+    whose outcome a concrete scale could change: a join or comparison
+    where a P term meets another term, a decision on a P term, a value
+    whose P term a fold, a frame invalidation or the size cap dropped.
+    A verdict that keeps its P term needs no note — it re-folds at any
+    scale (see :meth:`RankAnalysis.instantiate`)."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._steps_noted: list[tuple] = []
+        self._hazards: list[str] = []
+        self._contexts: dict[str, list[tuple]] = {}
+
+    def _join(self, x, y, node=None) -> AbstractValue:
+        out = join(x, y)
+        if x is not None and y is not None and out.term is None \
+                and (_reads_p(x.term) or _reads_p(y.term)):
+            self._steps_noted.append((join, (x, y), out, node))
+        return out
+
+    def _av_equal(self, x, y, node=None) -> bool:
+        out = av_equal(x, y)
+        if not out and (_reads_p(x.term) or _reads_p(y.term)):
+            self._steps_noted.append((av_equal, (x, y), out, node))
+        return out
+
+    def _decide(self, outcome, node, *avs):
+        out = outcome(*avs)
+        for av in avs:
+            if av is not None and _reads_p(av.term):
+                self._steps_noted.append((outcome, avs, out, node))
+                break
+        return out
+
+    def _drop_frame(self, av, name=None, node=None) -> AbstractValue:
+        out = _without_frame(av, name)
+        if out is not av and _reads_p(av.term):
+            self._steps_noted.append((_without_frame, (av, name), out, node))
+        return out
+
+    def _cap(self, term: tuple, node) -> tuple | None:
+        out = _capped(term)
+        if out is None and _reads_p(term):
+            self._hazards.append(
+                f"{_where(node)}a term on nprocs exceeds the size cap"
+            )
+        return out
+
+    def _note_context(self, target: str, arg_avs: list) -> None:
+        self._contexts.setdefault(target, []).append(tuple(arg_avs))
+
+    def _eval_inner(self, expr: ast.Expr, env: dict) -> AbstractValue:
+        if isinstance(expr, ast.BinaryExpr):
+            fold, args = _fold_binary, (
+                expr.op, self._eval(expr.left, env), self._eval(expr.right, env)
+            )
+        elif isinstance(expr, ast.UnaryExpr):
+            fold, args = _fold_unary, (expr.op, self._eval(expr.operand, env))
+        elif isinstance(expr, ast.CallExpr):
+            fold, args = _fold_call, (expr.func,) + tuple(
+                self._eval(a, env) for a in expr.args
+            )
+        else:
+            return super()._eval_inner(expr, env)
+        out = fold(*args)
+        # a result with a term re-folds from it; one without, from a P
+        # operand, must be recomputed at the scale
+        if out.term is None and any(_reads_p(a.term) for a in args[1:]):
+            self._steps_noted.append((fold, args, out, expr))
+        return out
+
+    def run(self) -> RankAnalysis:
+        analysis = super().run()
+        contexts = {
+            target: args
+            for target, args in self._contexts.items()
+            if len(args) > 1
+            and any(_reads_p(av.term) for avs in args for av in avs)
+        }
+        analysis._record = _SymbolicRecord(
+            hazards=tuple(dict.fromkeys(self._hazards)),
+            steps=self._steps_noted,
+            contexts=contexts,
+            p_exprs=tuple(
+                key for key, av in self.expr_verdicts.items()
+                if _reads_p(av.term)
+            ),
+            p_stmts=tuple(
+                sid for sid, avs in self.stmt_args.items()
+                if any(_reads_p(av.term) for av in avs)
+            ),
+            p_deciders=tuple(
+                sid for sid, decider in self.deciders.items()
+                if _reads_p(decider.av.term)
+            ),
+        )
+        return analysis
 
 
 def analyze_program(
@@ -1310,10 +1751,11 @@ def analyze_program(
     ``nprocs=None`` runs the *symbolic* variant: ``nprocs`` stays an
     opaque rank-invariant symbol (term ``("P",)``) instead of a folded
     constant, so one dataflow run produces terms valid at every scale —
-    pass them to :func:`eval_term` with a concrete ``nprocs``.  Precision
-    only ever shrinks versus a concrete run (branches on ``nprocs`` are
-    joined instead of decided), so every symbolic verdict is sound at
-    every concrete scale.
+    pass them to :func:`eval_term` with a concrete ``nprocs``, or take
+    the whole concrete analysis from :meth:`RankAnalysis.instantiate`.
+    Precision only ever shrinks versus a concrete run (branches on
+    ``nprocs`` are joined instead of decided), so every symbolic verdict
+    is sound at every concrete scale.
 
     Total: never raises on valid ASTs.  When the internal step budget is
     exhausted (pathological programs) the result is fully degraded — an
@@ -1324,7 +1766,9 @@ def analyze_program(
     cache) that keeps the call-graph facts across analyses of the same
     program at several scales.
     """
-    analyzer = _Analyzer(program, nprocs, params or {}, entry, cache)
+    analyzer = (_Analyzer if nprocs is not None else _SymbolicAnalyzer)(
+        program, nprocs, params or {}, entry, cache
+    )
     try:
         return analyzer.run()
     except _BudgetExceeded:

@@ -20,9 +20,12 @@ to treat the process count as a symbol:
   ``O(period + coefficient span)`` decides the whole range
   (``status="proven"``); otherwise the driver falls back to concrete
   enumeration over a geometric witness sample (``status="sampled"``) and
-  says so.  **Either way each witness is the unmodified concrete lint**,
-  so verdicts at sampled scales are bit-identical to per-scale runs by
-  construction.
+  says so.  **Either way each witness runs the concrete lint's code on
+  the concrete rank analysis** — the symbolic run instantiated at the
+  witness (:meth:`~repro.analysis.rankdep.RankAnalysis.instantiate`),
+  which equals it field for field, or a fresh concrete run where the
+  instantiation steps aside — so verdicts at sampled scales are
+  bit-identical to per-scale runs.
 
 Proof sketch for the ``proven`` status (the honest fine print): with all
 deciders and endpoint terms affine-in-(rank, P) — allowing ``% m``,
@@ -46,8 +49,17 @@ from repro.minilang import ast_nodes as ast
 from repro.psg.graph import PSG
 from repro.simulator import ops
 
-from repro.analysis.lint import LintFinding, LintReport, Severity, run_lint
+from repro.analysis.lint import (
+    LintFinding,
+    LintReport,
+    Severity,
+    _lint_at,
+)
+# the cross-scale lint calls _lint_at, but run_lint stays importable from
+# here: perfbench/layers.py wraps this module's name to time per-scale lints
+from repro.analysis.lint import run_lint  # noqa: F401
 from repro.analysis.rankdep import (
+    NotInstantiable,
     RankAnalysis,
     analyze_program,
     closed_term,
@@ -563,10 +575,15 @@ def analyze_scale_parametric(
     params: Mapping[str, object] | None = None,
     *,
     entry: str = "main",
+    expr_cache: dict | None = None,
 ) -> ScaleAnalysis:
     """Run the rank-dependence dataflow once with symbolic ``nprocs`` and
-    classify the result against the affine-in-(rank, P) fragment."""
-    analysis = analyze_program(program, None, params, entry=entry)
+    classify the result against the affine-in-(rank, P) fragment.
+    ``expr_cache`` is the per-program memo :func:`run_lint` takes (it
+    keeps the call-graph facts)."""
+    analysis = analyze_program(
+        program, None, params, entry=entry, cache=expr_cache
+    )
     stmts = _stmt_index(program)
     reasons = list(analysis.degraded_reasons)
     moduli: set = set()
@@ -792,7 +809,7 @@ class ScaleLintReport:
     #: "exhaustive" | "proven" | "sampled" | "enumerated"
     status: str
     scales: tuple
-    #: scale -> the unmodified concrete :class:`LintReport` at that scale
+    #: scale -> the :class:`LintReport` at that scale (what run_lint returns)
     reports: dict
     generic: bool
     #: degradation rules that blocked a proof (empty when generic)
@@ -804,6 +821,13 @@ class ScaleLintReport:
     skeleton: object = None
     #: (scale, ok) of the instantiate-vs-concrete self check
     skeleton_checked: tuple | None = None
+    #: witnesses whose rank analysis was the symbolic run instantiated
+    #: (engagement record; not part of the output)
+    instantiated: tuple = ()
+    #: why the first other witness ran the concrete rank analysis; None
+    #: when every witness was instantiated (engagement record; not part
+    #: of the output)
+    instantiation_reason: str | None = None
 
     @property
     def ok(self) -> bool:
@@ -931,12 +955,24 @@ def run_lint_scales(
 ) -> ScaleLintReport:
     """Lint one program across a range of scales (see module docstring).
 
-    Witness verdicts are bit-identical to :func:`repro.analysis.lint.run_lint`
-    at the same scale because each witness **is** that call.
+    Witness reports are byte-identical to
+    :func:`repro.analysis.lint.run_lint` at the same scale: each witness
+    runs that function's body, on the symbolic rank analysis instantiated
+    at the witness (equal field for field to the concrete one) or, where
+    the instantiation steps aside, on a concrete analysis as
+    :func:`~repro.analysis.lint.run_lint` computes it.  The skeleton
+    self check counts the first witness's streams, unless one was cut
+    short.
     """
     lo, hi, explicit = parse_scales_spec(scales)
     with obs.span("lint.scales", lo=lo, hi=hi):
-        sa = analyze_scale_parametric(program, params, entry=entry)
+        # one per-program cache for the symbolic run (its call-graph
+        # facts), every witness and the skeleton check: the compiled code
+        # reads the scale at run time
+        expr_cache: dict = {}
+        sa = analyze_scale_parametric(
+            program, params, entry=entry, expr_cache=expr_cache
+        )
         status, witnesses = (
             ("enumerated", list(explicit))
             if explicit is not None
@@ -948,17 +984,29 @@ def run_lint_scales(
         )
 
         reports = {}
-        # one compile cache for every witness and the skeleton check: the
-        # compiled code reads the scale at run time
-        expr_cache: dict = {}
+        instantiated = []
+        reason = None
+        first_streams = None
         for p in witnesses:
             with obs.span("lint.witness", nprocs=p):
-                reports[p] = run_lint(
-                    program, psg, p, params, entry=entry,
+                try:
+                    analysis = sa.analysis.instantiate(p)
+                except NotInstantiable as exc:
+                    reason = reason or str(exc)
+                    analysis = analyze_program(
+                        program, p, params, entry=entry, cache=expr_cache
+                    )
+                else:
+                    instantiated.append(p)
+                reports[p], streams = _lint_at(
+                    program, psg, p, params, analysis, entry=entry,
                     max_ops_per_rank=max_ops_per_rank,
                     max_iterations=max_iterations,
                     expr_cache=expr_cache,
                 )
+                if first_streams is None:
+                    first_streams = streams
+                del streams  # only the first witness's are checked
             obs.emit(
                 "lint_witness_finished",
                 nprocs=p, findings=len(reports[p].findings),
@@ -966,23 +1014,36 @@ def run_lint_scales(
 
         skeleton = None
         checked = None
-        from repro.analysis.commgraph import build_comm_graph, extract_concrete
+        from repro.analysis.commgraph import (
+            EXTRACT_MAX_ITERATIONS,
+            CommInstance,
+            build_comm_graph,
+            count_comm,
+            extract_concrete,
+        )
 
         graph = build_comm_graph(program, params, entry=entry)
         if graph.exact:
             skeleton = graph.skeleton()
             check_at = witnesses[0]
             try:
-                checked = (
-                    check_at,
-                    graph.instantiate(check_at)
-                    == extract_concrete(
+                if max_iterations <= EXTRACT_MAX_ITERATIONS and not any(
+                    s.truncated or s.error is not None for s in first_streams
+                ):
+                    # the witness's lint already unrolled every rank, as
+                    # far as the interpreter would
+                    concrete = CommInstance(nprocs=check_at)
+                    for stream in first_streams:
+                        count_comm(concrete, stream.rank, stream.events)
+                else:
+                    concrete = extract_concrete(
                         program, psg, check_at, params, entry=entry,
                         expr_cache=expr_cache,
-                    ),
-                )
+                    )
+                checked = (check_at, graph.instantiate(check_at) == concrete)
             except Exception:
                 checked = (check_at, False)
+        del first_streams
 
     obs.emit(
         "lint_scales_finished",
@@ -1001,6 +1062,8 @@ def run_lint_scales(
         endpoint_forms=sa.endpoint_forms,
         skeleton=skeleton,
         skeleton_checked=checked,
+        instantiated=tuple(instantiated),
+        instantiation_reason=reason,
     )
 
 

@@ -116,9 +116,12 @@ class StaticStage:
         Returns a :class:`repro.analysis.ScaleLintReport`: when every
         endpoint stays affine in (rank, P) the verdict is *proven* over
         the range from a finite witness window; otherwise it degrades to
-        sampled witnesses with the reasons documented.  Each witness is
-        the unmodified concrete :func:`repro.analysis.run_lint`, so
-        per-scale results are bit-identical to :meth:`lint`.
+        sampled witnesses with the reasons documented.  Each witness
+        runs the concrete :func:`repro.analysis.run_lint`'s code on the
+        symbolic rank analysis instantiated at its scale (equal field for
+        field to the concrete one) or, where that steps aside, on the
+        concrete analysis, so per-scale results are byte-identical to
+        :meth:`lint`.
         """
         from repro.analysis import run_lint_scales
 

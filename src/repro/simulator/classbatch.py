@@ -94,12 +94,12 @@ from repro.analysis.rankdep import (
     mpi_arg_exprs,
 )
 from repro.analysis.symmetry import SymmetrySummary
-from repro.minilang.ast_nodes import ComputeStmt, MpiOp
+from repro.minilang.ast_nodes import ComputeStmt, MpiOp, MpiStmt, walk_statements
 from repro.simulator import ops
 from repro.simulator.trace import MPI_OP_CODES
 from repro.simulator.costmodel import CostModel, Workload
 from repro.simulator.errors import SimulationError
-from repro.simulator.interp import _YIELD_ONE, _YIELD_PAIR, Interpreter
+from repro.simulator.interp import _YIELD_ONE, Interpreter
 
 __all__ = [
     "WORKLOAD_FIELDS",
@@ -124,6 +124,9 @@ _LOC_INDEX_KEY = "__classbatch_loc_index__"
 #: Key of the recorder's own compile cache inside the per-program one
 #: (see :class:`_FrameRecorder`).
 _RECORDER_KEY = "__classbatch_recorder__"
+#: Key, inside the recorder's cache, of which functions hold a statement
+#: the recorder wraps (by name).
+_WRAPS_KEY = "__wraps__"
 
 #: Fields of the recv half of a sendrecv, as named by the analysis-side
 #: capture layout -> the RecvOp attribute they set.
@@ -419,10 +422,13 @@ class _FrameRecorder(Interpreter):
     once per op (a sendrecv's two halves share one entry).
 
     The wrapped closures hold nothing specific to a rank, a scale or the
-    params: they compile once per program into ``expr_cache``'s
-    recorder sub-cache, and read ``frame_stmts`` and the memo from the
-    recorder at run time.  The memo dies with the recorder; the
-    materialized stream keeps every op alive anyway, so ids stay unique.
+    params.  Only the bodies of functions that hold a wrapped statement
+    compile into ``expr_cache``'s recorder sub-cache; expressions, and
+    the bodies of every other function, are the plain interpreter's and
+    come from (or go to) ``expr_cache`` itself.  The wrapped closures
+    read ``frame_stmts`` and the memo from the recorder at run time.
+    The memo dies with the recorder; the materialized stream keeps every
+    op alive anyway, so ids stay unique.
     """
 
     def __init__(self, *args, frame_stmts: dict, **kwargs) -> None:
@@ -431,11 +437,36 @@ class _FrameRecorder(Interpreter):
         self.frame_values: dict[int, tuple] = {}
         #: (stmt_id, inline path, *frame bits) -> the op or sendrecv pair
         self.recorded_ops: dict[tuple, object] = {}
+        self._own_cache = self._expr_cache.setdefault(_RECORDER_KEY, {})
+        self._bodies = {}
+
+    def _wraps(self, stmt) -> bool:
+        """Is ``stmt`` an op statement the per-rank memo does not cover
+        (some captured argument is not rank-static)?"""
+        if isinstance(stmt, ComputeStmt):
+            return not self._static_args(*_compute_arg_exprs(stmt))
+        return isinstance(stmt, MpiStmt) \
+            and not self._static_args(*mpi_arg_exprs(stmt))
+
+    def _body(self, func):
+        wraps = self._own_cache.setdefault(_WRAPS_KEY, {})
+        holds = wraps.get(func.name)
+        if holds is None:
+            holds = wraps[func.name] = any(
+                map(self._wraps, walk_statements(func.body))
+            )
+        # with nothing to wrap, the body is the plain interpreter's,
+        # shared with every rank
+        cache = self._own_cache if holds else self._expr_cache
+        body = cache.get(id(func))
+        if body is None:
+            body = cache[id(func)] = self._compile_block(func.body)
+        self._bodies[id(func)] = body
+        return body
 
     def _compile_stmt(self, stmt):
         kind, fn = super()._compile_stmt(stmt)
-        if kind not in (_YIELD_ONE, _YIELD_PAIR) \
-                or getattr(fn, "_memoized_op", False):
+        if not self._wraps(stmt):
             return kind, fn
         exprs = _compute_arg_exprs(stmt) if isinstance(
             stmt, ComputeStmt
@@ -481,11 +512,11 @@ def _materialize(
     expr_cache, frame_stmts,
 ) -> tuple[list, dict]:
     """The representative's op stream plus its recorded frame values;
-    the recorder compiles into ``expr_cache``'s recorder sub-cache."""
+    the recorder compiles what it wraps into ``expr_cache``'s recorder
+    sub-cache, and everything else into ``expr_cache``."""
     interp = _FrameRecorder(
         program, psg, rank, nprocs, params, frame_stmts=frame_stmts,
-        max_iterations=max_iterations, entry=entry,
-        expr_cache=expr_cache.setdefault(_RECORDER_KEY, {}),
+        max_iterations=max_iterations, entry=entry, expr_cache=expr_cache,
     )
     return list(interp.run()), interp.frame_values
 

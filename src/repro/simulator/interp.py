@@ -212,6 +212,8 @@ class Interpreter:
         #: compiled-expression cache, shareable across same-program ranks
         #: (expressions are pure; rank-dependence flows in via the context)
         self._expr_cache: dict = expr_cache if expr_cache is not None else {}
+        #: id(function) -> its compiled body (they live in the shared cache)
+        self._bodies: dict = self._expr_cache
         #: names that may ever be frame-resident (rank-static analysis)
         self._fnames = frame_names_for(program, self._expr_cache)
         #: per-rank values of memoized rank-static subtrees
@@ -276,15 +278,18 @@ class Interpreter:
                 f"{func.name}() takes {len(func.params)} arguments, got {len(args)}"
             )
         frame = dict(zip(func.params, args))
-        cache = self._expr_cache
-        body = cache.get(id(func))
+        body = self._bodies.get(id(func))
         if body is None:
-            body = self._compile_block(func.body)
-            cache[id(func)] = body
+            body = self._body(func)
         try:
             yield from body(frame, self, ip)
         except _Return:
             return
+
+    def _body(self, func: ast.FunctionDef):
+        """Compile ``func``'s body, once, into the shared cache."""
+        body = self._expr_cache[id(func)] = self._compile_block(func.body)
+        return body
 
     def _compile_block(self, block: ast.Block):
         plan = tuple(self._compile_stmt(s) for s in block.statements)

@@ -3,11 +3,12 @@
 Every ``Engine`` started on a program reuses that program's compile
 cache (``engine.program_cache``): compiled statements, the rank
 analysis's call-graph facts, class batching's op -> statement index and
-the representative recorder's own compiled statements (one sub-cache).
-Its entries depend on the program alone, so runs at any scale, in any
-order and from any thread give the fingerprints and class templates of
-fresh caches, and the recorder's sub-cache leaves the compiled
-statements per-rank interpreters read as they would be without it.
+the representative recorder's own compiled bodies (one sub-cache, for
+the functions that hold a statement it wraps).  Its entries depend on
+the program alone, so runs at any scale, in any order and from any
+thread give the fingerprints and class templates of fresh caches, and
+the recorder leaves the compiled statements per-rank interpreters read
+as they would be without it.
 
 The lockstep compiler makes one pass over each class's positions and
 then merges the classes gate by gate: its merge visits grow with the
@@ -24,6 +25,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from repro.analysis import run_lint
 from repro.analysis.rankdep import _FACTS_KEY
 from repro.api import AnalysisConfig, Pipeline, run_fingerprint
 from repro.apps import get_app
@@ -122,9 +124,11 @@ def _compiled_keys(cache: dict) -> set:
 
 @pytest.mark.parametrize("app", ["cg", "mg"])
 def test_recorder_compiles_into_its_own_sub_cache(app):
-    """A template build leaves the compiled entries of the program's
-    cache to per-rank interpreters: after it, they compile exactly what
-    a per-rank-only run compiles, and not the recorder's closures."""
+    """A template build compiles into the program's cache only what a
+    per-rank interpreter compiles there, and keeps the bodies of the
+    functions that hold a statement it wraps in its own sub-cache: after
+    a per-rank run, the program's cache holds exactly what a
+    per-rank-only run compiles, and none of the recorder's closures."""
     spec = get_app(app)
     config = SimulationConfig(
         nprocs=16, params=spec.merged_params(),
@@ -135,18 +139,36 @@ def test_recorder_compiles_into_its_own_sub_cache(app):
         engine = Engine(spec.program, spec.psg, config)
         engine.start()
         assert engine.class_batch_stats["ranks_batched"] == 16
-        assert _compiled_keys(cache) == set()
+        shared = _compiled_keys(cache)
         recorder = cache[_RECORDER_KEY]
+        own = _compiled_keys(recorder)
+        bodies = {id(func) for func in spec.program.functions.values()}
+        # whole function bodies only, none of them also in the shared cache
+        assert own and own <= bodies and not own & shared
         with per_rank_oracle():
             Engine(spec.program, spec.psg, config).run()
     fresh: dict = {}
     with mock.patch.object(engine_mod, "program_cache", lambda p: fresh), \
             per_rank_oracle():
         Engine(spec.program, spec.psg, config).run()
+    assert shared <= _compiled_keys(fresh)
     assert _compiled_keys(cache) == _compiled_keys(fresh)
-    assert _compiled_keys(recorder) == _compiled_keys(fresh)
-    bodies = [id(func) for func in spec.program.functions.values()]
-    assert all(cache[key] is not recorder[key] for key in bodies if key in cache)
+    assert all(cache[key] is not recorder[key] for key in own)
+
+
+@pytest.mark.parametrize("app", ["ep", "ft"])
+def test_recorder_without_a_wrapped_statement_compiles_nothing_of_its_own(app):
+    """Every op statement of ep and ft is rank-static, so the per-rank
+    memo covers it: the representative's recorder wraps none, and shares
+    every compiled body and expression with the program's cache."""
+    spec = get_app(app)
+    cache: dict = {}
+    report = run_lint(
+        spec.program, spec.psg, 16, spec.merged_params(), expr_cache=cache
+    )
+    assert report.ranks_batched == 16
+    assert _compiled_keys(cache[_RECORDER_KEY]) == set()
+    assert _compiled_keys(cache)
 
 
 @pytest.mark.parametrize("app", ["zeusmp", "sst", "cg", "mg"])
