@@ -23,7 +23,7 @@ Language surface
 """
 
 from repro.minilang.errors import LexError, MiniLangError, ParseError
-from repro.minilang.lexer import Lexer, Token, TokenKind, tokenize
+from repro.minilang.lexer import Token, TokenKind, tokenize
 from repro.minilang.parser import Parser, parse_program
 from repro.minilang.pretty import pretty_print
 from repro.minilang import ast_nodes as ast
@@ -32,7 +32,6 @@ __all__ = [
     "MiniLangError",
     "LexError",
     "ParseError",
-    "Lexer",
     "Token",
     "TokenKind",
     "tokenize",

@@ -7,7 +7,7 @@ __all__ = ["MiniLangError", "LexError", "ParseError", "SourceLocation"]
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, init=False)
 class SourceLocation:
     """A position in a MiniMPI source file.
 
@@ -18,6 +18,14 @@ class SourceLocation:
     filename: str
     line: int
     column: int = 0
+
+    def __init__(self, filename: str, line: int, column: int = 0) -> None:
+        # The lexer makes one per token.  Filling __dict__ directly skips
+        # the three object.__setattr__ calls of a generated frozen __init__.
+        attrs = self.__dict__
+        attrs["filename"] = filename
+        attrs["line"] = line
+        attrs["column"] = column
 
     def __str__(self) -> str:
         return f"{self.filename}:{self.line}"

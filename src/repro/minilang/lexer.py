@@ -1,19 +1,21 @@
-"""Hand-written lexer for MiniMPI.
+"""Regex lexer for MiniMPI.
 
-Produces a flat token stream with source locations.  Kept deliberately
-simple: single-pass, no lookahead beyond one character, ``//`` and ``#``
-line comments, ``/* */`` block comments.
+One compiled master pattern matches a whole token, or a whole run of
+whitespace and comments, per step; newlines inside a match advance the
+line.  ``//`` and ``#`` line comments, ``/* */`` block comments.  Numbers
+are ASCII ``[0-9]`` only (``_`` separators allowed); identifiers start
+with a letter or ``_`` and continue with word characters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from enum import Enum
-from collections.abc import Iterator
+from typing import NamedTuple
 
 from repro.minilang.errors import LexError, SourceLocation
 
-__all__ = ["TokenKind", "Token", "Lexer", "tokenize", "KEYWORDS"]
+__all__ = ["TokenKind", "Token", "tokenize", "KEYWORDS"]
 
 
 class TokenKind(Enum):
@@ -34,7 +36,6 @@ class TokenKind(Enum):
     MINUS = "-"
     STAR = "*"
     SLASH = "/"
-    DSLASH = "//"
     PERCENT = "%"
     LT = "<"
     GT = ">"
@@ -47,6 +48,11 @@ class TokenKind(Enum):
     NOT = "!"
     AMP = "&"
     EOF = "EOF"
+
+    # Members are singletons compared by identity, so the identity hash is
+    # consistent; it spares the parser's kind-set lookups Enum's Python-level
+    # __hash__.
+    __hash__ = object.__hash__
 
 
 KEYWORDS = frozenset(
@@ -64,22 +70,29 @@ KEYWORDS = frozenset(
     }
 )
 
-_SINGLE = {
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    "{": TokenKind.LBRACE,
-    "}": TokenKind.RBRACE,
-    ",": TokenKind.COMMA,
-    ";": TokenKind.SEMI,
-    "+": TokenKind.PLUS,
-    "-": TokenKind.MINUS,
-    "*": TokenKind.STAR,
-    "%": TokenKind.PERCENT,
+#: Keyword and operator spellings -> kind; other words are identifiers.
+_KINDS = {word: TokenKind.KEYWORD for word in KEYWORDS} | {
+    kind.value: kind for kind in TokenKind if not kind.value.isalpha()
 }
 
+#: One alternative per token class, tried in order; ``bad`` takes any
+#: character nothing else matches, so consecutive matches tile the source.
+_TOKEN = re.compile(
+    r"""
+    (?P<skip>(?:[ \t\r\n]+|(?:\#|//)[^\n]*|/\*.*?\*/)+)
+    |(?P<word>[^\W\d]\w*)
+    |(?P<op>==|!=|<=|>=|&&|\|\||[-+*%<>=!&(){},;]|/(?!\*))
+    |(?P<num>[0-9][0-9_]*(?:\.[0-9][0-9_]*)?(?:[eE][+-]?[0-9]+)?)
+    |(?P<str>"[^"\\]*(?:\\.[^"\\]*)*"|'[^'\\]*(?:\\.[^'\\]*)*')
+    |(?P<bad>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_ESCAPES = {"n": "\n", "t": "\t"}
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     location: SourceLocation
@@ -96,181 +109,52 @@ class Token:
         return f"Token({self.kind.name}, {self.text!r}, {self.location})"
 
 
-class Lexer:
-    """Tokenizes MiniMPI source text."""
-
-    def __init__(self, source: str, filename: str = "<string>") -> None:
-        self.source = source
-        self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    # -- low-level cursor --------------------------------------------------
-
-    def _loc(self) -> SourceLocation:
-        return SourceLocation(self.filename, self.line, self.column)
-
-    def _peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.source[i] if i < len(self.source) else ""
-
-    def _advance(self) -> str:
-        ch = self.source[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.column = 1
-        else:
-            self.column += 1
-        return ch
-
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "#" or (ch == "/" and self._peek(1) == "/"):
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start = self._loc()
-                self._advance()
-                self._advance()
-                while self.pos < len(self.source):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance()
-                        self._advance()
-                        break
-                    self._advance()
-                else:
-                    raise LexError("unterminated block comment", start)
-            else:
-                return
-
-    # -- token scanners ----------------------------------------------------
-
-    def _scan_number(self) -> Token:
-        loc = self._loc()
-        text = []
-        is_float = False
-        while self._peek().isdigit() or self._peek() == "_":
-            text.append(self._advance())
-        if self._peek() == "." and self._peek(1).isdigit():
-            is_float = True
-            text.append(self._advance())
-            while self._peek().isdigit() or self._peek() == "_":
-                text.append(self._advance())
-        if self._peek() in "eE" and (
-            self._peek(1).isdigit()
-            or (self._peek(1) in "+-" and self._peek(2).isdigit())
-        ):
-            is_float = True
-            text.append(self._advance())
-            if self._peek() in "+-":
-                text.append(self._advance())
-            while self._peek().isdigit():
-                text.append(self._advance())
-        raw = "".join(text).replace("_", "")
-        kind = TokenKind.FLOAT if is_float else TokenKind.INT
-        return Token(kind, raw, loc)
-
-    def _scan_ident(self) -> Token:
-        loc = self._loc()
-        text = []
-        while self._peek().isalnum() or self._peek() == "_":
-            text.append(self._advance())
-        word = "".join(text)
-        kind = TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENT
-        return Token(kind, word, loc)
-
-    def _scan_string(self) -> Token:
-        loc = self._loc()
-        quote = self._advance()
-        text = []
-        while True:
-            if self.pos >= len(self.source):
-                raise LexError("unterminated string literal", loc)
-            ch = self._advance()
-            if ch == quote:
-                break
-            if ch == "\\":
-                escaped = self._advance()
-                text.append({"n": "\n", "t": "\t"}.get(escaped, escaped))
-            else:
-                text.append(ch)
-        return Token(TokenKind.STRING, "".join(text), loc)
-
-    # -- main loop ----------------------------------------------------------
-
-    def tokens(self) -> Iterator[Token]:
-        while True:
-            self._skip_trivia()
-            if self.pos >= len(self.source):
-                yield Token(TokenKind.EOF, "", self._loc())
-                return
-            loc = self._loc()
-            ch = self._peek()
-            if ch.isdigit():
-                yield self._scan_number()
-            elif ch.isalpha() or ch == "_":
-                yield self._scan_ident()
-            elif ch in "\"'":
-                yield self._scan_string()
-            elif ch == "/" and self._peek(1) == "/":
-                continue  # comment, handled by trivia (unreachable)
-            elif ch in _SINGLE:
-                self._advance()
-                yield Token(_SINGLE[ch], ch, loc)
-            elif ch == "/":
-                self._advance()
-                yield Token(TokenKind.SLASH, "/", loc)
-            elif ch == "=":
-                self._advance()
-                if self._peek() == "=":
-                    self._advance()
-                    yield Token(TokenKind.EQ, "==", loc)
-                else:
-                    yield Token(TokenKind.ASSIGN, "=", loc)
-            elif ch == "<":
-                self._advance()
-                if self._peek() == "=":
-                    self._advance()
-                    yield Token(TokenKind.LE, "<=", loc)
-                else:
-                    yield Token(TokenKind.LT, "<", loc)
-            elif ch == ">":
-                self._advance()
-                if self._peek() == "=":
-                    self._advance()
-                    yield Token(TokenKind.GE, ">=", loc)
-                else:
-                    yield Token(TokenKind.GT, ">", loc)
-            elif ch == "!":
-                self._advance()
-                if self._peek() == "=":
-                    self._advance()
-                    yield Token(TokenKind.NE, "!=", loc)
-                else:
-                    yield Token(TokenKind.NOT, "!", loc)
-            elif ch == "&":
-                self._advance()
-                if self._peek() == "&":
-                    self._advance()
-                    yield Token(TokenKind.AND, "&&", loc)
-                else:
-                    yield Token(TokenKind.AMP, "&", loc)
-            elif ch == "|":
-                self._advance()
-                if self._peek() == "|":
-                    self._advance()
-                    yield Token(TokenKind.OR, "||", loc)
-                else:
-                    raise LexError(f"unexpected character {ch!r}", loc)
-            else:
-                raise LexError(f"unexpected character {ch!r}", loc)
+def _unescape(m: re.Match) -> str:
+    return _ESCAPES.get(m[1], m[1])
 
 
 def tokenize(source: str, filename: str = "<string>") -> list[Token]:
     """Tokenize ``source`` fully, returning a list ending with an EOF token."""
-    return list(Lexer(source, filename).tokens())
+    tokens: list[Token] = []
+    append = tokens.append
+    ident, kinds = TokenKind.IDENT, _KINDS
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(source):
+        group = m.lastgroup
+        text = m[0]
+        if group == "skip":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = m.start() + text.rindex("\n") + 1
+            continue
+        start = m.start()
+        loc = SourceLocation(filename, line, start - line_start + 1)
+        if group == "word":
+            # [^\W\d] also admits non-ASCII numerals such as "\u00bd"
+            if text[0] > "\x7f" and not text[0].isalpha():
+                raise LexError(f"unexpected character {text[0]!r}", loc)
+            append(Token(kinds.get(text, ident), text, loc))
+        elif group == "op":
+            append(Token(kinds[text], text, loc))
+        elif group == "num":
+            if "_" in text:
+                text = text.replace("_", "")
+            kind = TokenKind.INT if text.isdigit() else TokenKind.FLOAT
+            append(Token(kind, text, loc))
+        elif group == "str":
+            body = text[1:-1]
+            if "\\" in body:
+                body = _ESCAPE.sub(_unescape, body)
+            append(Token(TokenKind.STRING, body, loc))
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = start + text.rindex("\n") + 1
+        elif text in "\"'":
+            raise LexError("unterminated string literal", loc)
+        elif source.startswith("/*", start):
+            raise LexError("unterminated block comment", loc)
+        else:
+            raise LexError(f"unexpected character {text!r}", loc)
+    loc = SourceLocation(filename, line, len(source) - line_start + 1)
+    append(Token(TokenKind.EOF, "", loc))
+    return tokens

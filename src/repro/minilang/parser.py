@@ -68,10 +68,20 @@ _MPI_KWARGS: dict[ast.MpiOp, dict[str, bool]] = {
     ast.MpiOp.SCATTER: {"root": True, "bytes": True},
 }
 
+_CMP_KINDS = frozenset(
+    (TokenKind.LT, TokenKind.GT, TokenKind.LE, TokenKind.GE, TokenKind.EQ, TokenKind.NE)
+)
+_ADD_KINDS = frozenset((TokenKind.PLUS, TokenKind.MINUS))
+_MUL_KINDS = frozenset((TokenKind.STAR, TokenKind.SLASH, TokenKind.PERCENT))
+_UNARY_KINDS = frozenset((TokenKind.MINUS, TokenKind.NOT))
+
 
 class Parser:
     def __init__(self, tokens: list[Token]) -> None:
-        self.tokens = tokens
+        # One more EOF: a one-token lookahead at the end stays in range, so
+        # the cursor indexes without a bound check.  Nothing advances past
+        # the first EOF, because no rule expects one.
+        self.tokens = [*tokens, tokens[-1]]
         self.pos = 0
 
     # ------------------------------------------------------------------
@@ -79,33 +89,34 @@ class Parser:
     # ------------------------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        i = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[i]
+        return self.tokens[self.pos + offset]
 
     def _advance(self) -> Token:
         tok = self.tokens[self.pos]
-        if tok.kind is not TokenKind.EOF:
-            self.pos += 1
+        self.pos += 1
         return tok
 
     def _check(self, kind: TokenKind, text: str | None = None) -> bool:
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         return tok.kind is kind and (text is None or tok.text == text)
 
     def _match(self, kind: TokenKind, text: str | None = None) -> Token | None:
-        if self._check(kind, text):
-            return self._advance()
+        tok = self.tokens[self.pos]
+        if tok.kind is kind and (text is None or tok.text == text):
+            self.pos += 1
+            return tok
         return None
 
     def _expect(self, kind: TokenKind, text: str | None = None) -> Token:
-        tok = self._peek()
-        if not self._check(kind, text):
+        tok = self.tokens[self.pos]
+        if tok.kind is not kind or (text is not None and tok.text != text):
             want = text if text is not None else kind.value
             raise ParseError(
                 f"expected {want!r}, found {tok.text or tok.kind.value!r}",
                 tok.location,
             )
-        return self._advance()
+        self.pos += 1
+        return tok
 
     # ------------------------------------------------------------------
     # top level
@@ -370,87 +381,63 @@ class Parser:
 
     def _parse_or(self) -> ast.Expr:
         left = self._parse_and()
-        while self._check(TokenKind.OR):
-            tok = self._advance()
+        tokens = self.tokens
+        while (tok := tokens[self.pos]).kind is TokenKind.OR:
+            self.pos += 1
             right = self._parse_and()
             left = ast.BinaryExpr(location=tok.location, op="||", left=left, right=right)
         return left
 
     def _parse_and(self) -> ast.Expr:
         left = self._parse_cmp()
-        while self._check(TokenKind.AND):
-            tok = self._advance()
+        tokens = self.tokens
+        while (tok := tokens[self.pos]).kind is TokenKind.AND:
+            self.pos += 1
             right = self._parse_cmp()
             left = ast.BinaryExpr(location=tok.location, op="&&", left=left, right=right)
         return left
 
-    _CMP = {
-        TokenKind.LT: "<",
-        TokenKind.GT: ">",
-        TokenKind.LE: "<=",
-        TokenKind.GE: ">=",
-        TokenKind.EQ: "==",
-        TokenKind.NE: "!=",
-    }
-
     def _parse_cmp(self) -> ast.Expr:
         left = self._parse_add()
-        if self._peek().kind in self._CMP:
-            tok = self._advance()
+        tok = self.tokens[self.pos]
+        if tok.kind in _CMP_KINDS:
+            self.pos += 1
             right = self._parse_add()
-            return ast.BinaryExpr(
-                location=tok.location, op=self._CMP[tok.kind], left=left, right=right
-            )
+            return ast.BinaryExpr(location=tok.location, op=tok.text, left=left, right=right)
         return left
 
     def _parse_add(self) -> ast.Expr:
         left = self._parse_mul()
-        while self._peek().kind in (TokenKind.PLUS, TokenKind.MINUS):
-            tok = self._advance()
+        tokens = self.tokens
+        while (tok := tokens[self.pos]).kind in _ADD_KINDS:
+            self.pos += 1
             right = self._parse_mul()
             left = ast.BinaryExpr(location=tok.location, op=tok.text, left=left, right=right)
         return left
 
     def _parse_mul(self) -> ast.Expr:
         left = self._parse_unary()
-        while self._peek().kind in (TokenKind.STAR, TokenKind.SLASH, TokenKind.PERCENT):
-            tok = self._advance()
+        tokens = self.tokens
+        while (tok := tokens[self.pos]).kind in _MUL_KINDS:
+            self.pos += 1
             right = self._parse_unary()
             left = ast.BinaryExpr(location=tok.location, op=tok.text, left=left, right=right)
         return left
 
     def _parse_unary(self) -> ast.Expr:
-        if self._peek().kind in (TokenKind.MINUS, TokenKind.NOT):
-            tok = self._advance()
+        tok = self.tokens[self.pos]
+        if tok.kind in _UNARY_KINDS:
+            self.pos += 1
             operand = self._parse_unary()
             return ast.UnaryExpr(location=tok.location, op=tok.text, operand=operand)
         return self._parse_primary()
 
     def _parse_primary(self) -> ast.Expr:
-        tok = self._peek()
-        if tok.kind is TokenKind.INT:
-            self._advance()
-            return ast.IntLit(location=tok.location, value=tok.int_value)
-        if tok.kind is TokenKind.FLOAT:
-            self._advance()
-            return ast.FloatLit(location=tok.location, value=tok.float_value)
-        if tok.kind is TokenKind.STRING:
-            self._advance()
-            return ast.StringLit(location=tok.location, value=tok.text)
-        if tok.kind is TokenKind.KEYWORD and tok.text in ("true", "false"):
-            self._advance()
-            return ast.BoolLit(location=tok.location, value=tok.text == "true")
-        if tok.kind is TokenKind.KEYWORD and tok.text == "ANY":
-            self._advance()
-            return ast.AnyLit(location=tok.location)
-        if tok.kind is TokenKind.AMP:
-            self._advance()
-            name = self._expect(TokenKind.IDENT)
-            return ast.FuncRef(location=tok.location, name=name.text)
-        if tok.kind is TokenKind.IDENT:
-            if self._peek(1).kind is TokenKind.LPAREN and tok.text in ast.BUILTIN_FUNCS:
-                self._advance()
-                self._expect(TokenKind.LPAREN)
+        tok = self.tokens[self.pos]
+        kind = tok.kind
+        if kind is TokenKind.IDENT:
+            if tok.text in ast.BUILTIN_FUNCS and self.tokens[self.pos + 1].kind is TokenKind.LPAREN:
+                self.pos += 2
                 args: list[ast.Expr] = []
                 if not self._check(TokenKind.RPAREN):
                     args.append(self._parse_expr())
@@ -458,13 +445,32 @@ class Parser:
                         args.append(self._parse_expr())
                 self._expect(TokenKind.RPAREN)
                 return ast.CallExpr(location=tok.location, func=tok.text, args=args)
-            self._advance()
+            self.pos += 1
             return ast.VarRef(location=tok.location, name=tok.text)
-        if tok.kind is TokenKind.LPAREN:
-            self._advance()
+        if kind is TokenKind.INT:
+            self.pos += 1
+            return ast.IntLit(location=tok.location, value=tok.int_value)
+        if kind is TokenKind.LPAREN:
+            self.pos += 1
             inner = self._parse_expr()
             self._expect(TokenKind.RPAREN)
             return inner
+        if kind is TokenKind.FLOAT:
+            self.pos += 1
+            return ast.FloatLit(location=tok.location, value=tok.float_value)
+        if kind is TokenKind.STRING:
+            self.pos += 1
+            return ast.StringLit(location=tok.location, value=tok.text)
+        if kind is TokenKind.KEYWORD and tok.text in ("true", "false"):
+            self.pos += 1
+            return ast.BoolLit(location=tok.location, value=tok.text == "true")
+        if kind is TokenKind.KEYWORD and tok.text == "ANY":
+            self.pos += 1
+            return ast.AnyLit(location=tok.location)
+        if kind is TokenKind.AMP:
+            self.pos += 1
+            name = self._expect(TokenKind.IDENT)
+            return ast.FuncRef(location=tok.location, name=name.text)
         raise ParseError(
             f"unexpected token {tok.text or tok.kind.value!r} in expression",
             tok.location,

@@ -11,15 +11,14 @@ contracts them under two rules, both of which this module implements:
    vertices, and consecutive sibling ``Comp`` vertices merge into one
    (Fig. 4(c): sequential Loop1.1/Loop1.2 merge when MaxLoopDepth = 1).
 
-Contraction mutates a *copy* of the PSG and keeps ``stmt_index`` consistent:
-every absorbed (inline path, statement) key still resolves — to the
-surviving merged vertex — so runtime samples taken anywhere inside
-contracted code attribute correctly.
+Contraction mutates a structural copy of the PSG (``PSG.copy``) and keeps
+``stmt_index`` consistent: every absorbed (inline path, statement) key
+still resolves — to the surviving merged vertex — so runtime samples
+taken anywhere inside contracted code attribute correctly.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 from repro.psg.graph import PSG, VertexType
@@ -53,7 +52,7 @@ def contract_psg(
     if max_loop_depth < 0:
         raise ValueError("max_loop_depth must be >= 0")
     before = len(psg)
-    out = copy.deepcopy(psg)
+    out = psg.copy()
     remap: dict[int, int] = {}
     _contract_structures(out, max_loop_depth, remap)
     _merge_comp_runs(out, remap)

@@ -150,6 +150,23 @@ class PSG:
             self.stmt_index[(inline_path, sid)] = v.vid
         return v
 
+    def copy(self) -> PSG:
+        """A structural copy that may be mutated without touching ``self``.
+
+        Each vertex is a new object with its own ``children`` and
+        ``stmt_ids`` lists, and the index is a new dict; every other field
+        is immutable and shared.
+        """
+        out = PSG(self.name)
+        out._next_id = self._next_id
+        out.root_id = self.root_id
+        out.stmt_index = dict(self.stmt_index)
+        for vid, v in self.vertices.items():
+            out.vertices[vid] = PSGVertex(
+                **{**v.__dict__, "children": list(v.children), "stmt_ids": list(v.stmt_ids)}
+            )
+        return out
+
     @property
     def root(self) -> PSGVertex:
         if self.root_id is None:

@@ -1,9 +1,13 @@
 """Parser tests: statements, expressions, MPI surface, error paths."""
 
+import contextlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.minilang import ast_nodes as ast
-from repro.minilang.errors import ParseError
+from repro.minilang.errors import MiniLangError, ParseError
 from repro.minilang.parser import parse_program
 
 
@@ -254,3 +258,25 @@ class TestStatementIds:
         ids_a = [s.stmt_id for s in ast.walk_statements(a.entry.body)]
         ids_b = [s.stmt_id for s in ast.walk_statements(b.entry.body)]
         assert ids_a == ids_b
+
+
+#: Pieces a fuzzed program is glued from: enough of the grammar to get
+#: deep into statements and expressions, plus lexer error triggers.
+PARSE_FRAGMENTS = [
+    "def", "main", "f", "(", ")", "{", "}", ",", ";", "=", "var", "for", "while",
+    "if", "else", "return", "x", "rank", "nprocs", "floor", "compute", "flops",
+    "send", "recv", "isend", "wait", "sendrecv", "allreduce", "dest", "src", "tag",
+    "bytes", "req", "name", "1", "2.5", "1e3", '"s"', "ANY", "true", "&", "&&",
+    "||", "<", "==", "+", "-", "*", "/", "%", "!", "²", "٣", "$", '"',
+]
+
+
+class TestFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(st.sampled_from(PARSE_FRAGMENTS), max_size=30).map(" ".join),
+        st.sampled_from(["{}", "def main() {{ {} }}", "def main() {{ x = {}; }}"]),
+    )
+    def test_bad_sources_raise_only_minilang_errors(self, body, frame):
+        with contextlib.suppress(MiniLangError):
+            parse_program(frame.format(body))

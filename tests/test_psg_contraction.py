@@ -1,10 +1,13 @@
 """Graph contraction tests, including the paper's Fig. 3/4 example and
 hypothesis invariants."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import app_names, get_app
 from repro.minilang.parser import parse_program
 from repro.psg import build_complete_psg, contract_psg
 from repro.psg.graph import VertexType
@@ -205,3 +208,31 @@ class TestContractionProperties:
         for v in psg.vertices.values():
             if v.vtype is VertexType.LOOP and v.loop_depth > depth:
                 assert psg.has_mpi_in_subtree(v.vid)
+
+
+def _state(psg):
+    """Everything a PSG holds, by value."""
+    vertices = {vid: copy.deepcopy(vars(v)) for vid, v in psg.vertices.items()}
+    return psg.name, psg.root_id, psg._next_id, vertices, dict(psg.stmt_index)
+
+
+@pytest.mark.parametrize("app", app_names())
+@pytest.mark.parametrize("max_loop_depth", [0, 1, 10])
+def test_contraction_leaves_its_input_alone(app, max_loop_depth):
+    complete = build_complete_psg(get_app(app).program)
+    before = _state(complete)
+    out = contract_psg(complete, max_loop_depth).psg
+    assert _state(complete) == before
+    assert out.vertices is not complete.vertices
+    assert out.stmt_index is not complete.stmt_index
+    for vid, v in out.vertices.items():
+        original = complete.vertices[vid]
+        assert v is not original
+        assert v.children is not original.children
+        assert v.stmt_ids is not original.stmt_ids
+
+
+@pytest.mark.parametrize("app", app_names())
+def test_psg_copy_equals_its_original(app):
+    complete = build_complete_psg(get_app(app).program)
+    assert _state(complete.copy()) == _state(complete)
