@@ -67,8 +67,8 @@ from repro.analysis.rankdep import (
     RankAnalysis,
     Rankness,
     analyze_program,
-    eval_term,
 )
+from repro.analysis.terms import eval_term
 from repro.analysis.symmetry import RankClass, SymmetrySummary, partition_ranks
 
 __all__ = [

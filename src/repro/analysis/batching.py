@@ -37,7 +37,6 @@ from repro.minilang import ast_nodes as ast
 from repro.analysis.rankdep import (
     RankAnalysis,
     Rankness,
-    frame_names,
     mpi_arg_exprs,
 )
 
@@ -141,7 +140,8 @@ def stmt_template(analysis: RankAnalysis, stmt: ast.Stmt) -> StmtTemplate:
                 "closed rank function"
             )
         varying.append(FieldRule(
-            field, coerce, av.term, tuple(sorted(frame_names(av.term))),
+            field, coerce, av.term,
+            tuple(sorted(analysis.terms.env_names(av.term))),
         ))
     return StmtTemplate(stmt.stmt_id, tuple(varying))
 

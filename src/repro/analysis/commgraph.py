@@ -24,8 +24,13 @@ degraded graph never guesses: ``instantiate`` refuses and callers fall
 back to concrete extraction (:func:`extract_concrete`, the per-rank
 interpreter oracle the property tests equate against).
 
+Terms are built and interned by :class:`repro.analysis.terms.Terms`, one
+table per build, so a branch merge compares them by identity (``1`` and
+``True`` are two terms) and one size cap bounds them.
+
 Instantiation mirrors the interpreter's argument coercions bit for bit
-(C-style int semantics via :func:`repro.analysis.rankdep.eval_term`,
+(C-style int semantics via :func:`repro.analysis.terms.eval_term`,
+integer-exact trip counts via :func:`repro.analysis.terms.trip_count`,
 range/type checks, ``int(nbytes)`` with default 0, collective root
 default 0, sendrecv splitting into a send/recv pair) so the equality
 ``graph.instantiate(P) == extract_concrete(program, psg, P)`` is exact,
@@ -34,7 +39,6 @@ not approximate — property-tested across the randomized corpus.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Mapping
 
@@ -44,7 +48,15 @@ from repro.simulator import ops
 from repro.simulator.errors import MpiUsageError, SimulationError
 from repro.simulator.exprcompile import truthy
 
-from repro.analysis.rankdep import _assigned_names, _free_names, eval_term
+from repro.analysis.rankdep import _assigned_names, countable_for
+from repro.analysis.terms import (
+    P,
+    RANK,
+    Terms,
+    eval_term,
+    render_term,
+    trip_count,
+)
 
 __all__ = [
     "CommFamily",
@@ -57,9 +69,6 @@ __all__ = [
     "extract_concrete",
 ]
 
-#: term-size cap: beyond this the walk degrades instead of building
-#: unboundedly large symbolic expressions
-_MAX_TERM_NODES = 512
 #: family-count cap (runaway inlining backstop)
 _MAX_FAMILIES = 4096
 #: iteration cap while *walking* nested const loops is not needed (the
@@ -112,8 +121,9 @@ class CommFamily:
     args: tuple
     loops: tuple
     guard: tuple | None
-    #: loop variables the guard/args actually reference; loops not in
-    #: here contribute a pure multiplicity (the O(edges) fast path)
+    #: loop variables the guard, args or loop bounds actually reference;
+    #: loops not in here contribute a pure multiplicity (the O(edges)
+    #: fast path)
     free_vars: frozenset
 
     def arg(self, name: str) -> tuple | None:
@@ -152,20 +162,6 @@ class CommInstance:
 # --------------------------------------------------------------------------
 
 
-def _term_size(term: tuple) -> int:
-    if not isinstance(term, tuple):
-        return 1
-    return 1 + sum(_term_size(t) for t in term[1:])
-
-
-def _conj(a: tuple | None, b: tuple) -> tuple:
-    return b if a is None else ("bin", "&&", a, b)
-
-
-def _neg(t: tuple) -> tuple:
-    return ("un", "!", t)
-
-
 def _block_emits(block: ast.Block) -> bool:
     """Conservative: MPI statements or user calls inside mean the block
     can communicate."""
@@ -192,10 +188,17 @@ class _GraphBuilder:
         self.program = program
         self.params = dict(params)
         self.entry = entry
+        self.terms = Terms()
         self.families: list = []
         self.call_stack: list = []
 
     # -- expressions -> terms -------------------------------------------
+
+    def _node(self, tag: str, *args) -> tuple:
+        term = self.terms.node(tag, *args)
+        if term is None:
+            raise _Opaque("symbolic term too large")
+        return term
 
     def _name_term(self, name: str, env: dict) -> tuple:
         # resolution order mirrors the interpreter (and rankdep):
@@ -206,35 +209,32 @@ class _GraphBuilder:
                 raise _Opaque(f"variable {name!r} has no closed form here")
             return term
         if name in self.params:
-            return ("const", self.params[name])
+            return self.terms.const(self.params[name])
         if name == "rank":
-            return ("rank",)
+            return RANK
         if name == "nprocs":
-            return ("P",)
+            return P
         raise _Opaque(f"undefined variable {name!r}")
 
     def _term(self, expr: ast.Expr, env: dict) -> tuple:
         if isinstance(
             expr, (ast.IntLit, ast.FloatLit, ast.StringLit, ast.BoolLit)
         ):
-            return ("const", expr.value)
+            return self.terms.const(expr.value)
         if isinstance(expr, ast.AnyLit):
-            return ("const", ops.ANY)
+            return self.terms.const(ops.ANY)
         if isinstance(expr, ast.VarRef):
             return self._name_term(expr.name, env)
         if isinstance(expr, ast.UnaryExpr):
-            return ("un", expr.op, self._term(expr.operand, env))
+            return self._node("un", expr.op, self._term(expr.operand, env))
         if isinstance(expr, ast.BinaryExpr):
-            term = (
+            return self._node(
                 "bin", expr.op,
                 self._term(expr.left, env), self._term(expr.right, env),
             )
-            if _term_size(term) > _MAX_TERM_NODES:
-                raise _Opaque("symbolic term too large")
-            return term
         if isinstance(expr, ast.CallExpr):
-            return ("call", expr.func) + tuple(
-                self._term(a, env) for a in expr.args
+            return self._node(
+                "call", expr.func, *(self._term(a, env) for a in expr.args)
             )
         if isinstance(expr, ast.FuncRef):
             raise _Opaque("first-class function reference")
@@ -276,10 +276,10 @@ class _GraphBuilder:
             args = (("root", t(stmt.root)), ("nbytes", t(stmt.bytes_expr)))
             blocking = True
 
-        free: set = set()
-        loop_vars = {spec.var for spec in loops}
-        for term in [term for _, term in args] + [guard]:
-            _free_loop_vars(term, loop_vars, free)
+        bounds = [t for spec in loops for t in (spec.init, spec.bound)]
+        names = frozenset().union(*map(
+            self.terms.env_names, [guard, *(t for _, t in args), *bounds]
+        ))
         self.families.append(CommFamily(
             stmt_id=stmt.stmt_id,
             location=str(stmt.location),
@@ -289,7 +289,7 @@ class _GraphBuilder:
             args=args,
             loops=loops,
             guard=guard,
-            free_vars=frozenset(free),
+            free_vars=names,
         ))
 
     def _walk_block(self, block: ast.Block, env: dict, loops: tuple,
@@ -339,10 +339,13 @@ class _GraphBuilder:
                 return
             env_t = dict(env)
             env_e = dict(env)
-            self._walk_block(stmt.then_body, env_t, loops, _conj(guard, cond))
+            self._walk_block(
+                stmt.then_body, env_t, loops, self._conj(guard, cond)
+            )
             if stmt.else_body is not None:
                 self._walk_block(
-                    stmt.else_body, env_e, loops, _conj(guard, _neg(cond))
+                    stmt.else_body, env_e, loops,
+                    self._conj(guard, self._node("un", "!", cond)),
                 )
             for name in set(env_t) | set(env_e):
                 t_val = env_t.get(name, _POISON)
@@ -351,11 +354,9 @@ class _GraphBuilder:
                     merged = t_val
                 elif t_val is _POISON or e_val is _POISON:
                     merged = _POISON
-                elif t_val == e_val:
-                    merged = t_val
                 else:
-                    merged = ("sel", cond, t_val, e_val)
-                    if _term_size(merged) > _MAX_TERM_NODES:
+                    merged = self.terms.node("sel", cond, t_val, e_val)
+                    if merged is None:
                         merged = _POISON
                 env[name] = merged
             return
@@ -385,6 +386,9 @@ class _GraphBuilder:
             return  # only reachable as a final statement (checked upfront)
         raise _Opaque(f"{stmt.location}: statement {type(stmt).__name__}")
 
+    def _conj(self, guard: tuple | None, cond: tuple) -> tuple:
+        return cond if guard is None else self._node("bin", "&&", guard, cond)
+
     def _walk_for(self, stmt: ast.ForStmt, env: dict, loops: tuple,
                   guard: tuple | None) -> None:
         found = self._countable_spec(stmt, env)
@@ -405,7 +409,7 @@ class _GraphBuilder:
         # value (x = x + 1) must not leak its first-iteration term
         for name in _assigned_names(stmt.body):
             body_env[name] = _POISON
-        body_env[src_var] = ("var", spec.var)
+        body_env[src_var] = self.terms.leaf("var", spec.var)
         self._walk_block(stmt.body, body_env, loops + (spec,), guard)
         for name in _assigned_names(stmt.body):
             env[name] = _POISON
@@ -414,53 +418,19 @@ class _GraphBuilder:
         env[src_var] = _POISON
 
     def _countable_spec(self, stmt: ast.ForStmt, env: dict) -> tuple | None:
-        init, cond, step = stmt.init, stmt.cond, stmt.step
-        if init is None or cond is None or step is None:
+        found = countable_for(stmt)
+        if found is None:
             return None
-        if not isinstance(init, (ast.VarDecl, ast.Assign)):
-            return None
-        var = init.name
-        init_expr = init.init if isinstance(init, ast.VarDecl) else init.value
-        if init_expr is None:
-            return None
-        if not (
-            isinstance(cond, ast.BinaryExpr)
-            and cond.op in ("<", "<=", ">", ">=")
-            and isinstance(cond.left, ast.VarRef)
-            and cond.left.name == var
-        ):
-            return None
-        if not (
-            isinstance(step, ast.Assign)
-            and step.name == var
-            and isinstance(step.value, ast.BinaryExpr)
-            and step.value.op in ("+", "-")
-            and isinstance(step.value.left, ast.VarRef)
-            and step.value.left.name == var
-            and isinstance(step.value.right, ast.IntLit)
-        ):
-            return None
-        delta = step.value.right.value
-        if step.value.op == "-":
-            delta = -delta
-        if delta == 0:
-            return None
-        written = _assigned_names(stmt.body)
-        if var in written:
-            return None
-        bound_free: set = set()
-        _free_names(cond.right, bound_free)
-        if bound_free & written:
-            return None
+        var, cmp, delta, init_expr, bound_expr = found
         try:
             init_term = self._term(init_expr, env)
-            bound_term = self._term(cond.right, env)
+            bound_term = self._term(bound_expr, env)
         except _Opaque:
             return None
         # mangle with the stmt id so nested frames (inlined calls) that
         # reuse a variable name can never collide in one instantiation env
         return var, LoopSpec(
-            var=f"{var}#{stmt.stmt_id}", cmp=cond.op, delta=delta,
+            var=f"{var}#{stmt.stmt_id}", cmp=cmp, delta=delta,
             init=init_term, bound=bound_term,
         )
 
@@ -507,15 +477,6 @@ class _GraphBuilder:
             reason=None,
             families=tuple(self.families),
         )
-
-
-def _free_loop_vars(term: tuple | None, loop_vars: set, out: set) -> None:
-    if term is None or not isinstance(term, tuple):
-        return
-    if term[0] == "var" and term[1] in loop_vars:
-        out.add(term[1])
-    for sub in term[1:]:
-        _free_loop_vars(sub, loop_vars, out)
 
 
 def build_comm_graph(
@@ -586,42 +547,6 @@ def _coerce_bytes(value, loc: str) -> int:
     return nbytes
 
 
-def _trip_count(init_v, bound_v, cmp: str, delta: int, loc: str) -> int:
-    """Closed-form iteration count of ``for (x = init; x cmp bound;
-    x += delta)`` — exact for ints, conservative for float bounds."""
-    if isinstance(init_v, bool) or isinstance(bound_v, bool) or not (
-        isinstance(init_v, (int, float)) and isinstance(bound_v, (int, float))
-    ):
-        raise SimulationError(
-            f"{loc}: non-numeric loop bounds {init_v!r}, {bound_v!r}"
-        )
-    if delta > 0:
-        if cmp == "<":
-            diff = bound_v - init_v
-        elif cmp == "<=":
-            diff = bound_v - init_v + 1
-        else:
-            held = init_v > bound_v if cmp == ">" else init_v >= bound_v
-            if not held:
-                return 0
-            raise SimulationError(f"{loc}: non-terminating loop")
-        step = delta
-    else:
-        if cmp == ">":
-            diff = init_v - bound_v
-        elif cmp == ">=":
-            diff = init_v - bound_v + 1
-        else:
-            held = init_v < bound_v if cmp == "<" else init_v <= bound_v
-            if not held:
-                return 0
-            raise SimulationError(f"{loc}: non-terminating loop")
-        step = -delta
-    if isinstance(diff, int):
-        return max(0, -(-diff // step))  # exact integer ceiling
-    return max(0, math.ceil(diff / step))
-
-
 @dataclass
 class CommGraph:
     """See module docstring.  ``exact`` is the binary trust bit."""
@@ -673,13 +598,13 @@ class CommGraph:
         spec, rest = loops[0], loops[1:]
         init_v = eval_term(spec.init, rank, nprocs, env)
         bound_v = eval_term(spec.bound, rank, nprocs, env)
-        n = _trip_count(init_v, bound_v, spec.cmp, spec.delta,
-                        family.location)
+        try:
+            n = trip_count(spec.cmp, spec.delta, init_v, bound_v)
+        except SimulationError as exc:
+            raise SimulationError(f"{family.location}: {exc}") from None
         if n == 0:
             return
-        if spec.var not in family.free_vars and not any(
-            _term_refs_var(r, spec.var) for r in rest
-        ):
+        if spec.var not in family.free_vars:
             # fast path: nothing downstream reads this variable — the
             # whole loop is a pure multiplicity factor
             self._expand_loops(family, rest, rank, nprocs, env, mult * n,
@@ -765,13 +690,6 @@ class CommGraph:
         return ScalingSkeleton(graph=self)
 
 
-def _term_refs_var(spec: LoopSpec, var: str) -> bool:
-    seen: set = set()
-    _free_loop_vars(spec.init, {var}, seen)
-    _free_loop_vars(spec.bound, {var}, seen)
-    return bool(seen)
-
-
 @dataclass
 class ScalingSkeleton:
     """Closed-form per-scale communication volume, derived from the
@@ -804,8 +722,6 @@ class ScalingSkeleton:
         return {"sends": sends, "recv_posts": recvs, "collective_ops": colls}
 
     def formulas(self) -> list:
-        from repro.analysis.scaleparam import render_term
-
         out = []
         for family in self.graph.families:
             bits = [

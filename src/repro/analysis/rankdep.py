@@ -15,7 +15,10 @@ one scale, *how its value varies across ranks*:
 Rank-varying values additionally carry a symbolic **term** — a closed
 rank function built from the same operator semantics the interpreter uses
 (C-style integer division, modulo-by-zero errors, the ``hashrand``
-builtin) — which :func:`eval_term` can evaluate for any concrete rank.
+builtin) — which :func:`~repro.analysis.terms.eval_term` can evaluate
+for any concrete rank.  Terms are built and interned by the analysis's
+:class:`~repro.analysis.terms.Terms` table (``RankAnalysis.terms``), so
+two terms are equal exactly when they are one object.
 Terms are what :mod:`repro.analysis.symmetry` evaluates to split ranks
 into behavioral classes, and what the lint uses to expand one
 representative walk into per-rank communication endpoints.
@@ -26,7 +29,7 @@ its value is, by definition, whatever the frame holds.  Such a variable
 gets the leaf ``("frame", name)``: "the runtime value of local ``name``
 in the current frame".  Terms built on it (``rank - s``, the ``sel`` that
 picks ``rank + s`` on half the ranks) are closed rank functions *once the
-frame is bound*: :func:`eval_term` reads the leaf from ``env``, and
+frame is bound*: ``eval_term`` reads the leaf from ``env``, and
 :mod:`repro.simulator.classbatch` binds it per execution from the class
 representative's frame.  That binding is only sound while ``name`` keeps
 the value it had when the term was built, on every rank alike, so any
@@ -37,7 +40,8 @@ call hands the callee no frame-bearing term (the callee's frame is
 another frame).  Verdicts inside a loop are recorded only under its
 stable head state.  Consumers that evaluate terms with no frame at hand —
 the rank partition, the scale-parametric lint — read them through
-:func:`closed_term`, which maps frame-bearing terms to ``None``.
+:meth:`RankAnalysis.closed_term`, which maps frame-bearing terms to
+``None``.
 
 The walk is a standard join-over-paths fixpoint with two twists that make
 it *rank*-aware rather than merely flow-aware:
@@ -62,16 +66,23 @@ globals, so calls never mutate the caller frame).
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 
 from repro.minilang import ast_nodes as ast
 from repro.psg.callgraph import build_call_graph
 from repro.simulator import ops
-from repro.simulator.errors import SimulationError
-from repro.simulator.exprcompile import BUILTIN_IMPL, hashrand, truthy
+from repro.simulator.exprcompile import truthy
+
+from repro.analysis.terms import (
+    P,
+    RANK,
+    Terms,
+    apply_binop,
+    apply_call,
+    apply_unop,
+)
 
 __all__ = [
     "Rankness",
@@ -80,9 +91,6 @@ __all__ = [
     "NotInstantiable",
     "RankAnalysis",
     "analyze_program",
-    "closed_term",
-    "eval_term",
-    "frame_names",
     "mpi_arg_exprs",
 ]
 
@@ -91,9 +99,6 @@ _MAX_LOOP_ITERS = 8
 #: Statement visits before the whole analysis gives up (degraded, empty
 #: const set) — a backstop, not a tuning knob; real programs use ~1e3.
 _MAX_STEPS = 300_000
-#: Node-count cap on symbolic terms (``sel`` chains in loops could
-#: otherwise grow without bound).
-_MAX_TERM_SIZE = 96
 
 
 class Rankness(IntEnum):
@@ -110,8 +115,8 @@ class AbstractValue:
     """One lattice point, optionally with a symbolic rank function.
 
     ``value`` is meaningful only for ``CONST``.  ``term`` — when present —
-    is a nested-tuple symbolic expression over ``rank`` evaluable with
-    :func:`eval_term`; it means the runtime value equals
+    is an interned symbolic expression over ``rank`` (see
+    :mod:`repro.analysis.terms`); it means the runtime value equals
     ``eval_term(term, rank)`` on every execution.  ``affine`` documents
     the recovered ``(a, b, mod)`` coefficients of an AFFINE value.
     """
@@ -124,22 +129,16 @@ class AbstractValue:
 
 _INV = AbstractValue(Rankness.INVARIANT)
 _DEP = AbstractValue(Rankness.DEPENDENT)
-_RANK = AbstractValue(
-    Rankness.AFFINE, term=("rank",), affine=(1, 0, None)
-)
+_RANK = AbstractValue(Rankness.AFFINE, term=RANK, affine=(1, 0, None))
 #: ``nprocs`` in symbolic mode (``analyze_program(nprocs=None)``): an
 #: unknown-but-rank-invariant value carrying the ``("P",)`` term, so every
 #: verdict stays a closed function of (rank, P) —
 #: :mod:`repro.analysis.scaleparam` instantiates them at any scale.
-_P = AbstractValue(Rankness.INVARIANT, term=("P",))
+_P = AbstractValue(Rankness.INVARIANT, term=P)
 
 
-def const_av(value: object) -> AbstractValue:
-    return AbstractValue(Rankness.CONST, value=value, term=("const", value))
-
-
-#: Defaulted (absent) optional argument: constant by definition.
-_ABSENT = const_av(None)
+def const_av(terms: Terms, value: object) -> AbstractValue:
+    return AbstractValue(Rankness.CONST, value=value, term=terms.const(value))
 
 
 def _same_const(a: object, b: object) -> bool:
@@ -147,66 +146,12 @@ def _same_const(a: object, b: object) -> bool:
     return type(a) is type(b) and a == b
 
 
-def _terms_equal(a: tuple | None, b: tuple | None) -> bool:
-    if a is None or b is None:
-        return False
-    if a is b:
-        return True
-    if a[0] != b[0] or len(a) != len(b):
-        return False
-    if a[0] == "const":
-        return _same_const(a[1], b[1])
-    return all(
-        _terms_equal(x, y) if isinstance(x, tuple) else x == y
-        for x, y in zip(a[1:], b[1:])
-    )
-
-
-def _term_size(term: tuple) -> int:
-    size = 1
-    for sub in term[1:]:
-        if type(sub) is tuple:
-            size += _term_size(sub)
-    return size
-
-
-def _capped(term: tuple | None) -> tuple | None:
-    if term is not None and _term_size(term) > _MAX_TERM_SIZE:
-        return None
-    return term
-
-
-def frame_names(term: tuple | None) -> frozenset[str]:
-    """The locals a term reads through ``("frame", name)`` leaves."""
-    out: set[str] = set()
-
-    def walk(t: tuple) -> None:
-        if t[0] == "frame":
-            out.add(t[1])
-            return
-        for sub in t[1:]:
-            if isinstance(sub, tuple):
-                walk(sub)
-
-    if term is not None:
-        walk(term)
-    return frozenset(out)
-
-
-def closed_term(av: AbstractValue) -> tuple | None:
-    """``av.term`` when it is a closed function of (rank, P), else None.
-
-    A frame-bearing term needs the executing frame to evaluate; consumers
-    with no frame at hand (the rank partition, the scale-parametric
-    lint) must treat it exactly like a missing term.
-    """
-    return None if frame_names(av.term) else av.term
-
-
-def _without_frame(av: AbstractValue, name: str | None = None) -> AbstractValue:
+def _without_frame(
+    terms: Terms, av: AbstractValue, name: str | None = None
+) -> AbstractValue:
     """``av`` minus its term when that term reads ``name``'s frame leaf
     (any frame leaf when ``name`` is None); the kind stays."""
-    names = frame_names(av.term)
+    names = terms.env_names(av.term)
     if names and (name is None or name in names):
         return replace(av, term=None)
     return av
@@ -219,9 +164,7 @@ def av_equal(x: AbstractValue, y: AbstractValue) -> bool:
         return False
     if x.kind is Rankness.CONST:
         return _same_const(x.value, y.value)
-    if x.term is None and y.term is None:
-        return True
-    return _terms_equal(x.term, y.term)
+    return x.term is y.term
 
 
 def join(x: AbstractValue | None, y: AbstractValue | None) -> AbstractValue:
@@ -241,163 +184,11 @@ def join(x: AbstractValue | None, y: AbstractValue | None) -> AbstractValue:
         if _same_const(x.value, y.value):
             return x
         return _INV
-    if _terms_equal(x.term, y.term):
+    if x.term is not None and x.term is y.term:
         return x if x.kind >= y.kind else y
     if x.kind <= Rankness.INVARIANT and y.kind <= Rankness.INVARIANT:
         return _INV
     return _DEP
-
-
-# --------------------------------------------------------------------------
-# concrete operator semantics (shared by constant folding and eval_term)
-# --------------------------------------------------------------------------
-
-
-def _apply_binop(op: str, a: object, b: object) -> object:
-    """Exactly the interpreter's binary-operator semantics (exprcompile)."""
-    if op == "==":
-        return a == b
-    if op == "!=":
-        return a != b
-    if op == "&&":
-        return truthy(a) and truthy(b)
-    if op == "||":
-        return truthy(a) or truthy(b)
-    if not isinstance(a, (int, float)) or not isinstance(b, (int, float)):
-        raise SimulationError(
-            f"operator {op!r} needs numbers, got {a!r} and {b!r}"
-        )
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "<":
-        return a < b
-    if op == ">":
-        return a > b
-    if op == "<=":
-        return a <= b
-    if op == ">=":
-        return a >= b
-    if op == "/":
-        if b == 0:
-            raise SimulationError("division by zero")
-        if isinstance(a, int) and isinstance(b, int):
-            return int(a / b)  # C-style truncation
-        return a / b
-    if op == "%":
-        if b == 0:
-            raise SimulationError("modulo by zero")
-        return a % b
-    raise SimulationError(f"unknown binary op {op!r}")
-
-
-def _apply_unop(op: str, v: object) -> object:
-    if op == "-":
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise SimulationError(f"cannot negate {v!r}")
-        return -v
-    if op == "!":
-        return not truthy(v)
-    raise SimulationError(f"unknown unary op {op!r}")
-
-
-def _apply_call(name: str, args: list) -> object:
-    if name == "hashrand":
-        return hashrand(tuple(args))
-    impl = BUILTIN_IMPL[name]
-    try:
-        return impl(*args)
-    except (TypeError, ValueError) as exc:
-        raise SimulationError(f"{name}(): {exc}") from exc
-
-
-def _trip_count(cmp: str, delta: int, start: object, bound: object) -> int:
-    """Closed-form iteration count of ``for (x = start; x cmp bound; x += delta)``."""
-    if not isinstance(start, int) or not isinstance(bound, int):
-        raise SimulationError("non-integer loop bounds")
-    if cmp in ("<", "<="):
-        span = bound - start + (1 if cmp == "<=" else 0)
-        if delta <= 0:
-            if span > 0:
-                raise SimulationError("non-terminating loop")
-            return 0
-        return max(0, -((-span) // delta))
-    if cmp in (">", ">="):
-        span = start - bound + (1 if cmp == ">=" else 0)
-        if delta >= 0:
-            if span > 0:
-                raise SimulationError("non-terminating loop")
-            return 0
-        return max(0, -((-span) // (-delta)))
-    raise SimulationError(f"uncountable loop comparison {cmp!r}")
-
-
-def eval_term(
-    term: tuple,
-    rank: int,
-    nprocs: int | None = None,
-    env: Mapping[str, object] | None = None,
-) -> object:
-    """Evaluate a symbolic rank function for one concrete rank.
-
-    ``nprocs`` binds the symbolic ``("P",)`` scale parameter produced by
-    :func:`analyze_program` in symbolic mode; ``env`` binds ``("var", name)``
-    iteration variables used by :mod:`repro.analysis.commgraph` families
-    and ``("frame", name)`` locals of the executing frame.
-    Raises :class:`SimulationError` exactly where the interpreter would
-    (division by zero, type errors, an unbound symbol) — callers degrade
-    on failure.
-    """
-    tag = term[0]
-    if tag == "const":
-        return term[1]
-    if tag == "rank":
-        return rank
-    if tag == "P":
-        if nprocs is None:
-            raise SimulationError("term uses symbolic nprocs with no scale bound")
-        return nprocs
-    if tag in ("var", "frame"):
-        if env is None or term[1] not in env:
-            raise SimulationError(f"term uses unbound variable {term[1]!r}")
-        return env[term[1]]
-    if tag == "bin":
-        op = term[1]
-        # short-circuit like the interpreter: the right operand of a
-        # decided &&/|| is never evaluated (and so may never raise)
-        if op == "&&":
-            if not truthy(eval_term(term[2], rank, nprocs, env)):
-                return False
-            return truthy(eval_term(term[3], rank, nprocs, env))
-        if op == "||":
-            if truthy(eval_term(term[2], rank, nprocs, env)):
-                return True
-            return truthy(eval_term(term[3], rank, nprocs, env))
-        return _apply_binop(
-            op,
-            eval_term(term[2], rank, nprocs, env),
-            eval_term(term[3], rank, nprocs, env),
-        )
-    if tag == "un":
-        return _apply_unop(term[1], eval_term(term[2], rank, nprocs, env))
-    if tag == "call":
-        return _apply_call(
-            term[1], [eval_term(t, rank, nprocs, env) for t in term[2:]]
-        )
-    if tag == "sel":
-        if truthy(eval_term(term[1], rank, nprocs, env)):
-            return eval_term(term[2], rank, nprocs, env)
-        return eval_term(term[3], rank, nprocs, env)
-    if tag == "trip":
-        return _trip_count(
-            term[1], term[2],
-            eval_term(term[3], rank, nprocs, env),
-            eval_term(term[4], rank, nprocs, env),
-        )
-    raise SimulationError(f"unknown term tag {tag!r}")
 
 
 # --------------------------------------------------------------------------
@@ -433,13 +224,14 @@ def _affine_binop(op: str, left: AbstractValue, right: AbstractValue) -> tuple |
     return None
 
 
-def _affine_result(form: tuple, term: tuple | None) -> AbstractValue:
+def _affine_result(
+    terms: Terms, form: tuple, term: tuple | None
+) -> AbstractValue:
     a, b, mod = form
     if a == 0:
-        return const_av(b if mod is None else b % mod)
-    return AbstractValue(Rankness.DEPENDENT if term is None else Rankness.AFFINE,
-                         term=term, affine=form) \
-        if term is None else AbstractValue(Rankness.AFFINE, term=term, affine=form)
+        return const_av(terms, b if mod is None else b % mod)
+    kind = Rankness.DEPENDENT if term is None else Rankness.AFFINE
+    return AbstractValue(kind, term=term, affine=form)
 
 
 # --------------------------------------------------------------------------
@@ -447,19 +239,19 @@ def _affine_result(form: tuple, term: tuple | None) -> AbstractValue:
 # --------------------------------------------------------------------------
 
 
-def _fold_unary(op: str, v: AbstractValue) -> AbstractValue:
+def _fold_unary(terms: Terms, op: str, v: AbstractValue) -> AbstractValue:
     if v.kind is Rankness.CONST:
         try:
-            return const_av(_apply_unop(op, v.value))
+            return const_av(terms, apply_unop(op, v.value))
         except Exception:
             return _DEP  # raising expressions never fold
     term = None
     if v.term is not None:
-        term = _capped(("un", op, v.term))
+        term = terms.node("un", op, v.term)
     if op == "-":
         form = _affine_form(v)
         if form is not None and form[2] is None:
-            return _affine_result((-form[0], -form[1], None), term)
+            return _affine_result(terms, (-form[0], -form[1], None), term)
     if v.kind <= Rankness.INVARIANT:
         # keep the symbolic term: in symbolic-P mode INVARIANT values
         # (functions of P/params) no longer fold to CONST
@@ -467,22 +259,22 @@ def _fold_unary(op: str, v: AbstractValue) -> AbstractValue:
     return AbstractValue(Rankness.DEPENDENT, term=term)
 
 
-def _fold_call(func: str, *avs: AbstractValue) -> AbstractValue:
+def _fold_call(terms: Terms, func: str, *avs: AbstractValue) -> AbstractValue:
     if all(a.kind is Rankness.CONST for a in avs):
         try:
-            return const_av(_apply_call(func, [a.value for a in avs]))
+            return const_av(terms, apply_call(func, [a.value for a in avs]))
         except Exception:
             return _DEP
     term = None
     if all(a.term is not None for a in avs):
-        term = _capped(("call", func) + tuple(a.term for a in avs))
+        term = terms.node("call", func, *(a.term for a in avs))
     if all(a.kind <= Rankness.INVARIANT for a in avs):
         return AbstractValue(Rankness.INVARIANT, term=term)
     return AbstractValue(Rankness.DEPENDENT, term=term)
 
 
 def _fold_binary(
-    op: str, left: AbstractValue, right: AbstractValue
+    terms: Terms, op: str, left: AbstractValue, right: AbstractValue
 ) -> AbstractValue:
     # short-circuit: a decided && / || never evaluates its right side, so
     # fold on the left alone when possible (matching the runtime); the
@@ -493,30 +285,30 @@ def _fold_binary(
         except Exception:
             return _DEP
         if (op == "&&" and not lt) or (op == "||" and lt):
-            return const_av(op == "||")
+            return const_av(terms, op == "||")
         if right.kind is Rankness.CONST:
             try:
-                return const_av(truthy(right.value))
+                return const_av(terms, truthy(right.value))
             except Exception:
                 return _DEP
         term = None
         if right.term is not None:
-            term = _capped(("bin", op, left.term, right.term))
+            term = terms.node("bin", op, left.term, right.term)
         if right.kind <= Rankness.INVARIANT:
             return AbstractValue(Rankness.INVARIANT, term=term)
         return AbstractValue(Rankness.DEPENDENT, term=term)
     if left.kind is Rankness.CONST and right.kind is Rankness.CONST:
         try:
-            return const_av(_apply_binop(op, left.value, right.value))
+            return const_av(terms, apply_binop(op, left.value, right.value))
         except Exception:
             return _DEP
     term = None
     if left.term is not None and right.term is not None:
-        term = _capped(("bin", op, left.term, right.term))
+        term = terms.node("bin", op, left.term, right.term)
     if op in ("+", "-", "*", "%"):
         form = _affine_binop(op, left, right)
         if form is not None:
-            return _affine_result(form, term)
+            return _affine_result(terms, form, term)
     if left.kind <= Rankness.INVARIANT and right.kind <= Rankness.INVARIANT:
         return AbstractValue(Rankness.INVARIANT, term=term)
     return AbstractValue(Rankness.DEPENDENT, term=term)
@@ -586,18 +378,15 @@ def _call_outcome(callee: AbstractValue) -> tuple:
     return ("split",) if callee.kind >= Rankness.AFFINE else ("invariant",)
 
 
-def _has_closed_term(av: AbstractValue) -> bool:
-    return closed_term(av) is not None
+def _has_closed_term(terms: Terms, av: AbstractValue) -> bool:
+    return terms.closed(av.term) is not None
 
 
 def _summary_key(target: str, arg_avs) -> tuple:
-    """The abstract calling context a callee's analysis is memoized by."""
-    return (target,) + tuple(
-        (av.kind, type(av.value).__name__, av.value, av.term)
-        if av.kind is Rankness.CONST
-        else (av.kind, av.term)
-        for av in arg_avs
-    )
+    """The abstract calling context a callee's analysis is memoized by
+    (an interned term stands for its structure, a constant's for its
+    type and bits)."""
+    return (target,) + tuple((av.kind, id(av.term)) for av in arg_avs)
 
 
 #: How an instantiation that steps aside names each recorded step.
@@ -623,21 +412,6 @@ _STEP_LABELS = {
 # --------------------------------------------------------------------------
 
 
-def _reads_p(term: tuple | None) -> bool:
-    """Does ``term`` read the symbolic scale ``("P",)``?"""
-    if term is None:
-        return False
-    tag = term[0]
-    if tag == "P":
-        return True
-    if tag == "const" or tag == "rank" or tag == "frame":
-        return False
-    for sub in term[1:]:
-        if type(sub) is tuple and _reads_p(sub):
-            return True
-    return False
-
-
 def _same_av(a: AbstractValue | None, b: AbstractValue | None) -> bool:
     """Field-for-field equality that tells 1, 1.0 and True apart."""
     if a is b:
@@ -648,7 +422,7 @@ def _same_av(a: AbstractValue | None, b: AbstractValue | None) -> bool:
         a.kind is b.kind
         and _same_const(a.value, b.value)
         and a.affine == b.affine
-        and (a.term is b.term or _terms_equal(a.term, b.term))
+        and a.term is b.term
     )
 
 
@@ -667,25 +441,19 @@ class _Refold:
     reads ``("P",)`` re-folds bottom-up through the walk's own folds with
     P bound; every other verdict is shared as it is.
 
-    The memos key on ``id(term)`` of the symbolic run's own terms, which
-    its record keeps alive: ``reads`` and ``free`` (the verdict of each
-    P-free sub-term) hold for every scale and are the record's."""
+    Terms are interned in the symbolic run's table, which builds the
+    re-folded ones too, so the memos key on ``id(term)`` and an equal
+    sub-term anywhere in the run folds once: ``free`` (the verdict of
+    each P-free sub-term) holds for every scale and is the record's."""
 
-    def __init__(self, nprocs: int, reads: dict, free: dict) -> None:
+    def __init__(self, nprocs: int, terms: Terms, free: dict) -> None:
         self.nprocs = nprocs
-        self._reads = reads
+        self.terms = terms
         self._free = free
         self._memo: dict[int, AbstractValue] = {}
 
-    def reads_p(self, term: tuple) -> bool:
-        out = self._reads.get(id(term))
-        if out is None:
-            out = self._reads[id(term)] = _reads_p(term)
-        return out
-
     def av(self, av):
-        if type(av) is not AbstractValue or av.term is None \
-                or not self.reads_p(av.term):
+        if type(av) is not AbstractValue or not self.terms.reads_p(av.term):
             return av
         return self.term(av.term)
 
@@ -694,25 +462,29 @@ class _Refold:
         out = self._memo.get(key) or self._free.get(key)
         if out is None:
             out = self._fold(term)
-            (self._memo if self.reads_p(term) else self._free)[key] = out
+            memo = self._memo if self.terms.reads_p(term) else self._free
+            memo[key] = out
         return out
 
     def _fold(self, term: tuple) -> AbstractValue:
+        terms = self.terms
         tag = term[0]
         if tag == "const":
-            return const_av(term[1])
+            return AbstractValue(Rankness.CONST, value=term[1], term=term)
         if tag == "rank":
             return _RANK
         if tag == "P":
-            return const_av(self.nprocs)
+            return const_av(terms, self.nprocs)
         if tag == "frame":
             return AbstractValue(Rankness.INVARIANT, term=term)
         if tag == "bin":
-            return _fold_binary(term[1], self.term(term[2]), self.term(term[3]))
+            return _fold_binary(
+                terms, term[1], self.term(term[2]), self.term(term[3])
+            )
         if tag == "un":
-            return _fold_unary(term[1], self.term(term[2]))
+            return _fold_unary(terms, term[1], self.term(term[2]))
         if tag == "call":
-            return _fold_call(term[1], *map(self.term, term[2:]))
+            return _fold_call(terms, term[1], *map(self.term, term[2:]))
         if tag == "sel":
             # a merge under a rank-dependent condition (which the recorded
             # branch outcome keeps rank-dependent at this scale)
@@ -720,15 +492,15 @@ class _Refold:
             if None in parts:
                 return _DEP
             return AbstractValue(
-                Rankness.DEPENDENT, term=_capped(("sel", *parts))
+                Rankness.DEPENDENT, term=terms.node("sel", *parts)
             )
         if tag == "trip":
-            ends = [closed_term(self.term(t)) for t in term[3:]]
+            ends = [terms.closed(self.term(t).term) for t in term[3:]]
             if None in ends:
                 raise NotInstantiable("a trip-count bound has no closed term")
             return AbstractValue(
                 Rankness.DEPENDENT,
-                term=_capped(("trip", term[1], term[2], *ends)),
+                term=terms.node("trip", term[1], term[2], *ends),
             )
         raise NotInstantiable(f"term tag {tag!r} does not re-fold")
 
@@ -750,14 +522,13 @@ class _SymbolicRecord:
     p_exprs: tuple[int, ...]
     p_stmts: tuple[int, ...]
     p_deciders: tuple[int, ...]
-    #: :class:`_Refold`'s scale-free memos
-    _reads: dict = field(default_factory=dict)
+    #: :class:`_Refold`'s scale-free memo
     _free: dict = field(default_factory=dict)
 
     def instantiate(self, analysis: RankAnalysis, nprocs: int) -> RankAnalysis:
         if self.hazards:
             raise NotInstantiable(self.hazards[0])
-        refold = _Refold(nprocs, self._reads, self._free)
+        refold = _Refold(nprocs, analysis.terms, self._free)
         inst = refold.av
         for step, args, out, node in self.steps:
             got = step(*map(inst, args))
@@ -773,13 +544,12 @@ class _SymbolicRecord:
             seen: set = set()
             for args in contexts:
                 key = _summary_key(target, map(inst, args))
-                with contextlib.suppress(TypeError):
-                    if key in seen:
-                        raise NotInstantiable(
-                            f"two calling contexts of {target}() meet at "
-                            f"P={nprocs}"
-                        )
-                    seen.add(key)
+                if key in seen:
+                    raise NotInstantiable(
+                        f"two calling contexts of {target}() meet at "
+                        f"P={nprocs}"
+                    )
+                seen.add(key)
         expr_verdicts = dict(analysis.expr_verdicts)
         for key in self.p_exprs:
             expr_verdicts[key] = refold.term(expr_verdicts[key].term)
@@ -802,6 +572,7 @@ class _SymbolicRecord:
             ),
             deciders=deciders,
             degraded_reasons=analysis.degraded_reasons,
+            terms=analysis.terms,
         )
 
 
@@ -864,6 +635,8 @@ class RankAnalysis:
     const_stmts: frozenset[int]
     deciders: dict[int, Decider]
     degraded_reasons: tuple[str, ...]
+    #: the table every term of this analysis is interned in
+    terms: Terms = field(repr=False, compare=False)
     #: a symbolic run's notes for :meth:`instantiate` (None otherwise)
     _record: _SymbolicRecord | None = field(
         default=None, repr=False, compare=False
@@ -887,6 +660,12 @@ class RankAnalysis:
                 else self.degraded or "no symbolic record"
             )
         return self._record.instantiate(self, nprocs)
+
+    def closed_term(self, av: AbstractValue) -> tuple | None:
+        """``av.term`` when it is a closed function of (rank, P), else
+        None: consumers with no frame at hand (the rank partition, the
+        scale-parametric lint) treat a frame-bearing term as no term."""
+        return self.terms.closed(av.term)
 
     @property
     def degraded(self) -> str | None:
@@ -930,52 +709,6 @@ class _BudgetExceeded(Exception):
     pass
 
 
-def _walk_exprs(stmt: ast.Stmt) -> Iterator[ast.Expr]:
-    """Top-level expressions of one statement (not recursing into blocks)."""
-    if isinstance(stmt, ast.VarDecl):
-        if stmt.init is not None:
-            yield stmt.init
-    elif isinstance(stmt, ast.Assign):
-        yield stmt.value
-    elif isinstance(stmt, (ast.IfStmt, ast.WhileStmt)):
-        yield stmt.cond
-    elif isinstance(stmt, ast.ForStmt):
-        if stmt.cond is not None:
-            yield stmt.cond
-    elif isinstance(stmt, ast.ReturnStmt):
-        if stmt.value is not None:
-            yield stmt.value
-    elif isinstance(stmt, ast.CallStmt):
-        yield stmt.callee
-        yield from stmt.args
-    elif isinstance(stmt, ast.ComputeStmt):
-        yield from (e for e in _compute_arg_exprs(stmt) if e is not None)
-    elif isinstance(stmt, ast.MpiStmt):
-        yield from (e for e in mpi_arg_exprs(stmt) if e is not None)
-
-
-def _address_taken(program: ast.Program) -> set[str]:
-    out: set[str] = set()
-
-    def walk_expr(expr: ast.Expr) -> None:
-        if isinstance(expr, ast.FuncRef):
-            out.add(expr.name)
-        elif isinstance(expr, ast.UnaryExpr):
-            walk_expr(expr.operand)
-        elif isinstance(expr, ast.BinaryExpr):
-            walk_expr(expr.left)
-            walk_expr(expr.right)
-        elif isinstance(expr, ast.CallExpr):
-            for a in expr.args:
-                walk_expr(a)
-
-    for func in program.functions.values():
-        for stmt in ast.walk_statements(func.body):
-            for expr in _walk_exprs(stmt):
-                walk_expr(expr)
-    return out
-
-
 def _assigned_names(block: ast.Block) -> set[str]:
     """Every name a block (transitively) writes to its frame."""
     names: set[str] = set()
@@ -998,6 +731,42 @@ def _free_names(expr: ast.Expr, out: set[str]) -> None:
             _free_names(a, out)
 
 
+def countable_for(stmt: ast.ForStmt) -> tuple | None:
+    """``(var, cmp, delta, init expr, bound expr)`` of a loop of the
+    classic ``for (x = e0; x cmp e1; x = x +/- c)`` shape, with ``c`` an
+    integer literal, whose body writes neither ``x`` nor the bound's
+    inputs, else None: its trip count is ``trip_count(cmp, delta, e0, e1)``
+    with the bounds read at loop entry."""
+    init, cond, step = stmt.init, stmt.cond, stmt.step
+    if not isinstance(init, (ast.VarDecl, ast.Assign)):
+        return None
+    var = init.name
+    init_expr = init.init if isinstance(init, ast.VarDecl) else init.value
+    if init_expr is None or not (
+        isinstance(cond, ast.BinaryExpr)
+        and cond.op in ("<", "<=", ">", ">=")
+        and isinstance(cond.left, ast.VarRef)
+        and cond.left.name == var
+        and isinstance(step, ast.Assign)
+        and step.name == var
+        and isinstance(step.value, ast.BinaryExpr)
+        and step.value.op in ("+", "-")
+        and isinstance(step.value.left, ast.VarRef)
+        and step.value.left.name == var
+        and isinstance(step.value.right, ast.IntLit)
+    ):
+        return None
+    delta = step.value.right.value
+    if step.value.op == "-":
+        delta = -delta
+    written = _assigned_names(stmt.body)
+    bound_free: set[str] = set()
+    _free_names(cond.right, bound_free)
+    if delta == 0 or var in written or bound_free & written:
+        return None
+    return var, cond.op, delta, init_expr, cond.right
+
+
 # --------------------------------------------------------------------------
 # the analyzer
 # --------------------------------------------------------------------------
@@ -1013,9 +782,10 @@ def _program_facts(program: ast.Program, cache: dict | None) -> tuple:
     shares ``cache``."""
     facts = cache.get(_FACTS_KEY) if cache is not None else None
     if facts is None:
+        graph = build_call_graph(program)
         facts = (
-            frozenset(build_call_graph(program).recursive_functions()),
-            frozenset(_address_taken(program)),
+            frozenset(graph.recursive_functions()),
+            frozenset(graph.address_taken),
         )
         if cache is not None:
             cache[_FACTS_KEY] = facts
@@ -1036,6 +806,9 @@ class _Analyzer:
         self.params = dict(params or {})
         self.entry = entry
         self.recursive, self.address_taken = _program_facts(program, cache)
+        self.terms = Terms()
+        #: defaulted (absent) optional argument: constant by definition
+        self._absent = const_av(self.terms, None)
         self.expr_verdicts: dict[int, AbstractValue] = {}
         self.stmt_args: dict[int, tuple[AbstractValue, ...]] = {}
         self.deciders: dict[int, Decider] = {}
@@ -1066,10 +839,13 @@ class _Analyzer:
         return outcome(*avs)
 
     def _drop_frame(self, av, name=None, node=None) -> AbstractValue:
-        return _without_frame(av, name)
+        return _without_frame(self.terms, av, name)
 
-    def _cap(self, term: tuple, node) -> tuple | None:
-        return _capped(term)
+    def _build(self, node, tag: str, *args) -> tuple | None:
+        return self.terms.node(tag, *args)
+
+    def _fold(self, expr, fold, *args) -> AbstractValue:
+        return fold(self.terms, *args)
 
     def _note_context(self, target: str, arg_avs: list) -> None:
         pass
@@ -1162,13 +938,15 @@ class _Analyzer:
         if name in env:
             return env[name]
         if name in self.params:
-            return const_av(self.params[name])
+            return const_av(self.terms, self.params[name])
         if name == "rank":
             return _RANK
         if name == "nprocs":
             # symbolic mode: keep the scale a closed symbol instead of a
             # constant, so terms stay evaluable at *any* P
-            return const_av(self.nprocs) if self.nprocs is not None else _P
+            if self.nprocs is None:
+                return _P
+            return const_av(self.terms, self.nprocs)
         return _DEP  # undefined at runtime: the interpreter raises
 
     def _eval(self, expr: ast.Expr, env: dict) -> AbstractValue:
@@ -1178,33 +956,31 @@ class _Analyzer:
 
     def _eval_inner(self, expr: ast.Expr, env: dict) -> AbstractValue:
         # the two most common nodes first, by exact type (every lint
-        # witness re-runs this evaluator; subclasses take the chain below)
+        # witness re-runs this evaluator)
         expr_type = type(expr)
         if expr_type is ast.BinaryExpr:
-            return _fold_binary(
-                expr.op, self._eval(expr.left, env), self._eval(expr.right, env)
+            return self._fold(
+                expr, _fold_binary, expr.op,
+                self._eval(expr.left, env), self._eval(expr.right, env),
             )
         if expr_type is ast.VarRef:
             return self._resolve_name(expr.name, env)
         if isinstance(expr, (ast.IntLit, ast.FloatLit, ast.StringLit, ast.BoolLit)):
-            return const_av(expr.value)
+            return const_av(self.terms, expr.value)
         if isinstance(expr, ast.AnyLit):
-            return const_av(ops.ANY)
+            return const_av(self.terms, ops.ANY)
         if isinstance(expr, ast.FuncRef):
             from repro.simulator.interp import FuncRefValue
 
-            return const_av(FuncRefValue(expr.name))
-        if isinstance(expr, ast.VarRef):
-            return self._resolve_name(expr.name, env)
+            return const_av(self.terms, FuncRefValue(expr.name))
         if isinstance(expr, ast.UnaryExpr):
-            return _fold_unary(expr.op, self._eval(expr.operand, env))
-        if isinstance(expr, ast.BinaryExpr):
-            return _fold_binary(
-                expr.op, self._eval(expr.left, env), self._eval(expr.right, env)
+            return self._fold(
+                expr, _fold_unary, expr.op, self._eval(expr.operand, env)
             )
         if isinstance(expr, ast.CallExpr):
-            return _fold_call(
-                expr.func, *[self._eval(a, env) for a in expr.args]
+            return self._fold(
+                expr, _fold_call, expr.func,
+                *[self._eval(a, env) for a in expr.args],
             )
         return _DEP  # unknown node type: the interpreter raises on it
 
@@ -1227,7 +1003,9 @@ class _Analyzer:
             if rank_split and not self._av_equal(a, b, stmt):
                 if a.term is not None and b.term is not None \
                         and cond_av.term is not None:
-                    term = self._cap(("sel", cond_av.term, a.term, b.term), stmt)
+                    term = self._build(
+                        stmt, "sel", cond_av.term, a.term, b.term
+                    )
                     out[name] = AbstractValue(Rankness.DEPENDENT, term=term)
                 else:
                     out[name] = _DEP
@@ -1279,7 +1057,7 @@ class _Analyzer:
                 env, stmt.name,
                 self._eval(stmt.init, env)
                 if stmt.init is not None
-                else const_av(0),
+                else const_av(self.terms, 0),
                 stmt,
             )
             return
@@ -1299,7 +1077,7 @@ class _Analyzer:
             self._record_stmt_args(
                 stmt,
                 tuple(
-                    self._eval(e, env) if e is not None else _ABSENT
+                    self._eval(e, env) if e is not None else self._absent
                     for e in _compute_arg_exprs(stmt)
                 ),
             )
@@ -1308,7 +1086,7 @@ class _Analyzer:
             self._record_stmt_args(
                 stmt,
                 tuple(
-                    self._eval(e, env) if e is not None else _ABSENT
+                    self._eval(e, env) if e is not None else self._absent
                     for e in mpi_arg_exprs(stmt)
                 ),
             )
@@ -1411,7 +1189,10 @@ class _Analyzer:
         finally:
             self._quiet -= 1
         run_body(dict(state))  # record under the stable head state
-        cond_final = cond_joined if cond_joined is not None else const_av(True)
+        cond_final = (
+            cond_joined if cond_joined is not None
+            else const_av(self.terms, True)
+        )
         if self._decide(_rank_split, stmt, cond_final):
             # rank-dependent trip count: every variable the loop body can
             # write diverges across ranks after the loop
@@ -1433,7 +1214,9 @@ class _Analyzer:
         leaf (None when the plain join applies)."""
         if self._decide(_leaf_differs, stmt, before, after):
             self._frame_vars.add(name)
-            return AbstractValue(Rankness.INVARIANT, term=("frame", name))
+            return AbstractValue(
+                Rankness.INVARIANT, term=self.terms.leaf("frame", name)
+            )
         return None
 
     def _is_head_leaf(
@@ -1504,57 +1287,20 @@ class _Analyzer:
     def _countable_trip(
         self, stmt: ast.ForStmt, entry_env: dict
     ) -> tuple | None:
-        """A ('trip', cmp, delta, init, bound) term for the classic
-        ``for (x = e0; x cmp e1; x = x +/- c)`` shape, else None."""
-        init, cond, step = stmt.init, stmt.cond, stmt.step
-        if init is None or cond is None or step is None:
+        """A ('trip', cmp, delta, init, bound) term for a countable
+        loop (:func:`countable_for`), else None."""
+        found = countable_for(stmt)
+        if found is None:
             return None
-        if not isinstance(init, (ast.VarDecl, ast.Assign)):
-            return None
-        var = init.name
-        init_expr = init.init if isinstance(init, ast.VarDecl) else init.value
-        if init_expr is None:
-            return None
-        if not (
-            isinstance(cond, ast.BinaryExpr)
-            and cond.op in ("<", "<=", ">", ">=")
-            and isinstance(cond.left, ast.BinaryExpr) is False
-            and isinstance(cond.left, ast.VarRef)
-            and cond.left.name == var
-        ):
-            return None
-        # step must be x = x + c or x = x - c with an integer literal c
-        if not (
-            isinstance(step, ast.Assign)
-            and step.name == var
-            and isinstance(step.value, ast.BinaryExpr)
-            and step.value.op in ("+", "-")
-            and isinstance(step.value.left, ast.VarRef)
-            and step.value.left.name == var
-            and isinstance(step.value.right, ast.IntLit)
-        ):
-            return None
-        delta = step.value.right.value
-        if step.value.op == "-":
-            delta = -delta
-        if delta == 0:
-            return None
-        # the body must not write the loop variable or the bound's inputs
-        written = _assigned_names(stmt.body)
-        if var in written:
-            return None
-        bound_free: set[str] = set()
-        _free_names(cond.right, bound_free)
-        if bound_free & written:
-            return None
+        _var, cmp, delta, init_expr, bound_expr = found
         init_av = self._eval(init_expr, entry_env)
-        bound_av = self._eval(cond.right, entry_env)
-        if not self._decide(_has_closed_term, stmt, init_av) \
-                or not self._decide(_has_closed_term, stmt, bound_av):
+        bound_av = self._eval(bound_expr, entry_env)
+        if not all(
+            self._decide(_has_closed_term, stmt, self.terms, av)
+            for av in (init_av, bound_av)
+        ):
             return None
-        return self._cap(
-            ("trip", cond.op, delta, init_av.term, bound_av.term), stmt
-        )
+        return self._build(stmt, "trip", cmp, delta, init_av.term, bound_av.term)
 
     def _analyze_call(self, stmt: ast.CallStmt, env: dict) -> None:
         if self._quiet:
@@ -1591,12 +1337,10 @@ class _Analyzer:
         if target in self._active or target in self.recursive:
             return  # covered by the pessimistic pre-analysis
         key = _summary_key(target, arg_avs)
-        with contextlib.suppress(TypeError):  # unhashable: just re-analyze
-            hash(key)
-            if key in self._summaries:
-                return  # same abstract context already analyzed
-            self._summaries.add(key)
-            self._note_context(target, arg_avs)
+        if key in self._summaries:
+            return  # same abstract context already analyzed
+        self._summaries.add(key)
+        self._note_context(target, arg_avs)
         self._analyze_function(target, dict(zip(func.params, arg_avs)))
 
     def _analyze_function(self, name: str, env: dict) -> None:
@@ -1635,6 +1379,7 @@ class _Analyzer:
             const_stmts=_const_stmts(self.stmt_args),
             deciders=self.deciders,
             degraded_reasons=tuple(dict.fromkeys(self.degraded)),
+            terms=self.terms,
         )
 
 
@@ -1654,34 +1399,40 @@ class _SymbolicAnalyzer(_Analyzer):
 
     def _join(self, x, y, node=None) -> AbstractValue:
         out = join(x, y)
+        reads_p = self.terms.reads_p
         if x is not None and y is not None and out.term is None \
-                and (_reads_p(x.term) or _reads_p(y.term)):
+                and (reads_p(x.term) or reads_p(y.term)):
             self._steps_noted.append((join, (x, y), out, node))
         return out
 
     def _av_equal(self, x, y, node=None) -> bool:
         out = av_equal(x, y)
-        if not out and (_reads_p(x.term) or _reads_p(y.term)):
+        reads_p = self.terms.reads_p
+        if not out and (reads_p(x.term) or reads_p(y.term)):
             self._steps_noted.append((av_equal, (x, y), out, node))
         return out
 
     def _decide(self, outcome, node, *avs):
         out = outcome(*avs)
         for av in avs:
-            if av is not None and _reads_p(av.term):
+            if type(av) is AbstractValue and self.terms.reads_p(av.term):
                 self._steps_noted.append((outcome, avs, out, node))
                 break
         return out
 
     def _drop_frame(self, av, name=None, node=None) -> AbstractValue:
-        out = _without_frame(av, name)
-        if out is not av and _reads_p(av.term):
-            self._steps_noted.append((_without_frame, (av, name), out, node))
+        out = _without_frame(self.terms, av, name)
+        if out is not av and self.terms.reads_p(av.term):
+            self._steps_noted.append(
+                (_without_frame, (self.terms, av, name), out, node)
+            )
         return out
 
-    def _cap(self, term: tuple, node) -> tuple | None:
-        out = _capped(term)
-        if out is None and _reads_p(term):
+    def _build(self, node, tag: str, *args) -> tuple | None:
+        out = self.terms.node(tag, *args)
+        if out is None and any(
+            type(a) is tuple and self.terms.reads_p(a) for a in args
+        ):
             self._hazards.append(
                 f"{_where(node)}a term on nprocs exceeds the size cap"
             )
@@ -1690,33 +1441,22 @@ class _SymbolicAnalyzer(_Analyzer):
     def _note_context(self, target: str, arg_avs: list) -> None:
         self._contexts.setdefault(target, []).append(tuple(arg_avs))
 
-    def _eval_inner(self, expr: ast.Expr, env: dict) -> AbstractValue:
-        if isinstance(expr, ast.BinaryExpr):
-            fold, args = _fold_binary, (
-                expr.op, self._eval(expr.left, env), self._eval(expr.right, env)
-            )
-        elif isinstance(expr, ast.UnaryExpr):
-            fold, args = _fold_unary, (expr.op, self._eval(expr.operand, env))
-        elif isinstance(expr, ast.CallExpr):
-            fold, args = _fold_call, (expr.func,) + tuple(
-                self._eval(a, env) for a in expr.args
-            )
-        else:
-            return super()._eval_inner(expr, env)
-        out = fold(*args)
+    def _fold(self, expr, fold, *args) -> AbstractValue:
+        out = fold(self.terms, *args)
         # a result with a term re-folds from it; one without, from a P
         # operand, must be recomputed at the scale
-        if out.term is None and any(_reads_p(a.term) for a in args[1:]):
-            self._steps_noted.append((fold, args, out, expr))
+        if out.term is None and any(self.terms.reads_p(a.term) for a in args[1:]):
+            self._steps_noted.append((fold, (self.terms, *args), out, expr))
         return out
 
     def run(self) -> RankAnalysis:
         analysis = super().run()
+        reads_p = self.terms.reads_p
         contexts = {
             target: args
             for target, args in self._contexts.items()
             if len(args) > 1
-            and any(_reads_p(av.term) for avs in args for av in avs)
+            and any(reads_p(av.term) for avs in args for av in avs)
         }
         analysis._record = _SymbolicRecord(
             hazards=tuple(dict.fromkeys(self._hazards)),
@@ -1724,15 +1464,15 @@ class _SymbolicAnalyzer(_Analyzer):
             contexts=contexts,
             p_exprs=tuple(
                 key for key, av in self.expr_verdicts.items()
-                if _reads_p(av.term)
+                if reads_p(av.term)
             ),
             p_stmts=tuple(
                 sid for sid, avs in self.stmt_args.items()
-                if any(_reads_p(av.term) for av in avs)
+                if any(reads_p(av.term) for av in avs)
             ),
             p_deciders=tuple(
                 sid for sid, decider in self.deciders.items()
-                if _reads_p(decider.av.term)
+                if reads_p(decider.av.term)
             ),
         )
         return analysis
@@ -1751,7 +1491,7 @@ def analyze_program(
     ``nprocs=None`` runs the *symbolic* variant: ``nprocs`` stays an
     opaque rank-invariant symbol (term ``("P",)``) instead of a folded
     constant, so one dataflow run produces terms valid at every scale —
-    pass them to :func:`eval_term` with a concrete ``nprocs``, or take
+    pass them to ``eval_term`` with a concrete ``nprocs``, or take
     the whole concrete analysis from :meth:`RankAnalysis.instantiate`.
     Precision only ever shrinks versus a concrete run (branches on
     ``nprocs`` are joined instead of decided), so every symbolic verdict
@@ -1782,4 +1522,5 @@ def analyze_program(
             const_stmts=frozenset(),
             deciders=analyzer.deciders,
             degraded_reasons=("analysis step budget exceeded",),
+            terms=analyzer.terms,
         )

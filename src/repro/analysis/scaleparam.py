@@ -47,7 +47,6 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from repro import obs
 from repro.minilang import ast_nodes as ast
 from repro.psg.graph import PSG
-from repro.simulator import ops
 
 from repro.analysis.lint import (
     LintFinding,
@@ -62,9 +61,9 @@ from repro.analysis.rankdep import (
     NotInstantiable,
     RankAnalysis,
     analyze_program,
-    closed_term,
     mpi_arg_exprs,
 )
+from repro.analysis.terms import render_term
 
 __all__ = [
     "AffineRP",
@@ -472,42 +471,6 @@ def _magnitude_roles(stmt: object) -> dict:
     return {}
 
 
-def render_term(term: tuple | None) -> str:
-    """Human-readable form of a rankdep symbolic term."""
-    if term is None:
-        return "?"
-    tag = term[0]
-    if tag == "const":
-        v = term[1]
-        if v is ops.ANY:
-            return "ANY"
-        return repr(v) if isinstance(v, str) else str(v)
-    if tag == "rank":
-        return "rank"
-    if tag == "P":
-        return "P"
-    if tag == "var":
-        return term[1]
-    if tag == "bin":
-        return f"({render_term(term[2])} {term[1]} {render_term(term[3])})"
-    if tag == "un":
-        return f"({term[1]}{render_term(term[2])})"
-    if tag == "call":
-        args = ", ".join(render_term(t) for t in term[2:])
-        return f"{term[1]}({args})"
-    if tag == "sel":
-        return (
-            f"({render_term(term[1])} ? {render_term(term[2])}"
-            f" : {render_term(term[3])})"
-        )
-    if tag == "trip":
-        return (
-            f"trip({render_term(term[3])} {term[1]} {render_term(term[4])}"
-            f" by {term[2]})"
-        )
-    return f"<{tag}>"
-
-
 # --------------------------------------------------------------------------
 # the scale-parametric summary
 # --------------------------------------------------------------------------
@@ -603,7 +566,7 @@ def analyze_scale_parametric(
 
     for decider in sorted(analysis.deciders.values(), key=lambda d: d.stmt_id):
         absorb(
-            describe_term(closed_term(decider.av)),
+            describe_term(analysis.closed_term(decider.av)),
             f"{decider.location}: rank-dependent {decider.kind} decision",
         )
 
@@ -611,7 +574,7 @@ def analyze_scale_parametric(
         stmt = stmts.get(stmt_id)
         # a frame-bearing term reads a frame no scale binds (and "var"
         # leaves here are commgraph iteration variables): no closed form
-        terms = [closed_term(av) for av in analysis.stmt_args[stmt_id]]
+        terms = [analysis.closed_term(av) for av in analysis.stmt_args[stmt_id]]
         magnitude = _magnitude_roles(stmt)
         all_affine = True
         for i, term in enumerate(terms):
@@ -817,7 +780,8 @@ class ScaleLintReport:
     period: int
     endpoint_forms: tuple
     #: closed-form message/collective counts (None when the parametric
-    #: comm graph degraded) — see :mod:`repro.analysis.commgraph`
+    #: comm graph degraded or failed its self check) — see
+    #: :mod:`repro.analysis.commgraph`
     skeleton: object = None
     #: (scale, ok) of the instantiate-vs-concrete self check
     skeleton_checked: tuple | None = None
@@ -1024,7 +988,6 @@ def run_lint_scales(
 
         graph = build_comm_graph(program, params, entry=entry)
         if graph.exact:
-            skeleton = graph.skeleton()
             check_at = witnesses[0]
             try:
                 if max_iterations <= EXTRACT_MAX_ITERATIONS and not any(
@@ -1043,6 +1006,9 @@ def run_lint_scales(
                 checked = (check_at, graph.instantiate(check_at) == concrete)
             except Exception:
                 checked = (check_at, False)
+            if checked[1]:
+                # a skeleton its own check refuted is not reported
+                skeleton = graph.skeleton()
         del first_streams
 
     obs.emit(

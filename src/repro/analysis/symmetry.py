@@ -8,7 +8,7 @@ share one skeleton and differ only in the captured argument values
 (neighbor ids, tags, byte counts; typically affine in the rank).
 
 The partition is computed by evaluating each decider's symbolic rank
-function (:func:`repro.analysis.rankdep.eval_term`) for every concrete
+function (:func:`repro.analysis.terms.eval_term`) for every concrete
 rank and grouping ranks by the resulting decision vector.  Whenever any
 observable decision lacks a closed rank function (a rank-dependent
 ``while``, an indirect call with a rank-dependent target, a term that
@@ -32,12 +32,8 @@ from repro.minilang import ast_nodes as ast
 from repro.simulator.errors import SimulationError
 from repro.simulator.exprcompile import truthy
 
-from repro.analysis.rankdep import (
-    RankAnalysis,
-    analyze_program,
-    closed_term,
-    eval_term,
-)
+from repro.analysis.rankdep import RankAnalysis, analyze_program
+from repro.analysis.terms import eval_term
 
 __all__ = ["RankClass", "SymmetrySummary", "partition_ranks"]
 
@@ -127,7 +123,7 @@ def partition_ranks(
         return _singletons(nprocs, analysis.degraded, analysis)
 
     deciders = sorted(analysis.deciders.values(), key=lambda d: d.stmt_id)
-    terms = [closed_term(decider.av) for decider in deciders]
+    terms = [analysis.closed_term(decider.av) for decider in deciders]
     for decider, term in zip(deciders, terms):
         if term is None:
             return _singletons(

@@ -38,7 +38,15 @@ from repro.minilang import ast_nodes as ast
 from repro.minilang.errors import ParseError, SourceLocation
 from repro.minilang.lexer import Token, TokenKind, tokenize
 
-__all__ = ["Parser", "parse_program", "MPI_STMT_NAMES"]
+__all__ = ["Parser", "parse_program", "MPI_STMT_NAMES", "MAX_NESTING"]
+
+#: Deepest nesting parsed, else ``ParseError("nesting too deep")``: the
+#: height of a function's statement and expression tree, left-deep operator
+#: chains included, a block with its statements two levels, a parenthesized
+#: group one.  The deepest walker, this parser's descent into a builtin
+#: call, takes 8 frames a level: 80 levels stay under 650 frames, below
+#: CPython's default recursion limit of 1000.  The bundled apps reach 10.
+MAX_NESTING = 80
 
 #: Statement-level MPI spellings accepted by the parser.
 MPI_STMT_NAMES = {op.value: op for op in ast.MpiOp}
@@ -73,6 +81,11 @@ _CMP_KINDS = frozenset(
 )
 _ADD_KINDS = frozenset((TokenKind.PLUS, TokenKind.MINUS))
 _MUL_KINDS = frozenset((TokenKind.STAR, TokenKind.SLASH, TokenKind.PERCENT))
+#: Binary operators by precedence, loosest first.
+_BINARY_LEVELS = (
+    frozenset((TokenKind.OR,)), frozenset((TokenKind.AND,)),
+    _CMP_KINDS, _ADD_KINDS, _MUL_KINDS,
+)
 _UNARY_KINDS = frozenset((TokenKind.MINUS, TokenKind.NOT))
 
 
@@ -83,6 +96,10 @@ class Parser:
         # the first EOF, because no rule expects one.
         self.tokens = [*tokens, tokens[-1]]
         self.pos = 0
+        #: nesting levels open around the cursor (blocks, groups, operands)
+        self._depth = 0
+        #: height of the expression the last _parse_* call returned
+        self._height = 0
 
     # ------------------------------------------------------------------
     # token helpers
@@ -106,6 +123,11 @@ class Parser:
             self.pos += 1
             return tok
         return None
+
+    def _enter(self, tok: Token, levels: int = 1) -> None:
+        self._depth += levels
+        if self._depth > MAX_NESTING:
+            raise ParseError("nesting too deep", tok.location)
 
     def _expect(self, kind: TokenKind, text: str | None = None) -> Token:
         tok = self.tokens[self.pos]
@@ -148,12 +170,14 @@ class Parser:
 
     def _parse_block(self) -> ast.Block:
         start = self._expect(TokenKind.LBRACE)
+        self._enter(start, 2)
         statements: list[ast.Stmt] = []
         while not self._check(TokenKind.RBRACE):
             if self._check(TokenKind.EOF):
                 raise ParseError("unterminated block", start.location)
             statements.append(self._parse_statement())
         self._expect(TokenKind.RBRACE)
+        self._depth -= 2
         return ast.Block(location=start.location, statements=statements)
 
     # ------------------------------------------------------------------
@@ -247,7 +271,9 @@ class Parser:
         else_body = None
         if self._match(TokenKind.KEYWORD, "else"):
             if self._check(TokenKind.KEYWORD, "if"):
+                self._enter(self._peek(), 2)
                 nested = self._parse_if()
+                self._depth -= 2
                 else_body = ast.Block(location=nested.location, statements=[nested])
             else:
                 else_body = self._parse_block()
@@ -373,77 +399,67 @@ class Parser:
         return ast.CallStmt(location=name_tok.location, callee=callee, args=args)
 
     # ------------------------------------------------------------------
-    # expressions (precedence climbing via nested methods)
+    # expressions (precedence climbing over _BINARY_LEVELS)
     # ------------------------------------------------------------------
 
+    # Each _parse_* below leaves the height of the expression it returns in
+    # self._height; an operator chain, which this descent builds in a loop
+    # rather than by recursion, adds one level per operator.
+
     def _parse_expr(self) -> ast.Expr:
-        return self._parse_or()
+        expr = self._parse_binary(0)
+        if self._depth + self._height > MAX_NESTING:
+            raise ParseError("nesting too deep", expr.location)
+        return expr
 
-    def _parse_or(self) -> ast.Expr:
-        left = self._parse_and()
+    def _parse_binary(self, level: int) -> ast.Expr:
+        """Operands of the next tighter level joined left-deep by this
+        level's operators (one comparison at most)."""
+        tighter = level + 1
+        last = tighter == len(_BINARY_LEVELS)
+        left = self._parse_unary() if last else self._parse_binary(tighter)
+        kinds = _BINARY_LEVELS[level]
         tokens = self.tokens
-        while (tok := tokens[self.pos]).kind is TokenKind.OR:
+        while (tok := tokens[self.pos]).kind in kinds:
             self.pos += 1
-            right = self._parse_and()
-            left = ast.BinaryExpr(location=tok.location, op="||", left=left, right=right)
-        return left
-
-    def _parse_and(self) -> ast.Expr:
-        left = self._parse_cmp()
-        tokens = self.tokens
-        while (tok := tokens[self.pos]).kind is TokenKind.AND:
-            self.pos += 1
-            right = self._parse_cmp()
-            left = ast.BinaryExpr(location=tok.location, op="&&", left=left, right=right)
-        return left
-
-    def _parse_cmp(self) -> ast.Expr:
-        left = self._parse_add()
-        tok = self.tokens[self.pos]
-        if tok.kind in _CMP_KINDS:
-            self.pos += 1
-            right = self._parse_add()
-            return ast.BinaryExpr(location=tok.location, op=tok.text, left=left, right=right)
-        return left
-
-    def _parse_add(self) -> ast.Expr:
-        left = self._parse_mul()
-        tokens = self.tokens
-        while (tok := tokens[self.pos]).kind in _ADD_KINDS:
-            self.pos += 1
-            right = self._parse_mul()
+            height = self._height
+            right = self._parse_unary() if last else self._parse_binary(tighter)
+            self._height = max(height, self._height) + 1
             left = ast.BinaryExpr(location=tok.location, op=tok.text, left=left, right=right)
-        return left
-
-    def _parse_mul(self) -> ast.Expr:
-        left = self._parse_unary()
-        tokens = self.tokens
-        while (tok := tokens[self.pos]).kind in _MUL_KINDS:
-            self.pos += 1
-            right = self._parse_unary()
-            left = ast.BinaryExpr(location=tok.location, op=tok.text, left=left, right=right)
+            if kinds is _CMP_KINDS:
+                break
         return left
 
     def _parse_unary(self) -> ast.Expr:
         tok = self.tokens[self.pos]
         if tok.kind in _UNARY_KINDS:
             self.pos += 1
+            self._enter(tok)
             operand = self._parse_unary()
+            self._depth -= 1
+            self._height += 1
             return ast.UnaryExpr(location=tok.location, op=tok.text, operand=operand)
         return self._parse_primary()
 
     def _parse_primary(self) -> ast.Expr:
         tok = self.tokens[self.pos]
         kind = tok.kind
+        self._height = 1
         if kind is TokenKind.IDENT:
             if tok.text in ast.BUILTIN_FUNCS and self.tokens[self.pos + 1].kind is TokenKind.LPAREN:
                 self.pos += 2
+                self._enter(tok)
                 args: list[ast.Expr] = []
+                height = 0
                 if not self._check(TokenKind.RPAREN):
                     args.append(self._parse_expr())
+                    height = self._height
                     while self._match(TokenKind.COMMA):
                         args.append(self._parse_expr())
+                        height = max(height, self._height)
                 self._expect(TokenKind.RPAREN)
+                self._depth -= 1
+                self._height = height + 1
                 return ast.CallExpr(location=tok.location, func=tok.text, args=args)
             self.pos += 1
             return ast.VarRef(location=tok.location, name=tok.text)
@@ -452,8 +468,11 @@ class Parser:
             return ast.IntLit(location=tok.location, value=tok.int_value)
         if kind is TokenKind.LPAREN:
             self.pos += 1
-            inner = self._parse_expr()
+            self._enter(tok)
+            inner = self._parse_binary(0)
             self._expect(TokenKind.RPAREN)
+            self._depth -= 1
+            self._height += 1
             return inner
         if kind is TokenKind.FLOAT:
             self.pos += 1

@@ -110,7 +110,8 @@ def build_call_graph(program: ast.Program) -> CallGraph:
 
 
 def _stmt_exprs(stmt: ast.Stmt) -> list[ast.Expr]:
-    """All expressions directly attached to ``stmt`` (not nested stmts)."""
+    """The expressions the interpreter evaluates for ``stmt`` itself, not
+    for nested stmts (it never evaluates a receive's ``bytes``)."""
     out: list[ast.Expr] = []
 
     def add(e: ast.Expr | None) -> None:
@@ -133,12 +134,14 @@ def _stmt_exprs(stmt: ast.Stmt) -> list[ast.Expr]:
         add(stmt.flops)
         add(stmt.mem_bytes)
         add(stmt.locality)
+        add(stmt.threads)
     elif isinstance(stmt, ast.MpiStmt):
+        receive = stmt.op in (ast.MpiOp.RECV, ast.MpiOp.IRECV)
         for e in (
             stmt.dest,
             stmt.src,
             stmt.tag,
-            stmt.bytes_expr,
+            None if receive else stmt.bytes_expr,
             stmt.root,
             stmt.recv_src,
             stmt.recv_tag,

@@ -90,9 +90,9 @@ from repro.analysis.rankdep import (
     RankAnalysis,
     _compute_arg_exprs,
     _free_names,
-    eval_term,
     mpi_arg_exprs,
 )
+from repro.analysis.terms import eval_term
 from repro.analysis.symmetry import SymmetrySummary
 from repro.minilang.ast_nodes import ComputeStmt, MpiOp, MpiStmt, walk_statements
 from repro.simulator import ops

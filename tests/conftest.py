@@ -155,6 +155,21 @@ def imbalanced_static(imbalanced_program):
     return build_psg(imbalanced_program)
 
 
+def rebuild_term(table, term):
+    """``term`` (from any table, or a raw tuple) built afresh in
+    ``table`` through its constructor."""
+    if term is None:
+        return None
+    tag = term[0]
+    if tag == "const":
+        return table.const(term[1])
+    if tag in ("var", "frame"):
+        return table.leaf(tag, term[1])
+    return table.node(tag, *(
+        rebuild_term(table, a) if type(a) is tuple else a for a in term[1:]
+    ))
+
+
 def run_source(source, nprocs, params=None, filename="test.mm", seed=0, **cfg):
     """Parse + analyze + simulate in one call (ground truth only)."""
     program = parse_program(source, filename)

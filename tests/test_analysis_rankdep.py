@@ -9,7 +9,6 @@ degradations (rank-dependent ``while``, recursion, tainting merges).
 import pytest
 
 from repro.analysis import Rankness, analyze_program, eval_term
-from repro.analysis.rankdep import closed_term, frame_names
 from repro.minilang import parse_program
 from repro.minilang.ast_nodes import MpiOp, MpiStmt, walk_statements
 from repro.simulator.errors import SimulationError
@@ -269,9 +268,9 @@ class TestFrameLeaves:
             assert av.kind is Rankness.DEPENDENT
             assert av.term[0] == "sel"
             assert _frame_leaves(av.term) == {"s"}
-            assert frame_names(av.term) == {"s"}
+            assert analysis.terms.env_names(av.term) == {"s"}
             # consumers without a frame see no closed rank function
-            assert closed_term(av) is None
+            assert analysis.closed_term(av) is None
         # bound to a stride, the term is the hypercube partner
         for rank in range(16):
             for s in (1, 2, 4, 8):

@@ -38,7 +38,7 @@ from repro.simulator.classbatch import (
 from repro.simulator.costmodel import CostModel, MachineModel, Workload
 from repro.simulator.engine import Engine
 from repro.simulator.errors import SimulationError
-from repro.analysis.rankdep import eval_term
+from repro.analysis.terms import eval_term
 from tests.conftest import _compiled
 
 # ---------------------------------------------------------------------------

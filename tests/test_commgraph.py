@@ -9,6 +9,7 @@ Degradations must be honest: a degraded graph refuses to instantiate
 rather than guessing.
 """
 
+import json
 import random
 
 import pytest
@@ -334,3 +335,109 @@ class TestScalingSkeleton:
         formulas = ScalingSkeleton(graph).formulas()
         assert formulas  # one entry per family
         assert all(isinstance(f, str) for f in formulas)
+
+
+# --------------------------------------------------------------------------
+# regressions: a branch merge that took True for 1, a float trip count
+# --------------------------------------------------------------------------
+
+#: ``t`` is True on even ranks and 1 on odd ones; rank 1 sends with tag 1.
+#: A merge that compared terms with ``==`` kept ``("const", 1)`` for both
+#: arms, so the graph sent tag True.
+ONE_OR_TRUE = """\
+def main() {
+    var t = 1;
+    if (rank % 2 == 0) {
+        t = true;
+    }
+    if (rank == 1) {
+        send(dest = 0, tag = t, bytes = 8);
+    }
+    if (rank == 0) {
+        recv(src = 1, tag = 1);
+    }
+}
+"""
+
+#: The interpreter runs i = 0.5, 1.5: two messages.  A float span plus
+#: the integer +1 of ``<=`` counted three.
+FLOAT_TRIP = """\
+def main() {
+    for (var i = 0.5; i <= 2.0; i = i + 1) {
+        if (rank == 1) {
+            send(dest = 0, tag = 1, bytes = 8);
+        }
+        if (rank == 0) {
+            recv(src = 1, tag = 1);
+        }
+    }
+}
+"""
+
+
+class TestTermRegressions:
+    def test_one_and_true_stay_apart_in_a_branch_merge(self):
+        for nprocs in range(2, 9):
+            _assert_instance_matches(ONE_OR_TRUE, nprocs, name="t1.mm")
+
+    def test_float_trip_count_refuses_or_matches(self):
+        program, psg = _compiled(FLOAT_TRIP, "float.mm")
+        graph = build_comm_graph(program)
+        for nprocs in range(2, 9):
+            conc = extract_concrete(program, psg, nprocs)
+            assert sum(conc.sends.values()) == 2
+            try:
+                inst = graph.instantiate(nprocs)
+            except SimulationError as exc:
+                assert "non-integer loop bounds" in str(exc)
+                continue
+            assert (inst.sends, inst.recvs) == (conc.sends, conc.recvs)
+
+    @pytest.mark.parametrize("source, name, checked", [
+        (ONE_OR_TRUE, "t1.mm", True), (FLOAT_TRIP, "float.mm", False),
+    ], ids=["t1", "float"])
+    def test_scales_lint_reports_only_a_checked_skeleton(
+        self, source, name, checked
+    ):
+        """The skeleton is reported only when its self check held, and
+        then its counts are the interpreter's."""
+        from repro.api import Pipeline
+
+        program, psg = _compiled(source, name)
+        rep = Pipeline(source, filename=name).lint(scales="2..16")
+        check_at, ok = rep.skeleton_checked
+        assert ok is checked
+        assert (rep.skeleton is not None) == ok
+        rep.render()
+        doc = rep.to_json_dict()
+        if ok:
+            p = rep.scales[-1]
+            conc = extract_concrete(program, psg, p)
+            assert doc["skeleton"]["counts_at"][str(p)]["messages"] == sum(
+                conc.sends.values()
+            )
+        else:
+            assert doc["skeleton"] is None
+        assert doc["skeleton_checked"] == [check_at, ok]
+
+    @pytest.mark.parametrize("source, name, skeleton", [
+        (ONE_OR_TRUE, "t1.mm", {"8": {
+            "messages": 1, "recv_posts": 1, "collective_ops": 0,
+        }}),
+        (FLOAT_TRIP, "float.mm", None),
+    ], ids=["t1", "float"])
+    def test_scales_lint_cli_renders(
+        self, source, name, skeleton, tmp_path, capsys
+    ):
+        from repro.tools.cli import main
+
+        path = tmp_path / name
+        path.write_text(source)
+        assert main(["lint", "--source", str(path), "--scales", "2..16"]) == 0
+        assert "cross-scale lint over P in [2, 16]" in capsys.readouterr().out
+        assert main([
+            "lint", "--source", str(path), "--scales", "2..8", "--json",
+        ]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        counts = doc["skeleton"] and doc["skeleton"]["counts_at"]
+        assert counts == skeleton

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.minilang import ast_nodes as ast
 from repro.minilang.errors import MiniLangError, ParseError
-from repro.minilang.parser import parse_program
+from repro.minilang.parser import MAX_NESTING, parse_program
 
 
 def parse_main_body(body: str) -> list[ast.Stmt]:
@@ -280,3 +280,62 @@ class TestFuzz:
     def test_bad_sources_raise_only_minilang_errors(self, body, frame):
         with contextlib.suppress(MiniLangError):
             parse_program(frame.format(body))
+
+
+def _nested(kind: str, k: int) -> str:
+    """A program whose nesting grows with ``k``; at ``k = _AT_BOUND[kind]``
+    it is exactly as deep as the parser accepts."""
+    if kind == "parens":
+        body = "var x = " + "(" * k + "rank" + ")" * k + ";"
+    elif kind == "left-deep sum":
+        body = "var x = rank" + " + 1" * k + ";"
+    elif kind == "unary":
+        body = "var x = " + "- " * k + "rank;"
+    elif kind == "builtin calls":
+        body = "var x = " + "max(" * k + "rank" + ", 1)" * k + ";"
+    else:  # nested ifs
+        body = "if (rank >= 0) {" * k + " compute(flops = 10); " + "}" * k
+    return (
+        "def main() {\n" + body + "\n"
+        "    send(dest = (rank + 1) % nprocs, tag = 1, bytes = 8);\n"
+        "    recv(src = (rank - 1 + nprocs) % nprocs, tag = 1);\n}\n"
+    )
+
+
+#: The main body's statements sit 2 levels deep (its block); an
+#: expression statement adds its own height (k + 1 for each expression
+#: shape here), and each nested ``if`` adds a statement and a block.
+_AT_BOUND = {
+    "parens": MAX_NESTING - 3,
+    "left-deep sum": MAX_NESTING - 3,
+    "unary": MAX_NESTING - 3,
+    "builtin calls": MAX_NESTING - 3,
+    "nested ifs": (MAX_NESTING - 3) // 2,
+}
+
+
+class TestNestingBound:
+    """No parser-accepted source makes a later walk of its AST overflow
+    the interpreter stack: deeper nesting is a ParseError."""
+
+    @pytest.mark.parametrize("kind", sorted(_AT_BOUND))
+    def test_at_the_bound_every_stage_runs(self, kind):
+        from repro.api import Pipeline
+        from repro.psg import build_psg
+
+        source = _nested(kind, _AT_BOUND[kind])
+        build_psg(parse_program(source))
+        assert Pipeline(source).lint(4).ok
+        assert Pipeline(source).run((4, 8)).scales == (4, 8)
+
+    @pytest.mark.parametrize("kind", sorted(_AT_BOUND))
+    def test_one_past_the_bound_is_a_parse_error(self, kind):
+        with pytest.raises(ParseError, match="nesting too deep"):
+            parse_program(_nested(kind, _AT_BOUND[kind] + 1))
+
+    def test_inputs_that_overflowed_the_stack(self):
+        """150 nested parentheses, and a 600-term left-deep sum, once
+        raised RecursionError in the parser and in build_psg."""
+        for source in (_nested("parens", 150), _nested("left-deep sum", 600)):
+            with pytest.raises(ParseError, match="nesting too deep"):
+                parse_program(source)

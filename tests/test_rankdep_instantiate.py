@@ -18,6 +18,8 @@ scales where the instantiation must step aside.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis import run_lint, run_lint_scales
@@ -31,29 +33,41 @@ from repro.analysis.rankdep import (
     _same_av,
     analyze_program,
 )
+from repro.analysis.terms import MAX_TERM_SIZE, Terms
 from repro.apps import APPS, get_app
 from repro.minilang import parse_program
-from tests.conftest import GENERATORS
+from tests.conftest import GENERATORS, rebuild_term
 
 SCALES = range(2, 65)
 
 
 def assert_same_analysis(got: RankAnalysis, want: RankAnalysis) -> None:
-    """Field for field, telling 1, 1.0 and True apart, in dict order."""
+    """Field for field, telling 1, 1.0 and True apart, in dict order.
+    The two analyses intern their terms in two tables: each pair of
+    terms is compared rebuilt in one fresh table, where equal is one
+    object."""
+    table = Terms()
+
+    def same(a, b):
+        return _same_av(
+            replace(a, term=rebuild_term(table, a.term)),
+            replace(b, term=rebuild_term(table, b.term)),
+        )
+
     assert got.program is want.program
     assert (got.nprocs, got.entry, got.params) == (
         want.nprocs, want.entry, want.params
     )
     assert list(got.expr_verdicts) == list(want.expr_verdicts)
     for key, av in want.expr_verdicts.items():
-        assert _same_av(got.expr_verdicts[key], av), (
+        assert same(got.expr_verdicts[key], av), (
             got.expr_verdicts[key], av
         )
     assert list(got.stmt_args) == list(want.stmt_args)
     for sid, avs in want.stmt_args.items():
         assert len(got.stmt_args[sid]) == len(avs)
         for a, b in zip(got.stmt_args[sid], avs):
-            assert _same_av(a, b), (sid, a, b)
+            assert same(a, b), (sid, a, b)
     assert got.const_stmts == want.const_stmts
     assert list(got.deciders) == list(want.deciders)
     for sid, decider in want.deciders.items():
@@ -61,7 +75,7 @@ def assert_same_analysis(got: RankAnalysis, want: RankAnalysis) -> None:
         assert (other.stmt_id, other.location, other.kind) == (
             decider.stmt_id, decider.location, decider.kind
         )
-        assert _same_av(other.av, decider.av), (other.av, decider.av)
+        assert same(other.av, decider.av), (other.av, decider.av)
     assert got.degraded_reasons == want.degraded_reasons
 
 
@@ -237,13 +251,13 @@ def main() {
 """, set(range(2, 9))),
     "fold-over-the-size-cap": (f"""\
 def main() {{
-    var x = {_sum("nprocs", 60)};
+    var x = {_sum("nprocs", MAX_TERM_SIZE // 2)};
     send(dest = x % nprocs, tag = 1, bytes = 8);
 }}
 """, ALL),
     "sel-over-the-size-cap": (f"""\
 def main() {{
-    var y = {_sum("nprocs", 23)};
+    var y = {_sum("nprocs", MAX_TERM_SIZE // 4)};
     if (rank == 0) {{
         y = y + 1;
     }}
@@ -309,7 +323,7 @@ def test_a_verdict_is_a_function_of_its_term(name):
     spec = get_app(name)
     for p in (4, 9, 16):
         analysis = analyze_program(spec.program, p, dict(spec.params))
-        refold = _Refold(p, {}, {})
+        refold = _Refold(p, analysis.terms, {})
         avs = list(analysis.expr_verdicts.values())
         avs += [av for args in analysis.stmt_args.values() for av in args]
         avs += [d.av for d in analysis.deciders.values()]

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.batching import FieldRule
-from repro.analysis.rankdep import eval_term
+from repro.analysis.terms import eval_term
 from repro.simulator import classbatch
 from repro.simulator.classbatch import _Fallback, _member_values, _term_column
 from repro.simulator.errors import SimulationError
