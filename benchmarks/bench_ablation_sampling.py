@@ -48,11 +48,11 @@ def build() -> str:
             total_samples=prof.total_samples,
             mpi_calls=result.mpi_call_count,
             recorded_comm_events=comm.recorded_events,
-            unique_edges=len(comm.edges),
+            unique_edges=len(comm.edge_counts),
             unique_groups=len(comm.groups),
             group_member_ranks=32,
             psg_vertices=len(spec.psg),
-            sampled_vertex_vectors=len(prof.perf),
+            sampled_vertex_vectors=len(prof.ranks),
         )
         errors.append(err)
         overheads.append(rep.overhead_percent)

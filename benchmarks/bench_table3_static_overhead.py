@@ -4,6 +4,12 @@ Paper: the static analysis adds 0.28%..3.01% (avg 0.89%) over plain LLVM
 compilation.  Our analog: the PSG pipeline (CFG + dominators + inlining +
 contraction) timed against the baseline "compilation" (lex + parse), plus
 the PSG memory at 32 B/vertex the paper quotes.
+
+Asserted: the PSG is a compile-time artifact of kilobytes (at 32 B/vertex
+every evaluated program's fits in 4 KiB, independent of the job scale),
+and the analysis is a share of the frontend strictly between 0 and 1.
+The paper's 0.28-3.01% is not asserted: it is relative to a full LLVM
+compile, which has no analog here, and the ratio is machine-dependent.
 """
 
 import time
@@ -33,7 +39,6 @@ def build() -> str:
         ["Program", "compile (parse)", "PSG analysis", "overhead",
          "PSG memory (32 B/vertex)"],
     )
-    overheads = []
     for name in EVALUATED_APPS:
         spec = get_app(name)
         t_parse = _time_it(lambda: parse_program(spec.source, spec.filename))
@@ -43,7 +48,10 @@ def build() -> str:
         # fraction of the full compile (here parse ~ "LLVM compilation",
         # which for real codes dwarfs the structure analysis)
         ratio = t_psg / (t_parse + t_psg)
-        overheads.append(ratio)
+        assert 0.0 < ratio < 1.0, name
+        assert 32 * len(spec.psg) < 4 * 1024, (
+            f"{name}: the PSG must stay a few KB at 32 B/vertex"
+        )
         table.add_row(
             name.upper(),
             f"{t_parse * 1e3:.2f} ms",

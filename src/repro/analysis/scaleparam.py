@@ -47,6 +47,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from repro import obs
 from repro.minilang import ast_nodes as ast
 from repro.psg.graph import PSG
+from repro.simulator.errors import SimulationError
 
 from repro.analysis.lint import (
     LintFinding,
@@ -860,12 +861,23 @@ class ScaleLintReport:
             worst = dirty[-1]
             for finding in self.reports[worst].findings:
                 lines.append("  " + finding.render().replace("\n", "\n  "))
-        if self.skeleton is not None:
-            lines.append(
-                "  scaling skeleton: "
-                + self.skeleton.summary(self.scales[-1])
-            )
+        summary = self._skeleton_at_last(lambda sk, p: sk.summary(p))
+        if summary is not None:
+            lines.append("  scaling skeleton: " + summary)
         return "\n".join(lines)
+
+    def _skeleton_at_last(self, render: Callable) -> object:
+        """``render(skeleton, P)`` at the largest witness, the scale the
+        report shows, or None.  The skeleton's self check ran at the
+        first witness; a guard that opens at a larger scale can make it
+        invalid there (say, a send to rank ``nprocs``), and such a
+        skeleton is not reported."""
+        if self.skeleton is None:
+            return None
+        try:
+            return render(self.skeleton, self.scales[-1])
+        except SimulationError:
+            return None
 
     def mod_p_forms(self) -> bool:
         return any("% P" in a for f in self.endpoint_forms for a in f.args)
@@ -893,11 +905,7 @@ class ScaleLintReport:
             "reports": {
                 str(p): self.reports[p].to_json_dict() for p in self.scales
             },
-            "skeleton": (
-                self.skeleton.to_json_dict(self.scales[-1])
-                if self.skeleton is not None
-                else None
-            ),
+            "skeleton": self._skeleton_at_last(lambda sk, p: sk.to_json_dict(p)),
             "skeleton_checked": (
                 list(self.skeleton_checked)
                 if self.skeleton_checked is not None

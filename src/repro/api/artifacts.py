@@ -146,54 +146,33 @@ def run_fingerprint(run: AnyProfile) -> str:
     the parallel profiling path reproduces the serial one exactly.
 
     The two sections whose size scales with the run — the sampled perf
-    vectors and the unique communication edges — are hashed as canonical
-    little-endian byte views of key-sorted column arrays (one ``update``
-    per column block) instead of per-entry string formatting; ragged
-    sections (collective groups, indirect targets) keep the textual path.
+    rows and the unique communication edges — are hashed as canonical
+    little-endian byte views of their key-sorted columns (one ``update``
+    per column block); ragged sections (collective groups, indirect
+    targets) keep the textual path.
     Every section is length-prefixed so section boundaries cannot alias.
     """
     h = hashlib.sha256()
     h.update(f"nprocs={run.nprocs};app_time={run.app_time!r};".encode())
-    perf_items = sorted(run.profile.perf.items())
-    h.update(f"P{len(perf_items)};".encode())
-    if perf_items:
-        keys = np.ascontiguousarray(
-            [k for k, _v in perf_items], dtype="<i8"
-        )
-        vals = np.ascontiguousarray(
-            [
-                (
-                    v.time, v.wait, v.visits,
-                    v.counters.tot_ins, v.counters.tot_cyc,
-                    v.counters.tot_lst_ins, v.counters.l2_dcm,
-                )
-                for _k, v in perf_items
-            ],
-            dtype="<f8",
-        )
-        h.update(keys.tobytes())
-        h.update(vals.tobytes())
-    edge_keys = sorted(run.comm.edges)
-    h.update(f"E{len(edge_keys)};".encode())
-    if edge_keys:
-        stats = [run.comm.edge_stats[k] for k in edge_keys]
-        h.update(np.ascontiguousarray(edge_keys, dtype="<i8").tobytes())
+    profile, comm = run.profile, run.comm
+    order = np.lexsort((profile.vids, profile.ranks))
+    h.update(f"P{len(order)};".encode())
+    if len(order):
+        keys = np.stack((profile.ranks[order], profile.vids[order]), axis=1)
+        h.update(np.ascontiguousarray(keys, dtype="<i8").tobytes())
+        h.update(np.ascontiguousarray(profile.values[order], dtype="<f8").tobytes())
+    order = np.lexsort(comm.edge_keys.T[::-1])
+    h.update(f"E{len(order)};".encode())
+    if len(order):
+        h.update(np.ascontiguousarray(comm.edge_keys[order], dtype="<i8").tobytes())
+        h.update(np.ascontiguousarray(comm.edge_counts[order], dtype="<i8").tobytes())
         h.update(
-            np.ascontiguousarray(
-                [s[0] for s in stats], dtype="<i8"
-            ).tobytes()
+            np.ascontiguousarray(comm.edge_max_waits[order], dtype="<f8").tobytes()
         )
-        h.update(
-            np.ascontiguousarray(
-                [s[1] for s in stats], dtype="<f8"
-            ).tobytes()
-        )
-    for key in sorted(run.comm.groups, key=repr):
-        h.update(f"G{key!r}:{run.comm.group_stats[key]!r};".encode())
-    for key in sorted(run.comm.indirect_targets, key=repr):
-        h.update(
-            f"I{key!r}:{sorted(run.comm.indirect_targets[key])!r};".encode()
-        )
+    for key in sorted(comm.groups, key=repr):
+        h.update(f"G{key!r}:{comm.group_stats[key]!r};".encode())
+    for key in sorted(comm.indirect_targets, key=repr):
+        h.update(f"I{key!r}:{sorted(comm.indirect_targets[key])!r};".encode())
     return h.hexdigest()[:16]
 
 

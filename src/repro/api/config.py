@@ -199,8 +199,18 @@ class AnalysisConfig:
 
         Execution-strategy knobs never entered it, so documents that
         still carry a since-removed one load to the same digest:
-        ``from_dict`` ignores the key.
+        ``from_dict`` ignores the key.  Computed once per instance (the
+        cache key is asked for on every stage of every pipeline); the
+        memo is not a field, so equality, hashing, pickles and
+        ``with_overrides`` never see it.
         """
+        memo = self.__dict__.get("_digest")
+        if memo is None:
+            memo = self._compute_digest()
+            object.__setattr__(self, "_digest", memo)
+        return memo
+
+    def _compute_digest(self) -> str:
         doc = self.to_dict()
         # observability knobs are digest-neutral: attaching metrics or
         # recording spans never changes what a run computes, so obs-on
@@ -212,6 +222,12 @@ class AnalysisConfig:
         # execution strategy (the key is absent entirely when False, so
         # pre-lint digests are unchanged)
         return digest_text(canonical_json(doc))
+
+    def __getstate__(self) -> dict:
+        # the digest memo is derived: pickles and copies carry fields only
+        state = dict(self.__dict__)
+        state.pop("_digest", None)
+        return state
 
     # -- bridges to the execution layers ---------------------------------
 

@@ -153,8 +153,9 @@ class Session:
     def fetch(self, key: ArtifactKey) -> AnyProfile | None:
         """The cached run for ``key``, or None (counts a hit or a miss).
 
-        A corrupt or unreadable artifact is a miss, not an error: the bad
-        file is dropped and the run re-simulated.
+        A corrupt or unreadable artifact, or valid JSON that is not a
+        well-formed profile, is a miss, not an error: the bad file is
+        dropped and the run re-simulated.
         """
         with self._lock:
             run = self._memory.get(key)
@@ -163,7 +164,7 @@ class Session:
             if path is not None and path.exists():
                 try:
                     run = load_profile(path)
-                except (ValueError, KeyError, OSError):
+                except (ValueError, KeyError, TypeError, OSError):
                     path.unlink(missing_ok=True)
                 else:
                     with self._lock:

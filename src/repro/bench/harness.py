@@ -162,11 +162,11 @@ def measure_three_tools(spec: AppSpec, nprocs: int) -> ThreeToolReport:
         total_samples=profile.total_samples,
         mpi_calls=result.mpi_call_count,
         recorded_comm_events=comm.recorded_events,
-        unique_edges=len(comm.edges),
+        unique_edges=len(comm.edge_counts),
         unique_groups=len(comm.groups),
         group_member_ranks=nprocs,
         psg_vertices=len(spec.psg),
-        sampled_vertex_vectors=len(profile.perf),
+        sampled_vertex_vectors=len(profile.ranks),
     )
     return ThreeToolReport(
         app=spec.name, nprocs=nprocs, tracer=tracer, profiler=profiler, scalana=scalana

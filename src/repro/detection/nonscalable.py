@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.detection.aggregation import AggregationStrategy, aggregate
 from repro.ppg.build import PPG
-from repro.util.stats import LogLogFit, loglog_fit
+from repro.util.stats import LogLogFit, loglog_fit, median
 
 __all__ = ["NonScalableVertex", "NonScalableConfig", "detect_non_scalable"]
 
@@ -83,32 +83,35 @@ def detect_non_scalable(
     ppgs = [ppgs[i] for i in order]
     scales = [scales[i] for i in order]
 
-    largest = ppgs[-1]
-    total_time_at_largest = sum(
-        aggregate(largest.vertex_times(vid), config.strategy)
-        for vid in psg.vertices
-    )
+    vids = list(psg.vertices)
+    if config.strategy is AggregationStrategy.MEAN:
+        # one row-wise mean per PPG, bit-equal to per-vertex aggregate()
+        columns = [ppg.vertex_means(vids) for ppg in ppgs]
+    else:
+        columns = [
+            [aggregate(ppg.vertex_times(vid), config.strategy) for vid in vids]
+            for ppg in ppgs
+        ]
+    total_time_at_largest = sum(columns[-1])
     if total_time_at_largest <= 0:
         return []
 
     fits: dict[int, tuple[LogLogFit, tuple[float, ...], float]] = {}
-    for vid in psg.vertices:
-        series = [
-            aggregate(ppg.vertex_times(vid), config.strategy) for ppg in ppgs
-        ]
+    for vid, series in zip(vids, zip(*columns)):
         if max(series) <= 0.0:
             continue  # never sampled anywhere
         fit = loglog_fit(scales, series)
         fraction = series[-1] / total_time_at_largest
-        fits[vid] = (fit, tuple(series), fraction)
+        fits[vid] = (fit, series, fraction)
 
     if not fits:
         return []
 
     slopes = np.array([f.alpha for f, _s, _fr in fits.values()])
-    median = float(np.median(slopes))
-    mad = float(np.median(np.abs(slopes - median)))
-    outlier_cut = median + config.mad_k * max(mad, 1e-9)
+    # np.median's values (the sign of a zero median cannot reach the cut)
+    mid = median(slopes)
+    mad = median(np.abs(slopes - mid))
+    outlier_cut = mid + config.mad_k * max(mad, 1e-9)
 
     flagged: list[NonScalableVertex] = []
     for vid, (fit, series, fraction) in fits.items():

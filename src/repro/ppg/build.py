@@ -19,10 +19,11 @@ The PPG exposes exactly the backward-traversal steps Algorithm 1 needs:
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import networkx as nx
+import numpy as np
 
 from repro.minilang.ast_nodes import COLLECTIVE_OPS
 from repro.psg.graph import PSG, VertexType
@@ -65,13 +66,10 @@ class PPG:
         self.comm = comm
         self.prune_no_wait = prune_no_wait
         self.wait_threshold = wait_threshold
-        #: (recv_rank, wait_vid) -> incoming comm edges (possibly pruned)
-        self._in_edges: dict[PPGNode, list[_InEdge]] = defaultdict(list)
-        self._collective_vids: set[int] = set()
-        #: vid -> per-rank times; the backtracking walk scores every node by
-        #: its cross-rank profile, so this is recomputed thousands of times
-        #: per detection without caching
-        self._vertex_times_cache: dict[int, list[float]] = {}
+        self._collective_vids = {
+            v.vid for v in psg.vertices.values()
+            if v.vtype is VertexType.MPI and v.mpi_op in COLLECTIVE_OPS
+        }
         self._index_edges()
 
     # ------------------------------------------------------------------
@@ -79,36 +77,46 @@ class PPG:
     # ------------------------------------------------------------------
 
     def _index_edges(self) -> None:
-        for key, edge in self.comm.edges.items():
-            count, max_wait = self.comm.edge_stats[key]
-            if self.prune_no_wait and max_wait <= self.wait_threshold:
-                # Paper §IV-B: "we only preserve the communication
-                # dependence edge if a waiting event exists".
-                continue
-            node = (edge.recv_rank, edge.wait_vid)
-            self._in_edges[node].append(
-                _InEdge(
-                    send_rank=edge.send_rank,
-                    send_vid=edge.send_vid,
-                    max_wait=max_wait,
-                    nbytes=edge.nbytes,
-                    tag=edge.tag,
-                    count=count,
-                )
-            )
-        for edges in self._in_edges.values():
-            # Total order over every field: the ranking is a pure function
-            # of the edge set, independent of the (drain-dependent)
-            # discovery order the edges dict was populated in.
-            edges.sort(
-                key=lambda e: (
-                    -e.max_wait, e.send_rank, e.send_vid, e.tag, e.nbytes,
-                    e.count,
-                )
-            )
-        for v in self.psg.vertices.values():
-            if v.vtype is VertexType.MPI and v.mpi_op in COLLECTIVE_OPS:
-                self._collective_vids.add(v.vid)
+        """Sort the kept comm edges by receiving node, strongest first.
+
+        One stable lexsort over the edge columns: by ``(recv_rank,
+        wait_vid)``, then ``-max_wait, send_rank, send_vid, tag, nbytes,
+        count``, a total order over every field, so the ranking is a pure
+        function of the edge set, independent of the (drain-dependent)
+        discovery order of the edge rows.  ``comm_in_edges`` builds a
+        node's :class:`_InEdge` list from its slice on first request.
+        """
+        comm = self.comm
+        keys, counts, waits = comm.edge_keys, comm.edge_counts, comm.edge_max_waits
+        if self.prune_no_wait:
+            # Paper §IV-B: "we only preserve the communication
+            # dependence edge if a waiting event exists".
+            kept = np.flatnonzero(~(waits <= self.wait_threshold))
+            keys, counts, waits = keys[kept], counts[kept], waits[kept]
+        send_rank, send_vid, recv_rank, _recv_vid, wait_vid, tag, nbytes = keys.T
+        order = np.lexsort(
+            (counts, nbytes, tag, send_vid, send_rank, -waits, wait_vid, recv_rank)
+        )
+        n = len(order)
+        #: the kept edges' _InEdge fields, in sorted order
+        self._rows = tuple(
+            c[order] for c in (send_rank, send_vid, waits, nbytes, tag, counts)
+        )
+        #: (recv_rank, wait_vid) -> (lo, hi) slice of the sorted rows
+        self._in_slices: dict[PPGNode, tuple[int, int]] = {}
+        #: per node in ``_in_slices`` order: the first kept row it receives
+        self._first_rows = np.zeros(0, dtype=np.int64)
+        self._in_edges: dict[PPGNode, list[_InEdge]] = {}
+        if n:
+            r, v = recv_rank[order], wait_vid[order]
+            boundary = np.ones(n, dtype=bool)
+            boundary[1:] = (r[1:] != r[:-1]) | (v[1:] != v[:-1])
+            starts = np.flatnonzero(boundary)
+            self._in_slices = dict(zip(
+                zip(r[starts].tolist(), v[starts].tolist()),
+                zip(starts.tolist(), starts[1:].tolist() + [n]),
+            ))
+            self._first_rows = np.minimum.reduceat(order, starts)
 
     # ------------------------------------------------------------------
     # node data
@@ -128,13 +136,14 @@ class PPG:
 
     def vertex_times(self, vid: int) -> list[float]:
         """Per-rank times of one PSG vertex — the location-aware comparison
-        axis of the abnormal-vertex detector.  Cached: callers must not
-        mutate the returned list."""
-        times = self._vertex_times_cache.get(vid)
-        if times is None:
-            times = self.profile.vertex_times(vid)
-            self._vertex_times_cache[vid] = times
-        return times
+        axis of the abnormal-vertex detector.  Shared with the profile:
+        callers must not mutate the returned list."""
+        return self.profile.vertex_times(vid)
+
+    def vertex_means(self, vids: Iterable[int]) -> list[float]:
+        """Mean time across ranks of each of ``vids`` (see
+        :meth:`SamplingProfile.vertex_means`)."""
+        return self.profile.vertex_means(vids)
 
     # ------------------------------------------------------------------
     # backward-traversal steps (Algorithm 1)
@@ -168,7 +177,25 @@ class PPG:
         return (node[0], last)
 
     def comm_in_edges(self, node: PPGNode) -> list[_InEdge]:
-        return self._in_edges.get(node, [])
+        """Incoming comm edges of ``node``, strongest first.  Shared:
+        callers must not mutate the returned list."""
+        edges = self._in_edges.get(node)
+        if edges is None:
+            span = self._in_slices.get(node)
+            if span is None:
+                return []
+            lo, hi = span
+            edges = self._in_edges[node] = list(map(
+                _InEdge, *(c[lo:hi].tolist() for c in self._rows)
+            ))
+        return edges
+
+    def comm_in_edge_items(self) -> Iterator[tuple[PPGNode, list[_InEdge]]]:
+        """``(node, comm_in_edges(node))`` for every node with kept
+        incoming edges, in the order the edge rows first reach them."""
+        nodes = list(self._in_slices)
+        for i in np.argsort(self._first_rows, kind="stable").tolist():
+            yield nodes[i], self.comm_in_edges(nodes[i])
 
     def comm_pred(self, node: PPGNode) -> PPGNode | None:
         """Strongest (longest-waiting) incoming communication dependence."""
@@ -215,7 +242,7 @@ class PPG:
                         g.add_edge(
                             (rank, v.children[i - 1]), (rank, child), kind="seq"
                         )
-        for node, edges in self._in_edges.items():
+        for node, edges in self.comm_in_edge_items():
             for e in edges:
                 g.add_edge(
                     (e.send_rank, e.send_vid),
@@ -230,7 +257,7 @@ class PPG:
         return self.nprocs * len(self.psg)
 
     def comm_edge_count(self) -> int:
-        return sum(len(edges) for edges in self._in_edges.values())
+        return len(self._rows[0])
 
 
 def build_ppg(

@@ -94,11 +94,11 @@ def profile_run(
         total_samples=profile.total_samples,
         mpi_calls=result.mpi_call_count,
         recorded_comm_events=comm.recorded_events,
-        unique_edges=len(comm.edges),
+        unique_edges=len(comm.edge_counts),
         unique_groups=len(comm.groups),
         group_member_ranks=group_member_ranks,
         psg_vertices=len(psg),
-        sampled_vertex_vectors=len(profile.perf),
+        sampled_vertex_vectors=len(profile.ranks),
         params=params,
     )
     return ProfiledRun(

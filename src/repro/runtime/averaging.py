@@ -28,16 +28,15 @@ __all__ = ["profile_run_averaged"]
 def _merge_comm(runs: list[ProfiledRun]) -> CommDependence:
     """Union of dependence records; per-key stats keep max wait, mean count."""
     merged = CommDependence()
+    edge_stats: dict[tuple, tuple[int, float]] = {}
     n = len(runs)
     for run in runs:
         dep = run.comm
         merged.observed_events += dep.observed_events
         merged.recorded_events += dep.recorded_events
-        for key, edge in dep.edges.items():
-            merged.edges[key] = edge
-            count, max_wait = dep.edge_stats[key]
-            old_count, old_wait = merged.edge_stats.get(key, (0, 0.0))
-            merged.edge_stats[key] = (old_count + count, max(old_wait, max_wait))
+        for key, (count, max_wait) in dep.edge_stats.items():
+            old_count, old_wait = edge_stats.get(key, (0, 0.0))
+            edge_stats[key] = (old_count + count, max(old_wait, max_wait))
         for key, group in dep.groups.items():
             merged.groups[key] = group
             count, max_wait, laggard = dep.group_stats[key]
@@ -49,6 +48,7 @@ def _merge_comm(runs: list[ProfiledRun]) -> CommDependence:
             )
         for key, targets in dep.indirect_targets.items():
             merged.indirect_targets.setdefault(key, set()).update(targets)
+    merged.set_edge_stats(edge_stats)
     merged.observed_events //= n
     merged.recorded_events //= n
     return merged
@@ -105,11 +105,9 @@ def profile_run_averaged(
             visits=int(round(merged.visits / n)),
             counters=merged.counters.scaled(1.0 / n),
         )
-    profile = SamplingProfile(
-        freq_hz=freq_hz,
-        nprocs=config.nprocs,
-        total_samples=int(sum(r.profile.total_samples for r in runs) / n),
-        perf=perf,
+    profile = SamplingProfile.from_vectors(
+        freq_hz, config.nprocs,
+        int(sum(r.profile.total_samples for r in runs) / n), perf,
     )
     overhead = OverheadReport(
         tool="ScalAna",

@@ -25,20 +25,23 @@ struct-of-arrays record tables (:class:`~repro.simulator.trace.P2PTable` /
 :class:`~repro.simulator.trace.CollectiveTable`) directly instead of
 walking per-message record objects.  Unique edges come from one stable
 lexsort over the seven key columns, with counts and max waits reduced per
-group (``np.maximum.reduceat``); each edge is built once, from the
-``tolist()`` key columns of its first row.  Collective instances take
+group (``np.maximum.reduceat``); the edge columns are the groups' key,
+count and max-wait rows in first-occurrence order, and no per-edge
+object is built.  Collective instances take
 their worst waits and laggards from
 :meth:`~repro.simulator.trace.CollectiveTable.wait_columns`, sort their
 participants by rank once per table, and group by signature, so one
 :class:`CollectiveGroup` is built per signature, not per instance.  The
 content-derived sampling draws batch a shared BLAKE2b prefix over the key
-columns.  The output — every dict, every value, every insertion order —
+columns.  The output — every column, its views' values and insertion
+order —
 is bit-identical to the historical object-walking loop (property-tested
 against it over randomized workloads and hand-built collective tables).
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import FrozenInstanceError, dataclass, field
 from operator import itemgetter
 
@@ -49,7 +52,10 @@ from repro.simulator.engine import SimulationResult
 from repro.simulator.trace import MPI_CODE_TO_OP
 from repro.util.rng import derive_seed_prefix, derive_seeds
 
-__all__ = ["CommEdge", "CollectiveGroup", "CommDependence", "collect_comm_dependence"]
+__all__ = [
+    "CommEdge", "CollectiveGroup", "CommDependence", "EDGE_KEY_COLUMNS",
+    "collect_comm_dependence",
+]
 
 
 @dataclass(frozen=True)
@@ -145,13 +151,32 @@ class CollectiveGroup:
         return (self.mpi_op, self.root, self.nbytes, self.vids)
 
 
-@dataclass
-class CommDependence:
-    """Compressed communication-dependence data of one run."""
+#: Edge identity, in CommEdge.key() order (what the lexsort groups by).
+EDGE_KEY_COLUMNS = (
+    "send_rank", "send_vid", "recv_rank", "recv_vid", "wait_vid",
+    "tag", "nbytes",
+)
 
-    edges: dict[tuple, CommEdge] = field(default_factory=dict)
-    #: per edge key: (observation count, max waiting time seen)
-    edge_stats: dict[tuple, tuple[int, float]] = field(default_factory=dict)
+
+@dataclass(eq=False)
+class CommDependence:
+    """Compressed communication-dependence data of one run.
+
+    The unique P2P edges are columns, one row per edge in first-occurrence
+    order: ``edge_keys`` holds each edge's :meth:`CommEdge.key` as an int64
+    row (:data:`EDGE_KEY_COLUMNS`), ``edge_counts`` its observation count
+    and ``edge_max_waits`` the longest wait seen on it.  :attr:`edges` and
+    :attr:`edge_stats` are dict views built on demand, for readers that
+    want objects.
+    """
+
+    edge_keys: np.ndarray = field(
+        default_factory=lambda: np.zeros((0, len(EDGE_KEY_COLUMNS)), dtype=np.int64)
+    )
+    edge_counts: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, dtype=np.int64)
+    )
+    edge_max_waits: np.ndarray = field(default_factory=lambda: np.zeros(0))
     groups: dict[tuple, CollectiveGroup] = field(default_factory=dict)
     #: per group key: (count, max wait seen, laggard rank everyone waited for)
     group_stats: dict[tuple, tuple[int, float, int]] = field(default_factory=dict)
@@ -160,16 +185,38 @@ class CommDependence:
     #: (inline_path, stmt_id) -> set of observed indirect-call targets
     indirect_targets: dict[tuple, set[str]] = field(default_factory=dict)
 
-    def edge_list(self) -> list[CommEdge]:
-        return list(self.edges.values())
+    @property
+    def edges(self) -> dict[tuple, CommEdge]:
+        """Edge key -> :class:`CommEdge`, in row order (a view)."""
+        keys = list(map(tuple, self.edge_keys.tolist()))
+        return dict(zip(keys, map(CommEdge._make, keys)))
 
-    def max_wait(self, edge: CommEdge) -> float:
-        return self.edge_stats.get(edge.key(), (0, 0.0))[1]
+    @property
+    def edge_stats(self) -> dict[tuple, tuple[int, float]]:
+        """Edge key -> (observation count, max waiting time seen), in row
+        order (a view)."""
+        return dict(zip(
+            map(tuple, self.edge_keys.tolist()),
+            zip(self.edge_counts.tolist(), self.edge_max_waits.tolist()),
+        ))
+
+    def set_edge_stats(self, stats: Mapping[tuple, tuple[int, float]]) -> None:
+        """Replace the edge columns with ``key -> (count, max wait)`` rows,
+        in the mapping's order."""
+        self.edge_keys = np.array(list(stats), dtype=np.int64).reshape(
+            -1, len(EDGE_KEY_COLUMNS)
+        )
+        self.edge_counts = np.array(
+            [count for count, _wait in stats.values()], dtype=np.int64
+        )
+        self.edge_max_waits = np.array(
+            [wait for _count, wait in stats.values()], dtype=np.float64
+        )
 
     @property
     def compression_ratio(self) -> float:
         """Observed / stored — the win of graph-guided compression."""
-        stored = len(self.edges) + len(self.groups)
+        stored = len(self.edge_counts) + len(self.groups)
         if stored == 0:
             return 1.0
         return self.observed_events / stored
@@ -199,13 +246,6 @@ class _RequestConverter:
         src = declared_src if isinstance(declared_src, int) else status_src
         tag = declared_tag if isinstance(declared_tag, int) else status_tag
         return src, tag
-
-
-#: Edge identity, in CommEdge.key() order (what the lexsort groups by).
-_EDGE_KEY_COLUMNS = (
-    "send_rank", "send_vid", "recv_rank", "recv_vid", "wait_vid",
-    "tag", "nbytes",
-)
 
 
 def _sampling_prefix(seed: int):
@@ -271,11 +311,11 @@ def _collect_p2p(dep: CommDependence, result: SimulationResult,
     dep.recorded_events += m
     if not m:
         return
-    key_cols = [cols[name] for name in _EDGE_KEY_COLUMNS]
+    key_cols = [cols[name] for name in EDGE_KEY_COLUMNS]
     # Stable lexsort (last key primary) so equal-key runs keep their
     # original record order: the first row of each run is the edge's first
-    # occurrence, which fixes the dicts' insertion order to match the
-    # historical record-walking loop exactly.
+    # occurrence, which fixes the edge rows' order to the historical
+    # record-walking loop's dict insertion order.
     order = np.lexsort(tuple(reversed(key_cols)))
     boundary = np.zeros(m, dtype=bool)
     boundary[0] = True
@@ -287,13 +327,13 @@ def _collect_p2p(dep: CommDependence, result: SimulationResult,
     max_waits = np.maximum.reduceat(cols["wait_time"][order], starts)
     first_rows = order[starts]  # original row of each group's first record
     by_first = np.argsort(first_rows, kind="stable")
-    firsts = first_rows[by_first]
-    keys = list(zip(*(c[firsts].tolist() for c in key_cols)))
-    dep.edges.update(zip(keys, map(CommEdge._make, keys)))
-    dep.edge_stats.update(zip(keys, zip(
-        counts[by_first].tolist(),
-        [max(0.0, w) for w in max_waits[by_first].tolist()],
-    )))
+    dep.edge_keys = np.stack(
+        [c[first_rows[by_first]] for c in key_cols], axis=1
+    )
+    dep.edge_counts = counts[by_first]
+    max_waits = max_waits[by_first]
+    # Python's max(0.0, w): w only when w > 0.0 (so -0.0 and NaN give 0.0)
+    dep.edge_max_waits = np.where(max_waits > 0.0, max_waits, 0.0)
 
 
 def _collect_collectives(dep: CommDependence, result: SimulationResult,

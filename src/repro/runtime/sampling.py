@@ -17,7 +17,9 @@ sampling frequency rises).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,35 +28,110 @@ from repro.simulator.costmodel import PerfCounters
 from repro.simulator.engine import SimulationResult
 from repro.simulator.trace import group_rows
 
-__all__ = ["SamplingProfile", "sample_result", "DEFAULT_FREQ_HZ"]
+__all__ = ["SamplingProfile", "PERF_COLUMNS", "sample_result", "DEFAULT_FREQ_HZ"]
 
 #: The paper's sampling frequency (§VI-A).
 DEFAULT_FREQ_HZ = 200.0
 
 
-@dataclass
+#: The columns of :attr:`SamplingProfile.values`, in order.
+PERF_COLUMNS = (
+    "time", "wait", "visits", "tot_ins", "tot_cyc", "tot_lst_ins", "l2_dcm",
+)
+
+
+@dataclass(eq=False)
 class SamplingProfile:
-    """Sampled per-(rank, vertex) performance vectors."""
+    """Sampled per-(rank, vertex) performance data, held as columns.
+
+    Row ``i`` is the key ``(ranks[i], vids[i])`` (int64 columns, keys
+    distinct, in rank-major, first-row order); ``values[i]`` is its
+    time, wait, visits and four PMU counters (a ``(n, 7)`` float64
+    matrix, :data:`PERF_COLUMNS`).  Detection reads the columns:
+    :meth:`vertex_times` and :meth:`vertex_means` come from one
+    vid-major ``(vid, rank)`` time matrix built once per profile.
+    :attr:`perf` and :meth:`vector` are object views built on demand
+    for readers that want :class:`PerformanceVector` rows; they are
+    snapshots, and mutating them does not change the profile.
+    """
 
     freq_hz: float
     nprocs: int
     total_samples: int
-    perf: dict[tuple[int, int], PerformanceVector]
+    ranks: np.ndarray
+    vids: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        # a loaded file's ranks index the time matrix
+        if len(self.ranks) and not (
+            0 <= self.ranks.min() and self.ranks.max() < self.nprocs
+        ):
+            raise ValueError(f"profile rank out of range for {self.nprocs} processes")
+
+    @classmethod
+    def from_vectors(
+        cls, freq_hz: float, nprocs: int, total_samples: int,
+        perf: Mapping[tuple[int, int], PerformanceVector],
+    ) -> SamplingProfile:
+        """A profile from ``(rank, vid) -> PerformanceVector`` rows, in
+        the mapping's order."""
+        keys = np.array(list(perf), dtype=np.int64).reshape(-1, 2)
+        values = np.array(
+            [
+                (v.time, v.wait, v.visits, c.tot_ins, c.tot_cyc, c.tot_lst_ins, c.l2_dcm)
+                for v in perf.values() for c in (v.counters,)
+            ],
+            dtype=np.float64,
+        ).reshape(-1, len(PERF_COLUMNS))
+        return cls(freq_hz, nprocs, total_samples, keys[:, 0], keys[:, 1], values)
+
+    @cached_property
+    def perf(self) -> dict[tuple[int, int], PerformanceVector]:
+        """``(rank, vid) -> PerformanceVector`` in row order (a view)."""
+        return {
+            (r, v): PerformanceVector(t, w, int(n), PerfCounters(ins, cyc, lst, dcm))
+            for r, v, (t, w, n, ins, cyc, lst, dcm) in zip(
+                self.ranks.tolist(), self.vids.tolist(), self.values.tolist()
+            )
+        }
 
     def vector(self, rank: int, vid: int) -> PerformanceVector:
         """The vector of ``(rank, vid)``; a fresh empty one if unsampled."""
         vec = self.perf.get((rank, vid))
         return PerformanceVector() if vec is None else vec
 
-    def vertex_times(self, vid: int) -> list[float]:
-        get = self.perf.get
-        return [
-            0.0 if vec is None else vec.time
-            for vec in (get((r, vid)) for r in range(self.nprocs))
-        ]
+    @cached_property
+    def _time_matrix(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(vids, matrix)``: the sampled vids, ascending, and their
+        per-rank times as a C-contiguous ``(vid, rank)`` matrix (0.0 where
+        a rank has no sample)."""
+        vids, row = np.unique(self.vids, return_inverse=True)
+        matrix = np.zeros((len(vids), self.nprocs))
+        matrix[row, self.ranks] = self.values[:, 0]
+        return vids, matrix
 
-    def sampled_vids(self) -> set[int]:
-        return {vid for (_r, vid) in self.perf}
+    @cached_property
+    def _vertex_times(self) -> dict[int, list[float]]:
+        vids, matrix = self._time_matrix
+        return dict(zip(vids.tolist(), matrix.tolist()))
+
+    def vertex_times(self, vid: int) -> list[float]:
+        """Per-rank times of one vertex (0.0 where unsampled).  Shared:
+        callers must not mutate the returned list."""
+        times = self._vertex_times.get(vid)
+        if times is None:
+            times = self._vertex_times[vid] = [0.0] * self.nprocs
+        return times
+
+    def vertex_means(self, vids: Iterable[int]) -> list[float]:
+        """``aggregate(vertex_times(vid), MEAN)`` for each of ``vids``,
+        from one row-wise mean of the time matrix: ``np.mean`` over a
+        contiguous row is the pairwise sum a 1-D mean takes, so every
+        value has the bits of the per-vertex mean (property-tested)."""
+        rows, matrix = self._time_matrix
+        means = dict(zip(rows.tolist(), matrix.mean(axis=1).tolist()))
+        return [means.get(vid, 0.0) for vid in vids]
 
 
 def sample_result(
@@ -70,9 +147,9 @@ def sample_result(
     ``start < t <= end``; segments holding none are dropped (so every
     segment kept has a positive duration).  The result is defined by
     rank-major ``(rank, start, end)`` order (ties in recorded order):
-    ``perf`` is keyed in the order a per-segment ``+=`` loop in that order
-    would first meet each key, and every float sum has that loop's
-    association.  The rest are grouped by ``(rank, vid)``
+    the profile's rows are keyed in the order a per-segment ``+=`` loop in
+    that order would first meet each key, and every float sum has that
+    loop's association.  The rest are grouped by ``(rank, vid)``
     (:func:`~repro.simulator.trace.group_rows`) and accumulated per group
     with ``np.bincount``:
 
@@ -97,8 +174,6 @@ def sample_result(
     if not result.segments and result.compute_count:
         raise ValueError("run was executed without segment recording")
     period = 1.0 / freq_hz
-    perf: dict[tuple[int, int], PerformanceVector] = {}
-    total_samples = 0
 
     cols = result.trace.columns()
     start_c, end_c = cols["start"], cols["end"]
@@ -158,16 +233,13 @@ def sample_result(
             sums.append(np.bincount(inv, weights=weights, minlength=n))
         # key order: rank-major, then first row (a stable sort by rank)
         order = np.argsort(ranks, kind="stable")
-        for g, t, w, v, ins, cyc, lst, dcm in zip(
-            order.tolist(), *(s[order].tolist() for s in sums)
-        ):
-            perf[keys[g]] = PerformanceVector(t, w, v, PerfCounters(ins, cyc, lst, dcm))
-
+        return SamplingProfile(
+            freq_hz, result.nprocs, total_samples, ranks[order], vids[order],
+            np.column_stack(sums)[order],
+        )
     return SamplingProfile(
-        freq_hz=freq_hz,
-        nprocs=result.nprocs,
-        total_samples=total_samples,
-        perf=perf,
+        freq_hz, result.nprocs, 0, np.zeros(0, dtype=np.int64),
+        np.zeros(0, dtype=np.int64), np.zeros((0, len(PERF_COLUMNS))),
     )
 
 
@@ -200,9 +272,4 @@ def exact_profile(result: SimulationResult) -> SamplingProfile:
             vertex_visits.get(key, 0),
             vertex_counters.get(key),
         )
-    return SamplingProfile(
-        freq_hz=float("inf"),
-        nprocs=result.nprocs,
-        total_samples=0,
-        perf=perf,
-    )
+    return SamplingProfile.from_vectors(float("inf"), result.nprocs, 0, perf)

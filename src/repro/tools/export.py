@@ -102,7 +102,7 @@ def ppg_to_dot(ppg: PPG, *, max_ranks: int | None = 8) -> str:
             for child in v.children:
                 lines.append(f"    r{rank}n{v.vid} -> r{rank}n{child};")
         lines.append("  }")
-    for node, edges in ppg._in_edges.items():
+    for node, edges in ppg.comm_in_edge_items():
         recv_rank, wait_vid = node
         if recv_rank not in shown:
             continue

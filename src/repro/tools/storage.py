@@ -10,15 +10,20 @@ same report from loaded data.
 from __future__ import annotations
 
 import math
+import re
 from pathlib import Path
+
+import numpy as np
 
 from repro.minilang.ast_nodes import MpiOp
 from repro.runtime import ProfiledRun
 from repro.runtime.accounting import OverheadReport
-from repro.runtime.interposition import CollectiveGroup, CommDependence, CommEdge
-from repro.runtime.perfdata import PerformanceVector
-from repro.runtime.sampling import SamplingProfile
-from repro.simulator.costmodel import PerfCounters
+from repro.runtime.interposition import (
+    EDGE_KEY_COLUMNS,
+    CollectiveGroup,
+    CommDependence,
+)
+from repro.runtime.sampling import PERF_COLUMNS, SamplingProfile
 from repro.simulator.trace import TraceBuffer
 from repro.util.serialization import dump_json, load_json
 
@@ -69,21 +74,19 @@ def save_profile(
     recorded events — the compact ground-truth form profiles carry through
     the Session cache.
     """
+    profile, comm = run.profile, run.comm
     perf = {
-        f"{rank},{vid}": [
-            vec.time,
-            vec.wait,
-            vec.visits,
-            vec.counters.tot_ins,
-            vec.counters.tot_cyc,
-            vec.counters.tot_lst_ins,
-            vec.counters.l2_dcm,
-        ]
-        for (rank, vid), vec in run.profile.perf.items()
+        f"{rank},{vid}": [t, w, int(visits), ins, cyc, lst, dcm]
+        for rank, vid, (t, w, visits, ins, cyc, lst, dcm) in zip(
+            profile.ranks.tolist(), profile.vids.tolist(), profile.values.tolist()
+        )
     }
     edges = [
-        [*e.key(), *run.comm.edge_stats[e.key()]]
-        for e in run.comm.edges.values()
+        [*key, count, max_wait]
+        for key, count, max_wait in zip(
+            comm.edge_keys.tolist(), comm.edge_counts.tolist(),
+            comm.edge_max_waits.tolist(),
+        )
     ]
     groups = [
         {
@@ -91,22 +94,22 @@ def save_profile(
             "root": g.root,
             "nbytes": g.nbytes,
             "vids": [list(pair) for pair in g.vids],
-            "stats": list(run.comm.group_stats[g.key()]),
+            "stats": list(comm.group_stats[g.key()]),
         }
-        for g in run.comm.groups.values()
+        for g in comm.groups.values()
     ]
     doc = {
         "format": "scalana-profile-v1",
         "nprocs": run.nprocs,
         "app_time": run.app_time,
-        "freq_hz": run.profile.freq_hz if math.isfinite(run.profile.freq_hz) else -1,
-        "total_samples": run.profile.total_samples,
+        "freq_hz": profile.freq_hz if math.isfinite(profile.freq_hz) else -1,
+        "total_samples": profile.total_samples,
         "perf": perf,
         "edges": edges,
         "groups": groups,
         "indirect": {
             f"{','.join(map(str, path_key))}|{sid}": sorted(targets)
-            for (path_key, sid), targets in run.comm.indirect_targets.items()
+            for (path_key, sid), targets in comm.indirect_targets.items()
         },
         "overhead_seconds": run.overhead.overhead_seconds,
         "storage_bytes_model": run.overhead.storage_bytes,
@@ -119,41 +122,45 @@ def save_profile(
 
 
 def load_profile(path: str | Path) -> LoadedProfile:
+    """Load a ``scalana-profile-v1`` file written by :func:`save_profile`.
+
+    The profile and edge columns are filled straight from the decoded
+    document: one array over the ``perf`` rows, one parse of their joined
+    keys and one array over ``edges``; no per-row object is built.  A
+    document that is valid JSON but not a well-formed profile (a ragged
+    or non-numeric row, a malformed key, a non-integral count, a missing
+    section, a section of the wrong type) raises :class:`ValueError`,
+    :class:`KeyError` or :class:`TypeError`.
+    """
     doc = load_json(path)
     if doc.get("format") != "scalana-profile-v1":
         raise ValueError(f"{path}: not a ScalAna profile file")
-    perf: dict[tuple[int, int], PerformanceVector] = {}
-    for key, row in doc["perf"].items():
-        rank_s, vid_s = key.split(",")
-        t, w, visits, ins, cyc, lst, dcm = row
-        perf[(int(rank_s), int(vid_s))] = PerformanceVector(
-            time=t,
-            wait=w,
-            visits=int(visits),
-            counters=PerfCounters(
-                tot_ins=ins, tot_cyc=cyc, tot_lst_ins=lst, l2_dcm=dcm
-            ),
-        )
+    perf = doc.pop("perf")
+    joined = ";".join(perf)
+    if perf and not _PERF_KEYS.fullmatch(joined):
+        raise ValueError(f"{path}: malformed perf key")
+    keys = np.fromstring(joined.replace(";", ","), dtype=np.int64, sep=",")
+    values = _numeric_rows(list(perf.values()), len(PERF_COLUMNS), path)
+    del perf
+    _require_integral(values[:, 2], path)
     freq = doc["freq_hz"]
     profile = SamplingProfile(
         freq_hz=float("inf") if freq == -1 else freq,
         nprocs=doc["nprocs"],
         total_samples=doc["total_samples"],
-        perf=perf,
+        ranks=keys[0::2],
+        vids=keys[1::2],
+        values=values,
     )
-    comm = CommDependence()
-    for row in doc["edges"]:
-        (
-            send_rank, send_vid, recv_rank, recv_vid, wait_vid, tag, nbytes,
-            count, max_wait,
-        ) = row
-        edge = CommEdge._make((
-            send_rank, send_vid, recv_rank, recv_vid, wait_vid, tag, nbytes,
-        ))
-        comm.edges[edge.key()] = edge
-        comm.edge_stats[edge.key()] = (count, max_wait)
-        comm.observed_events += count
-        comm.recorded_events += count
+    edges = _numeric_rows(doc.pop("edges"), len(EDGE_KEY_COLUMNS) + 2, path)
+    ints = edges[:, :-1]
+    _require_integral(ints, path)
+    ints = ints.astype(np.int64)
+    comm = CommDependence(
+        edge_keys=ints[:, :-1].copy(), edge_counts=ints[:, -1].copy(),
+        edge_max_waits=edges[:, -1].copy(),
+    )
+    comm.observed_events = comm.recorded_events = int(comm.edge_counts.sum())
     for g in doc["groups"]:
         group = CollectiveGroup(
             mpi_op=MpiOp(g["op"]),
@@ -184,6 +191,27 @@ def load_profile(path: str | Path) -> LoadedProfile:
         app_time=doc["app_time"],
         trace=trace,
     )
+
+
+_INT = "(?:0|[1-9][0-9]*)"
+#: ``perf`` keys joined by ``;``: canonical ``rank,vid`` integer pairs.
+_PERF_KEYS = re.compile(f"{_INT},{_INT}(?:;{_INT},{_INT})*")
+
+
+def _numeric_rows(rows: list, width: int, path) -> np.ndarray:
+    """``rows`` as a float64 ``(n, width)`` array, or ValueError unless
+    every row is ``width`` JSON numbers."""
+    arr = np.array(rows)
+    if arr.size == 0:
+        arr = arr.reshape(0, width)
+    if arr.dtype.kind not in "iuf" or arr.shape != (len(rows), width):
+        raise ValueError(f"{path}: rows are not {width} numbers wide")
+    return arr.astype(np.float64, copy=False)
+
+
+def _require_integral(values: np.ndarray, path) -> None:
+    if not (np.isfinite(values).all() and (values == np.round(values)).all()):
+        raise ValueError(f"{path}: non-integral value in an integer column")
 
 
 def profile_file_bytes(path: str | Path) -> int:

@@ -133,6 +133,38 @@ class TestDigest:
         digests = {base.digest()} | {v.digest() for v in variants}
         assert len(digests) == len(variants) + 1  # all distinct
 
+    def test_digest_is_computed_once_per_instance(self, monkeypatch):
+        cfg = full_config()
+        want = cfg.digest()
+        calls = []
+        monkeypatch.setattr(
+            AnalysisConfig, "_compute_digest", lambda self: calls.append(1)
+        )
+        assert [cfg.digest() for _ in range(3)] == [want] * 3
+        assert calls == []
+
+    def test_memoized_digest_is_invisible(self):
+        """Equality, repr, pickles, copies and with_overrides see the
+        fields only, never the memo."""
+        import copy
+        import pickle
+
+        cfg = full_config()
+        fresh = full_config()
+        want = cfg.digest()
+        assert cfg == fresh and repr(cfg) == repr(fresh)
+        assert pickle.dumps(cfg) == pickle.dumps(fresh)
+        for clone in (pickle.loads(pickle.dumps(cfg)), copy.copy(cfg),
+                      copy.deepcopy(cfg)):
+            assert "_digest" not in vars(clone)
+            assert clone == cfg and clone.digest() == want
+        changed = cfg.with_overrides(seed=cfg.seed + 1)
+        assert "_digest" not in vars(changed)
+        assert changed.digest() != want
+        assert changed.digest() == full_config().with_overrides(
+            seed=cfg.seed + 1
+        )._compute_digest()
+
     def test_source_digest_depends_on_source_and_filename(self):
         assert source_digest("a", "f.mm") != source_digest("b", "f.mm")
         assert source_digest("a", "f.mm") != source_digest("a", "g.mm")

@@ -1,11 +1,14 @@
 """Session artifact cache: hit/miss accounting, the zero-simulation
 contract, invalidation on config change, persistence, and sweeps."""
 
+import json
+
 import pytest
 
 from repro.api import Session, run_fingerprint
 from repro.apps import get_app
 from repro.simulator import simulation_call_count
+from repro.tools.storage import load_profile
 
 SOURCE = """\
 def main() {
@@ -15,6 +18,31 @@ def main() {
     }
 }
 """
+
+
+def _corrupt(doc: dict, kind: str) -> None:
+    """Damage a decoded profile document in place, keeping it valid JSON."""
+    row = doc["perf"][next(iter(doc["perf"]))]
+    if kind == "wrong_width":
+        row.pop()
+    elif kind == "string_cell":
+        row[0] = "0.5"
+    elif kind == "null_cell":
+        row[3] = None
+    elif kind == "key_without_comma":
+        doc["perf"] = {k.replace(",", ""): r for k, r in doc["perf"].items()}
+    elif kind == "fractional_visits":
+        row[2] = 2.5
+    elif kind == "fractional_edge_count":
+        doc["edges"] = [[0, 1, 1, 2, 2, 0, 8, 1.5, 0.25]]
+    elif kind == "no_edges":
+        del doc["edges"]
+    elif kind == "rank_out_of_range":
+        doc["perf"][f"{doc['nprocs']},0"] = doc["perf"].pop(next(iter(doc["perf"])))
+    elif kind == "perf_not_an_object":
+        doc["perf"] = list(doc["perf"].values())
+    else:
+        raise AssertionError(kind)
 
 
 class TestCacheHitMiss:
@@ -84,6 +112,29 @@ class TestInvalidation:
         ).profile(4)
         assert not art.cached  # re-simulated, no crash
         assert not victim.exists() or victim.read_text() != "garbage"
+
+    @pytest.mark.parametrize("corrupt", [
+        "wrong_width", "string_cell", "null_cell", "key_without_comma",
+        "fractional_visits", "fractional_edge_count", "no_edges",
+        "rank_out_of_range", "perf_not_an_object",
+    ])
+    def test_malformed_profile_is_a_miss_not_an_error(self, tmp_path, corrupt):
+        """Valid JSON that is not a well-formed profile is dropped and
+        re-simulated, like a file that is not JSON at all."""
+        session = Session(cache_dir=tmp_path / "cache")
+        fresh = session.pipeline(SOURCE, seed=1).profile(4)
+        victim = next((tmp_path / "cache").rglob("profile_p4.json"))
+        doc = json.loads(victim.read_text())
+        _corrupt(doc, corrupt)
+        victim.write_text(json.dumps(doc))
+        with pytest.raises((ValueError, KeyError, TypeError)):
+            load_profile(victim)
+        art = Session(cache_dir=tmp_path / "cache").pipeline(
+            SOURCE, seed=1
+        ).profile(4)
+        assert not art.cached
+        assert run_fingerprint(art.run) == run_fingerprint(fresh.run)
+        assert run_fingerprint(load_profile(victim)) == run_fingerprint(fresh.run)
 
     def test_explicit_invalidate(self, tmp_path):
         session = Session(cache_dir=tmp_path / "cache")

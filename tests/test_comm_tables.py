@@ -21,7 +21,6 @@ from repro.minilang.ast_nodes import MpiOp
 from repro.psg import build_psg
 from repro.runtime import collect_comm_dependence
 from repro.runtime.interposition import (
-    CommDependence,
     CommEdge,
     CollectiveGroup,
     _RequestConverter,
@@ -54,15 +53,20 @@ def reference_collect(result, *, sample_probability=1.0, seed=0):
 
     Kept as the oracle for the vectorized path: any divergence on any
     workload — values *or* dict insertion order — is a columnarization
-    bug.  The in-loop request-converter equivalence ``assert`` of the old
-    code lives in :class:`TestRequestConverter` now.
+    bug.  It fills plain dicts (``CommDependence`` keeps its edges as
+    columns, with ``edges`` / ``edge_stats`` as views).  The in-loop
+    request-converter equivalence ``assert`` of the old code lives in
+    :class:`TestRequestConverter` now.
     """
     threshold = sample_probability * float(2**63)
 
     def keep(*key):
         return derive_seed(seed, "comm_sampling", *key) < threshold
 
-    dep = CommDependence()
+    dep = SimpleNamespace(
+        edges={}, edge_stats={}, groups={}, group_stats={},
+        observed_events=0, recorded_events=0, indirect_targets={},
+    )
     for rec in result.p2p_records:
         dep.observed_events += 1
         if sample_probability < 1.0 and not keep(

@@ -441,3 +441,30 @@ class TestTermRegressions:
         doc = json.loads(capsys.readouterr().out)
         counts = doc["skeleton"] and doc["skeleton"]["counts_at"]
         assert counts == skeleton
+
+    #: checks clean at the first witness; the guarded send targets rank
+    #: ``nprocs`` only once P > 8, so the skeleton cannot instantiate at
+    #: the last witness
+    LATE_SEND = (
+        "def main() { if (nprocs > 8) { if (rank == 0) "
+        "{ send(dest = nprocs, tag = 1, bytes = 8); } } barrier(); }\n"
+    )
+
+    def test_scales_lint_cli_drops_a_skeleton_invalid_at_the_last_witness(
+        self, tmp_path, capsys
+    ):
+        from repro.tools.cli import main
+
+        path = tmp_path / "late.mm"
+        path.write_text(self.LATE_SEND)
+        assert main(["lint", "--source", str(path), "--scales", "2..16"]) == 1
+        out = capsys.readouterr().out
+        assert "dest=10 out of range for 10 processes" in out
+        assert "scaling skeleton" not in out
+        assert main([
+            "lint", "--source", str(path), "--scales", "2..16", "--json",
+        ]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["scales"][-1] == 10
+        assert doc["skeleton_checked"] == [2, True]
+        assert doc["skeleton"] is None

@@ -80,11 +80,8 @@ def _oracle_sample(result, freq_hz: float) -> SamplingProfile:
                     if total > 0:
                         vec.counters += exact.scaled(duration / total * frac)
 
-    return SamplingProfile(
-        freq_hz=freq_hz,
-        nprocs=result.nprocs,
-        total_samples=total_samples,
-        perf=perf,
+    return SamplingProfile.from_vectors(
+        freq_hz, result.nprocs, total_samples, perf
     )
 
 

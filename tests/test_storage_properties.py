@@ -36,12 +36,11 @@ def synthetic_runs(draw):
                 tot_lst_ins=draw(finite), l2_dcm=draw(finite),
             ),
         )
-    profile = SamplingProfile(
-        freq_hz=200.0, nprocs=nprocs,
-        total_samples=draw(st.integers(min_value=0, max_value=10**6)),
-        perf=perf,
+    profile = SamplingProfile.from_vectors(
+        200.0, nprocs, draw(st.integers(min_value=0, max_value=10**6)), perf
     )
     comm = CommDependence()
+    edge_stats = {}
     for _ in range(draw(st.integers(min_value=0, max_value=8))):
         edge = CommEdge(
             send_rank=draw(st.integers(0, nprocs - 1)),
@@ -52,10 +51,8 @@ def synthetic_runs(draw):
             tag=draw(st.integers(0, 99)),
             nbytes=draw(st.integers(0, 10**9)),
         )
-        comm.edges[edge.key()] = edge
-        comm.edge_stats[edge.key()] = (
-            draw(st.integers(1, 1000)), draw(finite),
-        )
+        edge_stats[edge.key()] = (draw(st.integers(1, 1000)), draw(finite))
+    comm.set_edge_stats(edge_stats)
     if draw(st.booleans()):
         group = CollectiveGroup(
             mpi_op=draw(st.sampled_from([MpiOp.ALLREDUCE, MpiOp.BARRIER, MpiOp.BCAST])),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.util.stats import (
     geometric_mean,
     loglog_fit,
+    median,
     median_absolute_deviation,
     relative_imbalance,
     trimmed_mean,
@@ -106,6 +107,29 @@ class TestAggregates:
     def test_mad_empty_raises(self):
         with pytest.raises(ValueError):
             median_absolute_deviation([])
+
+
+class TestMedian:
+    """``median`` is ``np.median`` without its masked-array import."""
+
+    values = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=True),
+        st.sampled_from([0.0, 1.0, -1.0, 5e-324, float("nan")]),
+    )
+
+    @given(st.lists(values, min_size=1, max_size=40))
+    def test_same_value_as_numpy(self, xs):
+        arr = np.array(xs, dtype=float)
+        got, want = median(arr), float(np.median(arr))
+        if math.isnan(want):
+            assert math.isnan(got)
+        else:
+            # == is bit equality except for the sign of a zero middle,
+            # which depends on where a sort leaves -0.0 and 0.0
+            assert got == want
+
+    def test_even_length_halves_the_middle_sum(self):
+        assert median(np.array([4.0, 1.0, 3.0, 2.0])) == 2.5
 
 
 class TestRelativeImbalance:
