@@ -45,8 +45,14 @@ from collections.abc import Iterable, Mapping
 from repro.minilang import ast_nodes as ast
 from repro.psg.graph import PSG
 from repro.simulator import ops
-from repro.simulator.errors import MpiUsageError, SimulationError
+from repro.simulator.errors import SimulationError
 from repro.simulator.exprcompile import truthy
+from repro.simulator.interp import (
+    check_bytes,
+    check_rank,
+    check_rank_or_any,
+    check_tag,
+)
 
 from repro.analysis.rankdep import _assigned_names, countable_for
 from repro.analysis.terms import (
@@ -502,49 +508,13 @@ def build_comm_graph(
 
 
 # --------------------------------------------------------------------------
-# instantiation (interpreter-faithful coercions)
+# instantiation (the interpreter's own argument checks)
 # --------------------------------------------------------------------------
 
 
-def _coerce_rank(value, nprocs: int, loc: str, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise MpiUsageError(
-            f"{loc}: {what} must be an integer rank, got {value!r}"
-        )
-    if not (0 <= value < nprocs):
-        raise MpiUsageError(
-            f"{loc}: {what}={value} out of range for {nprocs} processes"
-        )
-    return value
-
-
-def _coerce_rank_or_any(value, nprocs: int, loc: str, what: str):
-    if value is ops.ANY:
-        return ops.ANY
-    return _coerce_rank(value, nprocs, loc, what)
-
-
-def _coerce_tag(value, loc: str, *, allow_any: bool):
-    if value is ops.ANY:
-        if allow_any:
-            return ops.ANY
-        raise MpiUsageError(f"{loc}: ANY is not a valid send tag")
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise MpiUsageError(f"{loc}: tag must be an integer, got {value!r}")
-    if value < 0:
-        raise MpiUsageError(f"{loc}: tag must be non-negative, got {value}")
-    return value
-
-
-def _coerce_bytes(value, loc: str) -> int:
-    if value is None:
-        return 0
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise MpiUsageError(f"{loc}: bytes must be a number, got {value!r}")
-    nbytes = int(value)
-    if nbytes < 0:
-        raise MpiUsageError(f"{loc}: bytes must be non-negative, got {nbytes}")
-    return nbytes
+def _nbytes(value, loc) -> int:
+    """A byte count as the interpreter takes it (none given is 0)."""
+    return 0 if value is None else check_bytes(value, loc)
 
 
 @dataclass
@@ -566,7 +536,7 @@ class CommGraph:
         """Concrete communication multiset at one scale; O(edges
         produced).  Raises :class:`SimulationError` when the graph is
         degraded and :class:`MpiUsageError` exactly where the
-        interpreter's argument coercions would."""
+        interpreter would: both call the same argument checks."""
         if not self.exact:
             raise SimulationError(
                 f"parametric comm graph degraded: {self.reason}"
@@ -639,32 +609,32 @@ class CommGraph:
         if family.kind == "send":
             key = (
                 rank,
-                _coerce_rank(val("dest"), nprocs, loc, "dest"),
-                _coerce_tag(val("tag"), loc, allow_any=False),
-                _coerce_bytes(val("nbytes"), loc),
+                check_rank(val("dest"), nprocs, loc, "dest"),
+                check_tag(val("tag"), loc, allow_any=False),
+                _nbytes(val("nbytes"), loc),
                 family.blocking,
             )
             inst.sends[key] = inst.sends.get(key, 0) + mult
         elif family.kind == "recv":
             key = (
                 rank,
-                _coerce_rank_or_any(val("src"), nprocs, loc, "src"),
-                _coerce_tag(val("tag"), loc, allow_any=True),
+                check_rank_or_any(val("src"), nprocs, loc, "src"),
+                check_tag(val("tag"), loc, allow_any=True),
                 family.blocking,
             )
             inst.recvs[key] = inst.recvs.get(key, 0) + mult
         elif family.kind == "sendrecv":
             skey = (
                 rank,
-                _coerce_rank(val("dest"), nprocs, loc, "dest"),
-                _coerce_tag(val("tag"), loc, allow_any=False),
-                _coerce_bytes(val("nbytes"), loc),
+                check_rank(val("dest"), nprocs, loc, "dest"),
+                check_tag(val("tag"), loc, allow_any=False),
+                _nbytes(val("nbytes"), loc),
                 False,  # the send half of sendrecv never blocks alone
             )
             rkey = (
                 rank,
-                _coerce_rank_or_any(val("src"), nprocs, loc, "src"),
-                _coerce_tag(val("recv_tag"), loc, allow_any=True),
+                check_rank_or_any(val("src"), nprocs, loc, "src"),
+                check_tag(val("recv_tag"), loc, allow_any=True),
                 True,
             )
             inst.sends[skey] = inst.sends.get(skey, 0) + mult
@@ -674,9 +644,9 @@ class CommGraph:
             key = (
                 rank,
                 family.op.value,
-                _coerce_rank(root_v, nprocs, loc, "root")
+                check_rank(root_v, nprocs, loc, "root")
                 if root_v is not None else 0,
-                _coerce_bytes(val("nbytes"), loc),
+                _nbytes(val("nbytes"), loc),
             )
             inst.collectives[key] = inst.collectives.get(key, 0) + mult
 

@@ -30,19 +30,23 @@ iterations unroll rank by rank through the ordinary per-rank interpreter,
 which is the identity oracle; runtime errors and iteration-limit
 truncation therefore always come from it.
 
-When every rank's stream is class-batched, no receive names ``ANY`` and
-some op is point-to-point, the replay first matches without a mailbox
-(:class:`_PairedReplay`): with no wildcard, the Mailbox pairs the k-th
-receive of each channel ``(source, destination, tag)`` with its k-th
-send whatever the visit order, so one sort of every send and receive row
-by channel, read off the class templates' member columns
-(:func:`~repro.simulator.matching.pair_channels`), fixes every match up
-front.  A send then marks its paired receive row, and a receive is
-satisfied exactly when its row is marked.  That replay is kept only when
-every channel pairs one for one and every rank finishes, where it ends
-in the Mailbox replay's state; otherwise the Mailbox replay runs from
-scratch, so every deadlock, leftover and tag-mismatch finding comes from
-it.
+When every rank's stream is class-batched and complete and some op is
+point-to-point, the lint asks the engine's lockstep proof
+(:func:`~repro.simulator.lockstep.schedule`) instead of replaying: one
+proof, two consumers.  The proof runs on the class templates before
+their members' op lists fan out and costs nothing.  It pairs every
+receive row with its send row channel by channel
+(:func:`~repro.simulator.matching.pair_channels`), checks every request
+and collective, and merges the classes into one order in which every
+receive completes after its send.  With no wildcard the replay matches
+exactly as that pairing does, and it is eager like the engine, so by
+Kahn's determinacy a proven order means the replay completes: every rank
+done, no irecv open, no message left over and no collective finding.
+A message a rank sends to itself could still be a self-send deadlock, so
+the proof steps aside on any.  Where it is proven the lint skips the
+replay's findings, since there are none; where it refuses
+(``LintReport.mailbox_reason`` keeps why) the Mailbox replay runs, so
+every deadlock, leftover and tag-mismatch finding comes from it.
 
 Rule catalog (stable ids):
 
@@ -98,12 +102,10 @@ from __future__ import annotations
 import enum
 import re
 from collections import deque
-from itertools import compress, repeat
+from itertools import compress
 from operator import itemgetter
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Mapping
-
-import numpy as np
 
 from repro.minilang import ast_nodes as ast
 from repro.minilang.ast_nodes import MpiOp
@@ -112,7 +114,7 @@ from repro.psg.graph import PSG
 from repro.simulator import ops
 from repro.simulator.errors import IterationLimitError, SimulationError
 from repro.simulator.interp import Interpreter
-from repro.simulator.matching import Mailbox, pair_channels
+from repro.simulator.matching import Mailbox
 
 from repro.analysis.rankdep import RankAnalysis, analyze_program
 from repro.analysis.symmetry import SymmetrySummary, partition_ranks
@@ -182,9 +184,9 @@ class LintReport:
     #: ranks whose stream came from a class representative rather than
     #: their own interpreter (engagement counter; not part of the output)
     ranks_batched: int = 0
-    #: why the replay matched point-to-point ops through the Mailbox;
-    #: None when the static channel pairing matched them (engagement
-    #: record; not part of the output)
+    #: why the Mailbox replay ran: the lockstep proof's refusal, or why it
+    #: was not asked; None when the proof showed the replay completes
+    #: (engagement record; not part of the output)
     mailbox_reason: str | None = "no replay ran"
 
     @property
@@ -280,12 +282,6 @@ class _Stream:
     error: str | None = None
     error_location: SourceLocation | None = None
     truncated: bool = False
-    #: the paired replay's row numbering (see :func:`_pair_rows`): at a
-    #: send or receive, the row of the class's first member, shared by the
-    #: members like ``kinds``; the stream's row is that plus ``member``,
-    #: its index in the class
-    rows: list[int] | None = None
-    member: int = 0
 
 
 def _unroll(
@@ -359,28 +355,26 @@ def _batched_streams(
 
 def _class_streams(
     members: list[int], base: list, batched: Mapping[int, list],
-    first: _Stream, positions: list[int], rows: list[int] | None,
+    first: _Stream, positions: list[int],
 ) -> list[_Stream]:
     """The streams of one batched class, classified once.
 
     The members' op lists are patched copies of the representative's
     (``members[0]``, whose list is the template's ``base``), classified
     into ``first`` with its kept ``positions``: the same op types at
-    every position, so the same kind codes, wildcard flag, truncation
-    and paired-replay rows.  Each other member keeps its own ops at the
-    kept positions; members that share the representative's list share
-    its events too."""
+    every position, so the same kind codes, wildcard flag and
+    truncation.  Each other member keeps its own ops at the kept
+    positions; members that share the representative's list share its
+    events too."""
     take = itemgetter(*positions) if len(positions) > 1 else (
         lambda whole: [whole[p] for p in positions]
     )
-    first.rows = rows
     out = [first]
-    for i, rank in enumerate(members[1:], 1):
+    for rank in members[1:]:
         whole = batched[rank]
         out.append(_Stream(
             rank, first.events if whole is base else list(take(whole)),
             first.kinds, first.any_src, truncated=first.truncated,
-            rows=rows, member=i,
         ))
     return out
 
@@ -395,11 +389,12 @@ def _collect_streams(
     max_iterations: int,
     symmetry: SymmetrySummary,
     expr_cache: dict,
-) -> tuple[list[_Stream], int, memoryview | str]:
+) -> tuple[list[_Stream], int, str | None]:
     """Every rank's filtered, classified op stream, how many came
-    class-batched, and the paired replay's pairing, or why it steps
-    aside (see :func:`_pair_rows`).  The other ranks run the per-rank
-    interpreter, which is the oracle."""
+    class-batched, and why the Mailbox replay must run (None when the
+    lockstep proof shows it completes; see :func:`_schedule_reason`).
+    The other ranks run the per-rank interpreter, which is the
+    oracle."""
     # a representative stops at the op budget's worth of loop iterations
     # (a per-rank unroll stops at that many P2P ops); its class then
     # unrolls per rank, which truncates exactly as before
@@ -410,22 +405,20 @@ def _collect_streams(
     # a class is batched whole or not at all: classify each batched
     # class once, through its representative
     classes: list[tuple] = []
-    for members, base, patches in result.classes:
+    for members, base, _patches in result.classes:
         first, positions = _Stream(members[0]), []
         _unroll(first, base, max_ops_per_rank, positions)
-        classes.append((members, base, patches, first, positions))
-    # pair before the members' op lists fan out, so that the pairing's
+        classes.append((members, base, first, positions))
+    # prove before the members' op lists fan out, so that the proof's
     # temporaries do not add to their memory
-    pairing = _pair_rows(classes, nprocs)
-    if type(pairing) is str:
-        rows = repeat(None)
-    else:
-        pairing, rows = pairing
+    reason = _schedule_reason(
+        result.classes, [first for _, _, first, _ in classes], nprocs,
+    )
     batched = result.streams
     classified: dict[int, _Stream] = {}
-    for (members, base, _, first, positions), class_rows in zip(classes, rows):
+    for members, base, first, positions in classes:
         for stream in _class_streams(
-            members, base, batched, first, positions, class_rows
+            members, base, batched, first, positions
         ):
             classified[stream.rank] = stream
     streams: list[_Stream] = []
@@ -439,7 +432,36 @@ def _collect_streams(
                 expr_cache=expr_cache,
             ).run(), max_ops_per_rank)
         streams.append(stream)
-    return streams, len(batched), pairing
+    return streams, len(batched), reason
+
+
+def _schedule_reason(
+    classes: list, firsts: list[_Stream], nprocs: int,
+) -> str | None:
+    """None when the lockstep proof shows that the replay of batched
+    ``classes`` (each class's representative stream in ``firsts``)
+    completes with no finding, else why the Mailbox replay must run: a
+    rank that is not class-batched, a truncated stream, no
+    point-to-point op, the proof's refusal, or a message a rank sends to
+    itself (the proof does not decide whether a blocking self-send finds
+    its receive already posted)."""
+    from repro.simulator.lockstep import Refusal, schedule
+
+    if sum(len(members) for members, _, _ in classes) != nprocs:
+        return "not every rank is class-batched"
+    if any(first.truncated for first in firsts):
+        return "streams incomplete"
+    if not any(
+        _SEND in first.kinds or _RECV in first.kinds or _IRECV in first.kinds
+        for first in firsts
+    ):
+        return "no point-to-point op"
+    try:
+        proof = schedule(classes, nprocs)
+    except Refusal as exc:
+        return str(exc)
+    rank = proof.self_message()
+    return None if rank is None else f"rank {rank} sends to itself"
 
 
 def _location_of(message: str) -> SourceLocation | None:
@@ -504,13 +526,6 @@ class _Replay:
     itself; the wakes only spare the visits that would find it shut."""
 
     def __init__(self, streams: list[_Stream], nprocs: int) -> None:
-        self._start(streams, nprocs)
-        self.mailboxes = [Mailbox(r) for r in range(nprocs)]
-        #: the blocking receive a _BLK_RECV rank parked on has matched
-        self.block_resolved = [False] * nprocs
-
-    def _start(self, streams: list[_Stream], nprocs: int) -> None:
-        """The state both replays keep."""
         self.streams = streams
         self.nprocs = nprocs
         self.pos = [0] * nprocs
@@ -531,6 +546,9 @@ class _Replay:
         self.saw_wildcard = False
         self.self_send_hits: list[tuple[int, ops.SendOp]] = []
         self.coll_findings: list[tuple[str, int, dict[int, ops.CollectiveOp]]] = []
+        self.mailboxes = [Mailbox(r) for r in range(nprocs)]
+        #: the blocking receive a _BLK_RECV rank parked on has matched
+        self.block_resolved = [False] * nprocs
 
     # -- mechanics ------------------------------------------------------
 
@@ -683,238 +701,6 @@ class _Replay:
             for dest, mailbox in enumerate(self.mailboxes)
             for msg in mailbox.pending_messages()
         ]
-
-
-class _PairedReplay(_Replay):
-    """The replay with every point-to-point match fixed up front by the
-    channel pairing of :func:`_pair_rows`, so no mailbox is kept.
-
-    A send marks its paired receive row arrived and wakes that row's
-    rank if it is parked on the row (a blocking receive) or waits with
-    it open (an irecv); a receive is satisfied exactly when its row is
-    marked.  Request FIFOs, waits and open irecvs hold receive rows.
-    Visit order, wakes, collectives and the blocking self-send rule are
-    the Mailbox replay's: with no wildcard the Mailbox makes exactly
-    these matches, so a paired replay in which every rank finishes ends
-    in the Mailbox replay's state.  The visit loop repeats
-    :meth:`_Replay._advance` with the matching inlined, since a method
-    call per op would cost much of what the pairing saves."""
-
-    def __init__(
-        self, streams: list[_Stream], nprocs: int, recv_of: memoryview,
-    ) -> None:
-        self._start(streams, nprocs)
-        #: send row -> the receive row it pairs with
-        self.recv_of = recv_of
-        #: receive row -> its paired send has run (0 or 1)
-        self.arrived = bytearray(len(recv_of))
-        #: the receive row a _BLK_RECV rank parked on (-1: none yet)
-        self.parked = [-1] * nprocs
-
-    def _advance(self, rank: int) -> None:
-        state = self.state[rank]
-        if state == _DONE:
-            return
-        stream = self.streams[rank]
-        events, kinds = stream.events, stream.kinds
-        rows, member = stream.rows, stream.member
-        arrived, parked = self.arrived, self.parked
-        own_irecvs = self.open_irecvs[rank]
-        pos, end = self.pos[rank], len(events)
-        if state != _RUN:
-            if state == _BLK_RECV:
-                if not arrived[parked[rank]]:
-                    return
-            elif state == _BLK_WAIT:
-                waiting = self.waiting[rank]
-                if own_irecvs if waiting is None else waiting in own_irecvs:
-                    return
-                self.waiting[rank] = None
-            elif self.coll_count[rank] - 1 in self.coll_arrivals:
-                return  # _BLK_COLL: its instance is not released yet
-            pos += 1
-        state = _DONE
-        requests = self.requests[rank]
-        recv_of, open_irecvs = self.recv_of, self.open_irecvs
-        runnable, states = self.runnable, self.state
-        while pos < end:
-            kind = kinds[pos]
-            if kind == _SEND:
-                op = events[pos]
-                row = recv_of[rows[pos] + member]
-                arrived[row] = 1
-                dest = op.dest
-                if parked[dest] == row:
-                    runnable[dest] = True
-                elif row in open_irecvs[dest]:
-                    del open_irecvs[dest][row]
-                    if states[dest] == _BLK_WAIT:
-                        runnable[dest] = True
-                elif op.blocking and dest == rank:
-                    # the receive is not posted yet (see _Replay._deliver)
-                    self.self_send_hits.append((rank, op))
-                if op.request is not None:  # an isend
-                    requests.setdefault(op.request, []).append(None)
-            elif kind == _RECV:
-                row = rows[pos] + member
-                if not arrived[row]:
-                    parked[rank] = row
-                    state = _BLK_RECV
-                    break
-            elif kind == _IRECV:
-                op = events[pos]
-                row = rows[pos] + member
-                if op.request is not None:
-                    requests.setdefault(op.request, []).append(row)
-                if not arrived[row]:
-                    own_irecvs[row] = op
-            elif kind == _WAIT:
-                queue = requests.get(events[pos].request)
-                if queue:
-                    row = queue.pop(0)
-                    if not queue:
-                        del requests[events[pos].request]
-                    if row is not None and row in own_irecvs:
-                        self.waiting[rank] = row
-                        state = _BLK_WAIT
-                        break
-            elif kind == _WAITALL:
-                requests.clear()
-                if own_irecvs:
-                    state = _BLK_WAIT
-                    break
-            elif not self._arrive(rank, events[pos]):
-                state = _BLK_COLL
-                break
-            pos += 1
-        self.pos[rank] = pos
-        states[rank] = state
-
-    def leftover_messages(self) -> list[tuple[int, ops.SendOp, int]]:
-        """None: every send row pairs with a receive row, so once every
-        rank has finished every message was received.  (A paired replay
-        that leaves a rank blocked is dropped for the Mailbox replay.)"""
-        assert not self.blocked_ranks()
-        return []
-
-
-def _pair_rows(
-    classes: list[tuple], nprocs: int,
-) -> tuple[memoryview, list[list[int]]] | str:
-    """Number every send and receive row and pair them channel by
-    channel, for :class:`_PairedReplay`.
-
-    Rows run class after class, position by position, over each
-    position's members: a position's rows are its member columns,
-    ``(rank, dest, tag)`` at a send and ``(src, rank, tag)`` at a
-    receive, read off the class template.  ``classes`` holds each batched
-    class's ``(members, base, patches, representative's stream, kept
-    template positions)``.  Returns the receive row of each send row (a
-    view of one int64 array: a list would hold an int object per row)
-    and each class's row list (at a send or receive, the row of the
-    class's first member), or why the paired replay steps aside: a rank
-    that is not class-batched, a truncated stream, no point-to-point
-    op, a receive naming ``ANY``, or a channel whose sends and receives
-    do not pair one for one."""
-    from repro.simulator.classbatch import stack_columns
-
-    if sum(len(members) for members, *_ in classes) != nprocs:
-        return "not every rank is class-batched"
-    if any(first.truncated for _, _, _, first, _ in classes):
-        return "streams incomplete"
-    if not any(
-        _SEND in kinds or _RECV in kinds or _IRECV in kinds
-        for kinds in (first.kinds for _, _, _, first, _ in classes)
-    ):
-        return "no point-to-point op"
-    i64 = np.int64
-    sides: list[list[list]] = [[[], [], []], [[], [], []]]
-    counts = [0, 0]
-    class_rows = []
-    for members, base, patches, first, positions in classes:
-        kinds = np.asarray(first.kinds, dtype=np.int64)
-        n = len(members)
-        slots = base.copy()
-        for pos, column_set in patches:
-            slots[pos] = column_set
-        rows = np.zeros(len(kinds), dtype=np.int64)
-        kept = np.asarray(positions, dtype=np.int64)
-        for side, (mask, fields) in enumerate((
-            (kinds == _SEND, _send_columns),
-            ((kinds == _RECV) | (kinds == _IRECV), _recv_columns),
-        )):
-            at = np.flatnonzero(mask)
-            if not len(at):
-                continue
-            rows[at] = counts[side] + n * np.arange(len(at))
-            counts[side] += n * len(at)
-            try:
-                peer, tag = stack_columns(
-                    [slots[p] for p in kept[at].tolist()], n, (i64, i64),
-                    fields,
-                )
-            except _Wildcard as exc:
-                return f"{exc}: receive from ANY"
-            except OverflowError:
-                return "a point-to-point argument does not fit int64"
-            own = np.tile(np.asarray(members, dtype=np.int64), len(at))
-            columns = sides[side]
-            # (source, destination, tag): a send's peer is its
-            # destination, a receive's its source
-            for column, values in zip(
-                columns, (own, peer) if side == 0 else (peer, own)
-            ):
-                column.append(values)
-            columns[2].append(tag)
-        class_rows.append(rows.tolist())
-    # one class's columns are used as they are
-    sends, recvs = (
-        tuple(
-            column[0] if len(column) == 1
-            else np.concatenate(column) if column else np.empty(0, dtype=i64)
-            for column in columns
-        )
-        for columns in sides
-    )
-    del sides  # the per-class pieces, before the sort's temporaries
-    paired, mismatch = pair_channels(nprocs, sends, recvs)
-    if mismatch is not None:
-        side, row = (0, mismatch[0]) if mismatch[0] is not None else (
-            1, mismatch[1]
-        )
-        src, dest, tag = (int(column[row]) for column in (sends, recvs)[side])
-        return (
-            f"channel ({src} -> {dest}, tag {tag}) does not pair one for one"
-        )
-    del sends, recvs
-    recv_of = np.empty(len(paired), dtype=np.int64)
-    recv_of[paired] = np.arange(len(paired))
-    return memoryview(recv_of), class_rows
-
-
-class _Wildcard(Exception):
-    """A receive names ``ANY``; the message is its location."""
-
-
-def _send_columns(slot) -> tuple:
-    """A send position's ``(dest, tag)``: an op's values, or a column
-    set's values and member columns."""
-    if isinstance(slot, ops.Op):
-        return slot.dest, slot.tag
-    values = slot.values
-    return values["dest"], values["tag"]
-
-
-def _recv_columns(slot) -> tuple:
-    """A receive position's ``(src, tag)``, like :func:`_send_columns`."""
-    if isinstance(slot, ops.Op):
-        src, tag, where = slot.src, slot.tag, slot.location
-    else:
-        values = slot.values
-        src, tag, where = values["src"], values["tag"], values["location"]
-    if src is ops.ANY or tag is ops.ANY:
-        raise _Wildcard(str(where))
-    return src, tag
 
 
 # --------------------------------------------------------------------------
@@ -1255,7 +1041,7 @@ def _lint_at(
     symmetry = partition_ranks(
         program, nprocs, params, entry=entry, analysis=analysis,
     )
-    streams, ranks_batched, pairing = _collect_streams(
+    streams, ranks_batched, mailbox_reason = _collect_streams(
         program, psg, nprocs, params, entry, max_ops_per_rank,
         max_iterations, symmetry, expr_cache,
     )
@@ -1278,50 +1064,8 @@ def _lint_at(
             ranks_batched=ranks_batched,
         ), streams
 
-    replay, mailbox_reason = _run_replay(streams, pairing, nprocs)
-
-    for rank, op in replay.self_send_hits:
-        findings.add(
-            "self-send-deadlock", Severity.ERROR,
-            f"blocking send to own rank with no receive posted "
-            f"(dest = src = {rank}); guaranteed deadlock under "
-            "synchronous MPI",
-            op.location, ranks=(rank,),
-        )
-
-    for rule, instance, arrivals in replay.coll_findings:
-        by_shape: dict[tuple, list[int]] = {}
-        for rank, op in sorted(arrivals.items()):
-            shape = (op.mpi_op.name.lower(), op.root)
-            by_shape.setdefault(shape, []).append(rank)
-        desc = "; ".join(
-            f"{'root ' + str(shape[1]) if rule == 'root-mismatch' else shape[0]}"
-            f" on ranks {','.join(map(str, ranks))}"
-            for shape, ranks in sorted(by_shape.items(), key=lambda kv: kv[1])
-        )
-        head = (
-            "ranks reach collective instance "
-            f"#{instance} with different "
-            + ("roots" if rule == "root-mismatch" else "operations")
-            + f": {desc}"
-        )
-        primary = min(arrivals.items())[1]
-        related = {
-            str(op.location): op.location for _, op in sorted(arrivals.items())
-        }
-        related.pop(str(primary.location), None)
-        findings.add(
-            rule, Severity.ERROR, head, primary.location,
-            related=related.values(), ranks=sorted(arrivals),
-        )
-
-    blocked = replay.blocked_ranks()
-    leftovers = replay.leftover_messages()
-
-    if blocked:
-        _deadlock_findings(findings, replay, streams, blocked, leftovers)
-    else:
-        _completion_findings(findings, replay, streams, leftovers)
+    if mailbox_reason is not None:
+        _replay_findings(findings, streams, nprocs)
 
     wildcards = _wildcard_hygiene(streams)
     match_report = None
@@ -1435,26 +1179,56 @@ def _lint_at(
     ), streams
 
 
-def _run_replay(
-    streams: list[_Stream], pairing: memoryview | str, nprocs: int,
-) -> tuple[_Replay, str | None]:
-    """The finished replay, and why it matched through the Mailbox (None
-    when the paired replay engaged; ``pairing`` is :func:`_pair_rows`'s
-    receive rows or its reason).  The paired replay is kept only when
-    every rank finished; otherwise the Mailbox replay runs from scratch,
-    so every deadlock finding comes from it."""
-    if type(pairing) is str:
-        reason = pairing
-    else:
-        replay = _PairedReplay(streams, nprocs, pairing)
-        replay.run()
-        blocked = replay.blocked_ranks()
-        if not blocked:
-            return replay, None
-        reason = f"rank {blocked[0]} is blocked at the end"
+def _replay_findings(
+    findings: _Findings, streams: list[_Stream], nprocs: int,
+) -> None:
+    """Replay every stream through the Mailbox and report what it ends
+    in: self-send deadlocks, collective mismatches, and then the
+    deadlock or the leftover traffic."""
     replay = _Replay(streams, nprocs)
     replay.run()
-    return replay, reason
+    for rank, op in replay.self_send_hits:
+        findings.add(
+            "self-send-deadlock", Severity.ERROR,
+            f"blocking send to own rank with no receive posted "
+            f"(dest = src = {rank}); guaranteed deadlock under "
+            "synchronous MPI",
+            op.location, ranks=(rank,),
+        )
+
+    for rule, instance, arrivals in replay.coll_findings:
+        by_shape: dict[tuple, list[int]] = {}
+        for rank, op in sorted(arrivals.items()):
+            shape = (op.mpi_op.name.lower(), op.root)
+            by_shape.setdefault(shape, []).append(rank)
+        desc = "; ".join(
+            f"{'root ' + str(shape[1]) if rule == 'root-mismatch' else shape[0]}"
+            f" on ranks {','.join(map(str, ranks))}"
+            for shape, ranks in sorted(by_shape.items(), key=lambda kv: kv[1])
+        )
+        head = (
+            "ranks reach collective instance "
+            f"#{instance} with different "
+            + ("roots" if rule == "root-mismatch" else "operations")
+            + f": {desc}"
+        )
+        primary = min(arrivals.items())[1]
+        related = {
+            str(op.location): op.location for _, op in sorted(arrivals.items())
+        }
+        related.pop(str(primary.location), None)
+        findings.add(
+            rule, Severity.ERROR, head, primary.location,
+            related=related.values(), ranks=sorted(arrivals),
+        )
+
+    blocked = replay.blocked_ranks()
+    leftovers = replay.leftover_messages()
+
+    if blocked:
+        _deadlock_findings(findings, replay, streams, blocked, leftovers)
+    else:
+        _completion_findings(findings, replay, streams, leftovers)
 
 
 def _deadlock_findings(

@@ -971,7 +971,8 @@ def _coerce_values(rule, raw: list, nprocs: int) -> list:
             if isinstance(v, bool) or not isinstance(v, int) or v < 0:
                 raise _Fallback(f"derived {rule.field}={v!r} is not a valid tag")
         elif coerce == "bytes":
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or v < 0:
+            if isinstance(v, bool) or not isinstance(v, (int, float)) \
+                    or not v >= 0 or v == float("inf"):
                 raise _Fallback(f"derived {rule.field}={v!r} is not a byte count")
             v = int(v)
         else:  # "number" (compute fields; range-checked at Workload build)

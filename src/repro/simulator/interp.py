@@ -15,6 +15,7 @@ vertex via ``psg.lookup_stmt`` — this is the runtime half of the paper's
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from collections.abc import Iterator, Mapping
@@ -116,52 +117,82 @@ def _number_arg(expr_fn, loc, what):
     return fn
 
 
+#: The largest tag or byte count: the trace tables and the lockstep
+#: pairing hold them as int64.
+_I64_MAX = (1 << 63) - 1
+
+
+def check_rank(value, nprocs: int, loc, what: str) -> int:
+    """A rank argument as the engine takes it, or :class:`MpiUsageError`.
+    The interpreter's validators and the comm graph's instantiation
+    (:mod:`repro.analysis.commgraph`) share these checks."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise MpiUsageError(
+            f"{loc}: {what} must be an integer rank, got {value!r}"
+        )
+    if not (0 <= value < nprocs):
+        raise MpiUsageError(
+            f"{loc}: {what}={value} out of range for {nprocs} processes"
+        )
+    return value
+
+
+def check_rank_or_any(value, nprocs: int, loc, what: str):
+    """A receive's source: a rank, or ``ANY``."""
+    if value is ops.ANY:
+        return ops.ANY
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise MpiUsageError(f"{loc}: {what} must be a rank or ANY, got {value!r}")
+    return check_rank(value, nprocs, loc, what)
+
+
+def check_tag(value, loc, *, allow_any: bool):
+    """A tag: a non-negative int64, or ``ANY`` where ``allow_any``."""
+    if value is ops.ANY:
+        if allow_any:
+            return ops.ANY
+        raise MpiUsageError(f"{loc}: ANY is not a valid send tag")
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise MpiUsageError(f"{loc}: tag must be an integer, got {value!r}")
+    if value < 0:
+        raise MpiUsageError(f"{loc}: tag must be non-negative, got {value}")
+    if value > _I64_MAX:
+        raise MpiUsageError(f"{loc}: tag must be below 2**63, got {value}")
+    return value
+
+
+def check_bytes(value, loc) -> int:
+    """A byte count: a finite number, truncated to a non-negative
+    int64."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise MpiUsageError(f"{loc}: bytes must be a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise MpiUsageError(f"{loc}: bytes must be finite, got {value!r}")
+    nbytes = int(value)
+    if nbytes < 0:
+        raise MpiUsageError(f"{loc}: bytes must be non-negative, got {nbytes}")
+    if nbytes > _I64_MAX:
+        raise MpiUsageError(f"{loc}: bytes must be below 2**63, got {nbytes}")
+    return nbytes
+
+
 def _rank_arg(expr_fn, loc, what):
     def fn(frame, ctx):
-        value = expr_fn(frame, ctx)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise MpiUsageError(
-                f"{loc}: {what} must be an integer rank, got {value!r}"
-            )
-        if not (0 <= value < ctx.nprocs):
-            raise MpiUsageError(
-                f"{loc}: {what}={value} out of range for {ctx.nprocs} processes"
-            )
-        return value
+        return check_rank(expr_fn(frame, ctx), ctx.nprocs, loc, what)
 
     return fn
 
 
 def _rank_or_any_arg(expr_fn, loc, what):
     def fn(frame, ctx):
-        value = expr_fn(frame, ctx)
-        if value is ops.ANY:
-            return ops.ANY
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise MpiUsageError(
-                f"{loc}: {what} must be a rank or ANY, got {value!r}"
-            )
-        if not (0 <= value < ctx.nprocs):
-            raise MpiUsageError(
-                f"{loc}: {what}={value} out of range for {ctx.nprocs} processes"
-            )
-        return value
+        return check_rank_or_any(expr_fn(frame, ctx), ctx.nprocs, loc, what)
 
     return fn
 
 
 def _tag_arg(expr_fn, loc, *, allow_any):
     def fn(frame, ctx):
-        value = expr_fn(frame, ctx)
-        if value is ops.ANY:
-            if allow_any:
-                return ops.ANY
-            raise MpiUsageError(f"{loc}: ANY is not a valid send tag")
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise MpiUsageError(f"{loc}: tag must be an integer, got {value!r}")
-        if value < 0:
-            raise MpiUsageError(f"{loc}: tag must be non-negative, got {value}")
-        return value
+        return check_tag(expr_fn(frame, ctx), loc, allow_any=allow_any)
 
     return fn
 
@@ -172,13 +203,7 @@ def _bytes_arg(expr, loc, compiler):
     expr_fn = compiler(expr)
 
     def fn(frame, ctx):
-        value = expr_fn(frame, ctx)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise MpiUsageError(f"{loc}: bytes must be a number, got {value!r}")
-        nbytes = int(value)
-        if nbytes < 0:
-            raise MpiUsageError(f"{loc}: bytes must be non-negative, got {nbytes}")
-        return nbytes
+        return check_bytes(expr_fn(frame, ctx), loc)
 
     return fn
 

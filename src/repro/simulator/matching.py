@@ -34,9 +34,11 @@ old code would have found first.
 **Static pairing.**  With no wildcard on either side, the rules above pair
 the k-th receive of each channel ``(source, destination, tag)`` with its
 k-th send, whatever the timing.  :func:`pair_channels` computes that
-pairing for whole columns of send and receive rows at once, for callers
-that know every rank's operations in program order up front (the
-lockstep drain, the lint's replay).
+pairing for whole columns of send and receive rows at once, for the
+lockstep proof (:func:`repro.simulator.lockstep.schedule`), which knows
+every rank's operations in program order up front.  The proof has two
+consumers: the engine compiles its lockstep plan from it, and the static
+lint reads a proven schedule as a replay that completes.
 """
 
 from __future__ import annotations
@@ -270,6 +272,10 @@ def pair_channels(
     a rank's rows are numbered in its own order): a stable sort of both
     sides by channel then lines the k-th receive of each channel up with
     its k-th send.
+
+    This is the pairing of the one lockstep proof
+    (:func:`repro.simulator.lockstep.schedule`) that both the engine's
+    lockstep drain and the static lint consume.
 
     Returns ``(paired, None)`` when every channel holds as many sends as
     receives, ``paired[r]`` being the send row of receive row ``r``.

@@ -15,7 +15,7 @@ from repro.api import run_fingerprint
 from repro.minilang import parse_program
 from repro.psg import build_psg
 from repro.runtime import profile_run
-from repro.simulator import SimulationConfig, simulate
+from repro.simulator import SimulationConfig, lockstep, simulate
 from repro.simulator.classbatch import BatchResult
 from repro.simulator.engine import Engine
 
@@ -77,12 +77,15 @@ def per_rank_lint():
 
 @contextlib.contextmanager
 def mailbox_replay():
-    """Run the lint with the static channel pairing stepping aside: every
-    replay then matches through the Mailbox, the paired replay's oracle.
+    """Run the lint with the lockstep proof refusing: every lint then
+    replays through the Mailbox, the proof's oracle.  The engine's
+    lockstep refuses too while this is active.
     """
-    with mock.patch.object(
-        lint, "_pair_rows", lambda *args: "pairing off by request"
-    ):
+
+    def refuse(*args):
+        raise lockstep.Refusal("schedule off by request")
+
+    with mock.patch.object(lockstep, "schedule", refuse):
         yield
 
 

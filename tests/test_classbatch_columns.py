@@ -62,7 +62,8 @@ def reference_values(rule, members, nprocs, env=None) -> list:
             if isinstance(v, bool) or not isinstance(v, int) or v < 0:
                 raise _Fallback(f"derived {rule.field}={v!r} is not a valid tag")
         elif rule.coerce == "bytes":
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or v < 0:
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or v < 0 \
+                    or isinstance(v, float) and not math.isfinite(v):
                 raise _Fallback(f"derived {rule.field}={v!r} is not a byte count")
             v = int(v)
         else:
@@ -156,8 +157,8 @@ class TestAffineColumns:
          int(1e30)),
     ])
     def test_valid_value_beyond_int64_refuses(self, rule, first):
-        # a value the interpreter accepts but no int64 column holds: the
-        # class refuses, so its ranks run the per-rank path instead
+        # a value no int64 column holds: the class refuses, so its ranks
+        # run the per-rank path, whose interpreter rejects it
         reference_values(rule, MEMBERS, 8)  # accepted per member
         with pytest.raises(_Fallback, match=(
             f"derived {rule.field}={first} exceeds the int64 range"
@@ -195,8 +196,8 @@ class TestTermColumns:
     @pytest.mark.parametrize("value", [-0.0, 0.5, 2.0 ** 62, -0.5, math.nan,
                                        math.inf, True, "x"])
     def test_byte_count_edge_values(self, value):
-        # -0.0 and 0.5 truncate to 0; a negative count refuses; NaN and
-        # inf raise the same conversion error int() raises per member
+        # -0.0 and 0.5 truncate to 0; a negative count, NaN and inf
+        # refuse, as the interpreter rejects them per member
         rule = FieldRule(
             "nbytes", "bytes",
             ("sel", ("bin", "==", ("rank",), ("const", 3)),

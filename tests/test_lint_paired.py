@@ -1,18 +1,20 @@
-"""The lint's paired replay ends where the Mailbox replay ends.
+"""The lint trusts the lockstep proof exactly where the Mailbox replay
+would complete.
 
-When every rank's stream is class-batched, no receive names ``ANY`` and
-some op is point-to-point, ``run_lint`` pairs every send row with its
-receive row by one channel sort over the class templates' member columns
-and replays without a mailbox (``lint._PairedReplay``).  It keeps that
-replay only when every channel pairs one for one and every rank
-finishes; otherwise the Mailbox replay runs from scratch.
+When every rank's stream is class-batched and complete and some op is
+point-to-point, ``run_lint`` asks the engine's lockstep proof
+(``repro.simulator.lockstep.schedule``) on the class templates.  A
+proven schedule with no message a rank sends to itself stands for a
+replay that completes with no finding, so the lint runs no replay;
+otherwise the Mailbox replay runs and ``LintReport.mailbox_reason`` says
+why.
 
-Two oracles: the same lint with the pairing stepping aside
+Two oracles: the same lint with the proof refusing
 (:func:`tests.conftest.mailbox_replay`), and the per-rank lint
 (:func:`tests.conftest.per_rank_lint`).  The reports must be
-byte-identical, and an engaged paired replay must end in the state the
-Mailbox replay reaches over the same streams.
-``LintReport.mailbox_reason`` pins where the pairing engages.
+byte-identical, and over the streams of every proven lint the Mailbox
+replay must end in the completed state the lint assumes.
+``LintReport.mailbox_reason`` pins where the proof engages.
 """
 
 import json
@@ -20,11 +22,12 @@ from unittest import mock
 
 import pytest
 
-from repro.analysis import lint, run_lint
+from repro.analysis import lint, run_lint, scaleparam
 from repro.api import Pipeline
 from repro.apps import APPS, get_app
 from repro.minilang.errors import SourceLocation
-from repro.simulator import ops
+from repro.simulator import classbatch, lockstep, ops
+from repro.simulator.costmodel import CostModel
 from tests.conftest import GENERATORS, _compiled, mailbox_replay, per_rank_lint
 from tests.test_lint_replay import _end_state
 
@@ -37,42 +40,66 @@ def _outputs(report):
     return json.dumps(report.to_json_dict(), sort_keys=True), report.render()
 
 
-def _lint(program, psg, nprocs, params):
-    """The report and every replay the lint ran, in order."""
-    replays = []
-    run = lint._Replay.run
+def _completed(streams):
+    """The :func:`_end_state` of a replay in which every rank finished
+    with nothing left: what a proven schedule stands for."""
+    return {
+        "state": [lint._DONE] * len(streams),
+        "pos": [len(stream.events) for stream in streams],
+        "open_irecvs": [[] for _ in streams],
+        "leftovers": [],
+        "coll_findings": [],
+        "self_send_hits": [],
+        "saw_wildcard": False,
+    }
 
-    def capturing(replay):
+
+def _lints(run):
+    """Call ``run()`` and return its result, every lint's ``(report,
+    streams)`` and how many replays ran."""
+    lints, replays = [], []
+    lint_at, replay_run = lint._lint_at, lint._Replay.run
+
+    def capturing_lint(*args, **kwargs):
+        lints.append(lint_at(*args, **kwargs))
+        return lints[-1]
+
+    def counting_run(replay):
         replays.append(replay)
-        run(replay)
+        replay_run(replay)
 
-    with mock.patch.object(lint._Replay, "run", capturing):
-        report = run_lint(program, psg, nprocs, params)
-    return report, replays
+    with mock.patch.object(lint, "_lint_at", capturing_lint), \
+            mock.patch.object(scaleparam, "_lint_at", capturing_lint), \
+            mock.patch.object(lint._Replay, "run", counting_run):
+        result = run()
+    return result, lints, len(replays)
+
+
+def _assert_proofs_hold(lints):
+    """Over the streams of every proven lint, the Mailbox replay ends in
+    the completed state."""
+    for report, streams in lints:
+        if report.mailbox_reason is None:
+            replay = lint._Replay(streams, report.nprocs)
+            replay.run()
+            assert _end_state(replay) == _completed(streams)
 
 
 def _assert_matches_oracles(program, psg, nprocs, params=None):
     """Lint three ways and compare; return the default lint's report."""
-    report, replays = _lint(program, psg, nprocs, params)
+    report, lints, replays = _lints(
+        lambda: run_lint(program, psg, nprocs, params)
+    )
     with mailbox_replay():
-        mailbox, mailbox_replays = _lint(program, psg, nprocs, params)
+        mailbox = run_lint(program, psg, nprocs, params)
     with per_rank_lint():
         per_rank = run_lint(program, psg, nprocs, params)
     assert _outputs(report) == _outputs(mailbox), report.render()
     assert _outputs(report) == _outputs(per_rank), report.render()
-    assert all(type(r) is lint._Replay for r in mailbox_replays)
     if report.mailbox_reason is None:
-        (paired,) = replays
-        assert type(paired) is lint._PairedReplay
-        assert mailbox.mailbox_reason == "pairing off by request"
-        again = lint._Replay(paired.streams, paired.nprocs)
-        again.run()
-        assert _end_state(paired) == _end_state(again)
-    elif replays:
-        # a paired replay that left a rank blocked is dropped, and the
-        # Mailbox replay runs from scratch
-        assert type(replays[-1]) is lint._Replay
-        assert len(replays) == 1 + (type(replays[0]) is lint._PairedReplay)
+        assert replays == 0
+        assert mailbox.mailbox_reason == "schedule off by request"
+    _assert_proofs_hold(lints)
     return report
 
 
@@ -93,22 +120,46 @@ def test_bundled_apps(name, nprocs):
         assert report.mailbox_reason == "no point-to-point op"
 
 
-#: Fully batched programs with a finding.  The pairing steps aside for
-#: the first four (a channel that does not pair, or a rank blocked at the
-#: end); the paired replay reports the last three itself.
+@pytest.mark.parametrize("name", sorted(APPS))
+def test_cross_scale_witnesses(name):
+    """Every witness of ``lint --scales all`` that the proof engages
+    stands for a completed replay, and ``--scales all`` prints what it
+    prints with the proof refusing."""
+    spec = get_app(name)
+
+    def lint_all():
+        return Pipeline.for_app(spec).lint(
+            scales="all", valid=spec.nprocs_valid
+        )
+
+    result, lints, _ = _lints(lint_all)
+    assert lints
+    _assert_proofs_hold(lints)
+    with mailbox_replay():
+        mailbox = lint_all()
+    assert result.render() == mailbox.render()
+    assert json.dumps(result.to_json_dict(), sort_keys=True) == json.dumps(
+        mailbox.to_json_dict(), sort_keys=True
+    )
+
+
+#: Fully batched programs with a finding, and the proof's refusal: the
+#: Mailbox replay reports each of them.
 CORPUS = {
     "blocking_ring": ("""\
 def main() {
     recv(src = (rank - 1 + nprocs) % nprocs, tag = 1);
     send(dest = (rank + 1) % nprocs, tag = 1, bytes = 8);
 }
-""", "rank 0 is blocked at the end", "unmatched-recv"),
+""", "blocking_ring.mm:2: receive completes before its paired send at "
+     "blocking_ring.mm:3", "unmatched-recv"),
     "tag_mismatch": ("""\
 def main() {
     send(dest = (rank + 1) % nprocs, tag = 2, bytes = 8);
     recv(src = (rank - 1 + nprocs) % nprocs, tag = 3);
 }
-""", "channel (0 -> 1, tag 2) does not pair one for one", "tag-mismatch"),
+""", "tag_mismatch.mm:2: sends and receives do not pair up channel by "
+     "channel", "tag-mismatch"),
     "unmatched_send": ("""\
 def main() {
     sendrecv(dest = (rank + 1) % nprocs, tag = 1, bytes = 8,
@@ -116,7 +167,8 @@ def main() {
     send(dest = (rank + 1) % nprocs, tag = 4, bytes = 16);
     barrier();
 }
-""", "channel (0 -> 1, tag 4) does not pair one for one", "unmatched-send"),
+""", "unmatched_send.mm:2: sends and receives do not pair up channel by "
+     "channel", "unmatched-send"),
     "collective_divergence": ("""\
 def main() {
     sendrecv(dest = (rank + 1) % nprocs, tag = 1, bytes = 8,
@@ -125,28 +177,30 @@ def main() {
         barrier();
     }
 }
-""", "rank 0 is blocked at the end", "collective-divergence"),
+""", "collective_divergence.mm:5: collective #0 is not reached by every "
+     "rank class", "collective-divergence"),
     "self_send_first": ("""\
 def main() {
     send(dest = rank, tag = 5, bytes = 8);
     irecv(src = rank, tag = 5, req = r);
     wait(req = r);
 }
-""", None, "self-send-deadlock"),
+""", "rank 0 sends to itself", "self-send-deadlock"),
     "isend_never_waited": ("""\
 def main() {
     isend(dest = (rank + 1) % nprocs, tag = 6, bytes = 8, req = s);
     recv(src = (rank - 1 + nprocs) % nprocs, tag = 6);
     barrier();
 }
-""", None, "request-leak"),
+""", "isend_never_waited.mm:2: request 's' is never waited on",
+     "request-leak"),
     "root_mismatch": ("""\
 def main() {
     sendrecv(dest = (rank + 1) % nprocs, tag = 7, bytes = 8,
              src = (rank - 1 + nprocs) % nprocs);
     bcast(root = rank % 2, bytes = 8);
 }
-""", None, "root-mismatch"),
+""", "root_mismatch.mm:4: root varies by rank", "root-mismatch"),
 }
 
 
@@ -172,8 +226,8 @@ def test_generator_draws(generator):
 
 
 class TestEngagement:
-    """``mailbox_reason`` pins where the paired replay engages (identity
-    alone cannot see it silently switch off)."""
+    """``mailbox_reason`` pins where the proof engages (identity alone
+    cannot see it silently switch off)."""
 
     @pytest.mark.parametrize("name", sorted(APPS))
     def test_bundled_apps_at_p16(self, name):
@@ -204,7 +258,20 @@ class TestEngagement:
     def test_mailbox_replay_steps_the_pairing_aside(self):
         with mailbox_replay():
             report = Pipeline.for_app(get_app("cg")).lint(16)
-        assert report.mailbox_reason == "pairing off by request"
+        assert report.mailbox_reason == "schedule off by request"
+
+    def test_the_lint_never_costs(self, monkeypatch):
+        """The proof costs no op: the cg@128 lint engages with every cost
+        query raising."""
+
+        def no_cost(*args, **kwargs):
+            raise AssertionError("the lint costed an op")
+
+        monkeypatch.setattr(CostModel, "compute_cost_columns", no_cost)
+        monkeypatch.setattr(classbatch, "transfer_column", no_cost)
+        monkeypatch.setattr(lockstep, "transfer_column", no_cost)
+        report = Pipeline.for_app(get_app("cg")).lint(128)
+        assert report.mailbox_reason is None
 
     def test_wildcard_receive_steps_aside(self):
         program, psg = _compiled("""\
@@ -224,9 +291,24 @@ def main() {
         # rank 0 holds the wildcard, so it runs its own interpreter
         assert report.mailbox_reason == "not every rank is class-batched"
 
+    def test_self_message_steps_aside(self):
+        """A message a rank sends itself steps aside even where the proof
+        holds: the replay decides whether its receive was posted first."""
+        program, psg = _compiled("""\
+def main() {
+    irecv(src = rank, tag = 5, req = r);
+    send(dest = rank, tag = 5, bytes = 8);
+    wait(req = r);
+}
+""", "self_posted")
+        report = _assert_matches_oracles(program, psg, 4)
+        assert report.mailbox_reason == "rank 0 sends to itself"
+        assert report.ok, report.render()
+
     def test_tags_past_int64(self):
-        """A tag too large for int64 steps aside; the largest int64 tag
-        pairs, through tags numbered densely."""
+        """A tag too large for int64 is an execution error, so no replay
+        runs; the largest int64 tag pairs, through tags numbered
+        densely."""
         ring = """\
 def main() {
     sendrecv(dest = (rank + 1) % nprocs, tag = TAG, bytes = 8,
@@ -235,19 +317,19 @@ def main() {
              src = (rank - 1 + nprocs) % nprocs);
 }
 """
-        for tag, reason in (
-            (1 << 63, "a point-to-point argument does not fit int64"),
-            ((1 << 63) - 1, None),
-        ):
+        for tag, reason in ((1 << 63, "no replay ran"), ((1 << 63) - 1, None)):
             program, psg = _compiled(ring.replace("TAG", str(tag)), "big_tag")
             report = _assert_matches_oracles(program, psg, 4)
             assert report.mailbox_reason == reason
+        assert [f.rule for f in report.findings] == []
 
     def test_wildcard_columns_refuse(self):
         """Class batching keeps wildcard receives per rank, so no template
-        holds one; the pairing checks anyway."""
+        holds one; the proof checks anyway."""
         where = SourceLocation(filename="w.mm", line=3)
-        for src, tag in ((ops.ANY, 1), (1, ops.ANY)):
+        for src, tag, name in ((ops.ANY, 1, "src"), (1, ops.ANY, "tag")):
             recv = ops.RecvOp(vid=0, location=where, src=src, tag=tag)
-            with pytest.raises(lint._Wildcard, match="w.mm:3"):
-                lint._recv_columns(recv)
+            with pytest.raises(
+                lockstep.Refusal, match=f"w.mm:3: receive from ANY {name}",
+            ):
+                lockstep.schedule([([0, 1], [recv], [])], 2)
