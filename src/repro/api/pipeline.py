@@ -24,6 +24,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
+from functools import cached_property
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
@@ -297,17 +298,24 @@ class Pipeline:
         session: "Session" | None = None,
         **config_overrides,
     ) -> "Pipeline":
-        """A pipeline for a registry application, config from its defaults."""
+        """A pipeline for a registry application, config from its defaults.
+
+        The pipeline adopts the app's own static artifact
+        (:meth:`AppSpec.static_artifact`), so every pipeline on one app in
+        a process shares one parse and one PSG build.
+        """
         if config is None:
             config = AnalysisConfig.for_app(app, **config_overrides)
         elif config_overrides:
             config = config.with_overrides(**config_overrides)
-        return cls(
+        pipe = cls(
             source=app.source,
             filename=app.filename,
             config=config,
             session=session,
         )
+        pipe.adopt_static(app.static_artifact(config.max_loop_depth))
+        return pipe
 
     # -- observability ----------------------------------------------------
 
@@ -334,8 +342,11 @@ class Pipeline:
 
     # -- content addressing ----------------------------------------------
 
-    @property
+    @cached_property
     def source_digest(self) -> str:
+        """Content hash of (filename, source), taken once per pipeline: the
+        cache key is asked for on every profile and fetch, and a pipeline's
+        source and filename do not change after it is built."""
         return source_digest(self.source, self.filename)
 
     def artifact_key(self, nprocs: int) -> ArtifactKey:

@@ -2,11 +2,14 @@
 
 :func:`sweep` is the fan-out entry point for evaluation-style workloads
 ("analyze these 11 apps at these 4 scales with 3 seeds each"): it builds
-one pipeline per (app, seed) cell, shares each app's static artifact
-across seeds (static analysis is seed-independent), dispatches every
-(cell, scale) profiling task onto one thread pool, and runs detection per
-cell once its profiles are in.  Bound to a :class:`~repro.api.session.Session`,
-re-sweeping only simulates the cells that changed.
+one pipeline per (app, seed) cell, dispatches every (cell, scale)
+profiling task onto one thread pool, and runs detection per cell once its
+profiles are in.  Static analysis is seed-independent: every cell of one
+app adopts the app's own static artifact
+(:meth:`~repro.apps.spec.AppSpec.static_artifact`), which is built once
+per process, so a repeated sweep parses nothing.  Bound to a
+:class:`~repro.api.session.Session`, re-sweeping only simulates the cells
+that changed.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from collections.abc import Iterable, Sequence
 from typing import Any
 
 from repro import obs
-from repro.api.artifacts import ProfileArtifact, StaticArtifact
+from repro.api.artifacts import ProfileArtifact
 from repro.api.config import AnalysisConfig
 from repro.api.pipeline import Pipeline
 from repro.api.session import Session
@@ -86,7 +89,6 @@ def sweep(
     """
     specs = [_resolve_app(a) for a in apps]
     cells: list[tuple[AppSpec, int, Pipeline, list[int]]] = []
-    static_shared: dict[tuple[str, int], StaticArtifact] = {}
     skipped: list[str] = []
     for spec in specs:
         cell_scales = valid_scales(spec, scales)
@@ -105,11 +107,6 @@ def sweep(
                 else AnalysisConfig.for_app(spec, seed=seed, **config_overrides)
             )
             pipe = Pipeline.for_app(spec, cfg, session=session)
-            # static analysis is seed-independent: share it across the row
-            skey = (pipe.source_digest, cfg.max_loop_depth)
-            if skey not in static_shared:
-                static_shared[skey] = pipe.static()
-            pipe.adopt_static(static_shared[skey])
             cells.append((spec, seed, pipe, cell_scales))
     if specs and not cells:
         raise ValueError(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 
 from repro.ppg.build import PPG
-from repro.util.stats import LogLogFit, loglog_fit
+from repro.util.stats import LogLogFit, loglog_fit, loglog_fits
 
 __all__ = ["VertexModel", "ScalingModel", "fit_scaling_model"]
 
@@ -98,20 +98,21 @@ def fit_scaling_model(ppgs: Sequence[PPG]) -> ScalingModel:
         raise ValueError("duplicate training scales")
     psg = ppgs[0].psg
 
-    vertices: dict[int, VertexModel] = {}
+    sampled: list[tuple[int, str, list[float]]] = []
     for vid, vertex in psg.vertices.items():
         series = []
         for g in ppgs:
             times = g.vertex_times(vid)
             series.append(max(times) if times else 0.0)  # slowest rank
-        if max(series) <= 0.0:
-            continue
-        vertices[vid] = VertexModel(
-            vid=vid,
-            label=vertex.label,
-            fit=loglog_fit(scales, series),
-            train_times=tuple(series),
+        if max(series) > 0.0:
+            sampled.append((vid, vertex.label, series))
+    fits = loglog_fits(scales, [series for _vid, _label, series in sampled])
+    vertices = {
+        vid: VertexModel(
+            vid=vid, label=label, fit=fit, train_times=tuple(series)
         )
+        for (vid, label, series), fit in zip(sampled, fits)
+    }
 
     totals = []
     for g in ppgs:

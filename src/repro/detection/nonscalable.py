@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.detection.aggregation import AggregationStrategy, aggregate
 from repro.ppg.build import PPG
-from repro.util.stats import LogLogFit, loglog_fit, median
+from repro.util.stats import LogLogFit, loglog_fits, median
 
 __all__ = ["NonScalableVertex", "NonScalableConfig", "detect_non_scalable"]
 
@@ -96,16 +96,19 @@ def detect_non_scalable(
     if total_time_at_largest <= 0:
         return []
 
-    fits: dict[int, tuple[LogLogFit, tuple[float, ...], float]] = {}
-    for vid, series in zip(vids, zip(*columns)):
-        if max(series) <= 0.0:
-            continue  # never sampled anywhere
-        fit = loglog_fit(scales, series)
-        fraction = series[-1] / total_time_at_largest
-        fits[vid] = (fit, series, fraction)
-
-    if not fits:
+    # vertices never sampled anywhere are not fitted
+    sampled = [
+        (vid, series) for vid, series in zip(vids, zip(*columns))
+        if max(series) > 0.0
+    ]
+    if not sampled:
         return []
+    fits: dict[int, tuple[LogLogFit, tuple[float, ...], float]] = {
+        vid: (fit, series, series[-1] / total_time_at_largest)
+        for (vid, series), fit in zip(
+            sampled, loglog_fits(scales, [series for _vid, series in sampled])
+        )
+    }
 
     slopes = np.array([f.alpha for f, _s, _fr in fits.values()])
     # np.median's values (the sign of a zero median cannot reach the cut)

@@ -9,6 +9,7 @@ from repro.util.rng import RngStream, derive_seed
 from repro.util.stats import (
     geometric_mean,
     loglog_fit,
+    loglog_fits,
     median_absolute_deviation,
     relative_imbalance,
     trimmed_mean,
@@ -21,6 +22,7 @@ __all__ = [
     "derive_seed",
     "geometric_mean",
     "loglog_fit",
+    "loglog_fits",
     "median_absolute_deviation",
     "relative_imbalance",
     "trimmed_mean",

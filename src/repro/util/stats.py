@@ -11,6 +11,7 @@ has ``alpha > 0``.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from collections.abc import Sequence
 
@@ -19,6 +20,7 @@ import numpy as np
 __all__ = [
     "LogLogFit",
     "loglog_fit",
+    "loglog_fits",
     "geometric_mean",
     "trimmed_mean",
     "median",
@@ -63,10 +65,26 @@ def loglog_fit(scales: Sequence[float], values: Sequence[float]) -> LogLogFit:
     Non-positive values are clamped to a tiny epsilon so that vertices that
     take (near) zero time at some scale do not crash the detector; they fit
     as strongly-scaling and are filtered out by the time-proportion check.
+    The one-row case of :func:`loglog_fits`.
+    """
+    return loglog_fits(scales, [values])[0]
+
+
+def loglog_fits(scales: Sequence[float], rows) -> list[LogLogFit]:
+    """:func:`loglog_fit` of every row of ``rows`` against one set of scales.
+
+    Each fit has the bits of ``np.polyfit(log(scales), log(row), 1)``:
+    polyfit's column-scaled Vandermonde matrix depends on the scales alone,
+    so it is built once, and each row is solved by the same 1-D
+    ``np.linalg.lstsq`` call polyfit makes.  (One lstsq over a 2-D
+    right-hand side gives other bits from about 8 scales on.)  Logs, the
+    clamp and r² run over C-contiguous ``(row, scale)`` arrays.
     """
     xs = np.asarray(scales, dtype=float)
-    ys = np.asarray(values, dtype=float)
-    if xs.shape != ys.shape or xs.ndim != 1:
+    ys = np.ascontiguousarray(rows, dtype=float)
+    if ys.size == 0:
+        ys = ys.reshape(0, xs.size)
+    if xs.ndim != 1 or ys.ndim != 2 or ys.shape[1] != xs.size:
         raise ValueError("scales and values must be 1-D sequences of equal length")
     if xs.size < 2:
         raise ValueError("need at least two scales for a log-log fit")
@@ -75,12 +93,32 @@ def loglog_fit(scales: Sequence[float], values: Sequence[float]) -> LogLogFit:
     eps = 1e-30
     lx = np.log(xs)
     ly = np.log(np.maximum(ys, eps))
-    slope, intercept = np.polyfit(lx, ly, 1)
-    pred = slope * lx + intercept
-    ss_res = float(np.sum((ly - pred) ** 2))
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return LogLogFit(alpha=float(slope), log_c=float(intercept), r2=r2, n=int(xs.size))
+    lhs = np.vander(lx, 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    rcond = lx.size * np.finfo(float).eps
+    coef = np.empty((len(ly), 2))
+    rank = 2
+    for i, row in enumerate(ly):
+        coef[i], _resid, rank, _sv = np.linalg.lstsq(lhs, row, rcond)
+    if rank != 2:  # polyfit's warning; the rank depends on lhs alone
+        warnings.warn(
+            "Polyfit may be poorly conditioned", np.exceptions.RankWarning,
+            stacklevel=2,
+        )
+    coef /= scale
+    slopes, intercepts = coef[:, :1], coef[:, 1:]
+    ss_res = np.sum((ly - (slopes * lx + intercepts)) ** 2, axis=1)
+    ss_tot = np.sum((ly - ly.mean(axis=1, keepdims=True)) ** 2, axis=1)
+    return [
+        LogLogFit(
+            alpha=alpha, log_c=log_c,
+            r2=1.0 if tot == 0.0 else 1.0 - res / tot, n=int(xs.size),
+        )
+        for (alpha, log_c), res, tot in zip(
+            coef.tolist(), ss_res.tolist(), ss_tot.tolist()
+        )
+    ]
 
 
 def geometric_mean(values: Sequence[float]) -> float:

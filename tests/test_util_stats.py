@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.util.stats import (
     geometric_mean,
     loglog_fit,
+    loglog_fits,
     median,
     median_absolute_deviation,
     relative_imbalance,
@@ -74,6 +75,63 @@ class TestLogLogFit:
         fit = loglog_fit(scales, times)
         assert fit.alpha == pytest.approx(alpha, abs=1e-6)
         assert fit.c == pytest.approx(c, rel=1e-6)
+
+
+def _polyfit_reference(scales, values) -> tuple[float, float, float]:
+    """One row's fit the way it was made before fits were batched: one
+    ``np.polyfit`` per vertex."""
+    lx = np.log(np.asarray(scales, dtype=float))
+    ly = np.log(np.maximum(np.asarray(values, dtype=float), 1e-30))
+    slope, intercept = np.polyfit(lx, ly, 1)
+    pred = slope * lx + intercept
+    ss_res = float(np.sum((ly - pred) ** 2))
+    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    return float(slope), float(intercept), r2
+
+
+@st.composite
+def _fit_batches(draw):
+    """2-16 distinct scales and rows of times: wide-ranging positive values,
+    non-positive ones (clamped to eps) and flat rows (``ss_tot == 0``)."""
+    scales = sorted(draw(st.sets(st.integers(1, 100_000), min_size=2, max_size=16)))
+    n = len(scales)
+    value = st.one_of(
+        st.floats(min_value=1e-12, max_value=1e6),
+        st.sampled_from([0.0, -0.0, -1.0]),
+    )
+    row = st.one_of(
+        st.lists(value, min_size=n, max_size=n),
+        st.floats(min_value=1e-9, max_value=1e3).map(lambda v: [v] * n),
+    )
+    return scales, draw(st.lists(row, min_size=1, max_size=8))
+
+
+class TestBatchedFits:
+    """``loglog_fits`` gives every row the bits of its own ``np.polyfit``."""
+
+    @given(_fit_batches())
+    def test_bits_equal_per_row_polyfit(self, batch):
+        scales, rows = batch
+        fits = loglog_fits(scales, rows)
+        assert len(fits) == len(rows)
+        for fit, row in zip(fits, rows):
+            want = _polyfit_reference(scales, row)
+            assert [v.hex() for v in (fit.alpha, fit.log_c, fit.r2)] == \
+                [v.hex() for v in want]
+            assert fit.n == len(scales)
+            assert loglog_fit(scales, row) == fit
+
+    def test_flat_row_fits_perfectly(self):
+        (fit,) = loglog_fits([2, 4, 8, 16, 32, 64, 128, 256], [[3.0] * 8])
+        assert fit.r2 == 1.0
+
+    def test_no_rows(self):
+        assert loglog_fits([2, 4], []) == []
+
+    def test_rejects_ragged_rows(self):
+        with pytest.raises(ValueError):
+            loglog_fits([2, 4, 8], [[1.0, 2.0, 3.0], [1.0, 2.0]])
 
 
 class TestAggregates:
